@@ -99,6 +99,10 @@ class ConfigError(ValueError):
     pass
 
 
+class InputError(ValueError):
+    """An input the command rejects: exit code 3 and one line on stderr."""
+
+
 def parse_config_file(path):
     """Plain UTF-8 key=value config; unknown keys are errors (fail loud)."""
     cfg = RunConfig()
@@ -164,7 +168,11 @@ def _apply_flags(cfg, args):
 
 
 class RunContext:
-    """Caches the grid and the counterexample build across suites."""
+    """Caches the grid and the counterexample build across suites.
+
+    Both are built from the configuration alone, so a ValueError while
+    building them is an input error.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -174,19 +182,26 @@ class RunContext:
     @property
     def grid(self):
         if self._grid is None:
-            self._grid = sphere.build_grid(self.cfg.n_theta, self.cfg.n_phi)
+            try:
+                self._grid = sphere.build_grid(self.cfg.n_theta, self.cfg.n_phi)
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
         return self._grid
 
     @property
     def counterexample(self):
         if self._counterexample is None:
-            self._counterexample = zonoid.build_counterexample(
-                self.cfg.cap_u(),
-                self.cfg.cap_v(),
-                self.grid,
-                L=self.cfg.band,
-                transition=self.cfg.transition,
-            )
+            grid = self.grid
+            try:
+                self._counterexample = zonoid.build_counterexample(
+                    self.cfg.cap_u(),
+                    self.cfg.cap_v(),
+                    grid,
+                    L=self.cfg.band,
+                    transition=self.cfg.transition,
+                )
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
         return self._counterexample
 
     def rng(self, salt=0):
@@ -553,47 +568,40 @@ SUITE_RUNNERS = {
 # ----------------------------------------------------------------------
 
 def cmd_transform(cfg, which, input_path, output_path):
-    grid = sphere.build_grid(cfg.n_theta, cfg.n_phi)
     try:
-        values = sphere.grid_from_csv(input_path, grid)
+        grid = sphere.build_grid(cfg.n_theta, cfg.n_phi)
+        f = transforms.SphericalFunction(
+            grid=grid, values=sphere.grid_from_csv(input_path, grid)
+        )
+        if which in ("cosine", "funk"):
+            f = f.with_coeffs(cfg.band)
     except (ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    f = transforms.SphericalFunction(grid=grid, values=values)
+        raise InputError(str(exc)) from None
     if which == "cosine":
         out = transforms.cosine_transform(f)
     elif which == "funk":
-        out = transforms.funk_transform(f.with_coeffs(cfg.band), m=cfg.circle_m)
+        out = transforms.funk_transform(f)
     elif which == "symmetrize":
         out = transforms.radial_symmetrize(f)
     else:
-        print(f"unknown transform {which!r}", file=sys.stderr)
-        return 3
+        raise InputError(f"unknown transform {which!r}")
     sphere.grid_to_csv(output_path, grid, out.values)
     return 0
 
 
 def cmd_counterexample(cfg):
     ctx = RunContext(cfg)
-    try:
-        res = ctx.counterexample
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
+    res = ctx.counterexample
     rows = suite_counterexample(ctx)
     budget = res.diagnostics["residual_budget"]
-    os.makedirs(cfg.out, exist_ok=True)
+    res.diagnostics["isotropy_max_dev_on_U"] = rows[0]["metric"]
+    res.diagnostics["funk_gap_UV_error"] = rows[1]["metric"]
     res.save(cfg.out)
     report = {
         "version": __version__,
         "config_echo": cfg.echo(),
         "results": rows,
     }
-    diag_extra = dict(res.diagnostics)
-    diag_extra["isotropy_max_dev_on_U"] = rows[0]["metric"]
-    diag_extra["funk_gap_UV_error"] = rows[1]["metric"]
-    with open(os.path.join(cfg.out, "diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(diag_extra, fh, indent=2, sort_keys=True)
     with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     for r in rows:
@@ -607,8 +615,7 @@ def cmd_counterexample(cfg):
 
 def cmd_verify(cfg, suite):
     if suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
-        return 3
+        raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     ctx = RunContext(cfg)
     names = list(SUITE_RUNNERS) if suite == "all" else [suite]
     results = []
@@ -657,15 +664,20 @@ def main(argv=None):
     try:
         cfg = parse_config_file(args.config) if args.config else RunConfig()
         cfg = _apply_flags(cfg, args)
+        cfg.cap_u(), cfg.cap_v()  # the caps are checked where they enter
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    if args.command == "transform":
-        return cmd_transform(cfg, args.which, args.input, args.output)
-    if args.command == "counterexample":
-        return cmd_counterexample(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.suite)
+    try:
+        if args.command == "transform":
+            return cmd_transform(cfg, args.which, args.input, args.output)
+        if args.command == "counterexample":
+            return cmd_counterexample(cfg)
+        if args.command == "verify":
+            return cmd_verify(cfg, args.suite)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 3
     parser.error(f"unknown command {args.command!r}")
 
 

@@ -334,10 +334,6 @@ class ZonalSupport:
     def at(self, t):
         return self.body.support_values(t)
 
-    def on_grid(self, grid):
-        values = self.body.support_values(np.repeat(grid.cos_theta, grid.n_phi))
-        return values
-
 
 def _flat_on_arc(body, keep):
     s = np.diff(body.z[: keep + 1]) / np.diff(body.rho[: keep + 1])

@@ -452,37 +452,22 @@ def umbilic_sphere_check(h, cap, tol=1e-6):
 def random_support_function(grid, rng, band=8, L=None, margin=0.05):
     """Reproducible strictly convex corpus element 1 + eps * (even band-k noise).
 
-    eps is found by bisection as the largest perturbation keeping the
-    smallest radii eigenvalue above ``margin``, so the certificate passes
-    with room to spare.
+    The radii matrix is linear in h and is the identity at h = 1, so the
+    smallest radii eigenvalue of 1 + eps * noise over the grid is
+    1 + eps * mu, with mu the smallest eigenvalue for the noise alone.  eps
+    puts it at ``margin``, so the certificate passes with room to spare.
     """
+    if band < 2:
+        raise ValueError(f"corpus noise needs band >= 2, got {band}")
     if L is None:
         L = band
     noise = harmonics.HarmonicCoeffs.zeros(L)
     for l in range(2, band + 1, 2):
         for m in range(-l, l + 1):
             noise.set(l, m, rng.normal())
-    nrm = math.sqrt(noise.norm2())
-    if nrm > 0:
-        noise.c /= nrm
-
-    def min_eig(eps):
-        c = noise.copy()
-        c.c = c.c * eps
-        c.set(0, 0, c.get(0, 0) + math.sqrt(4.0 * math.pi))
-        _, _, _, r1, _ = radii_grid(c, grid)
-        return float(np.min(r1))
-
-    lo, hi = 0.0, 2.0
-    while min_eig(hi) > margin:
-        hi *= 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) > margin:
-            lo = mid
-        else:
-            hi = mid
-    eps = lo
+    noise.c /= math.sqrt(noise.norm2())
+    _, _, _, r1, _ = radii_grid(noise, grid)
+    eps = (1.0 - margin) / -float(np.min(r1))
     out = noise.copy()
     out.c = out.c * eps
     out.set(0, 0, out.get(0, 0) + math.sqrt(4.0 * math.pi))

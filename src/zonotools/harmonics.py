@@ -127,30 +127,23 @@ class HarmonicCoeffs:
         Ac[l, m] multiplies Q_{l,m} cos(m phi) (already including the sqrt(2)
         for m > 0); As[l, m] multiplies Q_{l,m} sin(m phi), m >= 1.
         """
-        L = self.L
-        Ac = np.zeros((L + 1, L + 1))
-        As = np.zeros((L + 1, L + 1))
-        s2 = math.sqrt(2.0)
-        for l in range(L + 1):
-            block = self.degree_slice(l)
-            Ac[l, 0] = block[l]
-            if l:
-                Ac[l, 1 : l + 1] = s2 * block[l + 1 :]
-                As[l, 1 : l + 1] = s2 * block[l - 1 :: -1]
+        l, m = np.tril_indices(self.L + 1)
+        scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+        Ac = np.zeros((self.L + 1, self.L + 1))
+        As = np.zeros((self.L + 1, self.L + 1))
+        Ac[l, m] = scale * self.c[l * l + l + m]
+        As[l, m] = np.where(m > 0, scale * self.c[l * l + l - m], 0.0)
         return Ac, As
 
     @classmethod
     def from_split_orders(cls, Ac, As):
         L = Ac.shape[0] - 1
-        out = cls.zeros(L)
-        s2 = math.sqrt(2.0)
-        for l in range(L + 1):
-            block = out.degree_slice(l)
-            block[l] = Ac[l, 0]
-            if l:
-                block[l + 1 :] = Ac[l, 1 : l + 1] / s2
-                block[l - 1 :: -1] = As[l, 1 : l + 1] / s2
-        return out
+        l, m = np.tril_indices(L + 1)
+        scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+        c = np.empty(coeff_count(L))
+        c[l * l + l - m] = As[l, m] / scale  # the m = 0 slots are overwritten next
+        c[l * l + l + m] = Ac[l, m] / scale
+        return cls(L=L, c=c)
 
 
 def coeffs_to_csv(path, coeffs):
@@ -182,27 +175,47 @@ def _recurrence_coeffs(L):
     return a, b
 
 
+def _legendre_rows(L, t):
+    """Yield Q_{l,m}(t) for l = 0, 1, ..., L, one degree at a time.
+
+    Each yielded array has shape (L+1, len(t)) and is indexed by order m;
+    entries with m > l are zero.  The degree recurrence keeps only two live
+    rows, vectorized over order and evaluation points, so memory stays
+    proportional to (L+1) x len(t).  The yielded array is a work buffer that
+    the recurrence overwrites two degrees later: copy it to keep it.
+    """
+    t = np.asarray(t, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    a, b = _recurrence_coeffs(L)
+    prev = np.zeros((L + 1, t.size))  # Q_{l-1, m}
+    cur = np.zeros((L + 1, t.size))   # Q_{l, m}
+    nxt = np.zeros((L + 1, t.size))
+    work = np.empty((L + 1, t.size))
+    cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    yield cur
+    for l in range(1, L + 1):
+        np.multiply(math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * s, cur[l - 1], out=nxt[l])
+        np.multiply(math.sqrt(2.0 * l + 1.0) * t, cur[l - 1], out=nxt[l - 1])
+        if l >= 2:
+            k = l - 1
+            np.multiply(a[l, :k, None], t, out=nxt[:k])
+            nxt[:k] *= cur[:k]
+            np.multiply(b[l, :k, None], prev[:k], out=work[:k])
+            nxt[:k] -= work[:k]
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
+
+
 def _normalized_legendre(L, t):
     """Fully normalized associated Legendre values Q_{l,m}(t).
 
     Returns an array of shape (L+1, L+1, len(t)) indexed [l, m]; entries
-    with m > l are zero.  The degree recurrence runs once per degree and
-    is vectorized over both order and evaluation points, which keeps large
-    synthesis batches cheap.
+    with m > l are zero.
     """
     t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     P = np.zeros((L + 1, L + 1, t.size))
-    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    a, b = _recurrence_coeffs(L)
-    for l in range(1, L + 1):
-        P[l, l] = math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * s * P[l - 1, l - 1]
-        P[l, l - 1] = math.sqrt(2.0 * l + 1.0) * t * P[l - 1, l - 1]
-        if l >= 2:
-            P[l, : l - 1] = (
-                a[l, : l - 1, None] * t * P[l - 1, : l - 1]
-                - b[l, : l - 1, None] * P[l - 2, : l - 1]
-            )
+    for l, row in enumerate(_legendre_rows(L, t)):
+        P[l, : l + 1] = row[: l + 1]
     return P
 
 
@@ -280,37 +293,19 @@ def analyze(grid, values, L):
 def _synthesize_on(coeffs, t, phi):
     """Evaluate at points given by cos(colatitude) and longitude arrays.
 
-    Runs the Legendre degree recurrence with only two live rows, so the
+    Consumes the Legendre rows as the recurrence produces them, so the
     memory traffic stays proportional to (L+1) x n_points.
     """
     L = coeffs.L
     Ac, As = coeffs.split_orders()
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    n = t.size
-    a, b = _recurrence_coeffs(L)
-    prev = np.zeros((L + 1, n))   # Q_{l-1, m}
-    cur = np.zeros((L + 1, n))    # Q_{l, m}
-    nxt = np.zeros((L + 1, n))
-    work = np.empty((L + 1, n))
-    cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    Bc = Ac[0, :, None] * cur
-    Bs = np.zeros((L + 1, n))
-    for l in range(1, L + 1):
-        np.multiply(s, cur[l - 1], out=nxt[l])
-        nxt[l] *= math.sqrt((2.0 * l + 1.0) / (2.0 * l))
-        np.multiply(t, cur[l - 1], out=nxt[l - 1])
-        nxt[l - 1] *= math.sqrt(2.0 * l + 1.0)
-        if l >= 2:
-            k = l - 1
-            np.multiply(t, cur[:k], out=nxt[:k])
-            nxt[:k] *= a[l, :k, None]
-            np.multiply(b[l, :k, None], prev[:k], out=work[:k])
-            nxt[:k] -= work[:k]
-        prev, cur, nxt = cur, nxt, prev
+    Bc = np.zeros((L + 1, t.size))
+    Bs = np.zeros((L + 1, t.size))
+    work = np.empty((L + 1, t.size))
+    for l, row in enumerate(_legendre_rows(L, t)):
         k = l + 1
-        np.multiply(Ac[l, :k, None], cur[:k], out=work[:k])
+        np.multiply(Ac[l, :k, None], row[:k], out=work[:k])
         Bc[:k] += work[:k]
-        np.multiply(As[l, :k, None], cur[:k], out=work[:k])
+        np.multiply(As[l, :k, None], row[:k], out=work[:k])
         Bs[:k] += work[:k]
     cosm, sinm = _phi_tables(L, phi)
     return np.sum(Bc * cosm, axis=0) + np.sum(Bs * sinm, axis=0)
@@ -413,7 +408,8 @@ def multiplier_table(kernel, L):
     return MultiplierTable(kernel=kernel, lam=lam)
 
 
-def _apply_multipliers(coeffs, lam):
+def apply_multipliers(coeffs, lam):
+    """Multiply every degree-l coefficient by lam[l]."""
     out = coeffs.copy()
     out.c = coeffs.c * lam[coeffs.degrees()]
     return out
@@ -432,13 +428,13 @@ def cosine_transform_spectral(coeffs):
     """Multiply each even degree by its cosine-kernel eigenvalue."""
     _require_even(coeffs, "spectral cosine transform")
     lam = multiplier_table("cosine", coeffs.L).lam
-    return _apply_multipliers(coeffs, lam)
+    return apply_multipliers(coeffs, lam)
 
 
 def funk_transform_spectral(coeffs):
     """Multiply each even degree by 2 pi P_l(0)."""
     lam = multiplier_table("funk", coeffs.L).lam
-    return _apply_multipliers(coeffs, lam)
+    return apply_multipliers(coeffs, lam)
 
 
 def _spectral_inverse(coeffs, kernel, what):

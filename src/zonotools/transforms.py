@@ -48,10 +48,6 @@ class SphericalFunction:
             parity=parity,
         )
 
-    @classmethod
-    def from_callable(cls, grid, fn, parity=None):
-        return cls(grid=grid, values=np.asarray(fn(grid.nodes), dtype=float), parity=parity)
-
     def evaluate(self, points):
         """Pointwise values via harmonic synthesis; needs the expansion."""
         if self.coeffs is None:
@@ -79,22 +75,29 @@ class SphericalFunction:
         return float(np.max(np.abs(self.values - self.values[idx])))
 
 
-def cosine_transform(f, block=512):
-    """Cosine transform by direct node-sum quadrature.
+def _multiplier_transform(f, kernel):
+    """Apply a kernel's per-degree multipliers to the expansion of f.
 
-    (C f)(u) = sum_i w_i |<x_i, u>| f(x_i) at every grid node u.  The
-    kernel kink along each great circle limits this route to a few times
-    1e-3 relative accuracy on the default grid (error decays ~ n^-3); use
-    cosine_transform_quadrature or the spectral route when more accuracy
-    is needed.  Output is even regardless of the input.
+    Both kernels have exact-zero multipliers on odd degrees, so any input
+    is accepted and the output is even.
     """
-    grid = f.grid
-    wf = grid.weights * f.values
-    out = np.empty(grid.n_nodes)
-    for start in range(0, grid.n_nodes, block):
-        tgt = grid.nodes[start : start + block]
-        out[start : start + block] = np.abs(tgt @ grid.nodes.T) @ wf
-    return SphericalFunction(grid=grid, values=out, parity="even")
+    if f.coeffs is None:
+        raise ValueError(
+            f"{kernel} transform needs an evaluation rule; call with_coeffs(L) first"
+        )
+    lam = harmonics.multiplier_table(kernel, f.coeffs.L).lam
+    coeffs = harmonics.apply_multipliers(f.coeffs, lam)
+    return SphericalFunction.from_coeffs(f.grid, coeffs, parity="even")
+
+
+def cosine_transform(f):
+    """Cosine transform (C f)(u) = integral of |<x, u>| f(x) over the sphere.
+
+    Exact for the band-limited expansion of f: each degree is multiplied
+    by its cosine-kernel eigenvalue and the result is synthesized on the
+    grid.  cosine_transform_quadrature is the independent check.
+    """
+    return _multiplier_transform(f, "cosine")
 
 
 def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):
@@ -131,27 +134,14 @@ def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):
     return out if out.size > 1 else float(out[0])
 
 
-def funk_transform(f, m=256):
+def funk_transform(f):
     """Funk transform: integral over the orthogonal great circle.
 
-    Needs an evaluation rule (harmonic synthesis) since circle nodes are
-    off-grid.  All circles are batched into one synthesis call.
+    Exact for the band-limited expansion of f: each degree is multiplied
+    by 2 pi P_l(0) and the result is synthesized on the grid.
+    funk_transform_at is the independent circle-quadrature check.
     """
-    grid = f.grid
-    if f.coeffs is None:
-        raise ValueError(
-            "Funk transform needs an evaluation rule; call with_coeffs(L) first"
-        )
-    angles = 2.0 * np.pi * np.arange(m) / m
-    ca, sa = np.cos(angles), np.sin(angles)
-    eps1, eps2 = sphere.tangent_basis(grid.nodes)
-    pts = (
-        eps1[:, None, :] * ca[None, :, None] + eps2[:, None, :] * sa[None, :, None]
-    ).reshape(-1, 3)
-    vals = harmonics.synthesize_points(f.coeffs, pts).reshape(grid.n_nodes, m)
-    out = vals.sum(axis=1) * (2.0 * np.pi / m)
-    parity = "even" if f.parity in ("even", "odd") else None
-    return SphericalFunction(grid=grid, values=out, parity=parity)
+    return _multiplier_transform(f, "funk")
 
 
 def funk_transform_at(f, targets, m=256):
@@ -308,8 +298,11 @@ def lp_norm(f, p):
 
 def l2_distance(f, g):
     """L2 distance of two functions sampled on the same grid."""
-    if f.grid is not g.grid and f.grid.n_nodes != g.grid.n_nodes:
-        raise ValueError("functions live on different grids")
+    if (f.grid.n_theta, f.grid.n_phi) != (g.grid.n_theta, g.grid.n_phi):
+        raise ValueError(
+            f"functions live on different grids: ({f.grid.n_theta}, {f.grid.n_phi}) "
+            f"and ({g.grid.n_theta}, {g.grid.n_phi})"
+        )
     diff = f.values - g.values
     return float(math.sqrt(np.sum(f.grid.weights * diff * diff)))
 

@@ -73,7 +73,7 @@ class TestTransformCommand:
                     "--input", str(src), "--output", str(dst))
         assert r.returncode == 0
         vals = sphere.grid_from_csv(dst, g)
-        assert np.max(np.abs(vals - 2 * math.pi)) < 5e-3
+        assert np.max(np.abs(vals - 2 * math.pi)) < 1e-10
 
     def test_funk_constant(self, tmp_path, small_cfg):
         g = sphere.build_grid(32, 64)
@@ -105,6 +105,18 @@ class TestTransformCommand:
         assert r.returncode == 3
         assert "line 2" in r.stderr
 
+    @pytest.mark.parametrize("which", ["funk", "cosine"])
+    def test_band_too_fine_for_grid_exit_code(self, tmp_path, which):
+        # the default band 48 cannot be analyzed on a 32x64 grid
+        g = sphere.build_grid(32, 64)
+        src = tmp_path / "in.csv"
+        sphere.grid_to_csv(src, g, np.ones(g.n_nodes))
+        r = run_cli("--grid", "32,64", "transform", "--which", which,
+                    "--input", str(src), "--output", str(tmp_path / "x.csv"))
+        assert r.returncode == 3
+        assert r.stderr.strip().splitlines() == [r.stderr.strip()]
+        assert "too coarse" in r.stderr
+
 
 class TestVerifyCommand:
     def test_unknown_suite(self):
@@ -128,6 +140,15 @@ class TestVerifyCommand:
             r = run_cli("--out", str(out), "--seed", "99", "verify", "--suite", "newton")
             assert r.returncode == 0
         assert (a / "verify_newton.json").read_bytes() == (b / "verify_newton.json").read_bytes()
+
+    @pytest.mark.parametrize("suite", ["rigidity", "umbilic", "all"])
+    def test_inadmissible_caps_exit_code(self, tmp_path, suite):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("grid=32,64\ncap_v_center=0,0.3,1\n")
+        r = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "verify", "--suite", suite)
+        assert r.returncode == 3
+        assert r.stderr.strip().splitlines() == [r.stderr.strip()]
+        assert "separated" in r.stderr
 
     def test_minkowski_suite(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "verify", "--suite", "minkowski-rev")

@@ -94,6 +94,16 @@ class TestSupportFunction:
             assert h.min_radius > 0.01
             assert np.min(h.values) > 0
 
+    def test_random_corpus_sits_at_margin(self, grid):
+        # the closed-form scale puts the smallest radius on the margin
+        for seed in range(3):
+            h = convex.random_support_function(grid, np.random.default_rng(seed), margin=0.2)
+            assert abs(h.min_radius - 0.2) < 1e-12
+
+    def test_random_corpus_needs_noise(self, grid):
+        with pytest.raises(ValueError, match="band"):
+            convex.random_support_function(grid, np.random.default_rng(0), band=1)
+
 
 class TestAreaDensity:
     def test_ball_densities(self, grid):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zonotools import harmonics, sphere, transforms
@@ -41,13 +43,12 @@ class TestSphericalFunction:
 class TestCosineTransform:
     def test_constant_density(self, grid):
         one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes))
-        out = transforms.cosine_transform(one)
+        out = transforms.cosine_transform(one.with_coeffs(8))
         assert out.parity == "even"
-        # node-sum route carries the kernel-kink quadrature error
-        assert np.max(np.abs(out.values - 2 * math.pi)) < 5e-3
+        assert np.max(np.abs(out.values - 2 * math.pi)) < 1e-12
 
     def test_odd_input_vanishes(self, grid):
-        f = transforms.SphericalFunction(grid=grid, values=grid.nodes[:, 2])
+        f = transforms.SphericalFunction(grid=grid, values=grid.nodes[:, 2]).with_coeffs(8)
         out = transforms.cosine_transform(f)
         assert np.max(np.abs(out.values)) < 1e-12
 
@@ -55,33 +56,28 @@ class TestCosineTransform:
         rng = np.random.default_rng(1)
         f = rng.normal(size=small_grid.n_nodes)
         g = rng.normal(size=small_grid.n_nodes)
-        Ff = transforms.cosine_transform(transforms.SphericalFunction(grid=small_grid, values=f))
-        Fg = transforms.cosine_transform(transforms.SphericalFunction(grid=small_grid, values=g))
-        Ffg = transforms.cosine_transform(
-            transforms.SphericalFunction(grid=small_grid, values=2.0 * f + 0.5 * g)
-        )
-        assert np.max(np.abs(Ffg.values - 2.0 * Ff.values - 0.5 * Fg.values)) < 1e-11
+
+        def cos_t(values):
+            fn = transforms.SphericalFunction(grid=small_grid, values=values)
+            return transforms.cosine_transform(fn.with_coeffs(16)).values
+
+        Ff, Fg, Ffg = cos_t(f), cos_t(g), cos_t(2.0 * f + 0.5 * g)
+        assert np.max(np.abs(Ffg - 2.0 * Ff - 0.5 * Fg)) < 1e-12
+
+    def test_requires_evaluation_rule(self, small_grid):
+        f = transforms.SphericalFunction(grid=small_grid, values=np.ones(small_grid.n_nodes))
+        with pytest.raises(ValueError, match="evaluation rule"):
+            transforms.cosine_transform(f)
 
     def test_split_quadrature_matches_spectral(self, grid):
-        # accurate-quadrature route vs the multiplier route: dual check
+        # accurate-quadrature oracle vs the multiplier route: dual check
         rng = np.random.default_rng(2)
         c = random_even_coeffs(24, rng)
         f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
         targets = random_unit(rng, 12)
         quad = transforms.cosine_transform_quadrature(f, targets)
-        spec = harmonics.synthesize_points(harmonics.cosine_transform_spectral(c), targets)
-        assert np.max(np.abs(quad - spec)) < 1e-8
-
-    def test_node_sum_documented_accuracy(self, grid):
-        # the node-sum route is kink-limited on the default grid
-        rng = np.random.default_rng(3)
-        c = random_even_coeffs(24, rng)
-        f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
-        out = transforms.cosine_transform(f)
-        spec = harmonics.synthesize_grid(harmonics.cosine_transform_spectral(c), grid)
-        err = np.max(np.abs(out.values - spec))
-        assert err < 2e-2
-        assert err > 1e-6  # genuinely kink-limited, not spectral
+        prod = transforms.cosine_transform(f).evaluate(targets)
+        assert np.max(np.abs(quad - prod)) < 1e-8
 
 
 class TestFunkTransform:
@@ -89,14 +85,14 @@ class TestFunkTransform:
         one = transforms.SphericalFunction(
             grid=small_grid, values=np.ones(small_grid.n_nodes)
         ).with_coeffs(8)
-        out = transforms.funk_transform(one, m=64)
+        out = transforms.funk_transform(one)
         assert np.max(np.abs(out.values - 2 * math.pi)) < 1e-12
 
     def test_degree_two_zonal_multiplier(self, small_grid):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(2, 0, 1.0)
         f = transforms.SphericalFunction.from_coeffs(small_grid, c, parity="even")
-        out = transforms.funk_transform(f, m=64)
+        out = transforms.funk_transform(f)
         assert np.max(np.abs(out.values + math.pi * f.values)) < 1e-12
 
     def test_odd_input_gives_zero(self, small_grid):
@@ -104,7 +100,7 @@ class TestFunkTransform:
         c.set(1, 0, 1.0)
         c.set(3, 2, 0.5)
         f = transforms.SphericalFunction.from_coeffs(small_grid, c, parity="odd")
-        out = transforms.funk_transform(f, m=64)
+        out = transforms.funk_transform(f)
         assert np.max(np.abs(out.values)) < 1e-13
 
     def test_requires_evaluation_rule(self, small_grid):
@@ -118,8 +114,27 @@ class TestFunkTransform:
         f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
         targets = random_unit(rng, 10)
         quad = transforms.funk_transform_at(f, targets, m=128)
-        spec = harmonics.synthesize_points(harmonics.funk_transform_spectral(c), targets)
-        assert np.max(np.abs(quad - spec)) < 1e-8
+        prod = transforms.funk_transform(f).evaluate(targets)
+        assert np.max(np.abs(quad - prod)) < 1e-8
+
+
+@settings(max_examples=12, deadline=None)
+@given(L=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+def test_production_routes_match_oracles(grid, L, seed):
+    """Streaming synthesis equals the grid synthesis, and the multiplier
+    transforms equal their quadrature oracles, on unit-norm inputs of any
+    parity."""
+    rng = np.random.default_rng(seed)
+    c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
+    c.c /= math.sqrt(c.norm2())
+    on_grid = harmonics.synthesize_grid(c, grid)
+    assert np.max(np.abs(harmonics.synthesize_points(c, grid.nodes) - on_grid)) < 1e-12
+    f = transforms.SphericalFunction(grid=grid, values=on_grid, coeffs=c)
+    targets = random_unit(rng, 3)
+    funk = transforms.funk_transform(f).evaluate(targets)
+    assert np.max(np.abs(funk - transforms.funk_transform_at(f, targets))) < 1e-8
+    cosine = transforms.cosine_transform(f).evaluate(targets)
+    assert np.max(np.abs(cosine - transforms.cosine_transform_quadrature(f, targets))) < 1e-8
 
 
 class TestSectionIsotropy:
@@ -247,6 +262,22 @@ class TestFiniteAverage:
         bad = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="fix"):
             transforms.finite_average(f, [bad])
+
+
+class TestL2Distance:
+    def test_transposed_grid_rejected(self, grid):
+        # same node count, different layout
+        other = sphere.build_grid(128, 64)
+        f = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes))
+        g = transforms.SphericalFunction(grid=other, values=np.ones(other.n_nodes))
+        with pytest.raises(ValueError, match="different grids"):
+            transforms.l2_distance(f, g)
+
+    def test_equal_layouts_accepted(self, grid):
+        other = sphere.build_grid(64, 128)
+        f = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes))
+        g = transforms.SphericalFunction(grid=other, values=np.zeros(other.n_nodes))
+        assert abs(transforms.l2_distance(f, g) - math.sqrt(4 * math.pi)) < 1e-13
 
 
 class TestLpNorm:
