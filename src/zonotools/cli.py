@@ -208,14 +208,29 @@ class RunContext:
         return np.random.default_rng(self.cfg.seed + salt)
 
 
-def _row(test_id, anchor, metric, tolerance, ok):
-    return {
+def _row(test_id, anchor, metric, tolerance, ok, reason=None):
+    """One report row.  Reports are strict JSON, so a metric that is not a
+    finite number is written as null, with a reason saying why."""
+    row = {
         "test_id": test_id,
         "paper_anchor": anchor,
         "metric": float(metric),
         "tolerance": float(tolerance),
         "pass": bool(ok),
     }
+    if not math.isfinite(row["metric"]):
+        row["reason"] = reason or f"metric is {row['metric']}"
+        row["metric"] = None
+    return row
+
+
+def _metric_text(row, spec):
+    return "n/a" if row["metric"] is None else format(row["metric"], spec)
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +484,7 @@ def suite_minkowski_rev(ctx):
             mu, source, cap, rel_tol=tols["mink_band"], outside_tol=tols["mink_outside"]
         )
     except ValueError as exc:
-        rows.append(_row("minkowski-roundtrip", "minkowski-existence-revolution", math.inf, tols["mink_band"], False))
+        rows.append(_row("minkowski-roundtrip", "minkowski-existence-revolution", math.inf, tols["mink_band"], False, reason=f"solver failed: {exc}"))
         return rows
     got = convex.surface_area_measure_zonal(solved, edges)
     inside = (edges[:-1] >= cap.height) | (edges[1:] <= -cap.height)
@@ -487,6 +502,10 @@ def suite_minkowski_rev(ctx):
     return rows
 
 
+def _no_sphere_fit(rep):
+    return f"no sphere fitted: the patch is not umbilic (radii split {rep.max_radii_split:.3e})"
+
+
 def suite_umbilic(ctx):
     tols = ctx.cfg.tolerances
     grid = ctx.grid
@@ -494,14 +513,14 @@ def suite_umbilic(ctx):
     ball = convex.SupportFunction.ball(grid, 1.0)
     rep = convex.umbilic_sphere_check(ball, ctx.cfg.cap_u(), tol=1e-6)
     rows.append(
-        _row("umbilic-ball-fit", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, tols["umbilic_ball"], rep.is_umbilic and rep.residual <= tols["umbilic_ball"])
+        _row("umbilic-ball-fit", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, tols["umbilic_ball"], rep.is_umbilic and rep.residual <= tols["umbilic_ball"], reason=_no_sphere_fit(rep))
     )
     # counterexample zonoid: spherical patch over the cap
     spec = zonoid.make_zonoid(ctx.counterexample.g)
     rep = convex.umbilic_sphere_check(spec.h, ctx.cfg.cap_u(), tol=1e-3)
     ok = rep.is_umbilic and rep.residual <= tols["umbilic_zonoid"]
     rows.append(
-        _row("umbilic-counterexample-zonoid", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, tols["umbilic_zonoid"], ok)
+        _row("umbilic-counterexample-zonoid", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, tols["umbilic_zonoid"], ok, reason=_no_sphere_fit(rep))
     )
     # spherocylinder over an equator-crossing cap: radii look umbilic but
     # one sphere cannot fit (singular equator part of the first area measure)
@@ -547,9 +566,10 @@ def suite_counterexample(ctx):
             "nonconstancy_ratio": ctx.cfg.tolerances["nonconstancy_ratio"],
         },
     )
-    for r in rows:
-        r["paper_anchor"] = "isotropic-sections-counterexample"
-    return rows
+    return [
+        _row(r["test_id"], "isotropic-sections-counterexample", r["metric"], r["tolerance"], r["pass"])
+        for r in rows
+    ]
 
 
 SUITE_RUNNERS = {
@@ -602,12 +622,11 @@ def cmd_counterexample(cfg):
         "config_echo": cfg.echo(),
         "results": rows,
     }
-    with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(cfg.out, "report.json"), report)
     for r in rows:
         status = "PASS" if r["pass"] else "FAIL"
         print(
-            f"[{status}] {r['test_id']}: metric {r['metric']:.3e} vs tolerance "
+            f"[{status}] {r['test_id']}: metric {_metric_text(r, '.3e')} vs tolerance "
             f"{r['tolerance']:.3e} (measured residual budget {budget:.3e})"
         )
     return 0 if all(r["pass"] for r in rows) else 2
@@ -628,11 +647,10 @@ def cmd_verify(cfg, suite):
     }
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, f"verify_{suite}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(out_path, report)
     for r in results:
         status = "PASS" if r["pass"] else "FAIL"
-        print(f"[{status}] {r['test_id']}: {r['metric']:.6e} vs {r['tolerance']:.1e}")
+        print(f"[{status}] {r['test_id']}: {_metric_text(r, '.6e')} vs {r['tolerance']:.1e}")
     print(f"report written to {out_path}")
     return 0 if all(r["pass"] for r in results) else 2
 

@@ -160,11 +160,16 @@ def tangent_basis(u):
     Away from the poles eps1 = normalize(e3 x u); within 0.9 of the poles
     the frame switches to eps1 = normalize(e1 - <e1,u> u) to avoid the
     degeneracy.  Always eps2 = u x eps1, so (eps1, eps2, u) is a
-    right-handed orthonormal triple.
+    right-handed orthonormal triple.  ``u`` is one unit vector or an
+    (N, 3) array of them; a non-finite entry or a norm more than 1e-12
+    from 1 raises ValueError, the rule ``Cap`` applies to its centre.
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
     pts = np.atleast_2d(u)
+    off = np.abs(np.linalg.norm(pts, axis=1) - 1.0)
+    if not np.all(off <= 1e-12):  # also false for NaN and infinite entries
+        raise ValueError(f"tangent frame needs a finite unit vector, norm is off by {np.max(off):.3e}")
     eps1 = np.empty_like(pts)
     polar = np.abs(pts[:, 2]) >= 0.9
     gen = ~polar
@@ -218,10 +223,7 @@ def great_circle(u, m=256):
     if m < 8:
         raise ValueError(f"need at least 8 circle nodes, got {m}")
     u = np.asarray(u, dtype=float)
-    nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"circle normal must be a unit vector, |u| = {nrm}")
-    eps1, eps2 = tangent_basis(u)
+    eps1, eps2 = tangent_basis(u)  # rejects a normal that is not a unit vector
     angles = 2.0 * np.pi * np.arange(m) / m
     return GreatCircle(normal=u, eps1=eps1, eps2=eps2, m=m, angles=angles)
 

@@ -230,66 +230,87 @@ class CounterexampleResult:
         harmonics.coeffs_to_csv(os.path.join(outdir, "density_coeffs.csv"), self.g.coeffs)
         harmonics.coeffs_to_csv(os.path.join(outdir, "w_coeffs.csv"), self.w)
         with open(os.path.join(outdir, "diagnostics.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.diagnostics, fh, indent=2, sort_keys=True)
+            json.dump(self.diagnostics, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _design_rows(grid, caps, L, anisotropy_caps):
-    """Evaluation matrices of even harmonics on cap nodes.
+def _one_node_per_antipodal_pair(grid):
+    """Mask keeping the lower-indexed node of every antipodal node pair."""
+    return np.arange(grid.n_nodes) < grid.antipode_index()
 
-    Returns the node selection plus value rows, Funk-level rows (trace of
-    the radii matrix: the transform the rigidity conclusion constrains)
-    and the two anisotropic-Hessian component rows (what section isotropy
-    constrains).
+
+def _design_rows(grid, caps, L, anisotropy_caps, ridge):
+    """Weighted least-squares system of the plateau design.
+
+    Columns are the even harmonics (l, m), degree-major, as ``ls``/``ms``.
+    Rows, each scaled by the square root of its node's quadrature weight,
+    are: values on the nodes of the cap pairs; the Funk-level combination
+    Laplacian/2 + identity, which is the value times 1 - l(l+1)/2 (the
+    transform the rigidity conclusion constrains), on the same nodes; the
+    two anisotropic-Hessian components h11 - h22 and 2 h12 (what section
+    isotropy constrains) on the nodes of ``anisotropy_caps``; and last the
+    ridge rows, sqrt(ridge) / lambda_l on the diagonal, with lambda_l the
+    cosine multiplier.
+
+    The rows keep one node of every antipodal pair, with twice its
+    weight, and the fold is exact.  Every cap comes with its antipodal
+    cap, so the antipode of a selected node is selected too.  An even
+    harmonic and its Laplacian take the same value at x and -x, and in the
+    (e_theta, e_phi) frame h11 - h22 is the same there while 2 h12 flips
+    sign against a zero target.  Each squared residual of -x therefore
+    equals that of x, and the objective, hence its minimizer, is unchanged
+    with half the node rows.
+
+    The rows are assembled one order m at a time, vectorized over degree,
+    from Legendre tables evaluated once per latitude ring.
+
+    Returns (ls, ms, which, sw, A): the columns' degrees and orders, the
+    cap index and square-root weight of each kept node, and A (Fortran
+    order, the layout the least-squares solver factors).
     """
-    even_lm = [(l, m) for l in range(0, L + 1, 2) for m in range(-l, l + 1)]
+    evens = np.arange(0, L + 1, 2)
+    ls = np.repeat(evens, 2 * evens + 1)
+    ms = np.concatenate([np.arange(-l, l + 1) for l in evens])
     sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
-    sel = np.any(sels, axis=0)
+    sel = np.any(sels, axis=0) & _one_node_per_antipodal_pair(grid)
     which = np.zeros(int(np.sum(sel)), dtype=int)
     for k, s in enumerate(sels):
         which[s[sel]] = k
-    nodes = grid.nodes[sel]
-    wts = grid.weights[sel]
-    t = np.clip(nodes[:, 2], -1.0, 1.0)
-    st = np.sqrt(1.0 - t * t)
-    ct = t
-    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
-    P, dP, d2P = harmonics.legendre_theta_tables(L, t)
-    ms = np.arange(L + 1)
-    cosm = np.cos(np.outer(ms, phi))
-    sinm = np.sin(np.outer(ms, phi))
-    n = nodes.shape[0]
-    ncol = len(even_lm)
-    Bval = np.empty((n, ncol))
-    Bfunk = np.empty((n, ncol))
-    Ban1 = np.empty((n, ncol))
-    Ban2 = np.empty((n, ncol))
+    sw = np.sqrt(2.0 * grid.weights[sel])
+    ring, lon = np.divmod(np.flatnonzero(sel), grid.n_phi)
+    aniso = np.isin(which, anisotropy_caps)
+    ring_a, lon_a, sw_a = ring[aniso], lon[aniso], sw[aniso]
+    n, na, ncol = which.size, ring_a.size, ls.size
+    P, dP, d2P = harmonics.legendre_theta_tables(L, grid.cos_theta)
+    st = np.sqrt(1.0 - grid.cos_theta[ring_a] ** 2)
+    cot = grid.cos_theta[ring_a] / st
+    orders = np.arange(L + 1)
+    cosm = np.cos(np.outer(orders, grid.phi))
+    sinm = np.sin(np.outer(orders, grid.phi))
+    funk = 1.0 - 0.5 * ls * (ls + 1.0)
+    lam = harmonics.multiplier_table("cosine", L).lam
+    AT = np.zeros((ncol, 2 * n + 2 * na + ncol))
+    AT[np.arange(ncol), 2 * n + 2 * na + np.arange(ncol)] = math.sqrt(ridge) / lam[ls]
     s2 = math.sqrt(2.0)
-    cot = ct / st
-    for jcol, (l, m) in enumerate(even_lm):
+    for m in range(-L, L + 1):
+        cols = np.flatnonzero(ms == m)
         am = abs(m)
         if m == 0:
-            trig, dtrig, scale = cosm[0], np.zeros_like(cosm[0]), 1.0
+            trig, dtrig = cosm[0], np.zeros(grid.n_phi)
         elif m > 0:
-            trig, dtrig, scale = cosm[m], -m * sinm[m], s2
+            trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
         else:
-            trig, dtrig, scale = sinm[am], am * cosm[am], s2
-        f = scale * P[l, am] * trig
-        ft = scale * dP[l, am] * trig
-        ftt = scale * d2P[l, am] * trig
-        fp = scale * P[l, am] * dtrig
-        fpp = -am * am * f
-        ftp = scale * dP[l, am] * dtrig
-        h11 = ftt
-        h22 = fpp / (st * st) + cot * ft
-        h12 = (ftp - cot * fp) / st
-        Bval[:, jcol] = f
-        Bfunk[:, jcol] = 0.5 * (h11 + h22) + f
-        Ban1[:, jcol] = h11 - h22
-        Ban2[:, jcol] = 2.0 * h12
-    aniso_mask = np.zeros(n, bool)
-    for k in anisotropy_caps:
-        aniso_mask |= which == k
-    return even_lm, which, wts, Bval, Bfunk, Ban1[aniso_mask], Ban2[aniso_mask], aniso_mask
+            trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
+        Pm, dPm, d2Pm = P[ls[cols], am], dP[ls[cols], am], d2P[ls[cols], am]
+        f = Pm[:, ring] * (sw * trig[lon])
+        AT[cols, :n] = f
+        AT[cols, n : 2 * n] = f * funk[cols, None]
+        Pa, dPa = Pm[:, ring_a], dPm[:, ring_a]
+        t_a = sw_a * trig[lon_a]
+        h11 = d2Pm[:, ring_a] * t_a
+        h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
+        AT[cols, 2 * n : 2 * n + na] = h11 - h22
+        AT[cols, 2 * n + na : 2 * n + 2 * na] = 2.0 * (sw_a * dtrig[lon_a]) * (dPa - cot * Pa) / st
+    return ls, ms, which, sw, AT.T
 
 
 def design_plateau(
@@ -312,6 +333,13 @@ def design_plateau(
     caps enlarged by ``cap_margin`` so the nominal caps sit strictly
     inside the designed-flat region.  A small ridge on the inverse-cosine
     image keeps the later inversion tame.
+
+    The least-squares rows sample one node of every antipodal pair of the
+    design grid with doubled weight (see ``_design_rows``).  Because every
+    cap comes with its antipode and every column is even, this leaves the
+    objective and the solution unchanged and halves the node rows.  The
+    returned diagnostics carry the residuals and the solve's health: its
+    shape, numerical rank and singular-value ratio.
     """
     third_center = np.cross(cap_u.center, cap_v.center)
     nrm = np.linalg.norm(third_center)
@@ -321,32 +349,24 @@ def design_plateau(
     caps = [cap_u, cap_v, third]
     big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in caps]
     dg = sphere.build_grid(*design_grid)
-    even_lm, which, wts, Bval, Bfunk, Ban1, Ban2, aniso_mask = _design_rows(
-        dg, big, L, anisotropy_caps=(0, 1)
-    )
+    ls, ms, which, sw, A = _design_rows(dg, big, L, anisotropy_caps=(0, 1), ridge=ridge)
+    n = which.size
     target = np.asarray(levels, dtype=float)[which]
-    sw = np.sqrt(wts)
-    ls = np.array([l for l, _ in even_lm])
-    lam = harmonics.multiplier_table("cosine", L).lam
-    A = np.vstack(
-        [
-            sw[:, None] * Bval,
-            sw[:, None] * Bfunk,
-            sw[aniso_mask, None] * Ban1,
-            sw[aniso_mask, None] * Ban2,
-            math.sqrt(ridge) * np.diag(1.0 / lam[ls]),
-        ]
-    )
-    b = np.concatenate(
-        [sw * target, sw * target, np.zeros(2 * int(np.sum(aniso_mask)) + len(even_lm))]
-    )
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    b = np.zeros(A.shape[0])
+    b[:n] = b[n : 2 * n] = sw * target
+    sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     G = harmonics.HarmonicCoeffs.zeros(L)
-    for jcol, (l, m) in enumerate(even_lm):
-        G.set(l, m, sol[jcol])
-    resid_val = float(np.max(np.abs(Bval @ sol - target)))
-    resid_funk = float(np.max(np.abs(Bfunk @ sol - target)))
-    return G, {"design_value_residual": resid_val, "design_funk_residual": resid_funk}
+    G.c[ls * ls + ls + ms] = sol
+    resid_val = float(np.max(np.abs(A[:n] @ sol / sw - target)))
+    resid_funk = float(np.max(np.abs(A[n : 2 * n] @ sol / sw - target)))
+    return G, {
+        "design_value_residual": resid_val,
+        "design_funk_residual": resid_funk,
+        "design_rows": int(A.shape[0]),
+        "design_cols": int(A.shape[1]),
+        "design_rank": int(rank),
+        "design_sigma_ratio": float(sv[0] / sv[-1]),
+    }
 
 
 def build_counterexample(

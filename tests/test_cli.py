@@ -150,6 +150,21 @@ class TestVerifyCommand:
         assert r.stderr.strip().splitlines() == [r.stderr.strip()]
         assert "separated" in r.stderr
 
+    def test_report_is_strict_json_when_a_metric_is_undefined(self, tmp_path):
+        # at band 8 no sphere is fitted to the counterexample zonoid's cap
+        r = run_cli("--band", "8", "--out", str(tmp_path), "verify", "--suite", "umbilic")
+        assert r.returncode == 2
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        with open(tmp_path / "verify_umbilic.json", encoding="utf-8") as fh:
+            report = json.load(fh, parse_constant=reject)
+        undefined = [row for row in report["results"] if row["metric"] is None]
+        assert [row["test_id"] for row in undefined] == ["umbilic-counterexample-zonoid"]
+        assert not undefined[0]["pass"] and "no sphere fitted" in undefined[0]["reason"]
+        assert "[FAIL] umbilic-counterexample-zonoid: n/a vs" in r.stdout
+
     def test_minkowski_suite(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "verify", "--suite", "minkowski-rev")
         assert r.returncode == 0, r.stdout + r.stderr

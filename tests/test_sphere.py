@@ -121,6 +121,19 @@ class TestTangentBasis:
         e1, e2 = sphere.tangent_basis(u)
         frame = np.stack([e1, e2, u])
         assert np.max(np.abs(frame @ frame.T - np.eye(3))) < 1e-14
+        assert np.max(np.abs(np.cross(e1, e2) - u)) < 1e-12  # right-handed
+
+    @pytest.mark.parametrize("bad", [
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0],
+        [0.0, 0.0, 1.0 + 1e-9],
+        [np.nan, 0.0, 1.0],
+        [np.inf, 0.0, 0.0],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]],
+    ])
+    def test_rejects_non_unit_input(self, bad):
+        with pytest.raises(ValueError):
+            sphere.tangent_basis(np.array(bad))
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(1)

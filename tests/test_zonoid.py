@@ -2,12 +2,95 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonotools import convex, harmonics, sphere, transforms, zonoid
 
 from conftest import random_density, random_unit
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def _oracle_design_rows(grid, caps, L, anisotropy_caps):
+    """Unfolded, per-column design rows: every cap node, both antipodes,
+    and the Funk rows by the Hessian route (trace of the radii matrix)."""
+    even_lm = [(l, m) for l in range(0, L + 1, 2) for m in range(-l, l + 1)]
+    sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
+    sel = np.any(sels, axis=0)
+    which = np.zeros(int(np.sum(sel)), dtype=int)
+    for k, s in enumerate(sels):
+        which[s[sel]] = k
+    nodes = grid.nodes[sel]
+    wts = grid.weights[sel]
+    t = np.clip(nodes[:, 2], -1.0, 1.0)
+    st_ = np.sqrt(1.0 - t * t)
+    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
+    P, dP, d2P = harmonics.legendre_theta_tables(L, t)
+    ms = np.arange(L + 1)
+    cosm = np.cos(np.outer(ms, phi))
+    sinm = np.sin(np.outer(ms, phi))
+    n = nodes.shape[0]
+    ncol = len(even_lm)
+    Bval = np.empty((n, ncol))
+    Bfunk = np.empty((n, ncol))
+    Ban1 = np.empty((n, ncol))
+    Ban2 = np.empty((n, ncol))
+    s2 = math.sqrt(2.0)
+    cot = t / st_
+    for jcol, (l, m) in enumerate(even_lm):
+        am = abs(m)
+        if m == 0:
+            trig, dtrig, scale = cosm[0], np.zeros_like(cosm[0]), 1.0
+        elif m > 0:
+            trig, dtrig, scale = cosm[m], -m * sinm[m], s2
+        else:
+            trig, dtrig, scale = sinm[am], am * cosm[am], s2
+        f = scale * P[l, am] * trig
+        ft = scale * dP[l, am] * trig
+        ftt = scale * d2P[l, am] * trig
+        fp = scale * P[l, am] * dtrig
+        fpp = -am * am * f
+        ftp = scale * dP[l, am] * dtrig
+        h11 = ftt
+        h22 = fpp / (st_ * st_) + cot * ft
+        h12 = (ftp - cot * fp) / st_
+        Bval[:, jcol] = f
+        Bfunk[:, jcol] = 0.5 * (h11 + h22) + f
+        Ban1[:, jcol] = h11 - h22
+        Ban2[:, jcol] = 2.0 * h12
+    aniso_mask = np.isin(which, anisotropy_caps)
+    return even_lm, which, wts, Bval, Bfunk, Ban1[aniso_mask], Ban2[aniso_mask], aniso_mask
+
+
+def _oracle_design_plateau(cap_u, cap_v, L, design_grid, levels=(1.0, 2.0, 3.0),
+                           cap_margin=0.01, ridge=1e-12):
+    """design_plateau's least-squares problem on the unfolded oracle rows."""
+    third_center = np.cross(cap_u.center, cap_v.center)
+    third = sphere.Cap(third_center / np.linalg.norm(third_center), cap_u.height)
+    big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in (cap_u, cap_v, third)]
+    even_lm, which, wts, Bval, Bfunk, Ban1, Ban2, aniso_mask = _oracle_design_rows(
+        sphere.build_grid(*design_grid), big, L, anisotropy_caps=(0, 1)
+    )
+    target = np.asarray(levels)[which]
+    sw = np.sqrt(wts)
+    ls = np.array([l for l, _ in even_lm])
+    lam = harmonics.multiplier_table("cosine", L).lam
+    A = np.vstack([
+        sw[:, None] * Bval,
+        sw[:, None] * Bfunk,
+        sw[aniso_mask, None] * Ban1,
+        sw[aniso_mask, None] * Ban2,
+        math.sqrt(ridge) * np.diag(1.0 / lam[ls]),
+    ])
+    b = np.concatenate(
+        [sw * target, sw * target, np.zeros(2 * int(np.sum(aniso_mask)) + len(even_lm))]
+    )
+    sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
+    G = harmonics.HarmonicCoeffs.zeros(L)
+    for jcol, (l, m) in enumerate(even_lm):
+        G.set(l, m, sol[jcol])
+    return G, A.shape, sv
 
 
 class TestCalibration:
@@ -215,6 +298,53 @@ class TestCounterexample:
         assert (outdir / "density_coeffs.csv").exists()
         assert (outdir / "w_coeffs.csv").exists()
         assert (outdir / "diagnostics.json").exists()
+
+
+class TestPlateauDesign:
+    """The folded design against the unfolded, per-column oracle."""
+
+    L, GRID = 12, (32, 64)
+
+    @staticmethod
+    def _rotated_pair():
+        q, r = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        a = 1.55  # inside the admissible window for heights 0.9 and transition 0.3
+        u = sphere.Cap(q @ E3, 0.9)
+        v = sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), 0.9)
+        harmonics.check_plateau_caps(u, v, 0.3)
+        return u, v
+
+    # A ridge far above the default one weighs the node rows against the
+    # ridge rows, which the doubled weight of the kept node must preserve.
+    @pytest.mark.parametrize("pair,ridge", [("default", 1e-12), ("rotated", 1e-12), ("default", 1e-4)])
+    def test_matches_unfolded_oracle(self, cap_u, cap_v, pair, ridge):
+        u, v = (cap_u, cap_v) if pair == "default" else self._rotated_pair()
+        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID, ridge=ridge)
+        G_ref, shape, sv = _oracle_design_plateau(u, v, self.L, self.GRID, ridge=ridge)
+        assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
+        # half the node rows, same columns, same singular values
+        n_ridge = shape[1]
+        assert info["design_rows"] - n_ridge == (shape[0] - n_ridge) // 2
+        assert info["design_cols"] == shape[1] == info["design_rank"]
+        assert abs(info["design_sigma_ratio"] - sv[0] / sv[-1]) <= 1e-6 * sv[0] / sv[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 40))
+    def test_fold_keeps_one_node_of_every_antipodal_pair(self, n_theta, half_phi):
+        grid = sphere.build_grid(n_theta, 2 * half_phi)
+        keep = zonoid._one_node_per_antipodal_pair(grid)
+        anti = grid.antipode_index()
+        assert np.array_equal(np.sort(anti), np.arange(grid.n_nodes))
+        assert np.all(keep != keep[anti])
+        assert np.max(np.abs(grid.nodes + grid.nodes[anti])) < 1e-15
+
+    def test_default_build_health(self, counterexample):
+        d = counterexample.diagnostics
+        assert d["design_cols"] == 1225
+        assert d["design_rank"] == 1225
+        assert d["design_rows"] == 27749
+        assert math.isfinite(d["design_sigma_ratio"]) and d["design_sigma_ratio"] > 1.0
 
 
 class TestRigidity:
