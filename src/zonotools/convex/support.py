@@ -19,7 +19,7 @@ are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,6 +175,14 @@ def boundary_point(h, u, m=None):
     return hval * u + d1_1 * e1 + d1_2 * e2
 
 
+def _radii_of(h):
+    """radii_grid of h on its own grid, from the entries h carries if any."""
+    q = getattr(h, "radii", None)
+    if q is None:
+        return radii_grid(_as_coeffs(h), h.grid)
+    return (*q, *_eigs_2x2(*q))
+
+
 def _as_coeffs(h):
     if isinstance(h, harmonics.HarmonicCoeffs):
         return h
@@ -192,7 +200,9 @@ class SupportFunction:
     construction rejects functions whose certificate falls below
     -PSD_RTOL times the maximum eigenvalue.  If the function is not
     positive everywhere, it is recentred by removing the degree-1 part
-    (a translation moving the Steiner point to the origin).
+    (a translation moving the Steiner point to the origin).  ``radii`` keeps
+    the radii-matrix entries (q11, q22, q12) of the certificate, which the
+    grid operators below reuse instead of calling radii_grid again.
     """
 
     grid: sphere.SphericalGrid
@@ -201,6 +211,7 @@ class SupportFunction:
     min_radius: float
     max_radius: float
     translation: np.ndarray
+    radii: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, recentre=True):
@@ -225,7 +236,7 @@ class SupportFunction:
                     "support function not positive even after recentring; "
                     "input is not a support function of a body with interior"
                 )
-        _, _, _, r1, r2 = radii_grid(coeffs, grid)
+        q11, q22, q12, r1, r2 = radii_grid(coeffs, grid)
         rmin, rmax = float(np.min(r1)), float(np.max(r2))
         if rmin < -PSD_RTOL * max(rmax, 1.0):
             raise ValueError(
@@ -239,6 +250,7 @@ class SupportFunction:
             min_radius=rmin,
             max_radius=rmax,
             translation=translation,
+            radii=(q11, q22, q12),
         )
 
     @classmethod
@@ -284,9 +296,7 @@ def area_density(h, u, j=1):
 
 def area_density_grid(h, j=1):
     """Order-j density at every grid node via the Hessian route."""
-    hh = _as_coeffs(h)
-    grid = h.grid
-    q11, q22, q12, r1, r2 = radii_grid(hh, grid)
+    q11, q22, q12, _, _ = _radii_of(h)
     if j == 1:
         return 0.5 * (q11 + q22)
     if j == 2:
@@ -320,8 +330,7 @@ def newton_report(h, where=None, i=1, j=2, tol=1e-8):
         raise ValueError("need i < j")
     if (i, j) != (1, 2):
         raise ValueError("only orders (1, 2) exist at n = 3")
-    hh = _as_coeffs(h)
-    _, _, _, r1, r2 = radii_grid(hh, h.grid)
+    _, _, _, r1, r2 = _radii_of(h)
     if where is not None:
         r1, r2 = r1[where], r2[where]
     lhs = 0.5 * (r1 + r2)
@@ -352,8 +361,8 @@ def mixed_area_density(hK, hL, u):
 
 def mixed_area_density_grid(hK, hL):
     """Mixed discriminant of radii matrices at every grid node."""
-    a11, a22, a12, _, _ = radii_grid(_as_coeffs(hK), hK.grid)
-    b11, b22, b12, _, _ = radii_grid(_as_coeffs(hL), hL.grid)
+    a11, a22, a12, _, _ = _radii_of(hK)
+    b11, b22, b12, _, _ = _radii_of(hL)
     return 0.5 * (a11 * b22 + a22 * b11) - a12 * b12
 
 
@@ -444,7 +453,7 @@ def umbilic_sphere_check(h, cap, tol=1e-6):
     mask = h.grid.cap_mask(cap)
     if not np.any(mask):
         raise ValueError("cap contains no grid nodes")
-    _, _, _, r1, r2 = radii_grid(h.coeffs, h.grid)
+    _, _, _, r1, r2 = _radii_of(h)
     pts = boundary_points_grid(h.coeffs, h.grid)[mask]
     return umbilic_sphere_check_data(r1[mask], r2[mask], pts, tol)
 

@@ -1,5 +1,5 @@
 """Real spherical-harmonic analysis and synthesis, transform multipliers,
-inverse transforms and smooth plateau construction.
+inverse transforms and the plateau cap admissibility rule.
 
 Convention (used everywhere in this package): real, fully normalized,
 Condon-Shortley-free harmonics
@@ -478,58 +478,8 @@ def laplacian_spectral(coeffs):
 
 
 # ----------------------------------------------------------------------
-# Smooth plateau construction
+# Plateau admissibility
 # ----------------------------------------------------------------------
-
-def _smooth_ramp(x):
-    """C-infinity ramp: 1 for x <= 0, 0 for x >= 1, monotone in between.
-
-    Built from the compactly supported mollifier e^{-1/x}; all derivatives
-    vanish at both ends.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    lo = x <= 0.0
-    hi = x >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[hi] = 0.0
-    xm = x[mid]
-    a = np.exp(-1.0 / (1.0 - xm))
-    b = np.exp(-1.0 / xm)
-    out[mid] = a / (a + b)
-    return out
-
-
-@dataclass(frozen=True)
-class PlateauReport:
-    """Truncation residuals of the band-limited plateau on its two caps."""
-
-    residual_U: float
-    residual_V: float
-    band: int
-    transition: float
-
-
-def _cap_distance(points, cap):
-    """Geodesic distance from each point to a closed spherical cap."""
-    ang = np.arccos(np.clip(points @ cap.center, -1.0, 1.0))
-    return np.maximum(0.0, ang - cap.radius)
-
-
-def plateau_values(points, cap_u, cap_v, v_u, v_v, transition):
-    """Evaluate the even C-infinity plateau at arbitrary unit vectors.
-
-    Equal to v_u on U ∪ -U and to v_v on V ∪ -V, ramping in the geodesic
-    distance to V ∪ -V over a width of 2 * transition (the admissibility
-    precondition keeps a ramp of that width clear of U ∪ -U).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = np.minimum(
-        _cap_distance(points, cap_v), _cap_distance(points, cap_v.antipodal())
-    )
-    return v_u + (v_v - v_u) * _smooth_ramp(d / (2.0 * transition))
-
 
 def check_plateau_caps(cap_u, cap_v, transition):
     """Reject cap pairs that are inadmissible for the plateau build."""
@@ -545,26 +495,3 @@ def check_plateau_caps(cap_u, cap_v, transition):
                     f"caps {names[i]} and {names[j]} are separated by {sep:.4f} rad, "
                     f"need at least 2*transition = {2.0 * transition:.4f}"
                 )
-
-
-def smooth_plateau(grid, cap_u, cap_v, v_u, v_v, transition, L):
-    """Even smooth two-level function with its band-L analysis.
-
-    Returns (values, coeffs, report): node samples of the exact plateau,
-    the band-L coefficients, and the measured truncation residual of the
-    band-limited synthesis against the plateau levels on U and on V.  The
-    residual is reported, never hidden: downstream verification budgets
-    are built from it.
-    """
-    check_plateau_caps(cap_u, cap_v, transition)
-    values = plateau_values(grid.nodes, cap_u, cap_v, v_u, v_v, transition)
-    coeffs = analyze(grid, values, L)
-    synth = synthesize_grid(coeffs, grid)
-    mask_u = grid.cap_mask(cap_u) | grid.cap_mask(cap_u.antipodal())
-    mask_v = grid.cap_mask(cap_v) | grid.cap_mask(cap_v.antipodal())
-    res_u = float(np.max(np.abs(synth[mask_u] - v_u))) if np.any(mask_u) else 0.0
-    res_v = float(np.max(np.abs(synth[mask_v] - v_v))) if np.any(mask_v) else 0.0
-    report = PlateauReport(
-        residual_U=res_u, residual_V=res_v, band=L, transition=transition
-    )
-    return values, coeffs, report

@@ -22,7 +22,8 @@ class SphericalFunction:
 
     ``parity`` is 'even', 'odd' or None.  Functions holding only samples
     can be integrated; anything that needs off-grid values (circle
-    quadrature, rotated resampling) requires the expansion.
+    quadrature) or acts on the expansion (multiplier transforms, rotation
+    averages) requires it.
     """
 
     grid: sphere.SphericalGrid
@@ -254,6 +255,8 @@ def radial_symmetrize(f, axis=AXIS):
 def _as_axis_rotation(T):
     """Validate an orthogonal map fixing e3; angles become rotations."""
     if np.isscalar(T):
+        if not math.isfinite(T):
+            raise ValueError(f"rotation angle must be finite, got {T!r}")
         c, s = math.cos(T), math.sin(T)
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     T = np.asarray(T, dtype=float)
@@ -270,8 +273,12 @@ def finite_average(f, rotations):
     """Pointwise average of resamplings f∘T over axis-fixing maps T.
 
     Rotations may be angles about e3 or orthogonal 3x3 matrices fixing e3
-    (reflections through planes containing the axis qualify).  Resampling
-    uses harmonic synthesis at the rotated nodes, exact for band-limited f.
+    (reflections through planes containing the axis qualify).  Such a map
+    sends longitude phi to phi + g (a rotation by g) or to g - phi (a
+    reflection), so it acts on each order m of the expansion as a 2x2
+    matrix on the (cos m phi, sin m phi) coefficient pair.  Those matrices
+    are averaged and applied once, then the result is synthesized on the
+    grid: exact for band-limited f, and the output keeps its coefficients.
     """
     if len(rotations) == 0:
         raise ValueError("need at least one rotation")
@@ -280,11 +287,18 @@ def finite_average(f, rotations):
         raise ValueError(
             "finite_average needs an evaluation rule; call with_coeffs(L) first"
         )
-    acc = np.zeros(f.grid.n_nodes)
-    for T in maps:
-        acc += harmonics.synthesize_points(f.coeffs, f.grid.nodes @ T.T)
-    acc /= len(maps)
-    return SphericalFunction(grid=f.grid, values=acc, parity=f.parity)
+    gamma = np.array([math.atan2(T[1, 0], T[0, 0]) for T in maps])
+    kind = np.sign([np.linalg.det(T) for T in maps])  # +1 rotation, -1 reflection
+    mg = np.outer(np.arange(f.coeffs.L + 1), gamma)
+    cos_mg, sin_mg = np.cos(mg), np.sin(mg)
+    # a' = cc a + cs b,  b' = sc a + ss b, averaged over the maps
+    cc = np.mean(cos_mg, axis=1)
+    cs = np.mean(sin_mg, axis=1)
+    sc = np.mean(-kind * sin_mg, axis=1)
+    ss = np.mean(kind * cos_mg, axis=1)
+    Ac, As = f.coeffs.split_orders()
+    coeffs = harmonics.HarmonicCoeffs.from_split_orders(cc * Ac + cs * As, sc * Ac + ss * As)
+    return SphericalFunction.from_coeffs(f.grid, coeffs, parity=f.parity)
 
 
 def lp_norm(f, p):

@@ -218,6 +218,25 @@ class TestMixedVolumes:
             slack = vkl**2 - convex.mixed_volume(K, K, ball) * convex.mixed_volume(L, L, ball)
             assert slack >= -1e-9 * vkl**2
 
+    def test_grid_operators_reuse_certificate_radii(self, grid, monkeypatch):
+        rng = np.random.default_rng(21)
+        K = convex.random_support_function(grid, rng)
+        L = convex.random_support_function(grid, rng)
+        # functions without cached radii take the radii_grid route
+        expect_mixed = convex.mixed_area_density_grid(K.as_function(), L.as_function())
+        expect_gap = convex.newton_report(K.as_function())["gap"]
+        calls = []
+        real = convex.support.radii_grid
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(convex.support, "radii_grid", counting)
+        assert np.array_equal(convex.mixed_area_density_grid(K, L), expect_mixed)
+        assert np.array_equal(convex.newton_report(K)["gap"], expect_gap)
+        assert len(calls) == 0
+
 
 class TestBoundaryPoint:
     def test_ball(self, grid):

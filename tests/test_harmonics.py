@@ -216,39 +216,12 @@ class TestSpectralTransforms:
             assert abs((1 - l * (l + 1) / 2) * lam_c[l] - lam_f[l]) < 1e-10
 
 
-class TestSmoothPlateau:
-    def test_levels_and_residuals(self, grid, cap_u, cap_v):
-        vals, coeffs, rep = harmonics.smooth_plateau(grid, cap_u, cap_v, 1.0, 2.0, 0.3, 48)
-        mask_u = grid.cap_mask(cap_u)
-        mask_v = grid.cap_mask(cap_v)
-        assert np.max(np.abs(vals[mask_u] - 1.0)) == 0.0
-        assert np.max(np.abs(vals[mask_v] - 2.0)) == 0.0
-        assert rep.residual_U < 1e-3
-        assert coeffs.odd_mass_fraction() < 1e-12
-
-    def test_constant_levels_give_constant(self, small_grid):
-        u = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.9)
-        v = sphere.Cap(np.array([1.0, 0.0, 0.0]), 0.9)
-        vals, coeffs, _ = harmonics.smooth_plateau(small_grid, u, v, 1.0, 1.0, 0.2, 16)
-        assert np.max(np.abs(vals - 1.0)) < 1e-14
-
-    def test_even_symmetry(self, grid, cap_u, cap_v):
-        vals = harmonics.plateau_values(grid.nodes, cap_u, cap_v, 1.0, 2.0, 0.3)
-        idx = grid.antipode_index()
-        assert np.max(np.abs(vals - vals[idx])) < 1e-14
-
-    def test_caps_too_close_rejected(self, small_grid):
+class TestPlateauCaps:
+    def test_caps_too_close_rejected(self):
         u = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.6)
         v = sphere.Cap(np.array([1.0, 0.0, 0.0]), 0.6)
         with pytest.raises(ValueError, match="separated"):
-            harmonics.smooth_plateau(small_grid, u, v, 1.0, 2.0, 0.4, 16)
-
-    def test_ramp_is_monotone_and_flat(self):
-        x = np.linspace(-0.5, 1.5, 301)
-        y = harmonics._smooth_ramp(x)
-        assert np.all(np.diff(y) <= 1e-15)
-        assert np.all(y[x <= 0] == 1.0)
-        assert np.all(y[x >= 1] == 0.0)
+            harmonics.check_plateau_caps(u, v, 0.4)
 
 
 class TestCoeffsCsv:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zonotools import harmonics, sphere, transforms
+from zonotools import cli, harmonics, sphere, transforms
 
 from conftest import random_density, random_even_coeffs, random_function, random_unit
 
@@ -225,6 +225,26 @@ class TestRadialSymmetrize:
             transforms.radial_symmetrize(f, axis=np.array([1.0, 0.0, 0.0]))
 
 
+def _per_map_average(f, rotations):
+    """Oracle for finite_average: synthesize f at T(nodes) for every map T."""
+    acc = np.zeros(f.grid.n_nodes)
+    for T in rotations:
+        T = transforms._as_axis_rotation(T)
+        acc += harmonics.synthesize_points(f.coeffs, f.grid.nodes @ T.T)
+    return acc / len(rotations)
+
+
+def _axis_map(kind, angle):
+    """An angle, a rotation matrix about e3, or the reflection through the
+    plane spanned by e3 and (cos angle, sin angle, 0)."""
+    c, s = math.cos(angle), math.sin(angle)
+    if kind == "angle":
+        return angle
+    if kind == "rotation":
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([[c * c - s * s, 2 * c * s, 0.0], [2 * c * s, s * s - c * c, 0.0], [0.0, 0.0, 1.0]])
+
+
 class TestFiniteAverage:
     def test_identity_rotation(self, grid):
         f = random_function(grid, 12, np.random.default_rng(14))
@@ -257,11 +277,62 @@ class TestFiniteAverage:
         expect = f.evaluate(grid.nodes @ T.T)
         assert np.max(np.abs(out.values - expect)) < 1e-12
 
+    def test_output_carries_averaged_coeffs(self, grid):
+        f = random_function(grid, 10, np.random.default_rng(19))
+        out = transforms.finite_average(f, [0.3, 2.0])
+        assert out.coeffs is not None
+        assert np.max(np.abs(harmonics.synthesize_grid(out.coeffs, grid) - out.values)) == 0.0
+
     def test_non_axis_rotation_rejected(self, grid):
         f = random_function(grid, 8, np.random.default_rng(17))
         bad = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="fix"):
             transforms.finite_average(f, [bad])
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, small_grid, angle):
+        f = random_function(small_grid, 8, np.random.default_rng(20))
+        with pytest.raises(ValueError, match=f"finite, got {angle!r}"):
+            transforms.finite_average(f, [0.5, angle])
+
+    def test_sr_suite_synthesizes_no_points(self, monkeypatch):
+        calls = []
+        real = harmonics.synthesize_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harmonics, "synthesize_points", counting)
+        rows = cli.suite_sr(cli.RunContext(cli.RunConfig()))
+        assert all(row["pass"] for row in rows)
+        assert len(calls) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    L=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+    maps=st.lists(
+        st.tuples(
+            st.sampled_from(["angle", "rotation", "reflection"]),
+            st.floats(-10.0, 10.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_finite_average_matches_per_map_synthesis(small_grid, L, seed, maps):
+    """The per-order phase average equals the average of the syntheses at
+    the mapped nodes, for rotations about e3 and reflections through planes
+    containing it."""
+    c = harmonics.HarmonicCoeffs(L=L, c=np.random.default_rng(seed).normal(size=(L + 1) ** 2))
+    f = transforms.SphericalFunction.from_coeffs(small_grid, c)
+    rotations = [_axis_map(kind, angle) for kind, angle in maps]
+    out = transforms.finite_average(f, rotations)
+    expect = _per_map_average(f, rotations)
+    # an average of resamplings is no larger than f itself
+    assert np.max(np.abs(out.values - expect)) <= 1e-12 * np.max(np.abs(f.values))
 
 
 class TestL2Distance:
