@@ -199,15 +199,6 @@ class ZonalMeasure:
             total += sum(m for t, m in self.atoms if lo <= t <= hi)
         return total
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t_lo,t_hi,mass\n")
-            for lo, hi, m in zip(self.edges[:-1], self.edges[1:], self.masses):
-                fh.write(f"{lo:.17g},{hi:.17g},{m:.17g}\n")
-            fh.write("atom_t,atom_mass\n")
-            for t, m in self.atoms:
-                fh.write(f"{t:.17g},{m:.17g}\n")
-
 
 #: Spread intervals narrower than this count as singular (conical facets,
 #: flat caps) and their chord mass becomes an atom.

@@ -271,15 +271,6 @@ class SupportFunction:
             grid=self.grid, values=self.values, coeffs=self.coeffs
         )
 
-    def to_csv(self, path):
-        """Dump as CSV rows theta,phi,h."""
-        theta = np.repeat(self.grid.theta, self.grid.n_phi)
-        phi = np.tile(self.grid.phi, self.grid.n_theta)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("theta,phi,h\n")
-            for th, ph, v in zip(theta, phi, self.values):
-                fh.write(f"{th:.17g},{ph:.17g},{v:.17g}\n")
-
 
 def area_density(h, u, j=1):
     """Area-measure density of order j at u: s_j of the principal radii.

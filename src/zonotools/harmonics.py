@@ -396,12 +396,6 @@ class MultiplierTable:
     def L(self):
         return self.lam.size - 1
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("l,lambda\n")
-            for l, lam in enumerate(self.lam):
-                fh.write(f"{l},{lam:.17g}\n")
-
 
 def multiplier_table(kernel, L):
     lam = np.array([funk_hecke_multiplier(kernel, l) for l in range(L + 1)])

@@ -233,15 +233,25 @@ class CounterexampleResult:
             json.dump(self.diagnostics, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _one_node_per_antipodal_pair(grid):
-    """Mask keeping the lower-indexed node of every antipodal node pair."""
-    return np.arange(grid.n_nodes) < grid.antipode_index()
+def _orbit_fold(grid, reflections=()):
+    """One node per orbit of the group that the antipodal map and the given
+    coordinate reflections ("x", "y") generate on the grid's nodes.
+
+    Returns (keep, mult): the mask of the lowest-indexed node of every
+    orbit, and per node the size of the orbit it represents (meaningful on
+    the kept nodes).  With no reflection every orbit is an antipodal pair.
+    """
+    images = [np.arange(grid.n_nodes)]
+    for g in [grid.antipode_index()] + [grid.reflection_index(a) for a in reflections]:
+        images += [g[p] for p in images]
+    rep = np.min(images, axis=0)
+    return rep == images[0], np.bincount(rep, minlength=grid.n_nodes)
 
 
 def _design_rows(grid, caps, L, anisotropy_caps, ridge):
     """Weighted least-squares system of the plateau design.
 
-    Columns are the even harmonics (l, m), degree-major, as ``ls``/``ms``.
+    Columns are even harmonics (l, m), degree-major, as ``ls``/``ms``.
     Rows, each scaled by the square root of its node's quadrature weight,
     are: values on the nodes of the cap pairs; the Funk-level combination
     Laplacian/2 + identity, which is the value times 1 - l(l+1)/2 (the
@@ -251,31 +261,47 @@ def _design_rows(grid, caps, L, anisotropy_caps, ridge):
     ridge rows, sqrt(ridge) / lambda_l on the diagonal, with lambda_l the
     cosine multiplier.
 
-    The rows keep one node of every antipodal pair, with twice its
-    weight, and the fold is exact.  Every cap comes with its antipodal
-    cap, so the antipode of a selected node is selected too.  An even
-    harmonic and its Laplacian take the same value at x and -x, and in the
-    (e_theta, e_phi) frame h11 - h22 is the same there while 2 h12 flips
-    sign against a zero target.  Each squared residual of -x therefore
-    equals that of x, and the objective, hence its minimizer, is unchanged
-    with half the node rows.
+    The system is folded onto its symmetry group, and the fold is exact.
+    The group is generated by the antipodal map, which fixes every cap
+    pair's node set, and by each coordinate reflection x -> -x, y -> -y
+    that does too (an exact check on the grid's node permutations).  Each
+    group element maps an even harmonic's value and Laplacian, and in the
+    (e_theta, e_phi) frame h11 - h22, to their values at the image node;
+    2 h12 flips sign there against a zero target.  The objective is
+    therefore invariant under the group acting on the coefficients, so its
+    unique minimizer lies in the invariant columns: the m >= 0 ones under
+    y -> -y, and those with m >= 0 even or m < 0 odd under x -> -x.  On
+    those columns every node of an orbit has the squared residual of the
+    orbit's kept node, which enters with the orbit's size times its weight.
+    With no reflection this keeps one node of every antipodal pair, with
+    twice its weight, and all the even columns.
 
     The rows are assembled one order m at a time, vectorized over degree,
     from Legendre tables evaluated once per latitude ring.
 
-    Returns (ls, ms, which, sw, A): the columns' degrees and orders, the
-    cap index and square-root weight of each kept node, and A (Fortran
-    order, the layout the least-squares solver factors).
+    Returns (ls, ms, which, sw, A, reflections): the solved columns'
+    degrees and orders, the cap index and square-root weight of each kept
+    node, A (Fortran order, the layout the least-squares solver factors)
+    and the reflections used.
     """
+    sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
+    perms = {a: grid.reflection_index(a) for a in ("x", "y")}
+    reflections = [a for a, p in perms.items() if all(np.array_equal(s[p], s) for s in sels)]
+    keep, mult = _orbit_fold(grid, reflections)
     evens = np.arange(0, L + 1, 2)
     ls = np.repeat(evens, 2 * evens + 1)
     ms = np.concatenate([np.arange(-l, l + 1) for l in evens])
-    sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
-    sel = np.any(sels, axis=0) & _one_node_per_antipodal_pair(grid)
+    invariant = np.ones(ls.size, dtype=bool)
+    if "y" in reflections:
+        invariant &= ms >= 0
+    if "x" in reflections:
+        invariant &= (ms >= 0) == (ms % 2 == 0)
+    ls, ms = ls[invariant], ms[invariant]
+    sel = np.any(sels, axis=0) & keep
     which = np.zeros(int(np.sum(sel)), dtype=int)
     for k, s in enumerate(sels):
         which[s[sel]] = k
-    sw = np.sqrt(2.0 * grid.weights[sel])
+    sw = np.sqrt(mult[sel] * grid.weights[sel])
     ring, lon = np.divmod(np.flatnonzero(sel), grid.n_phi)
     aniso = np.isin(which, anisotropy_caps)
     ring_a, lon_a, sw_a = ring[aniso], lon[aniso], sw[aniso]
@@ -291,7 +317,7 @@ def _design_rows(grid, caps, L, anisotropy_caps, ridge):
     AT = np.zeros((ncol, 2 * n + 2 * na + ncol))
     AT[np.arange(ncol), 2 * n + 2 * na + np.arange(ncol)] = math.sqrt(ridge) / lam[ls]
     s2 = math.sqrt(2.0)
-    for m in range(-L, L + 1):
+    for m in np.unique(ms).tolist():
         cols = np.flatnonzero(ms == m)
         am = abs(m)
         if m == 0:
@@ -310,7 +336,7 @@ def _design_rows(grid, caps, L, anisotropy_caps, ridge):
         h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
         AT[cols, 2 * n : 2 * n + na] = h11 - h22
         AT[cols, 2 * n + na : 2 * n + 2 * na] = 2.0 * (sw_a * dtrig[lon_a]) * (dPa - cot * Pa) / st
-    return ls, ms, which, sw, AT.T
+    return ls, ms, which, sw, AT.T, reflections
 
 
 def design_plateau(
@@ -334,12 +360,14 @@ def design_plateau(
     inside the designed-flat region.  A small ridge on the inverse-cosine
     image keeps the later inversion tame.
 
-    The least-squares rows sample one node of every antipodal pair of the
-    design grid with doubled weight (see ``_design_rows``).  Because every
-    cap comes with its antipode and every column is even, this leaves the
-    objective and the solution unchanged and halves the node rows.  The
-    returned diagnostics carry the residuals and the solve's health: its
-    shape, numerical rank and singular-value ratio.
+    The least-squares system is folded onto the cap pairs' symmetry group
+    (see ``_design_rows``): one node per orbit of the antipodal map and of
+    the coordinate reflections that fix every cap pair, and only the
+    columns those reflections fix.  This leaves the objective's minimizer
+    unchanged; the other coefficients are exactly zero.  The returned
+    diagnostics carry the residuals, the reflections used and the health
+    of the block actually solved: its shape, numerical rank and
+    singular-value ratio.
     """
     third_center = np.cross(cap_u.center, cap_v.center)
     nrm = np.linalg.norm(third_center)
@@ -349,7 +377,9 @@ def design_plateau(
     caps = [cap_u, cap_v, third]
     big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in caps]
     dg = sphere.build_grid(*design_grid)
-    ls, ms, which, sw, A = _design_rows(dg, big, L, anisotropy_caps=(0, 1), ridge=ridge)
+    ls, ms, which, sw, A, reflections = _design_rows(
+        dg, big, L, anisotropy_caps=(0, 1), ridge=ridge
+    )
     n = which.size
     target = np.asarray(levels, dtype=float)[which]
     b = np.zeros(A.shape[0])
@@ -366,6 +396,7 @@ def design_plateau(
         "design_cols": int(A.shape[1]),
         "design_rank": int(rank),
         "design_sigma_ratio": float(sv[0] / sv[-1]),
+        "design_reflections": reflections,
     }
 
 

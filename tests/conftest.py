@@ -65,8 +65,9 @@ def random_function(grid, L, rng, nonnegative=False, floor=0.1):
     c.c = rng.normal(size=c.c.size)
     f = transforms.SphericalFunction.from_coeffs(grid, c)
     if nonnegative:
-        c.set(0, 0, c.get(0, 0) + (abs(float(np.min(f.values))) + floor) * math.sqrt(4.0 * math.pi))
-        f = transforms.SphericalFunction.from_coeffs(grid, c)
+        shift = abs(float(np.min(f.values))) + floor
+        c.set(0, 0, c.get(0, 0) + shift * math.sqrt(4.0 * math.pi))
+        f = transforms.SphericalFunction(grid=grid, values=f.values + shift, coeffs=c)
     return f
 
 

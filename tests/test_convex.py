@@ -80,14 +80,6 @@ class TestSupportFunction:
         assert np.min(h.values) > 0
         assert abs(h.translation[2] - 1.5) < 1e-12
 
-    def test_csv_dump(self, grid, tmp_path):
-        ball = convex.SupportFunction.ball(grid, 1.0)
-        path = tmp_path / "h.csv"
-        ball.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "theta,phi,h"
-        assert len(lines) == 1 + grid.n_nodes
-
     def test_random_corpus_is_strictly_convex(self, grid):
         for seed in range(5):
             h = convex.random_support_function(grid, np.random.default_rng(seed))

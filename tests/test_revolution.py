@@ -100,15 +100,6 @@ class TestSurfaceAreaMeasure:
         assert abs(atoms[1.0] - math.pi * 0.5**2) < 1e-12
         assert abs(atoms[-1.0] - math.pi * 0.5**2) < 1e-12
 
-    def test_csv_dump(self, tmp_path):
-        body = fixtures.Spherocylinder(1.0, 0.5).body(513)
-        zm = convex.surface_area_measure_zonal(body, np.array([-1.0, 0.0, 1.0]))
-        path = tmp_path / "zm.csv"
-        zm.to_csv(path)
-        text = path.read_text()
-        assert text.startswith("t_lo,t_hi,mass\n")
-        assert "atom_t,atom_mass" in text
-
 
 class TestMinkowskiSolve:
     def test_unit_ball_cap_half_gives_lens(self):

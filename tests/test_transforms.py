@@ -137,6 +137,33 @@ def test_production_routes_match_oracles(grid, L, seed):
     assert np.max(np.abs(cosine - transforms.cosine_transform_quadrature(f, targets))) < 1e-8
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    L=st.integers(0, 24),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["x", "y", "rotation"]),
+)
+def test_spectral_transforms_are_equivariant(grid, L, seed, kind):
+    """T(f o R) = T(f) o R for the multiplier Funk and cosine transforms,
+    under the coordinate reflections and random rotations R; the plateau
+    design's symmetry fold rests on this."""
+    rng = np.random.default_rng(seed)
+    if kind == "rotation":
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        R = q * np.sign(np.diag(r))
+    else:
+        R = np.diag(np.where(np.array(["x", "y", "z"]) == kind, -1.0, 1.0))
+    c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
+    c.c /= math.sqrt(c.norm2())
+    mapped = grid.nodes @ R.T
+    f = transforms.SphericalFunction.from_coeffs(grid, c)
+    vals = harmonics.synthesize_points(c, mapped)
+    f_R = transforms.SphericalFunction(grid=grid, values=vals, coeffs=harmonics.analyze(grid, vals, L))
+    for transform in (transforms.funk_transform, transforms.cosine_transform):
+        expect = harmonics.synthesize_points(transform(f).coeffs, mapped)
+        assert np.max(np.abs(transform(f_R).values - expect)) < 1e-10
+
+
 class TestSectionIsotropy:
     def test_constant_density_isotropic(self):
         rep = transforms.section_isotropy_tensor(

@@ -304,46 +304,128 @@ class TestPlateauDesign:
     """The folded design against the unfolded, per-column oracle."""
 
     L, GRID = 12, (32, 64)
+    ANGLE = 1.55  # inside the admissible window for heights 0.9 and transition 0.3
 
-    @staticmethod
-    def _rotated_pair():
+    # reflections the fold may use, and the size of the invariant column class
+    # at L = 12 (91 even columns in all)
+    SYMMETRY = {
+        "default": (["x", "y"], 28),
+        "xz": (["y"], 49),
+        "yz": (["x"], 49),
+        "rotated": ([], 91),
+        # x -> -x maps U onto -V and y -> -y maps U onto V: both swap cap
+        # pairs that carry different levels, so neither may be used
+        "diagonal": ([], 91),
+    }
+
+    @classmethod
+    def _pair(cls, name, cap_u, cap_v):
+        a = cls.ANGLE
+        if name == "default":
+            return cap_u, cap_v
+        if name == "xz":
+            return sphere.Cap(E3, 0.9), sphere.Cap(np.array([math.sin(a), 0.0, math.cos(a)]), 0.9)
+        if name == "yz":
+            return sphere.Cap(E3, 0.9), sphere.Cap(np.array([0.0, math.sin(a), math.cos(a)]), 0.9)
+        if name == "diagonal":
+            return (
+                sphere.Cap(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), 0.9),
+                sphere.Cap(np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0), 0.9),
+            )
         q, r = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
-        a = 1.55  # inside the admissible window for heights 0.9 and transition 0.3
-        u = sphere.Cap(q @ E3, 0.9)
-        v = sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), 0.9)
-        harmonics.check_plateau_caps(u, v, 0.3)
-        return u, v
+        return (
+            sphere.Cap(q @ E3, 0.9),
+            sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), 0.9),
+        )
+
+    def _solved_block_singular_values(self, u, v, ridge):
+        third = np.cross(u.center, v.center)
+        caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
+        big = [sphere.Cap(c.center, max(c.height - 0.01, 0.5)) for c in caps]
+        A = zonoid._design_rows(
+            sphere.build_grid(*self.GRID), big, self.L, anisotropy_caps=(0, 1), ridge=ridge
+        )[4]
+        return np.linalg.svd(A, compute_uv=False)
 
     # A ridge far above the default one weighs the node rows against the
-    # ridge rows, which the doubled weight of the kept node must preserve.
-    @pytest.mark.parametrize("pair,ridge", [("default", 1e-12), ("rotated", 1e-12), ("default", 1e-4)])
+    # ridge rows, which the orbit weights of the kept nodes must preserve.
+    @pytest.mark.parametrize(
+        "pair,ridge",
+        [
+            ("default", 1e-12),
+            ("rotated", 1e-12),
+            ("default", 1e-4),
+            ("xz", 1e-12),
+            ("yz", 1e-12),
+            ("diagonal", 1e-12),
+        ],
+    )
     def test_matches_unfolded_oracle(self, cap_u, cap_v, pair, ridge):
-        u, v = (cap_u, cap_v) if pair == "default" else self._rotated_pair()
+        u, v = self._pair(pair, cap_u, cap_v)
+        harmonics.check_plateau_caps(u, v, 0.3)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID, ridge=ridge)
         G_ref, shape, sv = _oracle_design_plateau(u, v, self.L, self.GRID, ridge=ridge)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
-        # half the node rows, same columns, same singular values
-        n_ridge = shape[1]
-        assert info["design_rows"] - n_ridge == (shape[0] - n_ridge) // 2
-        assert info["design_cols"] == shape[1] == info["design_rank"]
-        assert abs(info["design_sigma_ratio"] - sv[0] / sv[-1]) <= 1e-6 * sv[0] / sv[-1]
+        reflections, n_invariant = self.SYMMETRY[pair]
+        assert info["design_reflections"] == reflections
+        assert info["design_cols"] == n_invariant == info["design_rank"]
+        if not reflections:
+            # half the node rows, same columns, same singular values
+            n_ridge = shape[1]
+            assert info["design_rows"] - n_ridge == (shape[0] - n_ridge) // 2
+            assert info["design_cols"] == shape[1]
+            assert abs(info["design_sigma_ratio"] - sv[0] / sv[-1]) <= 1e-6 * sv[0] / sv[-1]
+        else:
+            # the solved block is the invariant block of the unfolded system
+            for s in self._solved_block_singular_values(u, v, ridge):
+                assert np.min(np.abs(sv - s)) <= 1e-9 * s
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 40))
     def test_fold_keeps_one_node_of_every_antipodal_pair(self, n_theta, half_phi):
         grid = sphere.build_grid(n_theta, 2 * half_phi)
-        keep = zonoid._one_node_per_antipodal_pair(grid)
+        keep, _ = zonoid._orbit_fold(grid)
         anti = grid.antipode_index()
         assert np.array_equal(np.sort(anti), np.arange(grid.n_nodes))
         assert np.all(keep != keep[anti])
         assert np.max(np.abs(grid.nodes + grid.nodes[anti])) < 1e-15
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(2, 40),
+        st.sets(st.sampled_from(["x", "y"])).map(sorted),
+    )
+    def test_orbit_fold_keeps_one_node_per_orbit(self, n_theta, half_phi, reflections):
+        grid = sphere.build_grid(n_theta, 2 * half_phi)
+        keep, mult = zonoid._orbit_fold(grid, reflections)
+        maps = [(grid.antipode_index(), np.array([-1.0, -1.0, -1.0]))]
+        for a in reflections:
+            maps.append((grid.reflection_index(a), np.where(np.array(["x", "y", "z"]) == a, -1.0, 1.0)))
+        # each node map is the coordinate sign change it stands for
+        for perm, signs in maps:
+            assert np.array_equal(np.sort(perm), np.arange(grid.n_nodes))
+            assert np.max(np.abs(grid.nodes[perm] - grid.nodes * signs)) < 1e-14
+        images = [np.arange(grid.n_nodes)]
+        for perm, _ in maps:
+            images += [perm[p] for p in images]
+        orbits = np.sort(np.array(images), axis=0)
+        distinct = np.vstack([np.ones(grid.n_nodes, bool), orbits[1:] != orbits[:-1]])
+        assert np.all(np.sum(keep[orbits] & distinct, axis=0) == 1)
+        assert np.array_equal(mult[keep], np.sum(distinct, axis=0)[keep])
+        assert int(np.sum(mult[keep])) == grid.n_nodes
+        if not reflections:
+            assert np.array_equal(keep, np.arange(grid.n_nodes) < grid.antipode_index())
+
     def test_default_build_health(self, counterexample):
+        # the default caps are fixed by both coordinate reflections, so the
+        # solved block is the (cos, even m) class of the band-48 even columns
         d = counterexample.diagnostics
-        assert d["design_cols"] == 1225
-        assert d["design_rank"] == 1225
-        assert d["design_rows"] == 27749
+        assert d["design_reflections"] == ["x", "y"]
+        assert d["design_cols"] == 325
+        assert d["design_rank"] == 325
+        assert d["design_rows"] == 7089
         assert math.isfinite(d["design_sigma_ratio"]) and d["design_sigma_ratio"] > 1.0
 
 
