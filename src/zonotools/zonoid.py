@@ -248,18 +248,21 @@ def _orbit_fold(grid, reflections=()):
     return rep == images[0], np.bincount(rep, minlength=grid.n_nodes)
 
 
-def _design_rows(grid, caps, L, anisotropy_caps, ridge):
-    """Weighted least-squares system of the plateau design.
+class _DesignRows:
+    """Rows of the plateau design's weighted least-squares system, folded
+    onto its symmetry group and built for a chunk of nodes at a time.
 
     Columns are even harmonics (l, m), degree-major, as ``ls``/``ms``.
     Rows, each scaled by the square root of its node's quadrature weight,
     are: values on the nodes of the cap pairs; the Funk-level combination
-    Laplacian/2 + identity, which is the value times 1 - l(l+1)/2 (the
-    transform the rigidity conclusion constrains), on the same nodes; the
-    two anisotropic-Hessian components h11 - h22 and 2 h12 (what section
-    isotropy constrains) on the nodes of ``anisotropy_caps``; and last the
-    ridge rows, sqrt(ridge) / lambda_l on the diagonal, with lambda_l the
-    cosine multiplier.
+    Laplacian/2 + identity, which is the value times ``funk`` =
+    1 - l(l+1)/2 (the transform the rigidity conclusion constrains), on the
+    same nodes; the two anisotropic-Hessian components h11 - h22 and 2 h12
+    (what section isotropy constrains) on the nodes of ``anisotropy_caps``;
+    and last the ridge rows, sqrt(ridge) / lambda_l on the diagonal, with
+    lambda_l the cosine multiplier.  ``value_rows`` and ``anisotropy_rows``
+    build the node rows; the Funk rows are the value rows times ``funk``
+    column by column, and the ridge rows are diagonal.
 
     The system is folded onto its symmetry group, and the fold is exact.
     The group is generated by the antipodal map, which fixes every cap
@@ -276,67 +279,139 @@ def _design_rows(grid, caps, L, anisotropy_caps, ridge):
     With no reflection this keeps one node of every antipodal pair, with
     twice its weight, and all the even columns.
 
-    The rows are assembled one order m at a time, vectorized over degree,
-    from Legendre tables evaluated once per latitude ring.
+    Blocks come transposed, one column per row of the system, assembled
+    one order m at a time and vectorized over degree from Legendre tables
+    evaluated once per latitude ring.
 
-    Returns (ls, ms, which, sw, A, reflections): the solved columns'
-    degrees and orders, the cap index and square-root weight of each kept
-    node, A (Fortran order, the layout the least-squares solver factors)
-    and the reflections used.
+    Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
+    node its grid index ``nodes``, cap index ``which`` and square-root
+    weight ``sw``; ``n_aniso``, the number of kept nodes with anisotropy
+    rows; and the ``reflections`` used.
     """
-    sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
-    perms = {a: grid.reflection_index(a) for a in ("x", "y")}
-    reflections = [a for a, p in perms.items() if all(np.array_equal(s[p], s) for s in sels)]
-    keep, mult = _orbit_fold(grid, reflections)
-    evens = np.arange(0, L + 1, 2)
-    ls = np.repeat(evens, 2 * evens + 1)
-    ms = np.concatenate([np.arange(-l, l + 1) for l in evens])
-    invariant = np.ones(ls.size, dtype=bool)
-    if "y" in reflections:
-        invariant &= ms >= 0
-    if "x" in reflections:
-        invariant &= (ms >= 0) == (ms % 2 == 0)
-    ls, ms = ls[invariant], ms[invariant]
-    sel = np.any(sels, axis=0) & keep
-    which = np.zeros(int(np.sum(sel)), dtype=int)
-    for k, s in enumerate(sels):
-        which[s[sel]] = k
-    sw = np.sqrt(mult[sel] * grid.weights[sel])
-    ring, lon = np.divmod(np.flatnonzero(sel), grid.n_phi)
-    aniso = np.isin(which, anisotropy_caps)
-    ring_a, lon_a, sw_a = ring[aniso], lon[aniso], sw[aniso]
-    n, na, ncol = which.size, ring_a.size, ls.size
-    P, dP, d2P = harmonics.legendre_theta_tables(L, grid.cos_theta)
-    st = np.sqrt(1.0 - grid.cos_theta[ring_a] ** 2)
-    cot = grid.cos_theta[ring_a] / st
-    orders = np.arange(L + 1)
-    cosm = np.cos(np.outer(orders, grid.phi))
-    sinm = np.sin(np.outer(orders, grid.phi))
-    funk = 1.0 - 0.5 * ls * (ls + 1.0)
-    lam = harmonics.multiplier_table("cosine", L).lam
-    AT = np.zeros((ncol, 2 * n + 2 * na + ncol))
-    AT[np.arange(ncol), 2 * n + 2 * na + np.arange(ncol)] = math.sqrt(ridge) / lam[ls]
-    s2 = math.sqrt(2.0)
-    for m in np.unique(ms).tolist():
-        cols = np.flatnonzero(ms == m)
-        am = abs(m)
-        if m == 0:
-            trig, dtrig = cosm[0], np.zeros(grid.n_phi)
-        elif m > 0:
-            trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
-        else:
-            trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
-        Pm, dPm, d2Pm = P[ls[cols], am], dP[ls[cols], am], d2P[ls[cols], am]
-        f = Pm[:, ring] * (sw * trig[lon])
-        AT[cols, :n] = f
-        AT[cols, n : 2 * n] = f * funk[cols, None]
-        Pa, dPa = Pm[:, ring_a], dPm[:, ring_a]
-        t_a = sw_a * trig[lon_a]
-        h11 = d2Pm[:, ring_a] * t_a
-        h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
-        AT[cols, 2 * n : 2 * n + na] = h11 - h22
-        AT[cols, 2 * n + na : 2 * n + 2 * na] = 2.0 * (sw_a * dtrig[lon_a]) * (dPa - cot * Pa) / st
-    return ls, ms, which, sw, AT.T, reflections
+
+    def __init__(self, grid, caps, L, anisotropy_caps):
+        sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
+        perms = {a: grid.reflection_index(a) for a in ("x", "y")}
+        self.reflections = [
+            a for a, p in perms.items() if all(np.array_equal(s[p], s) for s in sels)
+        ]
+        keep, mult = _orbit_fold(grid, self.reflections)
+        evens = np.arange(0, L + 1, 2)
+        ls = np.repeat(evens, 2 * evens + 1)
+        ms = np.concatenate([np.arange(-l, l + 1) for l in evens])
+        invariant = np.ones(ls.size, dtype=bool)
+        if "y" in self.reflections:
+            invariant &= ms >= 0
+        if "x" in self.reflections:
+            invariant &= (ms >= 0) == (ms % 2 == 0)
+        self.ls, self.ms = ls[invariant], ms[invariant]
+        self.funk = 1.0 - 0.5 * self.ls * (self.ls + 1.0)
+        sel = np.any(sels, axis=0) & keep
+        self.nodes = np.flatnonzero(sel)
+        self.which = np.zeros(self.nodes.size, dtype=int)
+        for k, s in enumerate(sels):
+            self.which[s[sel]] = k
+        self.sw = np.sqrt(mult[sel] * grid.weights[sel])
+        self._ring, self._lon = np.divmod(self.nodes, grid.n_phi)
+        self._aniso = np.flatnonzero(np.isin(self.which, anisotropy_caps))
+        self.n_aniso = self._aniso.size
+        self._cos_theta = grid.cos_theta
+        P, dP, d2P = harmonics.legendre_theta_tables(L, grid.cos_theta)
+        orders = np.arange(L + 1)
+        cosm = np.cos(np.outer(orders, grid.phi))
+        sinm = np.sin(np.outer(orders, grid.phi))
+        s2 = math.sqrt(2.0)
+        # per order: its columns, |m|, the longitude factor and its phi
+        # derivative, and the degree-by-ring Legendre tables
+        self._orders = []
+        for m in np.unique(self.ms).tolist():
+            cols = np.flatnonzero(self.ms == m)
+            am = abs(m)
+            if m == 0:
+                trig, dtrig = cosm[0], np.zeros(grid.n_phi)
+            elif m > 0:
+                trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
+            else:
+                trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
+            l_cols = self.ls[cols]
+            self._orders.append(
+                (cols, am, trig, dtrig, P[l_cols, am], dP[l_cols, am], d2P[l_cols, am])
+            )
+
+    def value_rows(self, k):
+        """Value rows of the kept nodes ``k`` (a slice), transposed."""
+        ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
+        AT = np.empty((self.ls.size, sw.size))
+        for cols, _, trig, _, Pm, _, _ in self._orders:
+            AT[cols] = Pm[:, ring] * (sw * trig[lon])
+        return AT
+
+    def anisotropy_rows(self, k):
+        """h11 - h22 rows, then 2 h12 rows, of the anisotropy nodes ``k``
+        (a slice of them), transposed."""
+        i = self._aniso[k]
+        ring, lon, sw = self._ring[i], self._lon[i], self.sw[i]
+        na = i.size
+        st = np.sqrt(1.0 - self._cos_theta[ring] ** 2)
+        cot = self._cos_theta[ring] / st
+        AT = np.empty((self.ls.size, 2 * na))
+        for cols, am, trig, dtrig, Pm, dPm, d2Pm in self._orders:
+            Pa, dPa = Pm[:, ring], dPm[:, ring]
+            t_a = sw * trig[lon]
+            h11 = d2Pm[:, ring] * t_a
+            h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
+            AT[cols, :na] = h11 - h22
+            AT[cols, na:] = 2.0 * (sw * dtrig[lon]) * (dPa - cot * Pa) / st
+        return AT
+
+
+class _TriangularFactor:
+    """Upper-triangular factor of a tall system [A | b], fed in row blocks.
+
+    A least-squares problem min |A x - b| keeps its minimizer, its singular
+    values and its residual norm when [A | b] is replaced by the R of its
+    QR factorization.  Rows are gathered below the current factor in a
+    buffer of ``block`` rows and folded into it by a QR factorization
+    whenever the buffer fills, so the memory taken is fixed however many
+    rows the system has.
+    """
+
+    def __init__(self, ncol, block):
+        self._W = np.empty((ncol + 1 + block, ncol + 1), order="F")
+        self._top = 0  # rows in use
+        self._factor_rows = 0  # of which the current factor
+
+    def add(self, AT, b):
+        """Append rows of A, given transposed (one column per row), and of b."""
+        W = self._W
+        done = 0
+        while done < b.size:
+            k = min(W.shape[0] - self._top, b.size - done)
+            W[self._top : self._top + k, :-1] = AT[:, done : done + k].T
+            W[self._top : self._top + k, -1] = b[done : done + k]
+            self._top += k
+            done += k
+            if self._top == W.shape[0]:
+                self._fold()
+
+    def _fold(self):
+        if self._top > self._factor_rows:
+            R = np.linalg.qr(self._W[: self._top], mode="r")
+            self._top = self._factor_rows = R.shape[0]
+            self._W[: self._top] = R
+
+    def result(self):
+        """The factor of every row added so far (a copy; adding may go on)."""
+        self._fold()
+        return self._W[: self._top].copy()
+
+
+#: Rows gathered between two QR folds of the plateau design, and nodes per
+#: built chunk of rows.  Every drawn cap pair's design has more rows than a
+#: block, so each fills the buffer and the design's memory is the same
+#: whatever its caps.  Smaller blocks fold more often and cost time.
+DESIGN_BLOCK_ROWS = 4096
+DESIGN_CHUNK_NODES = 1024
 
 
 def design_plateau(
@@ -361,12 +436,21 @@ def design_plateau(
     image keeps the later inversion tame.
 
     The least-squares system is folded onto the cap pairs' symmetry group
-    (see ``_design_rows``): one node per orbit of the antipodal map and of
+    (see ``_DesignRows``): one node per orbit of the antipodal map and of
     the coordinate reflections that fix every cap pair, and only the
     columns those reflections fix.  This leaves the objective's minimizer
-    unchanged; the other coefficients are exactly zero.  The returned
-    diagnostics carry the residuals, the reflections used and the health
-    of the block actually solved: its shape, numerical rank and
+    unchanged; the other coefficients are exactly zero.
+
+    The system is never held whole.  Its rows are reduced, a block at a
+    time, to the triangular factor of their QR factorization
+    (``_TriangularFactor``), and the factor is solved by least squares
+    with the rank cutoff the whole system would get.  The value rows go
+    first: their factor [R q] also stands for the Funk rows, which have
+    the same target and are the value rows times ``funk`` column by
+    column, as [R diag(funk) q], and the other rows join the factor
+    after those.  The returned diagnostics carry the
+    residuals on the kept nodes, the reflections used and the health of
+    the block actually solved: its shape, numerical rank and
     singular-value ratio.
     """
     third_center = np.cross(cap_u.center, cap_v.center)
@@ -377,26 +461,42 @@ def design_plateau(
     caps = [cap_u, cap_v, third]
     big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in caps]
     dg = sphere.build_grid(*design_grid)
-    ls, ms, which, sw, A, reflections = _design_rows(
-        dg, big, L, anisotropy_caps=(0, 1), ridge=ridge
+    rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
+    ls, ms, funk = rows.ls, rows.ms, rows.funk
+    n, ncol = rows.nodes.size, ls.size
+    target = np.asarray(levels, dtype=float)[rows.which]
+    chunk = DESIGN_CHUNK_NODES
+    factor = _TriangularFactor(ncol, DESIGN_BLOCK_ROWS)
+    for s in range(0, n, chunk):
+        k = slice(s, s + chunk)
+        factor.add(rows.value_rows(k), rows.sw[k] * target[k])
+    Rq = factor.result()[:ncol]
+    factor.add((Rq[:, :ncol] * funk).T, Rq[:, ncol])
+    for s in range(0, rows.n_aniso, chunk):
+        AT = rows.anisotropy_rows(slice(s, s + chunk))
+        factor.add(AT, np.zeros(AT.shape[1]))
+    lam = harmonics.multiplier_table("cosine", L).lam
+    factor.add(np.diag(math.sqrt(ridge) / lam[ls]), np.zeros(ncol))
+    Rq = factor.result()[:ncol]
+    n_rows = 2 * n + 2 * rows.n_aniso + ncol
+    sol, _, rank, sv = np.linalg.lstsq(
+        Rq[:, :ncol], Rq[:, ncol], rcond=np.finfo(float).eps * max(n_rows, ncol)
     )
-    n = which.size
-    target = np.asarray(levels, dtype=float)[which]
-    b = np.zeros(A.shape[0])
-    b[:n] = b[n : 2 * n] = sw * target
-    sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     G = harmonics.HarmonicCoeffs.zeros(L)
-    G.c[ls * ls + ls + ms] = sol
-    resid_val = float(np.max(np.abs(A[:n] @ sol / sw - target)))
-    resid_funk = float(np.max(np.abs(A[n : 2 * n] @ sol / sw - target)))
+    idx = ls * ls + ls + ms
+    G.c[idx] = sol
+    G_funk = harmonics.HarmonicCoeffs.zeros(L)
+    G_funk.c[idx] = funk * sol
+    values = harmonics.synthesize_grid(G, dg)[rows.nodes]
+    funk_values = harmonics.synthesize_grid(G_funk, dg)[rows.nodes]
     return G, {
-        "design_value_residual": resid_val,
-        "design_funk_residual": resid_funk,
-        "design_rows": int(A.shape[0]),
-        "design_cols": int(A.shape[1]),
+        "design_value_residual": float(np.max(np.abs(values - target))),
+        "design_funk_residual": float(np.max(np.abs(funk_values - target))),
+        "design_rows": int(n_rows),
+        "design_cols": int(ncol),
         "design_rank": int(rank),
         "design_sigma_ratio": float(sv[0] / sv[-1]),
-        "design_reflections": reflections,
+        "design_reflections": rows.reflections,
     }
 
 

@@ -343,10 +343,16 @@ class TestPlateauDesign:
         third = np.cross(u.center, v.center)
         caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
         big = [sphere.Cap(c.center, max(c.height - 0.01, 0.5)) for c in caps]
-        A = zonoid._design_rows(
-            sphere.build_grid(*self.GRID), big, self.L, anisotropy_caps=(0, 1), ridge=ridge
-        )[4]
-        return np.linalg.svd(A, compute_uv=False)
+        rows = zonoid._DesignRows(sphere.build_grid(*self.GRID), big, self.L, anisotropy_caps=(0, 1))
+        V = rows.value_rows(slice(None))
+        lam = harmonics.multiplier_table("cosine", self.L).lam
+        AT = np.hstack([
+            V,
+            V * rows.funk[:, None],
+            rows.anisotropy_rows(slice(None)),
+            np.diag(math.sqrt(ridge) / lam[rows.ls]),
+        ])
+        return np.linalg.svd(AT, compute_uv=False)
 
     # A ridge far above the default one weighs the node rows against the
     # ridge rows, which the orbit weights of the kept nodes must preserve.
@@ -380,6 +386,20 @@ class TestPlateauDesign:
             # the solved block is the invariant block of the unfolded system
             for s in self._solved_block_singular_values(u, v, ridge):
                 assert np.min(np.abs(sv - s)) <= 1e-9 * s
+
+    @pytest.mark.parametrize("pair", ["default", "rotated"])
+    def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
+        # blocks and node chunks far smaller than the system, so the rows
+        # pass through many QR folds and the value rows' factor is split
+        monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
+        monkeypatch.setattr(zonoid, "DESIGN_CHUNK_NODES", 50)
+        u, v = self._pair(pair, cap_u, cap_v)
+        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        G_ref, _, sv = _oracle_design_plateau(u, v, self.L, self.GRID)
+        assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
+        assert info["design_rank"] == info["design_cols"]
+        for s in self._solved_block_singular_values(u, v, 1e-12)[[0, -1]]:
+            assert np.min(np.abs(sv - s)) <= 1e-9 * s
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 40))
@@ -427,6 +447,35 @@ class TestPlateauDesign:
         assert d["design_rank"] == 325
         assert d["design_rows"] == 7089
         assert math.isfinite(d["design_sigma_ratio"]) and d["design_sigma_ratio"] > 1.0
+
+
+class TestTriangularFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 200),
+        st.integers(1, 60),
+        st.lists(st.integers(1, 80), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_keep_the_least_squares_problem(self, ncol, n_rows, block, cuts, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n_rows + ncol, ncol))
+        b = rng.normal(size=A.shape[0])
+        factor = zonoid._TriangularFactor(ncol, block)
+        edges = np.unique(np.concatenate([[0], np.cumsum(cuts) % A.shape[0], [A.shape[0]]]))
+        for s, e in zip(edges[:-1], edges[1:]):
+            factor.add(A[s:e].T, b[s:e])
+        Rq = factor.result()
+        assert Rq.shape == (ncol + 1, ncol + 1)
+        assert np.allclose(np.triu(Rq), Rq, rtol=0.0, atol=0.0)
+        # [A | b] and its factor have the same Gram matrix, hence the same
+        # minimizer, singular values and residual norm
+        Ab = np.column_stack([A, b])
+        assert np.allclose(Rq.T @ Rq, Ab.T @ Ab, rtol=1e-12, atol=1e-10 * np.sum(Ab * Ab))
+        x = np.linalg.lstsq(Rq[:ncol, :ncol], Rq[:ncol, ncol], rcond=None)[0]
+        x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.allclose(x, x_ref, rtol=1e-9, atol=1e-9)
 
 
 class TestRigidity:
