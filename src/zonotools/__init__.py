@@ -14,7 +14,6 @@ from zonotools.sphere import (
     GreatCircle,
     SphericalGrid,
     build_grid,
-    circle_integrate,
     great_circle,
     integrate,
     tangent_basis,
@@ -31,7 +30,6 @@ __all__ = [
     "GreatCircle",
     "SphericalGrid",
     "build_grid",
-    "circle_integrate",
     "great_circle",
     "integrate",
     "tangent_basis",

@@ -376,10 +376,7 @@ def _isotropy_corpus(ctx, n_cases=200):
         # constant, hence isotropic
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        c = harmonics.HarmonicCoeffs.zeros(12)
         zl = rng.normal(size=7)
-        e1, e2 = sphere.tangent_basis(axis)
-        R = np.stack([e1, e2, axis], axis=1)
         vals = np.zeros(grid.n_nodes)
         tt = grid.nodes @ axis
         for i, l in enumerate(range(0, 13, 2)):
@@ -420,7 +417,7 @@ def suite_isotropy_gap(ctx):
         if not isotropic and (small_gap or small_dev):
             equiv_ok = False
         raw_gap = rep["f1"] ** 2 - rep["f2"]
-        mass = transforms.circle_fourier_mass(spec.g, u, degree=2, m=m)
+        mass = rep["mass"]
         # raw_gap is a difference of O(f2)-sized quantities, so below
         # ~eps*f2 it is cancellation noise; the identity is measured
         # relative to the larger of the two sides with that floor.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,8 +160,10 @@ def coeffs_to_csv(path, coeffs):
 # Associated Legendre machinery
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _recurrence_coeffs(L):
-    """Vectorized coefficients a[l, m], b[l, m] of the degree recurrence."""
+    """Coefficients a[l, m], b[l, m] of the degree recurrence, cached per
+    band limit as read-only arrays."""
     a = np.zeros((L + 1, L + 1))
     b = np.zeros((L + 1, L + 1))
     for l in range(2, L + 1):
@@ -172,6 +175,8 @@ def _recurrence_coeffs(L):
             * (l - m - 1.0)
             / ((2.0 * l - 3.0) * (l * l - m * m))
         )
+    a.flags.writeable = False
+    b.flags.writeable = False
     return a, b
 
 
@@ -351,38 +356,41 @@ def synthesize(coeffs, target):
 # Transform multipliers
 # ----------------------------------------------------------------------
 
-def legendre_p0(l):
-    """P_l(0): zero for odd l, alternating double-factorial ratio for even."""
-    if l % 2 == 1:
-        return 0.0
-    val = 1.0
-    for k in range(2, l + 1, 2):
-        val *= -(k - 1.0) / k
-    return val
+def _multipliers(kernel, L):
+    """The multipliers of degrees 0..L in closed form; odd degrees are zero.
+
+    Funk: 2 pi P_l(0), with P_0(0) = 1 and P_l(0) = -(l-1)/l P_{l-2}(0).
+    Cosine: 4 pi int_0^1 t P_l(t) dt, which is 2 pi at l = 0, pi/2 at
+    l = 2, and follows lam_{l+2} = -(l-1)/(l+4) lam_l for even l >= 2.
+    """
+    if kernel not in ("funk", "cosine"):
+        raise ValueError(f"unknown kernel {kernel!r}")
+    lam = np.zeros(L + 1)
+    if kernel == "funk":
+        p0 = 1.0
+        for l in range(0, L + 1, 2):
+            if l:
+                p0 *= -(l - 1.0) / l
+            lam[l] = 2.0 * math.pi * p0
+        return lam
+    lam[0] = 2.0 * math.pi
+    val = 0.5 * math.pi
+    for l in range(2, L + 1, 2):
+        lam[l] = val
+        val *= -(l - 1.0) / (l + 4.0)
+    return lam
 
 
 def funk_hecke_multiplier(kernel, l):
     """Diagonal action of a kernel on degree-l harmonics.
 
-    For a kernel F(<x,u>) the multiplier is 2 pi * int_{-1}^{1} F(t) P_l(t) dt.
-    The cosine kernel |t| is integrated by Gauss-Legendre split at the kink
-    (each half is then a polynomial integral, hence exact); the Funk kernel
-    concentrates on the orthogonal circle and gives 2 pi P_l(0) directly.
-    Odd degrees return exact zero for both kernels.
+    For a kernel F(<x,u>) the multiplier is 2 pi * int_{-1}^{1} F(t) P_l(t) dt:
+    the closed form of multiplier_table.  Odd degrees return exact zero
+    for both kernels.
     """
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    if l % 2 == 1:
-        return 0.0
-    if kernel == "funk":
-        return 2.0 * math.pi * legendre_p0(l)
-    if kernel == "cosine":
-        x, w = np.polynomial.legendre.leggauss(l // 2 + 2)
-        x01 = 0.5 * (x + 1.0)  # map to [0, 1]
-        pl = np.polynomial.legendre.legval(x01, [0.0] * l + [1.0])
-        half = 0.5 * np.sum(w * x01 * pl)
-        return float(2.0 * math.pi * 2.0 * half)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    return float(_multipliers(kernel, l)[l])
 
 
 @dataclass(frozen=True)
@@ -397,8 +405,11 @@ class MultiplierTable:
         return self.lam.size - 1
 
 
+@lru_cache(maxsize=None)
 def multiplier_table(kernel, L):
-    lam = np.array([funk_hecke_multiplier(kernel, l) for l in range(L + 1)])
+    """Multipliers of degrees 0..L, cached per (kernel, L); ``lam`` is read-only."""
+    lam = _multipliers(kernel, L)
+    lam.flags.writeable = False
     return MultiplierTable(kernel=kernel, lam=lam)
 
 
@@ -456,19 +467,6 @@ def _spectral_inverse(coeffs, kernel, what):
 def inverse_cosine_transform(coeffs):
     """Solve C(w) = G for w coefficientwise (even, band-limited G)."""
     return _spectral_inverse(coeffs, "cosine", "inverse cosine transform")
-
-
-def inverse_funk_transform(coeffs):
-    """Solve R(w) = G for w coefficientwise (even, band-limited G)."""
-    return _spectral_inverse(coeffs, "funk", "inverse Funk transform")
-
-
-def laplacian_spectral(coeffs):
-    """Laplace-Beltrami operator: multiply degree l by -l(l+1)."""
-    degrees = coeffs.degrees()
-    out = coeffs.copy()
-    out.c = coeffs.c * (-degrees * (degrees + 1.0))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -261,12 +261,6 @@ def _as_evaluator(g):
     )
 
 
-def circle_integrate(g, circle):
-    """Quadrature of g over a great circle (H^1 line measure)."""
-    values = np.asarray(_as_evaluator(g)(circle.nodes), dtype=float)
-    return float(circle.weight * np.sum(values))
-
-
 @dataclass(frozen=True)
 class Cap:
     """Open spherical cap {x : <x, center> > height}, 0 < height < 1."""

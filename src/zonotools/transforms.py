@@ -96,43 +96,9 @@ def cosine_transform(f):
 
     Exact for the band-limited expansion of f: each degree is multiplied
     by its cosine-kernel eigenvalue and the result is synthesized on the
-    grid.  cosine_transform_quadrature is the independent check.
+    grid.
     """
     return _multiplier_transform(f, "cosine")
-
-
-def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):
-    """Accurate cosine transform at explicit target directions.
-
-    Integrates in a frame aligned with each target: with Theta the polar
-    angle from u, the kernel is |cos Theta| and the integral splits at the
-    kink into two halves that are Gauss-Legendre-integrated in Theta and
-    trapezoid-integrated in longitude.  Spectrally accurate for smooth g
-    (needs an evaluation rule), and fully independent of the multiplier
-    table, so it serves as the quadrature side of dual-route checks.
-    """
-    eval_g = sphere._as_evaluator(g)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    x, w = np.polynomial.legendre.leggauss(n_t)
-    th_hi = 0.25 * math.pi * (x + 1.0)            # (0, pi/2): cos > 0
-    th = np.concatenate([th_hi, math.pi - th_hi])  # mirrored half
-    wth = np.concatenate([w, w]) * 0.25 * math.pi
-    kern = np.abs(np.cos(th)) * np.sin(th) * wth
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    cph, sph = np.cos(phi), np.sin(phi)
-    st, ct = np.sin(th), np.cos(th)
-    out = np.empty(targets.shape[0])
-    for k, u in enumerate(targets):
-        e1, e2 = sphere.tangent_basis(u)
-        pts = (
-            np.multiply.outer(np.outer(st, cph), e1)
-            + np.multiply.outer(np.outer(st, sph), e2)
-            + np.multiply.outer(np.outer(ct, np.ones(n_phi)), u)
-        ).reshape(-1, 3)
-        vals = np.asarray(eval_g(pts)).reshape(2 * n_t, n_phi)
-        ring = vals.sum(axis=1) * (2.0 * np.pi / n_phi)
-        out[k] = float(np.sum(kern * ring))
-    return out if out.size > 1 else float(out[0])
 
 
 def funk_transform(f):
@@ -140,18 +106,8 @@ def funk_transform(f):
 
     Exact for the band-limited expansion of f: each degree is multiplied
     by 2 pi P_l(0) and the result is synthesized on the grid.
-    funk_transform_at is the independent circle-quadrature check.
     """
     return _multiplier_transform(f, "funk")
-
-
-def funk_transform_at(f, targets, m=256):
-    """Funk transform at explicit target directions."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty(targets.shape[0])
-    for k, u in enumerate(targets):
-        out[k] = sphere.circle_integrate(f, sphere.great_circle(u, m))
-    return out if out.size > 1 else float(out[0])
 
 
 # ----------------------------------------------------------------------
@@ -187,15 +143,35 @@ class IsotropyReport:
         )
 
 
-def section_isotropy_tensor(g, u, m=256):
-    """Second-moment tensor of g restricted to the great circle u-perp."""
+def circle_values(g, u, m=256):
+    """g at the m nodes of the great circle u-perp (``great_circle(u, m)``)."""
+    circle = sphere.great_circle(np.asarray(u, dtype=float), m)
+    return np.asarray(sphere._as_evaluator(g)(circle.nodes), dtype=float)
+
+
+def _given_or_sampled(g, u, m, values):
+    if values is None:
+        return circle_values(g, u, m)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (m,):
+        raise ValueError(f"expected {m} circle samples, got shape {values.shape}")
+    return values
+
+
+def section_isotropy_tensor(g, u, m=256, values=None):
+    """Second-moment tensor of g restricted to the great circle u-perp.
+
+    ``values`` are the samples circle_values(g, u, m), when the caller
+    already has them.
+    """
     u = np.asarray(u, dtype=float)
-    circle = sphere.great_circle(u, m)
-    vals = np.asarray(sphere._as_evaluator(g)(circle.nodes), dtype=float)
-    ca, sa = np.cos(circle.angles), np.sin(circle.angles)
-    t11 = circle.weight * float(np.sum(vals * ca * ca))
-    t22 = circle.weight * float(np.sum(vals * sa * sa))
-    t12 = circle.weight * float(np.sum(vals * ca * sa))
+    vals = _given_or_sampled(g, u, m, values)
+    angles = 2.0 * np.pi * np.arange(m) / m
+    weight = 2.0 * np.pi / m
+    ca, sa = np.cos(angles), np.sin(angles)
+    t11 = weight * float(np.sum(vals * ca * ca))
+    t22 = weight * float(np.sum(vals * sa * sa))
+    t12 = weight * float(np.sum(vals * ca * sa))
     T = np.array([[t11, t12], [t12, t22]])
     trace = t11 + t22
     dev_num = math.sqrt(0.5 * (t11 - t22) ** 2 + 2.0 * t12 * t12)
@@ -203,18 +179,19 @@ def section_isotropy_tensor(g, u, m=256):
     return IsotropyReport(u=u, T=T, trace=trace, deviation=deviation)
 
 
-def circle_fourier_mass(g, u, degree=2, m=256):
+def circle_fourier_mass(g, u, degree=2, m=256, values=None):
     """Squared Fourier mass of g on the circle u-perp at the given order.
 
     Brute-force FFT oracle: returns A^2 + B^2 with A, B the unnormalized
-    cos/sin moments int g cos(k a) da, int g sin(k a) da.
+    cos/sin moments int g cos(k a) da, int g sin(k a) da.  ``values`` are
+    the samples circle_values(g, u, m), when the caller already has them.
     """
-    circle = sphere.great_circle(u, m)
-    vals = np.asarray(sphere._as_evaluator(g)(circle.nodes), dtype=float)
+    vals = _given_or_sampled(g, u, m, values)
     spec = np.fft.rfft(vals)
+    weight = 2.0 * np.pi / m
     # rfft coefficient k equals (m / 2pi) * integral moments for 0 < k < m/2
-    a = spec[degree].real * circle.weight
-    b = -spec[degree].imag * circle.weight
+    a = spec[degree].real * weight
+    b = -spec[degree].imag * weight
     return float(a * a + b * b)
 
 

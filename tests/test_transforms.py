@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from zonotools import cli, harmonics, sphere, transforms
 
+import oracles
 from conftest import random_density, random_even_coeffs, random_function, random_unit
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -75,7 +76,7 @@ class TestCosineTransform:
         c = random_even_coeffs(24, rng)
         f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
         targets = random_unit(rng, 12)
-        quad = transforms.cosine_transform_quadrature(f, targets)
+        quad = oracles.cosine_transform_quadrature(f, targets)
         prod = transforms.cosine_transform(f).evaluate(targets)
         assert np.max(np.abs(quad - prod)) < 1e-8
 
@@ -113,7 +114,7 @@ class TestFunkTransform:
         c = random_even_coeffs(24, rng)
         f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
         targets = random_unit(rng, 10)
-        quad = transforms.funk_transform_at(f, targets, m=128)
+        quad = oracles.funk_transform_at(f, targets, m=128)
         prod = transforms.funk_transform(f).evaluate(targets)
         assert np.max(np.abs(quad - prod)) < 1e-8
 
@@ -132,9 +133,9 @@ def test_production_routes_match_oracles(grid, L, seed):
     f = transforms.SphericalFunction(grid=grid, values=on_grid, coeffs=c)
     targets = random_unit(rng, 3)
     funk = transforms.funk_transform(f).evaluate(targets)
-    assert np.max(np.abs(funk - transforms.funk_transform_at(f, targets))) < 1e-8
+    assert np.max(np.abs(funk - oracles.funk_transform_at(f, targets))) < 1e-8
     cosine = transforms.cosine_transform(f).evaluate(targets)
-    assert np.max(np.abs(cosine - transforms.cosine_transform_quadrature(f, targets))) < 1e-8
+    assert np.max(np.abs(cosine - oracles.cosine_transform_quadrature(f, targets))) < 1e-8
 
 
 @settings(max_examples=15, deadline=None)
@@ -189,6 +190,18 @@ class TestSectionIsotropy:
         rep = transforms.section_isotropy_tensor(f, u)
         mass = transforms.circle_fourier_mass(f, u, degree=2)
         assert abs(rep.deviation * abs(rep.trace) - math.sqrt(mass / 2.0)) < 1e-10
+
+    def test_given_samples_match_sampled_route(self, grid):
+        f = random_density(grid, 10, np.random.default_rng(7))
+        u = random_unit(np.random.default_rng(8))
+        vals = transforms.circle_values(f, u, 64)
+        assert_allclose(vals, f.evaluate(sphere.great_circle(u, 64).nodes), rtol=0, atol=0)
+        rep = transforms.section_isotropy_tensor(f, u, m=64, values=vals)
+        assert np.array_equal(rep.T, transforms.section_isotropy_tensor(f, u, m=64).T)
+        mass = transforms.circle_fourier_mass(f, u, m=64, values=vals)
+        assert mass == transforms.circle_fourier_mass(f, u, m=64)
+        with pytest.raises(ValueError, match="64 circle samples"):
+            transforms.section_isotropy_tensor(f, u, m=64, values=vals[:-1])
 
     def test_json_payload(self):
         rep = transforms.section_isotropy_tensor(lambda p: np.ones(len(p)), E3)

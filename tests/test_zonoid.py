@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotools import convex, harmonics, sphere, transforms, zonoid
+from zonotools import cli, convex, harmonics, sphere, transforms, zonoid
 
+import oracles
 from conftest import random_density, random_unit
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -105,6 +106,13 @@ class TestCalibration:
             assert abs(p1 - 1.0 / math.pi) < 1e-12
             assert abs(p2 - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("m", [8, 64, 256, 512])
+    def test_closed_form_matches_kernel_sum(self, m):
+        p1, p2 = zonoid.calibrate_weil_prefactors(m)
+        q1, q2 = oracles.weil_prefactors_kernel(m)
+        assert abs(p1 - q1) < 1e-13 * q1
+        assert abs(p2 - q2) < 1e-13 * q2
+
 
 class TestMakeZonoid:
     def test_reference_density_gives_unit_ball(self, grid):
@@ -135,7 +143,7 @@ class TestMakeZonoid:
         g = random_density(grid, 12, np.random.default_rng(0))
         spec = zonoid.make_zonoid(g)
         targets = random_unit(np.random.default_rng(1), 8)
-        quad = transforms.cosine_transform_quadrature(spec.g, targets)
+        quad = oracles.cosine_transform_quadrature(spec.g, targets)
         stored = spec.h.evaluate(targets)
         assert np.max(np.abs(quad - stored)) < 1e-9
 
@@ -162,7 +170,7 @@ class TestWeilDensity:
             spec = zonoid.make_zonoid(g)
             for u in random_unit(rng, 5):
                 f1 = zonoid.weil_density(spec, u, 1)
-                funk = transforms.funk_transform_at(spec.g, u)
+                funk = oracles.funk_transform_at(spec.g, u)
                 worst = max(worst, abs(f1 - funk))
         assert worst < 1e-7
 
@@ -184,6 +192,24 @@ class TestWeilDensity:
         g = random_density(grid, 8, np.random.default_rng(5))
         with pytest.raises(ValueError):
             zonoid.weil_density(zonoid.make_zonoid(g), E3, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(0, 12),
+    m=st.sampled_from([8, 64, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_densities_match_kernel_oracle(small_grid, L, m, seed):
+    rng = np.random.default_rng(seed)
+    spec = zonoid.make_zonoid(random_density(small_grid, L, rng))
+    u = random_unit(rng)
+    f1, f2 = (zonoid.weil_density(spec, u, j, m) for j in (1, 2))
+    o1, o2 = oracles.weil_densities_kernel(
+        spec.g.evaluate(sphere.great_circle(u, m).nodes)
+    )
+    assert abs(f1 - o1) <= 1e-12 * abs(o1)
+    assert abs(f2 - o2) <= 1e-12 * abs(o2)
 
 
 class TestIsotropyGapReport:
@@ -216,6 +242,29 @@ class TestIsotropyGapReport:
         rep = zonoid.isotropy_gap_report(spec, E3)
         assert rep["dev"] > 1e-3
         assert rep["gap"] > 1e-6
+
+    def test_reads_one_circle_sample(self, grid):
+        g = random_density(grid, 12, np.random.default_rng(9))
+        spec = zonoid.make_zonoid(g)
+        u = random_unit(np.random.default_rng(10))
+        rep = zonoid.isotropy_gap_report(spec, u, m=128)
+        assert rep["dev"] == transforms.section_isotropy_tensor(spec.g, u, m=128).deviation
+        assert rep["f1"] == zonoid.weil_density(spec, u, 1, 128)
+        assert rep["f2"] == zonoid.weil_density(spec, u, 2, 128)
+        assert rep["mass"] == transforms.circle_fourier_mass(spec.g, u, degree=2, m=128)
+
+    def test_suite_synthesizes_each_circle_once(self, monkeypatch):
+        calls = []
+        real = harmonics.synthesize_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harmonics, "synthesize_points", counting)
+        rows = cli.suite_isotropy_gap(cli.RunContext(cli.RunConfig()))
+        assert all(row["pass"] for row in rows)
+        assert len(calls) == 200
 
 
 class TestCounterexample:
