@@ -73,12 +73,22 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def cap_u(self):
-        c = np.asarray(self.cap_u_center, dtype=float)
-        return sphere.Cap(center=c / np.linalg.norm(c), height=self.cap_u_height)
+        return _cap("cap_u_center", self.cap_u_center, self.cap_u_height)
 
     def cap_v(self):
-        c = np.asarray(self.cap_v_center, dtype=float)
-        return sphere.Cap(center=c / np.linalg.norm(c), height=self.cap_v_height)
+        return _cap("cap_v_center", self.cap_v_center, self.cap_v_height)
+
+    def check(self):
+        """Reject values that no command can use, where they enter."""
+        if self.band < 0:
+            raise ValueError(f"band must be >= 0, got {self.band}")
+        if self.circle_m < 8:
+            raise ValueError(f"circle_m must be >= 8, got {self.circle_m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.transition < math.inf:
+            raise ValueError(f"transition must be positive and finite, got {self.transition}")
+        self.cap_u(), self.cap_v()
 
     def echo(self):
         return {
@@ -93,6 +103,13 @@ class RunConfig:
             "seed": self.seed,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
+
+
+def _cap(name, center, height):
+    c = np.asarray(center, dtype=float)
+    if c.shape != (3,) or not np.all(np.isfinite(c)) or not np.any(c):
+        raise ValueError(f"{name} must be three finite numbers, not all zero; got {tuple(center)!r}")
+    return sphere.Cap(center=c / np.linalg.norm(c), height=height)
 
 
 class ConfigError(ValueError):
@@ -142,8 +159,8 @@ def parse_config_file(path):
                     if name not in cfg.tolerances:
                         raise ConfigError(f"{path}:{lineno}: unknown tolerance {name!r}")
                     val = float(value)
-                    if val <= 0:
-                        raise ConfigError(f"{path}:{lineno}: tolerances must be positive")
+                    if not 0.0 < val < math.inf:
+                        raise ConfigError(f"{path}:{lineno}: tolerances must be positive and finite")
                     cfg.tolerances[name] = val
                 else:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -155,7 +172,7 @@ def parse_config_file(path):
 
 
 def _apply_flags(cfg, args):
-    if args.grid:
+    if args.grid is not None:
         t, p = args.grid.split(",")
         cfg.n_theta, cfg.n_phi = int(t), int(p)
     if args.band is not None:
@@ -390,9 +407,7 @@ def _isotropy_corpus(ctx, n_cases=200):
         for l in range(0, 13, 2):
             for m in range(-l, l + 1):
                 c.set(l, m, rng.normal())
-        v = harmonics.synthesize_grid(c, grid)
-        c.set(0, 0, c.get(0, 0) + (abs(float(np.min(v))) + 0.2) * math.sqrt(4.0 * math.pi))
-        f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+        f = _lifted(grid, c, floor=0.2)
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         cases.append((f, u, False))
@@ -406,8 +421,7 @@ def suite_isotropy_gap(ctx):
     equiv_ok = True
     oracle_worst = 0.0
     for f, u, isotropic in _isotropy_corpus(ctx):
-        spec = zonoid.make_zonoid(f)
-        rep = zonoid.isotropy_gap_report(spec, u, m=m)
+        rep = zonoid.isotropy_gap_report(zonoid.even_density(f), u, m=m)
         small_gap = rep["gap"] < tols["gap_iso"]
         small_dev = rep["dev"] < tols["dev_iso"]
         if small_gap != small_dev:
@@ -660,8 +674,16 @@ def cmd_verify(cfg, suite):
     return 0 if all(r["pass"] for r in results) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error: exit 3, one stderr line."""
+
+    def error(self, message):
+        # the message may quote arguments that hold line breaks
+        self.exit(3, f"usage error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zonotools",
         description="Sphere transforms, convex-body checks and zonoid verification suites",
     )
@@ -687,7 +709,7 @@ def main(argv=None):
     try:
         cfg = parse_config_file(args.config) if args.config else RunConfig()
         cfg = _apply_flags(cfg, args)
-        cfg.cap_u(), cfg.cap_v()  # the caps are checked where they enter
+        cfg.check()
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

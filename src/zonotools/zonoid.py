@@ -109,31 +109,44 @@ class ZonoidSpec:
     constants: sphere.DimensionConstants
 
 
-def make_zonoid(g, constants=sphere.DIM3):
-    """Build the zonoid generated by the density g.
+def even_density(g):
+    """The even part of the density g, checked to be nonnegative.
 
-    g is even-symmetrized (pointwise average with the antipodal map, which
-    is the odd-degree cut in coefficient space); values below -1e-10 after
-    symmetrization are rejected.  The support function is obtained by the
-    exact multiplier action on the band-limited density and must pass the
-    convexity certificate, which cannot fail for a genuinely nonnegative
-    density unless the resolution is too low.
+    The even part is the pointwise average with the antipodal map, which
+    is the odd-degree cut in coefficient space; values below -1e-10 on
+    g's grid are rejected.  When g has no odd coefficients its own values
+    are the even part's and are kept, so the density is not synthesized
+    again.
     """
     if g.coeffs is None:
         raise ValueError("zonoid densities need a harmonic expansion")
     even = g.coeffs.copy()
     odd = even.degrees() % 2 == 1
-    even.c[odd] = 0.0
-    values = harmonics.synthesize_grid(even, g.grid)
+    values = g.values
+    if np.any(even.c[odd]):
+        even.c[odd] = 0.0
+        values = harmonics.synthesize_grid(even, g.grid)
     if float(np.min(values)) < -1e-10:
         raise ValueError(
             f"generating density is negative (min {float(np.min(values)):.3e}) "
             "after even-symmetrization"
         )
-    g_even = transforms.SphericalFunction(
+    return transforms.SphericalFunction(
         grid=g.grid, values=values, coeffs=even, parity="even"
     )
-    h_coeffs = harmonics.cosine_transform_spectral(even)
+
+
+def make_zonoid(g, constants=sphere.DIM3):
+    """Build the zonoid generated by the density g.
+
+    g is even-symmetrized and checked nonnegative (``even_density``).  The
+    support function is obtained by the exact multiplier action on the
+    band-limited density and must pass the convexity certificate, which
+    cannot fail for a genuinely nonnegative density unless the resolution
+    is too low.
+    """
+    g_even = even_density(g)
+    h_coeffs = harmonics.cosine_transform_spectral(g_even.coeffs)
     h = convex_support.SupportFunction.from_coeffs(g.grid, h_coeffs, recentre=False)
     return ZonoidSpec(g=g_even, h=h, constants=constants)
 
@@ -149,8 +162,11 @@ def weil_density(spec, u, j=1, m=256):
     return _weil_densities(transforms.circle_values(spec.g, u, m))[j - 1]
 
 
-def isotropy_gap_report(spec, u, m=256, eps=1e-30):
+def isotropy_gap_report(g, u, m=256, eps=1e-30):
     """Pointwise witness tying section isotropy to the area-density gap.
+
+    ``g`` is the even density (``even_density``), or a zonoid built from
+    it, of which only the density is read.
 
     Returns the isotropy deviation of g restricted to the circle u-perp
     and the relative gap |f1^2 - f2| / max(f2, eps); the two vanish
@@ -158,10 +174,12 @@ def isotropy_gap_report(spec, u, m=256, eps=1e-30):
     of g on the circle, which the FFT route gives as ``mass``.  g is
     sampled on the circle once, and every quantity reads those samples.
     """
-    vals = transforms.circle_values(spec.g, u, m)
-    dev = transforms.section_isotropy_tensor(spec.g, u, m=m, values=vals).deviation
+    if isinstance(g, ZonoidSpec):
+        g = g.g
+    vals = transforms.circle_values(g, u, m)
+    dev = transforms.section_isotropy_tensor(g, u, m=m, values=vals).deviation
     f1, f2 = _weil_densities(vals)
-    mass = transforms.circle_fourier_mass(spec.g, u, degree=2, m=m, values=vals)
+    mass = transforms.circle_fourier_mass(g, u, degree=2, m=m, values=vals)
     gap = abs(f1 * f1 - f2) / max(f2, eps)
     return {"dev": float(dev), "gap": float(gap), "f1": f1, "f2": f2, "mass": mass}
 
@@ -266,6 +284,44 @@ def _orbit_fold(grid, reflections=()):
     return rep == images[0], np.bincount(rep, minlength=grid.n_nodes)
 
 
+def _cap_pair_symmetry(grid, caps):
+    """Each cap pair's node set (cap and antipode) on the grid, and the
+    coordinate reflections ("x", "y") that map every one onto itself."""
+    sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
+    perms = {a: grid.reflection_index(a) for a in ("x", "y")}
+    return sels, [a for a, p in perms.items() if all(np.array_equal(s[p], s) for s in sels)]
+
+
+def _adapted_frame(u, v):
+    """Rotation Q, rows the frame's axes, with e_x along u + v and e_y
+    along u x v, for unit vectors u and v at an angle a in (0, pi).
+
+    In frame coordinates Q u and Q v lie in the xz-plane at longitude 0,
+    at colatitudes pi/2 - a/2 and pi/2 + a/2, and their cross product lies
+    along +e_y; the reflection through span(u, v) becomes y -> -y.
+    """
+    ex = u + v
+    ey = np.cross(u, v)
+    ex = ex / np.linalg.norm(ex)
+    ey = ey / np.linalg.norm(ey)
+    return np.array([ex, ey, np.cross(ex, ey)])
+
+
+def _rotate_expansion(coeffs, frame):
+    """Coefficients of x -> f(frame @ x), where f has the given coefficients.
+
+    f is sampled at the images under ``frame`` of the nodes of a grid that
+    analyzes its band exactly, and the samples are analyzed there.  Both
+    steps are exact for a band-limited f, so the result is f composed
+    with the rotation up to rounding, without rotation matrices per degree.
+    """
+    L = coeffs.L
+    grid = sphere.build_grid(L + 2, max(2 * L + 2, 4))
+    return harmonics.analyze(
+        grid, harmonics.synthesize_points(coeffs, grid.nodes @ frame.T), L
+    )
+
+
 class _DesignRows:
     """Rows of the plateau design's weighted least-squares system, folded
     onto its symmetry group and built for a chunk of nodes at a time.
@@ -295,7 +351,10 @@ class _DesignRows:
     those columns every node of an orbit has the squared residual of the
     orbit's kept node, which enters with the orbit's size times its weight.
     With no reflection this keeps one node of every antipodal pair, with
-    twice its weight, and all the even columns.
+    twice its weight, and all the even columns.  Every cap pair of the
+    design is fixed by the reflection through span(U, V); ``design_plateau``
+    passes caps that no coordinate reflection fixes in the frame where
+    that reflection is y -> -y, so at least one reflection always folds.
 
     Blocks come transposed, one column per row of the system, assembled
     one order m at a time and vectorized over degree from Legendre tables
@@ -308,11 +367,7 @@ class _DesignRows:
     """
 
     def __init__(self, grid, caps, L, anisotropy_caps):
-        sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
-        perms = {a: grid.reflection_index(a) for a in ("x", "y")}
-        self.reflections = [
-            a for a, p in perms.items() if all(np.array_equal(s[p], s) for s in sels)
-        ]
+        sels, self.reflections = _cap_pair_symmetry(grid, caps)
         keep, mult = _orbit_fold(grid, self.reflections)
         evens = np.arange(0, L + 1, 2)
         ls = np.repeat(evens, 2 * evens + 1)
@@ -425,9 +480,11 @@ class _TriangularFactor:
 
 
 #: Rows gathered between two QR folds of the plateau design, and nodes per
-#: built chunk of rows.  Every drawn cap pair's design has more rows than a
-#: block, so each fills the buffer and the design's memory is the same
-#: whatever its caps.  Smaller blocks fold more often and cost time.
+#: built chunk of rows.  The buffer is sized once, so it bounds the design's
+#: memory whatever its caps.  A drawn cap pair, solved in its adapted frame,
+#: keeps 5.0k-8.6k rows at band 48: its 1.3k-2.3k value rows fit in one
+#: block, and the rows after them fill the buffer at most once (38 of 100
+#: drawn pairs).  Smaller blocks fold more often and cost time.
 DESIGN_BLOCK_ROWS = 4096
 DESIGN_CHUNK_NODES = 1024
 
@@ -457,7 +514,17 @@ def design_plateau(
     (see ``_DesignRows``): one node per orbit of the antipodal map and of
     the coordinate reflections that fix every cap pair, and only the
     columns those reflections fix.  This leaves the objective's minimizer
-    unchanged; the other coefficients are exactly zero.
+    unchanged; the other coefficients are exactly zero.  Caps that no
+    coordinate reflection of the design grid fixes as given are first
+    rotated into their adapted frame (``_adapted_frame``: e_x along U + V,
+    e_y along U x V), where U and V lie in the xz-plane and the third cap
+    on +-e_y, so y -> -y fixes all three pairs and the system keeps about
+    half its rows and columns.  The design is solved on the grid nodes of
+    that frame and G is mapped back to the user frame exactly
+    (``_rotate_expansion``).  Its objective uses other nodes than a
+    user-frame solve would, so the two G differ within the design's
+    residual.  Caps that a coordinate reflection fixes, the default ones
+    among them, are solved as given.
 
     The system is never held whole.  Its rows are reduced, a block at a
     time, to the triangular factor of their QR factorization
@@ -466,8 +533,10 @@ def design_plateau(
     first: their factor [R q] also stands for the Funk rows, which have
     the same target and are the value rows times ``funk`` column by
     column, as [R diag(funk) q], and the other rows join the factor
-    after those.  The returned diagnostics carry the
-    residuals on the kept nodes, the reflections used and the health of
+    after those.  The returned diagnostics carry the residuals on the
+    kept nodes of the solved frame, the rotation into that frame
+    (``design_frame``, rows the frame's axes; the identity when the caps
+    are solved as given), the reflections used there and the health of
     the block actually solved: its shape, numerical rank and
     singular-value ratio.
     """
@@ -479,6 +548,11 @@ def design_plateau(
     caps = [cap_u, cap_v, third]
     big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in caps]
     dg = sphere.build_grid(*design_grid)
+    frame = np.eye(3)
+    adapted = not _cap_pair_symmetry(dg, big)[1]
+    if adapted:
+        frame = _adapted_frame(cap_u.center, cap_v.center)
+        big = [sphere.Cap(frame @ c.center, c.height) for c in big]
     rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
     ls, ms, funk = rows.ls, rows.ms, rows.funk
     n, ncol = rows.nodes.size, ls.size
@@ -507,6 +581,9 @@ def design_plateau(
     G_funk.c[idx] = funk * sol
     values = harmonics.synthesize_grid(G, dg)[rows.nodes]
     funk_values = harmonics.synthesize_grid(G_funk, dg)[rows.nodes]
+    if adapted:
+        G = _rotate_expansion(G, frame)
+        G.c[G.degrees() % 2 == 1] = 0.0  # G is even; these are rounding
     return G, {
         "design_value_residual": float(np.max(np.abs(values - target))),
         "design_funk_residual": float(np.max(np.abs(funk_values - target))),
@@ -515,6 +592,7 @@ def design_plateau(
         "design_rank": int(rank),
         "design_sigma_ratio": float(sv[0] / sv[-1]),
         "design_reflections": rows.reflections,
+        "design_frame": frame.tolist(),
     }
 
 
@@ -604,11 +682,9 @@ def counterexample_assertions(result, rng, n_samples=50, m=256, tolerances=None)
     }
     if tolerances:
         tol.update(tolerances)
-    spec = make_zonoid(result.g)
+    g = even_density(result.g)
     samples = result.cap_u.sample(n_samples, rng)
-    devs = [
-        transforms.section_isotropy_tensor(spec.g, u, m=m).deviation for u in samples
-    ]
+    devs = [transforms.section_isotropy_tensor(g, u, m=m).deviation for u in samples]
     max_dev = float(np.max(devs))
     gap = result.diagnostics["funk_gap_UV"]
     gap_err = abs(gap - result.diagnostics["funk_gap_expected"])

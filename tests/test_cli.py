@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonotools import cli, sphere
 
@@ -185,3 +189,89 @@ class TestCounterexampleCommand:
         r = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "counterexample")
         assert r.returncode == 2
         assert "FAIL" in r.stdout
+
+
+CONFIG_KEYS = {"grid", "band", "circle_m", "cap_u_center", "cap_u_height", "cap_v_center",
+               "cap_v_height", "transition", "seed", "out"}
+ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), min_size=1)
+NEWTON = ["verify", "--suite", "newton"]
+
+
+def _bad_cap_inputs():
+    center = st.sampled_from(["0,0,0", "1,0", "1,0,0,0", "nan,0,1", "0,inf,1", "x,y,z", ""])
+    height = st.floats(allow_nan=True).filter(lambda h: not 0.0 < h < 1.0).map(repr)
+    # valid unit centres too close to the default U = e3 for transition 0.3
+    close = st.floats(0.0, 0.5).map(lambda t: f"{math.sin(t)!r},0,{math.cos(t)!r}")
+    builds = st.sampled_from([["counterexample"], ["verify", "--suite", "rigidity"],
+                              ["verify", "--suite", "umbilic"]])
+    return st.one_of(
+        st.tuples(st.sampled_from(["cap_u_center", "cap_v_center"]), center, st.just(NEWTON)),
+        st.tuples(st.sampled_from(["cap_u_height", "cap_v_height"]), height, st.just(NEWTON)),
+        st.tuples(st.just("cap_v_center"), close, builds),
+    ).map(lambda kvc: ([f"{kvc[0]}={kvc[1]}"], [], kvc[2]))
+
+
+def _bad_grid_inputs():
+    value = st.one_of(
+        st.tuples(st.integers(-5, 1), st.integers(4, 64)).map(lambda t: f"{t[0]},{t[1]}"),
+        st.tuples(st.integers(2, 64), st.integers(-5, 3)).map(lambda t: f"{t[0]},{t[1]}"),
+        st.sampled_from(["", "4", "4,8,16", "a,b", "4.5,8"]),
+    )
+    return st.tuples(value, st.booleans()).map(
+        lambda vf: ([], ["--grid", vf[0]], NEWTON) if vf[1] else ([f"grid={vf[0]}"], [], NEWTON)
+    )
+
+
+def _bad_band_inputs():
+    value = st.one_of(st.integers(max_value=-1).map(str), st.sampled_from(["x", "1.5", ""]))
+    return st.tuples(value, st.booleans()).map(
+        lambda vf: ([], ["--band", vf[0]], NEWTON) if vf[1] else ([f"band={vf[0]}"], [], NEWTON)
+    )
+
+
+def _bad_config_lines():
+    no_pair = ONE_LINE.filter(
+        lambda t: t.strip() and not t.strip().startswith("#") and "=" not in t
+    )
+    unknown = ONE_LINE.filter(
+        lambda k: "=" not in k and k.strip() and not k.strip().startswith("#")
+        and k.strip() not in CONFIG_KEYS
+    ).map(lambda k: k + "=1")
+    bad_value = st.sampled_from([
+        "seed=-1", "seed=x", "circle_m=7", "circle_m=-3", "transition=0", "transition=nan",
+        "transition=inf", "tol_funk_residual=0", "tol_funk_residual=nan",
+        "tol_funk_residual=inf", "tol_funk_residual=x",
+    ])
+    return st.one_of(no_pair, unknown, bad_value).map(lambda line: ([line], [], NEWTON))
+
+
+def _bad_suites():
+    return ONE_LINE.filter(lambda t: t not in cli.SUITES).map(
+        lambda suite: ([], [], ["verify", "--suite", suite])
+    )
+
+
+def _unrecognized_arguments():
+    # any text, line breaks included, that argparse cannot read as an option
+    extra = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+    return extra.filter(lambda t: not t.startswith("-")).map(lambda t: ([], [], NEWTON + [t]))
+
+
+class TestInputErrorContract:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_bad_cap_inputs(), _bad_grid_inputs(), _bad_band_inputs(),
+                     _bad_config_lines(), _bad_suites(), _unrecognized_arguments()))
+    def test_every_input_error_exits_3_with_one_stderr_line(self, tmp_path_factory, bad):
+        lines, flags, command = bad
+        work = tmp_path_factory.mktemp("input-error")
+        cfg = work / "cfg"
+        cfg.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main(["--config", str(cfg), "--out", str(work / "out"), *flags, *command])
+            except SystemExit as exc:
+                code = exc.code
+        text = err.getvalue()
+        assert code == 3
+        assert text.endswith("\n") and text.count("\n") == 1 and len(text.splitlines()) == 1

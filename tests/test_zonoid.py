@@ -132,6 +132,17 @@ class TestMakeZonoid:
         assert spec.g.coeffs.get(1, 0) == 0.0
         assert spec.g.parity == "even"
 
+    def test_even_density_synthesizes_only_to_drop_odd_content(self, grid):
+        g = random_density(grid, 6, np.random.default_rng(3))
+        even = zonoid.even_density(g)
+        assert even.values is g.values and even.parity == "even"
+        c = g.coeffs.copy()
+        c.set(3, 1, 0.2)
+        odd = transforms.SphericalFunction.from_coeffs(grid, c)
+        even = zonoid.even_density(odd)
+        assert even.coeffs.get(3, 1) == 0.0
+        assert np.max(np.abs(even.values - g.values)) < 1e-12
+
     def test_negative_density_rejected(self, grid):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(2, 0, 1.0)  # sign-changing
@@ -266,6 +277,28 @@ class TestIsotropyGapReport:
         assert all(row["pass"] for row in rows)
         assert len(calls) == 200
 
+    def test_suite_builds_no_support_function(self, monkeypatch):
+        # the suite reads only the even density: no zonoid support is built,
+        # and each case's density is synthesized on the grid once
+        calls = {"from_coeffs": 0, "synthesize_grid": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(
+            convex.SupportFunction, "from_coeffs",
+            counting("from_coeffs", convex.SupportFunction.from_coeffs),
+        )
+        monkeypatch.setattr(
+            harmonics, "synthesize_grid", counting("synthesize_grid", harmonics.synthesize_grid)
+        )
+        rows = cli.suite_isotropy_gap(cli.RunContext(cli.RunConfig()))
+        assert all(row["pass"] for row in rows)
+        assert calls == {"from_coeffs": 0, "synthesize_grid": 200}
+
 
 class TestCounterexample:
     def test_diagnostics_within_budget(self, counterexample):
@@ -361,10 +394,13 @@ class TestPlateauDesign:
         "default": (["x", "y"], 28),
         "xz": (["y"], 49),
         "yz": (["x"], 49),
-        "rotated": ([], 91),
-        # x -> -x maps U onto -V and y -> -y maps U onto V: both swap cap
-        # pairs that carry different levels, so neither may be used
-        "diagonal": ([], 91),
+        # no coordinate reflection fixes these pairs as given (for the
+        # diagonal one, x -> -x maps U onto -V and y -> -y maps U onto V,
+        # swapping cap pairs with different levels), so they are solved in
+        # their adapted frame, where the reflection through span(U, V) is
+        # y -> -y
+        "rotated": (["y"], 49),
+        "diagonal": (["y"], 49),
     }
 
     @classmethod
@@ -387,6 +423,15 @@ class TestPlateauDesign:
             sphere.Cap(q @ E3, 0.9),
             sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), 0.9),
         )
+
+    def _oracle_in_design_frame(self, u, v, info, ridge=1e-12):
+        """The unfolded oracle on the caps rotated into the frame the design
+        solved in, its G mapped back to the user frame the same way, its
+        singular values, and the rotated caps."""
+        Q = np.array(info["design_frame"])
+        fu, fv = (sphere.Cap(Q @ c.center, c.height) for c in (u, v))
+        G_ref, _, sv = _oracle_design_plateau(fu, fv, self.L, self.GRID, ridge=ridge)
+        return zonoid._rotate_expansion(G_ref, Q), sv, fu, fv
 
     def _solved_block_singular_values(self, u, v, ridge):
         third = np.cross(u.center, v.center)
@@ -420,21 +465,14 @@ class TestPlateauDesign:
         u, v = self._pair(pair, cap_u, cap_v)
         harmonics.check_plateau_caps(u, v, 0.3)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID, ridge=ridge)
-        G_ref, shape, sv = _oracle_design_plateau(u, v, self.L, self.GRID, ridge=ridge)
+        G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info, ridge=ridge)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
         reflections, n_invariant = self.SYMMETRY[pair]
         assert info["design_reflections"] == reflections
         assert info["design_cols"] == n_invariant == info["design_rank"]
-        if not reflections:
-            # half the node rows, same columns, same singular values
-            n_ridge = shape[1]
-            assert info["design_rows"] - n_ridge == (shape[0] - n_ridge) // 2
-            assert info["design_cols"] == shape[1]
-            assert abs(info["design_sigma_ratio"] - sv[0] / sv[-1]) <= 1e-6 * sv[0] / sv[-1]
-        else:
-            # the solved block is the invariant block of the unfolded system
-            for s in self._solved_block_singular_values(u, v, ridge):
-                assert np.min(np.abs(sv - s)) <= 1e-9 * s
+        # the solved block is the invariant block of the unfolded system
+        for s in self._solved_block_singular_values(fu, fv, ridge):
+            assert np.min(np.abs(sv - s)) <= 1e-9 * s
 
     @pytest.mark.parametrize("pair", ["default", "rotated"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
@@ -444,11 +482,55 @@ class TestPlateauDesign:
         monkeypatch.setattr(zonoid, "DESIGN_CHUNK_NODES", 50)
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
-        G_ref, _, sv = _oracle_design_plateau(u, v, self.L, self.GRID)
+        G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
         assert info["design_rank"] == info["design_cols"]
-        for s in self._solved_block_singular_values(u, v, 1e-12)[[0, -1]]:
+        for s in self._solved_block_singular_values(fu, fv, 1e-12)[[0, -1]]:
             assert np.min(np.abs(sv - s)) <= 1e-9 * s
+
+    @pytest.mark.parametrize("pair", ["default", "xz", "yz", "rotated", "diagonal"])
+    def test_design_frame(self, cap_u, cap_v, pair):
+        u, v = self._pair(pair, cap_u, cap_v)
+        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        Q = np.array(info["design_frame"])
+        if pair in ("default", "xz", "yz"):
+            # a coordinate reflection already fixes the pair as given
+            assert np.array_equal(Q, np.eye(3))
+        else:
+            assert np.array_equal(Q, zonoid._adapted_frame(u.center, v.center))
+        assert not np.any(G.c[G.degrees() % 2 == 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi - 0.05))
+    def test_adapted_frame(self, seed, a):
+        rng = np.random.default_rng(seed)
+        u = random_unit(rng)
+        w = np.cross(u, random_unit(rng))
+        w /= np.linalg.norm(w)
+        v = math.cos(a) * u + math.sin(a) * w
+        Q = zonoid._adapted_frame(u, v)
+        assert np.max(np.abs(Q @ Q.T - np.eye(3))) < 1e-14
+        assert abs(np.linalg.det(Q) - 1.0) < 1e-14
+        # U and V in the xz-plane at longitude 0, colatitudes pi/2 -+ a/2
+        for x, colat in ((Q @ u, math.pi / 2 - a / 2), (Q @ v, math.pi / 2 + a / 2)):
+            assert abs(x[1]) < 1e-14 and x[0] > 0.0
+            assert abs(math.atan2(math.hypot(x[0], x[1]), x[2]) - colat) < 1e-12
+        n = np.cross(u, v)
+        assert np.max(np.abs(Q @ (n / np.linalg.norm(n)) - [0.0, 1.0, 0.0])) < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 16), st.integers(0, 2**32 - 1))
+    def test_rotated_expansion_is_exact(self, L, seed):
+        # G_user(x) = G_frame(Q x) at arbitrary points, for every degree
+        rng = np.random.default_rng(seed)
+        G = harmonics.HarmonicCoeffs.zeros(L)
+        G.c = rng.normal(size=G.c.size)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q = q * np.sign(np.diag(r)) * np.sign(np.linalg.det(q * np.sign(np.diag(r))))
+        x = random_unit(rng, 200)
+        ref = harmonics.synthesize_points(G, x @ Q.T)
+        got = harmonics.synthesize_points(zonoid._rotate_expansion(G, Q), x)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 40))
