@@ -25,31 +25,23 @@ MONOTONE_TOL = 1e-12
 
 
 def _pav_decreasing(y, w):
-    """Weighted isotonic projection onto non-increasing sequences."""
-    y = np.asarray(y, dtype=float).copy()
-    w = np.asarray(w, dtype=float).copy()
-    vals = []
-    wts = []
-    for yi, wi in zip(y, w):
+    """Weighted isotonic projection onto non-increasing sequences.
+
+    Each pooled block keeps its weighted mean, its weight and its sample
+    count; the counts expand the blocks back to the samples, so no weight
+    threshold enters and the result does not depend on the weights' scale.
+    """
+    vals, wts, counts = [], [], []
+    for yi, wi in zip(np.asarray(y, dtype=float), np.asarray(w, dtype=float)):
         vals.append(yi)
         wts.append(wi)
+        counts.append(1)
         while len(vals) > 1 and vals[-2] < vals[-1]:
-            v = (vals[-1] * wts[-1] + vals[-2] * wts[-2]) / (wts[-1] + wts[-2])
-            wt = wts[-1] + wts[-2]
-            vals = vals[:-2] + [v]
-            wts = wts[:-2] + [wt]
-    out = np.empty_like(y)
-    k = 0
-    for v, wt in zip(vals, wts):
-        # expand pooled blocks back to sample resolution
-        total = 0.0
-        j = k
-        while j < y.size and total < wt - 1e-12:
-            total += w[j]
-            j += 1
-        out[k:j] = v
-        k = j
-    return out
+            v, wt, n = vals.pop(), wts.pop(), counts.pop()
+            vals[-1] = (v * wt + vals[-1] * wts[-1]) / (wt + wts[-1])
+            wts[-1] = wt + wts[-1]
+            counts[-1] += n
+    return np.repeat(vals, counts)
 
 
 @dataclass
@@ -338,8 +330,10 @@ def minkowski_solve_revolution(mu, source, cap, rel_tol=1e-6, outside_tol=1e-8):
     is cut exactly at the latitude boundary (a partial final chord keeps
     the measure bookkeeping bit-consistent), translated to end at height
     zero and completed evenly.  The result is certified: its band masses
-    over the cap must match mu to ``rel_tol`` relative, and it must carry
-    no mass outside the cap pair.
+    over the cap must match mu to ``rel_tol`` relative, and the mass it
+    carries outside the cap pair must stay below ``outside_tol`` times the
+    largest prescribed band mass, so neither test depends on the body's
+    scale.
 
     Raises if the source is a cylinder over the cap (the prescribed
     measure would concentrate on the poles) or if certification fails.
@@ -401,8 +395,9 @@ def minkowski_solve_revolution(mu, source, cap, rel_tol=1e-6, outside_tol=1e-8):
             f"solved body misses the prescribed cap bands: relative error "
             f"{band_err:.3e} exceeds {rel_tol:.0e}"
         )
-    if abs(outside) > outside_tol:
+    if abs(outside) > outside_tol * scale:
         raise ValueError(
-            f"solved body carries {outside:.3e} mass outside the cap pair"
+            f"solved body carries {outside:.3e} mass outside the cap pair, "
+            f"above {outside_tol:.0e} of the largest band mass {scale:.3e}"
         )
     return solved

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,8 +58,8 @@ def _derivative_fields(coeffs, grid):
     """
     L = coeffs.L
     Ac, As = coeffs.split_orders()
-    P, dP, d2P = harmonics.legendre_theta_tables(L, grid.cos_theta)
-    cosm, sinm = harmonics._phi_tables(L, grid.phi)
+    P, dP, d2P = harmonics.grid_theta_tables(L, grid)
+    cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ms = np.arange(L + 1)
 
     def assemble(theta_table, phi_deriv):
@@ -81,6 +82,20 @@ def _derivative_fields(coeffs, grid):
     return h, ht, htt, hp, hpp, htp
 
 
+@lru_cache(maxsize=harmonics.GRID_TABLE_CACHE_SIZE)
+def _node_trig(t_key, n_phi):
+    t = np.frombuffer(t_key)
+    st = np.repeat(np.sqrt(1.0 - t**2), n_phi)
+    ct = np.repeat(t, n_phi)
+    return harmonics._read_only(st, ct, ct / st)
+
+
+def _grid_trig(grid):
+    """Per-node sin(theta), cos(theta) and cot(theta), ring-major; cached
+    per ring colatitudes and longitude count, read-only."""
+    return _node_trig(harmonics._table_key(grid.cos_theta), grid.n_phi)
+
+
 def radii_grid(coeffs, grid):
     """Radii-matrix components at every grid node.
 
@@ -89,9 +104,7 @@ def radii_grid(coeffs, grid):
     q12 = (h_tp - cot * h_p)/sin.
     """
     h, ht, htt, hp, hpp, htp = _derivative_fields(coeffs, grid)
-    st = np.repeat(np.sqrt(1.0 - grid.cos_theta**2), grid.n_phi)
-    ct = np.repeat(grid.cos_theta, grid.n_phi)
-    cot = ct / st
+    st, _, cot = _grid_trig(grid)
     q11 = htt + h
     q22 = hpp / (st * st) + cot * ht + h
     q12 = (htp - cot * hp) / st
@@ -102,8 +115,7 @@ def radii_grid(coeffs, grid):
 def boundary_points_grid(coeffs, grid):
     """Gradient of the extended support function at every grid node."""
     h, ht, _htt, hp, _hpp, _htp = _derivative_fields(coeffs, grid)
-    st = np.repeat(np.sqrt(1.0 - grid.cos_theta**2), grid.n_phi)
-    ct = np.repeat(grid.cos_theta, grid.n_phi)
+    st, ct, _ = _grid_trig(grid)
     phi = np.tile(grid.phi, grid.n_theta)
     cp, sp = np.cos(phi), np.sin(phi)
     e_th = np.stack([ct * cp, ct * sp, -st], axis=1)

@@ -238,10 +238,20 @@ def legendre_theta_tables(L, t):
     Valid away from the poles (all Gauss-Legendre rings qualify).
     """
     t = np.asarray(t, dtype=float)
+    s = _pole_safe_sin(t)
+    P = _normalized_legendre(L, t)
+    return (P, *_theta_derivatives(L, t, s, P))
+
+
+def _pole_safe_sin(t):
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     if np.any(s < 1e-12):
         raise ValueError("theta-derivative tables are singular at the poles")
-    P = _normalized_legendre(L, t)
+    return s
+
+
+def _theta_derivatives(L, t, s, P):
+    """dQ/dtheta and d2Q/dtheta2 from Q = P at t = cos theta, s = sin theta."""
     dP = np.zeros_like(P)
     d2P = np.zeros_like(P)
     cot = t / s
@@ -258,13 +268,72 @@ def legendre_theta_tables(L, t):
             -cot * dP[l, : l + 1]
             - (l * (l + 1.0) - m[:, None] ** 2 / (s * s)) * P[l, : l + 1]
         )
-    return P, dP, d2P
+    return dP, d2P
 
 
 def _phi_tables(L, phi):
     """cos(m phi), sin(m phi) tables of shape (L+1, len(phi))."""
     m = np.arange(L + 1)[:, None]
     return np.cos(m * phi[None, :]), np.sin(m * phi[None, :])
+
+
+# ----------------------------------------------------------------------
+# Per-grid tables, cached
+# ----------------------------------------------------------------------
+
+#: Entries kept by each per-grid table cache; one entry is one band limit
+#: on one grid.  A corpus or counterexample run touches fewer than ten.
+GRID_TABLE_CACHE_SIZE = 16
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _table_key(a):
+    """Cache key of a grid's ring or longitude array: its float64 bytes."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _ring_legendre(L, t_key):
+    P = _normalized_legendre(L, np.frombuffer(t_key))
+    P.flags.writeable = False
+    return P
+
+
+@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _ring_derivatives(L, t_key):
+    t = np.frombuffer(t_key)
+    s = _pole_safe_sin(t)
+    return _read_only(*_theta_derivatives(L, t, s, _ring_legendre(L, t_key)))
+
+
+@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _longitude_tables(L, phi_key):
+    return _read_only(*_phi_tables(L, np.frombuffer(phi_key)))
+
+
+def grid_legendre(L, grid):
+    """Q_{l,m}(cos theta) on the grid's rings, shape (L+1, L+1, n_theta).
+
+    Cached per band limit and ring colatitudes; the array is read-only.
+    """
+    return _ring_legendre(L, _table_key(grid.cos_theta))
+
+
+def grid_theta_tables(L, grid):
+    """legendre_theta_tables on the grid's rings, cached like grid_legendre."""
+    t_key = _table_key(grid.cos_theta)
+    return (_ring_legendre(L, t_key), *_ring_derivatives(L, t_key))
+
+
+def grid_phi_tables(L, grid):
+    """cos(m phi), sin(m phi) on the grid's longitudes, cached per band
+    limit and longitudes; both arrays are read-only."""
+    return _longitude_tables(L, _table_key(grid.phi))
 
 
 def analyze(grid, values, L):
@@ -280,11 +349,11 @@ def analyze(grid, values, L):
         )
     values = np.asarray(getattr(values, "values", values), dtype=float)
     V = grid.ring_view(values)
-    cosm, sinm = _phi_tables(L, grid.phi)
+    cosm, sinm = grid_phi_tables(L, grid)
     dphi = 2.0 * np.pi / grid.n_phi
     Fc = V @ cosm.T * dphi  # (n_theta, L+1) ring Fourier moments
     Fs = V @ sinm.T * dphi
-    P = _normalized_legendre(L, grid.cos_theta)
+    P = grid_legendre(L, grid)
     glw = grid.ring_weight * grid.n_phi / (2.0 * np.pi)
     Ac = np.einsum("lmr,rm->lm", P, glw[:, None] * Fc)
     As = np.einsum("lmr,rm->lm", P, glw[:, None] * Fs)
@@ -319,10 +388,10 @@ def _synthesize_on(coeffs, t, phi):
 def synthesize_grid(coeffs, grid):
     """Evaluate the expansion at every grid node (separable fast path)."""
     Ac, As = coeffs.split_orders()
-    P = _normalized_legendre(coeffs.L, grid.cos_theta)
+    P = grid_legendre(coeffs.L, grid)
     Bc = np.einsum("lmr,lm->mr", P, Ac)  # (L+1, n_theta)
     Bs = np.einsum("lmr,lm->mr", P, As)
-    cosm, sinm = _phi_tables(coeffs.L, grid.phi)
+    cosm, sinm = grid_phi_tables(coeffs.L, grid)
     V = Bc.T @ cosm + Bs.T @ sinm
     return V.reshape(-1)
 

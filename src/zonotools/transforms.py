@@ -216,16 +216,11 @@ def radial_symmetrize(f, axis=AXIS):
     """
     _check_axis(axis)
     V = f.grid.ring_view(f.values)
-    out = np.empty_like(V)
-    for i in range(f.grid.n_theta):
-        row = V[i]
-        if np.all(row == row[0]):
-            out[i] = row[0]
-        else:
-            out[i] = np.mean(row)
+    flat = np.all(V == V[:, :1], axis=1)
+    out = np.repeat(np.where(flat, V[:, 0], np.mean(V, axis=1)), f.grid.n_phi)
     coeffs = f.coeffs.zonal_projected() if f.coeffs is not None else None
     return SphericalFunction(
-        grid=f.grid, values=out.reshape(-1), coeffs=coeffs, parity=f.parity
+        grid=f.grid, values=out, coeffs=coeffs, parity=f.parity
     )
 
 

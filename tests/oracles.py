@@ -2,8 +2,9 @@
 
 Each computes a quantity the package also computes, by a different and
 slower method: direct quadrature on the sphere or the circle, the m x m
-sin^2 kernel of the circle double integrals, and a Gauss rule for the
-cosine multipliers.  None of them is reached from the package.
+sin^2 kernel of the circle double integrals, a Gauss rule for the cosine
+multipliers, a ring-by-ring average and a weight-expanding isotonic
+projection.  None of them is reached from the package.
 """
 
 import math
@@ -110,3 +111,45 @@ def weil_densities_kernel(gvals):
     f1 = pref1 * w * w * float(np.sum(kernel @ np.ones(m) * gvals))
     f2 = pref2 * w * w * float(gvals @ kernel @ gvals)
     return f1, f2
+
+
+def ring_average_loop(V):
+    """Ring averages one ring at a time: a constant ring keeps its value,
+    any other ring takes np.mean of its samples."""
+    out = np.empty_like(V)
+    for i in range(V.shape[0]):
+        row = V[i]
+        if np.all(row == row[0]):
+            out[i] = row[0]
+        else:
+            out[i] = np.mean(row)
+    return out
+
+
+def pav_decreasing_by_weight(y, w):
+    """Weighted non-increasing isotonic projection that expands each pooled
+    block back to its samples by accumulating weights up to the block's
+    weight, less 1e-12; right only while every weight is well above 1e-12."""
+    y = np.asarray(y, dtype=float).copy()
+    w = np.asarray(w, dtype=float).copy()
+    vals = []
+    wts = []
+    for yi, wi in zip(y, w):
+        vals.append(yi)
+        wts.append(wi)
+        while len(vals) > 1 and vals[-2] < vals[-1]:
+            v = (vals[-1] * wts[-1] + vals[-2] * wts[-2]) / (wts[-1] + wts[-2])
+            wt = wts[-1] + wts[-2]
+            vals = vals[:-2] + [v]
+            wts = wts[:-2] + [wt]
+    out = np.empty_like(y)
+    k = 0
+    for v, wt in zip(vals, wts):
+        total = 0.0
+        j = k
+        while j < y.size and total < wt - 1e-12:
+            total += w[j]
+            j += 1
+        out[k:j] = v
+        k = j
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_legendre, sph_harm_y
 
-from zonotools import harmonics, sphere
+from zonotools import convex, harmonics, sphere
 
 import oracles
 from conftest import random_even_coeffs
@@ -121,6 +122,72 @@ def test_recurrence_coefficients_cached_and_read_only():
     for arr in (a, b):
         with pytest.raises(ValueError, match="read-only"):
             arr[3, 1] = 0.0
+
+
+class TestGridTableCache:
+    @pytest.mark.parametrize("L", [0, 8, 24])
+    def test_bitwise_equal_to_fresh_builds(self, grid, L):
+        P = harmonics.grid_legendre(L, grid)
+        assert P.tobytes() == harmonics._normalized_legendre(L, grid.cos_theta).tobytes()
+        for cached, fresh in zip(
+            harmonics.grid_theta_tables(L, grid),
+            harmonics.legendre_theta_tables(L, grid.cos_theta),
+        ):
+            assert cached.tobytes() == fresh.tobytes()
+        for cached, fresh in zip(
+            harmonics.grid_phi_tables(L, grid), harmonics._phi_tables(L, grid.phi)
+        ):
+            assert cached.tobytes() == fresh.tobytes()
+        assert harmonics.grid_legendre(L, grid) is P
+        assert harmonics.grid_theta_tables(L, grid)[0] is P
+
+    def test_tables_are_read_only(self, small_grid):
+        tables = (
+            harmonics.grid_legendre(6, small_grid),
+            *harmonics.grid_theta_tables(6, small_grid),
+            *harmonics.grid_phi_tables(6, small_grid),
+        )
+        for arr in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 1.0
+
+    def test_grids_get_distinct_entries(self):
+        L = 10
+        grids = [sphere.build_grid(n, 2 * n) for n in (32, 64, 128)]
+        seen = []
+        for g in grids:
+            P = harmonics.grid_legendre(L, g)
+            cosm, _ = harmonics.grid_phi_tables(L, g)
+            assert P.shape == (L + 1, L + 1, g.n_theta)
+            assert cosm.shape == (L + 1, g.n_phi)
+            assert P.tobytes() == harmonics._normalized_legendre(L, g.cos_theta).tobytes()
+            seen.append(P)
+        assert len({id(P) for P in seen}) == 3
+        # the key is the grid's contents, not its shape
+        shifted = dataclasses.replace(grids[0], phi=grids[0].phi + 0.25)
+        cosm, _ = harmonics.grid_phi_tables(L, shifted)
+        assert cosm.tobytes() == harmonics._phi_tables(L, shifted.phi)[0].tobytes()
+        assert cosm is not harmonics.grid_phi_tables(L, grids[0])[0]
+
+    def test_one_table_build_per_grid_and_band(self, monkeypatch):
+        """radii_grid and synthesize_grid build the ring Legendre table of a
+        (grid, band) once between them, however often they run."""
+        builds = []
+        real = harmonics._normalized_legendre
+
+        def counting(L, t):
+            builds.append(L)
+            return real(L, t)
+
+        monkeypatch.setattr(harmonics, "_normalized_legendre", counting)
+        for cache in (harmonics._ring_legendre, harmonics._ring_derivatives):
+            cache.cache_clear()
+        grid = sphere.build_grid(20, 40)
+        c = harmonics.HarmonicCoeffs(L=7, c=np.random.default_rng(3).normal(size=64))
+        for _ in range(20):
+            convex.radii_grid(c, grid)
+            harmonics.synthesize_grid(c, grid)
+        assert builds == [7]
 
 
 class TestMultipliers:

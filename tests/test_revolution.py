@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zonotools import convex, sphere
+from zonotools import cli, convex, sphere
 from zonotools.convex import fixtures
-from zonotools.convex.revolution import RevolutionBody
+from zonotools.convex.revolution import RevolutionBody, _pav_decreasing
+
+import oracles
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -32,6 +36,95 @@ class TestRevolutionBody:
         t = body.nodal_normal_latitudes()
         assert np.all(np.diff(t) <= 0)
         assert t[0] <= 1.0 and t[-1] >= 0.0
+
+
+# weighted sums of these stay clear of underflow for weights down to 1e-3 * 2^-80
+PAV_VALUES = st.lists(
+    st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-200),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestPoolAdjacentViolators:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=PAV_VALUES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_weight_expansion_on_scaled_weights(self, y, seed):
+        w = np.random.default_rng(seed).uniform(1e-3, 1.0, size=len(y))
+        got = _pav_decreasing(y, w)
+        assert got.tobytes() == oracles.pav_decreasing_by_weight(y, w).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        y=PAV_VALUES,
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-80, 80),
+    )
+    def test_weight_scale_free(self, y, seed, k):
+        """Scaling every weight by a power of two changes no bit of the
+        projection, down to weights far below 1e-12."""
+        w = np.random.default_rng(seed).uniform(1e-3, 1.0, size=len(y))
+        base = _pav_decreasing(y, w)
+        assert base.size == len(y) and np.all(np.diff(base) <= 0.0)
+        assert _pav_decreasing(y, w * 2.0**k).tobytes() == base.tobytes()
+
+    def test_tiny_end_weights_keep_every_sample(self):
+        # Chebyshev chords of a 1e-6 profile weigh about 1.5e-13 at the ends
+        w = np.array([1.5e-13, 1.0e-12, 2.0e-12, 1.5e-13])
+        y = np.array([-1.0, 0.0, -2.0, -1.0])
+        first = -1.5 / 11.5  # pooled (-1, 0) with weights 1.5 : 10
+        second = -4.15 / 2.15  # pooled (-2, -1) with weights 20 : 1.5
+        assert_allclose(_pav_decreasing(y, w), [first, first, second, second], rtol=1e-14)
+
+
+MINKOWSKI_CAP = sphere.Cap(E3, 0.5)
+MINKOWSKI_EDGES = np.concatenate(
+    [[-1.0], np.linspace(-0.95, -0.5, 6), [0.0], np.linspace(0.5, 0.95, 6), [1.0]]
+)
+SCALES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+class TestScaleFree:
+    """Bodies and the Minkowski round trip of ROADMAP F at radii 1e-6..1e6."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(r=SCALES)
+    def test_fixture_bodies_build(self, r):
+        ball = fixtures.Ball(r).body()
+        lens = fixtures.Lens(r, 0.5 * r).body()
+        assert ball.d == r and lens.d == pytest.approx(r * math.sqrt(0.75), rel=1e-15)
+        assert ball.z[0] == pytest.approx(r, rel=1e-12)
+
+    def test_ball_at_one_micron(self):
+        assert fixtures.Ball(1e-6).body().rho.size == 4097
+
+    @settings(max_examples=20, deadline=None)
+    @given(r=SCALES)
+    def test_ball_minkowski_round_trip(self, r):
+        """The minkowski-rev suite's round trip, scaled: bands to their
+        relative tolerance, and no mass outside the cap pair relative to the
+        largest band mass."""
+        tols = cli.DEFAULT_TOLERANCES
+        cap, edges = MINKOWSKI_CAP, MINKOWSKI_EDGES
+        source = fixtures.Ball(r).body(8193)
+        mu = convex.prescribed_cap_measure(source, cap.height, edges)
+        solved = convex.minkowski_solve_revolution(
+            mu, source, cap, rel_tol=tols["mink_band"], outside_tol=tols["mink_outside"]
+        )
+        got = convex.surface_area_measure_zonal(solved, edges)
+        inside = (edges[:-1] >= cap.height) | (edges[1:] <= -cap.height)
+        scale = float(np.max(mu.masses[inside]))
+        assert scale == pytest.approx(2.0 * math.pi * 0.09 * r * r, rel=1e-6)  # band (0.5, 0.59)
+        assert np.max(np.abs(got.masses[inside] - mu.masses[inside])) <= tols["mink_band"] * scale
+        outside = got.total_mass() - got.mass_in(cap.height, 1.0) - got.mass_in(-1.0, -cap.height)
+        assert abs(outside) <= tols["mink_outside"] * scale
+        lens = fixtures.Lens(r=r, c=0.5 * r)
+        ts = np.linspace(-1.0, 1.0, 81)
+        err = np.max(np.abs(convex.profile_to_support(solved).at(ts) - lens.support(ts)))
+        assert err <= 1e-6 * r
 
 
 class TestProfileToSupport:

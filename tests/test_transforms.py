@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -210,6 +211,9 @@ class TestSectionIsotropy:
         assert len(data["T"]) == 3
 
 
+_cached_grid = functools.lru_cache(maxsize=None)(sphere.build_grid)
+
+
 class TestRadialSymmetrize:
     def test_zonal_fixed_point(self, grid):
         vals = np.repeat(np.cos(grid.theta), grid.n_phi)
@@ -263,6 +267,27 @@ class TestRadialSymmetrize:
         f = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes))
         with pytest.raises(ValueError, match="axis"):
             transforms.radial_symmetrize(f, axis=np.array([1.0, 0.0, 0.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 4), (5, 7), (8, 16), (16, 129), (12, 300)]),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["random", "constant", "signed-zero"]), min_size=300, max_size=300),
+    )
+    def test_matches_ring_loop_bitwise(self, shape, seed, kinds):
+        """One vectorized pass equals the ring-by-ring loop bit for bit, on
+        rings that are constant, zeros of mixed sign, or varying."""
+        grid = _cached_grid(*shape)
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(grid.n_theta, grid.n_phi)) * 10.0 ** rng.integers(-5, 6, size=(grid.n_theta, 1))
+        for i, kind in zip(range(grid.n_theta), kinds):
+            if kind == "constant":
+                V[i] = V[i, 0]
+            elif kind == "signed-zero":
+                V[i] = np.where(rng.random(grid.n_phi) < 0.5, 0.0, -0.0)
+        f = transforms.SphericalFunction(grid=grid, values=V.reshape(-1))
+        out = transforms.radial_symmetrize(f)
+        assert out.values.tobytes() == oracles.ring_average_loop(V).reshape(-1).tobytes()
 
 
 def _per_map_average(f, rotations):
