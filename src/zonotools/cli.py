@@ -514,9 +514,7 @@ def suite_minkowski_rev(ctx):
     rows.append(_row("minkowski-no-mass-outside", "cap-restricted-measure-support", abs(outside), tols["mink_outside"], abs(outside) <= tols["mink_outside"]))
     lens = fixtures.Lens(r=1.0, c=0.5)
     ts = np.linspace(-1.0, 1.0, 81)
-    support_err = float(
-        np.max(np.abs(convex.profile_to_support(solved).at(ts) - lens.support(ts)))
-    )
+    support_err = float(np.max(np.abs(solved.support_values(ts) - lens.support(ts))))
     rows.append(_row("minkowski-solution-is-lens", "two-ball-intersection-witness", support_err, 1e-6, support_err <= 1e-6))
     return rows
 
@@ -576,14 +574,7 @@ def suite_umbilic(ctx):
 def suite_counterexample(ctx):
     res = ctx.counterexample
     rows, _ = zonoid.counterexample_assertions(
-        res,
-        ctx.rng(7),
-        m=ctx.cfg.circle_m,
-        tolerances={
-            "isotropy_dev": ctx.cfg.tolerances["isotropy_dev"],
-            "funk_gap": ctx.cfg.tolerances["funk_gap"],
-            "nonconstancy_ratio": ctx.cfg.tolerances["nonconstancy_ratio"],
-        },
+        res, ctx.rng(7), ctx.cfg.tolerances, m=ctx.cfg.circle_m
     )
     return [
         _row(r["test_id"], "isotropic-sections-counterexample", r["metric"], r["tolerance"], r["pass"])

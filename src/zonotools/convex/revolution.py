@@ -299,25 +299,6 @@ def prescribed_cap_measure(source, cap_height, edges):
     return ZonalMeasure(edges=edges, masses=masses, atoms=sorted(atoms.items()))
 
 
-def profile_to_support(body):
-    """Exact zonal support evaluator of the sampled body.
-
-    Returned object exposes ``at(t)`` for latitudes in [-1, 1]; kinked
-    bodies (walls, edge circles) are outside the band-limited certified
-    class, so the evaluator keeps the discrete Legendre-transform form
-    instead of a truncated expansion.
-    """
-    return ZonalSupport(body)
-
-
-@dataclass(frozen=True)
-class ZonalSupport:
-    body: RevolutionBody
-
-    def at(self, t):
-        return self.body.support_values(t)
-
-
 def _flat_on_arc(body, keep):
     s = np.diff(body.z[: keep + 1]) / np.diff(body.rho[: keep + 1])
     return np.all(np.abs(s) <= 1e-9)

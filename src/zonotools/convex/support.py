@@ -62,24 +62,21 @@ def _derivative_fields(coeffs, grid):
     cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ms = np.arange(L + 1)
 
-    def assemble(theta_table, phi_deriv):
-        Bc = np.einsum("lmr,lm->mr", theta_table, Ac)
-        Bs = np.einsum("lmr,lm->mr", theta_table, As)
-        if phi_deriv == 0:
-            V = Bc.T @ cosm + Bs.T @ sinm
-        elif phi_deriv == 1:
-            V = (Bs.T * ms) @ cosm - (Bc.T * ms) @ sinm
-        else:  # second phi derivative
-            V = -(Bc.T * ms**2) @ cosm - (Bs.T * ms**2) @ sinm
-        return V.reshape(-1)
+    def contract(theta_table):
+        """(ring, m) cos and sin coefficient tables of one theta table."""
+        return (
+            np.einsum("lmr,lm->mr", theta_table, Ac).T,
+            np.einsum("lmr,lm->mr", theta_table, As).T,
+        )
 
-    h = assemble(P, 0)
-    ht = assemble(dP, 0)
-    htt = assemble(d2P, 0)
-    hp = assemble(P, 1)
-    hpp = assemble(P, 2)
-    htp = assemble(dP, 1)
-    return h, ht, htt, hp, hpp, htp
+    (Pc, Ps), (dPc, dPs), (d2Pc, d2Ps) = contract(P), contract(dP), contract(d2P)
+    h = Pc @ cosm + Ps @ sinm
+    ht = dPc @ cosm + dPs @ sinm
+    htt = d2Pc @ cosm + d2Ps @ sinm
+    hp = (Ps * ms) @ cosm - (Pc * ms) @ sinm
+    hpp = -(Pc * ms**2) @ cosm - (Ps * ms**2) @ sinm
+    htp = (dPs * ms) @ cosm - (dPc * ms) @ sinm
+    return tuple(V.reshape(-1) for V in (h, ht, htt, hp, hpp, htp))
 
 
 @lru_cache(maxsize=harmonics.GRID_TABLE_CACHE_SIZE)

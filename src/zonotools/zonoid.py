@@ -390,9 +390,7 @@ class _DesignRows:
         self.n_aniso = self._aniso.size
         self._cos_theta = grid.cos_theta
         P, dP, d2P = harmonics.legendre_theta_tables(L, grid.cos_theta)
-        orders = np.arange(L + 1)
-        cosm = np.cos(np.outer(orders, grid.phi))
-        sinm = np.sin(np.outer(orders, grid.phi))
+        cosm, sinm = harmonics._phi_tables(L, grid.phi)
         s2 = math.sqrt(2.0)
         # per order: its columns, |m|, the longitude factor and its phi
         # derivative, and the degree-by-ring Legendre tables
@@ -668,20 +666,17 @@ def build_counterexample(
     )
 
 
-def counterexample_assertions(result, rng, n_samples=50, m=256, tolerances=None):
+def counterexample_assertions(result, rng, tolerances, n_samples=50, m=256):
     """Measured pass/fail rows for the three counterexample claims.
 
     1. isotropy of the sections over the first cap (sampled directions);
     2. the Funk transform gap between the caps equals the plateau gap;
     3. the density is visibly non-constant on the circles through the cap.
+
+    ``tolerances`` maps ``isotropy_dev``, ``funk_gap`` and
+    ``nonconstancy_ratio`` to the bounds of the three rows, as
+    ``cli.DEFAULT_TOLERANCES`` does.
     """
-    tol = {
-        "isotropy_dev": 1e-5,
-        "funk_gap": 5e-3,
-        "nonconstancy_ratio": 0.1,
-    }
-    if tolerances:
-        tol.update(tolerances)
     g = even_density(result.g)
     samples = result.cap_u.sample(n_samples, rng)
     devs = [transforms.section_isotropy_tensor(g, u, m=m).deviation for u in samples]
@@ -694,20 +689,20 @@ def counterexample_assertions(result, rng, n_samples=50, m=256, tolerances=None)
         {
             "test_id": "counterexample-isotropy-on-cap",
             "metric": max_dev,
-            "tolerance": tol["isotropy_dev"],
-            "pass": bool(max_dev < tol["isotropy_dev"]),
+            "tolerance": tolerances["isotropy_dev"],
+            "pass": bool(max_dev < tolerances["isotropy_dev"]),
         },
         {
             "test_id": "counterexample-funk-gap",
             "metric": gap_err,
-            "tolerance": tol["funk_gap"],
-            "pass": bool(gap_err < tol["funk_gap"]),
+            "tolerance": tolerances["funk_gap"],
+            "pass": bool(gap_err < tolerances["funk_gap"]),
         },
         {
             "test_id": "counterexample-nonconstancy",
             "metric": var / max(mean, 1e-30),
-            "tolerance": tol["nonconstancy_ratio"],
-            "pass": bool(var > tol["nonconstancy_ratio"] * mean),
+            "tolerance": tolerances["nonconstancy_ratio"],
+            "pass": bool(var > tolerances["nonconstancy_ratio"] * mean),
         },
     ]
     return rows, {"isotropy_max_dev_on_U": max_dev}

@@ -3,8 +3,9 @@
 Each computes a quantity the package also computes, by a different and
 slower method: direct quadrature on the sphere or the circle, the m x m
 sin^2 kernel of the circle double integrals, a Gauss rule for the cosine
-multipliers, a ring-by-ring average and a weight-expanding isotonic
-projection.  None of them is reached from the package.
+multipliers, a ring-by-ring average, a weight-expanding isotonic
+projection and a support function's grid partials contracted once per
+partial.  None of them is reached from the package.
 """
 
 import math
@@ -153,3 +154,30 @@ def pav_decreasing_by_weight(y, w):
         out[k:j] = v
         k = j
     return out
+
+
+def derivative_fields_per_field(coeffs, grid):
+    """h and its theta/phi partials on the grid, as
+    ``convex.support._derivative_fields`` returns them, with the theta
+    table contracted with the coefficients anew for each partial."""
+    L = coeffs.L
+    Ac, As = coeffs.split_orders()
+    P, dP, d2P = harmonics.grid_theta_tables(L, grid)
+    cosm, sinm = harmonics.grid_phi_tables(L, grid)
+    ms = np.arange(L + 1)
+
+    def assemble(theta_table, phi_deriv):
+        Bc = np.einsum("lmr,lm->mr", theta_table, Ac)
+        Bs = np.einsum("lmr,lm->mr", theta_table, As)
+        if phi_deriv == 0:
+            V = Bc.T @ cosm + Bs.T @ sinm
+        elif phi_deriv == 1:
+            V = (Bs.T * ms) @ cosm - (Bc.T * ms) @ sinm
+        else:
+            V = -(Bc.T * ms**2) @ cosm - (Bs.T * ms**2) @ sinm
+        return V.reshape(-1)
+
+    return (
+        assemble(P, 0), assemble(dP, 0), assemble(d2P, 0),
+        assemble(P, 1), assemble(P, 2), assemble(dP, 1),
+    )

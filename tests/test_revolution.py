@@ -123,31 +123,31 @@ class TestScaleFree:
         assert abs(outside) <= tols["mink_outside"] * scale
         lens = fixtures.Lens(r=r, c=0.5 * r)
         ts = np.linspace(-1.0, 1.0, 81)
-        err = np.max(np.abs(convex.profile_to_support(solved).at(ts) - lens.support(ts)))
+        err = np.max(np.abs(solved.support_values(ts) - lens.support(ts)))
         assert err <= 1e-6 * r
 
 
 class TestProfileToSupport:
     def test_ball_support_is_constant(self):
-        zs = convex.profile_to_support(fixtures.Ball(1.0).body())
+        body = fixtures.Ball(1.0).body()
         ts = np.linspace(-1, 1, 33)
-        assert np.max(np.abs(zs.at(ts) - 1.0)) < 1e-7
+        assert np.max(np.abs(body.support_values(ts) - 1.0)) < 1e-7
 
     def test_lens_support_piecewise(self):
         lens = fixtures.Lens()
-        zs = convex.profile_to_support(lens.body())
+        body = lens.body()
         ts = np.linspace(-1, 1, 81)
-        assert np.max(np.abs(zs.at(ts) - lens.support(ts))) < 1e-7
+        assert np.max(np.abs(body.support_values(ts) - lens.support(ts))) < 1e-7
         # cap-supported branch above the edge latitude
-        assert abs(zs.at(0.8) - (1.0 - 0.4)) < 1e-7
+        assert abs(body.support_values(0.8) - (1.0 - 0.4)) < 1e-7
         # edge-supported branch below it
-        assert abs(zs.at(0.2) - math.sqrt(3) / 2 * math.sqrt(1 - 0.04)) < 1e-7
+        assert abs(body.support_values(0.2) - math.sqrt(3) / 2 * math.sqrt(1 - 0.04)) < 1e-7
 
     def test_spherocylinder_support_additivity(self):
         sc = fixtures.Spherocylinder(1.0, 0.6)
-        zs = convex.profile_to_support(sc.body())
+        body = sc.body()
         ts = np.linspace(-1, 1, 41)
-        assert np.max(np.abs(zs.at(ts) - (1.0 + 0.3 * np.abs(ts)))) < 1e-7
+        assert np.max(np.abs(body.support_values(ts) - (1.0 + 0.3 * np.abs(ts)))) < 1e-7
 
 
 class TestSurfaceAreaMeasure:
@@ -205,7 +205,7 @@ class TestMinkowskiSolve:
         assert solved.end_height == 0.0
         lens = fixtures.Lens()
         ts = np.linspace(-1, 1, 61)
-        got = convex.profile_to_support(solved).at(ts)
+        got = solved.support_values(ts)
         assert np.max(np.abs(got - lens.support(ts))) < 1e-6
 
     def test_band_masses_match_prescription(self):
@@ -229,7 +229,7 @@ class TestMinkowskiSolve:
         solved = convex.minkowski_solve_revolution(mu, source, cap)
         lens = fixtures.Lens(r=2.0, c=1.0)
         ts = np.linspace(-1, 1, 61)
-        assert np.max(np.abs(convex.profile_to_support(solved).at(ts) - lens.support(ts))) < 1e-6
+        assert np.max(np.abs(solved.support_values(ts) - lens.support(ts))) < 1e-6
 
     def test_cylinder_rejected(self):
         cyl = RevolutionBody(rho=np.array([0.0, 0.5, 1.0]), z=np.array([1.0, 1.0, 1.0]))
