@@ -139,10 +139,11 @@ def gate(tmp_path_factory):
     return {"out": out, "codes": codes, "rows": rows}
 
 
-def check_criterion(gate, criterion):
+def check_criterion(gate, criterion, ids=None):
+    """Check the pinned rows of one criterion, or only those named in ids."""
     rows = {row["test_id"]: row for row in gate["rows"]}
     for test_id, (crit, pinned) in PINNED.items():
-        if crit == criterion:
+        if crit == criterion and (ids is None or test_id in ids):
             row = rows[test_id]
             metric = math.nan if row["metric"] is None else row["metric"]
             same = row["tolerance"] == pinned
@@ -185,8 +186,11 @@ class TestCriterion8MinkowskiRoundtrip:
 
 
 class TestCriterion9UmbilicChecks:
-    def test_umbilic_rows(self, gate):
-        check_criterion(gate, 9)
+    def test_ball_and_zonoid_fit(self, gate):
+        check_criterion(gate, 9, {"umbilic-ball-fit", "umbilic-counterexample-zonoid"})
+
+    def test_spherocylinder_fails_single_sphere(self, gate):
+        check_criterion(gate, 9, {"umbilic-spherocylinder-fit-fails"})
 
 
 class TestCriterion10LensFixture:

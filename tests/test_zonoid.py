@@ -264,9 +264,9 @@ class TestIsotropyGapReport:
         assert rep["f2"] == zonoid.weil_density(spec, u, 2, 128)
         assert rep["mass"] == transforms.circle_fourier_mass(spec.g, u, degree=2, m=128)
 
-    def test_suite_synthesizes_each_circle_once(self, monkeypatch):
-        # each case's circle and grid values are synthesized once, and the
-        # suite reads only the even density: no zonoid support is built
+    @pytest.fixture(scope="class")
+    def suite_calls(self):
+        # one default suite run, counting the synthesis and support builds
         calls = {"synthesize_points": 0, "synthesize_grid": 0, "from_coeffs": 0}
 
         def counting(name, real):
@@ -275,15 +275,30 @@ class TestIsotropyGapReport:
                 return real(*args, **kwargs)
             return wrapped
 
-        for owner, name in [
-            (harmonics, "synthesize_points"),
-            (harmonics, "synthesize_grid"),
-            (convex.SupportFunction, "from_coeffs"),
-        ]:
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-        rows = cli.suite_isotropy_gap(cli.RunContext(cli.RunConfig()))
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in [
+                (harmonics, "synthesize_points"),
+                (harmonics, "synthesize_grid"),
+                (convex.SupportFunction, "from_coeffs"),
+            ]:
+                mp.setattr(owner, name, counting(name, getattr(owner, name)))
+            rows = cli.suite_isotropy_gap(cli.RunContext(cli.RunConfig()))
+        return rows, calls
+
+    def test_suite_synthesizes_each_circle_once(self, suite_calls):
+        # each case's circle and grid values are synthesized once
+        rows, calls = suite_calls
         assert all(row["pass"] for row in rows)
-        assert calls == {"synthesize_points": 200, "synthesize_grid": 200, "from_coeffs": 0}
+        assert calls["synthesize_points"] == 200
+        assert calls["synthesize_grid"] == 200
+
+    def test_suite_builds_no_support_function(self, suite_calls):
+        # the suite reads only the even density: no zonoid support is built,
+        # and each case's density is synthesized on the grid once
+        rows, calls = suite_calls
+        assert all(row["pass"] for row in rows)
+        assert calls["from_coeffs"] == 0
+        assert calls["synthesize_grid"] == 200
 
 
 class TestCounterexample:
