@@ -573,7 +573,7 @@ def suite_umbilic(ctx):
 
 def suite_counterexample(ctx):
     res = ctx.counterexample
-    rows, _ = zonoid.counterexample_assertions(
+    rows = zonoid.counterexample_assertions(
         res, ctx.rng(7), ctx.cfg.tolerances, m=ctx.cfg.circle_m
     )
     return [

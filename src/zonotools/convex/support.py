@@ -185,11 +185,11 @@ def boundary_point(h, u, m=None):
 
 
 def _radii_of(h):
-    """radii_grid of h on its own grid, from the entries h carries if any."""
+    """radii_grid of h on its own grid, or the radii h carries if any."""
     q = getattr(h, "radii", None)
     if q is None:
         return radii_grid(_as_coeffs(h), h.grid)
-    return (*q, *_eigs_2x2(*q))
+    return q
 
 
 def _as_coeffs(h):
@@ -210,8 +210,16 @@ class SupportFunction:
     -PSD_RTOL times the maximum eigenvalue.  If the function is not
     positive everywhere, it is recentred by removing the degree-1 part
     (a translation moving the Steiner point to the origin).  ``radii`` keeps
-    the radii-matrix entries (q11, q22, q12) of the certificate, which the
-    grid operators below reuse instead of calling radii_grid again.
+    the five node arrays (q11, q22, q12, r1, r2) of the certificate, as
+    radii_grid returns them, and the grid operators below reuse them instead
+    of calling radii_grid or the eigenvalue solve again.
+
+    The radii matrix is linear in h, is the identity at h = 1 and vanishes
+    on degree-1 terms.  So the entries of 1 + eps * noise are
+    (eps * q11 + 1, eps * q22 + 1, eps * q12) of the noise's entries, and
+    random_support_function hands those to ``_certify`` instead of calling
+    radii_grid a second time.  A recentring removes only degree-1 terms and
+    leaves the entries unchanged.
     """
 
     grid: sphere.SphericalGrid
@@ -224,6 +232,12 @@ class SupportFunction:
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, recentre=True):
+        return cls._certify(grid, coeffs, None, recentre)
+
+    @classmethod
+    def _certify(cls, grid, coeffs, entries, recentre=True):
+        """from_coeffs, with the radii entries (q11, q22, q12) of coeffs on
+        the grid given, or computed by radii_grid when ``entries`` is None."""
         coeffs = coeffs.copy()
         values = harmonics.synthesize_grid(coeffs, grid)
         translation = np.zeros(3)
@@ -245,8 +259,11 @@ class SupportFunction:
                     "support function not positive even after recentring; "
                     "input is not a support function of a body with interior"
                 )
-        q11, q22, q12, r1, r2 = radii_grid(coeffs, grid)
-        rmin, rmax = float(np.min(r1)), float(np.max(r2))
+        if entries is None:
+            q = radii_grid(coeffs, grid)
+        else:
+            q = (*entries, *_eigs_2x2(*entries))
+        rmin, rmax = float(np.min(q[3])), float(np.max(q[4]))
         if rmin < -PSD_RTOL * max(rmax, 1.0):
             raise ValueError(
                 f"radii matrix fails the convexity certificate: min eigenvalue "
@@ -259,7 +276,7 @@ class SupportFunction:
             min_radius=rmin,
             max_radius=rmax,
             translation=translation,
-            radii=(q11, q22, q12),
+            radii=q,
         )
 
     @classmethod
@@ -465,6 +482,8 @@ def random_support_function(grid, rng, band=8, L=None, margin=0.05):
     smallest radii eigenvalue of 1 + eps * noise over the grid is
     1 + eps * mu, with mu the smallest eigenvalue for the noise alone.  eps
     puts it at ``margin``, so the certificate passes with room to spare.
+    The same linearity gives the body's radii entries from the noise's, so
+    radii_grid runs once per body.
     """
     if band < 2:
         raise ValueError(f"corpus noise needs band >= 2, got {band}")
@@ -472,12 +491,12 @@ def random_support_function(grid, rng, band=8, L=None, margin=0.05):
         L = band
     noise = harmonics.HarmonicCoeffs.zeros(L)
     for l in range(2, band + 1, 2):
-        for m in range(-l, l + 1):
-            noise.set(l, m, rng.normal())
+        noise.degree_slice(l)[:] = rng.normal(size=2 * l + 1)
     noise.c /= math.sqrt(noise.norm2())
-    _, _, _, r1, _ = radii_grid(noise, grid)
+    q11, q22, q12, r1, _ = radii_grid(noise, grid)
     eps = (1.0 - margin) / -float(np.min(r1))
     out = noise.copy()
     out.c = out.c * eps
     out.set(0, 0, out.get(0, 0) + math.sqrt(4.0 * math.pi))
-    return SupportFunction.from_coeffs(grid, out)
+    entries = (eps * q11 + 1.0, eps * q22 + 1.0, eps * q12)
+    return SupportFunction._certify(grid, out, entries)

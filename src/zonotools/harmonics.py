@@ -128,23 +128,32 @@ class HarmonicCoeffs:
         Ac[l, m] multiplies Q_{l,m} cos(m phi) (already including the sqrt(2)
         for m > 0); As[l, m] multiplies Q_{l,m} sin(m phi), m >= 1.
         """
-        l, m = np.tril_indices(self.L + 1)
-        scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+        l, m, scale, pos, neg = _order_index(self.L)
         Ac = np.zeros((self.L + 1, self.L + 1))
         As = np.zeros((self.L + 1, self.L + 1))
-        Ac[l, m] = scale * self.c[l * l + l + m]
-        As[l, m] = np.where(m > 0, scale * self.c[l * l + l - m], 0.0)
+        Ac[l, m] = scale * self.c[pos]
+        As[l, m] = scale * self.c[neg]
+        As[:, 0] = 0.0  # m = 0 has no sine term; neg read the cosine slot
         return Ac, As
 
     @classmethod
     def from_split_orders(cls, Ac, As):
         L = Ac.shape[0] - 1
-        l, m = np.tril_indices(L + 1)
-        scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+        l, m, scale, pos, neg = _order_index(L)
         c = np.empty(coeff_count(L))
-        c[l * l + l - m] = As[l, m] / scale  # the m = 0 slots are overwritten next
-        c[l * l + l + m] = Ac[l, m] / scale
+        c[neg] = As[l, m] / scale  # the m = 0 slots are overwritten next
+        c[pos] = Ac[l, m] / scale
         return cls(L=L, c=c)
+
+
+@lru_cache(maxsize=None)
+def _order_index(L):
+    """The (l, m) pairs with 0 <= m <= l <= L, row-major, with the sqrt(2)
+    scale of m > 0 and the flat indices of (l, m) and (l, -m); cached per
+    band limit as read-only arrays."""
+    l, m = np.tril_indices(L + 1)
+    scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+    return _read_only(l, m, scale, l * l + l + m, l * l + l - m)
 
 
 def coeffs_to_csv(path, coeffs):

@@ -5,7 +5,9 @@ slower method: direct quadrature on the sphere or the circle, the m x m
 sin^2 kernel of the circle double integrals, a Gauss rule for the cosine
 multipliers, a ring-by-ring average, a weight-expanding isotonic
 projection and a support function's grid partials contracted once per
-partial.  None of them is reached from the package.
+partial, and the order matrices of a coefficient table repacked through
+index arrays built anew per call.  None of them is reached from the
+package.
 """
 
 import math
@@ -181,3 +183,27 @@ def derivative_fields_per_field(coeffs, grid):
         assemble(P, 0), assemble(dP, 0), assemble(d2P, 0),
         assemble(P, 1), assemble(P, 2), assemble(dP, 1),
     )
+
+
+def split_orders_tril(coeffs):
+    """``HarmonicCoeffs.split_orders`` with its (l, m) index arrays built
+    by np.tril_indices on each call."""
+    L = coeffs.L
+    l, m = np.tril_indices(L + 1)
+    scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+    Ac = np.zeros((L + 1, L + 1))
+    As = np.zeros((L + 1, L + 1))
+    Ac[l, m] = scale * coeffs.c[l * l + l + m]
+    As[l, m] = np.where(m > 0, scale * coeffs.c[l * l + l - m], 0.0)
+    return Ac, As
+
+
+def from_split_orders_tril(Ac, As):
+    """``HarmonicCoeffs.from_split_orders`` with index arrays built per call."""
+    L = Ac.shape[0] - 1
+    l, m = np.tril_indices(L + 1)
+    scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+    c = np.empty(harmonics.coeff_count(L))
+    c[l * l + l - m] = As[l, m] / scale  # the m = 0 slots are overwritten next
+    c[l * l + l + m] = Ac[l, m] / scale
+    return harmonics.HarmonicCoeffs(L=L, c=c)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zonotools import convex, harmonics, sphere, transforms
@@ -213,20 +215,75 @@ class TestMixedVolumes:
         rng = np.random.default_rng(21)
         K = convex.random_support_function(grid, rng)
         L = convex.random_support_function(grid, rng)
-        # functions without cached radii take the radii_grid route
-        expect_mixed = convex.mixed_area_density_grid(K.as_function(), L.as_function())
-        expect_gap = convex.newton_report(K.as_function())["gap"]
-        calls = []
-        real = convex.support.radii_grid
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(convex.support, "radii_grid", counting)
-        assert np.array_equal(convex.mixed_area_density_grid(K, L), expect_mixed)
-        assert np.array_equal(convex.newton_report(K)["gap"], expect_gap)
+        # a from_coeffs body carries radii_grid's own arrays, so it agrees
+        # bitwise with a function that has none and takes the radii_grid route
+        B = convex.SupportFunction.from_coeffs(grid, K.coeffs)
+        for carried, fresh in zip(B.radii, convex.radii_grid(B.coeffs, grid)):
+            assert carried.tobytes() == fresh.tobytes()
+        expect_mixed = convex.mixed_area_density_grid(B.as_function(), B.as_function())
+        expect_gap = convex.newton_report(B.as_function())["gap"]
+        calls = _counting(monkeypatch, "radii_grid")
+        assert np.array_equal(convex.mixed_area_density_grid(B, B), expect_mixed)
+        assert np.array_equal(convex.newton_report(B)["gap"], expect_gap)
+        # a corpus body's operators read the entries it carries
+        a11, a22, a12, r1, r2 = K.radii
+        b11, b22, b12, _, _ = L.radii
+        assert np.array_equal(
+            convex.mixed_area_density_grid(K, L), 0.5 * (a11 * b22 + a22 * b11) - a12 * b12
+        )
+        assert np.array_equal(
+            convex.newton_report(K)["gap"], 0.5 * (r1 + r2) - np.sqrt(np.maximum(0.0, r1 * r2))
+        )
         assert len(calls) == 0
+
+    def test_one_radii_pass_per_corpus_body(self, grid, monkeypatch):
+        calls = _counting(monkeypatch, "radii_grid")
+        rng = np.random.default_rng(22)
+        for band in (2, 5, 8):
+            convex.random_support_function(grid, rng, band=band)
+        assert len(calls) == 3
+
+    def test_certified_body_operators_skip_radii_and_eigs(self, grid, monkeypatch):
+        rng = np.random.default_rng(23)
+        K = convex.random_support_function(grid, rng)
+        L = convex.random_support_function(grid, rng)
+        ball = convex.SupportFunction.ball(grid, 1.0)
+        radii_calls = _counting(monkeypatch, "radii_grid")
+        eig_calls = _counting(monkeypatch, "_eigs_2x2")
+        convex.mixed_volume(K, L, ball)
+        convex.mixed_volume(ball, K, K)
+        convex.newton_report(K)
+        assert radii_calls == [] and eig_calls == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        band=st.integers(2, 8),
+        margin=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reused_radii_match_radii_grid(self, grid, band, margin, seed):
+        h = convex.random_support_function(
+            grid, np.random.default_rng(seed), band=band, margin=margin
+        )
+        fresh = convex.radii_grid(h.coeffs, grid)
+        bound = 1e-13 * float(np.max(fresh[4]))
+        for carried, expect in zip(h.radii, fresh):
+            assert float(np.max(np.abs(carried - expect))) <= bound
+        assert abs(h.min_radius - margin) <= bound
+
+
+def _counting(monkeypatch, name):
+    """Replace convex.support.<name> by a wrapper that logs its calls;
+    returns the log."""
+    calls = []
+    real = getattr(convex.support, name)
+
+    def counting(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(convex.support, name, counting)
+    return calls
 
 
 class TestBoundaryPoint:

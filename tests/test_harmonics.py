@@ -124,6 +124,29 @@ def test_recurrence_coefficients_cached_and_read_only():
             arr[3, 1] = 0.0
 
 
+class TestOrderIndex:
+    @pytest.mark.parametrize("L", range(65))
+    def test_bitwise_equal_to_tril_route(self, L):
+        c = harmonics.HarmonicCoeffs(L=L, c=np.random.default_rng(L).normal(size=(L + 1) ** 2))
+        Ac, As = c.split_orders()
+        Ac_o, As_o = oracles.split_orders_tril(c)
+        assert Ac.tobytes() == Ac_o.tobytes() and As.tobytes() == As_o.tobytes()
+        # arbitrary order matrices, upper triangle and sine column 0 included
+        rng = np.random.default_rng(1000 + L)
+        Bc, Bs = rng.normal(size=(2, L + 1, L + 1))
+        back = harmonics.HarmonicCoeffs.from_split_orders(Bc, Bs)
+        assert back.c.tobytes() == oracles.from_split_orders_tril(Bc, Bs).c.tobytes()
+        back = harmonics.HarmonicCoeffs.from_split_orders(Ac, As)
+        assert_allclose(back.c, c.c, rtol=1e-15, atol=0)
+
+    def test_cached_and_read_only(self):
+        table = harmonics._order_index(9)
+        assert harmonics._order_index(9)[0] is table[0]
+        for arr in table:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
 class TestGridTableCache:
     @pytest.mark.parametrize("L", [0, 8, 24])
     def test_bitwise_equal_to_fresh_builds(self, grid, L):

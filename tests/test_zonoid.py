@@ -342,7 +342,7 @@ class TestCounterexample:
             zonoid.build_counterexample(u, v, grid, L=16, transition=0.4)
 
     def test_assertion_rows(self, counterexample):
-        rows, extra = zonoid.counterexample_assertions(
+        rows = zonoid.counterexample_assertions(
             counterexample, np.random.default_rng(1234), cli.DEFAULT_TOLERANCES
         )
         assert [r["test_id"] for r in rows] == [
@@ -351,7 +351,12 @@ class TestCounterexample:
             "counterexample-nonconstancy",
         ]
         assert all(r["pass"] for r in rows)
-        assert extra["isotropy_max_dev_on_U"] < 1e-5
+        assert rows[0]["metric"] < 1e-5
+        # one synthesis of all circles gives each circle's own samples
+        g = zonoid.even_density(counterexample.g)
+        samples = counterexample.cap_u.sample(50, np.random.default_rng(1234))
+        per_circle = max(transforms.section_isotropy_tensor(g, u).deviation for u in samples)
+        assert rows[0]["metric"] == pytest.approx(per_circle, rel=1e-12, abs=0.0)
 
     def test_save_artifacts(self, counterexample, tmp_path):
         outdir = tmp_path / "artifact"
