@@ -8,9 +8,7 @@ whose great-circle sections are all isotropic over a cap of directions.
 """
 
 from zonotools.sphere import (
-    DIM3,
     Cap,
-    DimensionConstants,
     GreatCircle,
     SphericalGrid,
     build_grid,
@@ -24,9 +22,7 @@ __version__ = "0.1.0"
 from zonotools import convex, harmonics, transforms, zonoid  # noqa: E402
 
 __all__ = [
-    "DIM3",
     "Cap",
-    "DimensionConstants",
     "GreatCircle",
     "SphericalGrid",
     "build_grid",

@@ -453,9 +453,7 @@ def suite_rigidity(ctx):
     # ball: exact rigidity
     c = harmonics.HarmonicCoeffs.zeros(8)
     c.set(0, 0, (1.0 / (2.0 * math.pi)) * math.sqrt(4.0 * math.pi))
-    ball_spec = zonoid.make_zonoid(
-        transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
-    )
+    ball_spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(grid, c))
     rep = zonoid.verify_local_rigidity(ball_spec, ctx.cfg.cap_u())
     rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, 1e-10, rep.affine_residual <= 1e-10))
     rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, 1e-10, rep.funk_residual <= 1e-10))
@@ -478,9 +476,7 @@ def suite_rigidity(ctx):
     vneg = harmonics.synthesize_grid(cneg, grid)
     if vneg.min() <= 0:
         cneg.set(0, 0, cneg.get(0, 0) + (abs(vneg.min()) + 0.1) * math.sqrt(4.0 * math.pi))
-    neg_spec = zonoid.make_zonoid(
-        transforms.SphericalFunction.from_coeffs(grid, cneg, parity="even")
-    )
+    neg_spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(grid, cneg))
     rep = zonoid.verify_local_rigidity(neg_spec, ctx.cfg.cap_v())
     neg_resid = min(rep.affine_residual, rep.funk_residual)
     rows.append(
@@ -623,7 +619,6 @@ def cmd_counterexample(cfg):
     ctx = RunContext(cfg)
     res = ctx.counterexample
     rows = suite_counterexample(ctx)
-    budget = res.diagnostics["residual_budget"]
     res.diagnostics["isotropy_max_dev_on_U"] = rows[0]["metric"]
     res.diagnostics["funk_gap_UV_error"] = rows[1]["metric"]
     res.save(cfg.out)
@@ -637,7 +632,7 @@ def cmd_counterexample(cfg):
         status = "PASS" if r["pass"] else "FAIL"
         print(
             f"[{status}] {r['test_id']}: metric {_metric_text(r, '.3e')} vs tolerance "
-            f"{r['tolerance']:.3e} (measured residual budget {budget:.3e})"
+            f"{r['tolerance']:.3e}"
         )
     return 0 if all(r["pass"] for r in rows) else 2
 

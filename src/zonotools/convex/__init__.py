@@ -2,21 +2,13 @@
 umbilic-cap verification machinery."""
 
 from zonotools.convex.support import (
-    RadiiMatrix,
     SupportFunction,
     UmbilicReport,
-    area_density,
-    area_density_grid,
-    area_density_spectral,
-    boundary_point,
     boundary_points_grid,
     fit_sphere,
-    mixed_area_density,
     mixed_area_density_grid,
     mixed_volume,
     newton_report,
-    radial_symmetrize_support,
-    radii,
     radii_grid,
     random_support_function,
     umbilic_sphere_check,
@@ -32,26 +24,18 @@ from zonotools.convex.revolution import (
 from zonotools.convex import fixtures
 
 __all__ = [
-    "RadiiMatrix",
     "RevolutionBody",
     "SupportFunction",
     "UmbilicReport",
     "ZonalMeasure",
-    "area_density",
-    "area_density_grid",
-    "area_density_spectral",
-    "boundary_point",
     "boundary_points_grid",
     "fit_sphere",
     "fixtures",
-    "mixed_area_density",
     "mixed_area_density_grid",
     "mixed_volume",
     "minkowski_solve_revolution",
     "newton_report",
     "prescribed_cap_measure",
-    "radial_symmetrize_support",
-    "radii",
     "radii_grid",
     "random_support_function",
     "surface_area_measure_zonal",

@@ -2,15 +2,16 @@
 witnesses: the ball, the lens (intersection of two balls) and the
 spherocylinder (ball plus segment).
 
-Each fixture provides exact support values, principal radii in the normal
-parametrization and boundary points, all as functions of the normal
-latitude t.  The lens and the spherocylinder are the two classical
-obstructions for umbilic-implies-sphere statements: the lens has equal
-principal curvatures almost everywhere on each smooth boundary piece yet
-its radii (normal parametrization) split on the edge fan, while the
-spherocylinder is umbilic at almost every normal but its first-order area
-measure carries a singular equator component, so no single sphere fits
-its boundary.
+Each fixture builds its sampled profile (``body``); the lens and the
+spherocylinder also give their principal radii in the normal
+parametrization, as functions of the normal latitude t, and their boundary
+points, and the lens its exact support values.  The lens and the
+spherocylinder are the two classical obstructions for umbilic-implies-sphere
+statements: the lens has equal principal curvatures almost everywhere on
+each smooth boundary piece yet its radii (normal parametrization) split on
+the edge fan, while the spherocylinder is umbilic at almost every normal
+but its first-order area measure carries a singular equator component, so
+no single sphere fits its boundary.
 """
 
 from __future__ import annotations
@@ -36,17 +37,6 @@ def _meridian_frame(u):
 @dataclass(frozen=True)
 class Ball:
     radius: float = 1.0
-
-    def support(self, t):
-        return self.radius * np.ones_like(np.asarray(t, dtype=float))
-
-    def radii(self, t):
-        t = np.asarray(t, dtype=float)
-        r = self.radius * np.ones_like(t)
-        return r, r
-
-    def boundary_points(self, u):
-        return self.radius * np.atleast_2d(np.asarray(u, dtype=float))
 
     def body(self, n=4097):
         r = self.radius
@@ -126,10 +116,6 @@ class Spherocylinder:
     r: float = 1.0
     l: float = 0.6
 
-    def support(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.r + 0.5 * self.l * np.abs(t)
-
     def radii(self, t):
         t = np.asarray(t, dtype=float)
         r = np.where(np.abs(t) > 0, self.r, np.nan)
@@ -146,35 +132,3 @@ class Spherocylinder:
             lambda rho: 0.5 * l + np.sqrt(np.maximum(0.0, r * r - rho * rho)), r, n
         )
 
-
-def ellipsoid_support(semi_axes):
-    """Support function of an origin-centered ellipsoid as a callable."""
-    a = np.asarray(semi_axes, dtype=float)
-
-    def h(points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.sqrt(np.sum((a[None, :] * p) ** 2, axis=1))
-
-    return h
-
-
-def ellipsoid_radii_oracle(semi_axes, u):
-    """Principal radii of an ellipsoid at normal u via the shape operator
-    of the implicit surface (independent of the support-function route).
-
-    The boundary point with outer normal u solves x = D^2 u / |D u| with
-    D = diag(semi-axes); the Weingarten map is the tangential part of
-    Hess(F)/|grad F| for F = |D^{-1} x|^2 - 1, and the radii are the
-    reciprocals of its eigenvalues.
-    """
-    a = np.asarray(semi_axes, dtype=float)
-    u = np.asarray(u, dtype=float)
-    x = (a**2 * u) / np.linalg.norm(a * u)
-    grad = 2.0 * x / a**2
-    n = grad / np.linalg.norm(grad)
-    hess = np.diag(2.0 / a**2)
-    P = np.eye(3) - np.outer(n, n)
-    W = P @ hess @ P / np.linalg.norm(grad)
-    eigs = np.linalg.eigvalsh(W)
-    curv = np.sort(eigs)[1:]  # drop the zero along the normal
-    return np.sort(1.0 / curv[::-1])

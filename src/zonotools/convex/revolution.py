@@ -198,7 +198,9 @@ ATOM_WIDTH = 1e-12
 
 #: Degenerate-width chords below this mass are rounding artifacts of the
 #: near-axis samples, not geometric features; they are folded into the
-#: band containing their latitude instead of being reported as atoms.
+#: band containing their latitude instead of being reported as atoms.  The
+#: floor is relative: it is scaled by the body's total surface mass over
+#: 4 pi, the unit sphere's, so a body splits the same way at every size.
 ATOM_MASS_FLOOR = 1e-9
 
 
@@ -244,8 +246,12 @@ def surface_area_measure_zonal(body, edges):
     if edges[0] < -1.0 - 1e-12 or edges[-1] > 1.0 + 1e-12:
         raise ValueError("band edges must lie in [-1, 1]")
     mass, lo, hi, facet, facet_t = _chord_spreads(body)
+    wall = 0.0
+    if body.end_height > MONOTONE_TOL * max(body.d, float(body.z[0])):  # lower is rounding
+        wall = 2.0 * math.pi * body.d * 2.0 * body.end_height
+    floor = ATOM_MASS_FLOOR * (2.0 * float(np.sum(mass)) + wall) / (4.0 * math.pi)
     width = hi - lo
-    singular = (facet | (width <= ATOM_WIDTH)) & (mass > ATOM_MASS_FLOOR)
+    singular = (facet | (width <= ATOM_WIDTH)) & (mass > floor)
     atoms = {}
 
     def add_atom(t, m):
@@ -256,8 +262,7 @@ def surface_area_measure_zonal(body, edges):
     for sgn in (1.0, -1.0):
         for m, tt in zip(mass[singular], at[singular]):
             add_atom(sgn * tt, m)
-    if body.end_height > MONOTONE_TOL:
-        add_atom(0.0, 2.0 * math.pi * body.d * 2.0 * body.end_height)
+    add_atom(0.0, wall)
 
     reg_mass = mass[~singular]
     reg_lo = lo[~singular]

@@ -3,17 +3,12 @@ densities, Newton and mixed-volume diagnostics, and sphere fitting.
 
 The radii matrix at a direction u is the tangential Hessian of the
 1-homogeneous extension of h restricted to u-perp, equivalently the
-covariant spherical Hessian of h plus h times the identity.  Two analytic
-evaluation routes are provided:
-
-* a separable colatitude/longitude route over whole grids (never at the
-  poles, which Gauss-Legendre rings avoid), and
-* a per-point route that differentiates h along two great circles through
-  u by trigonometric interpolation, which is pole-safe and serves as an
-  independent cross-check.
-
-Both are exact for band-limited h up to rounding; no finite differences
-are involved.
+covariant spherical Hessian of h plus h times the identity.  It is
+evaluated over whole grids by a separable colatitude/longitude route
+(never at the poles, which Gauss-Legendre rings avoid), exact for
+band-limited h up to rounding; no finite differences are involved.  The
+tests check it against a pole-safe per-point route that differentiates h
+along great circles by trigonometric interpolation.
 """
 
 from __future__ import annotations
@@ -24,25 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from zonotools import harmonics, sphere, transforms
+from zonotools import harmonics, sphere
 
 #: Relative floor for the positive-semidefiniteness certificate: truncation
 #: may create eigenvalues this slightly negative on genuinely convex bodies.
 PSD_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RadiiMatrix:
-    """Tangential Hessian of the extended support function at u.
-
-    Q is symmetric 2x2 in the deterministic tangent frame at u; its
-    eigenvalues r1 <= r2 are the principal radii of curvature.
-    """
-
-    u: np.ndarray
-    Q: np.ndarray
-    r1: float
-    r2: float
 
 
 def _eigs_2x2(q11, q22, q12):
@@ -122,85 +103,6 @@ def boundary_points_grid(coeffs, grid):
     )
 
 
-def _circle_derivatives(coeffs, u, direction, m):
-    """(value, first, second) derivatives of h along a great circle at u.
-
-    gamma(s) = cos(s) u + sin(s) direction is a unit-speed geodesic, so the
-    second derivative at s = 0 is the covariant Hessian entry for the
-    direction.  h restricted to the circle is a trigonometric polynomial of
-    degree <= L, recovered exactly from m > 2L equispaced samples.
-    """
-    angles = 2.0 * np.pi * np.arange(m) / m
-    pts = np.outer(np.cos(angles), u) + np.outer(np.sin(angles), direction)
-    vals = harmonics.synthesize_points(coeffs, pts)
-    spec = np.fft.rfft(vals) / m
-    k = np.arange(spec.size)
-    val = float(np.sum(spec.real * np.where(k == 0, 1.0, 2.0)))
-    d1 = float(np.sum(-2.0 * k * spec.imag))
-    d2 = float(np.sum(-2.0 * k * k * spec.real * np.where(k == 0, 0.5, 1.0)))
-    return val, d1, d2
-
-
-def radii(h, u, m=None):
-    """Principal radii matrix at an arbitrary unit direction (pole-safe)."""
-    coeffs = _as_coeffs(h)
-    u = np.asarray(u, dtype=float)
-    if m is None:
-        m = max(2 * coeffs.L + 4, 16)
-        m += m % 2
-    e1, e2 = sphere.tangent_basis(u)
-    p = (e1 + e2) / math.sqrt(2.0)
-    q = (e1 - e2) / math.sqrt(2.0)
-    hval, _, d2_1 = _circle_derivatives(coeffs, u, e1, m)
-    _, _, d2_2 = _circle_derivatives(coeffs, u, e2, m)
-    _, _, d2_p = _circle_derivatives(coeffs, u, p, m)
-    _, _, d2_q = _circle_derivatives(coeffs, u, q, m)
-    q11 = d2_1 + hval
-    q22 = d2_2 + hval
-    q12 = 0.5 * (d2_p - d2_q)
-    r1, r2 = _eigs_2x2(q11, q22, q12)
-    return RadiiMatrix(u=u, Q=np.array([[q11, q12], [q12, q22]]), r1=float(r1), r2=float(r2))
-
-
-def boundary_point(h, u, m=None):
-    """Boundary point with outer normal u (gradient of the extension).
-
-    Flags degenerate directions where the smaller radius vanishes, since
-    the inverse Gauss map is not single-valued there.
-    """
-    coeffs = _as_coeffs(h)
-    u = np.asarray(u, dtype=float)
-    rm = radii(h, u, m=m)
-    if rm.r1 <= PSD_RTOL * max(abs(rm.r2), 1.0):
-        raise ValueError(
-            f"degenerate radii at u (r1 = {rm.r1:.3e}); boundary point is not unique"
-        )
-    if m is None:
-        m = max(2 * coeffs.L + 4, 16)
-        m += m % 2
-    e1, e2 = sphere.tangent_basis(u)
-    hval, d1_1, _ = _circle_derivatives(coeffs, u, e1, m)
-    _, d1_2, _ = _circle_derivatives(coeffs, u, e2, m)
-    return hval * u + d1_1 * e1 + d1_2 * e2
-
-
-def _radii_of(h):
-    """radii_grid of h on its own grid, or the radii h carries if any."""
-    q = getattr(h, "radii", None)
-    if q is None:
-        return radii_grid(_as_coeffs(h), h.grid)
-    return q
-
-
-def _as_coeffs(h):
-    if isinstance(h, harmonics.HarmonicCoeffs):
-        return h
-    coeffs = getattr(h, "coeffs", None)
-    if coeffs is None:
-        raise ValueError("support-function operations need a harmonic expansion")
-    return coeffs
-
-
 @dataclass
 class SupportFunction:
     """A positive band-limited function certified convex on the grid.
@@ -209,10 +111,11 @@ class SupportFunction:
     construction rejects functions whose certificate falls below
     -PSD_RTOL times the maximum eigenvalue.  If the function is not
     positive everywhere, it is recentred by removing the degree-1 part
-    (a translation moving the Steiner point to the origin).  ``radii`` keeps
-    the five node arrays (q11, q22, q12, r1, r2) of the certificate, as
-    radii_grid returns them, and the grid operators below reuse them instead
-    of calling radii_grid or the eigenvalue solve again.
+    (a translation moving the Steiner point to the origin).  Every body is
+    built by ``_certify``, and ``radii`` always holds the five node arrays
+    (q11, q22, q12, r1, r2) of its certificate, as radii_grid returns them;
+    the grid operators below read them instead of calling radii_grid or the
+    eigenvalue solve again.
 
     The radii matrix is linear in h, is the identity at h = 1 and vanishes
     on degree-1 terms.  So the entries of 1 + eps * noise are
@@ -228,7 +131,7 @@ class SupportFunction:
     min_radius: float
     max_radius: float
     translation: np.ndarray
-    radii: tuple | None = field(default=None, repr=False, compare=False)
+    radii: tuple = field(repr=False, compare=False)
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, recentre=True):
@@ -285,56 +188,6 @@ class SupportFunction:
         coeffs.set(0, 0, radius * math.sqrt(4.0 * math.pi))
         return cls.from_coeffs(grid, coeffs)
 
-    @property
-    def L(self):
-        return self.coeffs.L
-
-    def evaluate(self, points):
-        return harmonics.synthesize(self.coeffs, points)
-
-    def as_function(self):
-        return transforms.SphericalFunction(
-            grid=self.grid, values=self.values, coeffs=self.coeffs
-        )
-
-
-def area_density(h, u, j=1):
-    """Area-measure density of order j at u: s_j of the principal radii.
-
-    At n = 3 these are s_1 = (r1 + r2)/2 and s_2 = r1 * r2.
-    """
-    rm = radii(h, u)
-    if j == 1:
-        return 0.5 * (rm.r1 + rm.r2)
-    if j == 2:
-        return rm.r1 * rm.r2
-    raise ValueError(f"order j must be 1 or 2 at n = 3, got {j}")
-
-
-def area_density_grid(h, j=1):
-    """Order-j density at every grid node via the Hessian route."""
-    q11, q22, q12, _, _ = _radii_of(h)
-    if j == 1:
-        return 0.5 * (q11 + q22)
-    if j == 2:
-        return q11 * q22 - q12 * q12
-    raise ValueError(f"order j must be 1 or 2 at n = 3, got {j}")
-
-
-def area_density_spectral(h, grid=None):
-    """First-order density via the Laplace-Beltrami route.
-
-    Coefficientwise (1 - l(l+1)/2) c_lm, synthesized on the grid: the
-    spectral counterpart of the pointwise Hessian-trace route.
-    """
-    coeffs = _as_coeffs(h)
-    if grid is None:
-        grid = h.grid
-    out = coeffs.copy()
-    deg = coeffs.degrees()
-    out.c = coeffs.c * (1.0 - deg * (deg + 1.0) / 2.0)
-    return harmonics.synthesize_grid(out, grid)
-
 
 def newton_report(h, where=None, i=1, j=2, tol=1e-8):
     """Newton-inequality diagnostic s_i^(1/i) >= s_j^(1/j).
@@ -347,7 +200,7 @@ def newton_report(h, where=None, i=1, j=2, tol=1e-8):
         raise ValueError("need i < j")
     if (i, j) != (1, 2):
         raise ValueError("only orders (1, 2) exist at n = 3")
-    _, _, _, r1, r2 = _radii_of(h)
+    _, _, _, r1, r2 = h.radii
     if where is not None:
         r1, r2 = r1[where], r2[where]
     lhs = 0.5 * (r1 + r2)
@@ -363,23 +216,10 @@ def newton_report(h, where=None, i=1, j=2, tol=1e-8):
     }
 
 
-def mixed_area_density(hK, hL, u):
-    """Mixed discriminant of the two radii matrices at u (n = 3).
-
-    D(Q, Q') = (Q11 Q'22 + Q22 Q'11)/2 - Q12 Q'12; D(Q, Q) = det Q and
-    D(Q, I) = tr(Q)/2.
-    """
-    QK = radii(hK, u).Q
-    QL = radii(hL, u).Q
-    return float(
-        0.5 * (QK[0, 0] * QL[1, 1] + QK[1, 1] * QL[0, 0]) - QK[0, 1] * QL[0, 1]
-    )
-
-
 def mixed_area_density_grid(hK, hL):
     """Mixed discriminant of radii matrices at every grid node."""
-    a11, a22, a12, _, _ = _radii_of(hK)
-    b11, b22, b12, _, _ = _radii_of(hL)
+    a11, a22, a12, _, _ = hK.radii
+    b11, b22, b12, _, _ = hL.radii
     return 0.5 * (a11 * b22 + a22 * b11) - a12 * b12
 
 
@@ -387,23 +227,6 @@ def mixed_volume(h1, h2, h3):
     """V(K1, K2, K3) = (1/3) integral of h1 times the mixed density of K2, K3."""
     dens = mixed_area_density_grid(h2, h3)
     return float(np.sum(h1.grid.weights * h1.values * dens) / 3.0)
-
-
-def radial_symmetrize_support(h):
-    """Ring-average the support function (rotation symmetrization).
-
-    The result is again a support function (it is a limit of averages of
-    rotated copies); the convexity certificate is re-asserted numerically
-    and a failure is raised as a bug-level error rather than rejected
-    input.
-    """
-    zonal = h.coeffs.zonal_projected()
-    try:
-        return SupportFunction.from_coeffs(h.grid, zonal, recentre=False)
-    except ValueError as exc:
-        raise RuntimeError(
-            f"symmetrized support function failed revalidation: {exc}"
-        ) from exc
 
 
 def fit_sphere(points):
@@ -470,7 +293,7 @@ def umbilic_sphere_check(h, cap, tol=1e-6):
     mask = h.grid.cap_mask(cap)
     if not np.any(mask):
         raise ValueError("cap contains no grid nodes")
-    _, _, _, r1, r2 = _radii_of(h)
+    _, _, _, r1, r2 = h.radii
     pts = boundary_points_grid(h.coeffs, h.grid)[mask]
     return umbilic_sphere_check_data(r1[mask], r2[mask], pts, tol)
 

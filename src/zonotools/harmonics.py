@@ -100,9 +100,6 @@ class HarmonicCoeffs:
         odd = self.degrees() % 2 == 1
         return float(np.sum(self.c[odd] ** 2)) / total
 
-    def is_even(self, tol=ODD_MASS_TOL):
-        return self.odd_mass_fraction() <= tol
-
     def zonal(self):
         """The (L+1,) vector of m = 0 coefficients."""
         ls = np.arange(self.L + 1)
@@ -114,13 +111,6 @@ class HarmonicCoeffs:
         ls = np.arange(self.L + 1)
         out.c[ls * ls + ls] = self.zonal()
         return out
-
-    def truncated(self, L_new):
-        if L_new >= self.L:
-            out = HarmonicCoeffs.zeros(L_new)
-            out.c[: self.c.size] = self.c
-            return out
-        return HarmonicCoeffs(L=L_new, c=self.c[: coeff_count(L_new)].copy())
 
     def split_orders(self):
         """Repack into (Ac, As): cosine/sine order matrices of shape (L+1, L+1).
@@ -459,36 +449,12 @@ def _multipliers(kernel, L):
     return lam
 
 
-def funk_hecke_multiplier(kernel, l):
-    """Diagonal action of a kernel on degree-l harmonics.
-
-    For a kernel F(<x,u>) the multiplier is 2 pi * int_{-1}^{1} F(t) P_l(t) dt:
-    the closed form of multiplier_table.  Odd degrees return exact zero
-    for both kernels.
-    """
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    return float(_multipliers(kernel, l)[l])
-
-
-@dataclass(frozen=True)
-class MultiplierTable:
-    """Per-degree multipliers of a transform kernel."""
-
-    kernel: str
-    lam: np.ndarray
-
-    @property
-    def L(self):
-        return self.lam.size - 1
-
-
 @lru_cache(maxsize=None)
 def multiplier_table(kernel, L):
-    """Multipliers of degrees 0..L, cached per (kernel, L); ``lam`` is read-only."""
+    """Multipliers of degrees 0..L, cached per (kernel, L) as a read-only array."""
     lam = _multipliers(kernel, L)
     lam.flags.writeable = False
-    return MultiplierTable(kernel=kernel, lam=lam)
+    return lam
 
 
 def apply_multipliers(coeffs, lam):
@@ -510,13 +476,13 @@ def _require_even(coeffs, what):
 def cosine_transform_spectral(coeffs):
     """Multiply each even degree by its cosine-kernel eigenvalue."""
     _require_even(coeffs, "spectral cosine transform")
-    lam = multiplier_table("cosine", coeffs.L).lam
+    lam = multiplier_table("cosine", coeffs.L)
     return apply_multipliers(coeffs, lam)
 
 
 def funk_transform_spectral(coeffs):
     """Multiply each even degree by 2 pi P_l(0)."""
-    lam = multiplier_table("funk", coeffs.L).lam
+    lam = multiplier_table("funk", coeffs.L)
     return apply_multipliers(coeffs, lam)
 
 
@@ -526,7 +492,7 @@ def _spectral_inverse(coeffs, kernel, what):
         raise ValueError(
             f"{what} limited to band {INVERSION_MAX_DEGREE}, got {coeffs.L}"
         )
-    lam = multiplier_table(kernel, coeffs.L).lam
+    lam = multiplier_table(kernel, coeffs.L)
     for l in range(0, coeffs.L + 1, 2):
         if abs(lam[l]) <= MULTIPLIER_FLOOR:
             raise ValueError(

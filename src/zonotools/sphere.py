@@ -17,37 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FOUR_PI = 4.0 * math.pi
-
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
-
-
-def unit_ball_volume(k):
-    """Volume of the unit ball in R^k."""
-    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-
-
-@dataclass(frozen=True)
-class DimensionConstants:
-    """Dimension-dependent normalization constants, fixed at n = 3.
-
-    a_n is the reciprocal of the sphere integral of |x_1| (so a constant
-    density a_n generates the unit ball as a zonoid); b_n is the factor
-    relating the first area-measure density of a zonoid to the Funk
-    transform of its generating density.  b_3 = 1 is asserted by a
-    calibration test in the zonoid module rather than assumed.
-    """
-
-    n: int = 3
-    omega_n: float = unit_ball_volume(3)
-    omega_n_minus_1: float = unit_ball_volume(2)
-    a_n: float = 1.0 / (2.0 * math.pi)
-    b_n: float = 1.0
-
-
-DIM3 = DimensionConstants()
 
 
 @dataclass(frozen=True)
@@ -71,12 +43,6 @@ class SphericalGrid:
     @property
     def n_nodes(self):
         return self.n_theta * self.n_phi
-
-    @property
-    def rings(self):
-        """List of index arrays, one per latitude ring."""
-        base = np.arange(self.n_phi)
-        return [base + i * self.n_phi for i in range(self.n_theta)]
 
     def ring_view(self, values):
         """Reshape node values to (n_theta, n_phi) without copying."""
@@ -216,21 +182,9 @@ class GreatCircle:
     angles: np.ndarray
 
     @property
-    def weight(self):
-        return 2.0 * np.pi / self.m
-
-    @property
     def nodes(self):
         c, s = np.cos(self.angles), np.sin(self.angles)
         return np.outer(c, self.eps1) + np.outer(s, self.eps2)
-
-    def point(self, alpha):
-        """Circle point at angle alpha (alpha may be an array)."""
-        alpha = np.asarray(alpha, dtype=float)
-        return (
-            np.multiply.outer(np.cos(alpha), self.eps1)
-            + np.multiply.outer(np.sin(alpha), self.eps2)
-        )
 
 
 def great_circle(u, m=256):

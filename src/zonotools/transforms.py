@@ -5,7 +5,6 @@ rotation averages.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,16 +19,14 @@ AXIS = sphere.E3
 class SphericalFunction:
     """Real-valued samples on a grid, optionally with a harmonic expansion.
 
-    ``parity`` is 'even', 'odd' or None.  Functions holding only samples
-    can be integrated; anything that needs off-grid values (circle
-    quadrature) or acts on the expansion (multiplier transforms, rotation
-    averages) requires it.
+    Functions holding only samples can be integrated; anything that needs
+    off-grid values (circle quadrature) or acts on the expansion
+    (multiplier transforms, rotation averages) requires it.
     """
 
     grid: sphere.SphericalGrid
     values: np.ndarray
     coeffs: harmonics.HarmonicCoeffs | None = None
-    parity: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -37,17 +34,10 @@ class SphericalFunction:
             raise ValueError(
                 f"expected {self.grid.n_nodes} samples, got {self.values.shape}"
             )
-        if self.parity not in (None, "even", "odd"):
-            raise ValueError(f"parity must be 'even', 'odd' or None, got {self.parity!r}")
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs, parity=None):
-        return cls(
-            grid=grid,
-            values=harmonics.synthesize_grid(coeffs, grid),
-            coeffs=coeffs,
-            parity=parity,
-        )
+    def from_coeffs(cls, grid, coeffs):
+        return cls(grid=grid, values=harmonics.synthesize_grid(coeffs, grid), coeffs=coeffs)
 
     def evaluate(self, points):
         """Pointwise values via harmonic synthesis; needs the expansion."""
@@ -64,16 +54,7 @@ class SphericalFunction:
             grid=self.grid,
             values=self.values,
             coeffs=harmonics.analyze(self.grid, self.values, L),
-            parity=self.parity,
         )
-
-    def integral(self):
-        return sphere.integrate(self.grid, self.values)
-
-    def parity_defect(self):
-        """max |f(x) - f(-x)| over antipodal node pairs (even n_phi only)."""
-        idx = self.grid.antipode_index()
-        return float(np.max(np.abs(self.values - self.values[idx])))
 
 
 def _multiplier_transform(f, kernel):
@@ -86,9 +67,8 @@ def _multiplier_transform(f, kernel):
         raise ValueError(
             f"{kernel} transform needs an evaluation rule; call with_coeffs(L) first"
         )
-    lam = harmonics.multiplier_table(kernel, f.coeffs.L).lam
-    coeffs = harmonics.apply_multipliers(f.coeffs, lam)
-    return SphericalFunction.from_coeffs(f.grid, coeffs, parity="even")
+    lam = harmonics.multiplier_table(kernel, f.coeffs.L)
+    return SphericalFunction.from_coeffs(f.grid, harmonics.apply_multipliers(f.coeffs, lam))
 
 
 def cosine_transform(f):
@@ -131,16 +111,6 @@ class IsotropyReport:
     T: np.ndarray
     trace: float
     deviation: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "u": [float(v) for v in self.u],
-                "T": [float(self.T[0, 0]), float(self.T[0, 1]), float(self.T[1, 1])],
-                "trace": self.trace,
-                "deviation": self.deviation,
-            }
-        )
 
 
 def circle_values(g, u, m=256):
@@ -219,9 +189,7 @@ def radial_symmetrize(f, axis=AXIS):
     flat = np.all(V == V[:, :1], axis=1)
     out = np.repeat(np.where(flat, V[:, 0], np.mean(V, axis=1)), f.grid.n_phi)
     coeffs = f.coeffs.zonal_projected() if f.coeffs is not None else None
-    return SphericalFunction(
-        grid=f.grid, values=out, coeffs=coeffs, parity=f.parity
-    )
+    return SphericalFunction(grid=f.grid, values=out, coeffs=coeffs)
 
 
 def _as_axis_rotation(T):
@@ -270,16 +238,14 @@ def finite_average(f, rotations):
     ss = np.mean(kind * cos_mg, axis=1)
     Ac, As = f.coeffs.split_orders()
     coeffs = harmonics.HarmonicCoeffs.from_split_orders(cc * Ac + cs * As, sc * Ac + ss * As)
-    return SphericalFunction.from_coeffs(f.grid, coeffs, parity=f.parity)
+    return SphericalFunction.from_coeffs(f.grid, coeffs)
 
 
 def lp_norm(f, p):
     """(integral |f|^p)^(1/p) by grid quadrature."""
     if p < 1:
         raise ValueError(f"L^p norms need p >= 1, got {p}")
-    values = np.asarray(getattr(f, "values", f), dtype=float)
-    grid = f.grid
-    return float(np.sum(grid.weights * np.abs(values) ** p) ** (1.0 / p))
+    return float(sphere.integrate(f.grid, np.abs(f.values) ** p) ** (1.0 / p))
 
 
 def l2_distance(f, g):

@@ -34,8 +34,6 @@ import numpy as np
 from zonotools import harmonics, sphere, transforms
 from zonotools.convex import support as convex_support
 
-E3 = sphere.E3
-
 #: Printed dimension constants for the circle-integral prefactors at n = 3;
 #: calibration must reproduce these to CALIBRATION_TOL.
 WEIL_PREFACTOR_1 = 1.0 / math.pi
@@ -106,7 +104,6 @@ class ZonoidSpec:
 
     g: transforms.SphericalFunction
     h: convex_support.SupportFunction
-    constants: sphere.DimensionConstants
 
 
 def even_density(g):
@@ -131,12 +128,10 @@ def even_density(g):
             f"generating density is negative (min {float(np.min(values)):.3e}) "
             "after even-symmetrization"
         )
-    return transforms.SphericalFunction(
-        grid=g.grid, values=values, coeffs=even, parity="even"
-    )
+    return transforms.SphericalFunction(grid=g.grid, values=values, coeffs=even)
 
 
-def make_zonoid(g, constants=sphere.DIM3):
+def make_zonoid(g):
     """Build the zonoid generated by the density g.
 
     g is even-symmetrized and checked nonnegative (``even_density``).  The
@@ -148,18 +143,7 @@ def make_zonoid(g, constants=sphere.DIM3):
     g_even = even_density(g)
     h_coeffs = harmonics.cosine_transform_spectral(g_even.coeffs)
     h = convex_support.SupportFunction.from_coeffs(g.grid, h_coeffs, recentre=False)
-    return ZonoidSpec(g=g_even, h=h, constants=constants)
-
-
-def weil_density(spec, u, j=1, m=256):
-    """Area-measure density of the zonoid at u from circle integrals of g.
-
-    j = 1 uses a single density factor (and equals the Funk transform of
-    g by the calibration closure); j = 2 uses two factors.
-    """
-    if j not in (1, 2):
-        raise ValueError(f"order j must be 1 or 2 at n = 3, got {j}")
-    return _weil_densities(transforms.circle_values(spec.g, u, m))[j - 1]
+    return ZonoidSpec(g=g_even, h=h)
 
 
 def isotropy_gap_report(g, u, m=256, eps=1e-30):
@@ -168,11 +152,13 @@ def isotropy_gap_report(g, u, m=256, eps=1e-30):
     ``g`` is the even density (``even_density``), or a zonoid built from
     it, of which only the density is read.
 
-    Returns the isotropy deviation of g restricted to the circle u-perp
-    and the relative gap |f1^2 - f2| / max(f2, eps); the two vanish
-    together, and f1^2 - f2 equals the squared second-order Fourier mass
-    of g on the circle, which the FFT route gives as ``mass``.  g is
-    sampled on the circle once, and every quantity reads those samples.
+    Returns the isotropy deviation of g restricted to the circle u-perp,
+    the zonoid's first and second area densities f1 and f2 at u from the
+    circle integrals of g (f1 equals the Funk transform of g there), and
+    the relative gap |f1^2 - f2| / max(f2, eps).  The deviation and the
+    gap vanish together, and f1^2 - f2 equals the squared second-order
+    Fourier mass of g on the circle, which the FFT route gives as ``mass``.
+    g is sampled on the circle once, and every quantity reads those samples.
     """
     if isinstance(g, ZonoidSpec):
         g = g.g
@@ -565,7 +551,7 @@ def design_plateau(
     for s in range(0, rows.n_aniso, chunk):
         AT = rows.anisotropy_rows(slice(s, s + chunk))
         factor.add(AT, np.zeros(AT.shape[1]))
-    lam = harmonics.multiplier_table("cosine", L).lam
+    lam = harmonics.multiplier_table("cosine", L)
     factor.add(np.diag(math.sqrt(ridge) / lam[ls]), np.zeros(ncol))
     Rq = factor.result()[:ncol]
     n_rows = 2 * n + 2 * rows.n_aniso + ncol
@@ -622,13 +608,8 @@ def build_counterexample(
     c0 = 1.0 + float(np.max(np.abs(w_values)))
     g_coeffs = w.copy()
     g_coeffs.set(0, 0, g_coeffs.get(0, 0) + c0 * math.sqrt(4.0 * math.pi))
-    g = transforms.SphericalFunction(
-        grid=grid,
-        values=w_values + c0,
-        coeffs=g_coeffs,
-        parity="even",
-    )
-    lam = harmonics.multiplier_table("cosine", L).lam
+    g = transforms.SphericalFunction(grid=grid, values=w_values + c0, coeffs=g_coeffs)
+    lam = harmonics.multiplier_table("cosine", L)
     conditioning = float(np.max(np.abs(lam[0] / lam[lam != 0.0])))
     h_coeffs = harmonics.cosine_transform_spectral(g_coeffs)
     r_coeffs = harmonics.funk_transform_spectral(g_coeffs)
@@ -652,7 +633,6 @@ def build_counterexample(
         "funk_gap_expected": float(levels[1] - levels[0]),
         "density_band_variance": float(np.var(g_band)),
         "density_band_mean": float(np.mean(g_band)),
-        "residual_budget": design_info["design_funk_residual"] * 2.0,
         **design_info,
     }
     return CounterexampleResult(

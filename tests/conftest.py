@@ -56,7 +56,7 @@ def random_density(grid, L, rng, floor=0.2):
     c = random_even_coeffs(L, rng)
     v = harmonics.synthesize_grid(c, grid)
     c.set(0, 0, c.get(0, 0) + (abs(float(np.min(v))) + floor) * math.sqrt(4.0 * math.pi))
-    return transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+    return transforms.SphericalFunction.from_coeffs(grid, c)
 
 
 def random_function(grid, L, rng, nonnegative=False, floor=0.1):

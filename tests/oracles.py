@@ -1,30 +1,39 @@
 """Independent routes that the tests compare the package against.
 
 Each computes a quantity the package also computes, by a different and
-slower method: direct quadrature on the sphere or the circle, the m x m
-sin^2 kernel of the circle double integrals, a Gauss rule for the cosine
-multipliers, a ring-by-ring average, a weight-expanding isotonic
-projection and a support function's grid partials contracted once per
-partial, and the order matrices of a coefficient table repacked through
-index arrays built anew per call.  None of them is reached from the
-package.
+slower method, and its docstring names the production route it checks:
+direct quadrature on the sphere or the circle, the m x m sin^2 kernel of
+the circle double integrals, a Gauss rule for the cosine multipliers, a
+ring-by-ring average, a weight-expanding isotonic projection, a support
+function's grid partials contracted once per partial, the order matrices
+of a coefficient table repacked through index arrays built anew per call,
+the radii matrix, boundary point and area densities at one direction from
+derivatives along great circles, the Laplacian route to the first area
+density, and an ellipsoid's radii from the shape operator of its implicit
+surface.  None of them is reached from the package.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from zonotools import harmonics, sphere, zonoid
+from zonotools.convex import support
 
 
 def circle_integrate(g, circle):
-    """Quadrature of g over a great circle (H^1 line measure)."""
+    """Quadrature of g over a great circle (H^1 line measure), with the
+    trapezoidal weight 2 pi / m per node; checks the multiplier Funk
+    transform through ``funk_transform_at``."""
     values = np.asarray(sphere._as_evaluator(g)(circle.nodes), dtype=float)
-    return float(circle.weight * np.sum(values))
+    return float(2.0 * np.pi / circle.m * np.sum(values))
 
 
 def funk_transform_at(f, targets, m=256):
-    """Funk transform at explicit target directions by circle quadrature."""
+    """Funk transform at explicit target directions by circle quadrature;
+    checks ``transforms.funk_transform`` and f1 of
+    ``zonoid.isotropy_gap_report``."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty(targets.shape[0])
     for k, u in enumerate(targets):
@@ -39,7 +48,9 @@ def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):
     angle from u, the kernel is |cos Theta| and the integral splits at the
     kink into two halves that are Gauss-Legendre-integrated in Theta and
     trapezoid-integrated in longitude.  Spectrally accurate for smooth g
-    (needs an evaluation rule), and independent of the multiplier table.
+    (needs an evaluation rule), and independent of the multiplier table;
+    checks ``transforms.cosine_transform`` and the support of
+    ``zonoid.make_zonoid``.
     """
     eval_g = sphere._as_evaluator(g)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -69,7 +80,8 @@ def cosine_multiplier_gauss(l):
     """Cosine-kernel multiplier of degree l by a Gauss rule on [0, 1].
 
     4 pi int_0^1 t P_l(t) dt with l/2 + 2 nodes, exact for the polynomial
-    integrand; odd degrees are zero.
+    integrand; odd degrees are zero.  Checks
+    ``harmonics.multiplier_table("cosine", L)``.
     """
     if l % 2 == 1:
         return 0.0
@@ -80,7 +92,8 @@ def cosine_multiplier_gauss(l):
 
 
 def inverse_funk_transform(coeffs):
-    """Solve R(w) = G for w coefficientwise (even, band-limited G)."""
+    """Solve R(w) = G for w coefficientwise (even, band-limited G); its
+    round trip checks ``harmonics.funk_transform_spectral``."""
     return harmonics._spectral_inverse(coeffs, "funk", "inverse Funk transform")
 
 
@@ -99,14 +112,16 @@ def sin2_kernel(m):
 
 
 def weil_prefactors_kernel(m):
-    """calibrate_weil_prefactors from the full m x m kernel sum."""
+    """Checks ``zonoid.calibrate_weil_prefactors`` with the full m x m
+    kernel sum."""
     w = 2.0 * np.pi / m
     raw = float(np.sum(sin2_kernel(m))) * w * w  # double integral for g ≡ 1
     return 2.0 * math.pi / raw, (2.0 * math.pi) ** 2 / raw
 
 
 def weil_densities_kernel(gvals):
-    """(f1, f2) from circle samples through the m x m sin^2 kernel."""
+    """(f1, f2) from circle samples through the m x m sin^2 kernel; checks
+    the closed-form f1 and f2 of ``zonoid.isotropy_gap_report``."""
     m = gvals.size
     pref1, pref2 = zonoid.calibrate_weil_prefactors(m)
     w = 2.0 * np.pi / m
@@ -118,7 +133,8 @@ def weil_densities_kernel(gvals):
 
 def ring_average_loop(V):
     """Ring averages one ring at a time: a constant ring keeps its value,
-    any other ring takes np.mean of its samples."""
+    any other ring takes np.mean of its samples.  Checks
+    ``transforms.radial_symmetrize`` bitwise."""
     out = np.empty_like(V)
     for i in range(V.shape[0]):
         row = V[i]
@@ -132,7 +148,8 @@ def ring_average_loop(V):
 def pav_decreasing_by_weight(y, w):
     """Weighted non-increasing isotonic projection that expands each pooled
     block back to its samples by accumulating weights up to the block's
-    weight, less 1e-12; right only while every weight is well above 1e-12."""
+    weight, less 1e-12; right only while every weight is well above 1e-12.
+    Checks ``convex.revolution._pav_decreasing``."""
     y = np.asarray(y, dtype=float).copy()
     w = np.asarray(w, dtype=float).copy()
     vals = []
@@ -207,3 +224,158 @@ def from_split_orders_tril(Ac, As):
     c[l * l + l - m] = As[l, m] / scale  # the m = 0 slots are overwritten next
     c[l * l + l + m] = Ac[l, m] / scale
     return harmonics.HarmonicCoeffs(L=L, c=c)
+
+
+@dataclass(frozen=True)
+class RadiiMatrix:
+    """Tangential Hessian of the extended support function at u.
+
+    Q is symmetric 2x2 in the deterministic tangent frame at u; its
+    eigenvalues r1 <= r2 are the principal radii of curvature.
+    """
+
+    u: np.ndarray
+    Q: np.ndarray
+    r1: float
+    r2: float
+
+
+def _circle_derivatives(coeffs, u, direction, m):
+    """(value, first, second) derivatives of h along a great circle at u.
+
+    gamma(s) = cos(s) u + sin(s) direction is a unit-speed geodesic, so the
+    second derivative at s = 0 is the covariant Hessian entry for the
+    direction.  h restricted to the circle is a trigonometric polynomial of
+    degree <= L, recovered exactly from m > 2L equispaced samples.
+    """
+    angles = 2.0 * np.pi * np.arange(m) / m
+    pts = np.outer(np.cos(angles), u) + np.outer(np.sin(angles), direction)
+    vals = harmonics.synthesize_points(coeffs, pts)
+    spec = np.fft.rfft(vals) / m
+    k = np.arange(spec.size)
+    val = float(np.sum(spec.real * np.where(k == 0, 1.0, 2.0)))
+    d1 = float(np.sum(-2.0 * k * spec.imag))
+    d2 = float(np.sum(-2.0 * k * k * spec.real * np.where(k == 0, 0.5, 1.0)))
+    return val, d1, d2
+
+
+def _circle_count(coeffs, m):
+    if m is None:
+        m = max(2 * coeffs.L + 4, 16)
+        m += m % 2
+    return m
+
+
+def radii(h, u, m=None):
+    """Principal radii matrix at one unit direction u (pole-safe), from the
+    second derivatives of h along four great circles through u; checks
+    ``convex.radii_grid``.  h is a support function or its coefficients."""
+    coeffs = getattr(h, "coeffs", h)
+    u = np.asarray(u, dtype=float)
+    m = _circle_count(coeffs, m)
+    e1, e2 = sphere.tangent_basis(u)
+    p = (e1 + e2) / math.sqrt(2.0)
+    q = (e1 - e2) / math.sqrt(2.0)
+    hval, _, d2_1 = _circle_derivatives(coeffs, u, e1, m)
+    _, _, d2_2 = _circle_derivatives(coeffs, u, e2, m)
+    _, _, d2_p = _circle_derivatives(coeffs, u, p, m)
+    _, _, d2_q = _circle_derivatives(coeffs, u, q, m)
+    q11 = d2_1 + hval
+    q22 = d2_2 + hval
+    q12 = 0.5 * (d2_p - d2_q)
+    r1, r2 = support._eigs_2x2(q11, q22, q12)
+    return RadiiMatrix(u=u, Q=np.array([[q11, q12], [q12, q22]]), r1=float(r1), r2=float(r2))
+
+
+def boundary_point(h, u, m=None):
+    """Boundary point with outer normal u (gradient of the extension), from
+    the first derivatives of h along two great circles through u; checks
+    ``convex.boundary_points_grid``.
+
+    Flags degenerate directions where the smaller radius vanishes, since
+    the inverse Gauss map is not single-valued there.
+    """
+    coeffs = getattr(h, "coeffs", h)
+    u = np.asarray(u, dtype=float)
+    rm = radii(h, u, m=m)
+    if rm.r1 <= support.PSD_RTOL * max(abs(rm.r2), 1.0):
+        raise ValueError(
+            f"degenerate radii at u (r1 = {rm.r1:.3e}); boundary point is not unique"
+        )
+    m = _circle_count(coeffs, m)
+    e1, e2 = sphere.tangent_basis(u)
+    hval, d1_1, _ = _circle_derivatives(coeffs, u, e1, m)
+    _, d1_2, _ = _circle_derivatives(coeffs, u, e2, m)
+    return hval * u + d1_1 * e1 + d1_2 * e2
+
+
+def area_density(h, u, j=1):
+    """Area-measure density of order j at u, s_1 = (r1 + r2)/2 or
+    s_2 = r1 r2 of the per-point radii; checks the densities that the grid
+    operators read from ``SupportFunction.radii`` and the circle integrals
+    f1, f2 of ``zonoid.isotropy_gap_report``."""
+    rm = radii(h, u)
+    if j == 1:
+        return 0.5 * (rm.r1 + rm.r2)
+    if j == 2:
+        return rm.r1 * rm.r2
+    raise ValueError(f"order j must be 1 or 2 at n = 3, got {j}")
+
+
+def mixed_area_density(hK, hL, u):
+    """Mixed discriminant of the two per-point radii matrices at u (n = 3),
+    D(Q, Q') = (Q11 Q'22 + Q22 Q'11)/2 - Q12 Q'12, so D(Q, Q) = det Q and
+    D(Q, I) = tr(Q)/2; checks ``convex.mixed_area_density_grid``."""
+    QK = radii(hK, u).Q
+    QL = radii(hL, u).Q
+    return float(
+        0.5 * (QK[0, 0] * QL[1, 1] + QK[1, 1] * QL[0, 0]) - QK[0, 1] * QL[0, 1]
+    )
+
+
+def area_density_spectral(h, grid=None):
+    """First-order area density by the Laplace-Beltrami route:
+    coefficientwise (1 - l(l+1)/2) c_lm, synthesized on the grid; checks the
+    Hessian-trace density (q11 + q22)/2 of ``convex.radii_grid``."""
+    coeffs = getattr(h, "coeffs", h)
+    if grid is None:
+        grid = h.grid
+    out = coeffs.copy()
+    deg = coeffs.degrees()
+    out.c = coeffs.c * (1.0 - deg * (deg + 1.0) / 2.0)
+    return harmonics.synthesize_grid(out, grid)
+
+
+def ellipsoid_support(semi_axes):
+    """Support function of an origin-centred ellipsoid as a callable on
+    (M, 3) unit vectors: the input of the radii and boundary-point checks."""
+    a = np.asarray(semi_axes, dtype=float)
+
+    def h(points):
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.sqrt(np.sum((a[None, :] * p) ** 2, axis=1))
+
+    return h
+
+
+def ellipsoid_radii_oracle(semi_axes, u):
+    """Principal radii of an ellipsoid at normal u via the shape operator
+    of the implicit surface, independent of the support-function route;
+    checks ``radii`` and so ``convex.radii_grid``.
+
+    The boundary point with outer normal u solves x = D^2 u / |D u| with
+    D = diag(semi-axes); the Weingarten map is the tangential part of
+    Hess(F)/|grad F| for F = |D^{-1} x|^2 - 1, and the radii are the
+    reciprocals of its eigenvalues.
+    """
+    a = np.asarray(semi_axes, dtype=float)
+    u = np.asarray(u, dtype=float)
+    x = (a**2 * u) / np.linalg.norm(a * u)
+    grad = 2.0 * x / a**2
+    n = grad / np.linalg.norm(grad)
+    hess = np.diag(2.0 / a**2)
+    P = np.eye(3) - np.outer(n, n)
+    W = P @ hess @ P / np.linalg.norm(grad)
+    eigs = np.linalg.eigvalsh(W)
+    curv = np.sort(eigs)[1:]  # drop the zero along the normal
+    return np.sort(1.0 / curv[::-1])

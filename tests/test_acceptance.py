@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from zonotools import cli, convex, harmonics, zonoid
+from zonotools import cli, harmonics, zonoid
 
 import oracles
 from conftest import random_density, random_unit
@@ -74,20 +74,22 @@ def gauss_abs_kernel_multiplier(l):
 class TestCriterion1Multipliers:
     def test_multiplier_table(self):
         worst = 0.0
+        cosine = harmonics.multiplier_table("cosine", 64)
+        funk_table = harmonics.multiplier_table("funk", 64)
         for l, expect in [(0, 2 * math.pi), (2, math.pi / 2), (4, -math.pi / 12)]:
-            got = harmonics.funk_hecke_multiplier("cosine", l)
+            got = cosine[l]
             worst = max(worst, abs(got - expect) / abs(expect))
         for l in range(0, 65, 2):
-            got = harmonics.funk_hecke_multiplier("cosine", l)
+            got = cosine[l]
             oracle = gauss_abs_kernel_multiplier(l)
             worst = max(worst, abs(got - oracle) / max(abs(oracle), 1e-30))
-            funk = harmonics.funk_hecke_multiplier("funk", l)
+            funk = funk_table[l]
             worst = max(
                 worst,
                 abs(funk - 2 * math.pi * eval_legendre(l, 0.0)) / abs(funk),
             )
         odd_exact = all(
-            harmonics.funk_hecke_multiplier(k, l) == 0.0
+            harmonics.multiplier_table(k, 64)[l] == 0.0
             for k in ("cosine", "funk")
             for l in range(1, 64, 2)
         )
@@ -104,15 +106,15 @@ class TestCriterion2Calibration:
             g = random_density(grid, 16, np.random.default_rng(seed))
             spec = zonoid.make_zonoid(g)
             targets = random_unit(rng, 20)
-            for u in targets:
-                f1 = zonoid.weil_density(spec, u, 1)
+            reps = [zonoid.isotropy_gap_report(spec, u) for u in targets]
+            for u, rep in zip(targets, reps):
                 funk = oracles.funk_transform_at(spec.g, u)
-                worst_funk = max(worst_funk, abs(f1 - funk))
-            for u in targets[:3]:
+                worst_funk = max(worst_funk, abs(rep["f1"] - funk))
+            for u, rep in zip(targets[:3], reps):
                 worst_area = max(
                     worst_area,
-                    abs(zonoid.weil_density(spec, u, 1) - convex.area_density(spec.h, u, 1)),
-                    abs(zonoid.weil_density(spec, u, 2) - convex.area_density(spec.h, u, 2)),
+                    abs(rep["f1"] - oracles.area_density(spec.h, u, 1)),
+                    abs(rep["f2"] - oracles.area_density(spec.h, u, 2)),
                 )
         report("criterion-2a first-density-is-funk-transform", worst_funk, 1e-7, worst_funk < 1e-7)
         report("criterion-2b circle-route-vs-support-route", worst_area, 1e-6, worst_area < 1e-6)

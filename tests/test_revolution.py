@@ -98,6 +98,14 @@ class TestScaleFree:
         assert ball.d == r and lens.d == pytest.approx(r * math.sqrt(0.75), rel=1e-15)
         assert ball.z[0] == pytest.approx(r, rel=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(r=SCALES)
+    def test_ball_has_no_atoms(self, r):
+        """The atom floor scales with the body's surface mass, so rounding
+        near the axis splits no atom off the ball at any radius."""
+        body = fixtures.Ball(r).body(8193)
+        assert convex.surface_area_measure_zonal(body, MINKOWSKI_EDGES).atoms == []
+
     def test_ball_at_one_micron(self):
         assert fixtures.Ball(1e-6).body().rho.size == 4097
 
@@ -275,5 +283,5 @@ class TestFixtureGeometry:
         assert np.max(np.abs(np.linalg.norm(pts - centers, axis=1) - 1.0)) < 1e-12
 
     def test_ellipsoid_radii_oracle_sphere(self):
-        r = fixtures.ellipsoid_radii_oracle([2.0, 2.0, 2.0], np.array([0.0, 0.0, 1.0]))
+        r = oracles.ellipsoid_radii_oracle([2.0, 2.0, 2.0], np.array([0.0, 0.0, 1.0]))
         assert_allclose(r, [2.0, 2.0], atol=1e-12)

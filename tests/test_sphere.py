@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zonotools import sphere
+from zonotools import harmonics, sphere
 
 import oracles
 
@@ -46,9 +46,10 @@ class TestBuildGrid:
 
     def test_rings_share_colatitude_and_weight(self):
         g = sphere.build_grid(8, 17)
-        for i, ring in enumerate(g.rings):
-            assert_allclose(g.nodes[ring, 2], g.cos_theta[i], atol=1e-15)
-            assert np.all(g.weights[ring] == g.ring_weight[i])
+        z, w = g.ring_view(g.nodes[:, 2]), g.ring_view(g.weights)
+        for i in range(g.n_theta):
+            assert_allclose(z[i], g.cos_theta[i], atol=1e-15)
+            assert np.all(w[i] == g.ring_weight[i])
 
     def test_minimal_grid_degree_three_exact(self):
         g = sphere.build_grid(2, 4)
@@ -211,18 +212,20 @@ class TestCap:
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1)) < 1e-12
 
 
+#: a_3, the constant density whose zonoid is the unit ball: the reciprocal
+#: of the sphere integral of |x_1|.
+A3 = 1.0 / (2.0 * math.pi)
+
+
 class TestDimensionConstants:
     def test_a3(self):
-        assert abs(sphere.DIM3.a_n - 1.0 / (2.0 * math.pi)) < 1e-12
-
-    def test_omega(self):
-        assert abs(sphere.DIM3.omega_n - 4.0 * math.pi / 3.0) < 1e-14
-        assert abs(sphere.DIM3.omega_n_minus_1 - math.pi) < 1e-14
+        # the cosine transform of the constant a_3 is the unit ball's h = 1
+        assert abs(harmonics.multiplier_table("cosine", 0)[0] * A3 - 1.0) < 1e-15
 
     def test_a3_matches_quadrature(self, small_grid):
         val = sphere.integrate(small_grid, np.abs(small_grid.nodes[:, 0]))
         # the |x1| integrand is kink-limited on the product grid
-        assert abs(1.0 / val - sphere.DIM3.a_n) < 1e-3 * sphere.DIM3.a_n
+        assert abs(1.0 / val - A3) < 1e-3 * A3
 
 
 class TestCsv:

@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 
 import numpy as np
@@ -21,16 +20,10 @@ class TestSphericalFunction:
         with pytest.raises(ValueError):
             transforms.SphericalFunction(grid=small_grid, values=np.ones(5))
 
-    def test_parity_flag_checked(self, small_grid):
-        with pytest.raises(ValueError, match="parity"):
-            transforms.SphericalFunction(
-                grid=small_grid, values=np.ones(small_grid.n_nodes), parity="both"
-            )
-
     def test_even_parity_defect(self, small_grid):
+        # an even function agrees with itself under the antipodal node map
         vals = small_grid.nodes[:, 0] ** 2
-        f = transforms.SphericalFunction(grid=small_grid, values=vals, parity="even")
-        assert f.parity_defect() < 1e-15
+        assert np.max(np.abs(vals - vals[small_grid.antipode_index()])) < 1e-15
 
     def test_evaluate_needs_coeffs(self, small_grid):
         f = transforms.SphericalFunction(grid=small_grid, values=np.ones(small_grid.n_nodes))
@@ -46,7 +39,6 @@ class TestCosineTransform:
     def test_constant_density(self, grid):
         one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes))
         out = transforms.cosine_transform(one.with_coeffs(8))
-        assert out.parity == "even"
         assert np.max(np.abs(out.values - 2 * math.pi)) < 1e-12
 
     def test_odd_input_vanishes(self, grid):
@@ -75,7 +67,7 @@ class TestCosineTransform:
         # accurate-quadrature oracle vs the multiplier route: dual check
         rng = np.random.default_rng(2)
         c = random_even_coeffs(24, rng)
-        f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+        f = transforms.SphericalFunction.from_coeffs(grid, c)
         targets = random_unit(rng, 12)
         quad = oracles.cosine_transform_quadrature(f, targets)
         prod = transforms.cosine_transform(f).evaluate(targets)
@@ -93,7 +85,7 @@ class TestFunkTransform:
     def test_degree_two_zonal_multiplier(self, small_grid):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(2, 0, 1.0)
-        f = transforms.SphericalFunction.from_coeffs(small_grid, c, parity="even")
+        f = transforms.SphericalFunction.from_coeffs(small_grid, c)
         out = transforms.funk_transform(f)
         assert np.max(np.abs(out.values + math.pi * f.values)) < 1e-12
 
@@ -101,7 +93,7 @@ class TestFunkTransform:
         c = harmonics.HarmonicCoeffs.zeros(3)
         c.set(1, 0, 1.0)
         c.set(3, 2, 0.5)
-        f = transforms.SphericalFunction.from_coeffs(small_grid, c, parity="odd")
+        f = transforms.SphericalFunction.from_coeffs(small_grid, c)
         out = transforms.funk_transform(f)
         assert np.max(np.abs(out.values)) < 1e-13
 
@@ -113,7 +105,7 @@ class TestFunkTransform:
     def test_matches_spectral_route(self, grid):
         rng = np.random.default_rng(4)
         c = random_even_coeffs(24, rng)
-        f = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+        f = transforms.SphericalFunction.from_coeffs(grid, c)
         targets = random_unit(rng, 10)
         quad = oracles.funk_transform_at(f, targets, m=128)
         prod = transforms.funk_transform(f).evaluate(targets)
@@ -203,12 +195,6 @@ class TestSectionIsotropy:
         assert mass == transforms.circle_fourier_mass(f, u, m=64)
         with pytest.raises(ValueError, match="64 circle samples"):
             transforms.section_isotropy_tensor(f, u, m=64, values=vals[:-1])
-
-    def test_json_payload(self):
-        rep = transforms.section_isotropy_tensor(lambda p: np.ones(len(p)), E3)
-        data = json.loads(rep.to_json())
-        assert set(data) == {"u", "T", "trace", "deviation"}
-        assert len(data["T"]) == 3
 
 
 _cached_grid = functools.lru_cache(maxsize=None)(sphere.build_grid)

@@ -76,7 +76,7 @@ def _oracle_design_plateau(cap_u, cap_v, L, design_grid, levels=(1.0, 2.0, 3.0),
     target = np.asarray(levels)[which]
     sw = np.sqrt(wts)
     ls = np.array([l for l, _ in even_lm])
-    lam = harmonics.multiplier_table("cosine", L).lam
+    lam = harmonics.multiplier_table("cosine", L)
     A = np.vstack([
         sw[:, None] * Bval,
         sw[:, None] * Bfunk,
@@ -117,8 +117,8 @@ class TestCalibration:
 class TestMakeZonoid:
     def test_reference_density_gives_unit_ball(self, grid):
         c = harmonics.HarmonicCoeffs.zeros(8)
-        c.set(0, 0, sphere.DIM3.a_n * math.sqrt(4 * math.pi))
-        g = transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+        c.set(0, 0, 1.0 / (2.0 * math.pi) * math.sqrt(4 * math.pi))
+        g = transforms.SphericalFunction.from_coeffs(grid, c)
         spec = zonoid.make_zonoid(g)
         assert np.max(np.abs(spec.h.values - 1.0)) < 1e-12
         assert spec.h.min_radius > 0.99
@@ -130,12 +130,11 @@ class TestMakeZonoid:
         g = transforms.SphericalFunction.from_coeffs(grid, c)
         spec = zonoid.make_zonoid(g)
         assert spec.g.coeffs.get(1, 0) == 0.0
-        assert spec.g.parity == "even"
 
     def test_even_density_synthesizes_only_to_drop_odd_content(self, grid):
         g = random_density(grid, 6, np.random.default_rng(3))
         even = zonoid.even_density(g)
-        assert even.values is g.values and even.parity == "even"
+        assert even.values is g.values
         c = g.coeffs.copy()
         c.set(3, 1, 0.2)
         odd = transforms.SphericalFunction.from_coeffs(grid, c)
@@ -155,7 +154,7 @@ class TestMakeZonoid:
         spec = zonoid.make_zonoid(g)
         targets = random_unit(np.random.default_rng(1), 8)
         quad = oracles.cosine_transform_quadrature(spec.g, targets)
-        stored = spec.h.evaluate(targets)
+        stored = harmonics.synthesize_points(spec.h.coeffs, targets)
         assert np.max(np.abs(quad - stored)) < 1e-9
 
 
@@ -164,12 +163,13 @@ class TestWeilDensity:
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(0, 0, 0.7 * math.sqrt(4 * math.pi))
         spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+            transforms.SphericalFunction.from_coeffs(grid, c)
         )
         u = random_unit(np.random.default_rng(2))
         # g ≡ c generates the ball of radius 2 pi c
-        assert abs(zonoid.weil_density(spec, u, 1) - 2 * math.pi * 0.7) < 1e-12
-        assert abs(zonoid.weil_density(spec, u, 2) - (2 * math.pi * 0.7) ** 2) < 1e-10
+        rep = zonoid.isotropy_gap_report(spec, u)
+        assert abs(rep["f1"] - 2 * math.pi * 0.7) < 1e-12
+        assert abs(rep["f2"] - (2 * math.pi * 0.7) ** 2) < 1e-10
 
     def test_first_density_equals_funk_transform(self, grid):
         # unit proportionality between the one-factor density and the
@@ -180,7 +180,7 @@ class TestWeilDensity:
             g = random_density(grid, 16, np.random.default_rng(seed))
             spec = zonoid.make_zonoid(g)
             for u in random_unit(rng, 5):
-                f1 = zonoid.weil_density(spec, u, 1)
+                f1 = zonoid.isotropy_gap_report(spec, u)["f1"]
                 funk = oracles.funk_transform_at(spec.g, u)
                 worst = max(worst, abs(f1 - funk))
         assert worst < 1e-7
@@ -192,17 +192,13 @@ class TestWeilDensity:
             g = random_density(grid, 16, np.random.default_rng(100 + seed))
             spec = zonoid.make_zonoid(g)
             for u in random_unit(rng, 4):
+                rep = zonoid.isotropy_gap_report(spec, u)
                 worst = max(
                     worst,
-                    abs(zonoid.weil_density(spec, u, 1) - convex.area_density(spec.h, u, 1)),
-                    abs(zonoid.weil_density(spec, u, 2) - convex.area_density(spec.h, u, 2)),
+                    abs(rep["f1"] - oracles.area_density(spec.h, u, 1)),
+                    abs(rep["f2"] - oracles.area_density(spec.h, u, 2)),
                 )
         assert worst < 1e-6
-
-    def test_bad_order(self, grid):
-        g = random_density(grid, 8, np.random.default_rng(5))
-        with pytest.raises(ValueError):
-            zonoid.weil_density(zonoid.make_zonoid(g), E3, 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -215,7 +211,8 @@ def test_closed_form_densities_match_kernel_oracle(small_grid, L, m, seed):
     rng = np.random.default_rng(seed)
     spec = zonoid.make_zonoid(random_density(small_grid, L, rng))
     u = random_unit(rng)
-    f1, f2 = (zonoid.weil_density(spec, u, j, m) for j in (1, 2))
+    rep = zonoid.isotropy_gap_report(spec, u, m=m)
+    f1, f2 = rep["f1"], rep["f2"]
     o1, o2 = oracles.weil_densities_kernel(
         spec.g.evaluate(sphere.great_circle(u, m).nodes)
     )
@@ -228,7 +225,7 @@ class TestIsotropyGapReport:
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(0, 0, math.sqrt(4 * math.pi))
         spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+            transforms.SphericalFunction.from_coeffs(grid, c)
         )
         rep = zonoid.isotropy_gap_report(spec, random_unit(np.random.default_rng(6)))
         assert rep["dev"] < 1e-14
@@ -248,7 +245,7 @@ class TestIsotropyGapReport:
         c.set(0, 0, 2.0 * math.sqrt(4 * math.pi))
         c.set(2, 2, 1.0)
         spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+            transforms.SphericalFunction.from_coeffs(grid, c)
         )
         rep = zonoid.isotropy_gap_report(spec, E3)
         assert rep["dev"] > 1e-3
@@ -260,8 +257,8 @@ class TestIsotropyGapReport:
         u = random_unit(np.random.default_rng(10))
         rep = zonoid.isotropy_gap_report(spec, u, m=128)
         assert rep["dev"] == transforms.section_isotropy_tensor(spec.g, u, m=128).deviation
-        assert rep["f1"] == zonoid.weil_density(spec, u, 1, 128)
-        assert rep["f2"] == zonoid.weil_density(spec, u, 2, 128)
+        f1, f2 = zonoid._weil_densities(spec.g.evaluate(sphere.great_circle(u, 128).nodes))
+        assert rep["f1"] == f1 and rep["f2"] == f2
         assert rep["mass"] == transforms.circle_fourier_mass(spec.g, u, degree=2, m=128)
 
     @pytest.fixture(scope="class")
@@ -424,7 +421,7 @@ class TestPlateauDesign:
         big = [sphere.Cap(c.center, max(c.height - 0.01, 0.5)) for c in caps]
         rows = zonoid._DesignRows(sphere.build_grid(*self.GRID), big, self.L, anisotropy_caps=(0, 1))
         V = rows.value_rows(slice(None))
-        lam = harmonics.multiplier_table("cosine", self.L).lam
+        lam = harmonics.multiplier_table("cosine", self.L)
         AT = np.hstack([
             V,
             V * rows.funk[:, None],
@@ -599,7 +596,7 @@ class TestRigidity:
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(0, 0, 1.3 * math.sqrt(4 * math.pi))
         spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+            transforms.SphericalFunction.from_coeffs(grid, c)
         )
         rep = zonoid.verify_local_rigidity(spec, cap_u)
         assert abs(rep.c - 2 * math.pi * 1.3) < 1e-10
@@ -615,7 +612,7 @@ class TestRigidity:
         if vals.min() <= 0:
             c.set(0, 0, c.get(0, 0) + (abs(vals.min()) + 0.1) * math.sqrt(4 * math.pi))
         spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+            transforms.SphericalFunction.from_coeffs(grid, c)
         )
         rep = zonoid.verify_local_rigidity(spec, cap_v)
         assert rep.affine_residual > 1e-4
@@ -627,7 +624,7 @@ class TestRigidity:
         c = harmonics.HarmonicCoeffs.zeros(2)
         c.set(0, 0, math.sqrt(4 * math.pi))
         spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c, parity="even")
+            transforms.SphericalFunction.from_coeffs(grid, c)
         )
         rep = zonoid.verify_local_rigidity(spec, cap_u)
         data = json.loads(rep.to_json())
