@@ -27,8 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from zonotools import sphere
-
 #: Hard ceiling for inverse transforms; beyond this the cosine multipliers
 #: (decaying like l^(-5/2)) push the inversion conditioning past ~1e5.
 INVERSION_MAX_DEGREE = 64
@@ -183,10 +181,10 @@ def _legendre_rows(L, t):
     """Yield Q_{l,m}(t) for l = 0, 1, ..., L, one degree at a time.
 
     Each yielded array has shape (L+1, len(t)) and is indexed by order m;
-    entries with m > l are zero.  The degree recurrence keeps only two live
-    rows, vectorized over order and evaluation points, so memory stays
+    entries with m > l are zero.  The degree recurrence keeps three rows,
+    vectorized over order and evaluation points, so memory stays
     proportional to (L+1) x len(t).  The yielded array is a work buffer that
-    the recurrence overwrites two degrees later: copy it to keep it.
+    the recurrence overwrites in the next two degrees: copy it to keep it.
     """
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
@@ -194,7 +192,6 @@ def _legendre_rows(L, t):
     prev = np.zeros((L + 1, t.size))  # Q_{l-1, m}
     cur = np.zeros((L + 1, t.size))   # Q_{l, m}
     nxt = np.zeros((L + 1, t.size))
-    work = np.empty((L + 1, t.size))
     cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
     yield cur
     for l in range(1, L + 1):
@@ -204,8 +201,8 @@ def _legendre_rows(L, t):
             k = l - 1
             np.multiply(a[l, :k, None], t, out=nxt[:k])
             nxt[:k] *= cur[:k]
-            np.multiply(b[l, :k, None], prev[:k], out=work[:k])
-            nxt[:k] -= work[:k]
+            prev[:k] *= b[l, :k, None]  # Q_{l-2} is not read again
+            nxt[:k] -= prev[:k]
         prev, cur, nxt = cur, nxt, prev
         yield cur
 
@@ -363,25 +360,41 @@ def analyze(grid, values, L):
     return HarmonicCoeffs.from_split_orders(Ac, As)
 
 
-def _synthesize_on(coeffs, t, phi):
-    """Evaluate at points given by cos(colatitude) and longitude arrays.
+def _synthesize_on(Ac, As, t, phi):
+    """Evaluate S expansions, each at its own n points: the one kernel of
+    point synthesis.
 
-    Consumes the Legendre rows as the recurrence produces them, so the
-    memory traffic stays proportional to (L+1) x n_points.
+    ``Ac``, ``As`` are the split-order tables of the expansions, shape
+    (S, L+1, L+1); ``t`` and ``phi`` hold cos(colatitude) and longitude of
+    S * n points grouped per expansion, expansion s owning points
+    s*n ... s*n + n - 1.  Consumes the Legendre rows as the recurrence
+    produces them and forms the longitude products in place, so memory
+    stays at six (L+1) x S*n arrays.  Every operation is elementwise per
+    point or a sum over orders, so a point's value does not depend on S or
+    on the other points, except that a call with one point in all sums its
+    orders in another (pairwise) order.
     """
-    L = coeffs.L
-    Ac, As = coeffs.split_orders()
-    Bc = np.zeros((L + 1, t.size))
-    Bs = np.zeros((L + 1, t.size))
-    work = np.empty((L + 1, t.size))
+    S, L = Ac.shape[0], Ac.shape[1] - 1
+    n = t.size // S
+    Bc = np.zeros((L + 1, S, n))
+    Bs = np.zeros((L + 1, S, n))
+    work = np.empty((L + 1, S, n))
     for l, row in enumerate(_legendre_rows(L, t)):
         k = l + 1
-        np.multiply(Ac[l, :k, None], row[:k], out=work[:k])
+        rows = row[:k].reshape(k, S, n)
+        np.multiply(Ac[:, l, :k].T[:, :, None], rows, out=work[:k])
         Bc[:k] += work[:k]
-        np.multiply(As[l, :k, None], row[:k], out=work[:k])
+        np.multiply(As[:, l, :k].T[:, :, None], rows, out=work[:k])
         Bs[:k] += work[:k]
-    cosm, sinm = _phi_tables(L, phi)
-    return np.sum(Bc * cosm, axis=0) + np.sum(Bs * sinm, axis=0)
+    Bc, Bs, angle = (x.reshape(L + 1, S * n) for x in (Bc, Bs, work))
+    np.multiply(np.arange(L + 1)[:, None], phi, out=angle)
+    trig = np.cos(angle)
+    Bc *= trig
+    np.sin(angle, out=trig)
+    Bs *= trig
+    out = np.sum(Bc, axis=0)
+    out += np.sum(Bs, axis=0)
+    return out
 
 
 def synthesize_grid(coeffs, grid):
@@ -395,29 +408,56 @@ def synthesize_grid(coeffs, grid):
     return V.reshape(-1)
 
 
+def _angles(points):
+    """cos(colatitude) and longitude of (N, 3) unit vectors."""
+    return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
+
+
 def synthesize_points(coeffs, points, chunk=8192):
     """Evaluate the expansion at arbitrary unit vectors.
 
     Serves as the interpolation rule for circle quadrature and rotated
-    resampling; exact for band-limited functions.
+    resampling; exact for band-limited functions.  The kernel's S = 1
+    case, ``chunk`` points per call.
     """
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
     pts = np.atleast_2d(points)
+    Ac, As = coeffs.split_orders()
+    Ac, As = Ac[None], As[None]
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], chunk):
-        p = pts[start : start + chunk]
-        t = np.clip(p[:, 2], -1.0, 1.0)
-        phi = np.arctan2(p[:, 1], p[:, 0])
-        out[start : start + chunk] = _synthesize_on(coeffs, t, phi)
+        out[start : start + chunk] = _synthesize_on(Ac, As, *_angles(pts[start : start + chunk]))
     return float(out[0]) if single else out
 
 
-def synthesize(coeffs, target):
-    """Evaluate an expansion on a grid or at explicit points."""
-    if isinstance(target, sphere.SphericalGrid):
-        return synthesize_grid(coeffs, target)
-    return synthesize_points(coeffs, target)
+#: Points per kernel call of synthesize_stacked.
+STACK_CHUNK = 2048
+
+
+def synthesize_stacked(coeffs, points):
+    """Evaluate S expansions of one band limit, expansion s at ``points[s]``.
+
+    ``coeffs`` is a sequence of S HarmonicCoeffs and ``points`` an
+    (S, n, 3) array of unit vectors; returns the (S, n) values.  Whole
+    expansions go to the kernel together, about STACK_CHUNK points per
+    call, and each value is bitwise equal to synthesize_points(coeffs[s],
+    points[s]) for 2 <= n <= 8192.
+    """
+    points = np.asarray(points, dtype=float)
+    S, n = points.shape[:2]
+    if len(coeffs) != S:
+        raise ValueError(f"{len(coeffs)} expansions for {S} point sets")
+    tables = [c.split_orders() for c in coeffs]
+    Ac = np.stack([t[0] for t in tables])
+    As = np.stack([t[1] for t in tables])
+    per_call = max(1, STACK_CHUNK // max(n, 1))
+    out = np.empty((S, n))
+    for a in range(0, S, per_call):
+        b = min(S, a + per_call)
+        vals = _synthesize_on(Ac[a:b], As[a:b], *_angles(points[a:b].reshape(-1, 3)))
+        out[a:b] = vals.reshape(b - a, n)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -172,7 +172,10 @@ class GreatCircle:
 
     The trapezoidal weight 2*pi/m per node is spectrally accurate for
     smooth periodic integrands, and exact for trigonometric polynomials of
-    degree < m in the circle angle.
+    degree < m in the circle angle.  ``normal`` may also be an (S, 3)
+    stack of unit vectors; the frame vectors then stack the same way and
+    ``nodes`` holds the S circles, each node bitwise equal to the one its
+    circle gets on its own.
     """
 
     normal: np.ndarray
@@ -183,36 +186,20 @@ class GreatCircle:
 
     @property
     def nodes(self):
-        c, s = np.cos(self.angles), np.sin(self.angles)
-        return np.outer(c, self.eps1) + np.outer(s, self.eps2)
+        """(m, 3) node array, or (S, m, 3) for S stacked normals."""
+        c, s = np.cos(self.angles)[:, None], np.sin(self.angles)[:, None]
+        return c * self.eps1[..., None, :] + s * self.eps2[..., None, :]
 
 
 def great_circle(u, m=256):
-    """Great circle S^2 ∩ u-perp with m equispaced quadrature nodes."""
+    """Great circle S^2 ∩ u-perp with m equispaced quadrature nodes; ``u``
+    is one unit vector or an (S, 3) stack of them (S circles)."""
     if m < 8:
         raise ValueError(f"need at least 8 circle nodes, got {m}")
     u = np.asarray(u, dtype=float)
     eps1, eps2 = tangent_basis(u)  # rejects a normal that is not a unit vector
     angles = 2.0 * np.pi * np.arange(m) / m
     return GreatCircle(normal=u, eps1=eps1, eps2=eps2, m=m, angles=angles)
-
-
-def _as_evaluator(g):
-    """Turn g into a callable on (M, 3) unit vectors.
-
-    Accepts a callable directly, or any object with an ``evaluate`` method
-    (a spherical function carrying a harmonic expansion).  Objects holding
-    only grid samples cannot be evaluated off-grid and are rejected.
-    """
-    if callable(g):
-        return g
-    evaluate = getattr(g, "evaluate", None)
-    if evaluate is not None:
-        return evaluate
-    raise ValueError(
-        "integrand has grid samples only and no evaluation rule; "
-        "attach a harmonic expansion first"
-    )
 
 
 @dataclass(frozen=True)
@@ -262,42 +249,83 @@ class Cap:
         )
 
 
+CSV_HEADER = "theta,phi,weight,value"
+
+#: Rows that grid_from_csv parses with one numpy call.
+CSV_BLOCK_ROWS = 2048
+
+
 def grid_to_csv(path, grid, values):
-    """Dump node samples as CSV with header theta,phi,weight,value."""
+    """Dump node samples as CSV with header theta,phi,weight,value.
+
+    Every number is written with 17 significant digits, so the floats read
+    back exactly.  Each ring is written by one call: its text is a
+    %-template that holds theta and the weight, formatted once per ring,
+    and phi, formatted once per longitude, so only the values are
+    formatted per node.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError("value column must match the grid size")
-    theta = np.repeat(grid.theta, grid.n_phi)
-    phi = np.tile(grid.phi, grid.n_theta)
+    phi = [f"{p:.17g}" for p in grid.phi]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,phi,weight,value\n")
-        for th, ph, w, v in zip(theta, phi, grid.weights, values):
-            fh.write(f"{th:.17g},{ph:.17g},{w:.17g},{v:.17g}\n")
+        fh.write(CSV_HEADER + "\n")
+        for th, w, ring in zip(grid.theta, grid.ring_weight, grid.ring_view(values)):
+            head, tail = f"{th:.17g},", f",{w:.17g},%.17g\n"
+            fh.write((head + (tail + head).join(phi) + tail) % tuple(ring.tolist()))
 
 
 def grid_from_csv(path, grid):
-    """Read a value column dumped by grid_to_csv, validating the layout."""
-    values = np.empty(grid.n_nodes)
+    """Read a value column dumped by grid_to_csv, validating the layout.
+
+    Every row must hold four finite floats, its theta and phi within 1e-9
+    of its grid node; the rows are checked CSV_BLOCK_ROWS at a time with
+    array compares.  A block that fails is walked line by line, so the
+    ValueError names the first offending line of the file.
+    """
     theta = np.repeat(grid.theta, grid.n_phi)
     phi = np.tile(grid.phi, grid.n_theta)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "theta,phi,weight,value":
-            raise ValueError(f"line 1: expected header theta,phi,weight,value, got {header!r}")
-        for k in range(grid.n_nodes):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"line {k + 2}: unexpected end of file")
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {k + 2}: expected 4 columns, got {len(parts)}")
-            try:
-                th, ph, _w, v = (float(p) for p in parts)
-            except ValueError as exc:
-                raise ValueError(f"line {k + 2}: {exc}") from None
-            if abs(th - theta[k]) > 1e-9 or abs(ph - phi[k]) > 1e-9:
-                raise ValueError(f"line {k + 2}: node does not match the grid layout")
-            values[k] = v
-        if fh.readline():
-            raise ValueError(f"line {grid.n_nodes + 2}: trailing data after grid rows")
+        if header != CSV_HEADER:
+            raise ValueError(f"line 1: expected header {CSV_HEADER}, got {header!r}")
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last row
+    values = np.empty(grid.n_nodes)
+    rows = lines[: grid.n_nodes]
+    for a in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[a : a + CSV_BLOCK_ROWS]
+        b = a + len(block)
+        try:
+            cells = np.array([line.split(",") for line in block], dtype=float)
+        except ValueError:  # a ragged block or a cell that is not a float
+            cells = None
+        if (
+            cells is not None
+            and cells.shape == (len(block), 4)
+            and np.all(np.isfinite(cells))
+            and np.all(np.abs(cells[:, 0] - theta[a:b]) <= 1e-9)
+            and np.all(np.abs(cells[:, 1] - phi[a:b]) <= 1e-9)
+        ):
+            values[a:b] = cells[:, 3]
+        else:  # walk the block; its first offending line raises
+            for k, line in enumerate(block, start=a):
+                parts = line.strip().split(",")
+                if len(parts) != 4:
+                    raise ValueError(f"line {k + 2}: expected 4 columns, got {len(parts)}")
+                try:
+                    row = [float(p) for p in parts]
+                except ValueError as exc:
+                    raise ValueError(f"line {k + 2}: {exc}") from None
+                for name, cell, text in zip(CSV_HEADER.split(","), row, parts):
+                    if not math.isfinite(cell):
+                        raise ValueError(f"line {k + 2}: {name} is not finite ({text.strip()!r})")
+                if abs(row[0] - theta[k]) > 1e-9 or abs(row[1] - phi[k]) > 1e-9:
+                    raise ValueError(f"line {k + 2}: node does not match the grid layout")
+                values[k] = row[3]
+    if len(lines) < grid.n_nodes:
+        raise ValueError(f"line {len(lines) + 2}: unexpected end of file")
+    if len(lines) > grid.n_nodes:
+        raise ValueError(f"line {grid.n_nodes + 2}: trailing data after grid rows")
     return values

@@ -39,15 +39,6 @@ class SphericalFunction:
     def from_coeffs(cls, grid, coeffs):
         return cls(grid=grid, values=harmonics.synthesize_grid(coeffs, grid), coeffs=coeffs)
 
-    def evaluate(self, points):
-        """Pointwise values via harmonic synthesis; needs the expansion."""
-        if self.coeffs is None:
-            raise ValueError(
-                "spherical function has grid samples only and no evaluation "
-                "rule; call with_coeffs(L) first"
-            )
-        return harmonics.synthesize(self.coeffs, points)
-
     def with_coeffs(self, L):
         """Attach the band-L analysis (returns a new function object)."""
         return SphericalFunction(
@@ -113,15 +104,20 @@ class IsotropyReport:
     deviation: float
 
 
-def circle_values(g, u, m=256):
-    """g at the m nodes of the great circle u-perp (``great_circle(u, m)``)."""
-    circle = sphere.great_circle(np.asarray(u, dtype=float), m)
-    return np.asarray(sphere._as_evaluator(g)(circle.nodes), dtype=float)
-
-
 def _given_or_sampled(g, u, m, values):
+    """The m samples of g on the great circle u-perp (``great_circle(u, m)``):
+    ``values`` when the caller has them, checked for shape; otherwise g
+    called on the nodes, or g's harmonic expansion synthesized there."""
     if values is None:
-        return circle_values(g, u, m)
+        nodes = sphere.great_circle(u, m).nodes
+        if callable(g):
+            return np.asarray(g(nodes), dtype=float)
+        if g.coeffs is None:
+            raise ValueError(
+                "circle samples need an evaluation rule: a callable, or a "
+                "function with coefficients (call with_coeffs(L) first)"
+            )
+        return harmonics.synthesize_points(g.coeffs, nodes)
     values = np.asarray(values, dtype=float)
     if values.shape != (m,):
         raise ValueError(f"expected {m} circle samples, got shape {values.shape}")
@@ -131,8 +127,8 @@ def _given_or_sampled(g, u, m, values):
 def section_isotropy_tensor(g, u, m=256, values=None):
     """Second-moment tensor of g restricted to the great circle u-perp.
 
-    ``values`` are the samples circle_values(g, u, m), when the caller
-    already has them.
+    ``values`` are the samples of g on the circle's m nodes, when the
+    caller already has them; g is then not read.
     """
     u = np.asarray(u, dtype=float)
     vals = _given_or_sampled(g, u, m, values)
@@ -154,7 +150,8 @@ def circle_fourier_mass(g, u, degree=2, m=256, values=None):
 
     Brute-force FFT oracle: returns A^2 + B^2 with A, B the unnormalized
     cos/sin moments int g cos(k a) da, int g sin(k a) da.  ``values`` are
-    the samples circle_values(g, u, m), when the caller already has them.
+    the samples of g on the circle's m nodes, when the caller already has
+    them; g is then not read.
     """
     vals = _given_or_sampled(g, u, m, values)
     spec = np.fft.rfft(vals)

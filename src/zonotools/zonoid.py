@@ -146,7 +146,7 @@ def make_zonoid(g):
     return ZonoidSpec(g=g_even, h=h)
 
 
-def isotropy_gap_report(g, u, m=256, eps=1e-30):
+def isotropy_gap_report(g, u, m=256, eps=1e-30, values=None):
     """Pointwise witness tying section isotropy to the area-density gap.
 
     ``g`` is the even density (``even_density``), or a zonoid built from
@@ -158,11 +158,14 @@ def isotropy_gap_report(g, u, m=256, eps=1e-30):
     the relative gap |f1^2 - f2| / max(f2, eps).  The deviation and the
     gap vanish together, and f1^2 - f2 equals the squared second-order
     Fourier mass of g on the circle, which the FFT route gives as ``mass``.
-    g is sampled on the circle once, and every quantity reads those samples.
+    g is sampled on the circle once, and every quantity reads those
+    samples; ``values`` are those samples when the caller already has
+    them (g on the nodes of ``great_circle(u, m)``), and g is then not
+    read.
     """
     if isinstance(g, ZonoidSpec):
         g = g.g
-    vals = transforms.circle_values(g, u, m)
+    vals = transforms._given_or_sampled(g, u, m, values)
     dev = transforms.section_isotropy_tensor(g, u, m=m, values=vals).deviation
     f1, f2 = _weil_densities(vals)
     mass = transforms.circle_fourier_mass(g, u, degree=2, m=m, values=vals)
@@ -661,7 +664,7 @@ def counterexample_assertions(result, rng, tolerances, n_samples=50, m=256):
     samples = result.cap_u.sample(n_samples, rng)
     # every sampled circle from one synthesis call; chunks of 2048 points
     # keep its buffers, and so the peak RSS, near the per-circle route's
-    nodes = np.concatenate([sphere.great_circle(u, m).nodes for u in samples])
+    nodes = sphere.great_circle(samples, m).nodes.reshape(-1, 3)
     values = harmonics.synthesize_points(g.coeffs, nodes, chunk=2048)
     values = values.reshape(n_samples, m)
     devs = [

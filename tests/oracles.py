@@ -9,8 +9,9 @@ function's grid partials contracted once per partial, the order matrices
 of a coefficient table repacked through index arrays built anew per call,
 the radii matrix, boundary point and area densities at one direction from
 derivatives along great circles, the Laplacian route to the first area
-density, and an ellipsoid's radii from the shape operator of its implicit
-surface.  None of them is reached from the package.
+density, an ellipsoid's radii from the shape operator of its implicit
+surface, and the grid CSV written node by node.  None of them is reached
+from the package.
 """
 
 import math
@@ -22,11 +23,33 @@ from zonotools import harmonics, sphere, zonoid
 from zonotools.convex import support
 
 
+def _as_evaluator(g):
+    """g as a callable on (M, 3) unit vectors: g itself when callable, else
+    point synthesis of its harmonic expansion."""
+    if callable(g):
+        return g
+    if getattr(g, "coeffs", None) is None:
+        raise ValueError("integrand has grid samples only and no evaluation rule")
+    return lambda points: harmonics.synthesize_points(g.coeffs, points)
+
+
+def grid_to_csv_per_node(path, grid, values):
+    """The grid CSV written one node at a time, each of the four numbers
+    formatted per node; checks the ring-wise ``sphere.grid_to_csv``."""
+    values = np.asarray(values, dtype=float)
+    theta = np.repeat(grid.theta, grid.n_phi)
+    phi = np.tile(grid.phi, grid.n_theta)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("theta,phi,weight,value\n")
+        for th, ph, w, v in zip(theta, phi, grid.weights, values):
+            fh.write(f"{th:.17g},{ph:.17g},{w:.17g},{v:.17g}\n")
+
+
 def circle_integrate(g, circle):
     """Quadrature of g over a great circle (H^1 line measure), with the
     trapezoidal weight 2 pi / m per node; checks the multiplier Funk
     transform through ``funk_transform_at``."""
-    values = np.asarray(sphere._as_evaluator(g)(circle.nodes), dtype=float)
+    values = np.asarray(_as_evaluator(g)(circle.nodes), dtype=float)
     return float(2.0 * np.pi / circle.m * np.sum(values))
 
 
@@ -52,7 +75,7 @@ def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):
     checks ``transforms.cosine_transform`` and the support of
     ``zonoid.make_zonoid``.
     """
-    eval_g = sphere._as_evaluator(g)
+    eval_g = _as_evaluator(g)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     x, w = np.polynomial.legendre.leggauss(n_t)
     th_hi = 0.25 * math.pi * (x + 1.0)            # (0, pi/2): cos > 0

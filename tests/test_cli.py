@@ -109,6 +109,20 @@ class TestTransformCommand:
         assert r.returncode == 3
         assert "line 2" in r.stderr
 
+    @pytest.mark.parametrize("which", ["cosine", "funk", "symmetrize"])
+    def test_non_finite_csv_exit_code(self, tmp_path, small_cfg, which):
+        # a nan and an inf value used to pass and fill the output with nan
+        g = sphere.build_grid(32, 64)
+        vals = np.ones(g.n_nodes)
+        vals[100], vals[1500] = math.nan, math.inf
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        sphere.grid_to_csv(src, g, vals)
+        r = run_cli("--config", str(small_cfg), "transform", "--which", which,
+                    "--input", str(src), "--output", str(dst))
+        assert r.returncode == 3
+        assert r.stderr.strip() == "input error: line 102: value is not finite ('nan')"
+        assert not dst.exists()
+
     @pytest.mark.parametrize("which", ["funk", "cosine"])
     def test_band_too_fine_for_grid_exit_code(self, tmp_path, which):
         # the default band 48 cannot be analyzed on a 32x64 grid

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_legendre, sph_harm_y
@@ -114,6 +114,35 @@ class TestAnalysisSynthesis:
     def test_grid_too_coarse(self, small_grid):
         with pytest.raises(ValueError, match="too coarse"):
             harmonics.analyze(small_grid, np.ones(small_grid.n_nodes), 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(0, 24),
+    m=st.sampled_from([8, 64, 256]),
+    S=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(L=12, m=256, S=37, seed=1)  # 37 circles: the last batch holds 5 of 8
+@example(L=24, m=8, S=40, seed=2)
+def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
+    """Each expansion of a stacked call gets bitwise the values of its own
+    synthesize_points call, whatever the batch it shares."""
+    rng = np.random.default_rng(seed)
+    coeffs = [harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2)) for _ in range(S)]
+    normals = rng.normal(size=(S, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    points = sphere.great_circle(normals, m).nodes
+    got = harmonics.synthesize_stacked(coeffs, points)
+    assert got.shape == (S, m)
+    for s in range(S):
+        assert np.array_equal(got[s], harmonics.synthesize_points(coeffs[s], points[s]))
+
+
+def test_stacked_synthesis_checks_its_pairing():
+    c = harmonics.HarmonicCoeffs.zeros(2)
+    with pytest.raises(ValueError, match="2 expansions for 3 point sets"):
+        harmonics.synthesize_stacked([c, c], np.tile([0.0, 0.0, 1.0], (3, 8, 1)))
 
 
 def test_recurrence_coefficients_cached_and_read_only():

@@ -171,6 +171,21 @@ class TestGreatCircle:
         c = sphere.great_circle(np.array([0.0, 0.0, 1.0]), 64)
         assert abs(oracles.circle_integrate(lambda p: p[:, 2], c)) < 1e-15
 
+    def test_stacked_normals_match_single_circles(self):
+        # near-polar normals take the other tangent-frame branch
+        rng = np.random.default_rng(4)
+        normals = rng.normal(size=(30, 3))
+        normals[:5, 2] = 40.0
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        stacked = sphere.great_circle(normals, 64).nodes
+        assert stacked.shape == (30, 64, 3)
+        angles = 2.0 * np.pi * np.arange(64) / 64
+        for k, u in enumerate(normals):
+            single = sphere.great_circle(u, 64)
+            assert np.array_equal(stacked[k], single.nodes)
+            outer = np.outer(np.cos(angles), single.eps1) + np.outer(np.sin(angles), single.eps2)
+            assert np.array_equal(single.nodes, outer)
+
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             sphere.great_circle(np.array([0.0, 0.0, 1.0]), 4)
@@ -228,6 +243,49 @@ class TestDimensionConstants:
         assert abs(1.0 / val - A3) < 1e-3 * A3
 
 
+def _csv_lines(path, grid, values):
+    sphere.grid_to_csv(path, grid, values)
+    return path.read_text().split("\n")
+
+
+def _set_cell(lines, line_no, column, text):
+    """Replace one cell of a file line (1-based, as the errors count)."""
+    cells = lines[line_no - 1].split(",")
+    cells[column] = text
+    lines[line_no - 1] = ",".join(cells)
+
+
+def _short_row(lines):
+    lines[4] = lines[4].rsplit(",", 1)[0]
+
+
+def _blank_line(lines):
+    lines.insert(99, "")
+    lines.pop(-2)
+
+
+def _truncated(lines):
+    del lines[3001:]
+
+
+def _trailing_data(lines):
+    lines.insert(-1, "x")
+
+
+def _trailing_blank_line(lines):
+    lines.insert(-1, "")
+
+
+def _node_then_bad_float(lines):
+    _set_cell(lines, 5, 1, "0.5")
+    _set_cell(lines, 3000, 3, "abc")
+
+
+def _bad_float_then_node(lines):
+    _set_cell(lines, 5, 3, "abc")
+    _set_cell(lines, 3000, 1, "0.5")
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path, small_grid):
         rng = np.random.default_rng(7)
@@ -236,6 +294,16 @@ class TestCsv:
         sphere.grid_to_csv(path, small_grid, vals)
         back = sphere.grid_from_csv(path, small_grid)
         assert np.array_equal(back, vals)
+
+    @pytest.mark.parametrize("shape", [(64, 128), (2, 4), (5, 7)])
+    def test_writer_matches_per_node_oracle(self, tmp_path, shape):
+        grid = sphere.build_grid(*shape)
+        rng = np.random.default_rng(11)
+        vals = rng.normal(size=grid.n_nodes) * 10.0 ** rng.integers(-300, 300, size=grid.n_nodes)
+        vals[:6] = [0.0, -0.0, 5e-324, -1.7976931348623157e308, math.nan, math.inf]
+        sphere.grid_to_csv(tmp_path / "rings.csv", grid, vals)
+        oracles.grid_to_csv_per_node(tmp_path / "nodes.csv", grid, vals)
+        assert (tmp_path / "rings.csv").read_bytes() == (tmp_path / "nodes.csv").read_bytes()
 
     def test_header_checked(self, tmp_path, small_grid):
         path = tmp_path / "bad.csv"
@@ -249,3 +317,55 @@ class TestCsv:
         path.write_text(f"theta,phi,weight,value\n{th:.17g},{ph:.17g},0.3,0.4\n")
         with pytest.raises(ValueError, match="line 3"):
             sphere.grid_from_csv(path, small_grid)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_short_row, "line 5: expected 4 columns, got 3"),
+        (lambda lines: _set_cell(lines, 3000, 3, "abc"),
+         "line 3000: could not convert string to float: 'abc'"),
+        (_blank_line, "line 100: expected 4 columns, got 1"),
+        (_truncated, "line 3002: unexpected end of file"),
+        (_trailing_data, "line 8194: trailing data after grid rows"),
+        (_trailing_blank_line, "line 8194: trailing data after grid rows"),
+        # the first offending line wins, also when the two errors fall in
+        # different parse blocks
+        (_node_then_bad_float, "line 5: node does not match the grid layout"),
+        (_bad_float_then_node, "line 5: could not convert string to float: 'abc'"),
+        (lambda lines: _set_cell(lines, 7, 3, "nan"), "line 7: value is not finite ('nan')"),
+        (lambda lines: _set_cell(lines, 2500, 3, "-inf"), "line 2500: value is not finite ('-inf')"),
+        (lambda lines: _set_cell(lines, 8193, 2, "inf"), "line 8193: weight is not finite ('inf')"),
+        # a NaN node passed the 1e-9 layout compare, which is false for NaN
+        (lambda lines: _set_cell(lines, 9, 0, "nan"), "line 9: theta is not finite ('nan')"),
+        (lambda lines: _set_cell(lines, 4100, 1, "NaN"), "line 4100: phi is not finite ('NaN')"),
+    ])
+    def test_malformed_file_names_first_bad_line(self, tmp_path, grid, edit, message):
+        assert (5 - 2) // sphere.CSV_BLOCK_ROWS != (3000 - 2) // sphere.CSV_BLOCK_ROWS
+        path = tmp_path / "bad.csv"
+        lines = _csv_lines(path, grid, np.ones(grid.n_nodes))
+        edit(lines)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            sphere.grid_from_csv(path, grid)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("tail, message", [
+        ("x\n", "line 37: trailing data after grid rows"),
+        ("\n", "line 37: trailing data after grid rows"),
+    ])
+    def test_trailing_data_after_a_partial_block(self, tmp_path, tail, message):
+        # 35 rows end inside the first parse block
+        grid = sphere.build_grid(5, 7)
+        path = tmp_path / "dump.csv"
+        sphere.grid_to_csv(path, grid, np.ones(grid.n_nodes))
+        path.write_text(path.read_text() + tail)
+        with pytest.raises(ValueError) as exc:
+            sphere.grid_from_csv(path, grid)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("newline, final", [("\r\n", True), ("\n", False), ("\r\n", False)])
+    def test_line_endings_accepted(self, tmp_path, grid, newline, final):
+        vals = np.random.default_rng(3).normal(size=grid.n_nodes)
+        path = tmp_path / "dump.csv"
+        lines = _csv_lines(path, grid, vals)
+        assert lines.pop() == ""
+        path.write_bytes((newline.join(lines) + (newline if final else "")).encode())
+        assert np.array_equal(sphere.grid_from_csv(path, grid), vals)

@@ -214,7 +214,7 @@ def test_closed_form_densities_match_kernel_oracle(small_grid, L, m, seed):
     rep = zonoid.isotropy_gap_report(spec, u, m=m)
     f1, f2 = rep["f1"], rep["f2"]
     o1, o2 = oracles.weil_densities_kernel(
-        spec.g.evaluate(sphere.great_circle(u, m).nodes)
+        harmonics.synthesize_points(spec.g.coeffs, sphere.great_circle(u, m).nodes)
     )
     assert abs(f1 - o1) <= 1e-12 * abs(o1)
     assert abs(f2 - o2) <= 1e-12 * abs(o2)
@@ -257,14 +257,19 @@ class TestIsotropyGapReport:
         u = random_unit(np.random.default_rng(10))
         rep = zonoid.isotropy_gap_report(spec, u, m=128)
         assert rep["dev"] == transforms.section_isotropy_tensor(spec.g, u, m=128).deviation
-        f1, f2 = zonoid._weil_densities(spec.g.evaluate(sphere.great_circle(u, 128).nodes))
+        given = harmonics.synthesize_points(spec.g.coeffs, sphere.great_circle(u, 128).nodes)
+        f1, f2 = zonoid._weil_densities(given)
         assert rep["f1"] == f1 and rep["f2"] == f2
         assert rep["mass"] == transforms.circle_fourier_mass(spec.g, u, degree=2, m=128)
+        assert zonoid.isotropy_gap_report(None, u, m=128, values=given) == rep
+        with pytest.raises(ValueError, match="128 circle samples"):
+            zonoid.isotropy_gap_report(None, u, m=128, values=given[:-1])
 
     @pytest.fixture(scope="class")
     def suite_calls(self):
         # one default suite run, counting the synthesis and support builds
-        calls = {"synthesize_points": 0, "synthesize_grid": 0, "from_coeffs": 0}
+        # and the points of every call into the point-synthesis kernel
+        calls = {"synthesize_grid": 0, "from_coeffs": 0, "kernel_points": []}
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
@@ -272,21 +277,30 @@ class TestIsotropyGapReport:
                 return real(*args, **kwargs)
             return wrapped
 
+        def kernel(real):
+            def wrapped(Ac, As, t, phi):
+                calls["kernel_points"].append(t.size)
+                return real(Ac, As, t, phi)
+            return wrapped
+
         with pytest.MonkeyPatch.context() as mp:
             for owner, name in [
-                (harmonics, "synthesize_points"),
                 (harmonics, "synthesize_grid"),
                 (convex.SupportFunction, "from_coeffs"),
             ]:
                 mp.setattr(owner, name, counting(name, getattr(owner, name)))
+            mp.setattr(harmonics, "_synthesize_on", kernel(harmonics._synthesize_on))
             rows = cli.suite_isotropy_gap(cli.RunContext(cli.RunConfig()))
         return rows, calls
 
     def test_suite_synthesizes_each_circle_once(self, suite_calls):
-        # each case's circle and grid values are synthesized once
+        # each case's circle and grid values are synthesized once: 200
+        # circles of m points reach the kernel, in batches of whole circles
         rows, calls = suite_calls
+        m = cli.RunConfig().circle_m
         assert all(row["pass"] for row in rows)
-        assert calls["synthesize_points"] == 200
+        assert sum(calls["kernel_points"]) == 200 * m
+        assert all(n % m == 0 for n in calls["kernel_points"])
         assert calls["synthesize_grid"] == 200
 
     def test_suite_builds_no_support_function(self, suite_calls):
