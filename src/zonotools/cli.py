@@ -311,15 +311,17 @@ def suite_af(ctx):
     ]
 
 
-def _lifted(grid, c, floor=0.1):
-    """The function of coefficients c raised by |min| + floor on the grid.
+def _lifted(grid, c, floor=0.1, onto_floor=False):
+    """The function of coefficients c raised by |min| + floor on the grid,
+    or with ``onto_floor`` by floor - min, which puts its minimum at floor.
 
     The constant enters c00 in place (times sqrt(4 pi), since Y00 is
     1/sqrt(4 pi)) and the synthesized values directly, so the body is
     synthesized once.
     """
     values = harmonics.synthesize_grid(c, grid)
-    shift = abs(float(np.min(values))) + floor
+    low = float(np.min(values))
+    shift = floor - low if onto_floor else abs(low) + floor
     c.set(0, 0, c.get(0, 0) + shift * math.sqrt(4.0 * math.pi))
     return transforms.SphericalFunction(grid=grid, values=values + shift, coeffs=c)
 
@@ -384,29 +386,35 @@ def suite_sr(ctx):
 
 def _isotropy_corpus(ctx, n_cases=200):
     """Mixed corpus of (density, direction) cases with known character,
-    yielded one case at a time."""
+    yielded one case at a time, every case built from its band-12
+    coefficients.
+
+    The first half are zonal densities sum_l z_l P_l(<x, a>) over the even
+    degrees l <= 12 about a random axis a, probed along a: the orthogonal
+    circle is a latitude circle about a, so the section is constant, hence
+    isotropic.  Their coefficients come from the addition theorem
+    (``harmonics.zonal_expansions``) and have exact zeros on odd degrees.
+    The second half are random even expansions, probed along a random
+    direction.  Each case is synthesized once on the grid, and shifted so
+    that its minimum there is 0.2 (zonal) or raised by |min| + 0.2 (random).
+    """
     grid = ctx.grid
     rng = ctx.rng(6)
-    for k in range(n_cases // 2):
-        # zonal density about a random axis, probed along that axis:
-        # the orthogonal circle is a latitude circle, so the section is
-        # constant, hence isotropic
-        axis = rng.normal(size=3)
+    L = 12
+    n_zonal = n_cases // 2
+    # per zonal case: its axis, then its seven even-degree weights
+    draws = rng.normal(size=(n_zonal, 10))
+    axes = draws[:, :3].copy()
+    for axis in axes:
         axis /= np.linalg.norm(axis)
-        zl = rng.normal(size=7)
-        vals = np.zeros(grid.n_nodes)
-        tt = grid.nodes @ axis
-        for i, l in enumerate(range(0, 13, 2)):
-            pl = np.polynomial.legendre.legval(tt, [0.0] * l + [1.0])
-            vals += zl[i] * pl
-        vals = vals - vals.min() + 0.2
-        f = transforms.SphericalFunction(grid=grid, values=vals).with_coeffs(12)
-        yield f, axis, True
-    for k in range(n_cases - n_cases // 2):
-        c = harmonics.HarmonicCoeffs.zeros(12)
-        for l in range(0, 13, 2):
-            for m in range(-l, l + 1):
-                c.set(l, m, rng.normal())
+    z = np.zeros((n_zonal, L + 1))
+    z[:, 0::2] = draws[:, 3:]
+    for c, axis in zip(harmonics.zonal_expansions(z, axes), axes):
+        yield _lifted(grid, c, floor=0.2, onto_floor=True), axis, True
+    even = harmonics.HarmonicCoeffs.zeros(L).degrees() % 2 == 0
+    for _ in range(n_cases - n_zonal):
+        c = harmonics.HarmonicCoeffs.zeros(L)
+        c.c[even] = rng.normal(size=int(np.sum(even)))
         f = _lifted(grid, c, floor=0.2)
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
@@ -491,9 +499,16 @@ def suite_rigidity(ctx):
 
 
 def suite_minkowski_rev(ctx):
-    tols = ctx.cfg.tolerances
+    return _minkowski_round_trip(ctx.cfg.tolerances)
+
+
+def _minkowski_round_trip(tols, radius=1.0):
+    """The minkowski-rev rows for the round trip of the ball of the given
+    radius.  Every metric is relative to the body's size: band errors and
+    the mass outside the cap pair to the largest in-cap band mass, the
+    support error to the radius."""
     rows = []
-    source = fixtures.Ball(1.0).body(8193)
+    source = fixtures.Ball(radius).body(8193)
     cap = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.5)
     edges = np.concatenate(
         [[-1.0], np.linspace(-0.95, -0.5, 6), [0.0], np.linspace(0.5, 0.95, 6), [1.0]]
@@ -511,11 +526,12 @@ def suite_minkowski_rev(ctx):
     scale = max(float(np.max(mu.masses[inside])), 1e-30)
     band_err = float(np.max(np.abs(got.masses[inside] - mu.masses[inside]))) / scale
     outside = got.total_mass() - got.mass_in(cap.height, 1.0) - got.mass_in(-1.0, -cap.height)
+    outside_rel = abs(outside) / scale
     rows.append(_row("minkowski-roundtrip-bands", "minkowski-existence-revolution", band_err, tols["mink_band"], band_err <= tols["mink_band"]))
-    rows.append(_row("minkowski-no-mass-outside", "cap-restricted-measure-support", abs(outside), tols["mink_outside"], abs(outside) <= tols["mink_outside"]))
-    lens = fixtures.Lens(r=1.0, c=0.5)
+    rows.append(_row("minkowski-no-mass-outside", "cap-restricted-measure-support", outside_rel, tols["mink_outside"], outside_rel <= tols["mink_outside"]))
+    lens = fixtures.Lens(r=radius, c=0.5 * radius)
     ts = np.linspace(-1.0, 1.0, 81)
-    support_err = float(np.max(np.abs(solved.support_values(ts) - lens.support(ts))))
+    support_err = float(np.max(np.abs(solved.support_values(ts) - lens.support(ts)))) / radius
     rows.append(_row("minkowski-solution-is-lens", "two-ball-intersection-witness", support_err, 1e-6, support_err <= 1e-6))
     return rows
 

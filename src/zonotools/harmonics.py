@@ -220,8 +220,38 @@ def _normalized_legendre(L, t):
     return P
 
 
-def legendre_theta_tables(L, t):
-    """Q_{l,m}(cos theta) together with first and second theta-derivatives.
+def zonal_expansions(z, axes):
+    """Coefficients of the zonal functions sum_l z[k, l] P_l(<x, axes[k]>).
+
+    ``z`` is a (K, L+1) array of Legendre weights and ``axes`` a (K, 3)
+    array of unit vectors; returns K band-L HarmonicCoeffs.  By the
+    addition theorem P_l(<x, a>) = 4 pi/(2l+1) sum_m Y_{l,m}(x) Y_{l,m}(a),
+    so coefficient (l, m) of case k is z[k, l] 4 pi/(2l+1) Y_{l,m}(axes[k]):
+    one Legendre table at all the axes, read through the order index of
+    split_orders.  A degree with zero weight gets exactly zero coefficients.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    L = z.shape[1] - 1
+    t, phi = _angles(np.atleast_2d(np.asarray(axes, dtype=float)))
+    l, m, scale, pos, neg = _order_index(L)
+    Q = _normalized_legendre(L, t)  # (L+1, L+1, K)
+    amp = (4.0 * math.pi / (2.0 * l + 1.0) * scale)[:, None] * z.T[l] * Q[l, m]
+    angle = m[:, None] * phi
+    c = np.empty((t.size, coeff_count(L)))
+    c[:, neg] = (amp * np.sin(angle)).T  # the m = 0 slots are overwritten next
+    c[:, pos] = (amp * np.cos(angle)).T
+    return [HarmonicCoeffs(L=L, c=row) for row in c]
+
+
+def _pole_safe_sin(t):
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    if np.any(s < 1e-12):
+        raise ValueError("theta-derivative tables are singular at the poles")
+    return s
+
+
+def _theta_derivatives(L, t, s, P):
+    """dQ/dtheta and d2Q/dtheta2 from Q = P at t = cos theta, s = sin theta.
 
     The first derivative follows from the degree-lowering relation
 
@@ -233,21 +263,6 @@ def legendre_theta_tables(L, t):
 
     Valid away from the poles (all Gauss-Legendre rings qualify).
     """
-    t = np.asarray(t, dtype=float)
-    s = _pole_safe_sin(t)
-    P = _normalized_legendre(L, t)
-    return (P, *_theta_derivatives(L, t, s, P))
-
-
-def _pole_safe_sin(t):
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    if np.any(s < 1e-12):
-        raise ValueError("theta-derivative tables are singular at the poles")
-    return s
-
-
-def _theta_derivatives(L, t, s, P):
-    """dQ/dtheta and d2Q/dtheta2 from Q = P at t = cos theta, s = sin theta."""
     dP = np.zeros_like(P)
     d2P = np.zeros_like(P)
     cot = t / s
@@ -321,7 +336,8 @@ def grid_legendre(L, grid):
 
 
 def grid_theta_tables(L, grid):
-    """legendre_theta_tables on the grid's rings, cached like grid_legendre."""
+    """Q_{l,m}(cos theta) on the grid's rings with its first and second
+    theta-derivatives (``_theta_derivatives``), cached like grid_legendre."""
     t_key = _table_key(grid.cos_theta)
     return (_ring_legendre(L, t_key), *_ring_derivatives(L, t_key))
 
@@ -369,17 +385,22 @@ def _synthesize_on(Ac, As, t, phi):
     S * n points grouped per expansion, expansion s owning points
     s*n ... s*n + n - 1.  Consumes the Legendre rows as the recurrence
     produces them and forms the longitude products in place, so memory
-    stays at six (L+1) x S*n arrays.  Every operation is elementwise per
-    point or a sum over orders, so a point's value does not depend on S or
-    on the other points, except that a call with one point in all sums its
-    orders in another (pairwise) order.
+    stays at six (L+1) x S*n arrays.  A degree whose coefficients are zero
+    in every expansion (the odd degrees of even densities) is not
+    accumulated: its products are exact zeros, and adding a zero to a sum
+    that starts at +0 changes no bit.  Every operation is elementwise per
+    point, and the orders are summed row by row in increasing m, so a
+    point's value does not depend on S, on n or on the other points.
     """
     S, L = Ac.shape[0], Ac.shape[1] - 1
     n = t.size // S
+    live = np.any(Ac != 0.0, axis=(0, 2)) | np.any(As != 0.0, axis=(0, 2))
     Bc = np.zeros((L + 1, S, n))
     Bs = np.zeros((L + 1, S, n))
     work = np.empty((L + 1, S, n))
     for l, row in enumerate(_legendre_rows(L, t)):
+        if not live[l]:
+            continue
         k = l + 1
         rows = row[:k].reshape(k, S, n)
         np.multiply(Ac[:, l, :k].T[:, :, None], rows, out=work[:k])
@@ -392,8 +413,11 @@ def _synthesize_on(Ac, As, t, phi):
     Bc *= trig
     np.sin(angle, out=trig)
     Bs *= trig
-    out = np.sum(Bc, axis=0)
-    out += np.sum(Bs, axis=0)
+    out, sines = Bc[0].copy(), Bs[0].copy()
+    for m in range(1, L + 1):
+        out += Bc[m]
+        sines += Bs[m]
+    out += sines
     return out
 
 
@@ -442,7 +466,7 @@ def synthesize_stacked(coeffs, points):
     (S, n, 3) array of unit vectors; returns the (S, n) values.  Whole
     expansions go to the kernel together, about STACK_CHUNK points per
     call, and each value is bitwise equal to synthesize_points(coeffs[s],
-    points[s]) for 2 <= n <= 8192.
+    points[s]).
     """
     points = np.asarray(points, dtype=float)
     S, n = points.shape[:2]

@@ -346,8 +346,9 @@ class _DesignRows:
     that reflection is y -> -y, so at least one reflection always folds.
 
     Blocks come transposed, one column per row of the system, assembled
-    one order m at a time and vectorized over degree from Legendre tables
-    evaluated once per latitude ring.
+    one order m at a time and vectorized over degree from the grid's cached
+    Legendre and longitude tables (``harmonics.grid_theta_tables`` and
+    ``grid_phi_tables``).
 
     Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
     node its grid index ``nodes``, cap index ``which`` and square-root
@@ -378,11 +379,12 @@ class _DesignRows:
         self._aniso = np.flatnonzero(np.isin(self.which, anisotropy_caps))
         self.n_aniso = self._aniso.size
         self._cos_theta = grid.cos_theta
-        P, dP, d2P = harmonics.legendre_theta_tables(L, grid.cos_theta)
-        cosm, sinm = harmonics._phi_tables(L, grid.phi)
+        # the degree-by-ring Legendre tables are read in place, per chunk
+        self._P, self._dP, self._d2P = harmonics.grid_theta_tables(L, grid)
+        cosm, sinm = harmonics.grid_phi_tables(L, grid)
         s2 = math.sqrt(2.0)
         # per order: its columns, |m|, the longitude factor and its phi
-        # derivative, and the degree-by-ring Legendre tables
+        # derivative, and the degrees of its columns as a column vector
         self._orders = []
         for m in np.unique(self.ms).tolist():
             cols = np.flatnonzero(self.ms == m)
@@ -393,17 +395,14 @@ class _DesignRows:
                 trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
             else:
                 trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
-            l_cols = self.ls[cols]
-            self._orders.append(
-                (cols, am, trig, dtrig, P[l_cols, am], dP[l_cols, am], d2P[l_cols, am])
-            )
+            self._orders.append((cols, am, trig, dtrig, self.ls[cols, None]))
 
     def value_rows(self, k):
         """Value rows of the kept nodes ``k`` (a slice), transposed."""
         ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
         AT = np.empty((self.ls.size, sw.size))
-        for cols, _, trig, _, Pm, _, _ in self._orders:
-            AT[cols] = Pm[:, ring] * (sw * trig[lon])
+        for cols, am, trig, _, lc in self._orders:
+            AT[cols] = self._P[lc, am, ring] * (sw * trig[lon])
         return AT
 
     def anisotropy_rows(self, k):
@@ -415,10 +414,10 @@ class _DesignRows:
         st = np.sqrt(1.0 - self._cos_theta[ring] ** 2)
         cot = self._cos_theta[ring] / st
         AT = np.empty((self.ls.size, 2 * na))
-        for cols, am, trig, dtrig, Pm, dPm, d2Pm in self._orders:
-            Pa, dPa = Pm[:, ring], dPm[:, ring]
+        for cols, am, trig, dtrig, lc in self._orders:
+            Pa, dPa = self._P[lc, am, ring], self._dP[lc, am, ring]
             t_a = sw * trig[lon]
-            h11 = d2Pm[:, ring] * t_a
+            h11 = self._d2P[lc, am, ring] * t_a
             h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
             AT[cols, :na] = h11 - h22
             AT[cols, na:] = 2.0 * (sw * dtrig[lon]) * (dPa - cot * Pa) / st
@@ -441,14 +440,15 @@ class _TriangularFactor:
         self._top = 0  # rows in use
         self._factor_rows = 0  # of which the current factor
 
-    def add(self, AT, b):
-        """Append rows of A, given transposed (one column per row), and of b."""
+    def add(self, AT, b=None):
+        """Append rows of A, given transposed (one column per row), and of b
+        (zeros when None)."""
         W = self._W
-        done = 0
-        while done < b.size:
-            k = min(W.shape[0] - self._top, b.size - done)
+        done, n = 0, AT.shape[1]
+        while done < n:
+            k = min(W.shape[0] - self._top, n - done)
             W[self._top : self._top + k, :-1] = AT[:, done : done + k].T
-            W[self._top : self._top + k, -1] = b[done : done + k]
+            W[self._top : self._top + k, -1] = 0.0 if b is None else b[done : done + k]
             self._top += k
             done += k
             if self._top == W.shape[0]:
@@ -551,11 +551,11 @@ def design_plateau(
         factor.add(rows.value_rows(k), rows.sw[k] * target[k])
     Rq = factor.result()[:ncol]
     factor.add((Rq[:, :ncol] * funk).T, Rq[:, ncol])
+    del Rq  # not held through the folds below; the last is the memory peak
     for s in range(0, rows.n_aniso, chunk):
-        AT = rows.anisotropy_rows(slice(s, s + chunk))
-        factor.add(AT, np.zeros(AT.shape[1]))
+        factor.add(rows.anisotropy_rows(slice(s, s + chunk)))
     lam = harmonics.multiplier_table("cosine", L)
-    factor.add(np.diag(math.sqrt(ridge) / lam[ls]), np.zeros(ncol))
+    factor.add(np.diag(math.sqrt(ridge) / lam[ls]))
     Rq = factor.result()[:ncol]
     n_rows = 2 * n + 2 * rows.n_aniso + ncol
     sol, _, rank, sv = np.linalg.lstsq(

@@ -7,6 +7,8 @@ the circle double integrals, a Gauss rule for the cosine multipliers, a
 ring-by-ring average, a weight-expanding isotonic projection, a support
 function's grid partials contracted once per partial, the order matrices
 of a coefficient table repacked through index arrays built anew per call,
+the theta-derivative tables built afresh at any ring cosines, the
+isotropy-gap corpus's zonal cases from numpy's Legendre series on the grid,
 the radii matrix, boundary point and area densities at one direction from
 derivatives along great circles, the Laplacian route to the first area
 density, an ellipsoid's radii from the shape operator of its implicit
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zonotools import harmonics, sphere, zonoid
+from zonotools import cli, harmonics, sphere, transforms, zonoid
 from zonotools.convex import support
 
 
@@ -223,6 +225,52 @@ def derivative_fields_per_field(coeffs, grid):
         assemble(P, 0), assemble(dP, 0), assemble(d2P, 0),
         assemble(P, 1), assemble(P, 2), assemble(dP, 1),
     )
+
+
+def legendre_theta_tables(L, t):
+    """Q_{l,m}(t) with its first and second theta-derivatives at arbitrary
+    ring cosines t, built afresh on each call; checks the cached
+    ``harmonics.grid_theta_tables``.  Rejects the poles."""
+    t = np.asarray(t, dtype=float)
+    s = harmonics._pole_safe_sin(t)
+    P = harmonics._normalized_legendre(L, t)
+    return (P, *harmonics._theta_derivatives(L, t, s, P))
+
+
+def zonal_values_legval(grid, axis, weights):
+    """sum_i weights[i] P_{2i}(<x, axis>) at the grid nodes by numpy's
+    Legendre series, one degree at a time; checks the zonal coefficients
+    of ``harmonics.zonal_expansions`` synthesized on the grid."""
+    vals = np.zeros(grid.n_nodes)
+    tt = grid.nodes @ axis
+    for i, w in enumerate(weights):
+        vals += w * np.polynomial.legendre.legval(tt, [0.0] * (2 * i) + [1.0])
+    return vals
+
+
+def isotropy_corpus_legval(ctx, n_cases=200):
+    """``cli._isotropy_corpus`` with each zonal case built from its grid
+    values (``zonal_values_legval``, shifted to a minimum of 0.2) and
+    analyzed back to band 12, and each random case drawn one coefficient
+    at a time."""
+    grid = ctx.grid
+    rng = ctx.rng(6)
+    for _ in range(n_cases // 2):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        vals = zonal_values_legval(grid, axis, rng.normal(size=7))
+        vals = vals - vals.min() + 0.2
+        f = transforms.SphericalFunction(grid=grid, values=vals).with_coeffs(12)
+        yield f, axis, True
+    for _ in range(n_cases - n_cases // 2):
+        c = harmonics.HarmonicCoeffs.zeros(12)
+        for l in range(0, 13, 2):
+            for m in range(-l, l + 1):
+                c.set(l, m, rng.normal())
+        f = cli._lifted(grid, c, floor=0.2)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        yield f, u, False
 
 
 def split_orders_tril(coeffs):

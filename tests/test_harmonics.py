@@ -28,7 +28,7 @@ class TestLegendreTables:
     def test_theta_derivatives_match_finite_differences(self):
         t = np.array([0.71, -0.35, 0.02])
         theta = np.arccos(t)
-        P, dP, d2P = harmonics.legendre_theta_tables(12, t)
+        P, dP, d2P = oracles.legendre_theta_tables(12, t)
         h = 1e-5
         Pp = harmonics._normalized_legendre(12, np.cos(theta + h))
         Pm = harmonics._normalized_legendre(12, np.cos(theta - h))
@@ -41,7 +41,7 @@ class TestLegendreTables:
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError, match="pole"):
-            harmonics.legendre_theta_tables(4, np.array([1.0]))
+            oracles.legendre_theta_tables(4, np.array([1.0]))
 
 
 class TestAnalysisSynthesis:
@@ -111,6 +111,16 @@ class TestAnalysisSynthesis:
         back = harmonics.analyze(grid, harmonics.synthesize_grid(c, grid), L)
         assert np.max(np.abs(back.c - c.c)) < 1e-12
 
+    @pytest.mark.parametrize("L", [0, 1, 5])
+    def test_each_basis_harmonic_points_match_grid(self, small_grid, L):
+        # one nonzero coefficient: every other degree, and every cosine or
+        # sine table of its own degree, is zero
+        for i in range(harmonics.coeff_count(L)):
+            c = harmonics.HarmonicCoeffs.zeros(L)
+            c.c[i] = 1.0
+            got = harmonics.synthesize_points(c, small_grid.nodes)
+            assert_allclose(got, harmonics.synthesize_grid(c, small_grid), rtol=0, atol=1e-13)
+
     def test_grid_too_coarse(self, small_grid):
         with pytest.raises(ValueError, match="too coarse"):
             harmonics.analyze(small_grid, np.ones(small_grid.n_nodes), 40)
@@ -127,9 +137,14 @@ class TestAnalysisSynthesis:
 @example(L=24, m=8, S=40, seed=2)
 def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
     """Each expansion of a stacked call gets bitwise the values of its own
-    synthesize_points call, whatever the batch it shares."""
+    synthesize_points call, whatever the batch it shares, and whether its
+    zero degrees are skipped (alone) or accumulated (beside an expansion
+    that has them)."""
     rng = np.random.default_rng(seed)
     coeffs = [harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2)) for _ in range(S)]
+    for c in coeffs:
+        if rng.random() < 0.5:  # an even expansion: its odd degrees are skipped alone
+            c.c[c.degrees() % 2 == 1] = 0.0
     normals = rng.normal(size=(S, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     points = sphere.great_circle(normals, m).nodes
@@ -137,6 +152,31 @@ def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
     assert got.shape == (S, m)
     for s in range(S):
         assert np.array_equal(got[s], harmonics.synthesize_points(coeffs[s], points[s]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(0, 30),
+    n=st.integers(2, 64),
+    chunk=st.integers(1, 70),
+    even=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_synthesis_independent_of_its_batch(L, n, chunk, even, seed):
+    """A point synthesized alone (a 1-D call) or in any chunk, a last chunk
+    of one point included, gets bitwise its value in a whole batch."""
+    rng = np.random.default_rng(seed)
+    c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
+    if even:
+        c.c[c.degrees() % 2 == 1] = 0.0
+    points = rng.normal(size=(n, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    batch = harmonics.synthesize_points(c, points)
+    assert harmonics.synthesize_points(c, points, chunk=chunk).tobytes() == batch.tobytes()
+    for j in range(n):
+        single = harmonics.synthesize_points(c, points[j])
+        assert isinstance(single, float)
+        assert np.float64(single).tobytes() == batch[j : j + 1].tobytes()
 
 
 def test_stacked_synthesis_checks_its_pairing():
@@ -176,6 +216,41 @@ class TestOrderIndex:
                 arr[0] = 1
 
 
+class TestZonalExpansions:
+    def test_matches_legendre_series(self):
+        rng = np.random.default_rng(11)
+        K, L = 6, 14
+        z = rng.normal(size=(K, L + 1))
+        axes = rng.normal(size=(K, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        points = rng.normal(size=(200, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        coeffs = harmonics.zonal_expansions(z, axes)
+        assert len(coeffs) == K and all(c.L == L for c in coeffs)
+        for k in range(K):
+            t = points @ axes[k]
+            want = sum(z[k, l] * eval_legendre(l, t) for l in range(L + 1))
+            got = harmonics.synthesize_points(coeffs[k], points)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_weights_give_exact_zeros(self):
+        rng = np.random.default_rng(12)
+        z = np.zeros((4, 13))
+        z[:, 0::2] = rng.normal(size=(4, 7))
+        axes = rng.normal(size=(4, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        for c in harmonics.zonal_expansions(z, axes):
+            assert not np.any(c.c[c.degrees() % 2 == 1])
+
+    def test_polar_axis_is_zonal(self):
+        # about e3 only m = 0 remains, with Q_{l,0}(1) 4 pi/(2l+1) = sqrt(4 pi/(2l+1))
+        z = np.arange(1.0, 10.0)
+        (c,) = harmonics.zonal_expansions(z, [[0.0, 0.0, 1.0]])
+        ls = np.arange(9)
+        assert_allclose(c.zonal(), z * np.sqrt(4.0 * math.pi / (2.0 * ls + 1.0)), rtol=1e-14)
+        assert not np.any(c.c - c.zonal_projected().c)
+
+
 class TestGridTableCache:
     @pytest.mark.parametrize("L", [0, 8, 24])
     def test_bitwise_equal_to_fresh_builds(self, grid, L):
@@ -183,7 +258,7 @@ class TestGridTableCache:
         assert P.tobytes() == harmonics._normalized_legendre(L, grid.cos_theta).tobytes()
         for cached, fresh in zip(
             harmonics.grid_theta_tables(L, grid),
-            harmonics.legendre_theta_tables(L, grid.cos_theta),
+            oracles.legendre_theta_tables(L, grid.cos_theta),
         ):
             assert cached.tobytes() == fresh.tobytes()
         for cached, fresh in zip(

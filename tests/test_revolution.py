@@ -134,6 +134,25 @@ class TestScaleFree:
         err = np.max(np.abs(solved.support_values(ts) - lens.support(ts)))
         assert err <= 1e-6 * r
 
+    @settings(max_examples=20, deadline=None)
+    @given(r=SCALES)
+    def test_suite_rows_are_scale_free(self, r):
+        """The minkowski-rev rows of Ball(r) pass at every radius with the
+        unit ball's tolerances and metrics: the two mass rows stay at
+        rounding level and the lens row at the unit ball's profile error, so
+        none reads an absolute mass or length."""
+        tols = cli.DEFAULT_TOLERANCES
+        rows = cli._minkowski_round_trip(tols, radius=r)
+        unit = cli._minkowski_round_trip(tols)
+        assert [row["test_id"] for row in rows] == [
+            "minkowski-roundtrip-bands", "minkowski-no-mass-outside", "minkowski-solution-is-lens",
+        ]
+        assert all(row["pass"] for row in rows), rows
+        assert [row["tolerance"] for row in rows] == [row["tolerance"] for row in unit]
+        bands, outside, lens = (row["metric"] for row in rows)
+        assert bands < 1e-12 and outside < 1e-12
+        assert lens == pytest.approx(unit[2]["metric"], rel=1e-3)
+
 
 class TestProfileToSupport:
     def test_ball_support_is_constant(self):

@@ -27,7 +27,7 @@ def _oracle_design_rows(grid, caps, L, anisotropy_caps):
     t = np.clip(nodes[:, 2], -1.0, 1.0)
     st_ = np.sqrt(1.0 - t * t)
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
-    P, dP, d2P = harmonics.legendre_theta_tables(L, t)
+    P, dP, d2P = oracles.legendre_theta_tables(L, t)
     ms = np.arange(L + 1)
     cosm = np.cos(np.outer(ms, phi))
     sinm = np.sin(np.outer(ms, phi))
@@ -267,9 +267,11 @@ class TestIsotropyGapReport:
 
     @pytest.fixture(scope="class")
     def suite_calls(self):
-        # one default suite run, counting the synthesis and support builds
-        # and the points of every call into the point-synthesis kernel
-        calls = {"synthesize_grid": 0, "from_coeffs": 0, "kernel_points": []}
+        # one default suite run, counting the synthesis, analysis, Legendre
+        # series and support builds and the points of every call into the
+        # point-synthesis kernel
+        calls = {"synthesize_grid": 0, "analyze": 0, "legval": 0, "from_coeffs": 0,
+                 "kernel_points": []}
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
@@ -283,14 +285,18 @@ class TestIsotropyGapReport:
                 return real(Ac, As, t, phi)
             return wrapped
 
+        ctx = cli.RunContext(cli.RunConfig())
+        ctx.grid  # built before counting: its Gauss rule calls legval
         with pytest.MonkeyPatch.context() as mp:
             for owner, name in [
                 (harmonics, "synthesize_grid"),
+                (harmonics, "analyze"),
+                (np.polynomial.legendre, "legval"),
                 (convex.SupportFunction, "from_coeffs"),
             ]:
                 mp.setattr(owner, name, counting(name, getattr(owner, name)))
             mp.setattr(harmonics, "_synthesize_on", kernel(harmonics._synthesize_on))
-            rows = cli.suite_isotropy_gap(cli.RunContext(cli.RunConfig()))
+            rows = cli.suite_isotropy_gap(ctx)
         return rows, calls
 
     def test_suite_synthesizes_each_circle_once(self, suite_calls):
@@ -310,6 +316,55 @@ class TestIsotropyGapReport:
         assert all(row["pass"] for row in rows)
         assert calls["from_coeffs"] == 0
         assert calls["synthesize_grid"] == 200
+
+    def test_suite_builds_its_corpus_in_coefficient_space(self, suite_calls):
+        # no case is evaluated by a Legendre series on the grid or analyzed
+        # back to coefficients (the 200 grid syntheses are counted above)
+        rows, calls = suite_calls
+        assert all(row["pass"] for row in rows)
+        assert calls["legval"] == 0
+        assert calls["analyze"] == 0
+
+
+class TestIsotropyCorpus:
+    """cli._isotropy_corpus against oracles.isotropy_corpus_legval, the
+    route that evaluated each zonal case by numpy's Legendre series on the
+    grid and analyzed it back to band 12."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        ctx = cli.RunContext(cli.RunConfig())
+        return list(cli._isotropy_corpus(ctx)), list(oracles.isotropy_corpus_legval(ctx))
+
+    def test_zonal_values_match_legval_oracle(self, corpora):
+        new, old = corpora
+        assert [iso for _, _, iso in new] == [True] * 100 + [False] * 100
+        for (f, axis, _), (g, axis_old, _) in zip(new[:100], old[:100]):
+            assert np.array_equal(axis, axis_old)
+            scale = np.max(np.abs(g.values))
+            assert np.max(np.abs(f.values - g.values)) <= 1e-12 * scale
+            assert np.max(np.abs(f.coeffs.c - g.coeffs.c)) <= 1e-12 * np.max(np.abs(g.coeffs.c))
+            assert np.min(f.values) == pytest.approx(0.2, abs=1e-14)
+
+    def test_zonal_cases_are_exactly_even(self, corpora):
+        # no odd coefficient at all, so even_density keeps the grid values
+        for f, _, _ in corpora[0][:100]:
+            assert not np.any(f.coeffs.c[f.coeffs.degrees() % 2 == 1])
+            assert zonoid.even_density(f).values is f.values
+
+    def test_zonal_case_constant_on_its_axis_circle(self, corpora):
+        zonal = corpora[0][:100]
+        circles = sphere.great_circle(np.array([axis for _, axis, _ in zonal]), 64)
+        values = harmonics.synthesize_stacked([f.coeffs for f, _, _ in zonal], circles.nodes)
+        spread = np.ptp(values, axis=1) / np.max(np.abs(values), axis=1)
+        assert np.max(spread) <= 1e-12
+
+    def test_random_half_bitwise_equal_to_scalar_draws(self, corpora):
+        new, old = corpora
+        for (f, u, _), (g, u_old, _) in zip(new[100:], old[100:]):
+            assert np.array_equal(u, u_old)
+            assert f.coeffs.c.tobytes() == g.coeffs.c.tobytes()
+            assert f.values.tobytes() == g.values.tobytes()
 
 
 class TestCounterexample:
