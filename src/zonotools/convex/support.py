@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +32,13 @@ def _eigs_2x2(q11, q22, q12):
 
 
 def _derivative_fields(coeffs, grid):
-    """h and its theta/phi partials at all grid nodes, ring-separable.
+    """h and its theta and phi partials at all grid nodes, ring-separable.
 
-    Returns (h, ht, htt, hp, hpp, htp) as flat node arrays.
+    Returns (h, ht, hp) as flat node arrays.
     """
     L = coeffs.L
     Ac, As = coeffs.split_orders()
-    P, dP, d2P = harmonics.grid_theta_tables(L, grid)
+    P, dP, _ = harmonics.grid_theta_tables(L, grid)
     cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ms = np.arange(L + 1)
 
@@ -50,28 +49,11 @@ def _derivative_fields(coeffs, grid):
             np.einsum("lmr,lm->mr", theta_table, As).T,
         )
 
-    (Pc, Ps), (dPc, dPs), (d2Pc, d2Ps) = contract(P), contract(dP), contract(d2P)
+    (Pc, Ps), (dPc, dPs) = contract(P), contract(dP)
     h = Pc @ cosm + Ps @ sinm
     ht = dPc @ cosm + dPs @ sinm
-    htt = d2Pc @ cosm + d2Ps @ sinm
     hp = (Ps * ms) @ cosm - (Pc * ms) @ sinm
-    hpp = -(Pc * ms**2) @ cosm - (Ps * ms**2) @ sinm
-    htp = (dPs * ms) @ cosm - (dPc * ms) @ sinm
-    return tuple(V.reshape(-1) for V in (h, ht, htt, hp, hpp, htp))
-
-
-@lru_cache(maxsize=harmonics.GRID_TABLE_CACHE_SIZE)
-def _node_trig(t_key, n_phi):
-    t = np.frombuffer(t_key)
-    st = np.repeat(np.sqrt(1.0 - t**2), n_phi)
-    ct = np.repeat(t, n_phi)
-    return harmonics._read_only(st, ct, ct / st)
-
-
-def _grid_trig(grid):
-    """Per-node sin(theta), cos(theta) and cot(theta), ring-major; cached
-    per ring colatitudes and longitude count, read-only."""
-    return _node_trig(harmonics._table_key(grid.cos_theta), grid.n_phi)
+    return tuple(V.reshape(-1) for V in (h, ht, hp))
 
 
 def radii_grid(coeffs, grid):
@@ -79,21 +61,33 @@ def radii_grid(coeffs, grid):
 
     Returns (q11, q22, q12, r1, r2) in the (e_theta, e_phi) frame, where
     q11 = h_tt + h, q22 = h_pp/sin^2 + cot * h_t + h and
-    q12 = (h_tp - cot * h_p)/sin.
+    q12 = (h_tp - cot * h_p)/sin.  Every factor of these is constant on a
+    ring or is m or m^2 of a longitude derivative, so all of them sit in
+    the cached tables of ``harmonics.grid_radii_tables``: one matmul
+    batched over the orders contracts them with the coefficients, and one
+    (3 n_theta x 2(L+1)) @ (2(L+1) x n_phi) matmul against the stacked
+    longitude table gives the three entries at every node.
     """
-    h, ht, htt, hp, hpp, htp = _derivative_fields(coeffs, grid)
-    st, _, cot = _grid_trig(grid)
-    q11 = htt + h
-    q22 = hpp / (st * st) + cot * ht + h
-    q12 = (htp - cot * hp) / st
-    r1, r2 = _eigs_2x2(q11, q22, q12)
-    return q11, q22, q12, r1, r2
+    L, R = coeffs.L, grid.n_theta
+    Ac, As = coeffs.split_orders()
+    # B[m, k * R + ring] holds table k contracted over l with Ac and with As
+    B = harmonics.grid_radii_tables(L, grid) @ np.stack([Ac.T, As.T], axis=2)
+    Bc, Bs = B[:, :, 0].T, B[:, :, 1].T
+    W = np.empty((3 * R, 2 * (L + 1)))
+    n = 2 * R  # q11 and q22 pair with Ac cos + As sin, q12 with As cos - Ac sin
+    W[:n, : L + 1] = Bc[:n]
+    W[:n, L + 1 :] = Bs[:n]
+    W[n:, : L + 1] = Bs[n:]
+    W[n:, L + 1 :] = -Bc[n:]
+    q11, q22, q12 = (W @ harmonics.grid_phi_stacked(L, grid)).reshape(3, -1)
+    return (q11, q22, q12, *_eigs_2x2(q11, q22, q12))
 
 
 def boundary_points_grid(coeffs, grid):
     """Gradient of the extended support function at every grid node."""
-    h, ht, _htt, hp, _hpp, _htp = _derivative_fields(coeffs, grid)
-    st, ct, _ = _grid_trig(grid)
+    h, ht, hp = _derivative_fields(coeffs, grid)
+    st = np.repeat(np.sqrt(1.0 - grid.cos_theta**2), grid.n_phi)
+    ct = np.repeat(grid.cos_theta, grid.n_phi)
     phi = np.tile(grid.phi, grid.n_theta)
     cp, sp = np.cos(phi), np.sin(phi)
     e_th = np.stack([ct * cp, ct * sp, -st], axis=1)
@@ -118,11 +112,12 @@ class SupportFunction:
     eigenvalue solve again.
 
     The radii matrix is linear in h, is the identity at h = 1 and vanishes
-    on degree-1 terms.  So the entries of 1 + eps * noise are
-    (eps * q11 + 1, eps * q22 + 1, eps * q12) of the noise's entries, and
-    random_support_function hands those to ``_certify`` instead of calling
-    radii_grid a second time.  A recentring removes only degree-1 terms and
-    leaves the entries unchanged.
+    on degree-1 terms.  So for eps > 0 the entries and eigenvalues of
+    1 + eps * noise are (eps * q11 + 1, eps * q22 + 1, eps * q12,
+    eps * r1 + 1, eps * r2 + 1) of the noise's, and random_support_function
+    hands those to ``_certify`` instead of calling radii_grid or the
+    eigenvalue solve a second time.  A recentring removes only degree-1
+    terms and leaves the radii unchanged.
     """
 
     grid: sphere.SphericalGrid
@@ -138,9 +133,10 @@ class SupportFunction:
         return cls._certify(grid, coeffs, None, recentre)
 
     @classmethod
-    def _certify(cls, grid, coeffs, entries, recentre=True):
-        """from_coeffs, with the radii entries (q11, q22, q12) of coeffs on
-        the grid given, or computed by radii_grid when ``entries`` is None."""
+    def _certify(cls, grid, coeffs, radii, recentre=True):
+        """from_coeffs, with the five radii arrays (q11, q22, q12, r1, r2)
+        of coeffs on the grid given, or computed by radii_grid when
+        ``radii`` is None."""
         coeffs = coeffs.copy()
         values = harmonics.synthesize_grid(coeffs, grid)
         translation = np.zeros(3)
@@ -162,10 +158,7 @@ class SupportFunction:
                     "support function not positive even after recentring; "
                     "input is not a support function of a body with interior"
                 )
-        if entries is None:
-            q = radii_grid(coeffs, grid)
-        else:
-            q = (*entries, *_eigs_2x2(*entries))
+        q = radii_grid(coeffs, grid) if radii is None else radii
         rmin, rmax = float(np.min(q[3])), float(np.max(q[4]))
         if rmin < -PSD_RTOL * max(rmax, 1.0):
             raise ValueError(
@@ -305,8 +298,8 @@ def random_support_function(grid, rng, band=8, L=None, margin=0.05):
     smallest radii eigenvalue of 1 + eps * noise over the grid is
     1 + eps * mu, with mu the smallest eigenvalue for the noise alone.  eps
     puts it at ``margin``, so the certificate passes with room to spare.
-    The same linearity gives the body's radii entries from the noise's, so
-    radii_grid runs once per body.
+    The same linearity gives the body's radii entries and eigenvalues from
+    the noise's, so radii_grid and the eigenvalue solve run once per body.
     """
     if band < 2:
         raise ValueError(f"corpus noise needs band >= 2, got {band}")
@@ -316,10 +309,10 @@ def random_support_function(grid, rng, band=8, L=None, margin=0.05):
     for l in range(2, band + 1, 2):
         noise.degree_slice(l)[:] = rng.normal(size=2 * l + 1)
     noise.c /= math.sqrt(noise.norm2())
-    q11, q22, q12, r1, _ = radii_grid(noise, grid)
+    q11, q22, q12, r1, r2 = radii_grid(noise, grid)
     eps = (1.0 - margin) / -float(np.min(r1))
     out = noise.copy()
     out.c = out.c * eps
     out.set(0, 0, out.get(0, 0) + math.sqrt(4.0 * math.pi))
-    entries = (eps * q11 + 1.0, eps * q22 + 1.0, eps * q12)
-    return SupportFunction._certify(grid, out, entries)
+    radii = (eps * q11 + 1.0, eps * q22 + 1.0, eps * q12, eps * r1 + 1.0, eps * r2 + 1.0)
+    return SupportFunction._certify(grid, out, radii)

@@ -322,9 +322,33 @@ def _ring_derivatives(L, t_key):
     return _read_only(*_theta_derivatives(L, t, s, _ring_legendre(L, t_key)))
 
 
+def _radii_tables(L, t, s, P, dP, d2P):
+    """The ring-scaled radii tables of ``grid_radii_tables`` from the theta
+    tables Q, Q', Q'' at ring cosines t and sines s."""
+    cot = t / s
+    m = np.arange(L + 1)[:, None]
+    E = np.empty((L + 1, 3, t.size, L + 1))
+    E[:, 0] = (d2P + P).transpose(1, 2, 0)
+    E[:, 1] = (P * (1.0 - m * m / (s * s)) + cot * dP).transpose(1, 2, 0)
+    E[:, 2] = (m * (dP - cot * P) / s).transpose(1, 2, 0)
+    return E.reshape(L + 1, 3 * t.size, L + 1)
+
+
+@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _ring_radii_tables(L, t_key):
+    t = np.frombuffer(t_key)
+    E = _radii_tables(
+        L, t, _pole_safe_sin(t), _ring_legendre(L, t_key), *_ring_derivatives(L, t_key)
+    )
+    E.flags.writeable = False
+    return E
+
+
 @lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
 def _longitude_tables(L, phi_key):
-    return _read_only(*_phi_tables(L, np.frombuffer(phi_key)))
+    cs = np.vstack(_phi_tables(L, np.frombuffer(phi_key)))
+    cs.flags.writeable = False
+    return cs[: L + 1], cs[L + 1 :], cs
 
 
 def grid_legendre(L, grid):
@@ -342,10 +366,34 @@ def grid_theta_tables(L, grid):
     return (_ring_legendre(L, t_key), *_ring_derivatives(L, t_key))
 
 
+def grid_radii_tables(L, grid):
+    """The theta factors of the radii matrix on the grid's rings, scaled per
+    ring, shape (L+1, 3 * n_theta, L+1) and indexed [m, k * n_theta + ring, l].
+
+    With ' the theta-derivative, the three blocks k = 0, 1, 2 hold
+
+        E11 = Q'' + Q,
+        E22 = Q (1 - m^2 / sin^2 theta) + cot theta Q',
+        E12 = m (Q' - cot theta Q) / sin theta,
+
+    so that q11 and q22 are sums of E11 and E22 times
+    Ac cos(m phi) + As sin(m phi), and q12 of E12 times
+    As cos(m phi) - Ac sin(m phi).  Cached like grid_theta_tables and
+    read-only.
+    """
+    return _ring_radii_tables(L, _table_key(grid.cos_theta))
+
+
 def grid_phi_tables(L, grid):
     """cos(m phi), sin(m phi) on the grid's longitudes, cached per band
     limit and longitudes; both arrays are read-only."""
-    return _longitude_tables(L, _table_key(grid.phi))
+    return _longitude_tables(L, _table_key(grid.phi))[:2]
+
+
+def grid_phi_stacked(L, grid):
+    """[cos(m phi); sin(m phi)] stacked as one (2(L+1), n_phi) table; the
+    two arrays of grid_phi_tables are its halves.  Read-only."""
+    return _longitude_tables(L, _table_key(grid.phi))[2]
 
 
 def analyze(grid, values, L):

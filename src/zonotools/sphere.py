@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,6 +81,16 @@ class SphericalGrid:
     def cap_mask(self, cap):
         """Boolean mask of the nodes lying inside a spherical cap."""
         return cap.contains(self.nodes)
+
+
+@lru_cache(maxsize=16)
+def leggauss(n):
+    """Gauss-Legendre nodes and weights of degree n on [-1, 1], as numpy's
+    ``leggauss`` returns them; cached per n, both arrays read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def build_grid(n_theta, n_phi):

@@ -166,9 +166,18 @@ def circle_fourier_mass(g, u, degree=2, m=256, values=None):
 # Radial symmetrization and rotation averages
 # ----------------------------------------------------------------------
 
+def _deviates(a, b, atol):
+    """True unless a and b are finite arrays of one shape that differ by at
+    most atol in every entry (an absolute test: no relative slack)."""
+    return (
+        a.shape != b.shape
+        or not np.all(np.isfinite(a))
+        or float(np.max(np.abs(a - b))) > atol
+    )
+
+
 def _check_axis(axis):
-    axis = np.asarray(axis, dtype=float)
-    if not np.allclose(axis, AXIS, atol=1e-12):
+    if _deviates(np.asarray(axis, dtype=float), AXIS, 1e-12):
         raise ValueError("radial symmetrization is tied to the grid ring axis e3")
 
 
@@ -199,9 +208,11 @@ def _as_axis_rotation(T):
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3):
         raise ValueError("rotation must be an angle or a 3x3 matrix")
-    if not np.allclose(T.T @ T, np.eye(3), atol=1e-10):
+    if not np.all(np.isfinite(T)):
+        raise ValueError("rotation matrix must be finite")
+    if _deviates(T.T @ T, np.eye(3), 1e-10):
         raise ValueError("matrix is not orthogonal")
-    if not np.allclose(T @ AXIS, AXIS, atol=1e-10):
+    if _deviates(T @ AXIS, AXIS, 1e-10):
         raise ValueError("rotation does not fix the symmetrization axis e3")
     return T
 
@@ -277,8 +288,8 @@ def sr_profile_l1_identity(f, n_t=160, n_r=240):
     def profile(s):
         return np.polynomial.legendre.legval(s, leg_coeffs)
 
-    xt, wt = np.polynomial.legendre.leggauss(n_t)
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    xt, wt = sphere.leggauss(n_t)
+    xr, wr = sphere.leggauss(n_r)
     total = 0.0
     for sign in (-1.0, 1.0):
         t = sign * 0.5 * (xt + 1.0)     # half interval (0, 1)

@@ -5,7 +5,8 @@ slower method, and its docstring names the production route it checks:
 direct quadrature on the sphere or the circle, the m x m sin^2 kernel of
 the circle double integrals, a Gauss rule for the cosine multipliers, a
 ring-by-ring average, a weight-expanding isotonic projection, a support
-function's grid partials contracted once per partial, the order matrices
+function's grid partials contracted once per partial and the radii
+entries formed from six of them node by node, the order matrices
 of a coefficient table repacked through index arrays built anew per call,
 the theta-derivative tables built afresh at any ring cosines, the
 isotropy-gap corpus's zonal cases from numpy's Legendre series on the grid,
@@ -201,9 +202,9 @@ def pav_decreasing_by_weight(y, w):
 
 
 def derivative_fields_per_field(coeffs, grid):
-    """h and its theta/phi partials on the grid, as
-    ``convex.support._derivative_fields`` returns them, with the theta
-    table contracted with the coefficients anew for each partial."""
+    """h and its partials (h, ht, htt, hp, hpp, htp) on the grid, with the
+    theta table contracted with the coefficients anew for each partial;
+    h, ht and hp are what ``convex.support._derivative_fields`` returns."""
     L = coeffs.L
     Ac, As = coeffs.split_orders()
     P, dP, d2P = harmonics.grid_theta_tables(L, grid)
@@ -225,6 +226,22 @@ def derivative_fields_per_field(coeffs, grid):
         assemble(P, 0), assemble(dP, 0), assemble(d2P, 0),
         assemble(P, 1), assemble(P, 2), assemble(dP, 1),
     )
+
+
+def radii_grid_six_fields(coeffs, grid):
+    """(q11, q22, q12, r1, r2) at every grid node from the six partial
+    fields of ``derivative_fields_per_field`` and per-node sin and cot
+    theta: q11 = htt + h, q22 = hpp / sin^2 + cot ht + h and
+    q12 = (htp - cot hp) / sin.  Checks ``convex.radii_grid``, which folds
+    the ring factors into cached tables first."""
+    h, ht, htt, hp, hpp, htp = derivative_fields_per_field(coeffs, grid)
+    ct = np.repeat(grid.cos_theta, grid.n_phi)
+    st = np.sqrt(1.0 - ct**2)
+    cot = ct / st
+    q11 = htt + h
+    q22 = hpp / (st * st) + cot * ht + h
+    q12 = (htp - cot * hp) / st
+    return (q11, q22, q12, *support._eigs_2x2(q11, q22, q12))
 
 
 def legendre_theta_tables(L, t):

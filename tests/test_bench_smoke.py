@@ -1,10 +1,12 @@
-"""A quick, traced run of the benchmark's transforms workload.
+"""Quick, traced runs of the benchmark's transforms and corpus workloads.
 
 The benchmark checks every output without the package: its oracles parse
 the grid CSVs that ``transform`` writes and judge them against closed
-forms, and its traced run must reproduce each output byte for byte.  So
-this run guards the grid CSV reader and writer against the benchmark's
-own format checks, and the outputs against any dependence on tracing.
+forms, judge the corpus suites' reports, and its traced run must
+reproduce each output byte for byte.  So these runs guard the grid CSV
+reader and writer, and the cached grid tables of the corpus suites,
+against the benchmark's own checks, and the outputs against any
+dependence on tracing.
 """
 
 import json
@@ -15,9 +17,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_quick_traced_transforms_run_is_correct():
+def _assert_quick_traced_run_correct(workload):
     proc = subprocess.run(
-        [sys.executable, os.path.join("bench", "run.py"), "--workload", "transforms",
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "26", "--trace", "1", "--quick"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
@@ -26,3 +28,11 @@ def test_quick_traced_transforms_run_is_correct():
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
     assert result["attempted"] == 4
+
+
+def test_quick_traced_transforms_run_is_correct():
+    _assert_quick_traced_run_correct("transforms")
+
+
+def test_quick_traced_corpus_run_is_correct():
+    _assert_quick_traced_run_correct("corpus")

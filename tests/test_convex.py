@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -72,8 +73,39 @@ class TestRadii:
         c = harmonics.HarmonicCoeffs.zeros(L)
         c.c = np.random.default_rng(L).normal(size=c.c.size)
         got = convex.support._derivative_fields(c, grid)
-        want = oracles.derivative_fields_per_field(c, grid)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        h, ht, _, hp, _, _ = oracles.derivative_fields_per_field(c, grid)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in (h, ht, hp)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 4), (5, 7), (64, 128), (128, 256)]),
+        L=st.integers(0, 48),
+        zeros=st.sampled_from(["none", "odd", "even", "random", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_radii_grid_matches_six_field_route(self, shape, L, zeros, seed):
+        """The ring-scaled tables give the six-field route's entries and
+        eigenvalues to rounding, with odd, even, scattered or all degrees
+        zero."""
+        grid = _cached_grid(*shape)
+        rng = np.random.default_rng(seed)
+        c = harmonics.HarmonicCoeffs.zeros(L)
+        c.c = rng.normal(size=c.c.size)
+        deg = c.degrees()
+        dropped = {
+            "none": np.zeros(L + 1, dtype=bool),
+            "odd": np.arange(L + 1) % 2 == 1,
+            "even": np.arange(L + 1) % 2 == 0,
+            "random": rng.random(L + 1) < 0.5,
+            "all": np.ones(L + 1, dtype=bool),
+        }[zeros]
+        c.c[dropped[deg]] = 0.0
+        got = convex.radii_grid(c, grid)
+        want = oracles.radii_grid_six_fields(c, grid)
+        bound = 1e-13 * max(float(np.max(np.abs(want[3]))), float(np.max(np.abs(want[4]))))
+        for a, b in zip(got, want):
+            assert a.shape == (grid.n_nodes,)
+            assert float(np.max(np.abs(a - b))) <= bound
 
 
 class TestSupportFunction:
@@ -246,10 +278,31 @@ class TestMixedVolumes:
 
     def test_one_radii_pass_per_corpus_body(self, grid, monkeypatch):
         calls = _counting(monkeypatch, "radii_grid")
+        eig_calls = _counting(monkeypatch, "_eigs_2x2")
         rng = np.random.default_rng(22)
         for band in (2, 5, 8):
             convex.random_support_function(grid, rng, band=band)
         assert len(calls) == 3
+        assert len(eig_calls) == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        band=st.integers(2, 12),
+        margin=st.floats(0.01, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_body_eigenvalues_by_linearity_match_eigen_solve(self, grid, band, margin, seed):
+        """A corpus body's r1, r2 come from the noise's by eps * r + 1; the
+        eigenvalue solve of the body's own entries agrees to rounding."""
+        h = convex.random_support_function(
+            grid, np.random.default_rng(seed), band=band, margin=margin
+        )
+        q11, q22, q12, r1, r2 = h.radii
+        e1, e2 = convex.support._eigs_2x2(q11, q22, q12)
+        bound = 8 * np.finfo(float).eps * float(np.max(r2))
+        assert float(np.max(np.abs(r1 - e1))) <= bound
+        assert float(np.max(np.abs(r2 - e2))) <= bound
+        assert h.min_radius == float(np.min(r1)) and h.max_radius == float(np.max(r2))
 
     def test_certified_body_operators_skip_radii_and_eigs(self, grid, monkeypatch):
         rng = np.random.default_rng(23)
@@ -278,6 +331,9 @@ class TestMixedVolumes:
         for carried, expect in zip(h.radii, fresh):
             assert float(np.max(np.abs(carried - expect))) <= bound
         assert abs(h.min_radius - margin) <= bound
+
+
+_cached_grid = functools.lru_cache(maxsize=None)(sphere.build_grid)
 
 
 def _counting(monkeypatch, name):

@@ -268,11 +268,32 @@ class TestGridTableCache:
         assert harmonics.grid_legendre(L, grid) is P
         assert harmonics.grid_theta_tables(L, grid)[0] is P
 
+    @pytest.mark.parametrize("L", [0, 5, 8, 48])
+    def test_radii_and_stacked_tables_equal_fresh_builds(self, grid, L):
+        t = grid.cos_theta
+        fresh = harmonics._radii_tables(
+            L, t, np.sqrt(1.0 - t * t), *oracles.legendre_theta_tables(L, t)
+        )
+        E = harmonics.grid_radii_tables(L, grid)
+        assert E.shape == (L + 1, 3 * grid.n_theta, L + 1)
+        assert E.tobytes() == fresh.tobytes()
+        assert harmonics.grid_radii_tables(L, grid) is E
+        # block k, ring r, order m, degree l against the theta tables
+        P, dP, d2P = oracles.legendre_theta_tables(L, t)
+        r, m, l = grid.n_theta // 3, min(2, L), L
+        assert E[m, r, l] == d2P[l, m, r] + P[l, m, r]
+        cs = harmonics.grid_phi_stacked(L, grid)
+        assert cs.tobytes() == np.vstack(harmonics._phi_tables(L, grid.phi)).tobytes()
+        cosm, sinm = harmonics.grid_phi_tables(L, grid)
+        assert cosm.base is cs and sinm.base is cs
+
     def test_tables_are_read_only(self, small_grid):
         tables = (
             harmonics.grid_legendre(6, small_grid),
             *harmonics.grid_theta_tables(6, small_grid),
             *harmonics.grid_phi_tables(6, small_grid),
+            harmonics.grid_phi_stacked(6, small_grid),
+            harmonics.grid_radii_tables(6, small_grid),
         )
         for arr in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -307,7 +328,9 @@ class TestGridTableCache:
             return real(L, t)
 
         monkeypatch.setattr(harmonics, "_normalized_legendre", counting)
-        for cache in (harmonics._ring_legendre, harmonics._ring_derivatives):
+        for cache in (
+            harmonics._ring_legendre, harmonics._ring_derivatives, harmonics._ring_radii_tables
+        ):
             cache.cache_clear()
         grid = sphere.build_grid(20, 40)
         c = harmonics.HarmonicCoeffs(L=7, c=np.random.default_rng(3).normal(size=64))

@@ -65,6 +65,18 @@ class TestBuildGrid:
             sphere.build_grid(n_theta, n_phi)
 
 
+class TestLeggauss:
+    @pytest.mark.parametrize("n", [2, 7, 64, 160, 240])
+    def test_cached_read_only_and_bitwise_numpy(self, n):
+        x, w = sphere.leggauss(n)
+        fx, fw = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == fx.tobytes() and w.tobytes() == fw.tobytes()
+        assert sphere.leggauss(n)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 class TestIntegrate:
     def test_constant(self, small_grid):
         assert abs(sphere.integrate(small_grid, np.ones(small_grid.n_nodes)) - FOUR_PI) < 1e-12

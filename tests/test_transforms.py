@@ -254,6 +254,26 @@ class TestRadialSymmetrize:
         with pytest.raises(ValueError, match="axis"):
             transforms.radial_symmetrize(f, axis=np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            (0.0, 0.0, 1.000009),  # inside allclose's default rtol, far outside 1e-12
+            (0.0, 0.0, 1.0 + 1e-11),
+            (0.0, 0.0, math.nan),
+            (0.0, 0.0, 1.0, 0.0),
+            ((0.0, 0.0, 1.0),),
+        ],
+    )
+    def test_axis_checked_to_absolute_tolerance(self, small_grid, axis):
+        f = transforms.SphericalFunction(grid=small_grid, values=np.ones(small_grid.n_nodes))
+        with pytest.raises(ValueError, match="ring axis e3"):
+            transforms.radial_symmetrize(f, axis=axis)
+
+    def test_axis_within_tolerance_accepted(self, small_grid):
+        f = random_function(small_grid, 6, np.random.default_rng(21))
+        out = transforms.radial_symmetrize(f, axis=(1e-13, 0.0, 1.0 - 1e-13))
+        assert out.values.tobytes() == transforms.radial_symmetrize(f).values.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.sampled_from([(2, 4), (5, 7), (8, 16), (16, 129), (12, 300)]),
@@ -340,6 +360,21 @@ class TestFiniteAverage:
         with pytest.raises(ValueError, match="fix"):
             transforms.finite_average(f, [bad])
 
+    @pytest.mark.parametrize(
+        "T,message",
+        [
+            (1.000004 * np.eye(3), "not orthogonal"),  # inside allclose's default rtol
+            (np.diag([1.0, 1.0, 1.0 + 1e-9]), "not orthogonal"),
+            (np.diag([1.0, 1.0, -1.0]), "fix"),
+            (np.diag([1.0, math.nan, 1.0]), "must be finite"),
+            (np.diag([1.0, 1.0, math.inf]), "must be finite"),
+        ],
+    )
+    def test_map_checked_to_absolute_tolerance(self, small_grid, T, message):
+        f = random_function(small_grid, 4, np.random.default_rng(22))
+        with pytest.raises(ValueError, match=message):
+            transforms.finite_average(f, [0.5, T])
+
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, small_grid, angle):
         f = random_function(small_grid, 8, np.random.default_rng(20))
@@ -425,3 +460,14 @@ class TestSlicingIdentity:
         f = random_function(grid, 24, np.random.default_rng(18), nonnegative=True)
         lhs, rhs = transforms.sr_profile_l1_identity(f)
         assert abs(lhs - rhs) < 1e-6 * lhs
+
+    def test_gauss_nodes_built_once(self, grid, monkeypatch):
+        f = random_function(grid, 8, np.random.default_rng(23), nonnegative=True)
+        first = transforms.sr_profile_l1_identity(f)
+        builds = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda n: builds.append(n) or real(n)
+        )
+        assert transforms.sr_profile_l1_identity(f) == first
+        assert builds == []
