@@ -56,7 +56,6 @@ class RevolutionBody:
     rho: np.ndarray
     z: np.ndarray
     slopes: np.ndarray | None = None
-    symmetric: bool = True
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)

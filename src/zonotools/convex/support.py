@@ -101,23 +101,21 @@ def boundary_points_grid(coeffs, grid):
 class SupportFunction:
     """A positive band-limited function certified convex on the grid.
 
-    The certificate is the minimum radii eigenvalue over all grid nodes;
-    construction rejects functions whose certificate falls below
-    -PSD_RTOL times the maximum eigenvalue.  If the function is not
-    positive everywhere, it is recentred by removing the degree-1 part
-    (a translation moving the Steiner point to the origin).  Every body is
-    built by ``_certify``, and ``radii`` always holds the five node arrays
+    Construction rejects a function that is not positive at every grid
+    node (the origin must be interior to the body) and one whose
+    certificate, the minimum radii eigenvalue over all grid nodes, falls
+    below -PSD_RTOL times the maximum eigenvalue.  Every body is built by
+    ``_certify``, and ``radii`` always holds the five node arrays
     (q11, q22, q12, r1, r2) of its certificate, as radii_grid returns them;
     the grid operators below read them instead of calling radii_grid or the
     eigenvalue solve again.
 
-    The radii matrix is linear in h, is the identity at h = 1 and vanishes
-    on degree-1 terms.  So for eps > 0 the entries and eigenvalues of
-    1 + eps * noise are (eps * q11 + 1, eps * q22 + 1, eps * q12,
-    eps * r1 + 1, eps * r2 + 1) of the noise's, and random_support_function
-    hands those to ``_certify`` instead of calling radii_grid or the
-    eigenvalue solve a second time.  A recentring removes only degree-1
-    terms and leaves the radii unchanged.
+    The radii matrix is linear in h and is the identity at h = 1.  So for
+    eps > 0 the entries and eigenvalues of 1 + eps * noise are
+    (eps * q11 + 1, eps * q22 + 1, eps * q12, eps * r1 + 1, eps * r2 + 1)
+    of the noise's, and random_support_function hands those to
+    ``_certify`` instead of calling radii_grid or the eigenvalue solve a
+    second time.
     """
 
     grid: sphere.SphericalGrid
@@ -125,39 +123,21 @@ class SupportFunction:
     values: np.ndarray
     min_radius: float
     max_radius: float
-    translation: np.ndarray
     radii: tuple = field(repr=False, compare=False)
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs, recentre=True):
-        return cls._certify(grid, coeffs, None, recentre)
+    def from_coeffs(cls, grid, coeffs):
+        return cls._certify(grid, coeffs, None)
 
     @classmethod
-    def _certify(cls, grid, coeffs, radii, recentre=True):
+    def _certify(cls, grid, coeffs, radii):
         """from_coeffs, with the five radii arrays (q11, q22, q12, r1, r2)
         of coeffs on the grid given, or computed by radii_grid when
         ``radii`` is None."""
         coeffs = coeffs.copy()
         values = harmonics.synthesize_grid(coeffs, grid)
-        translation = np.zeros(3)
         if np.min(values) <= 0.0:
-            if not recentre:
-                raise ValueError("support function must be positive (origin interior)")
-            # remove the degree-1 part: h - <a, u> translates the body
-            norm1 = math.sqrt(4.0 * math.pi / 3.0)
-            a = np.array(
-                [coeffs.get(1, 1), coeffs.get(1, -1), coeffs.get(1, 0)]
-            ) * (1.0 / norm1)
-            coeffs.set(1, 1, 0.0)
-            coeffs.set(1, -1, 0.0)
-            coeffs.set(1, 0, 0.0)
-            translation = a
-            values = harmonics.synthesize_grid(coeffs, grid)
-            if np.min(values) <= 0.0:
-                raise ValueError(
-                    "support function not positive even after recentring; "
-                    "input is not a support function of a body with interior"
-                )
+            raise ValueError("support function must be positive (origin interior)")
         q = radii_grid(coeffs, grid) if radii is None else radii
         rmin, rmax = float(np.min(q[3])), float(np.max(q[4]))
         if rmin < -PSD_RTOL * max(rmax, 1.0):
@@ -171,7 +151,6 @@ class SupportFunction:
             values=values,
             min_radius=rmin,
             max_radius=rmax,
-            translation=translation,
             radii=q,
         )
 
@@ -182,20 +161,13 @@ class SupportFunction:
         return cls.from_coeffs(grid, coeffs)
 
 
-def newton_report(h, where=None, i=1, j=2, tol=1e-8):
-    """Newton-inequality diagnostic s_i^(1/i) >= s_j^(1/j).
+def newton_report(h, tol=1e-8):
+    """Newton-inequality diagnostic s_1 >= s_2^(1/2) at every grid node.
 
-    ``where`` is a node-index array (defaults to all grid nodes).  Returns
-    a dict with lhs, rhs, gap arrays and the equality mask; the equality
-    set coincides with the umbilic set r1 = r2.
+    Returns a dict with lhs, rhs, gap arrays and the equality mask; the
+    equality set coincides with the umbilic set r1 = r2.
     """
-    if not i < j:
-        raise ValueError("need i < j")
-    if (i, j) != (1, 2):
-        raise ValueError("only orders (1, 2) exist at n = 3")
     _, _, _, r1, r2 = h.radii
-    if where is not None:
-        r1, r2 = r1[where], r2[where]
     lhs = 0.5 * (r1 + r2)
     rhs = np.sqrt(np.maximum(0.0, r1 * r2))
     gap = lhs - rhs

@@ -485,12 +485,20 @@ def _angles(points):
     return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
 
 
-def synthesize_points(coeffs, points, chunk=8192):
-    """Evaluate the expansion at arbitrary unit vectors.
+#: Points per kernel call of synthesize_points.
+POINT_CHUNK = 8192
+
+#: Points per kernel call of synthesize_stacked.
+STACK_CHUNK = 2048
+
+
+def synthesize_points(coeffs, points):
+    """Evaluate the expansion at arbitrary unit vectors, off the grid.
 
     Serves as the interpolation rule for circle quadrature and rotated
-    resampling; exact for band-limited functions.  The kernel's S = 1
-    case, ``chunk`` points per call.
+    resampling; exact for band-limited functions.  Values at grid nodes
+    come from synthesize_grid instead.  The kernel's S = 1 case,
+    POINT_CHUNK points per call.
     """
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
@@ -498,13 +506,10 @@ def synthesize_points(coeffs, points, chunk=8192):
     Ac, As = coeffs.split_orders()
     Ac, As = Ac[None], As[None]
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        out[start : start + chunk] = _synthesize_on(Ac, As, *_angles(pts[start : start + chunk]))
+    for start in range(0, pts.shape[0], POINT_CHUNK):
+        stop = start + POINT_CHUNK
+        out[start:stop] = _synthesize_on(Ac, As, *_angles(pts[start:stop]))
     return float(out[0]) if single else out
-
-
-#: Points per kernel call of synthesize_stacked.
-STACK_CHUNK = 2048
 
 
 def synthesize_stacked(coeffs, points):
@@ -571,9 +576,7 @@ def multiplier_table(kernel, L):
 
 def apply_multipliers(coeffs, lam):
     """Multiply every degree-l coefficient by lam[l]."""
-    out = coeffs.copy()
-    out.c = coeffs.c * lam[coeffs.degrees()]
-    return out
+    return HarmonicCoeffs(L=coeffs.L, c=coeffs.c * lam[coeffs.degrees()])
 
 
 def _require_even(coeffs, what):
@@ -583,19 +586,6 @@ def _require_even(coeffs, what):
             f"{what} requires an even input; odd-degree mass fraction {frac:.3e} "
             f"exceeds {ODD_MASS_TOL:.0e}"
         )
-
-
-def cosine_transform_spectral(coeffs):
-    """Multiply each even degree by its cosine-kernel eigenvalue."""
-    _require_even(coeffs, "spectral cosine transform")
-    lam = multiplier_table("cosine", coeffs.L)
-    return apply_multipliers(coeffs, lam)
-
-
-def funk_transform_spectral(coeffs):
-    """Multiply each even degree by 2 pi P_l(0)."""
-    lam = multiplier_table("funk", coeffs.L)
-    return apply_multipliers(coeffs, lam)
 
 
 def _spectral_inverse(coeffs, kernel, what):
@@ -613,11 +603,9 @@ def _spectral_inverse(coeffs, kernel, what):
             )
     degrees = coeffs.degrees()
     even = degrees % 2 == 0
-    out = coeffs.copy()
-    out.c = np.zeros_like(coeffs.c)
-    safe_lam = np.where(np.abs(lam) > MULTIPLIER_FLOOR, lam, 1.0)
-    out.c[even] = coeffs.c[even] / safe_lam[degrees[even]]
-    return out
+    c = np.zeros_like(coeffs.c)
+    c[even] = coeffs.c[even] / lam[degrees[even]]
+    return HarmonicCoeffs(L=coeffs.L, c=c)
 
 
 def inverse_cosine_transform(coeffs):

@@ -141,12 +141,14 @@ def make_zonoid(g):
     is too low.
     """
     g_even = even_density(g)
-    h_coeffs = harmonics.cosine_transform_spectral(g_even.coeffs)
-    h = convex_support.SupportFunction.from_coeffs(g.grid, h_coeffs, recentre=False)
+    lam = harmonics.multiplier_table("cosine", g_even.coeffs.L)
+    h = convex_support.SupportFunction.from_coeffs(
+        g.grid, harmonics.apply_multipliers(g_even.coeffs, lam)
+    )
     return ZonoidSpec(g=g_even, h=h)
 
 
-def isotropy_gap_report(g, u, m=256, eps=1e-30, values=None):
+def isotropy_gap_report(g, u, m=256, values=None):
     """Pointwise witness tying section isotropy to the area-density gap.
 
     ``g`` is the even density (``even_density``), or a zonoid built from
@@ -155,7 +157,7 @@ def isotropy_gap_report(g, u, m=256, eps=1e-30, values=None):
     Returns the isotropy deviation of g restricted to the circle u-perp,
     the zonoid's first and second area densities f1 and f2 at u from the
     circle integrals of g (f1 equals the Funk transform of g there), and
-    the relative gap |f1^2 - f2| / max(f2, eps).  The deviation and the
+    the relative gap |f1^2 - f2| / max(f2, 1e-30).  The deviation and the
     gap vanish together, and f1^2 - f2 equals the squared second-order
     Fourier mass of g on the circle, which the FFT route gives as ``mass``.
     g is sampled on the circle once, and every quantity reads those
@@ -169,7 +171,7 @@ def isotropy_gap_report(g, u, m=256, eps=1e-30, values=None):
     dev = transforms.section_isotropy_tensor(g, u, m=m, values=vals).deviation
     f1, f2 = _weil_densities(vals)
     mass = transforms.circle_fourier_mass(g, u, degree=2, m=m, values=vals)
-    gap = abs(f1 * f1 - f2) / max(f2, eps)
+    gap = abs(f1 * f1 - f2) / max(f2, 1e-30)
     return {"dev": float(dev), "gap": float(gap), "f1": f1, "f2": f2, "mass": mass}
 
 
@@ -215,9 +217,7 @@ def verify_local_rigidity(spec, cap):
     sol, *_ = np.linalg.lstsq(A, hvals, rcond=None)
     c, a = float(sol[0]), sol[1:]
     affine_residual = float(np.max(np.abs(A @ sol - hvals)))
-    funk_vals = harmonics.synthesize_points(
-        harmonics.funk_transform_spectral(spec.g.coeffs), nodes
-    )
+    funk_vals = transforms.funk_transform(spec.g).values[mask]
     funk_constant = float(np.mean(funk_vals))
     funk_residual = float(np.max(np.abs(funk_vals - funk_constant)))
     return RigidityReport(
@@ -238,10 +238,8 @@ def verify_local_rigidity(spec, cap):
 class CounterexampleResult:
     g: transforms.SphericalFunction
     w: harmonics.HarmonicCoeffs
-    G: harmonics.HarmonicCoeffs
     c0: float
     cap_u: sphere.Cap
-    cap_v: sphere.Cap
     diagnostics: dict
 
     def save(self, outdir):
@@ -614,13 +612,12 @@ def build_counterexample(
     g = transforms.SphericalFunction(grid=grid, values=w_values + c0, coeffs=g_coeffs)
     lam = harmonics.multiplier_table("cosine", L)
     conditioning = float(np.max(np.abs(lam[0] / lam[lam != 0.0])))
-    h_coeffs = harmonics.cosine_transform_spectral(g_coeffs)
-    r_coeffs = harmonics.funk_transform_spectral(g_coeffs)
+    h_values = transforms.cosine_transform(g).values
+    r_values = transforms.funk_transform(g).values
     mask_u = grid.cap_mask(cap_u)
-    mask_v = grid.cap_mask(cap_v)
-    h_u = harmonics.synthesize_points(h_coeffs, grid.nodes[mask_u])
-    r_u = harmonics.synthesize_points(r_coeffs, grid.nodes[mask_u])
-    r_v = harmonics.synthesize_points(r_coeffs, grid.nodes[mask_v])
+    h_u = h_values[mask_u]
+    r_u = r_values[mask_u]
+    r_v = r_values[grid.cap_mask(cap_v)]
     # circles orthogonal to cap directions sweep the band |<x, center>| < sin(radius)
     band = np.abs(grid.nodes @ cap_u.center) < math.sin(cap_u.radius)
     g_band = g.values[band]
@@ -641,10 +638,8 @@ def build_counterexample(
     return CounterexampleResult(
         g=g,
         w=w,
-        G=G,
         c0=c0,
         cap_u=cap_u,
-        cap_v=cap_v,
         diagnostics=diagnostics,
     )
 
@@ -662,11 +657,10 @@ def counterexample_assertions(result, rng, tolerances, n_samples=50, m=256):
     """
     g = even_density(result.g)
     samples = result.cap_u.sample(n_samples, rng)
-    # every sampled circle from one synthesis call; chunks of 2048 points
-    # keep its buffers, and so the peak RSS, near the per-circle route's
-    nodes = sphere.great_circle(samples, m).nodes.reshape(-1, 3)
-    values = harmonics.synthesize_points(g.coeffs, nodes, chunk=2048)
-    values = values.reshape(n_samples, m)
+    # every sampled circle from one stacked synthesis; its kernel calls of
+    # about 2048 points keep the buffers, and so the peak RSS, small
+    circles = sphere.great_circle(samples, m)
+    values = harmonics.synthesize_stacked([g.coeffs] * n_samples, circles.nodes)
     devs = [
         transforms.section_isotropy_tensor(g, u, m=m, values=v).deviation
         for u, v in zip(samples, values)

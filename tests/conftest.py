@@ -41,9 +41,8 @@ def counterexample_spec(counterexample):
     return zonoid.make_zonoid(counterexample.g)
 
 
-def random_even_coeffs(L, rng, min_value=None):
-    """Random even coefficients; optionally shifted to keep values above
-    min_value on a synthesis check grid."""
+def random_even_coeffs(L, rng):
+    """Random coefficients on the even degrees, each standard normal."""
     c = harmonics.HarmonicCoeffs.zeros(L)
     for l in range(0, L + 1, 2):
         for m in range(-l, l + 1):

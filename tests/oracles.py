@@ -119,7 +119,8 @@ def cosine_multiplier_gauss(l):
 
 def inverse_funk_transform(coeffs):
     """Solve R(w) = G for w coefficientwise (even, band-limited G); its
-    round trip checks ``harmonics.funk_transform_spectral``."""
+    round trip checks the Funk multipliers (``harmonics.apply_multipliers``
+    with ``multiplier_table("funk", L)``)."""
     return harmonics._spectral_inverse(coeffs, "funk", "inverse Funk transform")
 
 

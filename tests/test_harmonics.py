@@ -158,13 +158,13 @@ def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
 @given(
     L=st.integers(0, 30),
     n=st.integers(2, 64),
-    chunk=st.integers(1, 70),
     even=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_point_synthesis_independent_of_its_batch(L, n, chunk, even, seed):
-    """A point synthesized alone (a 1-D call) or in any chunk, a last chunk
-    of one point included, gets bitwise its value in a whole batch."""
+def test_point_synthesis_independent_of_its_batch(L, n, even, seed):
+    """A point synthesized alone (a 1-D call) gets bitwise its value in a
+    whole batch; test_stacked_synthesis_equals_per_expansion covers
+    batches of other sizes."""
     rng = np.random.default_rng(seed)
     c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
     if even:
@@ -172,7 +172,6 @@ def test_point_synthesis_independent_of_its_batch(L, n, chunk, even, seed):
     points = rng.normal(size=(n, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     batch = harmonics.synthesize_points(c, points)
-    assert harmonics.synthesize_points(c, points, chunk=chunk).tobytes() == batch.tobytes()
     for j in range(n):
         single = harmonics.synthesize_points(c, points[j])
         assert isinstance(single, float)
@@ -392,30 +391,28 @@ class TestMultipliers:
             table[2] = 1.0
 
 
+def _spectral(kernel, c):
+    return harmonics.apply_multipliers(c, harmonics.multiplier_table(kernel, c.L))
+
+
 class TestSpectralTransforms:
     def test_cosine_constant(self):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(0, 0, 3.0)
-        out = harmonics.cosine_transform_spectral(c)
+        out = _spectral("cosine", c)
         assert abs(out.get(0, 0) - 3.0 * 2 * math.pi) < 1e-13
 
     def test_cosine_degree_two_scaling(self):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(2, 0, 1.0)
-        out = harmonics.cosine_transform_spectral(c)
+        out = _spectral("cosine", c)
         assert abs(out.get(2, 0) - math.pi / 2) < 1e-13
 
     def test_funk_degree_two_scaling(self):
         c = harmonics.HarmonicCoeffs.zeros(4)
         c.set(2, 1, 1.0)
-        out = harmonics.funk_transform_spectral(c)
+        out = _spectral("funk", c)
         assert abs(out.get(2, 1) + math.pi) < 1e-13
-
-    def test_cosine_rejects_odd_content(self):
-        c = harmonics.HarmonicCoeffs.zeros(4)
-        c.set(3, 1, 1.0)
-        with pytest.raises(ValueError, match="even"):
-            harmonics.cosine_transform_spectral(c)
 
     def test_inverse_cosine_constant(self):
         c = harmonics.HarmonicCoeffs.zeros(2)
@@ -426,14 +423,14 @@ class TestSpectralTransforms:
     def test_inverse_cosine_roundtrip(self, grid):
         rng = np.random.default_rng(21)
         w0 = random_even_coeffs(16, rng)
-        G = harmonics.cosine_transform_spectral(w0)
+        G = _spectral("cosine", w0)
         w = harmonics.inverse_cosine_transform(G)
         assert np.max(np.abs(w.c - w0.c)) < 1e-9
 
     def test_inverse_funk_roundtrip(self):
         rng = np.random.default_rng(22)
         w0 = random_even_coeffs(16, rng)
-        G = harmonics.funk_transform_spectral(w0)
+        G = _spectral("funk", w0)
         w = oracles.inverse_funk_transform(G)
         assert np.max(np.abs(w.c - w0.c)) < 1e-9
 
@@ -449,7 +446,7 @@ class TestSpectralTransforms:
         c = harmonics.HarmonicCoeffs(L=L, c=np.random.default_rng(seed).normal(size=(L + 1) ** 2))
         even = c.copy()
         even.c[even.degrees() % 2 == 1] = 0.0
-        back = harmonics.inverse_cosine_transform(harmonics.cosine_transform_spectral(even))
+        back = harmonics.inverse_cosine_transform(_spectral("cosine", even))
         assert_allclose(back.c, even.c, rtol=1e-15, atol=0.0)
         lam = harmonics.multiplier_table("cosine", L)
         odd_in = harmonics.inverse_cosine_transform(harmonics.apply_multipliers(c, lam))

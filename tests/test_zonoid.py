@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonotools import cli, convex, harmonics, sphere, transforms, zonoid
 
 import oracles
-from conftest import random_density, random_unit
+from conftest import random_density, random_even_coeffs, random_unit
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -424,6 +424,29 @@ class TestCounterexample:
         per_circle = max(transforms.section_isotropy_tensor(g, u).deviation for u in samples)
         assert rows[0]["metric"] == pytest.approx(per_circle, rel=1e-12, abs=0.0)
 
+    def test_grid_values_come_from_grid_synthesis(self, grid, cap_u, cap_v, monkeypatch):
+        # the cap values of C(g) and R(g), in the build and in the rigidity
+        # fit, are read off the grid synthesis: no point synthesis at all
+        calls = []
+
+        def counting(real):
+            def wrapped(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("synthesize_points", "synthesize_stacked", "_synthesize_on"):
+            monkeypatch.setattr(harmonics, name, counting(getattr(harmonics, name)))
+        res = zonoid.build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3)
+        zonoid.verify_local_rigidity(zonoid.make_zonoid(res.g), cap_u)
+        assert calls == []
+
+    def test_funk_residual_is_the_rigidity_row(self, counterexample, counterexample_spec):
+        # the build's diagnostic and the rigidity verifier read one route
+        rep = zonoid.verify_local_rigidity(counterexample_spec, counterexample.cap_u)
+        got = counterexample.diagnostics["funk_residual_U"]
+        assert np.float64(got).tobytes() == np.float64(rep.funk_residual).tobytes()
+
     def test_save_artifacts(self, counterexample, tmp_path):
         outdir = tmp_path / "artifact"
         counterexample.save(outdir)
@@ -686,6 +709,36 @@ class TestRigidity:
         rep = zonoid.verify_local_rigidity(spec, cap_v)
         assert rep.affine_residual > 1e-4
         assert rep.funk_residual > 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(0, 24),
+        height=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_funk_fit_matches_point_route(self, small_grid, L, height, seed):
+        """The Funk constant and residual on a cap, from the grid synthesis
+        of R(g), match R(g) synthesized point by point at the cap's nodes."""
+        rng = np.random.default_rng(seed)
+        cap = sphere.Cap(random_unit(rng), height)
+        mask = small_grid.cap_mask(cap)
+        assume(np.any(mask))
+        c = random_even_coeffs(L, rng)
+        # |Y_l part| <= sqrt((2l+1)/(4 pi)) |c_l| (addition theorem), so
+        # this constant keeps g >= 1 everywhere, between the nodes too
+        bound = sum(
+            math.sqrt((2 * l + 1) / (4 * math.pi)) * np.linalg.norm(c.degree_slice(l))
+            for l in range(2, L + 1, 2)
+        )
+        c.set(0, 0, (1.0 + bound) * math.sqrt(4 * math.pi))
+        spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(small_grid, c))
+        rep = zonoid.verify_local_rigidity(spec, cap)
+        lam = harmonics.multiplier_table("funk", L)
+        r = harmonics.synthesize_points(harmonics.apply_multipliers(c, lam), small_grid.nodes)
+        scale = float(np.max(np.abs(r)))
+        r_cap = r[mask]
+        assert abs(rep.funk_constant - np.mean(r_cap)) <= 1e-13 * scale
+        assert abs(rep.funk_residual - np.max(np.abs(r_cap - np.mean(r_cap)))) <= 1e-13 * scale
 
     def test_json_payload(self, grid, cap_u):
         import json
