@@ -425,11 +425,12 @@ def suite_isotropy_gap(ctx):
     tols = ctx.cfg.tolerances
     m = ctx.cfg.circle_m
     # keep only each case's even coefficients (even_density checks that the
-    # density is nonnegative), then sample every circle in stacked batches
+    # density is nonnegative), then sample every circle in one stack
     cases = [(zonoid.even_density(f).coeffs, u, isotropic)
              for f, u, isotropic in _isotropy_corpus(ctx)]
-    circles = sphere.great_circle(np.array([u for _, u, _ in cases]), m)
-    samples = harmonics.synthesize_stacked([c for c, _, _ in cases], circles.nodes)
+    samples = transforms.circle_samples(
+        [c for c, _, _ in cases], np.array([u for _, u, _ in cases]), m
+    )
     rows = []
     equiv_ok = True
     oracle_worst = 0.0

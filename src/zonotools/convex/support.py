@@ -263,7 +263,7 @@ def umbilic_sphere_check(h, cap, tol=1e-6):
     return umbilic_sphere_check_data(r1[mask], r2[mask], pts, tol)
 
 
-def random_support_function(grid, rng, band=8, L=None, margin=0.05):
+def random_support_function(grid, rng, band=8, margin=0.05):
     """Reproducible strictly convex corpus element 1 + eps * (even band-k noise).
 
     The radii matrix is linear in h and is the identity at h = 1, so the
@@ -275,9 +275,7 @@ def random_support_function(grid, rng, band=8, L=None, margin=0.05):
     """
     if band < 2:
         raise ValueError(f"corpus noise needs band >= 2, got {band}")
-    if L is None:
-        L = band
-    noise = harmonics.HarmonicCoeffs.zeros(L)
+    noise = harmonics.HarmonicCoeffs.zeros(band)
     for l in range(2, band + 1, 2):
         noise.degree_slice(l)[:] = rng.normal(size=2 * l + 1)
     noise.c /= math.sqrt(noise.norm2())

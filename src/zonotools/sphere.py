@@ -290,9 +290,11 @@ def grid_from_csv(path, grid):
     """Read a value column dumped by grid_to_csv, validating the layout.
 
     Every row must hold four finite floats, its theta and phi within 1e-9
-    of its grid node; the rows are checked CSV_BLOCK_ROWS at a time with
-    array compares.  A block that fails is walked line by line, so the
-    ValueError names the first offending line of the file.
+    of its grid node; the rows are checked CSV_BLOCK_ROWS at a time.  A
+    block whose every line holds exactly three commas is parsed by one
+    numpy call and checked with array compares.  A block that fails is
+    walked line by line, so the ValueError names the first offending line
+    of the file.
     """
     theta = np.repeat(grid.theta, grid.n_phi)
     phi = np.tile(grid.phi, grid.n_theta)
@@ -308,13 +310,14 @@ def grid_from_csv(path, grid):
     for a in range(0, len(rows), CSV_BLOCK_ROWS):
         block = rows[a : a + CSV_BLOCK_ROWS]
         b = a + len(block)
-        try:
-            cells = np.array([line.split(",") for line in block], dtype=float)
-        except ValueError:  # a ragged block or a cell that is not a float
-            cells = None
+        cells = None
+        if all(line.count(",") == 3 for line in block):
+            try:
+                cells = np.array(",".join(block).split(","), dtype=float).reshape(-1, 4)
+            except ValueError:  # a cell that is not a float
+                pass
         if (
             cells is not None
-            and cells.shape == (len(block), 4)
             and np.all(np.isfinite(cells))
             and np.all(np.abs(cells[:, 0] - theta[a:b]) <= 1e-9)
             and np.all(np.abs(cells[:, 1] - phi[a:b]) <= 1e-9)

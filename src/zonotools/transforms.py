@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,9 @@ def funk_transform(f):
 
 EPS_FLOOR = 1e-14
 
+#: Circle node counts whose angle tables stay cached.
+CIRCLE_TABLE_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class IsotropyReport:
@@ -104,20 +108,62 @@ class IsotropyReport:
     deviation: float
 
 
+def circle_samples(coeffs, normals, m):
+    """Expansion s on the m nodes of ``great_circle(normals[s], m)``.
+
+    ``coeffs`` is a sequence of S expansions of one band limit L and
+    ``normals`` an (S, 3) stack of unit vectors; returns the (S, m)
+    samples.  One expansion with one normal of shape (3,) gives (m,).
+
+    On a great circle a band-L expansion is a trigonometric polynomial of
+    degree <= L in the circle angle, so its samples at n = max(8, 2L + 2)
+    equispaced nodes fix it.  Those are synthesized
+    (``harmonics.synthesize_stacked``) and resampled exactly to the m
+    nodes: their rfft keeps orders 0..L, and the inverse rfft of length m
+    pads the higher orders with zeros.  When n >= m the m nodes are
+    synthesized directly.  A circle's samples are bitwise the same alone
+    or in any stack.
+    """
+    normals = np.asarray(normals, dtype=float)
+    single = normals.ndim == 1
+    if single:
+        coeffs, normals = [coeffs], normals[None]
+    L = coeffs[0].L
+    n = max(8, 2 * L + 2)
+    if n >= m:
+        out = harmonics.synthesize_stacked(coeffs, sphere.great_circle(normals, m).nodes)
+    else:
+        vals = harmonics.synthesize_stacked(coeffs, sphere.great_circle(normals, n).nodes)
+        spec = np.fft.rfft(vals, norm="forward")[:, : L + 1]
+        out = np.fft.irfft(spec, n=m, norm="forward")
+    return out[0] if single else out
+
+
+@lru_cache(maxsize=CIRCLE_TABLE_CACHE_SIZE)
+def _angle_tables(m):
+    """cos a and sin a at the m circle angles a = 2 pi k / m, cached per m;
+    both arrays are read-only."""
+    angles = 2.0 * np.pi * np.arange(m) / m
+    ca, sa = np.cos(angles), np.sin(angles)
+    ca.flags.writeable = False
+    sa.flags.writeable = False
+    return ca, sa
+
+
 def _given_or_sampled(g, u, m, values):
     """The m samples of g on the great circle u-perp (``great_circle(u, m)``):
     ``values`` when the caller has them, checked for shape; otherwise g
-    called on the nodes, or g's harmonic expansion synthesized there."""
+    called on the nodes, or g's harmonic expansion sampled there by
+    ``circle_samples``."""
     if values is None:
-        nodes = sphere.great_circle(u, m).nodes
         if callable(g):
-            return np.asarray(g(nodes), dtype=float)
+            return np.asarray(g(sphere.great_circle(u, m).nodes), dtype=float)
         if g.coeffs is None:
             raise ValueError(
                 "circle samples need an evaluation rule: a callable, or a "
                 "function with coefficients (call with_coeffs(L) first)"
             )
-        return harmonics.synthesize_points(g.coeffs, nodes)
+        return circle_samples(g.coeffs, u, m)
     values = np.asarray(values, dtype=float)
     if values.shape != (m,):
         raise ValueError(f"expected {m} circle samples, got shape {values.shape}")
@@ -132,9 +178,8 @@ def section_isotropy_tensor(g, u, m=256, values=None):
     """
     u = np.asarray(u, dtype=float)
     vals = _given_or_sampled(g, u, m, values)
-    angles = 2.0 * np.pi * np.arange(m) / m
     weight = 2.0 * np.pi / m
-    ca, sa = np.cos(angles), np.sin(angles)
+    ca, sa = _angle_tables(m)
     t11 = weight * float(np.sum(vals * ca * ca))
     t22 = weight * float(np.sum(vals * sa * sa))
     t12 = weight * float(np.sum(vals * ca * sa))

@@ -41,6 +41,17 @@ WEIL_PREFACTOR_2 = 2.0
 CALIBRATION_TOL = 1e-10
 
 
+@lru_cache(maxsize=transforms.CIRCLE_TABLE_CACHE_SIZE)
+def _double_angle_tables(m):
+    """cos 2a and sin 2a at the m circle angles a = 2 pi k / m, cached per
+    m; both arrays are read-only."""
+    two_a = 4.0 * np.pi * np.arange(m) / m
+    c2, s2 = np.cos(two_a), np.sin(two_a)
+    c2.flags.writeable = False
+    s2.flags.writeable = False
+    return c2, s2
+
+
 def _circle_double_integrals(vals):
     """Trapezoid sums of the sin^2 kernel on m >= 8 equispaced circle nodes.
 
@@ -53,10 +64,10 @@ def _circle_double_integrals(vals):
     """
     m = vals.size
     w = 2.0 * np.pi / m
-    two_a = 4.0 * np.pi * np.arange(m) / m
+    c2, s2 = _double_angle_tables(m)
     s0 = float(np.sum(vals))
-    sc = float(vals @ np.cos(two_a))
-    ss = float(vals @ np.sin(two_a))
+    sc = float(vals @ c2)
+    ss = float(vals @ s2)
     return w * w * (0.5 * m) * s0, w * w * 0.5 * (s0 * s0 - sc * sc - ss * ss)
 
 
@@ -473,25 +484,24 @@ class _TriangularFactor:
 DESIGN_BLOCK_ROWS = 4096
 DESIGN_CHUNK_NODES = 1024
 
+#: Plateau levels of the design's cap pairs: U, V and the third cap.
+PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 
-def design_plateau(
-    cap_u,
-    cap_v,
-    L=48,
-    levels=(1.0, 2.0, 3.0),
-    design_grid=(128, 256),
-    cap_margin=0.01,
-    ridge=1e-12,
-):
+#: Height by which the design enlarges every cap past its nominal one.
+CAP_MARGIN = 0.01
+
+
+def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     """Even band-L function flat at three levels on three cap pairs.
 
     The first two cap pairs are the target plateaus; the third, centered
     on the axis completing the orthogonal frame, carries a decoration
     level whose sole purpose is to keep the inverse-transform density
     visibly non-constant on the great circles through the first cap.
-    Flatness is enforced in value, in the Funk-level combination
-    (Laplacian/2 + identity) and in the anisotropic Hessian components, on
-    caps enlarged by ``cap_margin`` so the nominal caps sit strictly
+    The levels are ``PLATEAU_LEVELS``.  Flatness is enforced in value, in
+    the Funk-level combination (Laplacian/2 + identity) and in the
+    anisotropic Hessian components, on caps enlarged by ``CAP_MARGIN`` (in
+    height) so the nominal caps sit strictly
     inside the designed-flat region.  A small ridge on the inverse-cosine
     image keeps the later inversion tame.
 
@@ -531,7 +541,7 @@ def design_plateau(
         raise ValueError("cap centers are collinear; no transverse axis exists")
     third = sphere.Cap(center=third_center / nrm, height=cap_u.height)
     caps = [cap_u, cap_v, third]
-    big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in caps]
+    big = [sphere.Cap(c.center, max(c.height - CAP_MARGIN, 0.5)) for c in caps]
     dg = sphere.build_grid(*design_grid)
     frame = np.eye(3)
     adapted = not _cap_pair_symmetry(dg, big)[1]
@@ -541,7 +551,7 @@ def design_plateau(
     rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
     ls, ms, funk = rows.ls, rows.ms, rows.funk
     n, ncol = rows.nodes.size, ls.size
-    target = np.asarray(levels, dtype=float)[rows.which]
+    target = np.asarray(PLATEAU_LEVELS, dtype=float)[rows.which]
     chunk = DESIGN_CHUNK_NODES
     factor = _TriangularFactor(ncol, DESIGN_BLOCK_ROWS)
     for s in range(0, n, chunk):
@@ -581,14 +591,7 @@ def design_plateau(
     }
 
 
-def build_counterexample(
-    cap_u,
-    cap_v,
-    grid,
-    L=48,
-    transition=0.3,
-    levels=(1.0, 2.0, 3.0),
-):
+def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):
     """Non-constant density with isotropic sections over a cap.
 
     Builds an even band-L function G flat at two levels on the cap pairs,
@@ -603,7 +606,7 @@ def build_counterexample(
     the diagnostics belong to the callers (CLI exit code, test suite).
     """
     harmonics.check_plateau_caps(cap_u, cap_v, transition)
-    G, design_info = design_plateau(cap_u, cap_v, L=L, levels=levels)
+    G, design_info = design_plateau(cap_u, cap_v, L=L)
     w = harmonics.inverse_cosine_transform(G)
     w_values = harmonics.synthesize_grid(w, grid)
     c0 = 1.0 + float(np.max(np.abs(w_values)))
@@ -621,7 +624,7 @@ def build_counterexample(
     # circles orthogonal to cap directions sweep the band |<x, center>| < sin(radius)
     band = np.abs(grid.nodes @ cap_u.center) < math.sin(cap_u.radius)
     g_band = g.values[band]
-    plateau_residual = float(np.max(np.abs(h_u - (levels[0] + 2.0 * math.pi * c0))))
+    plateau_residual = float(np.max(np.abs(h_u - (PLATEAU_LEVELS[0] + 2.0 * math.pi * c0))))
     diagnostics = {
         "c0": c0,
         "band": L,
@@ -630,7 +633,7 @@ def build_counterexample(
         "support_affine_residual": float(np.max(np.abs(h_u - np.mean(h_u)))),
         "funk_residual_U": float(np.max(np.abs(r_u - np.mean(r_u)))),
         "funk_gap_UV": float(np.mean(r_v) - np.mean(r_u)),
-        "funk_gap_expected": float(levels[1] - levels[0]),
+        "funk_gap_expected": float(PLATEAU_LEVELS[1] - PLATEAU_LEVELS[0]),
         "density_band_variance": float(np.var(g_band)),
         "density_band_mean": float(np.mean(g_band)),
         **design_info,
@@ -644,7 +647,11 @@ def build_counterexample(
     )
 
 
-def counterexample_assertions(result, rng, tolerances, n_samples=50, m=256):
+#: Cap directions whose circles counterexample_assertions checks.
+ISOTROPY_SAMPLES = 50
+
+
+def counterexample_assertions(result, rng, tolerances, m=256):
     """Measured pass/fail rows for the three counterexample claims.
 
     1. isotropy of the sections over the first cap (sampled directions);
@@ -656,11 +663,8 @@ def counterexample_assertions(result, rng, tolerances, n_samples=50, m=256):
     ``cli.DEFAULT_TOLERANCES`` does.
     """
     g = even_density(result.g)
-    samples = result.cap_u.sample(n_samples, rng)
-    # every sampled circle from one stacked synthesis; its kernel calls of
-    # about 2048 points keep the buffers, and so the peak RSS, small
-    circles = sphere.great_circle(samples, m)
-    values = harmonics.synthesize_stacked([g.coeffs] * n_samples, circles.nodes)
+    samples = result.cap_u.sample(ISOTROPY_SAMPLES, rng)
+    values = transforms.circle_samples([g.coeffs] * ISOTROPY_SAMPLES, samples, m)
     devs = [
         transforms.section_isotropy_tensor(g, u, m=m, values=v).deviation
         for u, v in zip(samples, values)

@@ -271,6 +271,14 @@ def _short_row(lines):
     lines[4] = lines[4].rsplit(",", 1)[0]
 
 
+def _five_then_three_fields(lines):
+    # line 6's first cell ends line 5: the block's cells, read in order,
+    # are unchanged, and so is its comma count
+    head, rest = lines[5].split(",", 1)
+    lines[4] += "," + head
+    lines[5] = rest
+
+
 def _blank_line(lines):
     lines.insert(99, "")
     lines.pop(-2)
@@ -332,6 +340,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("edit, message", [
         (_short_row, "line 5: expected 4 columns, got 3"),
+        (_five_then_three_fields, "line 5: expected 4 columns, got 5"),
         (lambda lines: _set_cell(lines, 3000, 3, "abc"),
          "line 3000: could not convert string to float: 'abc'"),
         (_blank_line, "line 100: expected 4 columns, got 1"),

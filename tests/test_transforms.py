@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -188,13 +188,56 @@ class TestSectionIsotropy:
     def test_given_samples_match_sampled_route(self, grid):
         f = random_density(grid, 10, np.random.default_rng(7))
         u = random_unit(np.random.default_rng(8))
-        vals = harmonics.synthesize_points(f.coeffs, sphere.great_circle(u, 64).nodes)
+        vals = transforms.circle_samples(f.coeffs, u, 64)
         rep = transforms.section_isotropy_tensor(f, u, m=64, values=vals)
         assert np.array_equal(rep.T, transforms.section_isotropy_tensor(f, u, m=64).T)
         mass = transforms.circle_fourier_mass(f, u, m=64, values=vals)
         assert mass == transforms.circle_fourier_mass(f, u, m=64)
         with pytest.raises(ValueError, match="64 circle samples"):
             transforms.section_isotropy_tensor(f, u, m=64, values=vals[:-1])
+
+    def test_angle_tables_cached_and_read_only(self):
+        ca, sa = transforms._angle_tables(64)
+        assert transforms._angle_tables(64)[0] is ca
+        for arr in (ca, sa):
+            assert not arr.flags.writeable
+        angles = 2.0 * np.pi * np.arange(64) / 64
+        assert np.array_equal(ca, np.cos(angles)) and np.array_equal(sa, np.sin(angles))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(0, 48),
+    m=st.sampled_from([8, 64, 97, 256]),
+    S=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(L=12, m=256, S=3, seed=1)  # the isotropy-gap suite's circles
+@example(L=48, m=256, S=2, seed=2)  # the counterexample's circles
+@example(L=48, m=97, S=2, seed=3)  # 2L + 2 >= m: synthesized directly
+def test_circle_samples_match_point_synthesis(L, m, S, seed):
+    """circle_samples is within 1e-12 max|g| of the oracle synthesize_points
+    at the great_circle(u, m) nodes, gives a circle bitwise the same alone
+    and in any stack, and is bitwise synthesize_stacked when 2L + 2 >= m."""
+    rng = np.random.default_rng(seed)
+    coeffs = [harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2)) for _ in range(S)]
+    for c in coeffs:
+        if rng.random() < 0.5:  # an even expansion, as the densities are
+            c.c[c.degrees() % 2 == 1] = 0.0
+    normals = rng.normal(size=(S, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    got = transforms.circle_samples(coeffs, normals, m)
+    assert got.shape == (S, m)
+    nodes = sphere.great_circle(normals, m).nodes
+    for s in range(S):
+        ref = harmonics.synthesize_points(coeffs[s], nodes[s])
+        assert np.max(np.abs(got[s] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(transforms.circle_samples(coeffs[s], normals[s], m), got[s])
+    a = int(rng.integers(0, S))
+    b = int(rng.integers(a + 1, S + 1))
+    assert np.array_equal(transforms.circle_samples(coeffs[a:b], normals[a:b], m), got[a:b])
+    if 2 * L + 2 >= m:
+        assert np.array_equal(got, harmonics.synthesize_stacked(coeffs, nodes))
 
 
 _cached_grid = functools.lru_cache(maxsize=None)(sphere.build_grid)

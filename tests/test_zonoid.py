@@ -106,6 +106,14 @@ class TestCalibration:
             assert abs(p1 - 1.0 / math.pi) < 1e-12
             assert abs(p2 - 2.0) < 1e-12
 
+    def test_double_angle_tables_cached_and_read_only(self):
+        c2, s2 = zonoid._double_angle_tables(64)
+        assert zonoid._double_angle_tables(64)[0] is c2
+        for arr in (c2, s2):
+            assert not arr.flags.writeable
+        two_a = 4.0 * np.pi * np.arange(64) / 64
+        assert np.array_equal(c2, np.cos(two_a)) and np.array_equal(s2, np.sin(two_a))
+
     @pytest.mark.parametrize("m", [8, 64, 256, 512])
     def test_closed_form_matches_kernel_sum(self, m):
         p1, p2 = zonoid.calibrate_weil_prefactors(m)
@@ -257,7 +265,7 @@ class TestIsotropyGapReport:
         u = random_unit(np.random.default_rng(10))
         rep = zonoid.isotropy_gap_report(spec, u, m=128)
         assert rep["dev"] == transforms.section_isotropy_tensor(spec.g, u, m=128).deviation
-        given = harmonics.synthesize_points(spec.g.coeffs, sphere.great_circle(u, 128).nodes)
+        given = transforms.circle_samples(spec.g.coeffs, u, 128)
         f1, f2 = zonoid._weil_densities(given)
         assert rep["f1"] == f1 and rep["f2"] == f2
         assert rep["mass"] == transforms.circle_fourier_mass(spec.g, u, degree=2, m=128)
@@ -301,12 +309,13 @@ class TestIsotropyGapReport:
 
     def test_suite_synthesizes_each_circle_once(self, suite_calls):
         # each case's circle and grid values are synthesized once: 200
-        # circles of m points reach the kernel, in batches of whole circles
+        # circles of 2L + 2 = 26 nodes, which fix a band-12 circle, reach the
+        # kernel in batches of whole circles, and are resampled to m nodes
         rows, calls = suite_calls
-        m = cli.RunConfig().circle_m
+        assert cli.RunConfig().circle_m > 26
         assert all(row["pass"] for row in rows)
-        assert sum(calls["kernel_points"]) == 200 * m
-        assert all(n % m == 0 for n in calls["kernel_points"])
+        assert sum(calls["kernel_points"]) == 200 * 26
+        assert all(n % 26 == 0 for n in calls["kernel_points"])
         assert calls["synthesize_grid"] == 200
 
     def test_suite_builds_no_support_function(self, suite_calls):
