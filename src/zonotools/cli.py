@@ -385,9 +385,10 @@ def suite_sr(ctx):
 
 
 def _isotropy_corpus(ctx, n_cases=200):
-    """Mixed corpus of (density, direction) cases with known character,
-    yielded one case at a time, every case built from its band-12
-    coefficients.
+    """Mixed corpus of (density, direction) cases with known character, as
+    stacks: the (n_cases, 169) band-12 coefficient rows of the densities,
+    their (n_cases, 3) directions, their minima on the grid and the flags
+    of the isotropic cases.
 
     The first half are zonal densities sum_l z_l P_l(<x, a>) over the even
     degrees l <= 12 about a random axis a, probed along a: the orthogonal
@@ -395,69 +396,59 @@ def _isotropy_corpus(ctx, n_cases=200):
     isotropic.  Their coefficients come from the addition theorem
     (``harmonics.zonal_expansions``) and have exact zeros on odd degrees.
     The second half are random even expansions, probed along a random
-    direction.  Each case is synthesized once on the grid, and shifted so
-    that its minimum there is 0.2 (zonal) or raised by |min| + 0.2 (random).
+    direction.  All cases are synthesized on the grid in one stacked pass
+    (``harmonics.grid_minima``), and each is shifted in coefficient space
+    so that its minimum there is 0.2 (zonal) or raised by |min| + 0.2
+    (random).
     """
     grid = ctx.grid
     rng = ctx.rng(6)
     L = 12
     n_zonal = n_cases // 2
-    # per zonal case: its axis, then its seven even-degree weights
+    even = harmonics.HarmonicCoeffs.zeros(L).degrees() % 2 == 0
+    n_even = int(np.sum(even))
+    # per zonal case: its axis, then its seven even-degree weights; per
+    # random case: its even coefficients, then its direction
     draws = rng.normal(size=(n_zonal, 10))
-    axes = draws[:, :3].copy()
-    for axis in axes:
-        axis /= np.linalg.norm(axis)
+    more = rng.normal(size=(n_cases - n_zonal, n_even + 3))
+    directions = np.concatenate([draws[:, :3], more[:, n_even:]])
+    # each row over its norm, formed as np.linalg.norm forms one vector's:
+    # the square root of its dot product with itself
+    directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None])[:, 0]
     z = np.zeros((n_zonal, L + 1))
     z[:, 0::2] = draws[:, 3:]
-    for c, axis in zip(harmonics.zonal_expansions(z, axes), axes):
-        yield _lifted(grid, c, floor=0.2, onto_floor=True), axis, True
-    even = harmonics.HarmonicCoeffs.zeros(L).degrees() % 2 == 0
-    for _ in range(n_cases - n_zonal):
-        c = harmonics.HarmonicCoeffs.zeros(L)
-        c.c[even] = rng.normal(size=int(np.sum(even)))
-        f = _lifted(grid, c, floor=0.2)
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        yield f, u, False
+    rows = np.zeros((n_cases, harmonics.coeff_count(L)))
+    rows[:n_zonal] = [c.c for c in harmonics.zonal_expansions(z, directions[:n_zonal])]
+    rows[n_zonal:, even] = more[:, :n_even]
+    isotropic = np.arange(n_cases) < n_zonal
+    low = harmonics.grid_minima(rows, grid)
+    shift = np.where(isotropic, 0.2 - low, np.abs(low) + 0.2)
+    # Y00 is 1/sqrt(4 pi), so the constant enters c00 times sqrt(4 pi)
+    rows[:, 0] += shift * math.sqrt(4.0 * math.pi)
+    return rows, directions, low + shift, isotropic
 
 
 def suite_isotropy_gap(ctx):
     tols = ctx.cfg.tolerances
-    m = ctx.cfg.circle_m
-    # keep only each case's even coefficients (even_density checks that the
-    # density is nonnegative), then sample every circle in one stack
-    cases = [(zonoid.even_density(f).coeffs, u, isotropic)
-             for f, u, isotropic in _isotropy_corpus(ctx)]
-    samples = transforms.circle_samples(
-        [c for c, _, _ in cases], np.array([u for _, u, _ in cases]), m
+    rows, directions, _, isotropic = _isotropy_corpus(ctx)
+    rep = zonoid.isotropy_gap_stack(
+        transforms.circle_samples(rows, directions, ctx.cfg.circle_m)
     )
-    rows = []
-    equiv_ok = True
-    oracle_worst = 0.0
-    for (_, u, isotropic), values in zip(cases, samples):
-        rep = zonoid.isotropy_gap_report(None, u, m=m, values=values)
-        small_gap = rep["gap"] < tols["gap_iso"]
-        small_dev = rep["dev"] < tols["dev_iso"]
-        if small_gap != small_dev:
-            equiv_ok = False
-        if isotropic and not (small_gap and small_dev):
-            equiv_ok = False
-        if not isotropic and (small_gap or small_dev):
-            equiv_ok = False
-        raw_gap = rep["f1"] ** 2 - rep["f2"]
-        mass = rep["mass"]
-        # raw_gap is a difference of O(f2)-sized quantities, so below
-        # ~eps*f2 it is cancellation noise; the identity is measured
-        # relative to the larger of the two sides with that floor.
-        scale = max(abs(raw_gap), abs(mass), tols["gap_oracle"] * rep["f2"])
-        oracle_worst = max(oracle_worst, abs(raw_gap - mass) / scale)
-    rows.append(
-        _row("isotropy-gap-equivalence", "isotropic-sections-iff-density-gap", 0.0 if equiv_ok else 1.0, 0.5, equiv_ok)
-    )
-    rows.append(
-        _row("gap-equals-circle-fourier-mass", "density-gap-fourier-oracle", oracle_worst, tols["gap_oracle"], oracle_worst <= tols["gap_oracle"])
-    )
-    return rows
+    small_gap = rep["gap"] < tols["gap_iso"]
+    small_dev = rep["dev"] < tols["dev_iso"]
+    # the isotropic cases, and only they, have a small gap and a small deviation
+    equiv_ok = bool(np.all(small_gap == isotropic) and np.all(small_dev == isotropic))
+    raw_gap = rep["f1"] ** 2 - rep["f2"]
+    mass = rep["mass"]
+    # raw_gap is a difference of O(f2)-sized quantities, so below
+    # ~eps*f2 it is cancellation noise; the identity is measured
+    # relative to the larger of the two sides with that floor.
+    scale = np.maximum(np.maximum(np.abs(raw_gap), np.abs(mass)), tols["gap_oracle"] * rep["f2"])
+    oracle_worst = float(np.max(np.abs(raw_gap - mass) / scale, initial=0.0))
+    return [
+        _row("isotropy-gap-equivalence", "isotropic-sections-iff-density-gap", 0.0 if equiv_ok else 1.0, 0.5, equiv_ok),
+        _row("gap-equals-circle-fourier-mass", "density-gap-fourier-oracle", oracle_worst, tols["gap_oracle"], oracle_worst <= tols["gap_oracle"]),
+    ]
 
 
 def suite_rigidity(ctx):

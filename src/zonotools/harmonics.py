@@ -116,13 +116,7 @@ class HarmonicCoeffs:
         Ac[l, m] multiplies Q_{l,m} cos(m phi) (already including the sqrt(2)
         for m > 0); As[l, m] multiplies Q_{l,m} sin(m phi), m >= 1.
         """
-        l, m, scale, pos, neg = _order_index(self.L)
-        Ac = np.zeros((self.L + 1, self.L + 1))
-        As = np.zeros((self.L + 1, self.L + 1))
-        Ac[l, m] = scale * self.c[pos]
-        As[l, m] = scale * self.c[neg]
-        As[:, 0] = 0.0  # m = 0 has no sine term; neg read the cosine slot
-        return Ac, As
+        return _split_rows(self.c)
 
     @classmethod
     def from_split_orders(cls, Ac, As):
@@ -142,6 +136,28 @@ def _order_index(L):
     l, m = np.tril_indices(L + 1)
     scale = np.where(m > 0, math.sqrt(2.0), 1.0)
     return _read_only(l, m, scale, l * l + l + m, l * l + l - m)
+
+
+def _rows_band_limit(C):
+    """The band limit L of coefficient rows of shape (..., (L+1)^2), one
+    expansion per row."""
+    L = math.isqrt(C.shape[-1]) - 1
+    if (L + 1) ** 2 != C.shape[-1]:
+        raise ValueError(f"coefficient rows must have (L+1)^2 columns, got shape {C.shape}")
+    return L
+
+
+def _split_rows(C):
+    """split_orders of the expansions in the coefficient rows ``C`` of
+    shape (..., (L+1)^2): the (..., L+1, L+1) arrays Ac, As."""
+    L = _rows_band_limit(C)
+    l, m, scale, pos, neg = _order_index(L)
+    Ac = np.zeros(C.shape[:-1] + (L + 1, L + 1))
+    As = np.zeros(C.shape[:-1] + (L + 1, L + 1))
+    Ac[..., l, m] = scale * C[..., pos]
+    As[..., l, m] = scale * C[..., neg]
+    As[..., 0] = 0.0  # m = 0 has no sine term; neg read the cosine slot
+    return Ac, As
 
 
 def coeffs_to_csv(path, coeffs):
@@ -469,15 +485,49 @@ def _synthesize_on(Ac, As, t, phi):
     return out
 
 
+def _synthesize_grid_rows(Ac, As, grid, work=None):
+    """(S, N) grid values of S expansions from their (S, L+1, L+1)
+    split-order stacks: the ring sums of each order by one einsum over
+    the stack, then one matmul per cosine and sine table over all
+    S * n_theta rings.  Each value is summed in the same order whatever S
+    is.  ``work``, when given, is a (2, S * n_theta, n_phi) buffer the two
+    products are formed in, and the values returned are a view of its
+    first plane."""
+    L = Ac.shape[1] - 1
+    P = grid_legendre(L, grid)
+    Bc = np.einsum("lmr,slm->srm", P, Ac).reshape(-1, L + 1)  # (S * n_theta, L+1)
+    Bs = np.einsum("lmr,slm->srm", P, As).reshape(-1, L + 1)
+    cosm, sinm = grid_phi_tables(L, grid)
+    V = np.matmul(Bc, cosm, out=None if work is None else work[0])
+    V += np.matmul(Bs, sinm, out=None if work is None else work[1])
+    return V.reshape(Ac.shape[0], -1)
+
+
 def synthesize_grid(coeffs, grid):
     """Evaluate the expansion at every grid node (separable fast path)."""
     Ac, As = coeffs.split_orders()
-    P = grid_legendre(coeffs.L, grid)
-    Bc = np.einsum("lmr,lm->mr", P, Ac)  # (L+1, n_theta)
-    Bs = np.einsum("lmr,lm->mr", P, As)
-    cosm, sinm = grid_phi_tables(coeffs.L, grid)
-    V = Bc.T @ cosm + Bs.T @ sinm
-    return V.reshape(-1)
+    return _synthesize_grid_rows(Ac[None], As[None], grid)[0]
+
+
+#: Expansions per synthesis of grid_minima: its buffer holds two planes of
+#: 0.5 MB on 64 x 128.
+GRID_MINIMA_CHUNK = 8
+
+
+def grid_minima(C, grid):
+    """Minimum over the grid nodes of each expansion in the (S, (L+1)^2)
+    coefficient rows ``C``, synthesized GRID_MINIMA_CHUNK expansions at a
+    time into one reused buffer; each is bitwise the minimum of its
+    synthesize_grid values."""
+    S = C.shape[0]
+    chunk = min(S, GRID_MINIMA_CHUNK)
+    work = np.empty((2, chunk * grid.n_theta, grid.n_phi))
+    out = np.empty(S)
+    for a in range(0, S, chunk):
+        b = min(S, a + chunk)
+        V = _synthesize_grid_rows(*_split_rows(C[a:b]), grid, work[:, : (b - a) * grid.n_theta])
+        out[a:b] = np.min(V, axis=1)
+    return out
 
 
 def _angles(points):
@@ -512,22 +562,20 @@ def synthesize_points(coeffs, points):
     return float(out[0]) if single else out
 
 
-def synthesize_stacked(coeffs, points):
+def synthesize_stacked(C, points):
     """Evaluate S expansions of one band limit, expansion s at ``points[s]``.
 
-    ``coeffs`` is a sequence of S HarmonicCoeffs and ``points`` an
+    ``C`` holds the (S, (L+1)^2) coefficient rows and ``points`` is an
     (S, n, 3) array of unit vectors; returns the (S, n) values.  Whole
     expansions go to the kernel together, about STACK_CHUNK points per
-    call, and each value is bitwise equal to synthesize_points(coeffs[s],
-    points[s]).
+    call, and each value is bitwise equal to synthesize_points on
+    expansion s at points[s].
     """
     points = np.asarray(points, dtype=float)
     S, n = points.shape[:2]
-    if len(coeffs) != S:
-        raise ValueError(f"{len(coeffs)} expansions for {S} point sets")
-    tables = [c.split_orders() for c in coeffs]
-    Ac = np.stack([t[0] for t in tables])
-    As = np.stack([t[1] for t in tables])
+    if len(C) != S:
+        raise ValueError(f"{len(C)} expansions for {S} point sets")
+    Ac, As = _split_rows(C)
     per_call = max(1, STACK_CHUNK // max(n, 1))
     out = np.empty((S, n))
     for a in range(0, S, per_call):

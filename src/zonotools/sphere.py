@@ -265,6 +265,29 @@ CSV_HEADER = "theta,phi,weight,value"
 #: Rows that grid_from_csv parses with one numpy call.
 CSV_BLOCK_ROWS = 2048
 
+#: Grid layouts whose text stays cached (0.5 MB for 64 x 128).
+CSV_LAYOUT_CACHE_SIZE = 4
+
+
+def _ring_text(theta, weight, phi, cell):
+    """The rows of one ring, ``theta,phi,weight,`` with 17 significant
+    digits and then ``cell``, joined by newlines; ``phi`` holds the
+    formatted longitudes."""
+    head, tail = f"{theta:.17g},", f",{weight:.17g},{cell}"
+    return head + (tail + "\n" + head).join(phi) + tail
+
+
+@lru_cache(maxsize=CSV_LAYOUT_CACHE_SIZE)
+def _csv_layout(theta_key, weight_key, phi_key):
+    """The rows grid_to_csv writes for the grid of these ring colatitudes,
+    ring weights and longitudes, joined by newlines, each value cell a
+    ``%s`` template field; one string, cached per grid."""
+    phi = [f"{p:.17g}" for p in np.frombuffer(phi_key)]
+    return "\n".join(
+        _ring_text(th, w, phi, "%s")
+        for th, w in zip(np.frombuffer(theta_key), np.frombuffer(weight_key))
+    )
+
 
 def grid_to_csv(path, grid, values):
     """Dump node samples as CSV with header theta,phi,weight,value.
@@ -282,22 +305,45 @@ def grid_to_csv(path, grid, values):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for th, w, ring in zip(grid.theta, grid.ring_weight, grid.ring_view(values)):
-            head, tail = f"{th:.17g},", f",{w:.17g},%.17g\n"
-            fh.write((head + (tail + head).join(phi) + tail) % tuple(ring.tolist()))
+            fh.write((_ring_text(th, w, phi, "%.17g") + "\n") % tuple(ring.tolist()))
+
+
+def _text_values(rows, grid):
+    """The value cells of ``rows`` as floats when the rows are exactly the
+    grid's layout text (``_csv_layout``) with one finite float in each
+    value cell, else None.
+
+    Each row's value cell is the text after its last comma; filled into
+    the layout, the cells must give back the rows, so every row has
+    exactly three commas and the grid's own theta, phi and weight cells,
+    and the numeric check would accept it with the same value: numpy
+    converts the value text in both routes.
+    """
+    if len(rows) != grid.n_nodes:
+        return None
+    layout = _csv_layout(grid.theta.tobytes(), grid.ring_weight.tobytes(), grid.phi.tobytes())
+    cells = [row.rpartition(",")[2] for row in rows]
+    if layout % tuple(cells) != "\n".join(rows):
+        return None
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:  # a cell that is not a float
+        return None
+    return values if np.all(np.isfinite(values)) else None
 
 
 def grid_from_csv(path, grid):
     """Read a value column dumped by grid_to_csv, validating the layout.
 
     Every row must hold four finite floats, its theta and phi within 1e-9
-    of its grid node; the rows are checked CSV_BLOCK_ROWS at a time.  A
-    block whose every line holds exactly three commas is parsed by one
-    numpy call and checked with array compares.  A block that fails is
-    walked line by line, so the ValueError names the first offending line
-    of the file.
+    of its grid node.  A file whose rows are the text that grid_to_csv
+    writes for the grid, whatever the values (``_csv_layout``), has only
+    its value column converted (``_text_values``).  Any other file goes
+    through the
+    numeric check (``_check_rows``), whose ValueError names the first
+    offending line of the file.  Both routes accept the same files and
+    return the same values.
     """
-    theta = np.repeat(grid.theta, grid.n_phi)
-    phi = np.tile(grid.phi, grid.n_theta)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -305,8 +351,26 @@ def grid_from_csv(path, grid):
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()  # the newline that ends the last row
-    values = np.empty(grid.n_nodes)
     rows = lines[: grid.n_nodes]
+    values = _text_values(rows, grid)
+    if values is None:
+        values = _check_rows(rows, grid)
+    if len(lines) < grid.n_nodes:
+        raise ValueError(f"line {len(lines) + 2}: unexpected end of file")
+    if len(lines) > grid.n_nodes:
+        raise ValueError(f"line {grid.n_nodes + 2}: trailing data after grid rows")
+    return values
+
+
+def _check_rows(rows, grid):
+    """The numeric check of grid_from_csv: ``rows`` parsed and checked
+    CSV_BLOCK_ROWS at a time, their value column returned.  A block whose
+    every line holds exactly three commas is parsed by one numpy call and
+    checked with array compares; a block that fails is walked line by
+    line, so the ValueError names the first offending line of the file."""
+    values = np.empty(len(rows))
+    theta = np.repeat(grid.theta, grid.n_phi)
+    phi = np.tile(grid.phi, grid.n_theta)
     for a in range(0, len(rows), CSV_BLOCK_ROWS):
         block = rows[a : a + CSV_BLOCK_ROWS]
         b = a + len(block)
@@ -338,8 +402,4 @@ def grid_from_csv(path, grid):
                 if abs(row[0] - theta[k]) > 1e-9 or abs(row[1] - phi[k]) > 1e-9:
                     raise ValueError(f"line {k + 2}: node does not match the grid layout")
                 values[k] = row[3]
-    if len(lines) < grid.n_nodes:
-        raise ValueError(f"line {len(lines) + 2}: unexpected end of file")
-    if len(lines) > grid.n_nodes:
-        raise ValueError(f"line {grid.n_nodes + 2}: trailing data after grid rows")
     return values

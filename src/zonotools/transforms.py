@@ -86,6 +86,8 @@ def funk_transform(f):
 # Section isotropy
 # ----------------------------------------------------------------------
 
+#: Floor of the isotropy measures' denominators, relative to the circle's
+#: own scale (``circle_scale``).
 EPS_FLOOR = 1e-14
 
 #: Circle node counts whose angle tables stay cached.
@@ -108,12 +110,13 @@ class IsotropyReport:
     deviation: float
 
 
-def circle_samples(coeffs, normals, m):
+def circle_samples(C, normals, m):
     """Expansion s on the m nodes of ``great_circle(normals[s], m)``.
 
-    ``coeffs`` is a sequence of S expansions of one band limit L and
-    ``normals`` an (S, 3) stack of unit vectors; returns the (S, m)
-    samples.  One expansion with one normal of shape (3,) gives (m,).
+    ``C`` holds the (S, (L+1)^2) coefficient rows of S expansions and
+    ``normals`` is an (S, 3) stack of unit vectors; returns the (S, m)
+    samples.  One row of shape ((L+1)^2,) with one normal of shape (3,)
+    gives (m,).
 
     On a great circle a band-L expansion is a trigonometric polynomial of
     degree <= L in the circle angle, so its samples at n = max(8, 2L + 2)
@@ -127,13 +130,13 @@ def circle_samples(coeffs, normals, m):
     normals = np.asarray(normals, dtype=float)
     single = normals.ndim == 1
     if single:
-        coeffs, normals = [coeffs], normals[None]
-    L = coeffs[0].L
+        C, normals = C[None], normals[None]
+    L = harmonics._rows_band_limit(C)
     n = max(8, 2 * L + 2)
     if n >= m:
-        out = harmonics.synthesize_stacked(coeffs, sphere.great_circle(normals, m).nodes)
+        out = harmonics.synthesize_stacked(C, sphere.great_circle(normals, m).nodes)
     else:
-        vals = harmonics.synthesize_stacked(coeffs, sphere.great_circle(normals, n).nodes)
+        vals = harmonics.synthesize_stacked(C, sphere.great_circle(normals, n).nodes)
         spec = np.fft.rfft(vals, norm="forward")[:, : L + 1]
         out = np.fft.irfft(spec, n=m, norm="forward")
     return out[0] if single else out
@@ -163,48 +166,56 @@ def _given_or_sampled(g, u, m, values):
                 "circle samples need an evaluation rule: a callable, or a "
                 "function with coefficients (call with_coeffs(L) first)"
             )
-        return circle_samples(g.coeffs, u, m)
+        return circle_samples(g.coeffs.c, u, m)
     values = np.asarray(values, dtype=float)
     if values.shape != (m,):
         raise ValueError(f"expected {m} circle samples, got shape {values.shape}")
     return values
 
 
+def circle_scale(values):
+    """(2 pi / m) sum |g| for each of S circles from their (S, m) samples:
+    the circle integral of |g|, which scales the floors of the isotropy
+    measures, so that they do not change when g is scaled."""
+    return 2.0 * np.pi / values.shape[1] * np.sum(np.abs(values), axis=1)
+
+
+def isotropy_tensors(values):
+    """Second-moment tensors and isotropy deviations of S circles.
+
+    ``values`` are the (S, m) samples of g on the nodes of great circles
+    (``great_circle(normals, m)``); returns T of shape (S, 2, 2) and the
+    (S,) deviations.  The deviation is the Frobenius distance of T to its
+    isotropic part over |trace T|, floored at EPS_FLOOR times the circle's
+    ``circle_scale``, and 0 on a circle where g vanishes.  Each circle's
+    sums are formed alone, so a row's result is bitwise the same in any
+    stack.
+    """
+    m = values.shape[1]
+    weight = 2.0 * np.pi / m
+    ca, sa = _angle_tables(m)
+    t11 = weight * np.sum(values * ca * ca, axis=1)
+    t22 = weight * np.sum(values * sa * sa, axis=1)
+    t12 = weight * np.sum(values * ca * sa, axis=1)
+    T = np.stack([np.stack([t11, t12], axis=1), np.stack([t12, t22], axis=1)], axis=1)
+    dev_num = np.sqrt(0.5 * (t11 - t22) ** 2 + 2.0 * t12 * t12)
+    floor = np.maximum(np.abs(t11 + t22), EPS_FLOOR * circle_scale(values))
+    deviation = np.divide(dev_num, floor, out=np.zeros_like(dev_num), where=floor > 0.0)
+    return T, deviation
+
+
 def section_isotropy_tensor(g, u, m=256, values=None):
-    """Second-moment tensor of g restricted to the great circle u-perp.
+    """Second-moment tensor of g restricted to the great circle u-perp:
+    the one-circle call of ``isotropy_tensors``.
 
     ``values`` are the samples of g on the circle's m nodes, when the
     caller already has them; g is then not read.
     """
     u = np.asarray(u, dtype=float)
     vals = _given_or_sampled(g, u, m, values)
-    weight = 2.0 * np.pi / m
-    ca, sa = _angle_tables(m)
-    t11 = weight * float(np.sum(vals * ca * ca))
-    t22 = weight * float(np.sum(vals * sa * sa))
-    t12 = weight * float(np.sum(vals * ca * sa))
-    T = np.array([[t11, t12], [t12, t22]])
-    trace = t11 + t22
-    dev_num = math.sqrt(0.5 * (t11 - t22) ** 2 + 2.0 * t12 * t12)
-    deviation = dev_num / max(abs(trace), EPS_FLOOR)
-    return IsotropyReport(u=u, T=T, trace=trace, deviation=deviation)
-
-
-def circle_fourier_mass(g, u, degree=2, m=256, values=None):
-    """Squared Fourier mass of g on the circle u-perp at the given order.
-
-    Brute-force FFT oracle: returns A^2 + B^2 with A, B the unnormalized
-    cos/sin moments int g cos(k a) da, int g sin(k a) da.  ``values`` are
-    the samples of g on the circle's m nodes, when the caller already has
-    them; g is then not read.
-    """
-    vals = _given_or_sampled(g, u, m, values)
-    spec = np.fft.rfft(vals)
-    weight = 2.0 * np.pi / m
-    # rfft coefficient k equals (m / 2pi) * integral moments for 0 < k < m/2
-    a = spec[degree].real * weight
-    b = -spec[degree].imag * weight
-    return float(a * a + b * b)
+    T, deviation = isotropy_tensors(vals[None])
+    T = T[0]
+    return IsotropyReport(u=u, T=T, trace=float(T[0, 0] + T[1, 1]), deviation=float(deviation[0]))
 
 
 # ----------------------------------------------------------------------

@@ -53,21 +53,24 @@ def _double_angle_tables(m):
 
 
 def _circle_double_integrals(vals):
-    """Trapezoid sums of the sin^2 kernel on m >= 8 equispaced circle nodes.
+    """Trapezoid sums of the sin^2 kernel on S circles of m >= 8
+    equispaced nodes, from their (S, m) samples.
 
-    Returns w^2 sum_ab sin^2(a - b) g_a and w^2 sum_ab sin^2(a - b) g_a g_b
-    (w = 2 pi / m) in O(m).  The kernel has rank 3,
-    sin^2(a - b) = (1 - cos 2a cos 2b - sin 2a sin 2b) / 2, so only the
-    order-0 and order-2 moments S0 = sum g, Sc = sum g cos 2a and
-    Ss = sum g sin 2a enter.  Each kernel row sums to exactly m / 2, which
-    is used as such instead of a computed sum.
+    Returns the (S,) arrays w^2 sum_ab sin^2(a - b) g_a and
+    w^2 sum_ab sin^2(a - b) g_a g_b (w = 2 pi / m) in O(m) per circle.
+    The kernel has rank 3, sin^2(a - b) = (1 - cos 2a cos 2b - sin 2a sin 2b) / 2,
+    so only the order-0 and order-2 moments S0 = sum g, Sc = sum g cos 2a
+    and Ss = sum g sin 2a enter.  Each kernel row sums to exactly m / 2,
+    which is used as such instead of a computed sum.  Sc and Ss are one
+    dot product per circle (a stack of 1 x m matmuls), so a row's sums
+    are bitwise the same in any stack.
     """
-    m = vals.size
+    m = vals.shape[1]
     w = 2.0 * np.pi / m
     c2, s2 = _double_angle_tables(m)
-    s0 = float(np.sum(vals))
-    sc = float(vals @ c2)
-    ss = float(vals @ s2)
+    s0 = np.sum(vals, axis=1)
+    sc = (vals[:, None, :] @ c2)[:, 0]
+    ss = (vals[:, None, :] @ s2)[:, 0]
     return w * w * (0.5 * m) * s0, w * w * 0.5 * (s0 * s0 - sc * sc - ss * ss)
 
 
@@ -81,9 +84,9 @@ def calibrate_weil_prefactors(m=256):
     m >= 8, so the calibrated values agree with the printed constants to
     rounding; the agreement is asserted rather than assumed.
     """
-    raw1, raw2 = _circle_double_integrals(np.ones(m))  # double integrals for g ≡ 1
-    pref1 = 2.0 * math.pi / raw1
-    pref2 = (2.0 * math.pi) ** 2 / raw2
+    raw1, raw2 = _circle_double_integrals(np.ones((1, m)))  # double integrals for g ≡ 1
+    pref1 = 2.0 * math.pi / float(raw1[0])
+    pref2 = (2.0 * math.pi) ** 2 / float(raw2[0])
     if abs(pref1 - WEIL_PREFACTOR_1) > CALIBRATION_TOL * WEIL_PREFACTOR_1:
         raise AssertionError(
             f"single-density prefactor calibrated to {pref1!r}, "
@@ -98,8 +101,8 @@ def calibrate_weil_prefactors(m=256):
 
 
 def _weil_densities(vals):
-    """(f1, f2) from the samples of g on an m-node circle."""
-    pref1, pref2 = calibrate_weil_prefactors(vals.size)
+    """(f1, f2) of S circles from their (S, m) samples of g, as (S,) arrays."""
+    pref1, pref2 = calibrate_weil_prefactors(vals.shape[1])
     raw1, raw2 = _circle_double_integrals(vals)
     return pref1 * raw1, pref2 * raw2
 
@@ -159,19 +162,41 @@ def make_zonoid(g):
     return ZonoidSpec(g=g_even, h=h)
 
 
+def isotropy_gap_stack(values):
+    """Pointwise witnesses tying section isotropy to the area-density gap,
+    for S circles from their (S, m) samples of the even density g.
+
+    Returns (S,) arrays: the isotropy deviation of g on each circle
+    (``transforms.isotropy_tensors``), the zonoid's first and second area
+    densities f1 and f2 at its normal from the circle integrals of g (f1
+    equals the Funk transform of g there), the relative gap
+    |f1^2 - f2| / f2, and ``mass``, the squared second-order Fourier mass
+    of g on the circle by the FFT.  The deviation and the gap vanish
+    together, and f1^2 - f2 equals the mass; the sums and the FFT are two
+    routes.  The gap's denominator is floored at EPS_FLOOR times the
+    square of the circle's ``transforms.circle_scale`` (0 where g
+    vanishes), so neither measure changes when g is scaled.  Every row is
+    computed alone, so it is bitwise the same in any stack.
+    """
+    m = values.shape[1]
+    _, dev = transforms.isotropy_tensors(values)
+    f1, f2 = _weil_densities(values)
+    # rfft coefficient k equals (m / 2pi) * the integral moments for 0 < k < m/2
+    spec = np.fft.rfft(values, axis=1)[:, 2]
+    weight = 2.0 * np.pi / m
+    a = spec.real * weight
+    b = -spec.imag * weight
+    floor = np.maximum(f2, transforms.EPS_FLOOR * transforms.circle_scale(values) ** 2)
+    gap = np.divide(np.abs(f1 * f1 - f2), floor, out=np.zeros_like(f2), where=floor > 0.0)
+    return {"dev": dev, "gap": gap, "f1": f1, "f2": f2, "mass": a * a + b * b}
+
+
 def isotropy_gap_report(g, u, m=256, values=None):
-    """Pointwise witness tying section isotropy to the area-density gap.
+    """``isotropy_gap_stack`` of the one circle u-perp, as floats.
 
     ``g`` is the even density (``even_density``), or a zonoid built from
-    it, of which only the density is read.
-
-    Returns the isotropy deviation of g restricted to the circle u-perp,
-    the zonoid's first and second area densities f1 and f2 at u from the
-    circle integrals of g (f1 equals the Funk transform of g there), and
-    the relative gap |f1^2 - f2| / max(f2, 1e-30).  The deviation and the
-    gap vanish together, and f1^2 - f2 equals the squared second-order
-    Fourier mass of g on the circle, which the FFT route gives as ``mass``.
-    g is sampled on the circle once, and every quantity reads those
+    it, of which only the density is read.  g is sampled on the circle
+    once (``transforms.circle_samples``), and every quantity reads those
     samples; ``values`` are those samples when the caller already has
     them (g on the nodes of ``great_circle(u, m)``), and g is then not
     read.
@@ -179,11 +204,7 @@ def isotropy_gap_report(g, u, m=256, values=None):
     if isinstance(g, ZonoidSpec):
         g = g.g
     vals = transforms._given_or_sampled(g, u, m, values)
-    dev = transforms.section_isotropy_tensor(g, u, m=m, values=vals).deviation
-    f1, f2 = _weil_densities(vals)
-    mass = transforms.circle_fourier_mass(g, u, degree=2, m=m, values=vals)
-    gap = abs(f1 * f1 - f2) / max(f2, 1e-30)
-    return {"dev": float(dev), "gap": float(gap), "f1": f1, "f2": f2, "mass": mass}
+    return {key: float(x[0]) for key, x in isotropy_gap_stack(vals[None]).items()}
 
 
 @dataclass(frozen=True)
@@ -664,12 +685,8 @@ def counterexample_assertions(result, rng, tolerances, m=256):
     """
     g = even_density(result.g)
     samples = result.cap_u.sample(ISOTROPY_SAMPLES, rng)
-    values = transforms.circle_samples([g.coeffs] * ISOTROPY_SAMPLES, samples, m)
-    devs = [
-        transforms.section_isotropy_tensor(g, u, m=m, values=v).deviation
-        for u, v in zip(samples, values)
-    ]
-    max_dev = float(np.max(devs))
+    values = transforms.circle_samples(np.broadcast_to(g.coeffs.c, (ISOTROPY_SAMPLES, g.coeffs.c.size)), samples, m)
+    max_dev = float(np.max(transforms.isotropy_tensors(values)[1]))
     gap = result.diagnostics["funk_gap_UV"]
     gap_err = abs(gap - result.diagnostics["funk_gap_expected"])
     var = result.diagnostics["density_band_variance"]

@@ -10,7 +10,8 @@ entries formed from six of them node by node, the order matrices
 of a coefficient table repacked through index arrays built anew per call,
 the theta-derivative tables built afresh at any ring cosines, the
 isotropy-gap corpus's zonal cases from numpy's Legendre series on the grid,
-the radii matrix, boundary point and area densities at one direction from
+the Fourier mass of circle samples by trapezoid moments instead of the
+FFT, the radii matrix, boundary point and area densities at one direction from
 derivatives along great circles, the Laplacian route to the first area
 density, an ellipsoid's radii from the shape operator of its implicit
 surface, and the grid CSV written node by node.  None of them is reached
@@ -65,6 +66,19 @@ def funk_transform_at(f, targets, m=256):
     for k, u in enumerate(targets):
         out[k] = circle_integrate(f, sphere.great_circle(u, m))
     return out if out.size > 1 else float(out[0])
+
+
+def circle_fourier_mass(g, u, degree=2, m=256, values=None):
+    """Squared Fourier mass A^2 + B^2 of g on the circle u-perp at the
+    given order, A and B the trapezoid moments of g cos(k a) and
+    g sin(k a) over the m circle nodes; ``values`` are g's samples there,
+    when the caller has them.  Checks the FFT route to ``mass`` of
+    ``zonoid.isotropy_gap_stack``."""
+    vals = transforms._given_or_sampled(g, u, m, values)
+    angles = 2.0 * np.pi * degree * np.arange(m) / m
+    a = 2.0 * np.pi / m * float(np.sum(vals * np.cos(angles)))
+    b = 2.0 * np.pi / m * float(np.sum(vals * np.sin(angles)))
+    return a * a + b * b
 
 
 def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):

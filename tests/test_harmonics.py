@@ -148,7 +148,7 @@ def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
     normals = rng.normal(size=(S, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     points = sphere.great_circle(normals, m).nodes
-    got = harmonics.synthesize_stacked(coeffs, points)
+    got = harmonics.synthesize_stacked(np.stack([c.c for c in coeffs]), points)
     assert got.shape == (S, m)
     for s in range(S):
         assert np.array_equal(got[s], harmonics.synthesize_points(coeffs[s], points[s]))
@@ -181,7 +181,7 @@ def test_point_synthesis_independent_of_its_batch(L, n, even, seed):
 def test_stacked_synthesis_checks_its_pairing():
     c = harmonics.HarmonicCoeffs.zeros(2)
     with pytest.raises(ValueError, match="2 expansions for 3 point sets"):
-        harmonics.synthesize_stacked([c, c], np.tile([0.0, 0.0, 1.0], (3, 8, 1)))
+        harmonics.synthesize_stacked(np.stack([c.c, c.c]), np.tile([0.0, 0.0, 1.0], (3, 8, 1)))
 
 
 def test_recurrence_coefficients_cached_and_read_only():
@@ -213,6 +213,24 @@ class TestOrderIndex:
         for arr in table:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+
+@pytest.mark.parametrize("L, S", [(12, 37), (48, 3), (0, 1)])
+def test_grid_minima_are_synthesize_grid_minima(grid, L, S):
+    # S = 37 ends in a partial chunk; each minimum is bitwise its own
+    rng = np.random.default_rng(L + S)
+    C = rng.normal(size=(S, (L + 1) ** 2))
+    got = harmonics.grid_minima(C, grid)
+    for c, low in zip(C, got):
+        assert low == np.min(harmonics.synthesize_grid(harmonics.HarmonicCoeffs(L, c), grid))
+
+
+def test_coefficient_rows_need_square_column_count():
+    assert harmonics._rows_band_limit(np.zeros((2, 25))) == 4
+    assert harmonics._rows_band_limit(np.zeros(9)) == 2
+    for C in (np.zeros((2, 5)), np.zeros(10)):
+        with pytest.raises(ValueError, match=r"\(L\+1\)\^2 columns"):
+            harmonics._rows_band_limit(C)
 
 
 class TestZonalExpansions:

@@ -390,3 +390,104 @@ class TestCsv:
         assert lines.pop() == ""
         path.write_bytes((newline.join(lines) + (newline if final else "")).encode())
         assert np.array_equal(sphere.grid_from_csv(path, grid), vals)
+
+
+def _count_numeric_reads(mp):
+    """Record the row count of every call of grid_from_csv's numeric check."""
+    calls = []
+    real = sphere._check_rows
+
+    def counting(rows, grid):
+        calls.append(len(rows))
+        return real(rows, grid)
+
+    mp.setattr(sphere, "_check_rows", counting)
+    return calls
+
+
+def _savetxt_csv(path, grid, values, fmt="%.17g", moved=0.0):
+    """A grid CSV written by np.savetxt from build_grid's nodes, its theta,
+    phi and weight columns in ``fmt`` and theta and phi moved by ``moved``."""
+    layout = np.column_stack([
+        np.repeat(grid.theta, grid.n_phi) + moved,
+        np.tile(grid.phi, grid.n_theta) + moved,
+        grid.weights,
+    ])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(sphere.CSV_HEADER + "\n")
+        for row, value in zip(layout, values):
+            fh.write(",".join(fmt % x for x in row) + ",%.17g\n" % value)
+
+
+class TestCsvTextRoute:
+    """Files in the grid's own layout text have only their value column
+    converted; any other text goes through the numeric check."""
+
+    def test_grid_to_csv_file_skips_the_numeric_check(self, tmp_path, grid):
+        vals = np.random.default_rng(21).normal(size=grid.n_nodes)
+        path = tmp_path / "dump.csv"
+        sphere.grid_to_csv(path, grid, vals)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_numeric_reads(mp)
+            back = sphere.grid_from_csv(path, grid)
+        assert calls == []
+        assert back.tobytes() == vals.tobytes()
+
+    def test_savetxt_file_skips_the_numeric_check(self, tmp_path, grid):
+        vals = np.random.default_rng(22).normal(size=grid.n_nodes)
+        path = tmp_path / "savetxt.csv"
+        np.savetxt(path, np.column_stack([
+            np.repeat(grid.theta, grid.n_phi), np.tile(grid.phi, grid.n_theta), grid.weights, vals,
+        ]), fmt="%.17g", delimiter=",", header=sphere.CSV_HEADER, comments="")
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_numeric_reads(mp)
+            back = sphere.grid_from_csv(path, grid)
+        assert calls == []
+        assert back.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("fmt, moved", [("%.16e", 0.0), ("%.17g", 1e-12)])
+    def test_other_layout_text_reads_the_same_values(self, tmp_path, grid, fmt, moved):
+        vals = np.random.default_rng(23).normal(size=grid.n_nodes)
+        path = tmp_path / "other.csv"
+        _savetxt_csv(path, grid, vals, fmt=fmt, moved=moved)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_numeric_reads(mp)
+            back = sphere.grid_from_csv(path, grid)
+        assert calls == [grid.n_nodes]
+        assert back.tobytes() == vals.tobytes()
+
+    def test_layout_is_cached_and_built_on_first_read(self, tmp_path):
+        grid = sphere.build_grid(3, 5)
+        keys = (grid.theta.tobytes(), grid.ring_weight.tobytes(), grid.phi.tobytes())
+        sphere._csv_layout.cache_clear()
+        sphere.grid_to_csv(tmp_path / "dump.csv", grid, np.arange(grid.n_nodes))
+        assert sphere._csv_layout.cache_info().currsize == 0
+        sphere.grid_from_csv(tmp_path / "dump.csv", grid)
+        layout = sphere._csv_layout(*keys)
+        assert sphere._csv_layout.cache_info().hits == 1
+        text = (tmp_path / "dump.csv").read_text().split("\n", 1)[1]
+        assert layout % tuple(str(k) for k in range(grid.n_nodes)) + "\n" == text
+
+
+_SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_theta=st.integers(2, 9),
+    n_phi=st.integers(4, 17),
+    data=st.data(),
+)
+def test_text_route_reads_back_bitwise(tmp_path_factory, n_theta, n_phi, data):
+    """A grid_to_csv file of any grid shape and any finite values, the
+    extremes and both zeros included, reads back bitwise by the text route."""
+    grid = sphere.build_grid(n_theta, n_phi)
+    cell = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    vals = np.array(data.draw(st.lists(cell, min_size=grid.n_nodes, max_size=grid.n_nodes)))
+    path = tmp_path_factory.mktemp("csv") / "dump.csv"
+    sphere.grid_to_csv(path, grid, vals)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_numeric_reads(mp)
+        back = sphere.grid_from_csv(path, grid)
+    assert calls == []
+    assert back.tobytes() == vals.tobytes()

@@ -182,17 +182,15 @@ class TestSectionIsotropy:
         f = random_density(grid, 10, np.random.default_rng(5))
         u = random_unit(np.random.default_rng(6))
         rep = transforms.section_isotropy_tensor(f, u)
-        mass = transforms.circle_fourier_mass(f, u, degree=2)
+        mass = oracles.circle_fourier_mass(f, u, degree=2)
         assert abs(rep.deviation * abs(rep.trace) - math.sqrt(mass / 2.0)) < 1e-10
 
     def test_given_samples_match_sampled_route(self, grid):
         f = random_density(grid, 10, np.random.default_rng(7))
         u = random_unit(np.random.default_rng(8))
-        vals = transforms.circle_samples(f.coeffs, u, 64)
+        vals = transforms.circle_samples(f.coeffs.c, u, 64)
         rep = transforms.section_isotropy_tensor(f, u, m=64, values=vals)
         assert np.array_equal(rep.T, transforms.section_isotropy_tensor(f, u, m=64).T)
-        mass = transforms.circle_fourier_mass(f, u, m=64, values=vals)
-        assert mass == transforms.circle_fourier_mass(f, u, m=64)
         with pytest.raises(ValueError, match="64 circle samples"):
             transforms.section_isotropy_tensor(f, u, m=64, values=vals[:-1])
 
@@ -224,20 +222,21 @@ def test_circle_samples_match_point_synthesis(L, m, S, seed):
     for c in coeffs:
         if rng.random() < 0.5:  # an even expansion, as the densities are
             c.c[c.degrees() % 2 == 1] = 0.0
+    C = np.stack([c.c for c in coeffs])
     normals = rng.normal(size=(S, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    got = transforms.circle_samples(coeffs, normals, m)
+    got = transforms.circle_samples(C, normals, m)
     assert got.shape == (S, m)
     nodes = sphere.great_circle(normals, m).nodes
     for s in range(S):
         ref = harmonics.synthesize_points(coeffs[s], nodes[s])
         assert np.max(np.abs(got[s] - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(transforms.circle_samples(coeffs[s], normals[s], m), got[s])
+        assert np.array_equal(transforms.circle_samples(C[s], normals[s], m), got[s])
     a = int(rng.integers(0, S))
     b = int(rng.integers(a + 1, S + 1))
-    assert np.array_equal(transforms.circle_samples(coeffs[a:b], normals[a:b], m), got[a:b])
+    assert np.array_equal(transforms.circle_samples(C[a:b], normals[a:b], m), got[a:b])
     if 2 * L + 2 >= m:
-        assert np.array_equal(got, harmonics.synthesize_stacked(coeffs, nodes))
+        assert np.array_equal(got, harmonics.synthesize_stacked(C, nodes))
 
 
 _cached_grid = functools.lru_cache(maxsize=None)(sphere.build_grid)

@@ -245,7 +245,7 @@ class TestIsotropyGapReport:
         u = random_unit(np.random.default_rng(8))
         rep = zonoid.isotropy_gap_report(spec, u)
         raw = rep["f1"] ** 2 - rep["f2"]
-        mass = transforms.circle_fourier_mass(spec.g, u, degree=2)
+        mass = oracles.circle_fourier_mass(spec.g, u, degree=2)
         assert abs(raw - mass) < 1e-6 * max(abs(raw), abs(mass))
 
     def test_anisotropic_case_flagged_both_ways(self, grid):
@@ -265,26 +265,33 @@ class TestIsotropyGapReport:
         u = random_unit(np.random.default_rng(10))
         rep = zonoid.isotropy_gap_report(spec, u, m=128)
         assert rep["dev"] == transforms.section_isotropy_tensor(spec.g, u, m=128).deviation
-        given = transforms.circle_samples(spec.g.coeffs, u, 128)
-        f1, f2 = zonoid._weil_densities(given)
-        assert rep["f1"] == f1 and rep["f2"] == f2
-        assert rep["mass"] == transforms.circle_fourier_mass(spec.g, u, degree=2, m=128)
+        given = transforms.circle_samples(spec.g.coeffs.c, u, 128)
+        f1, f2 = zonoid._weil_densities(given[None])
+        assert rep["f1"] == f1[0] and rep["f2"] == f2[0]
+        mass = oracles.circle_fourier_mass(spec.g, u, degree=2, m=128)
+        assert rep["mass"] == pytest.approx(mass, rel=1e-12, abs=0.0)
         assert zonoid.isotropy_gap_report(None, u, m=128, values=given) == rep
         with pytest.raises(ValueError, match="128 circle samples"):
             zonoid.isotropy_gap_report(None, u, m=128, values=given[:-1])
 
     @pytest.fixture(scope="class")
     def suite_calls(self):
-        # one default suite run, counting the synthesis, analysis, Legendre
-        # series and support builds and the points of every call into the
-        # point-synthesis kernel
-        calls = {"synthesize_grid": 0, "analyze": 0, "legval": 0, "from_coeffs": 0,
+        # one default suite run, counting the expansions synthesized on the
+        # grid, the analyses, Legendre series and support builds, and the
+        # points of every call into the point-synthesis kernel
+        calls = {"grid_rows": 0, "analyze": 0, "legval": 0, "from_coeffs": 0,
                  "kernel_points": []}
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
+            return wrapped
+
+        def grid_rows(real):
+            def wrapped(Ac, As, grid, work=None):
+                calls["grid_rows"] += Ac.shape[0]
+                return real(Ac, As, grid, work)
             return wrapped
 
         def kernel(real):
@@ -297,12 +304,12 @@ class TestIsotropyGapReport:
         ctx.grid  # built before counting: its Gauss rule calls legval
         with pytest.MonkeyPatch.context() as mp:
             for owner, name in [
-                (harmonics, "synthesize_grid"),
                 (harmonics, "analyze"),
                 (np.polynomial.legendre, "legval"),
                 (convex.SupportFunction, "from_coeffs"),
             ]:
                 mp.setattr(owner, name, counting(name, getattr(owner, name)))
+            mp.setattr(harmonics, "_synthesize_grid_rows", grid_rows(harmonics._synthesize_grid_rows))
             mp.setattr(harmonics, "_synthesize_on", kernel(harmonics._synthesize_on))
             rows = cli.suite_isotropy_gap(ctx)
         return rows, calls
@@ -316,7 +323,7 @@ class TestIsotropyGapReport:
         assert all(row["pass"] for row in rows)
         assert sum(calls["kernel_points"]) == 200 * 26
         assert all(n % 26 == 0 for n in calls["kernel_points"])
-        assert calls["synthesize_grid"] == 200
+        assert calls["grid_rows"] == 200
 
     def test_suite_builds_no_support_function(self, suite_calls):
         # the suite reads only the even density: no zonoid support is built,
@@ -324,7 +331,7 @@ class TestIsotropyGapReport:
         rows, calls = suite_calls
         assert all(row["pass"] for row in rows)
         assert calls["from_coeffs"] == 0
-        assert calls["synthesize_grid"] == 200
+        assert calls["grid_rows"] == 200
 
     def test_suite_builds_its_corpus_in_coefficient_space(self, suite_calls):
         # no case is evaluated by a Legendre series on the grid or analyzed
@@ -334,46 +341,74 @@ class TestIsotropyGapReport:
         assert calls["legval"] == 0
         assert calls["analyze"] == 0
 
+    def test_suite_rows_match_per_case_reports(self, suite_calls):
+        # the stacked suite against one isotropy_gap_report per case, read
+        # as the suite read them before it worked on stacks
+        rows, _ = suite_calls
+        ctx = cli.RunContext(cli.RunConfig())
+        coeffs, directions, _, isotropic = cli._isotropy_corpus(ctx)
+        tols = ctx.cfg.tolerances
+        equiv_ok, worst = True, 0.0
+        for c, u, iso in zip(coeffs, directions, isotropic):
+            rep = zonoid.isotropy_gap_report(
+                None, u, m=256, values=transforms.circle_samples(c, u, 256)
+            )
+            small_gap, small_dev = rep["gap"] < tols["gap_iso"], rep["dev"] < tols["dev_iso"]
+            equiv_ok &= small_gap == small_dev == iso
+            raw = rep["f1"] ** 2 - rep["f2"]
+            scale = max(abs(raw), abs(rep["mass"]), tols["gap_oracle"] * rep["f2"])
+            worst = max(worst, abs(raw - rep["mass"]) / scale)
+        assert equiv_ok and rows[0]["pass"]
+        assert rows[1]["metric"] == pytest.approx(worst, rel=1e-12, abs=0.0)
+
 
 class TestIsotropyCorpus:
     """cli._isotropy_corpus against oracles.isotropy_corpus_legval, the
     route that evaluated each zonal case by numpy's Legendre series on the
-    grid and analyzed it back to band 12."""
+    grid and analyzed it back to band 12, and drew and lifted each random
+    case on its own."""
 
     @pytest.fixture(scope="class")
     def corpora(self):
         ctx = cli.RunContext(cli.RunConfig())
-        return list(cli._isotropy_corpus(ctx)), list(oracles.isotropy_corpus_legval(ctx))
+        return cli._isotropy_corpus(ctx), list(oracles.isotropy_corpus_legval(ctx)), ctx.grid
 
     def test_zonal_values_match_legval_oracle(self, corpora):
-        new, old = corpora
-        assert [iso for _, _, iso in new] == [True] * 100 + [False] * 100
-        for (f, axis, _), (g, axis_old, _) in zip(new[:100], old[:100]):
+        (coeffs, directions, minima, isotropic), old, grid = corpora
+        assert isotropic.tolist() == [True] * 100 + [False] * 100
+        for c, axis, low, (g, axis_old, _) in zip(coeffs[:100], directions, minima, old[:100]):
             assert np.array_equal(axis, axis_old)
+            values = harmonics.synthesize_grid(harmonics.HarmonicCoeffs(12, c), grid)
             scale = np.max(np.abs(g.values))
-            assert np.max(np.abs(f.values - g.values)) <= 1e-12 * scale
-            assert np.max(np.abs(f.coeffs.c - g.coeffs.c)) <= 1e-12 * np.max(np.abs(g.coeffs.c))
-            assert np.min(f.values) == pytest.approx(0.2, abs=1e-14)
+            assert np.max(np.abs(values - g.values)) <= 1e-12 * scale
+            assert np.max(np.abs(c - g.coeffs.c)) <= 1e-12 * np.max(np.abs(g.coeffs.c))
+            assert low == pytest.approx(0.2, abs=1e-14)
+            assert low == pytest.approx(np.min(values), abs=1e-14)
 
     def test_zonal_cases_are_exactly_even(self, corpora):
         # no odd coefficient at all, so even_density keeps the grid values
-        for f, _, _ in corpora[0][:100]:
-            assert not np.any(f.coeffs.c[f.coeffs.degrees() % 2 == 1])
+        (coeffs, _, _, _), _, grid = corpora
+        odd = harmonics.HarmonicCoeffs.zeros(12).degrees() % 2 == 1
+        assert not np.any(coeffs[:, odd])
+        for c in coeffs[:100]:
+            f = transforms.SphericalFunction.from_coeffs(grid, harmonics.HarmonicCoeffs(12, c))
             assert zonoid.even_density(f).values is f.values
 
     def test_zonal_case_constant_on_its_axis_circle(self, corpora):
-        zonal = corpora[0][:100]
-        circles = sphere.great_circle(np.array([axis for _, axis, _ in zonal]), 64)
-        values = harmonics.synthesize_stacked([f.coeffs for f, _, _ in zonal], circles.nodes)
+        (coeffs, directions, _, _), _, _ = corpora
+        circles = sphere.great_circle(directions[:100], 64)
+        values = harmonics.synthesize_stacked(coeffs[:100], circles.nodes)
         spread = np.ptp(values, axis=1) / np.max(np.abs(values), axis=1)
         assert np.max(spread) <= 1e-12
 
     def test_random_half_bitwise_equal_to_scalar_draws(self, corpora):
-        new, old = corpora
-        for (f, u, _), (g, u_old, _) in zip(new[100:], old[100:]):
+        (coeffs, directions, minima, _), old, _ = corpora
+        assert len(old) == 200
+        for c, u, low, (g, u_old, _) in zip(coeffs[100:], directions[100:], minima[100:], old[100:]):
             assert np.array_equal(u, u_old)
-            assert f.coeffs.c.tobytes() == g.coeffs.c.tobytes()
-            assert f.values.tobytes() == g.values.tobytes()
+            assert c.tobytes() == g.coeffs.c.tobytes()
+            # the minimum of the lifted grid values, which cli._lifted forms
+            assert low == np.min(g.values)
 
 
 class TestCounterexample:
@@ -760,3 +795,63 @@ class TestRigidity:
         rep = zonoid.verify_local_rigidity(spec, cap_u)
         data = json.loads(rep.to_json())
         assert set(data) >= {"c", "a", "affine_residual", "funk_constant", "funk_residual"}
+
+
+def _circle_stack(rng, S, m):
+    """(S, m) circle samples: positive rows, sign-changing rows and, now
+    and then, a row that vanishes."""
+    values = rng.normal(size=(S, m)) + rng.choice([0.0, 4.0], size=(S, 1))
+    if rng.random() < 0.2:
+        values[int(rng.integers(0, S))] = 0.0
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    S=st.integers(1, 8),
+    m=st.sampled_from([8, 64, 97, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_reports_match_one_circle_reports(S, m, seed):
+    """Every row of isotropy_gap_stack and transforms.isotropy_tensors is
+    bitwise its one-circle report, whose sums are the stack's row by row;
+    f1, f2 and the mass match their oracles."""
+    rng = np.random.default_rng(seed)
+    values = _circle_stack(rng, S, m)
+    normals = random_unit(rng, S).reshape(S, 3)
+    stack = zonoid.isotropy_gap_stack(values)
+    T, dev = transforms.isotropy_tensors(values)
+    assert np.array_equal(dev, stack["dev"])
+    for s in range(S):
+        rep = zonoid.isotropy_gap_report(None, normals[s], m=m, values=values[s])
+        assert rep == {key: float(x[s]) for key, x in stack.items()}
+        iso = transforms.section_isotropy_tensor(None, normals[s], m=m, values=values[s])
+        assert iso.T.tobytes() == T[s].tobytes() and iso.deviation == dev[s]
+        o1, o2 = oracles.weil_densities_kernel(values[s])
+        scale = (2.0 * np.pi / m * np.sum(np.abs(values[s]))) ** 2
+        assert abs(rep["f1"] ** 2 - o1**2) <= 1e-13 * scale
+        assert abs(rep["f2"] - o2) <= 1e-13 * scale
+        mass = oracles.circle_fourier_mass(None, normals[s], m=m, values=values[s])
+        assert abs(rep["mass"] - mass) <= 1e-13 * scale
+    assert np.all(stack["dev"][~np.any(values, axis=1)] == 0.0)
+    assert np.all(stack["gap"][~np.any(values, axis=1)] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(-20, 20),
+    m=st.sampled_from([64, 97, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_isotropy_measures_are_scale_free(k, m, seed):
+    """The deviation and the gap of a positive circle density with order-2
+    content do not change when the density is scaled by 10^k."""
+    rng = np.random.default_rng(seed)
+    a = 2.0 * np.pi * np.arange(m) / m
+    g = 2.0 + rng.uniform(0.5, 1.5) * np.cos(2.0 * a + rng.uniform(0, 2 * np.pi))
+    for order in (1, 3, 4):
+        g += 0.1 * rng.normal() * np.cos(order * a + rng.uniform(0, 2 * np.pi))
+    ref = zonoid.isotropy_gap_stack(g[None])
+    got = zonoid.isotropy_gap_stack(10.0**k * g[None])
+    for key in ("dev", "gap"):
+        assert abs(got[key][0] - ref[key][0]) <= 1e-12 * ref[key][0]
