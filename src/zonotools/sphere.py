@@ -262,9 +262,6 @@ class Cap:
 
 CSV_HEADER = "theta,phi,weight,value"
 
-#: Rows that grid_from_csv parses with one numpy call.
-CSV_BLOCK_ROWS = 2048
-
 #: Grid layouts whose text stays cached (0.5 MB for 64 x 128).
 CSV_LAYOUT_CACHE_SIZE = 4
 
@@ -364,42 +361,23 @@ def grid_from_csv(path, grid):
 
 def _check_rows(rows, grid):
     """The numeric check of grid_from_csv: ``rows`` parsed and checked
-    CSV_BLOCK_ROWS at a time, their value column returned.  A block whose
-    every line holds exactly three commas is parsed by one numpy call and
-    checked with array compares; a block that fails is walked line by
-    line, so the ValueError names the first offending line of the file."""
+    line by line, their value column returned; the ValueError names the
+    first offending line of the file."""
     values = np.empty(len(rows))
     theta = np.repeat(grid.theta, grid.n_phi)
     phi = np.tile(grid.phi, grid.n_theta)
-    for a in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[a : a + CSV_BLOCK_ROWS]
-        b = a + len(block)
-        cells = None
-        if all(line.count(",") == 3 for line in block):
-            try:
-                cells = np.array(",".join(block).split(","), dtype=float).reshape(-1, 4)
-            except ValueError:  # a cell that is not a float
-                pass
-        if (
-            cells is not None
-            and np.all(np.isfinite(cells))
-            and np.all(np.abs(cells[:, 0] - theta[a:b]) <= 1e-9)
-            and np.all(np.abs(cells[:, 1] - phi[a:b]) <= 1e-9)
-        ):
-            values[a:b] = cells[:, 3]
-        else:  # walk the block; its first offending line raises
-            for k, line in enumerate(block, start=a):
-                parts = line.strip().split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"line {k + 2}: expected 4 columns, got {len(parts)}")
-                try:
-                    row = [float(p) for p in parts]
-                except ValueError as exc:
-                    raise ValueError(f"line {k + 2}: {exc}") from None
-                for name, cell, text in zip(CSV_HEADER.split(","), row, parts):
-                    if not math.isfinite(cell):
-                        raise ValueError(f"line {k + 2}: {name} is not finite ({text.strip()!r})")
-                if abs(row[0] - theta[k]) > 1e-9 or abs(row[1] - phi[k]) > 1e-9:
-                    raise ValueError(f"line {k + 2}: node does not match the grid layout")
-                values[k] = row[3]
+    for k, line in enumerate(rows):
+        parts = line.strip().split(",")
+        if len(parts) != 4:
+            raise ValueError(f"line {k + 2}: expected 4 columns, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"line {k + 2}: {exc}") from None
+        for name, cell, text in zip(CSV_HEADER.split(","), row, parts):
+            if not math.isfinite(cell):
+                raise ValueError(f"line {k + 2}: {name} is not finite ({text.strip()!r})")
+        if abs(row[0] - theta[k]) > 1e-9 or abs(row[1] - phi[k]) > 1e-9:
+            raise ValueError(f"line {k + 2}: node does not match the grid layout")
+        values[k] = row[3]
     return values

@@ -222,22 +222,7 @@ def section_isotropy_tensor(g, u, m=256, values=None):
 # Radial symmetrization and rotation averages
 # ----------------------------------------------------------------------
 
-def _deviates(a, b, atol):
-    """True unless a and b are finite arrays of one shape that differ by at
-    most atol in every entry (an absolute test: no relative slack)."""
-    return (
-        a.shape != b.shape
-        or not np.all(np.isfinite(a))
-        or float(np.max(np.abs(a - b))) > atol
-    )
-
-
-def _check_axis(axis):
-    if _deviates(np.asarray(axis, dtype=float), AXIS, 1e-12):
-        raise ValueError("radial symmetrization is tied to the grid ring axis e3")
-
-
-def radial_symmetrize(f, axis=AXIS):
+def radial_symmetrize(f):
     """Replace f on every latitude ring by its ring average.
 
     The output is zonal; applying the operator twice is bit-identical to
@@ -246,7 +231,6 @@ def radial_symmetrize(f, axis=AXIS):
     which is the exact coefficient-space action of ring averaging for
     band limits below the longitude count.
     """
-    _check_axis(axis)
     V = f.grid.ring_view(f.values)
     flat = np.all(V == V[:, :1], axis=1)
     out = np.repeat(np.where(flat, V[:, 0], np.mean(V, axis=1)), f.grid.n_phi)
@@ -266,9 +250,10 @@ def _as_axis_rotation(T):
         raise ValueError("rotation must be an angle or a 3x3 matrix")
     if not np.all(np.isfinite(T)):
         raise ValueError("rotation matrix must be finite")
-    if _deviates(T.T @ T, np.eye(3), 1e-10):
+    # absolute tests, no relative slack; an entry that overflows fails them
+    if not np.all(np.abs(T.T @ T - np.eye(3)) <= 1e-10):
         raise ValueError("matrix is not orthogonal")
-    if _deviates(T @ AXIS, AXIS, 1e-10):
+    if not np.all(np.abs(T @ AXIS - AXIS) <= 1e-10):
         raise ValueError("rotation does not fix the symmetrization axis e3")
     return T
 

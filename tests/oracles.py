@@ -153,8 +153,9 @@ def sin2_kernel(m):
 
 
 def weil_prefactors_kernel(m):
-    """Checks ``zonoid.calibrate_weil_prefactors`` with the full m x m
-    kernel sum."""
+    """The circle-integral prefactors from the constant-density oracle
+    through the full m x m kernel sum; checks ``zonoid.WEIL_PREFACTOR_1``
+    and ``zonoid.WEIL_PREFACTOR_2``."""
     w = 2.0 * np.pi / m
     raw = float(np.sum(sin2_kernel(m))) * w * w  # double integral for g ≡ 1
     return 2.0 * math.pi / raw, (2.0 * math.pi) ** 2 / raw
@@ -164,7 +165,7 @@ def weil_densities_kernel(gvals):
     """(f1, f2) from circle samples through the m x m sin^2 kernel; checks
     the closed-form f1 and f2 of ``zonoid.isotropy_gap_report``."""
     m = gvals.size
-    pref1, pref2 = zonoid.calibrate_weil_prefactors(m)
+    pref1, pref2 = weil_prefactors_kernel(m)
     w = 2.0 * np.pi / m
     kernel = sin2_kernel(m)
     f1 = pref1 * w * w * float(np.sum(kernel @ np.ones(m) * gvals))

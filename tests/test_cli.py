@@ -35,30 +35,23 @@ class TestConfig:
 
     def test_parse_and_override(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text(
-            "# comment\ngrid=16,32\nband=8\nseed=3\ntol_affine_residual=1e-3\n"
-        )
+        path.write_text("# comment\ngrid=16,32\nband=8\nseed=3\n")
         cfg = cli.parse_config_file(path)
         assert (cfg.n_theta, cfg.n_phi) == (16, 32)
-        assert cfg.tolerances["affine_residual"] == 1e-3
+        assert (cfg.band, cfg.seed) == (8, 3)
 
     def test_unknown_key_fails_loud(self, tmp_path):
+        # row tolerances are fixed, so a tol_<name> line is an unknown key too
         path = tmp_path / "cfg"
-        path.write_text("bandit=8\n")
-        with pytest.raises(cli.ConfigError, match="unknown key"):
-            cli.parse_config_file(path)
+        for line in ("bandit=8", "tol_affine_residual=1e-3"):
+            path.write_text(line + "\n")
+            with pytest.raises(cli.ConfigError, match="unknown key"):
+                cli.parse_config_file(path)
 
-    def test_unknown_tolerance_fails(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("tol_made_up=1e-3\n")
-        with pytest.raises(cli.ConfigError, match="unknown tolerance"):
-            cli.parse_config_file(path)
-
-    def test_nonpositive_tolerance_fails(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("tol_affine_residual=-1\n")
-        with pytest.raises(cli.ConfigError, match="positive"):
-            cli.parse_config_file(path)
+    def test_tolerances_are_read_only(self):
+        with pytest.raises(TypeError):
+            cli.TOLERANCES["funk_residual"] = 1.0
+        assert cli.TOLERANCES["funk_residual"] == 1e-4
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "cfg"
@@ -147,6 +140,7 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_sr.json").read_text())
         assert report["version"]
         assert report["config_echo"]["grid"] == [64, 128]
+        assert set(report["config_echo"]) == CONFIG_KEYS - {"out"}
         assert all(set(row) == {"test_id", "paper_anchor", "metric", "tolerance", "pass"}
                    for row in report["results"])
         assert all(row["pass"] for row in report["results"])
@@ -189,6 +183,25 @@ class TestVerifyCommand:
 
 
 class TestCounterexampleCommand:
+    def test_rows_compare_as_before(self, monkeypatch):
+        # metrics exactly at their tolerance fail: the first two rows pass
+        # strictly below it, the non-constancy row strictly above it
+        tol = cli.TOLERANCES
+        at_bound = {"isotropy_max_dev": tol["isotropy_dev"], "funk_gap_error": tol["funk_gap"],
+                    "band_variance": tol["nonconstancy_ratio"] * 4.0, "band_mean": 4.0}
+        ctx = cli.RunContext(cli.RunConfig())
+        ctx._counterexample = object()
+        monkeypatch.setattr(cli.zonoid, "counterexample_assertions", lambda res, rng, m: at_bound)
+        rows = cli.suite_counterexample(ctx)
+        assert [r["test_id"] for r in rows] == [
+            "counterexample-isotropy-on-cap", "counterexample-funk-gap", "counterexample-nonconstancy",
+        ]
+        assert [r["tolerance"] for r in rows] == [
+            tol["isotropy_dev"], tol["funk_gap"], tol["nonconstancy_ratio"],
+        ]
+        assert [r["metric"] for r in rows] == [tol["isotropy_dev"], tol["funk_gap"], tol["nonconstancy_ratio"]]
+        assert not any(r["pass"] for r in rows)
+
     def test_inadmissible_caps_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("cap_u_height=0.6\ncap_v_height=0.6\ntransition=0.4\n")
@@ -253,8 +266,7 @@ def _bad_config_lines():
     ).map(lambda k: k + "=1")
     bad_value = st.sampled_from([
         "seed=-1", "seed=x", "circle_m=7", "circle_m=-3", "transition=0", "transition=nan",
-        "transition=inf", "tol_funk_residual=0", "tol_funk_residual=nan",
-        "tol_funk_residual=inf", "tol_funk_residual=x",
+        "transition=inf", "tol_funk_residual=1e-3",
     ])
     return st.one_of(no_pair, unknown, bad_value).map(lambda line: ([line], [], NEWTON))
 

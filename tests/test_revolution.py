@@ -115,7 +115,7 @@ class TestScaleFree:
         """The minkowski-rev suite's round trip, scaled: bands to their
         relative tolerance, and no mass outside the cap pair relative to the
         largest band mass."""
-        tols = cli.DEFAULT_TOLERANCES
+        tols = cli.TOLERANCES
         cap, edges = MINKOWSKI_CAP, MINKOWSKI_EDGES
         source = fixtures.Ball(r).body(8193)
         mu = convex.prescribed_cap_measure(source, cap.height, edges)
@@ -141,9 +141,8 @@ class TestScaleFree:
         unit ball's tolerances and metrics: the two mass rows stay at
         rounding level and the lens row at the unit ball's profile error, so
         none reads an absolute mass or length."""
-        tols = cli.DEFAULT_TOLERANCES
-        rows = cli._minkowski_round_trip(tols, radius=r)
-        unit = cli._minkowski_round_trip(tols)
+        rows = cli._minkowski_round_trip(radius=r)
+        unit = cli._minkowski_round_trip()
         assert [row["test_id"] for row in rows] == [
             "minkowski-roundtrip-bands", "minkowski-no-mass-outside", "minkowski-solution-is-lens",
         ]

@@ -347,8 +347,7 @@ class TestCsv:
         (_truncated, "line 3002: unexpected end of file"),
         (_trailing_data, "line 8194: trailing data after grid rows"),
         (_trailing_blank_line, "line 8194: trailing data after grid rows"),
-        # the first offending line wins, also when the two errors fall in
-        # different parse blocks
+        # the first offending line wins
         (_node_then_bad_float, "line 5: node does not match the grid layout"),
         (_bad_float_then_node, "line 5: could not convert string to float: 'abc'"),
         (lambda lines: _set_cell(lines, 7, 3, "nan"), "line 7: value is not finite ('nan')"),
@@ -359,7 +358,6 @@ class TestCsv:
         (lambda lines: _set_cell(lines, 4100, 1, "NaN"), "line 4100: phi is not finite ('NaN')"),
     ])
     def test_malformed_file_names_first_bad_line(self, tmp_path, grid, edit, message):
-        assert (5 - 2) // sphere.CSV_BLOCK_ROWS != (3000 - 2) // sphere.CSV_BLOCK_ROWS
         path = tmp_path / "bad.csv"
         lines = _csv_lines(path, grid, np.ones(grid.n_nodes))
         edit(lines)
@@ -373,7 +371,7 @@ class TestCsv:
         ("\n", "line 37: trailing data after grid rows"),
     ])
     def test_trailing_data_after_a_partial_block(self, tmp_path, tail, message):
-        # 35 rows end inside the first parse block
+        # the 35 rows of a 5 x 7 grid, then the tail
         grid = sphere.build_grid(5, 7)
         path = tmp_path / "dump.csv"
         sphere.grid_to_csv(path, grid, np.ones(grid.n_nodes))

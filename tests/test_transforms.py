@@ -291,31 +291,6 @@ class TestRadialSymmetrize:
         scale = np.max(np.abs(b.values))
         assert np.max(np.abs(a.values - b.values)) < 1e-14 * scale
 
-    def test_axis_mismatch_rejected(self, grid):
-        f = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes))
-        with pytest.raises(ValueError, match="axis"):
-            transforms.radial_symmetrize(f, axis=np.array([1.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize(
-        "axis",
-        [
-            (0.0, 0.0, 1.000009),  # inside allclose's default rtol, far outside 1e-12
-            (0.0, 0.0, 1.0 + 1e-11),
-            (0.0, 0.0, math.nan),
-            (0.0, 0.0, 1.0, 0.0),
-            ((0.0, 0.0, 1.0),),
-        ],
-    )
-    def test_axis_checked_to_absolute_tolerance(self, small_grid, axis):
-        f = transforms.SphericalFunction(grid=small_grid, values=np.ones(small_grid.n_nodes))
-        with pytest.raises(ValueError, match="ring axis e3"):
-            transforms.radial_symmetrize(f, axis=axis)
-
-    def test_axis_within_tolerance_accepted(self, small_grid):
-        f = random_function(small_grid, 6, np.random.default_rng(21))
-        out = transforms.radial_symmetrize(f, axis=(1e-13, 0.0, 1.0 - 1e-13))
-        assert out.values.tobytes() == transforms.radial_symmetrize(f).values.tobytes()
-
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.sampled_from([(2, 4), (5, 7), (8, 16), (16, 129), (12, 300)]),
@@ -410,8 +385,10 @@ class TestFiniteAverage:
             (np.diag([1.0, 1.0, -1.0]), "fix"),
             (np.diag([1.0, math.nan, 1.0]), "must be finite"),
             (np.diag([1.0, 1.0, math.inf]), "must be finite"),
+            (np.array([[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]]), "not orthogonal"),
         ],
     )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_map_checked_to_absolute_tolerance(self, small_grid, T, message):
         f = random_function(small_grid, 4, np.random.default_rng(22))
         with pytest.raises(ValueError, match=message):

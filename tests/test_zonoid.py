@@ -96,15 +96,17 @@ def _oracle_design_plateau(cap_u, cap_v, L, design_grid, levels=(1.0, 2.0, 3.0),
 
 class TestCalibration:
     def test_prefactors_match_printed_constants(self):
-        p1, p2 = zonoid.calibrate_weil_prefactors(256)
-        assert abs(p1 - 1.0 / math.pi) < 1e-12
-        assert abs(p2 - 2.0) < 1e-12
+        assert zonoid.WEIL_PREFACTOR_1 == 1.0 / math.pi
+        assert zonoid.WEIL_PREFACTOR_2 == 2.0
 
     def test_prefactors_independent_of_node_count(self):
-        for m in (64, 128, 512):
-            p1, p2 = zonoid.calibrate_weil_prefactors(m)
-            assert abs(p1 - 1.0 / math.pi) < 1e-12
-            assert abs(p2 - 2.0) < 1e-12
+        # g ≡ c generates the ball of radius 2 pi c, whose first and second
+        # area densities are 2 pi c and (2 pi c)^2 at every node count
+        c = 0.7
+        for m in (8, 64, 97, 128, 512):
+            f1, f2 = zonoid._weil_densities(np.full((1, m), c))
+            assert abs(f1[0] - 2.0 * math.pi * c) < 1e-13 * (2.0 * math.pi * c)
+            assert abs(f2[0] - (2.0 * math.pi * c) ** 2) < 1e-13 * (2.0 * math.pi * c) ** 2
 
     def test_double_angle_tables_cached_and_read_only(self):
         c2, s2 = zonoid._double_angle_tables(64)
@@ -116,7 +118,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("m", [8, 64, 256, 512])
     def test_closed_form_matches_kernel_sum(self, m):
-        p1, p2 = zonoid.calibrate_weil_prefactors(m)
+        p1, p2 = zonoid.WEIL_PREFACTOR_1, zonoid.WEIL_PREFACTOR_2
         q1, q2 = oracles.weil_prefactors_kernel(m)
         assert abs(p1 - q1) < 1e-13 * q1
         assert abs(p2 - q2) < 1e-13 * q2
@@ -347,7 +349,7 @@ class TestIsotropyGapReport:
         rows, _ = suite_calls
         ctx = cli.RunContext(cli.RunConfig())
         coeffs, directions, _, isotropic = cli._isotropy_corpus(ctx)
-        tols = ctx.cfg.tolerances
+        tols = cli.TOLERANCES
         equiv_ok, worst = True, 0.0
         for c, u, iso in zip(coeffs, directions, isotropic):
             rep = zonoid.isotropy_gap_report(
@@ -452,21 +454,23 @@ class TestCounterexample:
             zonoid.build_counterexample(u, v, grid, L=16, transition=0.4)
 
     def test_assertion_rows(self, counterexample):
-        rows = zonoid.counterexample_assertions(
-            counterexample, np.random.default_rng(1234), cli.DEFAULT_TOLERANCES
-        )
-        assert [r["test_id"] for r in rows] == [
-            "counterexample-isotropy-on-cap",
-            "counterexample-funk-gap",
-            "counterexample-nonconstancy",
-        ]
-        assert all(r["pass"] for r in rows)
-        assert rows[0]["metric"] < 1e-5
+        got = zonoid.counterexample_assertions(counterexample, np.random.default_rng(1234))
+        tols = cli.TOLERANCES
+        d = counterexample.diagnostics
+        assert got == {
+            "isotropy_max_dev": got["isotropy_max_dev"],
+            "funk_gap_error": abs(d["funk_gap_UV"] - d["funk_gap_expected"]),
+            "band_variance": d["density_band_variance"],
+            "band_mean": d["density_band_mean"],
+        }
+        assert got["isotropy_max_dev"] < tols["isotropy_dev"] == 1e-5
+        assert got["funk_gap_error"] < tols["funk_gap"]
+        assert got["band_variance"] > tols["nonconstancy_ratio"] * got["band_mean"]
         # one synthesis of all circles gives each circle's own samples
         g = zonoid.even_density(counterexample.g)
         samples = counterexample.cap_u.sample(50, np.random.default_rng(1234))
         per_circle = max(transforms.section_isotropy_tensor(g, u).deviation for u in samples)
-        assert rows[0]["metric"] == pytest.approx(per_circle, rel=1e-12, abs=0.0)
+        assert got["isotropy_max_dev"] == pytest.approx(per_circle, rel=1e-12, abs=0.0)
 
     def test_grid_values_come_from_grid_synthesis(self, grid, cap_u, cap_v, monkeypatch):
         # the cap values of C(g) and R(g), in the build and in the rigidity
