@@ -30,9 +30,13 @@ def _pav_decreasing(y, w):
     Each pooled block keeps its weighted mean, its weight and its sample
     count; the counts expand the blocks back to the samples, so no weight
     threshold enters and the result does not depend on the weights' scale.
+    A sequence with no rising neighbours is its own projection.
     """
+    y = np.asarray(y, dtype=float)
+    if not np.any(y[1:] > y[:-1]):
+        return y.copy()
     vals, wts, counts = [], [], []
-    for yi, wi in zip(np.asarray(y, dtype=float), np.asarray(w, dtype=float)):
+    for yi, wi in zip(y, np.asarray(w, dtype=float)):
         vals.append(yi)
         wts.append(wi)
         counts.append(1)

@@ -160,13 +160,19 @@ def _split_rows(C):
     return Ac, As
 
 
+@lru_cache(maxsize=None)
+def _coeffs_csv_template(L):
+    """The text coeffs_to_csv writes for band L, each value a ``%.17g``
+    field in the coefficients' flat order; one string, cached per band."""
+    return "l,m,value\n" + "".join(
+        f"{l},{m},%.17g\n" for l in range(L + 1) for m in range(-l, l + 1)
+    )
+
+
 def coeffs_to_csv(path, coeffs):
-    """Dump coefficients as CSV rows l,m,value."""
+    """Dump coefficients as CSV rows l,m,value, with 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("l,m,value\n")
-        for l in range(coeffs.L + 1):
-            for m in range(-l, l + 1):
-                fh.write(f"{l},{m},{coeffs.get(l, m):.17g}\n")
+        fh.write(_coeffs_csv_template(coeffs.L) % tuple(coeffs.c.tolist()))
 
 
 # ----------------------------------------------------------------------

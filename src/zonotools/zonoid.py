@@ -26,9 +26,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from zonotools import harmonics, sphere, transforms
 from zonotools.convex import support as convex_support
@@ -313,7 +314,7 @@ def _rotate_expansion(coeffs, frame):
 
 class _DesignRows:
     """Rows of the plateau design's weighted least-squares system, folded
-    onto its symmetry group and built for a chunk of nodes at a time.
+    onto its symmetry group and written for a range of nodes at a time.
 
     Columns are even harmonics (l, m), degree-major, as ``ls``/``ms``.
     Rows, each scaled by the square root of its node's quadrature weight,
@@ -345,15 +346,16 @@ class _DesignRows:
     passes caps that no coordinate reflection fixes in the frame where
     that reflection is y -> -y, so at least one reflection always folds.
 
-    Blocks come transposed, one column per row of the system, assembled
-    one order m at a time and vectorized over degree from the grid's cached
-    Legendre and longitude tables (``harmonics.grid_theta_tables`` and
-    ``grid_phi_tables``).
+    Rows are written transposed, one column per row of the system, straight
+    into the caller's buffer: the row's entries, then its target.  They are
+    assembled one order m at a time and vectorized over degree from the
+    grid's cached Legendre and longitude tables
+    (``harmonics.grid_theta_tables`` and ``grid_phi_tables``).
 
     Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
-    node its grid index ``nodes``, cap index ``which`` and square-root
-    weight ``sw``; ``n_aniso``, the number of kept nodes with anisotropy
-    rows; and the ``reflections`` used.
+    node its grid index ``nodes``, cap index ``which``, plateau level
+    ``target`` and square-root weight ``sw``; ``n_aniso``, the number of
+    kept nodes with anisotropy rows; and the ``reflections`` used.
     """
 
     def __init__(self, grid, caps, L, anisotropy_caps):
@@ -374,6 +376,7 @@ class _DesignRows:
         self.which = np.zeros(self.nodes.size, dtype=int)
         for k, s in enumerate(sels):
             self.which[s[sel]] = k
+        self.target = np.asarray(PLATEAU_LEVELS, dtype=float)[self.which]
         self.sw = np.sqrt(mult[sel] * grid.weights[sel])
         self._ring, self._lon = np.divmod(self.nodes, grid.n_phi)
         self._aniso = np.flatnonzero(np.isin(self.which, anisotropy_caps))
@@ -397,31 +400,32 @@ class _DesignRows:
                 trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
             self._orders.append((cols, am, trig, dtrig, self.ls[cols, None]))
 
-    def value_rows(self, k):
-        """Value rows of the kept nodes ``k`` (a slice), transposed."""
+    def value_rows(self, out, k):
+        """Write the value rows of the kept nodes ``k`` (a slice) into
+        ``out``, transposed: their entries, then their plateau levels."""
         ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
-        AT = np.empty((self.ls.size, sw.size))
         for cols, am, trig, _, lc in self._orders:
-            AT[cols] = self._P[lc, am, ring] * (sw * trig[lon])
-        return AT
+            out[cols] = self._P[lc, am, ring] * (sw * trig[lon])
+        out[-1] = sw * self.target[k]
 
-    def anisotropy_rows(self, k):
-        """h11 - h22 rows, then 2 h12 rows, of the anisotropy nodes ``k``
-        (a slice of them), transposed."""
+    def anisotropy_rows(self, out, k, offdiagonal=False):
+        """Write the h11 - h22 rows (the 2 h12 rows when ``offdiagonal``) of
+        the anisotropy nodes ``k`` (a slice of them) into ``out``,
+        transposed: their entries, then their zero targets."""
         i = self._aniso[k]
         ring, lon, sw = self._ring[i], self._lon[i], self.sw[i]
-        na = i.size
         st = np.sqrt(1.0 - self._cos_theta[ring] ** 2)
         cot = self._cos_theta[ring] / st
-        AT = np.empty((self.ls.size, 2 * na))
         for cols, am, trig, dtrig, lc in self._orders:
             Pa, dPa = self._P[lc, am, ring], self._dP[lc, am, ring]
-            t_a = sw * trig[lon]
-            h11 = self._d2P[lc, am, ring] * t_a
-            h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
-            AT[cols, :na] = h11 - h22
-            AT[cols, na:] = 2.0 * (sw * dtrig[lon]) * (dPa - cot * Pa) / st
-        return AT
+            if offdiagonal:
+                out[cols] = 2.0 * (sw * dtrig[lon]) * (dPa - cot * Pa) / st
+            else:
+                t_a = sw * trig[lon]
+                h11 = self._d2P[lc, am, ring] * t_a
+                h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
+                out[cols] = h11 - h22
+        out[-1] = 0.0
 
 
 class _TriangularFactor:
@@ -429,36 +433,54 @@ class _TriangularFactor:
 
     A least-squares problem min |A x - b| keeps its minimizer, its singular
     values and its residual norm when [A | b] is replaced by the R of its
-    QR factorization.  Rows are gathered below the current factor in a
-    buffer of ``block`` rows and folded into it by a QR factorization
-    whenever the buffer fills, so the memory taken is fixed however many
-    rows the system has.
+    QR factorization.  The factor sits at the top of one Fortran-ordered
+    buffer with ``block`` free rows below it.  Rows are written straight
+    into the free rows and folded into the factor whenever those fill, by
+    LAPACK ``dgeqrf`` run in place on the buffer.  The buffer is the one
+    large allocation, and its size is fixed however many rows the system
+    has.  The fold is the factorization ``np.linalg.qr(mode="r")`` makes
+    (the same routine with the same workspace, so the same block size),
+    and its factor is bitwise the same.
     """
 
     def __init__(self, ncol, block):
         self._W = np.empty((ncol + 1 + block, ncol + 1), order="F")
         self._top = 0  # rows in use
         self._factor_rows = 0  # of which the current factor
+        self._tau = np.empty(ncol + 1)
+        query = np.empty(1)
+        self._geqrf(self._W.shape[0], query, -1)
+        self._work = np.empty(max(ncol + 1, int(query[0])))
 
-    def add(self, AT, b=None):
-        """Append rows of A, given transposed (one column per row), and of b
-        (zeros when None)."""
+    def _geqrf(self, m, work, lwork):
+        # W.T is the C-ordered view lapack_lite needs of the Fortran buffer
         W = self._W
-        done, n = 0, AT.shape[1]
-        while done < n:
-            k = min(W.shape[0] - self._top, n - done)
-            W[self._top : self._top + k, :-1] = AT[:, done : done + k].T
-            W[self._top : self._top + k, -1] = 0.0 if b is None else b[done : done + k]
+        info = lapack_lite.dgeqrf(m, W.shape[1], W.T, W.shape[0], self._tau, work, lwork, 0)
+        if info["info"] != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info['info']}")
+
+    def add(self, write, start, stop):
+        """Append rows ``start`` to ``stop`` of a family of rows:
+        ``write(out, k)`` writes its rows ``k`` (a slice) into ``out``, the
+        next free rows of the buffer, transposed: one column per row, A's
+        entries and then b's."""
+        W = self._W
+        while start < stop:
+            k = min(W.shape[0] - self._top, stop - start)
+            write(W[self._top : self._top + k].T, slice(start, start + k))
             self._top += k
-            done += k
+            start += k
             if self._top == W.shape[0]:
                 self._fold()
 
     def _fold(self):
         if self._top > self._factor_rows:
-            R = np.linalg.qr(self._W[: self._top], mode="r")
-            self._top = self._factor_rows = R.shape[0]
-            self._W[: self._top] = R
+            self._geqrf(self._top, self._work, self._work.size)
+            W = self._W
+            n = min(self._top, W.shape[1])
+            for j in range(n - 1):  # the Householder vectors below R
+                W[j + 1 : n, j] = 0.0
+            self._top = self._factor_rows = n
 
     def result(self):
         """The factor of every row added so far (a copy; adding may go on)."""
@@ -466,14 +488,21 @@ class _TriangularFactor:
         return self._W[: self._top].copy()
 
 
-#: Rows gathered between two QR folds of the plateau design, and nodes per
-#: built chunk of rows.  The buffer is sized once, so it bounds the design's
-#: memory whatever its caps.  A drawn cap pair, solved in its adapted frame,
-#: keeps 5.0k-8.6k rows at band 48: its 1.3k-2.3k value rows fit in one
-#: block, and the rows after them fill the buffer at most once (38 of 100
-#: drawn pairs).  Smaller blocks fold more often and cost time.
+#: Rows gathered between two QR folds of the plateau design.  The fold
+#: buffer holds them below the factor and is the design's one large
+#: allocation, sized once whatever its caps: at band 48 it is 23.6 MB with
+#: 625 columns (a drawn cap pair, solved in its adapted frame) and 11.5 MB
+#: with 325 (the default caps).  A drawn pair keeps 5.0k-8.6k rows: its
+#: 1.3k-2.3k value rows fit in one block, and the rows after them fill the
+#: buffer at most once (38 of 100 drawn pairs).  Smaller blocks fold more
+#: often and cost time.
 DESIGN_BLOCK_ROWS = 4096
-DESIGN_CHUNK_NODES = 1024
+
+#: Anisotropy nodes per group of rows: a group's h11 - h22 rows come before
+#: its 2 h12 rows.  The grouping fixes the order of the rows, and so the
+#: factor's last bits; rows are written straight into the fold buffer, so it
+#: allocates nothing.
+DESIGN_ANISOTROPY_GROUP = 1024
 
 #: Plateau levels of the design's cap pairs: U, V and the third cap.
 PLATEAU_LEVELS = (1.0, 2.0, 3.0)
@@ -512,14 +541,14 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     residual.  Caps that a coordinate reflection fixes, the default ones
     among them, are solved as given.
 
-    The system is never held whole.  Its rows are reduced, a block at a
-    time, to the triangular factor of their QR factorization
-    (``_TriangularFactor``), and the factor is solved by least squares
-    with the rank cutoff the whole system would get.  The value rows go
-    first: their factor [R q] also stands for the Funk rows, which have
-    the same target and are the value rows times ``funk`` column by
-    column, as [R diag(funk) q], and the other rows join the factor
-    after those.  The returned diagnostics carry the residuals on the
+    The system is never held whole.  Its rows are written into the fold
+    buffer of ``_TriangularFactor`` and reduced, a block at a time, to the
+    triangular factor of their QR factorization, and the factor is solved
+    by least squares with the rank cutoff the whole system would get.  The
+    value rows go first: their factor [R q] also stands for the Funk rows,
+    which have the same target and are the value rows times ``funk``
+    column by column, as [R diag(funk) q], and the other rows join the
+    factor after those.  The returned diagnostics carry the residuals on the
     kept nodes of the solved frame, the rotation into that frame
     (``design_frame``, rows the frame's axes; the identity when the caps
     are solved as given), the reflections used there and the health of
@@ -542,20 +571,28 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
     ls, ms, funk = rows.ls, rows.ms, rows.funk
     n, ncol = rows.nodes.size, ls.size
-    target = np.asarray(PLATEAU_LEVELS, dtype=float)[rows.which]
-    chunk = DESIGN_CHUNK_NODES
     factor = _TriangularFactor(ncol, DESIGN_BLOCK_ROWS)
-    for s in range(0, n, chunk):
-        k = slice(s, s + chunk)
-        factor.add(rows.value_rows(k), rows.sw[k] * target[k])
-    Rq = factor.result()[:ncol]
-    factor.add((Rq[:, :ncol] * funk).T, Rq[:, ncol])
-    del Rq  # not held through the folds below; the last is the memory peak
-    for s in range(0, rows.n_aniso, chunk):
-        factor.add(rows.anisotropy_rows(slice(s, s + chunk)))
+    factor.add(rows.value_rows, 0, n)
+    value_factor = factor.result()[:ncol]
+    funk_scale = np.append(funk, 1.0)[:, None]  # q is the Funk rows' target too
+    factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
+    del value_factor  # not held through the folds below; the last is the memory peak
+    group = DESIGN_ANISOTROPY_GROUP
+    for s in range(0, rows.n_aniso, group):
+        e = min(s + group, rows.n_aniso)
+        factor.add(rows.anisotropy_rows, s, e)
+        factor.add(partial(rows.anisotropy_rows, offdiagonal=True), s, e)
     lam = harmonics.multiplier_table("cosine", L)
-    factor.add(np.diag(math.sqrt(ridge) / lam[ls]))
+    ridge_diag = math.sqrt(ridge) / lam[ls]
+
+    def ridge_rows(out, k):
+        out[...] = 0.0
+        j = np.arange(k.stop - k.start)
+        out[k.start + j, j] = ridge_diag[k]
+
+    factor.add(ridge_rows, 0, ncol)
     Rq = factor.result()[:ncol]
+    del factor  # the fold buffer is not held through the solve and syntheses
     n_rows = 2 * n + 2 * rows.n_aniso + ncol
     sol, _, rank, sv = np.linalg.lstsq(
         Rq[:, :ncol], Rq[:, ncol], rcond=np.finfo(float).eps * max(n_rows, ncol)
@@ -571,8 +608,8 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         G = _rotate_expansion(G, frame)
         G.c[G.degrees() % 2 == 1] = 0.0  # G is even; these are rounding
     return G, {
-        "design_value_residual": float(np.max(np.abs(values - target))),
-        "design_funk_residual": float(np.max(np.abs(funk_values - target))),
+        "design_value_residual": float(np.max(np.abs(values - rows.target))),
+        "design_funk_residual": float(np.max(np.abs(funk_values - rows.target))),
         "design_rows": int(n_rows),
         "design_cols": int(ncol),
         "design_rank": int(rank),

@@ -14,8 +14,10 @@ the Fourier mass of circle samples by trapezoid moments instead of the
 FFT, the radii matrix, boundary point and area densities at one direction from
 derivatives along great circles, the Laplacian route to the first area
 density, an ellipsoid's radii from the shape operator of its implicit
-surface, and the grid CSV written node by node.  None of them is reached
-from the package.
+surface, the grid CSV written node by node, the coefficient CSV written
+coefficient by coefficient, and the plateau design's QR
+folds by ``np.linalg.qr`` on a copy of the gathered rows.  None of them
+is reached from the package.
 """
 
 import math
@@ -185,6 +187,16 @@ def ring_average_loop(V):
         else:
             out[i] = np.mean(row)
     return out
+
+
+def coeffs_csv_by_coefficient(path, coeffs):
+    """Coefficient CSV with one ``get`` and one write per coefficient.
+    Checks ``harmonics.coeffs_to_csv`` byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("l,m,value\n")
+        for l in range(coeffs.L + 1):
+            for m in range(-l, l + 1):
+                fh.write(f"{l},{m},{coeffs.get(l, m):.17g}\n")
 
 
 def pav_decreasing_by_weight(y, w):
@@ -483,3 +495,36 @@ def ellipsoid_radii_oracle(semi_axes, u):
     eigs = np.linalg.eigvalsh(W)
     curv = np.sort(eigs)[1:]  # drop the zero along the normal
     return np.sort(1.0 / curv[::-1])
+
+
+class QRFoldFactor:
+    """Upper-triangular factor of [A | b], fed like
+    ``zonoid._TriangularFactor`` (same buffer, same fold points) but folded
+    by ``np.linalg.qr(mode="r")``, which copies the gathered rows before
+    factoring them.  Checks the in-place LAPACK fold of
+    ``_TriangularFactor`` bit for bit."""
+
+    def __init__(self, ncol, block):
+        self._W = np.empty((ncol + 1 + block, ncol + 1), order="F")
+        self._top = 0
+        self._factor_rows = 0
+
+    def add(self, write, start, stop):
+        W = self._W
+        while start < stop:
+            k = min(W.shape[0] - self._top, stop - start)
+            write(W[self._top : self._top + k].T, slice(start, start + k))
+            self._top += k
+            start += k
+            if self._top == W.shape[0]:
+                self._fold()
+
+    def _fold(self):
+        if self._top > self._factor_rows:
+            R = np.linalg.qr(self._W[: self._top], mode="r")
+            self._top = self._factor_rows = R.shape[0]
+            self._W[: self._top] = R
+
+    def result(self):
+        self._fold()
+        return self._W[: self._top].copy()

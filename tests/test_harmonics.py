@@ -507,3 +507,15 @@ class TestCoeffsCsv:
         assert lines[0] == "l,m,value"
         assert len(lines) == 1 + 9
         assert "1,-1,0.25" in lines
+
+    @pytest.mark.parametrize("L", [0, 8, 48])
+    def test_matches_per_coefficient_writer(self, tmp_path, L):
+        rng = np.random.default_rng(L)
+        n = (L + 1) ** 2
+        c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n))
+        c.c[::7] = 0.0
+        c.c[1::11] = -0.0
+        c.c[2::13] = 5e-324
+        harmonics.coeffs_to_csv(tmp_path / "fast.csv", c)
+        oracles.coeffs_csv_by_coefficient(tmp_path / "slow.csv", c)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()

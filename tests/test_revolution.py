@@ -71,6 +71,18 @@ class TestPoolAdjacentViolators:
         assert base.size == len(y) and np.all(np.diff(base) <= 0.0)
         assert _pav_decreasing(y, w * 2.0**k).tobytes() == base.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(y=PAV_VALUES, seed=st.integers(0, 2**32 - 1))
+    def test_non_increasing_input_is_its_own_projection(self, y, seed):
+        # the early return for sequences with no rising neighbours gives the
+        # pooling loop's result bit for bit
+        y = sorted(y, reverse=True)
+        w = np.random.default_rng(seed).uniform(1e-3, 1.0, size=len(y))
+        got = _pav_decreasing(y, w)
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracles.pav_decreasing_by_weight(y, w).tobytes()
+        assert got.tobytes() == np.asarray(y, dtype=float).tobytes()
+
     def test_tiny_end_weights_keep_every_sample(self):
         # Chebyshev chords of a 1e-6 profile weigh about 1.5e-13 at the ends
         w = np.array([1.5e-13, 1.0e-12, 2.0e-12, 1.5e-13])

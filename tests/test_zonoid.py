@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,12 +561,17 @@ class TestPlateauDesign:
         caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
         big = [sphere.Cap(c.center, max(c.height - 0.01, 0.5)) for c in caps]
         rows = zonoid._DesignRows(sphere.build_grid(*self.GRID), big, self.L, anisotropy_caps=(0, 1))
-        V = rows.value_rows(slice(None))
+        ncol, n, na = rows.ls.size, rows.nodes.size, rows.n_aniso
+        V = np.empty((ncol + 1, n))
+        rows.value_rows(V, slice(0, n))
+        aniso = np.empty((ncol + 1, 2 * na))
+        rows.anisotropy_rows(aniso[:, :na], slice(0, na))
+        rows.anisotropy_rows(aniso[:, na:], slice(0, na), offdiagonal=True)
         lam = harmonics.multiplier_table("cosine", self.L)
         AT = np.hstack([
-            V,
-            V * rows.funk[:, None],
-            rows.anisotropy_rows(slice(None)),
+            V[:-1],
+            V[:-1] * rows.funk[:, None],
+            aniso[:-1],
             np.diag(math.sqrt(ridge) / lam[rows.ls]),
         ])
         return np.linalg.svd(AT, compute_uv=False)
@@ -598,10 +604,10 @@ class TestPlateauDesign:
 
     @pytest.mark.parametrize("pair", ["default", "rotated"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
-        # blocks and node chunks far smaller than the system, so the rows
-        # pass through many QR folds and the value rows' factor is split
+        # blocks and anisotropy groups far smaller than the system, so the
+        # rows pass through many QR folds and the value rows' factor is split
         monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
-        monkeypatch.setattr(zonoid, "DESIGN_CHUNK_NODES", 50)
+        monkeypatch.setattr(zonoid, "DESIGN_ANISOTROPY_GROUP", 50)
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
@@ -609,6 +615,37 @@ class TestPlateauDesign:
         assert info["design_rank"] == info["design_cols"]
         for s in self._solved_block_singular_values(fu, fv, 1e-12)[[0, -1]]:
             assert np.min(np.abs(sv - s)) <= 1e-9 * s
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("pair", ["default", "rotated"])
+    def test_factor_is_the_qr_fold(self, cap_u, cap_v, pair, small, monkeypatch):
+        # the in-place fold gives the design np.linalg.qr's factor bit for bit
+        if small:
+            monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
+            monkeypatch.setattr(zonoid, "DESIGN_ANISOTROPY_GROUP", 50)
+        u, v = self._pair(pair, cap_u, cap_v)
+        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        monkeypatch.setattr(zonoid, "_TriangularFactor", oracles.QRFoldFactor)
+        G_ref, info_ref = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        assert G.c.tobytes() == G_ref.c.tobytes()
+        assert info == info_ref
+
+    def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v):
+        # a drawn-like pair at the production band and grid, solved in its
+        # adapted frame (625 columns, a 23.6 MB buffer); the grid tables are
+        # cached by a first call, so the second call's peak is the design's
+        u, v = self._pair("rotated", cap_u, cap_v)
+        zonoid.design_plateau(u, v)
+        tracemalloc.start()
+        try:
+            _, info = zonoid.design_plateau(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ncol = info["design_cols"]
+        assert ncol == 625
+        buffer_bytes = (ncol + 1 + zonoid.DESIGN_BLOCK_ROWS) * (ncol + 1) * 8
+        assert peak < 1.5 * buffer_bytes
 
     @pytest.mark.parametrize("pair", ["default", "xz", "yz", "rotated", "diagonal"])
     def test_design_frame(self, cap_u, cap_v, pair):
@@ -702,6 +739,13 @@ class TestPlateauDesign:
         assert math.isfinite(d["design_sigma_ratio"]) and d["design_sigma_ratio"] > 1.0
 
 
+def _rows_of(Ab):
+    """Row writer for ``_TriangularFactor.add``: rows of the array [A | b]."""
+    def write(out, k):
+        out[...] = Ab[k].T
+    return write
+
+
 class TestTriangularFactor:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -713,22 +757,54 @@ class TestTriangularFactor:
     )
     def test_blocks_keep_the_least_squares_problem(self, ncol, n_rows, block, cuts, seed):
         rng = np.random.default_rng(seed)
-        A = rng.normal(size=(n_rows + ncol, ncol))
-        b = rng.normal(size=A.shape[0])
+        Ab = rng.normal(size=(n_rows + ncol, ncol + 1))
         factor = zonoid._TriangularFactor(ncol, block)
-        edges = np.unique(np.concatenate([[0], np.cumsum(cuts) % A.shape[0], [A.shape[0]]]))
+        oracle = oracles.QRFoldFactor(ncol, block)
+        edges = np.unique(np.concatenate([[0], np.cumsum(cuts) % Ab.shape[0], [Ab.shape[0]]]))
         for s, e in zip(edges[:-1], edges[1:]):
-            factor.add(A[s:e].T, b[s:e])
+            factor.add(_rows_of(Ab), s, e)
+            oracle.add(_rows_of(Ab), s, e)
         Rq = factor.result()
+        assert Rq.tobytes() == oracle.result().tobytes()
         assert Rq.shape == (ncol + 1, ncol + 1)
         assert np.allclose(np.triu(Rq), Rq, rtol=0.0, atol=0.0)
         # [A | b] and its factor have the same Gram matrix, hence the same
         # minimizer, singular values and residual norm
-        Ab = np.column_stack([A, b])
         assert np.allclose(Rq.T @ Rq, Ab.T @ Ab, rtol=1e-12, atol=1e-10 * np.sum(Ab * Ab))
         x = np.linalg.lstsq(Rq[:ncol, :ncol], Rq[:ncol, ncol], rcond=None)[0]
-        x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        x_ref = np.linalg.lstsq(Ab[:, :ncol], Ab[:, ncol], rcond=None)[0]
         assert np.allclose(x, x_ref, rtol=1e-9, atol=1e-9)
+
+    # (rows per add call, results taken after these calls): one fold of a
+    # part-full buffer; several folds of a full one, with a result taken
+    # between them; a first fold of fewer than ncol + 1 rows, whose factor
+    # is trapezoidal, and then more rows folded onto it.  Over 128 columns
+    # dgeqrf runs blocked, so the factor depends on its workspace size.
+    @pytest.mark.parametrize(
+        "adds,results",
+        [
+            ([300], ()),
+            ([700, 900, 260], (1,)),
+            ([25], (0,)),
+            ([25, 10, 2000], (0, 1)),
+        ],
+        ids=["one-fold", "several-folds", "short-fold", "short-then-more"],
+    )
+    def test_matches_the_qr_fold_bitwise(self, adds, results):
+        ncol, block = 160, 256
+        Ab = np.random.default_rng(5).normal(size=(sum(adds), ncol + 1))
+        factor = zonoid._TriangularFactor(ncol, block)
+        oracle = oracles.QRFoldFactor(ncol, block)
+        start = 0
+        for i, n in enumerate(adds):
+            factor.add(_rows_of(Ab), start, start + n)
+            oracle.add(_rows_of(Ab), start, start + n)
+            start += n
+            if i in results:
+                assert factor.result().tobytes() == oracle.result().tobytes()
+        Rq = factor.result()
+        assert Rq.tobytes() == oracle.result().tobytes()
+        assert Rq.shape == (min(sum(adds), ncol + 1), ncol + 1)
 
 
 class TestRigidity:
