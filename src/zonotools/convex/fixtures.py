@@ -2,16 +2,16 @@
 witnesses: the ball, the lens (intersection of two balls) and the
 spherocylinder (ball plus segment).
 
-Each fixture builds its sampled profile (``body``); the lens and the
-spherocylinder also give their principal radii in the normal
-parametrization, as functions of the normal latitude t, and their boundary
-points, and the lens its exact support values.  The lens and the
-spherocylinder are the two classical obstructions for umbilic-implies-sphere
-statements: the lens has equal principal curvatures almost everywhere on
-each smooth boundary piece yet its radii (normal parametrization) split on
-the edge fan, while the spherocylinder is umbilic at almost every normal
-but its first-order area measure carries a singular equator component, so
-no single sphere fits its boundary.
+The ball builds its sampled profile (``body``); the lens and the
+spherocylinder give their principal radii in the normal parametrization,
+as functions of the normal latitude t, and their boundary points, and the
+lens its exact support values.  The lens and the spherocylinder are the
+two classical obstructions for umbilic-implies-sphere statements: the
+lens has equal principal curvatures almost everywhere on each smooth
+boundary piece yet its radii (normal parametrization) split on the edge
+fan, while the spherocylinder is umbilic at almost every normal but its
+first-order area measure carries a singular equator component, so no
+single sphere fits its boundary.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ class Lens:
             (np.abs(t) >= self.t_edge)[:, None], cap_pts, edge_pts
         )
 
-    def body(self, n=4097):
-        r, c, d = self.r, self.c, self.d
-        return RevolutionBody.from_function(
-            lambda rho: np.sqrt(np.maximum(0.0, r * r - rho * rho)) - c, d, n
-        )
-
 
 @dataclass(frozen=True)
 class Spherocylinder:
@@ -125,10 +119,3 @@ class Spherocylinder:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         e3 = np.array([0.0, 0.0, 1.0])
         return self.r * u + np.outer(np.sign(u[:, 2]) * 0.5 * self.l, e3)
-
-    def body(self, n=4097):
-        r, l = self.r, self.l
-        return RevolutionBody.from_function(
-            lambda rho: 0.5 * l + np.sqrt(np.maximum(0.0, r * r - rho * rho)), r, n
-        )
-

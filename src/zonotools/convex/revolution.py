@@ -23,6 +23,11 @@ import numpy as np
 CONCAVITY_TOL = 1e-10
 MONOTONE_TOL = 1e-12
 
+#: Entries of each temporary that ``RevolutionBody.support_values`` forms:
+#: its latitudes go in blocks of max(1, this // samples), so an 8193-sample
+#: profile takes 7 latitudes at a time (0.46 MB) whatever their number.
+SUPPORT_BLOCK_ELEMENTS = 65536
+
 
 def _pav_decreasing(y, w):
     """Weighted isotonic projection onto non-increasing sequences.
@@ -116,15 +121,18 @@ class RevolutionBody:
 
         h(t) = max_k [ rho_k sqrt(1 - t^2) + z_k |t| ]: the discrete
         Legendre transform over the profile samples (with the even
-        completion folded into |t|).
+        completion folded into |t|).  Latitudes go in blocks sized by
+        SUPPORT_BLOCK_ELEMENTS; each value is a max over the same sums in
+        any block.
         """
         t = np.asarray(t, dtype=float)
         single = t.ndim == 0
         tt = np.atleast_1d(t)
         st = np.sqrt(np.maximum(0.0, 1.0 - tt * tt))
         out = np.empty(tt.size)
-        for start in range(0, tt.size, 1024):
-            sl = slice(start, start + 1024)
+        rows = max(1, SUPPORT_BLOCK_ELEMENTS // self.rho.size)
+        for start in range(0, tt.size, rows):
+            sl = slice(start, start + rows)
             vals = np.outer(st[sl], self.rho) + np.outer(np.abs(tt[sl]), self.z)
             out[sl] = vals.max(axis=1)
         return float(out[0]) if single else out

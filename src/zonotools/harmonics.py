@@ -337,11 +337,14 @@ def _ring_legendre(L, t_key):
     return P
 
 
+def _ring_derivative_pass(L, t_key):
+    t = np.frombuffer(t_key)
+    return _theta_derivatives(L, t, _pole_safe_sin(t), _ring_legendre(L, t_key))
+
+
 @lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
 def _ring_derivatives(L, t_key):
-    t = np.frombuffer(t_key)
-    s = _pole_safe_sin(t)
-    return _read_only(*_theta_derivatives(L, t, s, _ring_legendre(L, t_key)))
+    return _read_only(*_ring_derivative_pass(L, t_key))
 
 
 def _radii_tables(L, t, s, P, dP, d2P):
@@ -386,6 +389,13 @@ def grid_theta_tables(L, grid):
     theta-derivatives (``_theta_derivatives``), cached like grid_legendre."""
     t_key = _table_key(grid.cos_theta)
     return (_ring_legendre(L, t_key), *_ring_derivatives(L, t_key))
+
+
+def grid_theta_derivatives(L, grid):
+    """The first and second theta-derivatives of ``grid_theta_tables``,
+    bitwise the same, but built afresh and not cached: for a caller that
+    reads them once and drops them."""
+    return _ring_derivative_pass(L, _table_key(grid.cos_theta))
 
 
 def grid_radii_tables(L, grid):

@@ -189,19 +189,6 @@ class RigidityReport:
     funk_constant: float
     funk_residual: float
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "cap_center": [float(v) for v in self.cap.center],
-                "cap_height": self.cap.height,
-                "c": self.c,
-                "a": [float(v) for v in self.a],
-                "affine_residual": self.affine_residual,
-                "funk_constant": self.funk_constant,
-                "funk_residual": self.funk_residual,
-            }
-        )
-
 
 def verify_local_rigidity(spec, cap):
     """Least-squares affine fit of h on the cap nodes plus the Funk fit.
@@ -348,9 +335,16 @@ class _DesignRows:
 
     Rows are written transposed, one column per row of the system, straight
     into the caller's buffer: the row's entries, then its target.  They are
-    assembled one order m at a time and vectorized over degree from the
-    grid's cached Legendre and longitude tables
-    (``harmonics.grid_theta_tables`` and ``grid_phi_tables``).
+    assembled one order m at a time, vectorized over degree, from ring
+    tables of the design's own, one row per solved column (' is the
+    theta-derivative): Q, the Legendre factor; H = Q'' - cot Q' + m^2 Q /
+    sin^2, of which h11 - h22 is the product with the longitude factor; and
+    K = 2 (Q' - cot Q) / sin, of which 2 h12 is the product with the
+    longitude factor's phi-derivative.  A row family is then one gather and
+    one product per order.  Q' and Q'' come from an uncached derivative
+    pass (``harmonics.grid_theta_derivatives``) and are dropped once the
+    tables are gathered, so no derivative table of the design grid stays
+    in the per-grid cache.
 
     Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
     node its grid index ``nodes``, cap index ``which``, plateau level
@@ -381,13 +375,15 @@ class _DesignRows:
         self._ring, self._lon = np.divmod(self.nodes, grid.n_phi)
         self._aniso = np.flatnonzero(np.isin(self.which, anisotropy_caps))
         self.n_aniso = self._aniso.size
-        self._cos_theta = grid.cos_theta
-        # the degree-by-ring Legendre tables are read in place, per chunk
-        self._P, self._dP, self._d2P = harmonics.grid_theta_tables(L, grid)
+        t = grid.cos_theta
+        st = np.sqrt(1.0 - t * t)
+        cot = t / st
+        P = harmonics.grid_legendre(L, grid)
+        dP, d2P = harmonics.grid_theta_derivatives(L, grid)
         cosm, sinm = harmonics.grid_phi_tables(L, grid)
         s2 = math.sqrt(2.0)
-        # per order: its columns, |m|, the longitude factor and its phi
-        # derivative, and the degrees of its columns as a column vector
+        # per order: its columns, the longitude factor and its phi
+        # derivative, and the ring tables Q, H and K of its columns
         self._orders = []
         for m in np.unique(self.ms).tolist():
             cols = np.flatnonzero(self.ms == m)
@@ -398,14 +394,18 @@ class _DesignRows:
                 trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
             else:
                 trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
-            self._orders.append((cols, am, trig, dtrig, self.ls[cols, None]))
+            lc = self.ls[cols]
+            Q, dQ = P[lc, am], dP[lc, am]
+            H = d2P[lc, am] - cot * dQ + am * am * Q / (st * st)
+            K = 2.0 * (dQ - cot * Q) / st
+            self._orders.append((cols, trig, dtrig, Q, H, K))
 
     def value_rows(self, out, k):
         """Write the value rows of the kept nodes ``k`` (a slice) into
         ``out``, transposed: their entries, then their plateau levels."""
         ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
-        for cols, am, trig, _, lc in self._orders:
-            out[cols] = self._P[lc, am, ring] * (sw * trig[lon])
+        for cols, trig, _, Q, _, _ in self._orders:
+            out[cols] = Q[:, ring] * (sw * trig[lon])
         out[-1] = sw * self.target[k]
 
     def anisotropy_rows(self, out, k, offdiagonal=False):
@@ -414,17 +414,11 @@ class _DesignRows:
         transposed: their entries, then their zero targets."""
         i = self._aniso[k]
         ring, lon, sw = self._ring[i], self._lon[i], self.sw[i]
-        st = np.sqrt(1.0 - self._cos_theta[ring] ** 2)
-        cot = self._cos_theta[ring] / st
-        for cols, am, trig, dtrig, lc in self._orders:
-            Pa, dPa = self._P[lc, am, ring], self._dP[lc, am, ring]
+        for cols, trig, dtrig, _, H, K in self._orders:
             if offdiagonal:
-                out[cols] = 2.0 * (sw * dtrig[lon]) * (dPa - cot * Pa) / st
+                out[cols] = K[:, ring] * (sw * dtrig[lon])
             else:
-                t_a = sw * trig[lon]
-                h11 = self._d2P[lc, am, ring] * t_a
-                h22 = (cot * dPa - am * am * Pa / (st * st)) * t_a
-                out[cols] = h11 - h22
+                out[cols] = H[:, ring] * (sw * trig[lon])
         out[-1] = 0.0
 
 
@@ -440,7 +434,8 @@ class _TriangularFactor:
     large allocation, and its size is fixed however many rows the system
     has.  The fold is the factorization ``np.linalg.qr(mode="r")`` makes
     (the same routine with the same workspace, so the same block size),
-    and its factor is bitwise the same.
+    and its factor is bitwise the same.  ``folded`` gives the factor in
+    place, as a view of the buffer's top rows, and ``result`` a copy.
     """
 
     def __init__(self, ncol, block):
@@ -482,21 +477,31 @@ class _TriangularFactor:
                 W[j + 1 : n, j] = 0.0
             self._top = self._factor_rows = n
 
+    def folded(self):
+        """The factor of every row added so far, in place: a view of the
+        buffer's top rows, which stays valid until the next fold.  Rows
+        that ``add`` writes into the free rows may read it, as long as
+        they fit there without a fold."""
+        self._fold()
+        return self._W[: self._top]
+
     def result(self):
         """The factor of every row added so far (a copy; adding may go on)."""
-        self._fold()
-        return self._W[: self._top].copy()
+        return self.folded().copy()
 
 
-#: Rows gathered between two QR folds of the plateau design.  The fold
-#: buffer holds them below the factor and is the design's one large
-#: allocation, sized once whatever its caps: at band 48 it is 23.6 MB with
-#: 625 columns (a drawn cap pair, solved in its adapted frame) and 11.5 MB
-#: with 325 (the default caps).  A drawn pair keeps 5.0k-8.6k rows: its
-#: 1.3k-2.3k value rows fit in one block, and the rows after them fill the
-#: buffer at most once (38 of 100 drawn pairs).  Smaller blocks fold more
-#: often and cost time.
-DESIGN_BLOCK_ROWS = 4096
+#: Rows gathered between two QR folds of the plateau design, raised to
+#: ncol + 1 where the design has more columns, so that the Funk rows fit
+#: below the value factor they are read from.  The fold buffer holds them
+#: below the factor and is the design's one large allocation, sized once
+#: whatever its caps: at band 48 it is 13.4 MB with 625 columns (a drawn
+#: cap pair, solved in its adapted frame) and 6.2 MB with 325 (the default
+#: caps).  A drawn pair's rows take three or four folds (40 drawn pairs).
+#: 4096 rows need a 23.6 MB buffer and save one fold in about two: 2% of
+#: the time of seven drawn designs (0.625 against 0.638 s on 2 cores),
+#: less than the assembly from ``_DesignRows``' ring tables saves.
+#: Smaller blocks fold still more often and cost more time.
+DESIGN_BLOCK_ROWS = 2048
 
 #: Anisotropy nodes per group of rows: a group's h11 - h22 rows come before
 #: its 2 h12 rows.  The grouping fixes the order of the rows, and so the
@@ -547,8 +552,10 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     by least squares with the rank cutoff the whole system would get.  The
     value rows go first: their factor [R q] also stands for the Funk rows,
     which have the same target and are the value rows times ``funk``
-    column by column, as [R diag(funk) q], and the other rows join the
-    factor after those.  The returned diagnostics carry the residuals on the
+    column by column, as [R diag(funk) q].  Those are written from the
+    value factor where it sits in the buffer, which holds them without a
+    fold, and the other rows join the factor after them.  The ring tables
+    of the rows are dropped before the last fold.  The returned diagnostics carry the residuals on the
     kept nodes of the solved frame, the rotation into that frame
     (``design_frame``, rows the frame's axes; the identity when the caps
     are solved as given), the reflections used there and the health of
@@ -570,18 +577,22 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         big = [sphere.Cap(frame @ c.center, c.height) for c in big]
     rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
     ls, ms, funk = rows.ls, rows.ms, rows.funk
-    n, ncol = rows.nodes.size, ls.size
-    factor = _TriangularFactor(ncol, DESIGN_BLOCK_ROWS)
+    nodes, target, n_aniso = rows.nodes, rows.target, rows.n_aniso
+    n, ncol = nodes.size, ls.size
+    # ncol + 1 free rows: the ncol Funk rows fit without a fold
+    factor = _TriangularFactor(ncol, max(DESIGN_BLOCK_ROWS, ncol + 1))
     factor.add(rows.value_rows, 0, n)
-    value_factor = factor.result()[:ncol]
+    value_factor = factor.folded()[:ncol]
     funk_scale = np.append(funk, 1.0)[:, None]  # q is the Funk rows' target too
     factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
-    del value_factor  # not held through the folds below; the last is the memory peak
+    del value_factor  # the folds below overwrite it
     group = DESIGN_ANISOTROPY_GROUP
-    for s in range(0, rows.n_aniso, group):
-        e = min(s + group, rows.n_aniso)
+    for s in range(0, n_aniso, group):
+        e = min(s + group, n_aniso)
         factor.add(rows.anisotropy_rows, s, e)
         factor.add(partial(rows.anisotropy_rows, offdiagonal=True), s, e)
+    reflections = rows.reflections
+    del rows  # its ring tables are not held through the last fold
     lam = harmonics.multiplier_table("cosine", L)
     ridge_diag = math.sqrt(ridge) / lam[ls]
 
@@ -593,7 +604,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     factor.add(ridge_rows, 0, ncol)
     Rq = factor.result()[:ncol]
     del factor  # the fold buffer is not held through the solve and syntheses
-    n_rows = 2 * n + 2 * rows.n_aniso + ncol
+    n_rows = 2 * n + 2 * n_aniso + ncol
     sol, _, rank, sv = np.linalg.lstsq(
         Rq[:, :ncol], Rq[:, ncol], rcond=np.finfo(float).eps * max(n_rows, ncol)
     )
@@ -602,19 +613,19 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     G.c[idx] = sol
     G_funk = harmonics.HarmonicCoeffs.zeros(L)
     G_funk.c[idx] = funk * sol
-    values = harmonics.synthesize_grid(G, dg)[rows.nodes]
-    funk_values = harmonics.synthesize_grid(G_funk, dg)[rows.nodes]
+    values = harmonics.synthesize_grid(G, dg)[nodes]
+    funk_values = harmonics.synthesize_grid(G_funk, dg)[nodes]
     if adapted:
         G = _rotate_expansion(G, frame)
         G.c[G.degrees() % 2 == 1] = 0.0  # G is even; these are rounding
     return G, {
-        "design_value_residual": float(np.max(np.abs(values - rows.target))),
-        "design_funk_residual": float(np.max(np.abs(funk_values - rows.target))),
+        "design_value_residual": float(np.max(np.abs(values - target))),
+        "design_funk_residual": float(np.max(np.abs(funk_values - target))),
         "design_rows": int(n_rows),
         "design_cols": int(ncol),
         "design_rank": int(rank),
         "design_sigma_ratio": float(sv[0] / sv[-1]),
-        "design_reflections": rows.reflections,
+        "design_reflections": reflections,
         "design_frame": frame.tolist(),
     }
 

@@ -497,6 +497,48 @@ def ellipsoid_radii_oracle(semi_axes, u):
     return np.sort(1.0 / curv[::-1])
 
 
+def design_rows_three_tables(rows, grid, L, anisotropy_caps=(0, 1)):
+    """The value, h11 - h22 and 2 h12 rows of a ``zonoid._DesignRows``, of
+    all its kept nodes at once and transposed as its writers write them,
+    by per-node arithmetic on the grid's three cached theta tables Q, Q'
+    and Q'' (``harmonics.grid_theta_tables``):
+
+        h11 - h22 = Q'' T - (cot Q' - m^2 Q / sin^2) T,
+        2 h12 = 2 T' (Q' - cot Q) / sin,
+
+    with T the longitude factor of the column times the node's square-root
+    weight and T' its phi-derivative.  Checks the design's own ring tables
+    H and K, and the value rows' gather."""
+    P, dP, d2P = harmonics.grid_theta_tables(L, grid)
+    cosm, sinm = harmonics.grid_phi_tables(L, grid)
+    ring, lon = np.divmod(rows.nodes, grid.n_phi)
+    aniso = np.isin(rows.which, anisotropy_caps)
+    ra, la, swa = ring[aniso], lon[aniso], rows.sw[aniso]
+    st = np.sqrt(1.0 - grid.cos_theta[ra] ** 2)
+    cot = grid.cos_theta[ra] / st
+    ncol, s2 = rows.ls.size, math.sqrt(2.0)
+    V = np.zeros((ncol + 1, rows.nodes.size))
+    diag = np.zeros((ncol + 1, ra.size))
+    off = np.zeros((ncol + 1, ra.size))
+    for m in np.unique(rows.ms).tolist():
+        cols = np.flatnonzero(rows.ms == m)
+        am = abs(m)
+        if m == 0:
+            trig, dtrig = cosm[0], np.zeros(grid.n_phi)
+        elif m > 0:
+            trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
+        else:
+            trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
+        lc = rows.ls[cols, None]
+        V[cols] = P[lc, am, ring] * (rows.sw * trig[lon])
+        Pa, dPa = P[lc, am, ra], dP[lc, am, ra]
+        t_a = swa * trig[la]
+        diag[cols] = d2P[lc, am, ra] * t_a - (cot * dPa - am * am * Pa / (st * st)) * t_a
+        off[cols] = 2.0 * (swa * dtrig[la]) * (dPa - cot * Pa) / st
+    V[-1] = rows.sw * rows.target
+    return V, diag, off
+
+
 class QRFoldFactor:
     """Upper-triangular factor of [A | b], fed like
     ``zonoid._TriangularFactor`` (same buffer, same fold points) but folded
@@ -525,6 +567,9 @@ class QRFoldFactor:
             self._top = self._factor_rows = R.shape[0]
             self._W[: self._top] = R
 
-    def result(self):
+    def folded(self):
         self._fold()
-        return self._W[: self._top].copy()
+        return self._W[: self._top]
+
+    def result(self):
+        return self.folded().copy()

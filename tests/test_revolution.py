@@ -8,11 +8,28 @@ from numpy.testing import assert_allclose
 
 from zonotools import cli, convex, sphere
 from zonotools.convex import fixtures
-from zonotools.convex.revolution import RevolutionBody, _pav_decreasing
+from zonotools.convex.revolution import SUPPORT_BLOCK_ELEMENTS, RevolutionBody, _pav_decreasing
 
 import oracles
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def lens_body(lens, n=4097):
+    """The sampled profile of a ``fixtures.Lens``: a ball's cap lowered by c."""
+    r, c = lens.r, lens.c
+    return RevolutionBody.from_function(
+        lambda rho: np.sqrt(np.maximum(0.0, r * r - rho * rho)) - c, lens.d, n
+    )
+
+
+def spherocylinder_body(sc, n=4097):
+    """The sampled profile of a ``fixtures.Spherocylinder``: a ball's cap
+    raised by l/2, which ends in the wall."""
+    r, l = sc.r, sc.l
+    return RevolutionBody.from_function(
+        lambda rho: 0.5 * l + np.sqrt(np.maximum(0.0, r * r - rho * rho)), r, n
+    )
 
 
 class TestRevolutionBody:
@@ -32,7 +49,7 @@ class TestRevolutionBody:
         assert np.all(s <= 1e-12)
 
     def test_nodal_latitudes_monotone(self):
-        body = fixtures.Lens().body(513)
+        body = lens_body(fixtures.Lens(), 513)
         t = body.nodal_normal_latitudes()
         assert np.all(np.diff(t) <= 0)
         assert t[0] <= 1.0 and t[-1] >= 0.0
@@ -106,7 +123,7 @@ class TestScaleFree:
     @given(r=SCALES)
     def test_fixture_bodies_build(self, r):
         ball = fixtures.Ball(r).body()
-        lens = fixtures.Lens(r, 0.5 * r).body()
+        lens = lens_body(fixtures.Lens(r, 0.5 * r))
         assert ball.d == r and lens.d == pytest.approx(r * math.sqrt(0.75), rel=1e-15)
         assert ball.z[0] == pytest.approx(r, rel=1e-12)
 
@@ -173,7 +190,7 @@ class TestProfileToSupport:
 
     def test_lens_support_piecewise(self):
         lens = fixtures.Lens()
-        body = lens.body()
+        body = lens_body(lens)
         ts = np.linspace(-1, 1, 81)
         assert np.max(np.abs(body.support_values(ts) - lens.support(ts))) < 1e-7
         # cap-supported branch above the edge latitude
@@ -183,9 +200,38 @@ class TestProfileToSupport:
 
     def test_spherocylinder_support_additivity(self):
         sc = fixtures.Spherocylinder(1.0, 0.6)
-        body = sc.body()
+        body = spherocylinder_body(sc)
         ts = np.linspace(-1, 1, 41)
         assert np.max(np.abs(body.support_values(ts) - (1.0 + 0.3 * np.abs(ts)))) < 1e-7
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 9000),
+    blocks=st.integers(1, 3),
+    offset=st.integers(-1, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_values_are_the_unchunked_max(n, blocks, offset, seed):
+    """Latitude blocks sized by the element budget give bitwise the max of
+    the whole outer-product sum, for random concave profiles (flat runs and
+    walls included) and latitude counts on both sides of a block boundary."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1, 10.0)
+    # a wall, a spherical part and a min of affine pieces: flat or conical runs
+    wall, ball = rng.uniform(0.0, 1.0, 2)
+    a, b = rng.uniform(0.0, 2.0 * d, 3), -rng.uniform(0.0, 2.0, 3) * (rng.random(3) < 0.8)
+    body = RevolutionBody.from_function(
+        lambda r: wall + ball * np.sqrt(d * d - r * r) + np.min(a[:, None] + np.outer(b, r) - b[:, None] * d, axis=0),
+        d,
+        n,
+    )
+    rows = max(1, SUPPORT_BLOCK_ELEMENTS // n)
+    t = rng.uniform(-1.0, 1.0, max(1, blocks * rows + offset))
+    t[0] = 1.0
+    ref = (np.outer(np.sqrt(np.maximum(0.0, 1.0 - t * t)), body.rho) + np.outer(np.abs(t), body.z)).max(axis=1)
+    assert body.support_values(t).tobytes() == ref.tobytes()
+    assert body.support_values(t[-1]) == ref[-1]
 
 
 class TestSurfaceAreaMeasure:
@@ -209,14 +255,14 @@ class TestSurfaceAreaMeasure:
 
     def test_spherocylinder_wall_atom(self):
         sc = fixtures.Spherocylinder(1.0, 0.6)
-        zm = convex.surface_area_measure_zonal(sc.body(8193), np.array([-1.0, 0.0, 1.0]))
+        zm = convex.surface_area_measure_zonal(spherocylinder_body(sc, 8193), np.array([-1.0, 0.0, 1.0]))
         atoms = dict(zm.atoms)
         assert abs(atoms[0.0] - 2 * math.pi * 1.0 * 0.6) < 1e-12
         assert abs(zm.total_mass() - (4 * math.pi + 2 * math.pi * 0.6)) < 1e-6
 
     def test_lens_fan_is_massless(self):
         # the edge circle's normal fan covers |t| < 1/2 with zero area
-        body = fixtures.Lens().body(8193)
+        body = lens_body(fixtures.Lens(), 8193)
         zm = convex.surface_area_measure_zonal(body, np.array([-0.45, -0.15, 0.15, 0.45]))
         assert np.max(zm.masses) == 0.0
         assert zm.atoms == []

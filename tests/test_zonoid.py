@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zonotools import cli, convex, harmonics, sphere, transforms, zonoid
 
 import oracles
 from conftest import random_density, random_even_coeffs, random_unit
+from test_reach import OFF_PLANE_CAPS
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -630,11 +632,18 @@ class TestPlateauDesign:
         assert G.c.tobytes() == G_ref.c.tobytes()
         assert info == info_ref
 
-    def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v):
-        # a drawn-like pair at the production band and grid, solved in its
-        # adapted frame (625 columns, a 23.6 MB buffer); the grid tables are
+    @pytest.mark.parametrize("pair", ["rotated", "off-plane"])
+    def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
+        # drawn-like pairs at the production band and grid, solved in their
+        # adapted frame (625 columns, a 13.4 MB buffer); the grid tables are
         # cached by a first call, so the second call's peak is the design's
-        u, v = self._pair("rotated", cap_u, cap_v)
+        if pair == "off-plane":
+            path = tmp_path / "caps.cfg"
+            path.write_text(OFF_PLANE_CAPS)
+            cfg = cli.parse_config_file(str(path))
+            u, v = cfg.cap_u(), cfg.cap_v()
+        else:
+            u, v = self._pair(pair, cap_u, cap_v)
         zonoid.design_plateau(u, v)
         tracemalloc.start()
         try:
@@ -644,8 +653,67 @@ class TestPlateauDesign:
             tracemalloc.stop()
         ncol = info["design_cols"]
         assert ncol == 625
-        buffer_bytes = (ncol + 1 + zonoid.DESIGN_BLOCK_ROWS) * (ncol + 1) * 8
+        block = max(zonoid.DESIGN_BLOCK_ROWS, ncol + 1)
+        buffer_bytes = (ncol + 1 + block) * (ncol + 1) * 8
         assert peak < 1.5 * buffer_bytes
+
+    def test_row_tables_are_dropped_before_the_last_fold(self, cap_u, cap_v, monkeypatch):
+        # the last fold and the factor's copy do not run beside the ring tables
+        live, at_result = weakref.WeakSet(), []
+
+        class Rows(zonoid._DesignRows):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+
+        class Factor(zonoid._TriangularFactor):
+            def result(self):
+                at_result.append(len(live))
+                return super().result()
+
+        monkeypatch.setattr(zonoid, "_DesignRows", Rows)
+        monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        zonoid.design_plateau(*self._pair("rotated", cap_u, cap_v), L=self.L, design_grid=self.GRID)
+        assert at_result == [0]
+
+    def test_design_caches_no_derivative_table(self, cap_u, cap_v):
+        # the design's Q' and Q'' come from an uncached pass and are dropped
+        harmonics._ring_derivatives.cache_clear()
+        zonoid.design_plateau(cap_u, cap_v)
+        assert harmonics._ring_derivatives.cache_info().currsize == 0
+
+    @staticmethod
+    def _design_rows(u, v, L, grid):
+        """The rows design_plateau writes for the pair, in the frame it
+        solves in."""
+        third = np.cross(u.center, v.center)
+        caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
+        big = [sphere.Cap(c.center, max(c.height - zonoid.CAP_MARGIN, 0.5)) for c in caps]
+        if not zonoid._cap_pair_symmetry(grid, big)[1]:
+            frame = zonoid._adapted_frame(u.center, v.center)
+            big = [sphere.Cap(frame @ c.center, c.height) for c in big]
+        return zonoid._DesignRows(grid, big, L, anisotropy_caps=(0, 1))
+
+    @pytest.mark.parametrize("L,grid_shape", [(12, (32, 64)), (48, (128, 256))])
+    @pytest.mark.parametrize("pair", ["default", "rotated"])
+    def test_rows_match_three_table_oracle(self, cap_u, cap_v, pair, L, grid_shape):
+        # value rows bitwise the gather of the cached Legendre table; the
+        # anisotropy rows from the ring tables H and K within rounding of
+        # the per-node arithmetic on Q, Q' and Q'', row by row
+        grid = sphere.build_grid(*grid_shape)
+        rows = self._design_rows(*self._pair(pair, cap_u, cap_v), L, grid)
+        V_ref, diag_ref, off_ref = oracles.design_rows_three_tables(rows, grid, L)
+        ncol, n, na = rows.ls.size, rows.nodes.size, rows.n_aniso
+        V = np.empty((ncol + 1, n))
+        rows.value_rows(V, slice(0, n))
+        assert V.tobytes() == V_ref.tobytes()
+        for offdiagonal, ref in ((False, diag_ref), (True, off_ref)):
+            got = np.empty((ncol + 1, na))
+            rows.anisotropy_rows(got, slice(0, na), offdiagonal=offdiagonal)
+            assert not np.any(got[-1])
+            # rows that vanish (2 h12 on the phi = 0 meridian) vanish exactly
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("pair", ["default", "xz", "yz", "rotated", "diagonal"])
     def test_design_frame(self, cap_u, cap_v, pair):
@@ -863,18 +931,6 @@ class TestRigidity:
         r_cap = r[mask]
         assert abs(rep.funk_constant - np.mean(r_cap)) <= 1e-13 * scale
         assert abs(rep.funk_residual - np.max(np.abs(r_cap - np.mean(r_cap)))) <= 1e-13 * scale
-
-    def test_json_payload(self, grid, cap_u):
-        import json
-
-        c = harmonics.HarmonicCoeffs.zeros(2)
-        c.set(0, 0, math.sqrt(4 * math.pi))
-        spec = zonoid.make_zonoid(
-            transforms.SphericalFunction.from_coeffs(grid, c)
-        )
-        rep = zonoid.verify_local_rigidity(spec, cap_u)
-        data = json.loads(rep.to_json())
-        assert set(data) >= {"c", "a", "affine_residual", "funk_constant", "funk_residual"}
 
 
 def _circle_stack(rng, S, m):
