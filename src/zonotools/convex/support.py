@@ -38,7 +38,7 @@ def _derivative_fields(coeffs, grid):
     """
     L = coeffs.L
     Ac, As = coeffs.split_orders()
-    P, dP, _ = harmonics.grid_theta_tables(L, grid)
+    P, dP, _ = harmonics.ring_theta_tables(L, grid.cos_theta)
     cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ms = np.arange(L + 1)
 

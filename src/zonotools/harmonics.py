@@ -304,6 +304,20 @@ def _theta_derivatives(L, t, s, P):
     return dP, d2P
 
 
+def ring_theta_tables(L, t):
+    """Q_{l,m}(t) at the ring cosines t with its first and second
+    theta-derivatives (``_theta_derivatives``), each of shape
+    (L+1, L+1, len(t)); built afresh on each call and not cached, for a
+    caller that reads them once and drops them.  Every operation is
+    elementwise per ring, so on any subset of a grid's rings the tables are
+    bitwise the whole grid's on those rings, and Q is bitwise the cached
+    ``grid_legendre``.  Rejects the poles."""
+    t = np.asarray(t, dtype=float)
+    s = _pole_safe_sin(t)
+    P = _normalized_legendre(L, t)
+    return (P, *_theta_derivatives(L, t, s, P))
+
+
 def _phi_tables(L, phi):
     """cos(m phi), sin(m phi) tables of shape (L+1, len(phi))."""
     m = np.arange(L + 1)[:, None]
@@ -313,6 +327,12 @@ def _phi_tables(L, phi):
 # ----------------------------------------------------------------------
 # Per-grid tables, cached
 # ----------------------------------------------------------------------
+#
+# The caches hold three kinds of table per band limit and grid: Q on the
+# rings (grid_legendre), the radii tables E (grid_radii_tables) and the
+# longitude tables (grid_phi_tables, grid_phi_stacked).  The theta
+# derivatives Q' and Q'' are not kept: ring_theta_tables builds them at
+# any ring cosines for each caller that reads them, E's build among them.
 
 #: Entries kept by each per-grid table cache; one entry is one band limit
 #: on one grid.  A corpus or counterexample run touches fewer than ten.
@@ -337,34 +357,31 @@ def _ring_legendre(L, t_key):
     return P
 
 
-def _ring_derivative_pass(L, t_key):
-    t = np.frombuffer(t_key)
-    return _theta_derivatives(L, t, _pole_safe_sin(t), _ring_legendre(L, t_key))
-
-
-@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
-def _ring_derivatives(L, t_key):
-    return _read_only(*_ring_derivative_pass(L, t_key))
-
-
-def _radii_tables(L, t, s, P, dP, d2P):
+def _radii_tables(L, t, P, dP, d2P):
     """The ring-scaled radii tables of ``grid_radii_tables`` from the theta
-    tables Q, Q', Q'' at ring cosines t and sines s."""
+    tables Q, Q', Q'' at ring cosines t, each block formed in place in the
+    table (the E12 block holds cot Q' until E22 has read it)."""
+    s = _pole_safe_sin(t)
     cot = t / s
     m = np.arange(L + 1)[:, None]
     E = np.empty((L + 1, 3, t.size, L + 1))
-    E[:, 0] = (d2P + P).transpose(1, 2, 0)
-    E[:, 1] = (P * (1.0 - m * m / (s * s)) + cot * dP).transpose(1, 2, 0)
-    E[:, 2] = (m * (dP - cot * P) / s).transpose(1, 2, 0)
+    E11, E22, E12 = (E[:, k] for k in range(3))
+    P, dP, d2P = (x.transpose(1, 2, 0) for x in (P, dP, d2P))  # [m, ring, l]
+    np.add(d2P, P, out=E11)
+    np.multiply(P, (1.0 - m * m / (s * s))[:, :, None], out=E22)
+    np.multiply(cot[:, None], dP, out=E12)
+    E22 += E12
+    np.multiply(cot[:, None], P, out=E12)
+    np.subtract(dP, E12, out=E12)
+    E12 *= m[:, :, None]
+    E12 /= s[:, None]
     return E.reshape(L + 1, 3 * t.size, L + 1)
 
 
 @lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
 def _ring_radii_tables(L, t_key):
     t = np.frombuffer(t_key)
-    E = _radii_tables(
-        L, t, _pole_safe_sin(t), _ring_legendre(L, t_key), *_ring_derivatives(L, t_key)
-    )
+    E = _radii_tables(L, t, *ring_theta_tables(L, t))
     E.flags.writeable = False
     return E
 
@@ -384,20 +401,6 @@ def grid_legendre(L, grid):
     return _ring_legendre(L, _table_key(grid.cos_theta))
 
 
-def grid_theta_tables(L, grid):
-    """Q_{l,m}(cos theta) on the grid's rings with its first and second
-    theta-derivatives (``_theta_derivatives``), cached like grid_legendre."""
-    t_key = _table_key(grid.cos_theta)
-    return (_ring_legendre(L, t_key), *_ring_derivatives(L, t_key))
-
-
-def grid_theta_derivatives(L, grid):
-    """The first and second theta-derivatives of ``grid_theta_tables``,
-    bitwise the same, but built afresh and not cached: for a caller that
-    reads them once and drops them."""
-    return _ring_derivative_pass(L, _table_key(grid.cos_theta))
-
-
 def grid_radii_tables(L, grid):
     """The theta factors of the radii matrix on the grid's rings, scaled per
     ring, shape (L+1, 3 * n_theta, L+1) and indexed [m, k * n_theta + ring, l].
@@ -410,8 +413,9 @@ def grid_radii_tables(L, grid):
 
     so that q11 and q22 are sums of E11 and E22 times
     Ac cos(m phi) + As sin(m phi), and q12 of E12 times
-    As cos(m phi) - Ac sin(m phi).  Cached like grid_theta_tables and
-    read-only.
+    As cos(m phi) - Ac sin(m phi).  Cached like grid_legendre and
+    read-only; the theta tables it is built from (``ring_theta_tables``)
+    are not kept.
     """
     return _ring_radii_tables(L, _table_key(grid.cos_theta))
 
@@ -551,11 +555,10 @@ def _angles(points):
     return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
 
 
-#: Points per kernel call of synthesize_points.
-POINT_CHUNK = 8192
-
-#: Points per kernel call of synthesize_stacked.
-STACK_CHUNK = 2048
+#: Points per kernel call of synthesize_points and synthesize_stacked; each
+#: work array of the kernel holds (L+1) x POINT_CHUNK values, 0.8 MB at
+#: band 48.
+POINT_CHUNK = 2048
 
 
 def synthesize_points(coeffs, points):
@@ -583,7 +586,7 @@ def synthesize_stacked(C, points):
 
     ``C`` holds the (S, (L+1)^2) coefficient rows and ``points`` is an
     (S, n, 3) array of unit vectors; returns the (S, n) values.  Whole
-    expansions go to the kernel together, about STACK_CHUNK points per
+    expansions go to the kernel together, about POINT_CHUNK points per
     call, and each value is bitwise equal to synthesize_points on
     expansion s at points[s].
     """
@@ -592,7 +595,7 @@ def synthesize_stacked(C, points):
     if len(C) != S:
         raise ValueError(f"{len(C)} expansions for {S} point sets")
     Ac, As = _split_rows(C)
-    per_call = max(1, STACK_CHUNK // max(n, 1))
+    per_call = max(1, POINT_CHUNK // max(n, 1))
     out = np.empty((S, n))
     for a in range(0, S, per_call):
         b = min(S, a + per_call)

@@ -299,6 +299,16 @@ def _rotate_expansion(coeffs, frame):
     )
 
 
+def _write_gathered(out, cols, table, ring, scale):
+    """out[cols] = table[:, ring] * scale, scaled in place in the gather,
+    which is the one temporary.  ``ring`` indexes the table's rings by
+    construction, so the gather skips numpy's bounds check (mode "clip",
+    which never clips here)."""
+    rows = np.take(table, ring, axis=1, mode="clip")
+    rows *= scale
+    out[cols] = rows
+
+
 class _DesignRows:
     """Rows of the plateau design's weighted least-squares system, folded
     onto its symmetry group and written for a range of nodes at a time.
@@ -341,10 +351,12 @@ class _DesignRows:
     sin^2, of which h11 - h22 is the product with the longitude factor; and
     K = 2 (Q' - cot Q) / sin, of which 2 h12 is the product with the
     longitude factor's phi-derivative.  A row family is then one gather and
-    one product per order.  Q' and Q'' come from an uncached derivative
-    pass (``harmonics.grid_theta_derivatives``) and are dropped once the
-    tables are gathered, so no derivative table of the design grid stays
-    in the per-grid cache.
+    one product per order.  The tables hold only the cap rings, the rings
+    of the kept nodes (38 of 128 for the default caps at band 48): Q, Q'
+    and Q'' come from ``harmonics.ring_theta_tables`` at those rings alone,
+    uncached, and are dropped once the tables are gathered, so no table of
+    the design grid enters a per-grid cache.  ``node_values`` evaluates a
+    solution at the kept nodes from the Q tables, for the residuals.
 
     Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
     node its grid index ``nodes``, cap index ``which``, plateau level
@@ -372,15 +384,17 @@ class _DesignRows:
             self.which[s[sel]] = k
         self.target = np.asarray(PLATEAU_LEVELS, dtype=float)[self.which]
         self.sw = np.sqrt(mult[sel] * grid.weights[sel])
-        self._ring, self._lon = np.divmod(self.nodes, grid.n_phi)
+        ring, self._lon = np.divmod(self.nodes, grid.n_phi)
+        # the cap rings, the rings that hold kept nodes, and each node's
+        # index among them
+        rings, self._ring = np.unique(ring, return_inverse=True)
         self._aniso = np.flatnonzero(np.isin(self.which, anisotropy_caps))
         self.n_aniso = self._aniso.size
-        t = grid.cos_theta
+        t = grid.cos_theta[rings]
         st = np.sqrt(1.0 - t * t)
         cot = t / st
-        P = harmonics.grid_legendre(L, grid)
-        dP, d2P = harmonics.grid_theta_derivatives(L, grid)
-        cosm, sinm = harmonics.grid_phi_tables(L, grid)
+        P, dP, d2P = harmonics.ring_theta_tables(L, t)
+        cosm, sinm = harmonics._phi_tables(L, grid.phi)
         s2 = math.sqrt(2.0)
         # per order: its columns, the longitude factor and its phi
         # derivative, and the ring tables Q, H and K of its columns
@@ -405,7 +419,7 @@ class _DesignRows:
         ``out``, transposed: their entries, then their plateau levels."""
         ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
         for cols, trig, _, Q, _, _ in self._orders:
-            out[cols] = Q[:, ring] * (sw * trig[lon])
+            _write_gathered(out, cols, Q, ring, sw * trig[lon])
         out[-1] = sw * self.target[k]
 
     def anisotropy_rows(self, out, k, offdiagonal=False):
@@ -416,14 +430,44 @@ class _DesignRows:
         ring, lon, sw = self._ring[i], self._lon[i], self.sw[i]
         for cols, trig, dtrig, _, H, K in self._orders:
             if offdiagonal:
-                out[cols] = K[:, ring] * (sw * dtrig[lon])
+                _write_gathered(out, cols, K, ring, sw * dtrig[lon])
             else:
-                out[cols] = H[:, ring] * (sw * trig[lon])
+                _write_gathered(out, cols, H, ring, sw * trig[lon])
         out[-1] = 0.0
+
+    def node_values(self):
+        """The function x -> the values at the kept nodes of the expansion
+        whose solved columns hold x: per order the ring sum x[cols] @ Q,
+        gathered by ring and multiplied by the longitude factor.  It reads
+        the value tables alone and holds no reference to the rows, so the
+        other ring tables go with them."""
+        ring, lon = self._ring, self._lon
+        tables = [(cols, trig, Q) for cols, trig, _, Q, _, _ in self._orders]
+
+        def values(x):
+            out = np.zeros(ring.size)
+            for cols, trig, Q in tables:
+                out += (x[cols] @ Q)[ring] * trig[lon]
+            return out
+
+        return values
+
+
+#: LAPACK's integer type in numpy's lapack_lite.
+_LAPACK_INT = np.int64 if lapack_lite._ilp64 else np.intc
+
+
+def _lapack_ints(n):
+    """Room for n LAPACK integers, typed as lapack_lite's dgelsd checks its
+    integer workspace: as C ints, also where LAPACK's integers are 64-bit
+    (numpy's ILP64 builds), so the storage is n of LAPACK's integers seen
+    as C ints.  ``.view(_LAPACK_INT)`` reads them back."""
+    return np.zeros(n, dtype=_LAPACK_INT).view(np.intc)
 
 
 class _TriangularFactor:
-    """Upper-triangular factor of a tall system [A | b], fed in row blocks.
+    """Upper-triangular factor of a tall system [A | b], fed in row blocks
+    and solved where it sits.
 
     A least-squares problem min |A x - b| keeps its minimizer, its singular
     values and its residual norm when [A | b] is replaced by the R of its
@@ -435,7 +479,8 @@ class _TriangularFactor:
     has.  The fold is the factorization ``np.linalg.qr(mode="r")`` makes
     (the same routine with the same workspace, so the same block size),
     and its factor is bitwise the same.  ``folded`` gives the factor in
-    place, as a view of the buffer's top rows, and ``result`` a copy.
+    place, as a view of the buffer's top rows, and ``solve`` solves it
+    there by LAPACK ``dgelsd``, as ``np.linalg.lstsq`` would solve a copy.
     """
 
     def __init__(self, ncol, block):
@@ -485,9 +530,33 @@ class _TriangularFactor:
         self._fold()
         return self._W[: self._top]
 
-    def result(self):
-        """The factor of every row added so far (a copy; adding may go on)."""
-        return self.folded().copy()
+    def solve(self, rcond):
+        """(x, rank, singular values) of min |R x - q|, with [R q] the top
+        ncol rows of the factor of every row added so far: bitwise what
+        ``np.linalg.lstsq(R, q, rcond)`` returns, since that is LAPACK
+        ``dgelsd`` with the workspace sized by the routine's own query, as
+        here.  It runs on the factor where it sits in the buffer and
+        overwrites it, so nothing may be added or read after it."""
+        self._fold()
+        W = self._W
+        n = W.shape[1] - 1
+        m = min(self._top, n)
+        s = np.empty(m)
+
+        def gelsd(work, lwork, iwork):
+            # the buffer's last column holds q, and then the n entries of x
+            info = lapack_lite.dgelsd(
+                m, n, 1, W.T, W.shape[0], W.T[n:], W.shape[0], s, rcond, 0, work, lwork, iwork, 0
+            )
+            if info["info"] != 0:
+                raise np.linalg.LinAlgError(f"dgelsd failed with info = {info['info']}")
+            return info
+
+        work, iwork = np.empty(1), _lapack_ints(1)
+        gelsd(work, -1, iwork)  # the workspace query
+        work, iwork = np.empty(int(work[0])), _lapack_ints(int(iwork.view(_LAPACK_INT)[0]))
+        info = gelsd(work, work.size, iwork)
+        return W[:n, n].copy(), int(info["rank"]), s
 
 
 #: Rows gathered between two QR folds of the plateau design, raised to
@@ -503,11 +572,13 @@ class _TriangularFactor:
 #: Smaller blocks fold still more often and cost more time.
 DESIGN_BLOCK_ROWS = 2048
 
-#: Anisotropy nodes per group of rows: a group's h11 - h22 rows come before
-#: its 2 h12 rows.  The grouping fixes the order of the rows, and so the
-#: factor's last bits; rows are written straight into the fold buffer, so it
-#: allocates nothing.
-DESIGN_ANISOTROPY_GROUP = 1024
+#: Kept nodes per group of rows.  A group's h11 - h22 rows come before its
+#: 2 h12 rows, which fixes the order of the rows, and so the factor's last
+#: bits; the value rows go a group at a time too, in their own order.  Rows
+#: are written straight into the fold buffer, and the one temporary of a
+#: write is an order's table gathered at the group's nodes: at most L/2 + 1
+#: columns of a group, 0.2 MB at band 48.
+DESIGN_ROW_GROUP = 1024
 
 #: Plateau levels of the design's cap pairs: U, V and the third cap.
 PLATEAU_LEVELS = (1.0, 2.0, 3.0)
@@ -549,18 +620,21 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     The system is never held whole.  Its rows are written into the fold
     buffer of ``_TriangularFactor`` and reduced, a block at a time, to the
     triangular factor of their QR factorization, and the factor is solved
-    by least squares with the rank cutoff the whole system would get.  The
-    value rows go first: their factor [R q] also stands for the Funk rows,
-    which have the same target and are the value rows times ``funk``
-    column by column, as [R diag(funk) q].  Those are written from the
-    value factor where it sits in the buffer, which holds them without a
-    fold, and the other rows join the factor after them.  The ring tables
-    of the rows are dropped before the last fold.  The returned diagnostics carry the residuals on the
-    kept nodes of the solved frame, the rotation into that frame
-    (``design_frame``, rows the frame's axes; the identity when the caps
-    are solved as given), the reflections used there and the health of
-    the block actually solved: its shape, numerical rank and
-    singular-value ratio.
+    where it sits in the buffer (``_TriangularFactor.solve``, bitwise
+    ``np.linalg.lstsq`` on a copy) with the rank cutoff the whole system
+    would get.  The value rows go first: their factor [R q] also stands
+    for the Funk rows, which have the same target and are the value rows
+    times ``funk`` column by column, as [R diag(funk) q].  Those are
+    written from the value factor where it sits in the buffer, which holds
+    them without a fold, and the other rows join the factor after them.
+    The design grid is dropped once the rows are set up, and the ring
+    tables of the rows before the last fold; only the small Q tables stay,
+    for the residuals.  The returned diagnostics carry the residuals on
+    the kept nodes of the solved frame (``_DesignRows.node_values``), the
+    rotation into that frame (``design_frame``, rows the frame's axes; the
+    identity when the caps are solved as given), the reflections used
+    there and the health of the block actually solved: its shape,
+    numerical rank and singular-value ratio.
     """
     third_center = np.cross(cap_u.center, cap_v.center)
     nrm = np.linalg.norm(third_center)
@@ -576,17 +650,20 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         frame = _adapted_frame(cap_u.center, cap_v.center)
         big = [sphere.Cap(frame @ c.center, c.height) for c in big]
     rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
+    del dg  # the rows hold what they read of the design grid
     ls, ms, funk = rows.ls, rows.ms, rows.funk
-    nodes, target, n_aniso = rows.nodes, rows.target, rows.n_aniso
-    n, ncol = nodes.size, ls.size
+    target, n_aniso = rows.target, rows.n_aniso
+    n, ncol = rows.nodes.size, ls.size
+    node_values = rows.node_values()
     # ncol + 1 free rows: the ncol Funk rows fit without a fold
     factor = _TriangularFactor(ncol, max(DESIGN_BLOCK_ROWS, ncol + 1))
-    factor.add(rows.value_rows, 0, n)
+    group = DESIGN_ROW_GROUP
+    for s in range(0, n, group):
+        factor.add(rows.value_rows, s, min(s + group, n))
     value_factor = factor.folded()[:ncol]
     funk_scale = np.append(funk, 1.0)[:, None]  # q is the Funk rows' target too
     factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
     del value_factor  # the folds below overwrite it
-    group = DESIGN_ANISOTROPY_GROUP
     for s in range(0, n_aniso, group):
         e = min(s + group, n_aniso)
         factor.add(rows.anisotropy_rows, s, e)
@@ -602,19 +679,13 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         out[k.start + j, j] = ridge_diag[k]
 
     factor.add(ridge_rows, 0, ncol)
-    Rq = factor.result()[:ncol]
-    del factor  # the fold buffer is not held through the solve and syntheses
     n_rows = 2 * n + 2 * n_aniso + ncol
-    sol, _, rank, sv = np.linalg.lstsq(
-        Rq[:, :ncol], Rq[:, ncol], rcond=np.finfo(float).eps * max(n_rows, ncol)
-    )
+    sol, rank, sv = factor.solve(np.finfo(float).eps * max(n_rows, ncol))
+    del factor  # the fold buffer is not held through the rotation
     G = harmonics.HarmonicCoeffs.zeros(L)
-    idx = ls * ls + ls + ms
-    G.c[idx] = sol
-    G_funk = harmonics.HarmonicCoeffs.zeros(L)
-    G_funk.c[idx] = funk * sol
-    values = harmonics.synthesize_grid(G, dg)[nodes]
-    funk_values = harmonics.synthesize_grid(G_funk, dg)[nodes]
+    G.c[ls * ls + ls + ms] = sol
+    values = node_values(sol)
+    funk_values = node_values(funk * sol)
     if adapted:
         G = _rotate_expansion(G, frame)
         G.c[G.degrees() % 2 == 1] = 0.0  # G is even; these are rounding

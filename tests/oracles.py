@@ -235,7 +235,7 @@ def derivative_fields_per_field(coeffs, grid):
     h, ht and hp are what ``convex.support._derivative_fields`` returns."""
     L = coeffs.L
     Ac, As = coeffs.split_orders()
-    P, dP, d2P = harmonics.grid_theta_tables(L, grid)
+    P, dP, d2P = harmonics.ring_theta_tables(L, grid.cos_theta)
     cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ms = np.arange(L + 1)
 
@@ -270,16 +270,6 @@ def radii_grid_six_fields(coeffs, grid):
     q22 = hpp / (st * st) + cot * ht + h
     q12 = (htp - cot * hp) / st
     return (q11, q22, q12, *support._eigs_2x2(q11, q22, q12))
-
-
-def legendre_theta_tables(L, t):
-    """Q_{l,m}(t) with its first and second theta-derivatives at arbitrary
-    ring cosines t, built afresh on each call; checks the cached
-    ``harmonics.grid_theta_tables``.  Rejects the poles."""
-    t = np.asarray(t, dtype=float)
-    s = harmonics._pole_safe_sin(t)
-    P = harmonics._normalized_legendre(L, t)
-    return (P, *harmonics._theta_derivatives(L, t, s, P))
 
 
 def zonal_values_legval(grid, axis, weights):
@@ -500,8 +490,8 @@ def ellipsoid_radii_oracle(semi_axes, u):
 def design_rows_three_tables(rows, grid, L, anisotropy_caps=(0, 1)):
     """The value, h11 - h22 and 2 h12 rows of a ``zonoid._DesignRows``, of
     all its kept nodes at once and transposed as its writers write them,
-    by per-node arithmetic on the grid's three cached theta tables Q, Q'
-    and Q'' (``harmonics.grid_theta_tables``):
+    by per-node arithmetic on the three theta tables Q, Q' and Q'' of all
+    the grid's rings (``harmonics.ring_theta_tables``):
 
         h11 - h22 = Q'' T - (cot Q' - m^2 Q / sin^2) T,
         2 h12 = 2 T' (Q' - cot Q) / sin,
@@ -509,7 +499,7 @@ def design_rows_three_tables(rows, grid, L, anisotropy_caps=(0, 1)):
     with T the longitude factor of the column times the node's square-root
     weight and T' its phi-derivative.  Checks the design's own ring tables
     H and K, and the value rows' gather."""
-    P, dP, d2P = harmonics.grid_theta_tables(L, grid)
+    P, dP, d2P = harmonics.ring_theta_tables(L, grid.cos_theta)
     cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ring, lon = np.divmod(rows.nodes, grid.n_phi)
     aniso = np.isin(rows.which, anisotropy_caps)
@@ -571,5 +561,25 @@ class QRFoldFactor:
         self._fold()
         return self._W[: self._top]
 
-    def result(self):
-        return self.folded().copy()
+    def solve(self, rcond):
+        """``np.linalg.lstsq`` on the factor's top ncol rows, which it
+        copies; checks the in-place ``dgelsd`` of ``_TriangularFactor``."""
+        F = self.folded()
+        n = F.shape[1] - 1
+        x, _, rank, sv = np.linalg.lstsq(F[:n, :n], F[:n, n], rcond=rcond)
+        return x, rank, sv
+
+
+def design_residuals_grid_synthesis(G, grid, nodes, target):
+    """The value and Funk residuals of a plateau design at its kept nodes,
+    max |G - target| and max |(Laplacian/2 + identity) G - target|, by
+    synthesizing G and its Funk-level combination (1 - l(l+1)/2 on degree
+    l) on the whole design grid and reading the nodes.  G is the design's
+    expansion in the frame it was solved in.  Checks the ring sums of the
+    design's value tables (``zonoid._DesignRows.node_values``)."""
+    l = G.degrees()
+    G_funk = harmonics.HarmonicCoeffs(L=G.L, c=G.c * (1.0 - 0.5 * l * (l + 1.0)))
+    return tuple(
+        float(np.max(np.abs(harmonics.synthesize_grid(c, grid)[nodes] - target)))
+        for c in (G, G_funk)
+    )

@@ -28,7 +28,7 @@ class TestLegendreTables:
     def test_theta_derivatives_match_finite_differences(self):
         t = np.array([0.71, -0.35, 0.02])
         theta = np.arccos(t)
-        P, dP, d2P = oracles.legendre_theta_tables(12, t)
+        P, dP, d2P = harmonics.ring_theta_tables(12, t)
         h = 1e-5
         Pp = harmonics._normalized_legendre(12, np.cos(theta + h))
         Pm = harmonics._normalized_legendre(12, np.cos(theta - h))
@@ -41,7 +41,7 @@ class TestLegendreTables:
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError, match="pole"):
-            oracles.legendre_theta_tables(4, np.array([1.0]))
+            harmonics.ring_theta_tables(4, np.array([1.0]))
 
 
 class TestAnalysisSynthesis:
@@ -274,29 +274,46 @@ class TestGridTableCache:
         P = harmonics.grid_legendre(L, grid)
         assert P.tobytes() == harmonics._normalized_legendre(L, grid.cos_theta).tobytes()
         for cached, fresh in zip(
-            harmonics.grid_theta_tables(L, grid),
-            oracles.legendre_theta_tables(L, grid.cos_theta),
-        ):
-            assert cached.tobytes() == fresh.tobytes()
-        for cached, fresh in zip(
             harmonics.grid_phi_tables(L, grid), harmonics._phi_tables(L, grid.phi)
         ):
             assert cached.tobytes() == fresh.tobytes()
         assert harmonics.grid_legendre(L, grid) is P
-        assert harmonics.grid_theta_tables(L, grid)[0] is P
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 24), st.sampled_from([(8, 16), (33, 66), (64, 128)]), st.data())
+    def test_ring_tables_on_any_rings_are_the_grid_tables(self, L, shape, data):
+        # on any subset of a grid's rings, in any order, the uncached theta
+        # tables are the whole grid's on those rings, and Q the cached one
+        grid = sphere.build_grid(*shape)
+        full = harmonics.ring_theta_tables(L, grid.cos_theta)
+        assert full[0].tobytes() == harmonics.grid_legendre(L, grid).tobytes()
+        rings = np.array(data.draw(st.lists(
+            st.integers(0, grid.n_theta - 1), min_size=1, max_size=grid.n_theta, unique=True
+        )))
+        for table, part in zip(full, harmonics.ring_theta_tables(L, grid.cos_theta[rings])):
+            assert part.shape == (L + 1, L + 1, rings.size)
+            assert part.tobytes() == np.ascontiguousarray(table[..., rings]).tobytes()
 
     @pytest.mark.parametrize("L", [0, 5, 8, 48])
     def test_radii_and_stacked_tables_equal_fresh_builds(self, grid, L):
         t = grid.cos_theta
-        fresh = harmonics._radii_tables(
-            L, t, np.sqrt(1.0 - t * t), *oracles.legendre_theta_tables(L, t)
-        )
+        P, dP, d2P = harmonics.ring_theta_tables(L, t)
         E = harmonics.grid_radii_tables(L, grid)
         assert E.shape == (L + 1, 3 * grid.n_theta, L + 1)
-        assert E.tobytes() == fresh.tobytes()
+        # the blocks, formed in place, are bitwise their formulas
+        s = np.sqrt(1.0 - t * t)
+        cot = t / s
+        m = np.arange(L + 1)[:, None]
+        blocks = (
+            d2P + P,
+            P * (1.0 - m * m / (s * s)) + cot * dP,
+            m * (dP - cot * P) / s,
+        )
+        for k, block in enumerate(blocks):
+            got = E.reshape(L + 1, 3, grid.n_theta, L + 1)[:, k]
+            assert got.tobytes() == np.ascontiguousarray(block.transpose(1, 2, 0)).tobytes()
         assert harmonics.grid_radii_tables(L, grid) is E
         # block k, ring r, order m, degree l against the theta tables
-        P, dP, d2P = oracles.legendre_theta_tables(L, t)
         r, m, l = grid.n_theta // 3, min(2, L), L
         assert E[m, r, l] == d2P[l, m, r] + P[l, m, r]
         cs = harmonics.grid_phi_stacked(L, grid)
@@ -307,7 +324,6 @@ class TestGridTableCache:
     def test_tables_are_read_only(self, small_grid):
         tables = (
             harmonics.grid_legendre(6, small_grid),
-            *harmonics.grid_theta_tables(6, small_grid),
             *harmonics.grid_phi_tables(6, small_grid),
             harmonics.grid_phi_stacked(6, small_grid),
             harmonics.grid_radii_tables(6, small_grid),
@@ -336,7 +352,9 @@ class TestGridTableCache:
 
     def test_one_table_build_per_grid_and_band(self, monkeypatch):
         """radii_grid and synthesize_grid build the ring Legendre table of a
-        (grid, band) once between them, however often they run."""
+        (grid, band) once for each cache they read, however often they run:
+        once for grid_legendre, and once inside the build of the radii
+        tables, whose theta tables are not kept."""
         builds = []
         real = harmonics._normalized_legendre
 
@@ -345,16 +363,14 @@ class TestGridTableCache:
             return real(L, t)
 
         monkeypatch.setattr(harmonics, "_normalized_legendre", counting)
-        for cache in (
-            harmonics._ring_legendre, harmonics._ring_derivatives, harmonics._ring_radii_tables
-        ):
+        for cache in (harmonics._ring_legendre, harmonics._ring_radii_tables):
             cache.cache_clear()
         grid = sphere.build_grid(20, 40)
         c = harmonics.HarmonicCoeffs(L=7, c=np.random.default_rng(3).normal(size=64))
         for _ in range(20):
             convex.radii_grid(c, grid)
             harmonics.synthesize_grid(c, grid)
-        assert builds == [7]
+        assert builds == [7, 7]
 
 
 class TestMultipliers:

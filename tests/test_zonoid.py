@@ -16,6 +16,14 @@ from test_reach import OFF_PLANE_CAPS
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def _off_plane_caps(tmp_path):
+    """The cap pair of OFF_PLANE_CAPS, read as the command line reads it."""
+    path = tmp_path / "caps.cfg"
+    path.write_text(OFF_PLANE_CAPS)
+    cfg = cli.parse_config_file(str(path))
+    return cfg.cap_u(), cfg.cap_v()
+
+
 def _oracle_design_rows(grid, caps, L, anisotropy_caps):
     """Unfolded, per-column design rows: every cap node, both antipodes,
     and the Funk rows by the Hessian route (trace of the radii matrix)."""
@@ -30,7 +38,7 @@ def _oracle_design_rows(grid, caps, L, anisotropy_caps):
     t = np.clip(nodes[:, 2], -1.0, 1.0)
     st_ = np.sqrt(1.0 - t * t)
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
-    P, dP, d2P = oracles.legendre_theta_tables(L, t)
+    P, dP, d2P = harmonics.ring_theta_tables(L, t)
     ms = np.arange(L + 1)
     cosm = np.cos(np.outer(ms, phi))
     sinm = np.sin(np.outer(ms, phi))
@@ -609,7 +617,7 @@ class TestPlateauDesign:
         # blocks and anisotropy groups far smaller than the system, so the
         # rows pass through many QR folds and the value rows' factor is split
         monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
-        monkeypatch.setattr(zonoid, "DESIGN_ANISOTROPY_GROUP", 50)
+        monkeypatch.setattr(zonoid, "DESIGN_ROW_GROUP", 50)
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
@@ -624,7 +632,7 @@ class TestPlateauDesign:
         # the in-place fold gives the design np.linalg.qr's factor bit for bit
         if small:
             monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
-            monkeypatch.setattr(zonoid, "DESIGN_ANISOTROPY_GROUP", 50)
+            monkeypatch.setattr(zonoid, "DESIGN_ROW_GROUP", 50)
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
         monkeypatch.setattr(zonoid, "_TriangularFactor", oracles.QRFoldFactor)
@@ -635,13 +643,11 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("pair", ["rotated", "off-plane"])
     def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
         # drawn-like pairs at the production band and grid, solved in their
-        # adapted frame (625 columns, a 13.4 MB buffer); the grid tables are
-        # cached by a first call, so the second call's peak is the design's
+        # adapted frame (625 columns, a 13.4 MB buffer); the rotation grid's
+        # tables are cached by a first call, so the second call's peak is the
+        # design's
         if pair == "off-plane":
-            path = tmp_path / "caps.cfg"
-            path.write_text(OFF_PLANE_CAPS)
-            cfg = cli.parse_config_file(str(path))
-            u, v = cfg.cap_u(), cfg.cap_v()
+            u, v = _off_plane_caps(tmp_path)
         else:
             u, v = self._pair(pair, cap_u, cap_v)
         zonoid.design_plateau(u, v)
@@ -655,11 +661,25 @@ class TestPlateauDesign:
         assert ncol == 625
         block = max(zonoid.DESIGN_BLOCK_ROWS, ncol + 1)
         buffer_bytes = (ncol + 1 + block) * (ncol + 1) * 8
-        assert peak < 1.5 * buffer_bytes
+        assert peak < 1.25 * buffer_bytes
+
+    def test_rotation_peak(self, tmp_path):
+        # the rotation's point synthesis works POINT_CHUNK points at a time
+        u, v = _off_plane_caps(tmp_path)
+        G, info = zonoid.design_plateau(u, v)
+        frame = np.array(info["design_frame"])
+        zonoid._rotate_expansion(G, frame)  # caches the rotation grid's tables
+        tracemalloc.start()
+        try:
+            zonoid._rotate_expansion(G, frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_row_tables_are_dropped_before_the_last_fold(self, cap_u, cap_v, monkeypatch):
-        # the last fold and the factor's copy do not run beside the ring tables
-        live, at_result = weakref.WeakSet(), []
+        # the last fold and the solve do not run beside the ring tables
+        live, at_solve = weakref.WeakSet(), []
 
         class Rows(zonoid._DesignRows):
             def __init__(self, *args, **kwargs):
@@ -667,20 +687,73 @@ class TestPlateauDesign:
                 live.add(self)
 
         class Factor(zonoid._TriangularFactor):
-            def result(self):
-                at_result.append(len(live))
-                return super().result()
+            def solve(self, rcond):
+                at_solve.append(len(live))
+                return super().solve(rcond)
 
         monkeypatch.setattr(zonoid, "_DesignRows", Rows)
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
         zonoid.design_plateau(*self._pair("rotated", cap_u, cap_v), L=self.L, design_grid=self.GRID)
-        assert at_result == [0]
+        assert at_solve == [0]
 
-    def test_design_caches_no_derivative_table(self, cap_u, cap_v):
-        # the design's Q' and Q'' come from an uncached pass and are dropped
-        harmonics._ring_derivatives.cache_clear()
-        zonoid.design_plateau(cap_u, cap_v)
-        assert harmonics._ring_derivatives.cache_info().currsize == 0
+    @pytest.mark.parametrize("pair", ["default", "off-plane"])
+    def test_design_caches_no_table_of_its_grid(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
+        # the design builds its theta tables on its cap rings, uncached, and
+        # reads no per-grid cache for its grid's rings or longitudes
+        u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
+        dg = sphere.build_grid(128, 256)
+        keys = []
+        for name in ("_ring_legendre", "_ring_radii_tables", "_longitude_tables"):
+            real = getattr(harmonics, name)
+            monkeypatch.setattr(
+                harmonics, name, lambda L, key, real=real: (keys.append(key), real(L, key))[1]
+            )
+        zonoid.design_plateau(u, v)
+        assert (pair == "off-plane") == bool(keys)  # the rotation grid's tables
+        assert harmonics._table_key(dg.cos_theta) not in keys
+        assert harmonics._table_key(dg.phi) not in keys
+
+    @pytest.mark.parametrize("pair", ["default", "off-plane"])
+    def test_design_solve_is_lstsq_on_a_copy_of_the_factor(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
+        solves = []
+
+        class Factor(zonoid._TriangularFactor):
+            def solve(self, rcond):
+                F = self.folded().copy()
+                n = F.shape[1] - 1
+                solves.append(np.linalg.lstsq(F[:n, :n], F[:n, n], rcond=rcond))
+                got = super().solve(rcond)
+                solves.append(got)
+                return got
+
+        monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
+        _, info = zonoid.design_plateau(u, v)
+        (x_ref, _, rank_ref, sv_ref), (x, rank, sv) = solves
+        assert x.tobytes() == x_ref.tobytes()
+        assert rank == rank_ref == info["design_rank"] == info["design_cols"]
+        assert sv.tobytes() == sv_ref.tobytes()
+
+    @pytest.mark.parametrize("L,grid_shape", [(12, (32, 64)), (48, (128, 256))])
+    @pytest.mark.parametrize("pair", ["default", "off-plane"])
+    def test_residuals_match_grid_synthesis(
+        self, cap_u, cap_v, pair, L, grid_shape, tmp_path, monkeypatch
+    ):
+        # the residuals from the ring sums of the value tables against G
+        # synthesized on the whole design grid, in the frame it was solved
+        # in; the two routes sum in other orders, so they agree to rounding
+        # of the values, relative to the plateau levels
+        u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
+        solved = []
+        real = zonoid._rotate_expansion
+        monkeypatch.setattr(zonoid, "_rotate_expansion", lambda G, Q: (solved.append(G), real(G, Q))[1])
+        G, info = zonoid.design_plateau(u, v, L=L, design_grid=grid_shape)
+        assert len(solved) == (pair == "off-plane")
+        grid = sphere.build_grid(*grid_shape)
+        rows = self._design_rows(u, v, L, grid)
+        ref = oracles.design_residuals_grid_synthesis(solved[0] if solved else G, grid, rows.nodes, rows.target)
+        for key, r in zip(("design_value_residual", "design_funk_residual"), ref):
+            assert abs(info[key] - r) <= 1e-12 * np.max(rows.target)
 
     @staticmethod
     def _design_rows(u, v, L, grid):
@@ -832,8 +905,8 @@ class TestTriangularFactor:
         for s, e in zip(edges[:-1], edges[1:]):
             factor.add(_rows_of(Ab), s, e)
             oracle.add(_rows_of(Ab), s, e)
-        Rq = factor.result()
-        assert Rq.tobytes() == oracle.result().tobytes()
+        Rq = factor.folded().copy()
+        assert Rq.tobytes() == oracle.folded().tobytes()
         assert Rq.shape == (ncol + 1, ncol + 1)
         assert np.allclose(np.triu(Rq), Rq, rtol=0.0, atol=0.0)
         # [A | b] and its factor have the same Gram matrix, hence the same
@@ -842,6 +915,35 @@ class TestTriangularFactor:
         x = np.linalg.lstsq(Rq[:ncol, :ncol], Rq[:ncol, ncol], rcond=None)[0]
         x_ref = np.linalg.lstsq(Ab[:, :ncol], Ab[:, ncol], rcond=None)[0]
         assert np.allclose(x, x_ref, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 12),
+        st.integers(1, 40),
+        st.integers(1, 30),
+        st.sampled_from([None, 1e-10]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_solve_is_lstsq_on_a_copy_of_the_factor(self, ncol, rank, n_rows, block, rcond, seed):
+        # [A | b] with A of rank at most ``rank``: below full rank, the
+        # cutoff 1e-10 drops the columns whose singular values are rounding
+        rng = np.random.default_rng(seed)
+        rank = min(rank, ncol, n_rows)
+        A = rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, ncol))
+        Ab = np.column_stack([A, rng.normal(size=n_rows)])
+        factor = zonoid._TriangularFactor(ncol, block)
+        factor.add(_rows_of(Ab), 0, n_rows)
+        F = factor.folded().copy()
+        if rcond is None:
+            rcond = np.finfo(float).eps * max(n_rows, ncol)
+        x_ref, _, rank_ref, sv_ref = np.linalg.lstsq(F[:ncol, :ncol], F[:ncol, ncol], rcond=rcond)
+        x, got_rank, sv = factor.solve(rcond)
+        assert x.tobytes() == x_ref.tobytes()
+        assert got_rank == rank_ref
+        assert sv.tobytes() == sv_ref.tobytes()
+        if rcond == 1e-10:
+            assert got_rank == rank
 
     # (rows per add call, results taken after these calls): one fold of a
     # part-full buffer; several folds of a full one, with a result taken
@@ -869,9 +971,9 @@ class TestTriangularFactor:
             oracle.add(_rows_of(Ab), start, start + n)
             start += n
             if i in results:
-                assert factor.result().tobytes() == oracle.result().tobytes()
-        Rq = factor.result()
-        assert Rq.tobytes() == oracle.result().tobytes()
+                assert factor.folded().tobytes() == oracle.folded().tobytes()
+        Rq = factor.folded().copy()
+        assert Rq.tobytes() == oracle.folded().tobytes()
         assert Rq.shape == (min(sum(adds), ncol + 1), ncol + 1)
 
 
