@@ -554,7 +554,7 @@ def suite_umbilic(ctx):
     pts = lens.boundary_points(grid.nodes[mask])
     lrep = convex.umbilic_sphere_check_data(r1, r2, pts, tol=1e-6)
     cap_zone = np.abs(t) >= lens.t_edge
-    curv_equal = bool(np.all(np.abs(r1[cap_zone] - r2[cap_zone]) <= 1e-12))
+    curv_equal = bool(np.all(np.abs(r1[cap_zone] - r2[cap_zone]) <= 1e-12 * lens.r))
     rows.append(
         _row("lens-smooth-pieces-equal-curvatures", "equal-curvatures-insufficient", 0.0 if curv_equal else 1.0, 0.5, curv_equal)
     )

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CONCAVITY_TOL = 1e-10
+#: Slack of the concavity and monotonicity checks, in units of each chord
+#: slope's own rounding eps * max|z| / drho_i.
+SLOPE_ROUNDING_SLACK = 16.0
+
+#: Rounding floor of the heights, as a fraction of the body's scale
+#: max(d, z[0]): a height down to -this fraction counts as zero, and so does
+#: an end height up to +this fraction (no wall).
 MONOTONE_TOL = 1e-12
 
 #: Entries of each temporary that ``RevolutionBody.support_values`` forms:
@@ -60,6 +66,16 @@ class RevolutionBody:
 
     ``slopes`` are optional per-sample derivative hints used by the measure
     estimator; when absent they are estimated from neighbouring chords.
+
+    The checks allow each chord slope s_i = (z_{i+1} - z_i) / drho_i its own
+    rounding.  Every height is known to about eps * max|z|, the profile's
+    scale: from_function forms them as z[0] plus a running sum of chord
+    rises, and a low height is no better known than that.  So with
+    tol_i = SLOPE_ROUNDING_SLACK * eps * max|z| / drho_i, the profile is
+    concave when s_{i+1} - s_i <= tol_i + tol_{i+1} and non-increasing when
+    s_i <= tol_i.  Near the axis or the rim of a fine profile drho_i is tiny
+    and the rounding large; scaling (rho, z) leaves every tol_i unchanged.
+    Heights must be at least -MONOTONE_TOL * max(d, z[0]).
     """
 
     rho: np.ndarray
@@ -76,12 +92,13 @@ class RevolutionBody:
         drho = np.diff(self.rho)
         if np.any(drho <= 0):
             raise ValueError("profile radii must be strictly increasing")
-        if np.any(self.z < -MONOTONE_TOL):
+        if np.any(self.z < -MONOTONE_TOL * max(self.rho[-1], self.z[0])):
             raise ValueError("profile heights must be nonnegative")
         s = np.diff(self.z) / drho
-        if np.any(np.diff(s) > CONCAVITY_TOL):
+        tol = SLOPE_ROUNDING_SLACK * np.finfo(float).eps * np.max(np.abs(self.z)) / drho
+        if np.any(np.diff(s) > tol[:-1] + tol[1:]):
             raise ValueError("profile is not concave (second differences positive)")
-        if np.any(s > MONOTONE_TOL):
+        if np.any(s > tol):
             raise ValueError("profile is not non-increasing")
         if self.slopes is not None:
             self.slopes = np.asarray(self.slopes, dtype=float)
@@ -184,7 +201,8 @@ class ZonalMeasure:
             raise ValueError("need len(edges) = len(masses) + 1")
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("band edges must be increasing")
-        if np.any(self.masses < -1e-12):
+        # masses are areas: the rounding floor scales with the measure's size
+        if np.any(self.masses < -1e-12 * np.sum(np.abs(self.masses))):
             raise ValueError("band masses must be nonnegative")
 
     def total_mass(self):
@@ -254,6 +272,7 @@ def surface_area_measure_zonal(body, edges):
     profile ends at positive height.
     """
     edges = np.asarray(edges, dtype=float)
+    # edges are latitudes, dimensionless and bounded by 1: an absolute floor
     if edges[0] < -1.0 - 1e-12 or edges[-1] > 1.0 + 1e-12:
         raise ValueError("band edges must lie in [-1, 1]")
     mass, lo, hi, facet, facet_t = _chord_spreads(body)

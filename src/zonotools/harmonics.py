@@ -22,6 +22,7 @@ vanishes identically on odd degrees for both kernels.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -328,15 +329,21 @@ def _phi_tables(L, phi):
 # Per-grid tables, cached
 # ----------------------------------------------------------------------
 #
-# The caches hold three kinds of table per band limit and grid: Q on the
+# One store holds three kinds of table per band limit and grid: Q on the
 # rings (grid_legendre), the radii tables E (grid_radii_tables) and the
 # longitude tables (grid_phi_tables, grid_phi_stacked).  The theta
 # derivatives Q' and Q'' are not kept: ring_theta_tables builds them at
 # any ring cosines for each caller that reads them, E's build among them.
 
-#: Entries kept by each per-grid table cache; one entry is one band limit
-#: on one grid.  A corpus or counterexample run touches fewer than ten.
-GRID_TABLE_CACHE_SIZE = 16
+#: Bytes of tables the per-grid store may hold.  Every table that one
+#: command reads more than once fits: Q at band 48 on a 64-ring grid is
+#: 1.23 MB, and a counterexample run holds at most 2.6 MB.  E at band 48 on
+#: 64 rings (3.7 MB), which a command reads once, is over the budget.
+GRID_TABLE_CACHE_BYTES = 3 * 2**20
+
+#: The per-grid store: (builder, L, key) -> read-only table, least recently
+#: used first.
+_GRID_TABLES = OrderedDict()
 
 
 def _read_only(*arrays):
@@ -350,11 +357,29 @@ def _table_key(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _grid_table(build, L, key):
+    """The read-only table build(L, key), kept in the per-grid store.
+
+    A table is kept while the store's tables, it included, fit in
+    GRID_TABLE_CACHE_BYTES, evicting the least recently used ones first; a
+    table larger than the whole budget is built for this call and not kept.
+    """
+    k = (build, L, key)
+    table = _GRID_TABLES.get(k)
+    if table is not None:
+        _GRID_TABLES.move_to_end(k)
+        return table
+    table = build(L, key)
+    table.flags.writeable = False
+    if table.nbytes <= GRID_TABLE_CACHE_BYTES:
+        while sum(t.nbytes for t in _GRID_TABLES.values()) + table.nbytes > GRID_TABLE_CACHE_BYTES:
+            _GRID_TABLES.popitem(last=False)
+        _GRID_TABLES[k] = table
+    return table
+
+
 def _ring_legendre(L, t_key):
-    P = _normalized_legendre(L, np.frombuffer(t_key))
-    P.flags.writeable = False
-    return P
+    return _normalized_legendre(L, np.frombuffer(t_key))
 
 
 def _radii_tables(L, t, P, dP, d2P):
@@ -378,27 +403,22 @@ def _radii_tables(L, t, P, dP, d2P):
     return E.reshape(L + 1, 3 * t.size, L + 1)
 
 
-@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
 def _ring_radii_tables(L, t_key):
     t = np.frombuffer(t_key)
-    E = _radii_tables(L, t, *ring_theta_tables(L, t))
-    E.flags.writeable = False
-    return E
+    return _radii_tables(L, t, *ring_theta_tables(L, t))
 
 
-@lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
 def _longitude_tables(L, phi_key):
-    cs = np.vstack(_phi_tables(L, np.frombuffer(phi_key)))
-    cs.flags.writeable = False
-    return cs[: L + 1], cs[L + 1 :], cs
+    return np.vstack(_phi_tables(L, np.frombuffer(phi_key)))
 
 
 def grid_legendre(L, grid):
     """Q_{l,m}(cos theta) on the grid's rings, shape (L+1, L+1, n_theta).
 
-    Cached per band limit and ring colatitudes; the array is read-only.
+    Cached per band limit and ring colatitudes (``_grid_table``); the array
+    is read-only.
     """
-    return _ring_legendre(L, _table_key(grid.cos_theta))
+    return _grid_table(_ring_legendre, L, _table_key(grid.cos_theta))
 
 
 def grid_radii_tables(L, grid):
@@ -413,23 +433,26 @@ def grid_radii_tables(L, grid):
 
     so that q11 and q22 are sums of E11 and E22 times
     Ac cos(m phi) + As sin(m phi), and q12 of E12 times
-    As cos(m phi) - Ac sin(m phi).  Cached like grid_legendre and
-    read-only; the theta tables it is built from (``ring_theta_tables``)
-    are not kept.
+    As cos(m phi) - Ac sin(m phi).  Cached like grid_legendre, and kept only
+    within the store's byte budget; read-only.  The theta tables it is
+    built from (``ring_theta_tables``) are not kept.
     """
-    return _ring_radii_tables(L, _table_key(grid.cos_theta))
+    return _grid_table(_ring_radii_tables, L, _table_key(grid.cos_theta))
 
 
 def grid_phi_tables(L, grid):
     """cos(m phi), sin(m phi) on the grid's longitudes, cached per band
-    limit and longitudes; both arrays are read-only."""
-    return _longitude_tables(L, _table_key(grid.phi))[:2]
+    limit and longitudes; both arrays are read-only halves of
+    grid_phi_stacked."""
+    cs = grid_phi_stacked(L, grid)
+    return cs[: L + 1], cs[L + 1 :]
 
 
 def grid_phi_stacked(L, grid):
     """[cos(m phi); sin(m phi)] stacked as one (2(L+1), n_phi) table; the
-    two arrays of grid_phi_tables are its halves.  Read-only."""
-    return _longitude_tables(L, _table_key(grid.phi))[2]
+    two arrays of grid_phi_tables are its halves.  Cached like
+    grid_legendre; read-only."""
+    return _grid_table(_longitude_tables, L, _table_key(grid.phi))
 
 
 def analyze(grid, values, L):

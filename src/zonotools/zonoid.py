@@ -34,6 +34,16 @@ from numpy.linalg import lapack_lite
 from zonotools import harmonics, sphere, transforms
 from zonotools.convex import support as convex_support
 
+# The plateau design folds and solves in place through numpy's undocumented
+# lapack_lite (its dgeqrf, dgelsd and private _ilp64 flag), run on numpy
+# 2.4.6; a numpy without one of them fails here, not inside a design.
+_missing = [name for name in ("_ilp64", "dgeqrf", "dgelsd") if not hasattr(lapack_lite, name)]
+if _missing:
+    raise ImportError(
+        f"zonotools.zonoid needs numpy.linalg.lapack_lite.{', '.join(_missing)}, "
+        f"which numpy {np.__version__} does not provide (the in-place design was run on numpy 2.4.6)"
+    )
+
 #: Printed dimension constants for the circle-integral prefactors at n = 3.
 WEIL_PREFACTOR_1 = 1.0 / math.pi
 WEIL_PREFACTOR_2 = 2.0

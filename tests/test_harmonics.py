@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -312,7 +313,11 @@ class TestGridTableCache:
         for k, block in enumerate(blocks):
             got = E.reshape(L + 1, 3, grid.n_theta, L + 1)[:, k]
             assert got.tobytes() == np.ascontiguousarray(block.transpose(1, 2, 0)).tobytes()
-        assert harmonics.grid_radii_tables(L, grid) is E
+        again = harmonics.grid_radii_tables(L, grid)
+        if E.nbytes <= harmonics.GRID_TABLE_CACHE_BYTES:
+            assert again is E
+        else:  # over the store's budget (band 48): rebuilt per call, bitwise
+            assert again is not E and again.tobytes() == E.tobytes()
         # block k, ring r, order m, degree l against the theta tables
         r, m, l = grid.n_theta // 3, min(2, L), L
         assert E[m, r, l] == d2P[l, m, r] + P[l, m, r]
@@ -350,11 +355,62 @@ class TestGridTableCache:
         assert cosm.tobytes() == harmonics._phi_tables(L, shifted.phi)[0].tobytes()
         assert cosm is not harmonics.grid_phi_tables(L, grids[0])[0]
 
+    # (stored table, fresh build) per kind of per-grid table
+    STORED_TABLES = {
+        "legendre": (harmonics.grid_legendre, lambda L, g: harmonics._normalized_legendre(L, g.cos_theta)),
+        "radii": (
+            harmonics.grid_radii_tables,
+            lambda L, g: harmonics._radii_tables(L, g.cos_theta, *harmonics.ring_theta_tables(L, g.cos_theta)),
+        ),
+        "longitude": (harmonics.grid_phi_stacked, lambda L, g: np.vstack(harmonics._phi_tables(L, g.phi))),
+    }
+    STORE_GRIDS = {shape: sphere.build_grid(*shape) for shape in [(8, 16), (20, 40), (33, 66), (64, 128)]}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0, 3, 12, 30]), st.sampled_from(sorted(STORE_GRIDS)), st.sampled_from(sorted(STORED_TABLES))),
+            min_size=1,
+            max_size=25,
+        ),
+        st.sampled_from([2**14, 2**17, 2**20]),
+    )
+    def test_store_holds_at_most_its_budget(self, requests, budget):
+        """Over any sequence of (band, grid) requests the store holds at most
+        its budget, and exactly the tables that a least-recently-used model
+        by bytes holds; every table is bitwise a fresh build; a table within
+        the budget comes back by identity on a repeat, and one over it is
+        not kept."""
+        model = collections.OrderedDict()  # request -> table, least recent first
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonics, "GRID_TABLE_CACHE_BYTES", budget)
+            mp.setattr(harmonics, "_GRID_TABLES", collections.OrderedDict())
+            for request in requests:
+                L, shape, kind = request
+                stored, fresh = self.STORED_TABLES[kind]
+                grid = self.STORE_GRIDS[shape]
+                table = stored(L, grid)
+                assert table.tobytes() == fresh(L, grid).tobytes()
+                assert not table.flags.writeable
+                if request in model:
+                    assert model[request] is table
+                    model.move_to_end(request)
+                elif table.nbytes <= budget:
+                    while sum(t.nbytes for t in model.values()) + table.nbytes > budget:
+                        model.popitem(last=False)
+                    model[request] = table
+                again = stored(L, grid)
+                assert (again is table) == (table.nbytes <= budget)
+                assert again.tobytes() == table.tobytes()
+                held = list(harmonics._GRID_TABLES.values())
+                assert sum(t.nbytes for t in held) <= budget
+                assert [id(t) for t in held] == [id(t) for t in model.values()]
+
     def test_one_table_build_per_grid_and_band(self, monkeypatch):
         """radii_grid and synthesize_grid build the ring Legendre table of a
-        (grid, band) once for each cache they read, however often they run:
-        once for grid_legendre, and once inside the build of the radii
-        tables, whose theta tables are not kept."""
+        (grid, band) once for each stored table they read, however often
+        they run: once for grid_legendre, and once inside the build of the
+        radii tables, whose theta tables are not kept."""
         builds = []
         real = harmonics._normalized_legendre
 
@@ -363,8 +419,7 @@ class TestGridTableCache:
             return real(L, t)
 
         monkeypatch.setattr(harmonics, "_normalized_legendre", counting)
-        for cache in (harmonics._ring_legendre, harmonics._ring_radii_tables):
-            cache.cache_clear()
+        harmonics._GRID_TABLES.clear()
         grid = sphere.build_grid(20, 40)
         c = harmonics.HarmonicCoeffs(L=7, c=np.random.default_rng(3).normal(size=64))
         for _ in range(20):

@@ -16,7 +16,7 @@ import sys
 import types
 
 import zonotools
-from zonotools import cli, sphere
+from zonotools import cli, harmonics, sphere
 
 PACKAGE = os.path.dirname(os.path.realpath(zonotools.__file__))
 
@@ -59,13 +59,14 @@ def package_functions():
 
 
 def clear_caches():
-    """Empty the package's lru caches, so that cached functions run again
-    whatever ran before."""
+    """Empty the package's lru caches and its per-grid table store, so that
+    cached functions and table builders run again whatever ran before."""
     for name, module in list(sys.modules.items()):
         if name == "zonotools" or name.startswith("zonotools."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+    harmonics._GRID_TABLES.clear()
 
 
 def run_commands(tmp):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -232,6 +232,48 @@ def test_support_values_are_the_unchunked_max(n, blocks, offset, seed):
     ref = (np.outer(np.sqrt(np.maximum(0.0, 1.0 - t * t)), body.rho) + np.outer(np.abs(t), body.z)).max(axis=1)
     assert body.support_values(t).tobytes() == ref.tobytes()
     assert body.support_values(t[-1]) == ref[-1]
+
+
+
+def concave_profile(n, d, seed):
+    """A random concave profile of reach d, sampled at n radii: a wall, a
+    spherical part and a min of affine pieces, each at the scale d."""
+    rng = np.random.default_rng(seed)
+    wall, ball = rng.uniform(0.0, 1.0, 2) * d
+    a, b = rng.uniform(0.0, 2.0 * d, 3), -rng.uniform(0.0, 2.0, 3) * (rng.random(3) < 0.8)
+    return RevolutionBody.from_function(
+        lambda r: wall + ball / d * np.sqrt(np.maximum(0.0, d * d - r * r))
+        + np.min(a[:, None] + np.outer(b, r) - b[:, None] * d, axis=0),
+        d,
+        n,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 20000),
+    d=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    where=st.floats(0.0, 1.0),
+)
+@example(n=8903, d=1.0, seed=25, scale=1.0, where=0.5)  # rejected as "not concave" by an absolute 1e-10
+def test_profile_checks_allow_rounding_and_reject_dips(n, d, seed, scale, where):
+    """A concave profile that from_function sampled is accepted at every
+    sample count and size, scaling (rho, z) keeps the verdict, and a dip
+    of 1e-9 max|z| below the chord of two neighbours, far above the
+    rounding that the checks allow, is rejected at both scales."""
+    body = concave_profile(n, d, seed)
+    RevolutionBody(rho=body.rho * scale, z=body.z * scale)
+    if n < 3:
+        return
+    i = 1 + int(where * (n - 3))
+    rho, z = body.rho, body.z.copy()
+    chord = z[i - 1] + (z[i + 1] - z[i - 1]) * (rho[i] - rho[i - 1]) / (rho[i + 1] - rho[i - 1])
+    z[i] = chord - 1e-9 * np.max(z)
+    for s in (1.0, scale):
+        with pytest.raises(ValueError, match="profile"):
+            RevolutionBody(rho=rho * s, z=z * s)
 
 
 class TestSurfaceAreaMeasure:

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import re
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -975,6 +978,20 @@ class TestTriangularFactor:
         Rq = factor.folded().copy()
         assert Rq.tobytes() == oracle.folded().tobytes()
         assert Rq.shape == (min(sum(adds), ncol + 1), ncol + 1)
+
+
+    @pytest.mark.parametrize("missing", ["dgelsd", "dgeqrf", "_ilp64"])
+    def test_import_names_a_missing_lapack_routine(self, missing, monkeypatch):
+        # zonoid loaded afresh, as a module of its own, against a
+        # lapack_lite without one of the names the design calls
+        stub = types.SimpleNamespace(**{
+            name: getattr(np.linalg.lapack_lite, name)
+            for name in ("_ilp64", "dgeqrf", "dgelsd") if name != missing
+        })
+        monkeypatch.setattr(np.linalg, "lapack_lite", stub)
+        spec = importlib.util.find_spec("zonotools.zonoid")
+        with pytest.raises(ImportError, match=rf"lapack_lite\.{missing}, which numpy {re.escape(np.__version__)} "):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 class TestRigidity:
