@@ -1,5 +1,5 @@
-"""Real spherical-harmonic analysis and synthesis, transform multipliers,
-inverse transforms and the plateau cap admissibility rule.
+"""Real spherical-harmonic analysis, synthesis and rotation, transform
+multipliers, inverse transforms and the plateau cap admissibility rule.
 
 Convention (used everywhere in this package): real, fully normalized,
 Condon-Shortley-free harmonics
@@ -255,7 +255,8 @@ def zonal_expansions(z, axes):
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     L = z.shape[1] - 1
-    t, phi = _angles(np.atleast_2d(np.asarray(axes, dtype=float)))
+    axes = np.atleast_2d(np.asarray(axes, dtype=float))
+    t, phi = np.clip(axes[:, 2], -1.0, 1.0), np.arctan2(axes[:, 1], axes[:, 0])
     l, m, scale, pos, neg = _order_index(L)
     Q = _normalized_legendre(L, t)  # (L+1, L+1, K)
     amp = (4.0 * math.pi / (2.0 * l + 1.0) * scale)[:, None] * z.T[l] * Q[l, m]
@@ -483,51 +484,6 @@ def analyze(grid, values, L):
     return HarmonicCoeffs.from_split_orders(Ac, As)
 
 
-def _synthesize_on(Ac, As, t, phi):
-    """Evaluate S expansions, each at its own n points: the one kernel of
-    point synthesis.
-
-    ``Ac``, ``As`` are the split-order tables of the expansions, shape
-    (S, L+1, L+1); ``t`` and ``phi`` hold cos(colatitude) and longitude of
-    S * n points grouped per expansion, expansion s owning points
-    s*n ... s*n + n - 1.  Consumes the Legendre rows as the recurrence
-    produces them and forms the longitude products in place, so memory
-    stays at six (L+1) x S*n arrays.  A degree whose coefficients are zero
-    in every expansion (the odd degrees of even densities) is not
-    accumulated: its products are exact zeros, and adding a zero to a sum
-    that starts at +0 changes no bit.  Every operation is elementwise per
-    point, and the orders are summed row by row in increasing m, so a
-    point's value does not depend on S, on n or on the other points.
-    """
-    S, L = Ac.shape[0], Ac.shape[1] - 1
-    n = t.size // S
-    live = np.any(Ac != 0.0, axis=(0, 2)) | np.any(As != 0.0, axis=(0, 2))
-    Bc = np.zeros((L + 1, S, n))
-    Bs = np.zeros((L + 1, S, n))
-    work = np.empty((L + 1, S, n))
-    for l, row in enumerate(_legendre_rows(L, t)):
-        if not live[l]:
-            continue
-        k = l + 1
-        rows = row[:k].reshape(k, S, n)
-        np.multiply(Ac[:, l, :k].T[:, :, None], rows, out=work[:k])
-        Bc[:k] += work[:k]
-        np.multiply(As[:, l, :k].T[:, :, None], rows, out=work[:k])
-        Bs[:k] += work[:k]
-    Bc, Bs, angle = (x.reshape(L + 1, S * n) for x in (Bc, Bs, work))
-    np.multiply(np.arange(L + 1)[:, None], phi, out=angle)
-    trig = np.cos(angle)
-    Bc *= trig
-    np.sin(angle, out=trig)
-    Bs *= trig
-    out, sines = Bc[0].copy(), Bs[0].copy()
-    for m in range(1, L + 1):
-        out += Bc[m]
-        sines += Bs[m]
-    out += sines
-    return out
-
-
 def _synthesize_grid_rows(Ac, As, grid, work=None):
     """(S, N) grid values of S expansions from their (S, L+1, L+1)
     split-order stacks: the ring sums of each order by one einsum over
@@ -573,58 +529,157 @@ def grid_minima(C, grid):
     return out
 
 
-def _angles(points):
-    """cos(colatitude) and longitude of (N, 3) unit vectors."""
-    return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
+# ----------------------------------------------------------------------
+# Rotations
+# ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _quarter_turns(L):
+    """The quarter-turn tables J_0 .. J_L, each read-only: J_l maps the
+    degree-l coefficients of f to those of x -> f(R_y(pi/2) x), as a
+    (2l+1, 2l+1) matrix indexed by order + l.  Built on first use, once per
+    band limit, in 8 (L+1)(2L+1)(2L+3)/3 bytes (1.25 MB at band 48).
 
-#: Points per kernel call of synthesize_points and synthesize_stacked; each
-#: work array of the kernel holds (L+1) x POINT_CHUNK values, 0.8 MB at
-#: band 48.
-POINT_CHUNK = 2048
+    They come from the Wigner matrices d^l(pi/2) by the recursion of
+    Trapani & Navaza (Acta Cryst. A62 (2006) 262): the edge row
+    d^l_{l,k} = (-1)^(l-k) 2^-l sqrt(C(2l, l+k)), as running products
+    from k = 0, then rows m = l-1 .. 0 by
 
+        sqrt((l-m)(l+m+1)) d_{m,k} = 2k d_{m+1,k} - sqrt((l-m-1)(l+m+2)) d_{m+2,k},
 
-def synthesize_points(coeffs, points):
-    """Evaluate the expansion at arbitrary unit vectors, off the grid.
-
-    Serves as the interpolation rule for circle quadrature and rotated
-    resampling; exact for band-limited functions.  Values at grid nodes
-    come from synthesize_grid instead.  The kernel's S = 1 case,
-    POINT_CHUNK points per call.
+    run away from the edge, the direction in which it is stable, for all
+    degrees at once.  Only m, k >= 0 are needed: R_y commutes with
+    y -> -y, so J_l maps cosine orders to cosine orders and sine orders to
+    sine orders, and by the symmetries of d(pi/2) the function map of
+    Y_{l,m} onto Y_{l,k} is ((-1)^(m+k) + (-1)^l) d_{m,k} between cosine
+    orders (over sqrt(2) for each order 0) and ((-1)^(m+k) - (-1)^l) d_{m,k}
+    between sine orders m, k >= 1.  J_l is its transpose.
     """
-    points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    pts = np.atleast_2d(points)
-    Ac, As = coeffs.split_orders()
-    Ac, As = Ac[None], As[None]
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], POINT_CHUNK):
-        stop = start + POINT_CHUNK
-        out[start:stop] = _synthesize_on(Ac, As, *_angles(pts[start:stop]))
-    return float(out[0]) if single else out
+    n = L + 1
+    k = np.arange(n)
+    T = np.zeros((n, n, n))  # [l, l - m, k] = d^l_{m,k}, zero for k > l
+    centre = np.cumprod(np.append(1.0, -np.sqrt((2.0 * k[1:] - 1.0) / (2.0 * k[1:]))))
+    ratio = np.sqrt(np.maximum(k[:, None] - k[1:] + 1.0, 0.0) / (k[:, None] + k[1:]))
+    T[:, 0, 0] = centre
+    T[:, 0, 1:] = centre[:, None] * np.cumprod(-ratio, axis=1)
+    with np.errstate(invalid="ignore"):  # l < j, which the loop does not read
+        rise = np.sqrt(k[:, None] * (2.0 * k - k[:, None] + 1.0))  # [j, l]
+        fall = np.sqrt((k[:, None] - 1.0) * (2.0 * k - k[:, None] + 2.0))
+    for j in range(1, n):
+        row = 2.0 * k * T[j:, j - 1]
+        if j >= 2:
+            row -= fall[j, j:, None] * T[j:, j - 2]
+        T[j:, j] = row / rise[j, j:, None]
+    # the factors of d[m, k] in J's cosine and sine blocks, by the parity of l
+    sign = (-1.0) ** np.add.outer(k, k)
+    w = np.ones(n)
+    w[0] = math.sqrt(0.5)
+    cosine = [(sign + p) * np.outer(w, w) for p in (1.0, -1.0)]
+    sine = [sign - p for p in (1.0, -1.0)]
+    tables = []
+    for l in range(n):
+        d = T[l, l::-1, : l + 1]  # [m, k], m = 0..l
+        J = np.zeros((2 * l + 1, 2 * l + 1))
+        np.multiply(d.T, cosine[l % 2][: l + 1, : l + 1], out=J[l:, l:])
+        np.multiply(d[:0:-1, :0:-1].T, sine[l % 2][l:0:-1, l:0:-1], out=J[:l, :l])
+        tables.append(J)
+    return _read_only(*tables)
 
 
-def synthesize_stacked(C, points):
-    """Evaluate S expansions of one band limit, expansion s at ``points[s]``.
+def _frame_rotations(frames):
+    """The (S, 3, 3) stack of ``frames`` (one 3x3 frame, or a stack),
+    checked to be proper rotations: finite, columns of unit norm and
+    pairwise orthogonal to 1e-12, determinant +1."""
+    R = np.asarray(frames, dtype=float)
+    if R.shape[-2:] != (3, 3):
+        raise ValueError(f"rotation frames must be 3x3 matrices, got shape {R.shape}")
+    R = R.reshape(-1, 3, 3)
+    G = R.transpose(0, 2, 1) @ R
+    i = np.arange(3)
+    G[:, i, i] = np.sqrt(G[:, i, i])  # the column norms
+    off = np.max(np.abs(G - np.eye(3)), axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # a frame with non-finite entries
+        det = np.linalg.det(R)
+    bad = np.flatnonzero(~(off <= 1e-12) | (det < 0.0))  # NaN entries fail too
+    if bad.size:
+        s = bad[0]
+        raise ValueError(
+            f"rotation frame {s} is not a proper rotation: its columns are {off[s]:.3e} "
+            f"from orthonormal (at most 1e-12) and its determinant is {det[s]:.3f}"
+        )
+    return R
 
-    ``C`` holds the (S, (L+1)^2) coefficient rows and ``points`` is an
-    (S, n, 3) array of unit vectors; returns the (S, n) values.  Whole
-    expansions go to the kernel together, about POINT_CHUNK points per
-    call, and each value is bitwise equal to synthesize_points on
-    expansion s at points[s].
+
+def _euler_zyz(R):
+    """Angles (alpha, beta, gamma) with R = R_z(alpha) R_y(beta) R_z(gamma)
+    for a stack of rotations R, beta in [0, pi].
+
+    alpha is read from R's last column, (cos a sin b, sin a sin b, cos b),
+    and beta and gamma from R_z(-alpha) R = R_y(beta) R_z(gamma), whose
+    middle row is (sin g, cos g, 0) and whose last column is
+    (sin b, 0, cos b).  gamma is thus read from a unit vector whatever
+    beta is, so near beta = 0 or pi, where alpha is set by rounding, gamma
+    takes up what alpha leaves, and the three angles give back R to
+    rounding.
     """
-    points = np.asarray(points, dtype=float)
-    S, n = points.shape[:2]
-    if len(C) != S:
-        raise ValueError(f"{len(C)} expansions for {S} point sets")
-    Ac, As = _split_rows(C)
-    per_call = max(1, POINT_CHUNK // max(n, 1))
-    out = np.empty((S, n))
-    for a in range(0, S, per_call):
-        b = min(S, a + per_call)
-        vals = _synthesize_on(Ac[a:b], As[a:b], *_angles(points[a:b].reshape(-1, 3)))
-        out[a:b] = vals.reshape(b - a, n)
-    return out
+    alpha = np.arctan2(R[:, 1, 2], R[:, 0, 2])
+    ca, sa = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
+    top = ca * R[:, 0] + sa * R[:, 1]
+    middle = ca * R[:, 1] - sa * R[:, 0]
+    return alpha, np.arctan2(top[:, 2], R[:, 2, 2]), np.arctan2(middle[:, 0], middle[:, 1])
+
+
+def rotate_rows(C, frames):
+    """Coefficient rows of x -> f_s(frames[s] @ x), f_s the expansion in
+    row s of ``C``, shape (S, (L+1)^2), for S proper rotations ``frames``
+    of shape (S, 3, 3).  One row of shape ((L+1)^2,) with one frame of
+    shape (3, 3) gives one row back.
+
+    Each degree is rotated on its own, by D^l = Z(gamma - pi/2) J^T Z(beta)
+    J Z(alpha + pi/2) with the ZYZ angles of the frame (``_euler_zyz``):
+    R_y(beta) is R_z(pi/2) R_y(pi/2) R_z(beta) R_y(-pi/2) R_z(-pi/2).  J is
+    the degree's quarter-turn table (``_quarter_turns``), which is
+    orthogonal, and Z(a) the exact turn x -> R_z(a) x, which sends the
+    order pair a_q cos(q phi) + b_q sin(q phi) to
+    (a_q c + b_q s) cos(q phi) + (b_q c - a_q s) sin(q phi), c = cos(q a) and
+    s = sin(q a): v * c + v[::-1] * s on the degree's coefficients v, with
+    s negated on the sine orders.  That is O(L^3) per row.  A degree whose coefficients are
+    zero in every row, such as the odd degrees of even densities, stays
+    exactly zero and is skipped.  Each row is turned alone, and J is
+    applied to it by its own matrix-vector product, so a row's result is
+    bitwise the same alone or in any stack, its zero degrees +0.0 in both.
+    A frame that is not a proper rotation raises ValueError
+    (``_frame_rotations``).
+    """
+    C = np.asarray(C, dtype=float)
+    single = C.ndim == 1
+    C = np.atleast_2d(C)
+    L = _rows_band_limit(C)
+    R = _frame_rotations(frames)
+    if len(R) != len(C):
+        raise ValueError(f"{R.shape[0]} rotation frames for {C.shape[0]} expansions")
+    alpha, beta, gamma = _euler_zyz(R)
+    q = np.arange(-L, L + 1)
+    turns = [
+        (np.cos(np.abs(q) * a[:, None]), np.sign(q) * np.sin(np.abs(q) * a[:, None]))
+        for a in (alpha + 0.5 * math.pi, beta, gamma - 0.5 * math.pi)
+    ]
+    J = _quarter_turns(L)
+    out = np.zeros(C.shape)
+    for l in range(L + 1):
+        v = C[:, l * l : (l + 1) * (l + 1)]
+        if not np.any(v):
+            continue
+        k = slice(L - l, L + l + 1)
+        # Z(alpha + pi/2) then J, Z(beta) then J^T, and Z(gamma - pi/2)
+        for (c, s), T in zip(turns, (J[l].T, J[l], None)):
+            v = v * c[:, k] + v[:, ::-1] * s[:, k]
+            if T is not None:
+                v = np.matmul(v[:, None, :], T)[:, 0]
+        # + 0.0 turns the -0.0 that a row zero in this degree may get into
+        # the +0.0 it has when the degree is skipped
+        np.add(v, 0.0, out=out[:, l * l : (l + 1) * (l + 1)])
+    return out[0] if single else out
 
 
 # ----------------------------------------------------------------------

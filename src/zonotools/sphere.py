@@ -107,7 +107,7 @@ def build_grid(n_theta, n_phi):
         raise ValueError(f"n_theta must be >= 2, got {n_theta}")
     if n_phi < 4:
         raise ValueError(f"n_phi must be >= 4, got {n_phi}")
-    t, glw = np.polynomial.legendre.leggauss(n_theta)
+    t, glw = leggauss(n_theta)
     order = np.argsort(-t)  # colatitude increasing from the north pole
     t, glw = t[order], glw[order]
     theta = np.arccos(t)
@@ -181,12 +181,12 @@ def tangent_basis(u):
 class GreatCircle:
     """Equispaced nodes on the great circle orthogonal to ``normal``.
 
-    The trapezoidal weight 2*pi/m per node is spectrally accurate for
-    smooth periodic integrands, and exact for trigonometric polynomials of
-    degree < m in the circle angle.  ``normal`` may also be an (S, 3)
-    stack of unit vectors; the frame vectors then stack the same way and
-    ``nodes`` holds the S circles, each node bitwise equal to the one its
-    circle gets on its own.
+    Node k sits at cos(a_k) eps1 + sin(a_k) eps2, a_k = ``angles[k]`` =
+    2 pi k / m.  The trapezoidal weight 2*pi/m per node is spectrally
+    accurate for smooth periodic integrands, and exact for trigonometric
+    polynomials of degree < m in the circle angle.  ``normal`` may also be
+    an (S, 3) stack of unit vectors; the frame vectors then stack the same
+    way, each bitwise the one its circle gets on its own.
     """
 
     normal: np.ndarray
@@ -194,12 +194,6 @@ class GreatCircle:
     eps2: np.ndarray
     m: int
     angles: np.ndarray
-
-    @property
-    def nodes(self):
-        """(m, 3) node array, or (S, m, 3) for S stacked normals."""
-        c, s = np.cos(self.angles)[:, None], np.sin(self.angles)[:, None]
-        return c * self.eps1[..., None, :] + s * self.eps2[..., None, :]
 
 
 def great_circle(u, m=256):

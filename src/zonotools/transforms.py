@@ -94,22 +94,6 @@ EPS_FLOOR = 1e-14
 CIRCLE_TABLE_CACHE_SIZE = 16
 
 
-@dataclass(frozen=True)
-class IsotropyReport:
-    """Second moments of a function restricted to the circle S^2 ∩ u-perp.
-
-    T is the 2x2 matrix of integrals of <x, eps_a><x, eps_b> g(x) over the
-    circle in the deterministic tangent frame; the restriction is isotropic
-    exactly when T is a multiple of the identity, and ``deviation`` is the
-    scale-free Frobenius distance to that isotropic part.
-    """
-
-    u: np.ndarray
-    T: np.ndarray
-    trace: float
-    deviation: float
-
-
 def circle_samples(C, normals, m):
     """Expansion s on the m nodes of ``great_circle(normals[s], m)``.
 
@@ -118,27 +102,41 @@ def circle_samples(C, normals, m):
     samples.  One row of shape ((L+1)^2,) with one normal of shape (3,)
     gives (m,).
 
-    On a great circle a band-L expansion is a trigonometric polynomial of
-    degree <= L in the circle angle, so its samples at n = max(8, 2L + 2)
-    equispaced nodes fix it.  Those are synthesized
-    (``harmonics.synthesize_stacked``) and resampled exactly to the m
-    nodes: their rfft keeps orders 0..L, and the inverse rfft of length m
-    pads the higher orders with zeros.  When n >= m the m nodes are
-    synthesized directly.  A circle's samples are bitwise the same alone
-    or in any stack.
+    Row s is rotated by the circle's frame (eps1, eps2, normal) of
+    ``sphere.tangent_basis`` (``harmonics.rotate_rows``), which sends
+    e_x, e_y, e_z to them, so the circle's node at angle a becomes
+    longitude a on the equator.  There a band-L expansion is the
+    trigonometric polynomial sum_k a_k cos(k a) + b_k sin(k a) of degree
+    <= L, with a_k and b_k the rotated coefficients of orders k and -k
+    times Q_{l,k}(0) (and sqrt(2) for k > 0), summed over degree.  The m
+    samples are the inverse rfft of length m of its spectrum
+    (a_k - i b_k) / 2 (a_0 at order 0), each order k, the negative ones
+    too, added into bin k mod m: the zero padding of the orders above L
+    when 2L < m, the aliasing of the samples otherwise.  A circle's
+    samples are bitwise the same alone or in any stack.
     """
     normals = np.asarray(normals, dtype=float)
     single = normals.ndim == 1
     if single:
         C, normals = C[None], normals[None]
-    L = harmonics._rows_band_limit(C)
-    n = max(8, 2 * L + 2)
-    if n >= m:
-        out = harmonics.synthesize_stacked(C, sphere.great_circle(normals, m).nodes)
-    else:
-        vals = harmonics.synthesize_stacked(C, sphere.great_circle(normals, n).nodes)
-        spec = np.fft.rfft(vals, norm="forward")[:, : L + 1]
-        out = np.fft.irfft(spec, n=m, norm="forward")
+    circle = sphere.great_circle(normals, m)
+    rotated = harmonics.rotate_rows(C, np.stack([circle.eps1, circle.eps2, normals], axis=-1))
+    L = harmonics._rows_band_limit(rotated)
+    # the values on the equator of the harmonics of orders k and -k
+    weight = harmonics._normalized_legendre(L, np.zeros(1))[:, :, 0]
+    weight[:, 1:] *= math.sqrt(2.0)
+    orders = np.zeros((len(rotated), L + 1), dtype=complex)
+    for l in range(L + 1):
+        block = rotated[:, l * l : (l + 1) * (l + 1)]
+        orders[:, : l + 1].real += block[:, l:] * weight[l, : l + 1]
+        orders[:, 1 : l + 1].imag -= block[:, l - 1 :: -1] * weight[l, 1 : l + 1]
+    orders[:, 1:] *= 0.5
+    k = np.arange(-L, L + 1)
+    two_sided = np.concatenate([orders[:, :0:-1].conj(), orders], axis=1)
+    keep = k % m <= m // 2
+    spec = np.zeros((len(orders), m // 2 + 1), dtype=complex)
+    np.add.at(spec, (slice(None), (k % m)[keep]), two_sided[:, keep])
+    out = np.fft.irfft(spec, n=m, norm="forward")
     return out[0] if single else out
 
 
@@ -151,26 +149,6 @@ def _angle_tables(m):
     ca.flags.writeable = False
     sa.flags.writeable = False
     return ca, sa
-
-
-def _given_or_sampled(g, u, m, values):
-    """The m samples of g on the great circle u-perp (``great_circle(u, m)``):
-    ``values`` when the caller has them, checked for shape; otherwise g
-    called on the nodes, or g's harmonic expansion sampled there by
-    ``circle_samples``."""
-    if values is None:
-        if callable(g):
-            return np.asarray(g(sphere.great_circle(u, m).nodes), dtype=float)
-        if g.coeffs is None:
-            raise ValueError(
-                "circle samples need an evaluation rule: a callable, or a "
-                "function with coefficients (call with_coeffs(L) first)"
-            )
-        return circle_samples(g.coeffs.c, u, m)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (m,):
-        raise ValueError(f"expected {m} circle samples, got shape {values.shape}")
-    return values
 
 
 def circle_scale(values):
@@ -202,20 +180,6 @@ def isotropy_tensors(values):
     floor = np.maximum(np.abs(t11 + t22), EPS_FLOOR * circle_scale(values))
     deviation = np.divide(dev_num, floor, out=np.zeros_like(dev_num), where=floor > 0.0)
     return T, deviation
-
-
-def section_isotropy_tensor(g, u, m=256, values=None):
-    """Second-moment tensor of g restricted to the great circle u-perp:
-    the one-circle call of ``isotropy_tensors``.
-
-    ``values`` are the samples of g on the circle's m nodes, when the
-    caller already has them; g is then not read.
-    """
-    u = np.asarray(u, dtype=float)
-    vals = _given_or_sampled(g, u, m, values)
-    T, deviation = isotropy_tensors(vals[None])
-    T = T[0]
-    return IsotropyReport(u=u, T=T, trace=float(T[0, 0] + T[1, 1]), deviation=float(deviation[0]))
 
 
 # ----------------------------------------------------------------------

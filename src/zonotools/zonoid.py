@@ -172,22 +172,6 @@ def isotropy_gap_stack(values):
     return {"dev": dev, "gap": gap, "f1": f1, "f2": f2, "mass": a * a + b * b}
 
 
-def isotropy_gap_report(g, u, m=256, values=None):
-    """``isotropy_gap_stack`` of the one circle u-perp, as floats.
-
-    ``g`` is the even density (``even_density``), or a zonoid built from
-    it, of which only the density is read.  g is sampled on the circle
-    once (``transforms.circle_samples``), and every quantity reads those
-    samples; ``values`` are those samples when the caller already has
-    them (g on the nodes of ``great_circle(u, m)``), and g is then not
-    read.
-    """
-    if isinstance(g, ZonoidSpec):
-        g = g.g
-    vals = transforms._given_or_sampled(g, u, m, values)
-    return {key: float(x[0]) for key, x in isotropy_gap_stack(vals[None]).items()}
-
-
 @dataclass(frozen=True)
 class RigidityReport:
     """Affine fit of the support on a cap and the Funk constant there."""
@@ -295,18 +279,9 @@ def _adapted_frame(u, v):
 
 
 def _rotate_expansion(coeffs, frame):
-    """Coefficients of x -> f(frame @ x), where f has the given coefficients.
-
-    f is sampled at the images under ``frame`` of the nodes of a grid that
-    analyzes its band exactly, and the samples are analyzed there.  Both
-    steps are exact for a band-limited f, so the result is f composed
-    with the rotation up to rounding, without rotation matrices per degree.
-    """
-    L = coeffs.L
-    grid = sphere.build_grid(L + 2, max(2 * L + 2, 4))
-    return harmonics.analyze(
-        grid, harmonics.synthesize_points(coeffs, grid.nodes @ frame.T), L
-    )
+    """Coefficients of x -> f(frame @ x), where f has the given
+    coefficients: one row of ``harmonics.rotate_rows``."""
+    return harmonics.HarmonicCoeffs(L=coeffs.L, c=harmonics.rotate_rows(coeffs.c, frame))
 
 
 def _write_gathered(out, cols, table, ring, scale):
@@ -697,8 +672,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     values = node_values(sol)
     funk_values = node_values(funk * sol)
     if adapted:
-        G = _rotate_expansion(G, frame)
-        G.c[G.degrees() % 2 == 1] = 0.0  # G is even; these are rounding
+        G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
     return G, {
         "design_value_residual": float(np.max(np.abs(values - target))),
         "design_funk_residual": float(np.max(np.abs(funk_values - target))),

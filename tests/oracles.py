@@ -29,6 +29,83 @@ from zonotools import cli, harmonics, sphere, transforms, zonoid
 from zonotools.convex import support
 
 
+def _synthesize_on(Ac, As, t, phi):
+    """Evaluate S expansions, each at its own n points, by the Legendre
+    recurrence at every point: the off-grid point synthesis.
+
+    ``Ac``, ``As`` are the split-order tables of the expansions, shape
+    (S, L+1, L+1); ``t`` and ``phi`` hold cos(colatitude) and longitude of
+    S * n points grouped per expansion, expansion s owning points
+    s*n ... s*n + n - 1.  A degree whose coefficients are zero in every
+    expansion is not accumulated, and the orders are summed row by row in
+    increasing m, so a point's value does not depend on S, on n or on the
+    other points.  O(L^2) per point.
+    """
+    S, L = Ac.shape[0], Ac.shape[1] - 1
+    n = t.size // S
+    live = np.any(Ac != 0.0, axis=(0, 2)) | np.any(As != 0.0, axis=(0, 2))
+    Bc = np.zeros((L + 1, S, n))
+    Bs = np.zeros((L + 1, S, n))
+    work = np.empty((L + 1, S, n))
+    for l, row in enumerate(harmonics._legendre_rows(L, t)):
+        if not live[l]:
+            continue
+        k = l + 1
+        rows = row[:k].reshape(k, S, n)
+        np.multiply(Ac[:, l, :k].T[:, :, None], rows, out=work[:k])
+        Bc[:k] += work[:k]
+        np.multiply(As[:, l, :k].T[:, :, None], rows, out=work[:k])
+        Bs[:k] += work[:k]
+    Bc, Bs, angle = (x.reshape(L + 1, S * n) for x in (Bc, Bs, work))
+    np.multiply(np.arange(L + 1)[:, None], phi, out=angle)
+    trig = np.cos(angle)
+    Bc *= trig
+    np.sin(angle, out=trig)
+    Bs *= trig
+    out, sines = Bc[0].copy(), Bs[0].copy()
+    for m in range(1, L + 1):
+        out += Bc[m]
+        sines += Bs[m]
+    out += sines
+    return out
+
+
+def synthesize_points(coeffs, points, chunk=2048):
+    """Evaluate the expansion at arbitrary unit vectors, ``chunk`` points
+    per call of ``_synthesize_on``; one vector of shape (3,) gives a float.
+    Checks every off-grid value of the package: ``transforms.circle_samples``
+    and ``harmonics.rotate_rows``, and the grid synthesis at grid nodes."""
+    points = np.asarray(points, dtype=float)
+    single = points.ndim == 1
+    pts = np.atleast_2d(points)
+    Ac, As = coeffs.split_orders()
+    Ac, As = Ac[None], As[None]
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], chunk):
+        p = pts[start : start + chunk]
+        t, phi = np.clip(p[:, 2], -1.0, 1.0), np.arctan2(p[:, 1], p[:, 0])
+        out[start : start + chunk] = _synthesize_on(Ac, As, t, phi)
+    return float(out[0]) if single else out
+
+
+def rotate_by_sampling(coeffs, frame):
+    """Coefficients of x -> f(frame @ x) by sampling f at the images under
+    ``frame`` of the nodes of a grid that analyzes its band exactly, then
+    analyzing the samples there; checks ``harmonics.rotate_rows``.  Both
+    steps are exact for a band-limited f, O(L^4) in all."""
+    L = coeffs.L
+    grid = sphere.build_grid(L + 2, max(2 * L + 2, 4))
+    return harmonics.analyze(grid, synthesize_points(coeffs, grid.nodes @ frame.T), L)
+
+
+def circle_nodes(circle):
+    """The (m, 3) nodes cos(a) eps1 + sin(a) eps2 of a ``sphere.GreatCircle``,
+    or (S, m, 3) for S stacked normals: the points at which
+    ``transforms.circle_samples`` samples an expansion."""
+    c, s = np.cos(circle.angles)[:, None], np.sin(circle.angles)[:, None]
+    return c * circle.eps1[..., None, :] + s * circle.eps2[..., None, :]
+
+
 def _as_evaluator(g):
     """g as a callable on (M, 3) unit vectors: g itself when callable, else
     point synthesis of its harmonic expansion."""
@@ -36,7 +113,7 @@ def _as_evaluator(g):
         return g
     if getattr(g, "coeffs", None) is None:
         raise ValueError("integrand has grid samples only and no evaluation rule")
-    return lambda points: harmonics.synthesize_points(g.coeffs, points)
+    return lambda points: synthesize_points(g.coeffs, points)
 
 
 def grid_to_csv_per_node(path, grid, values):
@@ -55,14 +132,14 @@ def circle_integrate(g, circle):
     """Quadrature of g over a great circle (H^1 line measure), with the
     trapezoidal weight 2 pi / m per node; checks the multiplier Funk
     transform through ``funk_transform_at``."""
-    values = np.asarray(_as_evaluator(g)(circle.nodes), dtype=float)
+    values = np.asarray(_as_evaluator(g)(circle_nodes(circle)), dtype=float)
     return float(2.0 * np.pi / circle.m * np.sum(values))
 
 
 def funk_transform_at(f, targets, m=256):
     """Funk transform at explicit target directions by circle quadrature;
     checks ``transforms.funk_transform`` and f1 of
-    ``zonoid.isotropy_gap_report``."""
+    ``zonoid.isotropy_gap_stack``."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty(targets.shape[0])
     for k, u in enumerate(targets):
@@ -74,9 +151,10 @@ def circle_fourier_mass(g, u, degree=2, m=256, values=None):
     """Squared Fourier mass A^2 + B^2 of g on the circle u-perp at the
     given order, A and B the trapezoid moments of g cos(k a) and
     g sin(k a) over the m circle nodes; ``values`` are g's samples there,
-    when the caller has them.  Checks the FFT route to ``mass`` of
-    ``zonoid.isotropy_gap_stack``."""
-    vals = transforms._given_or_sampled(g, u, m, values)
+    when the caller has them, else g is evaluated at the nodes (a callable,
+    or point synthesis of its expansion).  Checks the FFT route to ``mass``
+    of ``zonoid.isotropy_gap_stack``."""
+    vals = values if values is not None else _as_evaluator(g)(circle_nodes(sphere.great_circle(u, m)))
     angles = 2.0 * np.pi * degree * np.arange(m) / m
     a = 2.0 * np.pi / m * float(np.sum(vals * np.cos(angles)))
     b = 2.0 * np.pi / m * float(np.sum(vals * np.sin(angles)))
@@ -165,7 +243,7 @@ def weil_prefactors_kernel(m):
 
 def weil_densities_kernel(gvals):
     """(f1, f2) from circle samples through the m x m sin^2 kernel; checks
-    the closed-form f1 and f2 of ``zonoid.isotropy_gap_report``."""
+    the closed-form f1 and f2 of ``zonoid.isotropy_gap_stack``."""
     m = gvals.size
     pref1, pref2 = weil_prefactors_kernel(m)
     w = 2.0 * np.pi / m
@@ -356,7 +434,7 @@ def _circle_derivatives(coeffs, u, direction, m):
     """
     angles = 2.0 * np.pi * np.arange(m) / m
     pts = np.outer(np.cos(angles), u) + np.outer(np.sin(angles), direction)
-    vals = harmonics.synthesize_points(coeffs, pts)
+    vals = synthesize_points(coeffs, pts)
     spec = np.fft.rfft(vals) / m
     k = np.arange(spec.size)
     val = float(np.sum(spec.real * np.where(k == 0, 1.0, 2.0)))
@@ -419,7 +497,7 @@ def area_density(h, u, j=1):
     """Area-measure density of order j at u, s_1 = (r1 + r2)/2 or
     s_2 = r1 r2 of the per-point radii; checks the densities that the grid
     operators read from ``SupportFunction.radii`` and the circle integrals
-    f1, f2 of ``zonoid.isotropy_gap_report``."""
+    f1, f2 of ``zonoid.isotropy_gap_stack``."""
     rm = radii(h, u)
     if j == 1:
         return 0.5 * (rm.r1 + rm.r2)

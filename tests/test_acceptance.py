@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from zonotools import cli, harmonics, zonoid
+from zonotools import cli, harmonics, transforms, zonoid
 
 import oracles
 from conftest import random_density, random_unit
@@ -106,7 +106,9 @@ class TestCriterion2Calibration:
             g = random_density(grid, 16, np.random.default_rng(seed))
             spec = zonoid.make_zonoid(g)
             targets = random_unit(rng, 20)
-            reps = [zonoid.isotropy_gap_report(spec, u) for u in targets]
+            rows = np.broadcast_to(spec.g.coeffs.c, (len(targets), spec.g.coeffs.c.size))
+            stack = zonoid.isotropy_gap_stack(transforms.circle_samples(rows, targets, 256))
+            reps = [{key: x[k] for key, x in stack.items()} for k in range(len(targets))]
             for u, rep in zip(targets, reps):
                 funk = oracles.funk_transform_at(spec.g, u)
                 worst_funk = max(worst_funk, abs(rep["f1"] - funk))

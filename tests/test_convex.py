@@ -377,7 +377,7 @@ class TestBoundaryPoint:
         u = random_unit(np.random.default_rng(16))
         x = oracles.boundary_point(ell, u)
         assert abs(x[0] ** 2 + x[1] ** 2 + (x[2] / 2.0) ** 2 - 1.0) < 1e-10
-        assert abs(x @ u - harmonics.synthesize_points(ell.coeffs, u)) < 1e-10
+        assert abs(x @ u - oracles.synthesize_points(ell.coeffs, u)) < 1e-10
 
     def test_degenerate_direction_flagged(self, grid):
         # zonal body with a flat point: 1 + a P2(t) has pole radius 1 - 2a,

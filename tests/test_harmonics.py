@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,7 +92,7 @@ class TestAnalysisSynthesis:
         c = harmonics.HarmonicCoeffs(L=20, c=rng.normal(size=21 * 21))
         vals = harmonics.synthesize_grid(c, grid)
         sel = np.arange(0, grid.n_nodes, 311)
-        pts = harmonics.synthesize_points(c, grid.nodes[sel])
+        pts = oracles.synthesize_points(c, grid.nodes[sel])
         assert np.max(np.abs(pts - vals[sel])) < 1e-12
 
     def test_zero_coeffs_synthesize_to_zero(self, small_grid):
@@ -119,40 +122,12 @@ class TestAnalysisSynthesis:
         for i in range(harmonics.coeff_count(L)):
             c = harmonics.HarmonicCoeffs.zeros(L)
             c.c[i] = 1.0
-            got = harmonics.synthesize_points(c, small_grid.nodes)
+            got = oracles.synthesize_points(c, small_grid.nodes)
             assert_allclose(got, harmonics.synthesize_grid(c, small_grid), rtol=0, atol=1e-13)
 
     def test_grid_too_coarse(self, small_grid):
         with pytest.raises(ValueError, match="too coarse"):
             harmonics.analyze(small_grid, np.ones(small_grid.n_nodes), 40)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    L=st.integers(0, 24),
-    m=st.sampled_from([8, 64, 256]),
-    S=st.integers(1, 40),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(L=12, m=256, S=37, seed=1)  # 37 circles: the last batch holds 5 of 8
-@example(L=24, m=8, S=40, seed=2)
-def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
-    """Each expansion of a stacked call gets bitwise the values of its own
-    synthesize_points call, whatever the batch it shares, and whether its
-    zero degrees are skipped (alone) or accumulated (beside an expansion
-    that has them)."""
-    rng = np.random.default_rng(seed)
-    coeffs = [harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2)) for _ in range(S)]
-    for c in coeffs:
-        if rng.random() < 0.5:  # an even expansion: its odd degrees are skipped alone
-            c.c[c.degrees() % 2 == 1] = 0.0
-    normals = rng.normal(size=(S, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    points = sphere.great_circle(normals, m).nodes
-    got = harmonics.synthesize_stacked(np.stack([c.c for c in coeffs]), points)
-    assert got.shape == (S, m)
-    for s in range(S):
-        assert np.array_equal(got[s], harmonics.synthesize_points(coeffs[s], points[s]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,26 +138,19 @@ def test_stacked_synthesis_equals_per_expansion(L, m, S, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_point_synthesis_independent_of_its_batch(L, n, even, seed):
-    """A point synthesized alone (a 1-D call) gets bitwise its value in a
-    whole batch; test_stacked_synthesis_equals_per_expansion covers
-    batches of other sizes."""
+    """The point-synthesis oracle gives a point alone (a 1-D call) bitwise
+    its value in a whole batch."""
     rng = np.random.default_rng(seed)
     c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
     if even:
         c.c[c.degrees() % 2 == 1] = 0.0
     points = rng.normal(size=(n, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    batch = harmonics.synthesize_points(c, points)
+    batch = oracles.synthesize_points(c, points)
     for j in range(n):
-        single = harmonics.synthesize_points(c, points[j])
+        single = oracles.synthesize_points(c, points[j])
         assert isinstance(single, float)
         assert np.float64(single).tobytes() == batch[j : j + 1].tobytes()
-
-
-def test_stacked_synthesis_checks_its_pairing():
-    c = harmonics.HarmonicCoeffs.zeros(2)
-    with pytest.raises(ValueError, match="2 expansions for 3 point sets"):
-        harmonics.synthesize_stacked(np.stack([c.c, c.c]), np.tile([0.0, 0.0, 1.0], (3, 8, 1)))
 
 
 def test_recurrence_coefficients_cached_and_read_only():
@@ -248,7 +216,7 @@ class TestZonalExpansions:
         for k in range(K):
             t = points @ axes[k]
             want = sum(z[k, l] * eval_legendre(l, t) for l in range(L + 1))
-            got = harmonics.synthesize_points(coeffs[k], points)
+            got = oracles.synthesize_points(coeffs[k], points)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_weights_give_exact_zeros(self):
@@ -590,3 +558,142 @@ class TestCoeffsCsv:
         harmonics.coeffs_to_csv(tmp_path / "fast.csv", c)
         oracles.coeffs_csv_by_coefficient(tmp_path / "slow.csv", c)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def _turn(axis, angle):
+    """The rotation by ``angle`` about coordinate axis ``axis`` (0, 1, 2)."""
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    R = np.eye(3)
+    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    if axis == 1:  # R_y(b) sends e_z towards +e_x
+        R = R.T
+    return R
+
+
+#: Middle Euler angles at and near the poles, where the frame's last column
+#: is e_z or -e_z exactly or within about 1e-9.
+POLAR_BETAS = [0.0, math.pi, 1e-9, math.pi - 1e-9, 3e-10]
+
+
+def _frame(kind, seed):
+    """A proper rotation: from the QR of a normal matrix ("random"), by ZYZ
+    angles with the middle one at or near a pole ("polar"), or a turn about
+    e_z, possibly followed by a half turn about e_x ("exact pole", whose
+    last column is e_z or -e_z exactly)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        return q * np.sign(np.linalg.det(q))
+    a, g = rng.uniform(-math.pi, math.pi, size=2)
+    if kind == "polar":
+        return _turn(2, a) @ _turn(1, POLAR_BETAS[seed % len(POLAR_BETAS)]) @ _turn(2, g)
+    return _turn(2, a) @ (np.diag([1.0, -1.0, -1.0]) if seed % 2 else np.eye(3))
+
+
+FRAME_KINDS = st.sampled_from(["random", "polar", "exact pole"])
+
+
+class TestRotation:
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(0, 60), kind=FRAME_KINDS, even=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(L=60, kind="polar", even=False, seed=0)  # beta = 0
+    @example(L=60, kind="polar", even=False, seed=1)  # beta = pi
+    @example(L=48, kind="exact pole", even=True, seed=1)  # last column -e_z
+    @example(L=48, kind="random", even=True, seed=5)
+    def test_matches_sample_and_analyze_route(self, L, kind, even, seed):
+        """The kernel against the old route, which samples f at the rotated
+        nodes of a grid and analyzes the samples; that route's own round trip
+        with no rotation is off by up to 2e-13 max|c| at bands 48 to 60, so
+        the two are compared on the scale of the whole expansion, |c|_2."""
+        rng = np.random.default_rng(seed)
+        c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
+        if even:
+            c.c[c.degrees() % 2 == 1] = 0.0
+        R = _frame(kind, seed)
+        got = harmonics.rotate_rows(c.c, R)
+        ref = oracles.rotate_by_sampling(c, R).c
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.linalg.norm(c.c)
+        if even:
+            assert not np.any(got[c.degrees() % 2 == 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(0, 60),
+        kinds=st.tuples(FRAME_KINDS, FRAME_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(L=60, kinds=("polar", "exact pole"), seed=3)
+    def test_keeps_degree_norms_and_composes(self, L, kinds, seed):
+        """Each degree's norm is kept to 1e-14 of itself, and turning by R2
+        and then by R1 is turning by R2 R1: (f o R2) o R1 = f o (R2 R1)."""
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(L + 1) ** 2)
+        R1, R2 = (_frame(kind, seed + i) for i, kind in enumerate(kinds))
+        once = harmonics.rotate_rows(c, R2)
+        for l in range(L + 1):
+            block = slice(l * l, (l + 1) * (l + 1))
+            norm = np.linalg.norm(c[block])
+            assert abs(np.linalg.norm(once[block]) - norm) <= 1e-14 * norm
+        twice = harmonics.rotate_rows(once, R1)
+        assert np.max(np.abs(twice - harmonics.rotate_rows(c, R2 @ R1))) <= 1e-13 * np.max(np.abs(c))
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(0, 30), S=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_row_bitwise_alone_and_in_any_stack(self, L, S, seed):
+        rng = np.random.default_rng(seed)
+        C = rng.normal(size=(S, (L + 1) ** 2))
+        C[rng.random(S) < 0.5, 1:4] = 0.0  # degree 1 zero in some rows
+        frames = np.stack([_frame(["random", "polar", "exact pole"][s % 3], seed + s) for s in range(S)])
+        got = harmonics.rotate_rows(C, frames)
+        for s in range(S):
+            assert got[s].tobytes() == harmonics.rotate_rows(C[s], frames[s]).tobytes()
+
+    @pytest.mark.parametrize("beta", POLAR_BETAS + [0.5, 2.0])
+    def test_euler_angles_rebuild_the_frame(self, beta):
+        R = _turn(2, 0.7) @ _turn(1, beta) @ _turn(2, -2.1)
+        a, b, g = harmonics._euler_zyz(R[None])
+        back = _turn(2, a[0]) @ _turn(1, b[0]) @ _turn(2, g[0])
+        assert np.max(np.abs(back - R)) <= 1e-15
+        assert 0.0 <= b[0] <= math.pi
+
+    def test_improper_frames_are_named(self):
+        c = np.ones(9)
+        R = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
+        with pytest.raises(ValueError, match="rotation frame 1 is not a proper rotation: .* determinant is -1.000"):
+            harmonics.rotate_rows(np.stack([c, c]), R)
+        for bad, off in [(np.eye(3) * (1.0 + 2e-12), "2.000e-12"), (_skewed(), "1.000e-09"), (np.full((3, 3), np.nan), "nan")]:
+            with pytest.raises(ValueError, match=f"rotation frame 0 is not a proper rotation: its columns are {off} from orthonormal"):
+                harmonics.rotate_rows(c, bad)
+        with pytest.raises(ValueError, match="3x3"):
+            harmonics.rotate_rows(c, np.eye(2))
+        with pytest.raises(ValueError, match="2 rotation frames for 3 expansions"):
+            harmonics.rotate_rows(np.stack([c, c, c]), np.stack([np.eye(3)] * 2))
+
+    def test_quarter_turns_orthogonal_cached_and_read_only(self):
+        J = harmonics._quarter_turns(60)
+        assert harmonics._quarter_turns(60) is J
+        assert len(J) == 61
+        for l, table in enumerate(J):
+            assert table.shape == (2 * l + 1, 2 * l + 1) and not table.flags.writeable
+            assert np.max(np.abs(table @ table.T - np.eye(2 * l + 1))) <= 2e-14
+        # degree l of the table is the quarter turn whatever the band
+        assert harmonics._quarter_turns(12)[12].tobytes() == J[12].tobytes()
+        assert sum(t.nbytes for t in harmonics._quarter_turns(48)) == 8 * 49 * 97 * 99 // 3
+
+
+def _skewed():
+    """A frame whose first two columns are 1e-9 from orthogonal."""
+    R = np.eye(3)
+    R[0, 1] = 1e-9
+    R[:, 1] /= np.linalg.norm(R[:, 1])
+    return R
+
+
+def test_importing_the_cli_builds_no_quarter_turn():
+    # the tables are built on first use, so import (setup) time is unchanged
+    code = "import zonotools.cli; from zonotools import harmonics; print(harmonics._quarter_turns.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "0"

@@ -23,9 +23,6 @@ PACKAGE = os.path.dirname(os.path.realpath(zonotools.__file__))
 #: "module:qualname" -> why no run below enters it.
 UNREACHED = {
     "cli:_Parser.error": "argparse usage errors only (exit code 3)",
-    "transforms:section_isotropy_tensor": "README quick tour: the one-circle call of isotropy_tensors",
-    "zonoid:isotropy_gap_report": "the one-circle call of isotropy_gap_stack, which acceptance criterion 4 reads",
-    "transforms:_given_or_sampled": "the circle samples of the two one-circle calls above",
 }
 
 #: A cap pair that no coordinate reflection fixes, so its design is solved

@@ -26,14 +26,14 @@ class TestSphericalFunction:
         assert np.max(np.abs(vals - vals[small_grid.antipode_index()])) < 1e-15
 
     def test_evaluate_needs_coeffs(self, small_grid):
-        # off-grid values (circle samples) need the harmonic expansion
+        # the multiplier transforms act on the harmonic expansion
         f = transforms.SphericalFunction(grid=small_grid, values=np.ones(small_grid.n_nodes))
         with pytest.raises(ValueError, match="evaluation rule"):
-            transforms.section_isotropy_tensor(f, np.array([0.0, 0.0, 1.0]))
+            transforms.funk_transform(f)
 
     def test_coeff_synthesis_consistency(self, grid):
         f = random_function(grid, 12, np.random.default_rng(0))
-        assert np.max(np.abs(harmonics.synthesize_points(f.coeffs, grid.nodes) - f.values)) < 1e-10
+        assert np.max(np.abs(oracles.synthesize_points(f.coeffs, grid.nodes) - f.values)) < 1e-10
 
 
 class TestCosineTransform:
@@ -71,7 +71,7 @@ class TestCosineTransform:
         f = transforms.SphericalFunction.from_coeffs(grid, c)
         targets = random_unit(rng, 12)
         quad = oracles.cosine_transform_quadrature(f, targets)
-        prod = harmonics.synthesize_points(transforms.cosine_transform(f).coeffs, targets)
+        prod = oracles.synthesize_points(transforms.cosine_transform(f).coeffs, targets)
         assert np.max(np.abs(quad - prod)) < 1e-8
 
 
@@ -109,7 +109,7 @@ class TestFunkTransform:
         f = transforms.SphericalFunction.from_coeffs(grid, c)
         targets = random_unit(rng, 10)
         quad = oracles.funk_transform_at(f, targets, m=128)
-        prod = harmonics.synthesize_points(transforms.funk_transform(f).coeffs, targets)
+        prod = oracles.synthesize_points(transforms.funk_transform(f).coeffs, targets)
         assert np.max(np.abs(quad - prod)) < 1e-8
 
 
@@ -123,12 +123,12 @@ def test_production_routes_match_oracles(grid, L, seed):
     c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
     c.c /= math.sqrt(c.norm2())
     on_grid = harmonics.synthesize_grid(c, grid)
-    assert np.max(np.abs(harmonics.synthesize_points(c, grid.nodes) - on_grid)) < 1e-12
+    assert np.max(np.abs(oracles.synthesize_points(c, grid.nodes) - on_grid)) < 1e-12
     f = transforms.SphericalFunction(grid=grid, values=on_grid, coeffs=c)
     targets = random_unit(rng, 3)
-    funk = harmonics.synthesize_points(transforms.funk_transform(f).coeffs, targets)
+    funk = oracles.synthesize_points(transforms.funk_transform(f).coeffs, targets)
     assert np.max(np.abs(funk - oracles.funk_transform_at(f, targets))) < 1e-8
-    cosine = harmonics.synthesize_points(transforms.cosine_transform(f).coeffs, targets)
+    cosine = oracles.synthesize_points(transforms.cosine_transform(f).coeffs, targets)
     assert np.max(np.abs(cosine - oracles.cosine_transform_quadrature(f, targets))) < 1e-8
 
 
@@ -152,47 +152,54 @@ def test_spectral_transforms_are_equivariant(grid, L, seed, kind):
     c.c /= math.sqrt(c.norm2())
     mapped = grid.nodes @ R.T
     f = transforms.SphericalFunction.from_coeffs(grid, c)
-    vals = harmonics.synthesize_points(c, mapped)
+    vals = oracles.synthesize_points(c, mapped)
     f_R = transforms.SphericalFunction(grid=grid, values=vals, coeffs=harmonics.analyze(grid, vals, L))
     for transform in (transforms.funk_transform, transforms.cosine_transform):
-        expect = harmonics.synthesize_points(transform(f).coeffs, mapped)
+        expect = oracles.synthesize_points(transform(f).coeffs, mapped)
         assert np.max(np.abs(transform(f_R).values - expect)) < 1e-10
+
+
+def _circle_tensor(g, u, m=256):
+    """T and the deviation of the callable g on the circle u-perp."""
+    T, dev = transforms.isotropy_tensors(g(oracles.circle_nodes(sphere.great_circle(u, m)))[None])
+    return T[0], float(dev[0])
 
 
 class TestSectionIsotropy:
     def test_constant_density_isotropic(self):
-        rep = transforms.section_isotropy_tensor(
+        T, dev = _circle_tensor(
             lambda p: np.ones(len(p)), np.array([0.2, -0.3, 0.933]) / np.linalg.norm([0.2, -0.3, 0.933])
         )
-        assert_allclose(rep.T, math.pi * np.eye(2), atol=1e-12)
-        assert rep.deviation < 1e-14
+        assert_allclose(T, math.pi * np.eye(2), atol=1e-12)
+        assert dev < 1e-14
 
     def test_x1_squared_at_pole(self):
-        rep = transforms.section_isotropy_tensor(lambda p: p[:, 0] ** 2, E3)
-        assert_allclose(rep.T, np.diag([3 * math.pi / 4, math.pi / 4]), atol=1e-12)
-        assert abs(rep.deviation - math.sqrt(2) / 4) < 1e-12
-        assert abs(rep.trace - math.pi) < 1e-12
+        T, dev = _circle_tensor(lambda p: p[:, 0] ** 2, E3)
+        assert_allclose(T, np.diag([3 * math.pi / 4, math.pi / 4]), atol=1e-12)
+        assert abs(dev - math.sqrt(2) / 4) < 1e-12
+        assert abs(np.trace(T) - math.pi) < 1e-12
 
     def test_deviation_zero_iff_isotropic(self):
-        rep = transforms.section_isotropy_tensor(lambda p: 2.0 + p[:, 2], E3)
-        assert rep.deviation < 1e-14  # on the equator the density is constant
+        _, dev = _circle_tensor(lambda p: 2.0 + p[:, 2], E3)
+        assert dev < 1e-14  # on the equator the density is constant
 
     def test_deviation_matches_circle_fourier_mass(self, grid):
         # |T - iso| relates to the order-2 Fourier content on the circle
         f = random_density(grid, 10, np.random.default_rng(5))
         u = random_unit(np.random.default_rng(6))
-        rep = transforms.section_isotropy_tensor(f, u)
+        T, dev = transforms.isotropy_tensors(transforms.circle_samples(f.coeffs.c, u, 256)[None])
         mass = oracles.circle_fourier_mass(f, u, degree=2)
-        assert abs(rep.deviation * abs(rep.trace) - math.sqrt(mass / 2.0)) < 1e-10
+        assert abs(dev[0] * abs(np.trace(T[0])) - math.sqrt(mass / 2.0)) < 1e-10
 
     def test_given_samples_match_sampled_route(self, grid):
+        # the tensor of the circle_samples route against the tensor of the
+        # samples synthesized point by point at the circle's nodes
         f = random_density(grid, 10, np.random.default_rng(7))
         u = random_unit(np.random.default_rng(8))
-        vals = transforms.circle_samples(f.coeffs.c, u, 64)
-        rep = transforms.section_isotropy_tensor(f, u, m=64, values=vals)
-        assert np.array_equal(rep.T, transforms.section_isotropy_tensor(f, u, m=64).T)
-        with pytest.raises(ValueError, match="64 circle samples"):
-            transforms.section_isotropy_tensor(f, u, m=64, values=vals[:-1])
+        T, dev = transforms.isotropy_tensors(transforms.circle_samples(f.coeffs.c, u, 64)[None])
+        T_ref, dev_ref = _circle_tensor(lambda p: oracles.synthesize_points(f.coeffs, p), u, 64)
+        assert np.max(np.abs(T[0] - T_ref)) <= 1e-13 * np.max(np.abs(T_ref))
+        assert abs(dev[0] - dev_ref) <= 1e-12 * dev_ref
 
     def test_angle_tables_cached_and_read_only(self):
         ca, sa = transforms._angle_tables(64)
@@ -208,15 +215,19 @@ class TestSectionIsotropy:
     L=st.integers(0, 48),
     m=st.sampled_from([8, 64, 97, 256]),
     S=st.integers(1, 6),
+    pole=st.sampled_from([None, 1.0, -1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(L=12, m=256, S=3, seed=1)  # the isotropy-gap suite's circles
-@example(L=48, m=256, S=2, seed=2)  # the counterexample's circles
-@example(L=48, m=97, S=2, seed=3)  # 2L + 2 >= m: synthesized directly
-def test_circle_samples_match_point_synthesis(L, m, S, seed):
+@example(L=12, m=256, S=3, pole=None, seed=1)  # the isotropy-gap suite's circles
+@example(L=48, m=256, S=2, pole=None, seed=2)  # the counterexample's circles
+@example(L=48, m=97, S=2, pole=None, seed=3)  # 2L + 2 >= m: the orders alias
+@example(L=48, m=256, S=4, pole=1.0, seed=4)
+@example(L=48, m=64, S=4, pole=-1.0, seed=5)
+def test_circle_samples_match_point_synthesis(L, m, S, pole, seed):
     """circle_samples is within 1e-12 max|g| of the oracle synthesize_points
-    at the great_circle(u, m) nodes, gives a circle bitwise the same alone
-    and in any stack, and is bitwise synthesize_stacked when 2L + 2 >= m."""
+    at the great_circle(u, m) nodes, and gives a circle bitwise the same
+    alone and in any stack.  With ``pole``, the first normal is that pole
+    of e_z exactly and the second lies within 1e-9 of it."""
     rng = np.random.default_rng(seed)
     coeffs = [harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2)) for _ in range(S)]
     for c in coeffs:
@@ -224,19 +235,20 @@ def test_circle_samples_match_point_synthesis(L, m, S, seed):
             c.c[c.degrees() % 2 == 1] = 0.0
     C = np.stack([c.c for c in coeffs])
     normals = rng.normal(size=(S, 3))
+    if pole is not None:
+        normals[0] = [0.0, 0.0, pole]
+        normals[1:2] = [*(1e-9 * rng.uniform(-0.7, 0.7, size=2)), pole]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     got = transforms.circle_samples(C, normals, m)
     assert got.shape == (S, m)
-    nodes = sphere.great_circle(normals, m).nodes
+    nodes = oracles.circle_nodes(sphere.great_circle(normals, m))
     for s in range(S):
-        ref = harmonics.synthesize_points(coeffs[s], nodes[s])
+        ref = oracles.synthesize_points(coeffs[s], nodes[s])
         assert np.max(np.abs(got[s] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(transforms.circle_samples(C[s], normals[s], m), got[s])
     a = int(rng.integers(0, S))
     b = int(rng.integers(a + 1, S + 1))
     assert np.array_equal(transforms.circle_samples(C[a:b], normals[a:b], m), got[a:b])
-    if 2 * L + 2 >= m:
-        assert np.array_equal(got, harmonics.synthesize_stacked(C, nodes))
 
 
 _cached_grid = functools.lru_cache(maxsize=None)(sphere.build_grid)
@@ -318,7 +330,7 @@ def _per_map_average(f, rotations):
     acc = np.zeros(f.grid.n_nodes)
     for T in rotations:
         T = transforms._as_axis_rotation(T)
-        acc += harmonics.synthesize_points(f.coeffs, f.grid.nodes @ T.T)
+        acc += oracles.synthesize_points(f.coeffs, f.grid.nodes @ T.T)
     return acc / len(rotations)
 
 
@@ -362,7 +374,7 @@ class TestFiniteAverage:
         # reflection through the xz-plane fixes e3
         T = np.diag([1.0, -1.0, 1.0])
         out = transforms.finite_average(f, [T])
-        expect = harmonics.synthesize_points(f.coeffs, grid.nodes @ T.T)
+        expect = oracles.synthesize_points(f.coeffs, grid.nodes @ T.T)
         assert np.max(np.abs(out.values - expect)) < 1e-12
 
     def test_output_carries_averaged_coeffs(self, grid):
@@ -401,14 +413,15 @@ class TestFiniteAverage:
             transforms.finite_average(f, [0.5, angle])
 
     def test_sr_suite_synthesizes_no_points(self, monkeypatch):
+        # no value off the grid: rotate_rows is the package's one route there
         calls = []
-        real = harmonics.synthesize_points
+        real = harmonics.rotate_rows
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harmonics, "synthesize_points", counting)
+        monkeypatch.setattr(harmonics, "rotate_rows", counting)
         rows = cli.suite_sr(cli.RunContext(cli.RunConfig()))
         assert all(row["pass"] for row in rows)
         assert len(calls) == 0

@@ -19,6 +19,14 @@ from test_reach import OFF_PLANE_CAPS
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def _gap_report(spec, u, m=256):
+    """``zonoid.isotropy_gap_stack`` of the one circle u-perp, as floats, on
+    the even density of the zonoid ``spec`` sampled by
+    ``transforms.circle_samples``."""
+    values = transforms.circle_samples(spec.g.coeffs.c, u, m)
+    return {key: float(x[0]) for key, x in zonoid.isotropy_gap_stack(values[None]).items()}
+
+
 def _off_plane_caps(tmp_path):
     """The cap pair of OFF_PLANE_CAPS, read as the command line reads it."""
     path = tmp_path / "caps.cfg"
@@ -178,7 +186,7 @@ class TestMakeZonoid:
         spec = zonoid.make_zonoid(g)
         targets = random_unit(np.random.default_rng(1), 8)
         quad = oracles.cosine_transform_quadrature(spec.g, targets)
-        stored = harmonics.synthesize_points(spec.h.coeffs, targets)
+        stored = oracles.synthesize_points(spec.h.coeffs, targets)
         assert np.max(np.abs(quad - stored)) < 1e-9
 
 
@@ -191,7 +199,7 @@ class TestWeilDensity:
         )
         u = random_unit(np.random.default_rng(2))
         # g ≡ c generates the ball of radius 2 pi c
-        rep = zonoid.isotropy_gap_report(spec, u)
+        rep = _gap_report(spec, u)
         assert abs(rep["f1"] - 2 * math.pi * 0.7) < 1e-12
         assert abs(rep["f2"] - (2 * math.pi * 0.7) ** 2) < 1e-10
 
@@ -204,7 +212,7 @@ class TestWeilDensity:
             g = random_density(grid, 16, np.random.default_rng(seed))
             spec = zonoid.make_zonoid(g)
             for u in random_unit(rng, 5):
-                f1 = zonoid.isotropy_gap_report(spec, u)["f1"]
+                f1 = _gap_report(spec, u)["f1"]
                 funk = oracles.funk_transform_at(spec.g, u)
                 worst = max(worst, abs(f1 - funk))
         assert worst < 1e-7
@@ -216,7 +224,7 @@ class TestWeilDensity:
             g = random_density(grid, 16, np.random.default_rng(100 + seed))
             spec = zonoid.make_zonoid(g)
             for u in random_unit(rng, 4):
-                rep = zonoid.isotropy_gap_report(spec, u)
+                rep = _gap_report(spec, u)
                 worst = max(
                     worst,
                     abs(rep["f1"] - oracles.area_density(spec.h, u, 1)),
@@ -235,10 +243,10 @@ def test_closed_form_densities_match_kernel_oracle(small_grid, L, m, seed):
     rng = np.random.default_rng(seed)
     spec = zonoid.make_zonoid(random_density(small_grid, L, rng))
     u = random_unit(rng)
-    rep = zonoid.isotropy_gap_report(spec, u, m=m)
+    rep = _gap_report(spec, u, m=m)
     f1, f2 = rep["f1"], rep["f2"]
     o1, o2 = oracles.weil_densities_kernel(
-        harmonics.synthesize_points(spec.g.coeffs, sphere.great_circle(u, m).nodes)
+        oracles.synthesize_points(spec.g.coeffs, oracles.circle_nodes(sphere.great_circle(u, m)))
     )
     assert abs(f1 - o1) <= 1e-12 * abs(o1)
     assert abs(f2 - o2) <= 1e-12 * abs(o2)
@@ -251,7 +259,7 @@ class TestIsotropyGapReport:
         spec = zonoid.make_zonoid(
             transforms.SphericalFunction.from_coeffs(grid, c)
         )
-        rep = zonoid.isotropy_gap_report(spec, random_unit(np.random.default_rng(6)))
+        rep = _gap_report(spec, random_unit(np.random.default_rng(6)))
         assert rep["dev"] < 1e-14
         assert rep["gap"] < 1e-13
 
@@ -259,7 +267,7 @@ class TestIsotropyGapReport:
         g = random_density(grid, 12, np.random.default_rng(7))
         spec = zonoid.make_zonoid(g)
         u = random_unit(np.random.default_rng(8))
-        rep = zonoid.isotropy_gap_report(spec, u)
+        rep = _gap_report(spec, u)
         raw = rep["f1"] ** 2 - rep["f2"]
         mass = oracles.circle_fourier_mass(spec.g, u, degree=2)
         assert abs(raw - mass) < 1e-6 * max(abs(raw), abs(mass))
@@ -271,7 +279,7 @@ class TestIsotropyGapReport:
         spec = zonoid.make_zonoid(
             transforms.SphericalFunction.from_coeffs(grid, c)
         )
-        rep = zonoid.isotropy_gap_report(spec, E3)
+        rep = _gap_report(spec, E3)
         assert rep["dev"] > 1e-3
         assert rep["gap"] > 1e-6
 
@@ -279,24 +287,22 @@ class TestIsotropyGapReport:
         g = random_density(grid, 12, np.random.default_rng(9))
         spec = zonoid.make_zonoid(g)
         u = random_unit(np.random.default_rng(10))
-        rep = zonoid.isotropy_gap_report(spec, u, m=128)
-        assert rep["dev"] == transforms.section_isotropy_tensor(spec.g, u, m=128).deviation
+        # every quantity of the report reads the one sample of the circle
+        rep = _gap_report(spec, u, m=128)
         given = transforms.circle_samples(spec.g.coeffs.c, u, 128)
+        assert rep["dev"] == transforms.isotropy_tensors(given[None])[1][0]
         f1, f2 = zonoid._weil_densities(given[None])
         assert rep["f1"] == f1[0] and rep["f2"] == f2[0]
         mass = oracles.circle_fourier_mass(spec.g, u, degree=2, m=128)
         assert rep["mass"] == pytest.approx(mass, rel=1e-12, abs=0.0)
-        assert zonoid.isotropy_gap_report(None, u, m=128, values=given) == rep
-        with pytest.raises(ValueError, match="128 circle samples"):
-            zonoid.isotropy_gap_report(None, u, m=128, values=given[:-1])
 
     @pytest.fixture(scope="class")
     def suite_calls(self):
         # one default suite run, counting the expansions synthesized on the
         # grid, the analyses, Legendre series and support builds, and the
-        # points of every call into the point-synthesis kernel
+        # rows of every call into the rotation kernel
         calls = {"grid_rows": 0, "analyze": 0, "legval": 0, "from_coeffs": 0,
-                 "kernel_points": []}
+                 "rotated_rows": []}
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
@@ -310,10 +316,10 @@ class TestIsotropyGapReport:
                 return real(Ac, As, grid, work)
             return wrapped
 
-        def kernel(real):
-            def wrapped(Ac, As, t, phi):
-                calls["kernel_points"].append(t.size)
-                return real(Ac, As, t, phi)
+        def rotations(real):
+            def wrapped(C, frames):
+                calls["rotated_rows"].append(len(C))
+                return real(C, frames)
             return wrapped
 
         ctx = cli.RunContext(cli.RunConfig())
@@ -326,19 +332,16 @@ class TestIsotropyGapReport:
             ]:
                 mp.setattr(owner, name, counting(name, getattr(owner, name)))
             mp.setattr(harmonics, "_synthesize_grid_rows", grid_rows(harmonics._synthesize_grid_rows))
-            mp.setattr(harmonics, "_synthesize_on", kernel(harmonics._synthesize_on))
+            mp.setattr(harmonics, "rotate_rows", rotations(harmonics.rotate_rows))
             rows = cli.suite_isotropy_gap(ctx)
         return rows, calls
 
     def test_suite_synthesizes_each_circle_once(self, suite_calls):
-        # each case's circle and grid values are synthesized once: 200
-        # circles of 2L + 2 = 26 nodes, which fix a band-12 circle, reach the
-        # kernel in batches of whole circles, and are resampled to m nodes
+        # each case's circle and grid values are synthesized once: the 200
+        # circles are rotated onto the equator in one stack
         rows, calls = suite_calls
-        assert cli.RunConfig().circle_m > 26
         assert all(row["pass"] for row in rows)
-        assert sum(calls["kernel_points"]) == 200 * 26
-        assert all(n % 26 == 0 for n in calls["kernel_points"])
+        assert calls["rotated_rows"] == [200]
         assert calls["grid_rows"] == 200
 
     def test_suite_builds_no_support_function(self, suite_calls):
@@ -358,17 +361,16 @@ class TestIsotropyGapReport:
         assert calls["analyze"] == 0
 
     def test_suite_rows_match_per_case_reports(self, suite_calls):
-        # the stacked suite against one isotropy_gap_report per case, read
-        # as the suite read them before it worked on stacks
+        # the stacked suite against a one-circle isotropy_gap_stack per
+        # case, read as the suite read them before it worked on stacks
         rows, _ = suite_calls
         ctx = cli.RunContext(cli.RunConfig())
         coeffs, directions, _, isotropic = cli._isotropy_corpus(ctx)
         tols = cli.TOLERANCES
         equiv_ok, worst = True, 0.0
         for c, u, iso in zip(coeffs, directions, isotropic):
-            rep = zonoid.isotropy_gap_report(
-                None, u, m=256, values=transforms.circle_samples(c, u, 256)
-            )
+            stack = zonoid.isotropy_gap_stack(transforms.circle_samples(c, u, 256)[None])
+            rep = {key: float(x[0]) for key, x in stack.items()}
             small_gap, small_dev = rep["gap"] < tols["gap_iso"], rep["dev"] < tols["dev_iso"]
             equiv_ok &= small_gap == small_dev == iso
             raw = rep["f1"] ** 2 - rep["f2"]
@@ -412,8 +414,7 @@ class TestIsotropyCorpus:
 
     def test_zonal_case_constant_on_its_axis_circle(self, corpora):
         (coeffs, directions, _, _), _, _ = corpora
-        circles = sphere.great_circle(directions[:100], 64)
-        values = harmonics.synthesize_stacked(coeffs[:100], circles.nodes)
+        values = transforms.circle_samples(coeffs[:100], directions[:100], 64)
         spread = np.ptp(values, axis=1) / np.max(np.abs(values), axis=1)
         assert np.max(spread) <= 1e-12
 
@@ -443,7 +444,7 @@ class TestCounterexample:
     def test_gap_report_on_cap_directions(self, counterexample, counterexample_spec):
         rng = np.random.default_rng(5)
         for u in counterexample.cap_u.sample(10, rng):
-            rep = zonoid.isotropy_gap_report(counterexample_spec, u)
+            rep = _gap_report(counterexample_spec, u)
             assert rep["dev"] < 1e-6
             assert rep["gap"] < 1e-6
 
@@ -483,22 +484,19 @@ class TestCounterexample:
         # one synthesis of all circles gives each circle's own samples
         g = zonoid.even_density(counterexample.g)
         samples = counterexample.cap_u.sample(50, np.random.default_rng(1234))
-        per_circle = max(transforms.section_isotropy_tensor(g, u).deviation for u in samples)
+        per_circle = max(
+            transforms.isotropy_tensors(transforms.circle_samples(g.coeffs.c, u, 256)[None])[1][0]
+            for u in samples
+        )
         assert got["isotropy_max_dev"] == pytest.approx(per_circle, rel=1e-12, abs=0.0)
 
     def test_grid_values_come_from_grid_synthesis(self, grid, cap_u, cap_v, monkeypatch):
         # the cap values of C(g) and R(g), in the build and in the rigidity
-        # fit, are read off the grid synthesis: no point synthesis at all
+        # fit, are read off the grid synthesis: no value off the grid at all,
+        # and the default caps are solved in their own frame, unrotated
         calls = []
-
-        def counting(real):
-            def wrapped(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapped
-
-        for name in ("synthesize_points", "synthesize_stacked", "_synthesize_on"):
-            monkeypatch.setattr(harmonics, name, counting(getattr(harmonics, name)))
+        real = harmonics.rotate_rows
+        monkeypatch.setattr(harmonics, "rotate_rows", lambda *args: (calls.append(1), real(*args))[1])
         res = zonoid.build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3)
         zonoid.verify_local_rigidity(zonoid.make_zonoid(res.g), cap_u)
         assert calls == []
@@ -646,8 +644,8 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("pair", ["rotated", "off-plane"])
     def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
         # drawn-like pairs at the production band and grid, solved in their
-        # adapted frame (625 columns, a 13.4 MB buffer); the rotation grid's
-        # tables are cached by a first call, so the second call's peak is the
+        # adapted frame (625 columns, a 13.4 MB buffer); the quarter-turn
+        # tables are built by a first call, so the second call's peak is the
         # design's
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
@@ -667,18 +665,19 @@ class TestPlateauDesign:
         assert peak < 1.25 * buffer_bytes
 
     def test_rotation_peak(self, tmp_path):
-        # the rotation's point synthesis works POINT_CHUNK points at a time
+        # once the quarter-turn tables of the band are built, a rotation holds
+        # its result and a few degree-sized temporaries (30 kB measured)
         u, v = _off_plane_caps(tmp_path)
         G, info = zonoid.design_plateau(u, v)
         frame = np.array(info["design_frame"])
-        zonoid._rotate_expansion(G, frame)  # caches the rotation grid's tables
+        zonoid._rotate_expansion(G, frame)  # the tables are built by now
         tracemalloc.start()
         try:
             zonoid._rotate_expansion(G, frame)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 3 * G.c.nbytes
 
     def test_row_tables_are_dropped_before_the_last_fold(self, cap_u, cap_v, monkeypatch):
         # the last fold and the solve do not run beside the ring tables
@@ -702,9 +701,8 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
     def test_design_caches_no_table_of_its_grid(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
         # the design builds its theta tables on its cap rings, uncached, and
-        # reads no per-grid cache for its grid's rings or longitudes
+        # reads no per-grid cache, neither for its grid nor for its rotation
         u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
-        dg = sphere.build_grid(128, 256)
         keys = []
         for name in ("_ring_legendre", "_ring_radii_tables", "_longitude_tables"):
             real = getattr(harmonics, name)
@@ -712,9 +710,7 @@ class TestPlateauDesign:
                 harmonics, name, lambda L, key, real=real: (keys.append(key), real(L, key))[1]
             )
         zonoid.design_plateau(u, v)
-        assert (pair == "off-plane") == bool(keys)  # the rotation grid's tables
-        assert harmonics._table_key(dg.cos_theta) not in keys
-        assert harmonics._table_key(dg.phi) not in keys
+        assert keys == []
 
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
     def test_design_solve_is_lstsq_on_a_copy_of_the_factor(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
@@ -831,8 +827,8 @@ class TestPlateauDesign:
         q, r = np.linalg.qr(rng.normal(size=(3, 3)))
         Q = q * np.sign(np.diag(r)) * np.sign(np.linalg.det(q * np.sign(np.diag(r))))
         x = random_unit(rng, 200)
-        ref = harmonics.synthesize_points(G, x @ Q.T)
-        got = harmonics.synthesize_points(zonoid._rotate_expansion(G, Q), x)
+        ref = oracles.synthesize_points(G, x @ Q.T)
+        got = oracles.synthesize_points(zonoid._rotate_expansion(G, Q), x)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=40, deadline=None)
@@ -1045,7 +1041,7 @@ class TestRigidity:
         spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(small_grid, c))
         rep = zonoid.verify_local_rigidity(spec, cap)
         lam = harmonics.multiplier_table("funk", L)
-        r = harmonics.synthesize_points(harmonics.apply_multipliers(c, lam), small_grid.nodes)
+        r = oracles.synthesize_points(harmonics.apply_multipliers(c, lam), small_grid.nodes)
         scale = float(np.max(np.abs(r)))
         r_cap = r[mask]
         assert abs(rep.funk_constant - np.mean(r_cap)) <= 1e-13 * scale
@@ -1069,8 +1065,8 @@ def _circle_stack(rng, S, m):
 )
 def test_stacked_reports_match_one_circle_reports(S, m, seed):
     """Every row of isotropy_gap_stack and transforms.isotropy_tensors is
-    bitwise its one-circle report, whose sums are the stack's row by row;
-    f1, f2 and the mass match their oracles."""
+    bitwise its one-circle report (a stack of one row), whose sums are the
+    stack's row by row; f1, f2 and the mass match their oracles."""
     rng = np.random.default_rng(seed)
     values = _circle_stack(rng, S, m)
     normals = random_unit(rng, S).reshape(S, 3)
@@ -1078,10 +1074,11 @@ def test_stacked_reports_match_one_circle_reports(S, m, seed):
     T, dev = transforms.isotropy_tensors(values)
     assert np.array_equal(dev, stack["dev"])
     for s in range(S):
-        rep = zonoid.isotropy_gap_report(None, normals[s], m=m, values=values[s])
+        one = zonoid.isotropy_gap_stack(values[s : s + 1])
+        rep = {key: float(x[0]) for key, x in one.items()}
         assert rep == {key: float(x[s]) for key, x in stack.items()}
-        iso = transforms.section_isotropy_tensor(None, normals[s], m=m, values=values[s])
-        assert iso.T.tobytes() == T[s].tobytes() and iso.deviation == dev[s]
+        T1, dev1 = transforms.isotropy_tensors(values[s : s + 1])
+        assert T1[0].tobytes() == T[s].tobytes() and dev1[0] == dev[s]
         o1, o2 = oracles.weil_densities_kernel(values[s])
         scale = (2.0 * np.pi / m * np.sum(np.abs(values[s]))) ** 2
         assert abs(rep["f1"] ** 2 - o1**2) <= 1e-13 * scale
