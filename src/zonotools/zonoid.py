@@ -241,18 +241,19 @@ class CounterexampleResult:
 
 
 def _orbit_fold(grid, reflections=()):
-    """One node per orbit of the group that the antipodal map and the given
-    coordinate reflections ("x", "y") generate on the grid's nodes.
+    """Orbits of the group that the antipodal map and the given coordinate
+    reflections ("x", "y") generate on the grid's nodes.
 
-    Returns (keep, mult): the mask of the lowest-indexed node of every
-    orbit, and per node the size of the orbit it represents (meaningful on
-    the kept nodes).  With no reflection every orbit is an antipodal pair.
+    Returns (rep, mult): per node the lowest index in its orbit, which is
+    the node kept for the orbit (the nodes with rep equal to their own
+    index), and the size of the orbit a node represents (meaningful on the
+    kept nodes).  With no reflection every orbit is an antipodal pair.
     """
     images = [np.arange(grid.n_nodes)]
     for g in [grid.antipode_index()] + [grid.reflection_index(a) for a in reflections]:
         images += [g[p] for p in images]
     rep = np.min(images, axis=0)
-    return rep == images[0], np.bincount(rep, minlength=grid.n_nodes)
+    return rep, np.bincount(rep, minlength=grid.n_nodes)
 
 
 def _cap_pair_symmetry(grid, caps):
@@ -294,9 +295,62 @@ def _write_gathered(out, cols, table, ring, scale):
     out[cols] = rows
 
 
-class _DesignRows:
+class _RowBlock:
+    """Rows of the plateau design on some of its columns and kept nodes,
+    written for a range of those nodes at a time.
+
+    Every node of the block has its own square-root weight ``sw`` and
+    value target ``target``.  ``value_rows`` writes the value rows of its
+    nodes, ``anisotropy_rows`` the h11 - h22 or 2 h12 rows of those among
+    them with anisotropy rows, both transposed (one column per row: the
+    entries on the block's columns, in the block's order, then the
+    target) and straight into the caller's buffer.  A row family is one
+    gather and one product per order, from the ring tables of
+    ``_DesignRows``, which every block of one design shares.  ``cols``
+    are the positions of the block's columns among the design's, ``funk``
+    their Funk multipliers, and ``n_nodes`` and ``n_aniso`` count the
+    block's nodes and those among them with anisotropy rows.
+    """
+
+    def __init__(self, orders, cols, funk, ring, lon, sw, target, aniso):
+        # per order: its columns' positions in the block, the longitude
+        # factor and its phi derivative, and the ring tables Q, H and K
+        self._orders = orders
+        self.cols, self.funk = cols, funk
+        self._ring, self._lon = ring, lon
+        self.sw, self.target = sw, target
+        self._aniso = aniso
+        self.n_nodes, self.n_aniso = sw.size, aniso.size
+
+    def value_rows(self, out, k, funk=False):
+        """Write the value rows of the block's nodes ``k`` (a slice) into
+        ``out``, transposed: their entries, then their targets.  With
+        ``funk``, write their Funk rows: the same times ``funk`` column by
+        column, with the same targets."""
+        ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
+        for cols, trig, _, Q, _, _ in self._orders:
+            _write_gathered(out, cols, Q, ring, sw * trig[lon])
+        if funk:
+            out[:-1] *= self.funk[:, None]
+        out[-1] = sw * self.target[k]
+
+    def anisotropy_rows(self, out, k, offdiagonal=False):
+        """Write the h11 - h22 rows (the 2 h12 rows when ``offdiagonal``) of
+        the block's anisotropy nodes ``k`` (a slice of them) into ``out``,
+        transposed: their entries, then their zero targets."""
+        i = self._aniso[k]
+        ring, lon, sw = self._ring[i], self._lon[i], self.sw[i]
+        for cols, trig, dtrig, _, H, K in self._orders:
+            if offdiagonal:
+                _write_gathered(out, cols, K, ring, sw * dtrig[lon])
+            else:
+                _write_gathered(out, cols, H, ring, sw * trig[lon])
+        out[-1] = 0.0
+
+
+class _DesignRows(_RowBlock):
     """Rows of the plateau design's weighted least-squares system, folded
-    onto its symmetry group and written for a range of nodes at a time.
+    onto its symmetry group: the block of all its columns and kept nodes.
 
     Columns are even harmonics (l, m), degree-major, as ``ls``/``ms``.
     Rows, each scaled by the square root of its node's quadrature weight,
@@ -328,30 +382,34 @@ class _DesignRows:
     passes caps that no coordinate reflection fixes in the frame where
     that reflection is y -> -y, so at least one reflection always folds.
 
-    Rows are written transposed, one column per row of the system, straight
-    into the caller's buffer: the row's entries, then its target.  They are
-    assembled one order m at a time, vectorized over degree, from ring
-    tables of the design's own, one row per solved column (' is the
-    theta-derivative): Q, the Legendre factor; H = Q'' - cot Q' + m^2 Q /
-    sin^2, of which h11 - h22 is the product with the longitude factor; and
-    K = 2 (Q' - cot Q) / sin, of which 2 h12 is the product with the
-    longitude factor's phi-derivative.  A row family is then one gather and
-    one product per order.  The tables hold only the cap rings, the rings
-    of the kept nodes (38 of 128 for the default caps at band 48): Q, Q'
-    and Q'' come from ``harmonics.ring_theta_tables`` at those rings alone,
-    uncached, and are dropped once the tables are gathered, so no table of
-    the design grid enters a per-grid cache.  ``node_values`` evaluates a
-    solution at the kept nodes from the Q tables, for the residuals.
+    With ``mirror`` (the caps of that frame) the rows are also split by
+    the mirror z -> -z, which maps U onto V and the third cap onto itself
+    up to their heights and rounding; see ``mirror_roles`` and
+    ``mirror_blocks``.
+
+    The rows are assembled one order m at a time, vectorized over degree,
+    from ring tables of the design's own, one row per solved column (' is
+    the theta-derivative): Q, the Legendre factor; H = Q'' - cot Q' +
+    m^2 Q / sin^2, of which h11 - h22 is the product with the longitude
+    factor; and K = 2 (Q' - cot Q) / sin, of which 2 h12 is the product
+    with the longitude factor's phi-derivative.  The tables hold only the
+    cap rings, the rings of the kept nodes (38 of 128 for the default caps
+    at band 48): Q, Q' and Q'' come from ``harmonics.ring_theta_tables`` at
+    those rings alone, uncached, and are dropped once the tables are
+    gathered, so no table of the design grid enters a per-grid cache.
+    ``node_values`` evaluates a solution at the kept nodes from the Q
+    tables, for the residuals.
 
     Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
     node its grid index ``nodes``, cap index ``which``, plateau level
     ``target`` and square-root weight ``sw``; ``n_aniso``, the number of
-    kept nodes with anisotropy rows; and the ``reflections`` used.
+    kept nodes with anisotropy rows; the ``reflections`` used; and with
+    ``mirror``, per kept node its ``partner``.
     """
 
-    def __init__(self, grid, caps, L, anisotropy_caps):
+    def __init__(self, grid, caps, L, anisotropy_caps, mirror=False):
         sels, self.reflections = _cap_pair_symmetry(grid, caps)
-        keep, mult = _orbit_fold(grid, self.reflections)
+        rep, mult = _orbit_fold(grid, self.reflections)
         evens = np.arange(0, L + 1, 2)
         ls = np.repeat(evens, 2 * evens + 1)
         ms = np.concatenate([np.arange(-l, l + 1) for l in evens])
@@ -361,30 +419,34 @@ class _DesignRows:
         if "x" in self.reflections:
             invariant &= (ms >= 0) == (ms % 2 == 0)
         self.ls, self.ms = ls[invariant], ms[invariant]
-        self.funk = 1.0 - 0.5 * self.ls * (self.ls + 1.0)
-        sel = np.any(sels, axis=0) & keep
+        funk = 1.0 - 0.5 * self.ls * (self.ls + 1.0)
+        sel = np.any(sels, axis=0) & (rep == np.arange(grid.n_nodes))
         self.nodes = np.flatnonzero(sel)
         self.which = np.zeros(self.nodes.size, dtype=int)
         for k, s in enumerate(sels):
             self.which[s[sel]] = k
-        self.target = np.asarray(PLATEAU_LEVELS, dtype=float)[self.which]
-        self.sw = np.sqrt(mult[sel] * grid.weights[sel])
-        ring, self._lon = np.divmod(self.nodes, grid.n_phi)
+        target = np.asarray(PLATEAU_LEVELS, dtype=float)[self.which]
+        sw = np.sqrt(mult[sel] * grid.weights[sel])
+        ring, lon = np.divmod(self.nodes, grid.n_phi)
+        self.partner = None
+        if mirror:
+            # the kept node of the orbit of each kept node's z-image, by the
+            # node masks: -1 where that orbit holds no cap node
+            position = np.full(grid.n_nodes, -1)
+            position[self.nodes] = np.arange(self.nodes.size)
+            self.partner = position[rep[(grid.n_theta - 1 - ring) * grid.n_phi + lon]]
         # the cap rings, the rings that hold kept nodes, and each node's
         # index among them
-        rings, self._ring = np.unique(ring, return_inverse=True)
-        self._aniso = np.flatnonzero(np.isin(self.which, anisotropy_caps))
-        self.n_aniso = self._aniso.size
+        rings, ring = np.unique(ring, return_inverse=True)
+        self._is_aniso = np.isin(self.which, anisotropy_caps)
         t = grid.cos_theta[rings]
         st = np.sqrt(1.0 - t * t)
         cot = t / st
         P, dP, d2P = harmonics.ring_theta_tables(L, t)
         cosm, sinm = harmonics._phi_tables(L, grid.phi)
         s2 = math.sqrt(2.0)
-        # per order: its columns, the longitude factor and its phi
-        # derivative, and the ring tables Q, H and K of its columns
-        self._orders = []
-        for m in np.unique(self.ms).tolist():
+        orders = []
+        for m in sorted(set(self.ms.tolist())):
             cols = np.flatnonzero(self.ms == m)
             am = abs(m)
             if m == 0:
@@ -397,28 +459,82 @@ class _DesignRows:
             Q, dQ = P[lc, am], dP[lc, am]
             H = d2P[lc, am] - cot * dQ + am * am * Q / (st * st)
             K = 2.0 * (dQ - cot * Q) / st
-            self._orders.append((cols, trig, dtrig, Q, H, K))
+            orders.append((cols, trig, dtrig, Q, H, K))
+        super().__init__(
+            orders, np.arange(self.ls.size), funk, ring, lon, sw, target,
+            np.flatnonzero(self._is_aniso),
+        )
 
-    def value_rows(self, out, k):
-        """Write the value rows of the kept nodes ``k`` (a slice) into
-        ``out``, transposed: their entries, then their plateau levels."""
-        ring, lon, sw = self._ring[k], self._lon[k], self.sw[k]
-        for cols, trig, _, Q, _, _ in self._orders:
-            _write_gathered(out, cols, Q, ring, sw * trig[lon])
-        out[-1] = sw * self.target[k]
+    def block(self, cols, nodes, sw, target):
+        """The rows of the kept nodes ``nodes`` (positions among them) on
+        the columns ``cols`` (positions among ``ls``, in the block's order),
+        with square-root weights ``sw`` and targets ``target``.  Each order's
+        columns are all in ``cols`` or all out of it."""
+        local = np.full(self.ls.size, -1)
+        local[cols] = np.arange(cols.size)
+        orders = [(local[c], *tables) for c, *tables in self._orders if local[c[0]] >= 0]
+        return _RowBlock(
+            orders, cols, self.funk[cols], self._ring[nodes], self._lon[nodes], sw, target,
+            np.flatnonzero(self._is_aniso[nodes]),
+        )
 
-    def anisotropy_rows(self, out, k, offdiagonal=False):
-        """Write the h11 - h22 rows (the 2 h12 rows when ``offdiagonal``) of
-        the anisotropy nodes ``k`` (a slice of them) into ``out``,
-        transposed: their entries, then their zero targets."""
-        i = self._aniso[k]
-        ring, lon, sw = self._ring[i], self._lon[i], self.sw[i]
-        for cols, trig, dtrig, _, H, K in self._orders:
-            if offdiagonal:
-                _write_gathered(out, cols, K, ring, sw * dtrig[lon])
-            else:
-                _write_gathered(out, cols, H, ring, sw * trig[lon])
-        out[-1] = 0.0
+    def mirror_roles(self):
+        """The kept nodes' roles under the mirror z -> -z: masks
+        (paired, lone, rim).
+
+        A node is paired when its ``partner`` is another kept node with the
+        same row families, lone when it is its own partner (its z-image is
+        in its own orbit: nodes on the planes x = 0 and z = 0) and has no
+        anisotropy rows, and in the rim otherwise: the nodes of the larger
+        of U and V whose mirror lies outside the smaller one.  A lone node
+        with anisotropy rows, which no admissible cap pair has, goes with
+        the rim.  The partner map is an involution on the paired nodes,
+        since z commutes with the fold group.
+        """
+        i = np.arange(self.nodes.size)
+        p = np.where(self.partner < 0, i, self.partner)
+        has = self.partner >= 0
+        paired = has & (p != i) & (self._is_aniso == self._is_aniso[p])
+        lone = has & (p == i) & ~self._is_aniso
+        return paired, lone, ~(paired | lone)
+
+    def mirror_blocks(self):
+        """The design split by the mirror z -> -z: row blocks
+        (even, odd, rim).
+
+        On the solved columns z acts by the sign (-1)^m, so they fall in
+        an even class (m even) and an odd one (m odd).  A paired node's
+        value, Funk and h11 - h22 rows at its partner are its own with the
+        odd columns negated, and its 2 h12 row there is, up to a sign,
+        its own with the even columns negated; its partner's weight is its
+        own.  The two rows of a pair are therefore one row per class:
+        the node's row on that class's columns, with twice its weight and
+        the target (b + b') / 2 in the even class and (b - b') / 2 in the
+        odd one, b' the partner's level (zero for the anisotropy rows).
+        The even block holds the first node of every pair, scaled by
+        sqrt(2), and the lone nodes, whose value rows vanish on the odd
+        columns in exact arithmetic; the odd block holds the pairs; the
+        rim keeps its nodes' full rows on the even and then the odd
+        columns.  The transform is orthogonal, so the blocks' rows have the
+        singular values of the unsplit rows, up to the rounding-level odd
+        part of the lone rows.
+        """
+        paired, lone, rim = self.mirror_roles()
+        i = np.arange(self.nodes.size)
+        p = np.where(paired, self.partner, i)
+        first = paired & (i < p)
+        b, b_other = self.target, self.target[p]
+        scale = np.where(first, math.sqrt(2.0), 1.0) * self.sw
+        parity = self.ms % 2
+        even_cols, odd_cols = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        even = np.flatnonzero(first | lone)
+        odd = np.flatnonzero(first)
+        rim = np.flatnonzero(rim)
+        return (
+            self.block(even_cols, even, scale[even], 0.5 * (b + b_other)[even]),
+            self.block(odd_cols, odd, scale[odd], 0.5 * (b - b_other)[odd]),
+            self.block(np.concatenate([even_cols, odd_cols]), rim, self.sw[rim], b[rim]),
+        )
 
     def node_values(self):
         """The function x -> the values at the kept nodes of the expansion
@@ -450,37 +566,48 @@ def _lapack_ints(n):
     return np.zeros(n, dtype=_LAPACK_INT).view(np.intc)
 
 
+def _lapack_matrix(W):
+    """(a, lda): the Fortran-strided matrix W (contiguous columns, any
+    leading dimension, so also a corner of a larger Fortran buffer) as
+    lapack_lite takes it: the C-contiguous run of memory from W's first
+    element to its last, and the distance between its columns."""
+    lda = W.strides[1] // W.itemsize
+    size = lda * (W.shape[1] - 1) + W.shape[0]
+    return np.lib.stride_tricks.as_strided(W, shape=(size,), strides=(W.itemsize,)), lda
+
+
 class _TriangularFactor:
     """Upper-triangular factor of a tall system [A | b], fed in row blocks
     and solved where it sits.
 
     A least-squares problem min |A x - b| keeps its minimizer, its singular
     values and its residual norm when [A | b] is replaced by the R of its
-    QR factorization.  The factor sits at the top of one Fortran-ordered
-    buffer with ``block`` free rows below it.  Rows are written straight
-    into the free rows and folded into the factor whenever those fill, by
-    LAPACK ``dgeqrf`` run in place on the buffer.  The buffer is the one
-    large allocation, and its size is fixed however many rows the system
-    has.  The fold is the factorization ``np.linalg.qr(mode="r")`` makes
-    (the same routine with the same workspace, so the same block size),
-    and its factor is bitwise the same.  ``folded`` gives the factor in
-    place, as a view of the buffer's top rows, and ``solve`` solves it
-    there by LAPACK ``dgelsd``, as ``np.linalg.lstsq`` would solve a copy.
+    QR factorization.  The factor sits at the top of the Fortran-strided
+    buffer ``W``, (ncol + 1 + block) x (ncol + 1), with ``block`` free rows
+    below it; ``W`` may be a corner of a larger buffer, and its top
+    ``factor_rows`` rows may already hold a factor.  Rows are written
+    straight into the free rows and folded into the factor whenever those
+    fill, by LAPACK ``dgeqrf`` run in place on the buffer, so its size is
+    fixed however many rows the system has.  The fold is the factorization
+    ``np.linalg.qr(mode="r")`` makes (the same routine with the same
+    workspace, so the same block size), and its factor is bitwise the
+    same.  ``folded`` gives the factor in place, as a view of the buffer's
+    top rows, and ``solve`` solves it there by LAPACK ``dgelsd``, as
+    ``np.linalg.lstsq`` would solve a copy.
     """
 
-    def __init__(self, ncol, block):
-        self._W = np.empty((ncol + 1 + block, ncol + 1), order="F")
-        self._top = 0  # rows in use
-        self._factor_rows = 0  # of which the current factor
+    def __init__(self, W, factor_rows=0):
+        self._W = W
+        self._a, self._lda = _lapack_matrix(W)
+        self._top = self._factor_rows = factor_rows  # rows in use, of which the factor
+        ncol = W.shape[1] - 1
         self._tau = np.empty(ncol + 1)
         query = np.empty(1)
-        self._geqrf(self._W.shape[0], query, -1)
+        self._geqrf(W.shape[0], query, -1)
         self._work = np.empty(max(ncol + 1, int(query[0])))
 
     def _geqrf(self, m, work, lwork):
-        # W.T is the C-ordered view lapack_lite needs of the Fortran buffer
-        W = self._W
-        info = lapack_lite.dgeqrf(m, W.shape[1], W.T, W.shape[0], self._tau, work, lwork, 0)
+        info = lapack_lite.dgeqrf(m, self._W.shape[1], self._a, self._lda, self._tau, work, lwork, 0)
         if info["info"] != 0:
             raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info['info']}")
 
@@ -523,15 +650,15 @@ class _TriangularFactor:
         here.  It runs on the factor where it sits in the buffer and
         overwrites it, so nothing may be added or read after it."""
         self._fold()
-        W = self._W
-        n = W.shape[1] - 1
+        a, lda = self._a, self._lda
+        n = self._W.shape[1] - 1
         m = min(self._top, n)
         s = np.empty(m)
 
         def gelsd(work, lwork, iwork):
             # the buffer's last column holds q, and then the n entries of x
             info = lapack_lite.dgelsd(
-                m, n, 1, W.T, W.shape[0], W.T[n:], W.shape[0], s, rcond, 0, work, lwork, iwork, 0
+                m, n, 1, a, lda, a[n * lda :], lda, s, rcond, 0, work, lwork, iwork, 0
             )
             if info["info"] != 0:
                 raise np.linalg.LinAlgError(f"dgelsd failed with info = {info['info']}")
@@ -541,7 +668,7 @@ class _TriangularFactor:
         gelsd(work, -1, iwork)  # the workspace query
         work, iwork = np.empty(int(work[0])), _lapack_ints(int(iwork.view(_LAPACK_INT)[0]))
         info = gelsd(work, work.size, iwork)
-        return W[:n, n].copy(), int(info["rank"]), s
+        return self._W[:n, n].copy(), int(info["rank"]), s
 
 
 #: Rows gathered between two QR folds of the plateau design, raised to
@@ -550,11 +677,12 @@ class _TriangularFactor:
 #: below the factor and is the design's one large allocation, sized once
 #: whatever its caps: at band 48 it is 13.4 MB with 625 columns (a drawn
 #: cap pair, solved in its adapted frame) and 6.2 MB with 325 (the default
-#: caps).  A drawn pair's rows take three or four folds (40 drawn pairs).
-#: 4096 rows need a 23.6 MB buffer and save one fold in about two: 2% of
-#: the time of seven drawn designs (0.625 against 0.638 s on 2 cores),
-#: less than the assembly from ``_DesignRows``' ring tables saves.
-#: Smaller blocks fold still more often and cost more time.
+#: caps).  Split by the mirror, a drawn pair's rows take two folds of the
+#: even class, which has 2348 free rows in its corner, two or three of the
+#: odd class and one coupled fold, none with an empty rim (40 drawn pairs).
+#: Before the split, 4096 rows needed a 23.6 MB buffer and saved one fold
+#: in about two: 2% of the time of seven drawn designs (0.625 against
+#: 0.638 s on 2 cores).  Smaller blocks fold more often and cost more time.
 DESIGN_BLOCK_ROWS = 2048
 
 #: Kept nodes per group of rows.  A group's h11 - h22 rows come before its
@@ -570,6 +698,75 @@ PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 
 #: Height by which the design enlarges every cap past its nominal one.
 CAP_MARGIN = 0.01
+
+
+def _fold_node_rows(factor, rows):
+    """Add a row block's node rows to its factor: the value rows, the Funk
+    rows from the value rows' factor, then the h11 - h22 and 2 h12 rows a
+    group of nodes at a time.
+
+    The value factor [R q] stands for the Funk rows, which have the same
+    targets and are the value rows times ``funk`` column by column, as
+    [R diag(funk) q].  Those are written from the value factor where it
+    sits in the buffer, which holds them without a fold."""
+    n, n_aniso, ncol, group = rows.n_nodes, rows.n_aniso, rows.funk.size, DESIGN_ROW_GROUP
+    for s in range(0, n, group):
+        factor.add(rows.value_rows, s, min(s + group, n))
+    value_factor = factor.folded()[:ncol]
+    funk_scale = np.append(rows.funk, 1.0)[:, None]  # q is the Funk rows' target too
+    factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
+    del value_factor  # the folds below overwrite it
+    for s in range(0, n_aniso, group):
+        e = min(s + group, n_aniso)
+        factor.add(rows.anisotropy_rows, s, e)
+        factor.add(partial(rows.anisotropy_rows, offdiagonal=True), s, e)
+
+
+def _ridge_rows(diag):
+    """Row writer of the diagonal rows ``diag`` (one per column)."""
+
+    def write(out, k):
+        out[...] = 0.0
+        j = np.arange(k.stop - k.start)
+        out[k.start + j, j] = diag[k]
+
+    return write
+
+
+def _fold_mirror_split(W, rows, ridge_diag):
+    """The factor of the split design (``_DesignRows.mirror_blocks``) in
+    the fold buffer W, ready to solve: its columns are the even class's
+    and then the odd class's, and it returns (factor, cols, rim nodes),
+    with ``cols`` their positions among the design's columns.
+
+    Each class runs the design's recipe on its own columns, in a corner of
+    W: the even class in W[:, :ne + 1], its target in column ne, and then
+    the odd class in W[ne:, ne:], with the same number of free rows as the
+    whole design.  Their factors land block-diagonally where the coupled
+    factor reads them: the even class's target moves to the last column,
+    and the two off-diagonal blocks are zeroed.  The rim's value, Funk,
+    h11 - h22 and 2 h12 rows join them.
+    The odd corner overwrites the even class's residual row, which bears
+    on neither the minimizer nor the singular values."""
+    even, odd, rim = rows.mirror_blocks()
+    ne, ncol = even.cols.size, W.shape[1] - 1
+    for corner, block in ((W[:, : ne + 1], even), (W[ne:, ne:], odd)):
+        factor = _TriangularFactor(corner)
+        _fold_node_rows(factor, block)
+        nb = block.cols.size
+        factor.add(_ridge_rows(ridge_diag[block.cols]), 0, nb)
+        corner[factor.folded().shape[0] : nb + 1] = 0.0  # a factor of fewer rows
+    W[:ne, ncol] = W[:ne, ne]
+    W[:ne, ne:ncol] = 0.0
+    W[ne : ncol + 1, :ne] = 0.0
+    factor = _TriangularFactor(W, factor_rows=ncol + 1)
+    n, n_aniso, group = rim.n_nodes, rim.n_aniso, DESIGN_ROW_GROUP
+    for write, count in ((rim.value_rows, n), (partial(rim.value_rows, funk=True), n),
+                         (rim.anisotropy_rows, n_aniso),
+                         (partial(rim.anisotropy_rows, offdiagonal=True), n_aniso)):
+        for s in range(0, count, group):
+            factor.add(write, s, min(s + group, count))
+    return factor, np.concatenate([even.cols, odd.cols]), n
 
 
 def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
@@ -602,24 +799,32 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     residual.  Caps that a coordinate reflection fixes, the default ones
     among them, are solved as given.
 
-    The system is never held whole.  Its rows are written into the fold
-    buffer of ``_TriangularFactor`` and reduced, a block at a time, to the
-    triangular factor of their QR factorization, and the factor is solved
-    where it sits in the buffer (``_TriangularFactor.solve``, bitwise
+    The system is never held whole.  Its rows are written into one fold
+    buffer, (ncol + 1 + block) x (ncol + 1) with block the larger of
+    ``DESIGN_BLOCK_ROWS`` and ncol + 1, and reduced, a block at a time, to
+    the triangular factor of their QR factorization (``_TriangularFactor``);
+    the factor is solved where it sits in the buffer (bitwise
     ``np.linalg.lstsq`` on a copy) with the rank cutoff the whole system
-    would get.  The value rows go first: their factor [R q] also stands
-    for the Funk rows, which have the same target and are the value rows
-    times ``funk`` column by column, as [R diag(funk) q].  Those are
-    written from the value factor where it sits in the buffer, which holds
-    them without a fold, and the other rows join the factor after them.
-    The design grid is dropped once the rows are set up, and the ring
-    tables of the rows before the last fold; only the small Q tables stay,
-    for the residuals.  The returned diagnostics carry the residuals on
-    the kept nodes of the solved frame (``_DesignRows.node_values``), the
-    rotation into that frame (``design_frame``, rows the frame's axes; the
-    identity when the caps are solved as given), the reflections used
-    there and the health of the block actually solved: its shape,
-    numerical rank and singular-value ratio.
+    would get.  As given, the value rows go first, then the Funk rows from
+    their factor, the anisotropy rows and the ridge rows
+    (``_fold_node_rows``).  In the adapted frame the mirror z -> -z maps U
+    onto V and the third cap onto itself, so the rows are split by it
+    (``_DesignRows.mirror_blocks``): the mirrored pairs of nodes become one
+    row in each of two classes of about half the columns (m even, m odd),
+    each class runs that recipe in its own corner of the buffer, and one
+    coupled fold adds the full rows of the rim, the nodes of the larger of
+    U and V outside the mirror of the smaller (``_fold_mirror_split``).
+    The split is orthogonal, so it keeps the minimizer, the rank and the
+    singular values.  The design grid is dropped once the rows are set up,
+    and the ring tables of the rows before the last fold; only the small
+    Q tables stay, for the residuals.  The returned diagnostics carry the
+    residuals on the kept nodes of the solved frame
+    (``_DesignRows.node_values``), the rotation into that frame
+    (``design_frame``, rows the frame's axes; the identity when the caps
+    are solved as given), the reflections used there, the number of rim
+    nodes (``design_rim_nodes``, 0 when the caps are solved as given) and
+    the health of the block actually solved: its shape, numerical rank and
+    singular-value ratio.
     """
     third_center = np.cross(cap_u.center, cap_v.center)
     nrm = np.linalg.norm(third_center)
@@ -634,43 +839,32 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     if adapted:
         frame = _adapted_frame(cap_u.center, cap_v.center)
         big = [sphere.Cap(frame @ c.center, c.height) for c in big]
-    rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1))
+    rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1), mirror=adapted)
     del dg  # the rows hold what they read of the design grid
-    ls, ms, funk = rows.ls, rows.ms, rows.funk
-    target, n_aniso = rows.target, rows.n_aniso
-    n, ncol = rows.nodes.size, ls.size
+    ls, ms, funk, target, reflections = rows.ls, rows.ms, rows.funk, rows.target, rows.reflections
+    n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, ls.size
     node_values = rows.node_values()
-    # ncol + 1 free rows: the ncol Funk rows fit without a fold
-    factor = _TriangularFactor(ncol, max(DESIGN_BLOCK_ROWS, ncol + 1))
-    group = DESIGN_ROW_GROUP
-    for s in range(0, n, group):
-        factor.add(rows.value_rows, s, min(s + group, n))
-    value_factor = factor.folded()[:ncol]
-    funk_scale = np.append(funk, 1.0)[:, None]  # q is the Funk rows' target too
-    factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
-    del value_factor  # the folds below overwrite it
-    for s in range(0, n_aniso, group):
-        e = min(s + group, n_aniso)
-        factor.add(rows.anisotropy_rows, s, e)
-        factor.add(partial(rows.anisotropy_rows, offdiagonal=True), s, e)
-    reflections = rows.reflections
-    del rows  # its ring tables are not held through the last fold
     lam = harmonics.multiplier_table("cosine", L)
     ridge_diag = math.sqrt(ridge) / lam[ls]
-
-    def ridge_rows(out, k):
-        out[...] = 0.0
-        j = np.arange(k.stop - k.start)
-        out[k.start + j, j] = ridge_diag[k]
-
-    factor.add(ridge_rows, 0, ncol)
+    # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
+    W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + 1), order="F")
+    if adapted:
+        factor, cols, n_rim = _fold_mirror_split(W, rows, ridge_diag)
+        del rows  # its ring tables are not held through the last fold
+    else:
+        factor, cols, n_rim = _TriangularFactor(W), np.arange(ncol), 0
+        _fold_node_rows(factor, rows)
+        del rows  # its ring tables are not held through the last fold
+        factor.add(_ridge_rows(ridge_diag), 0, ncol)
     n_rows = 2 * n + 2 * n_aniso + ncol
     sol, rank, sv = factor.solve(np.finfo(float).eps * max(n_rows, ncol))
-    del factor  # the fold buffer is not held through the rotation
+    del factor, W  # the fold buffer is not held through the rotation
+    x = np.empty(ncol)
+    x[cols] = sol
     G = harmonics.HarmonicCoeffs.zeros(L)
-    G.c[ls * ls + ls + ms] = sol
-    values = node_values(sol)
-    funk_values = node_values(funk * sol)
+    G.c[ls * ls + ls + ms] = x
+    values = node_values(x)
+    funk_values = node_values(funk * x)
     if adapted:
         G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
     return G, {
@@ -682,6 +876,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         "design_sigma_ratio": float(sv[0] / sv[-1]),
         "design_reflections": reflections,
         "design_frame": frame.tolist(),
+        "design_rim_nodes": int(n_rim),
     }
 
 

@@ -609,15 +609,15 @@ def design_rows_three_tables(rows, grid, L, anisotropy_caps=(0, 1)):
 
 class QRFoldFactor:
     """Upper-triangular factor of [A | b], fed like
-    ``zonoid._TriangularFactor`` (same buffer, same fold points) but folded
+    ``zonoid._TriangularFactor`` (the same buffer W, which may be a corner of
+    a larger one, and the same fold points) but folded
     by ``np.linalg.qr(mode="r")``, which copies the gathered rows before
     factoring them.  Checks the in-place LAPACK fold of
     ``_TriangularFactor`` bit for bit."""
 
-    def __init__(self, ncol, block):
-        self._W = np.empty((ncol + 1 + block, ncol + 1), order="F")
-        self._top = 0
-        self._factor_rows = 0
+    def __init__(self, W, factor_rows=0):
+        self._W = W
+        self._top = self._factor_rows = factor_rows
 
     def add(self, write, start, stop):
         W = self._W

@@ -1,6 +1,9 @@
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -535,7 +538,14 @@ class TestPlateauDesign:
         # y -> -y
         "rotated": (["y"], 49),
         "diagonal": (["y"], 49),
+        "small-u": (["y"], 49),
+        "small-v": (["y"], 49),
     }
+
+    # heights of the rotated pairs: unequal heights leave a rim of nodes of
+    # the larger of U and V that the mirror z -> -z of the adapted frame
+    # does not pair (U the smaller cap, hu > hv, or V the smaller one)
+    HEIGHTS = {"rotated": (0.9, 0.9), "small-u": (0.95, 0.9), "small-v": (0.9, 0.94)}
 
     @classmethod
     def _pair(cls, name, cap_u, cap_v):
@@ -553,9 +563,10 @@ class TestPlateauDesign:
             )
         q, r = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
+        hu, hv = cls.HEIGHTS[name]
         return (
-            sphere.Cap(q @ E3, 0.9),
-            sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), 0.9),
+            sphere.Cap(q @ E3, hu),
+            sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv),
         )
 
     def _oracle_in_design_frame(self, u, v, info, ridge=1e-12):
@@ -598,6 +609,8 @@ class TestPlateauDesign:
             ("xz", 1e-12),
             ("yz", 1e-12),
             ("diagonal", 1e-12),
+            ("small-u", 1e-12),
+            ("small-v", 1e-12),
         ],
     )
     def test_matches_unfolded_oracle(self, cap_u, cap_v, pair, ridge):
@@ -609,11 +622,12 @@ class TestPlateauDesign:
         reflections, n_invariant = self.SYMMETRY[pair]
         assert info["design_reflections"] == reflections
         assert info["design_cols"] == n_invariant == info["design_rank"]
+        assert (info["design_rim_nodes"] > 0) == pair.startswith("small")
         # the solved block is the invariant block of the unfolded system
         for s in self._solved_block_singular_values(fu, fv, ridge):
             assert np.min(np.abs(sv - s)) <= 1e-9 * s
 
-    @pytest.mark.parametrize("pair", ["default", "rotated"])
+    @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
         # blocks and anisotropy groups far smaller than the system, so the
         # rows pass through many QR folds and the value rows' factor is split
@@ -628,7 +642,7 @@ class TestPlateauDesign:
             assert np.min(np.abs(sv - s)) <= 1e-9 * s
 
     @pytest.mark.parametrize("small", [False, True])
-    @pytest.mark.parametrize("pair", ["default", "rotated"])
+    @pytest.mark.parametrize("pair", ["default", "rotated", "small-v"])
     def test_factor_is_the_qr_fold(self, cap_u, cap_v, pair, small, monkeypatch):
         # the in-place fold gives the design np.linalg.qr's factor bit for bit
         if small:
@@ -641,12 +655,13 @@ class TestPlateauDesign:
         assert G.c.tobytes() == G_ref.c.tobytes()
         assert info == info_ref
 
-    @pytest.mark.parametrize("pair", ["rotated", "off-plane"])
+    @pytest.mark.parametrize("pair", ["rotated", "off-plane", "small-v"])
     def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
         # drawn-like pairs at the production band and grid, solved in their
-        # adapted frame (625 columns, a 13.4 MB buffer); the quarter-turn
-        # tables are built by a first call, so the second call's peak is the
-        # design's
+        # adapted frame (625 columns, a 13.4 MB buffer), with and without a
+        # rim; both classes and the coupled fold work in the one buffer.
+        # The quarter-turn tables are built by a first call, so the second
+        # call's peak is the design's
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
         else:
@@ -680,7 +695,8 @@ class TestPlateauDesign:
         assert peak < 3 * G.c.nbytes
 
     def test_row_tables_are_dropped_before_the_last_fold(self, cap_u, cap_v, monkeypatch):
-        # the last fold and the solve do not run beside the ring tables
+        # the last fold and the solve (of the coupled fold, after the rim's
+        # rows, if any) do not run beside the ring tables
         live, at_solve = weakref.WeakSet(), []
 
         class Rows(zonoid._DesignRows):
@@ -695,8 +711,9 @@ class TestPlateauDesign:
 
         monkeypatch.setattr(zonoid, "_DesignRows", Rows)
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
-        zonoid.design_plateau(*self._pair("rotated", cap_u, cap_v), L=self.L, design_grid=self.GRID)
-        assert at_solve == [0]
+        for pair in ("rotated", "small-u"):
+            zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=self.GRID)
+        assert at_solve == [0, 0]
 
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
     def test_design_caches_no_table_of_its_grid(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
@@ -761,10 +778,75 @@ class TestPlateauDesign:
         third = np.cross(u.center, v.center)
         caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
         big = [sphere.Cap(c.center, max(c.height - zonoid.CAP_MARGIN, 0.5)) for c in caps]
-        if not zonoid._cap_pair_symmetry(grid, big)[1]:
+        adapted = not zonoid._cap_pair_symmetry(grid, big)[1]
+        if adapted:
             frame = zonoid._adapted_frame(u.center, v.center)
             big = [sphere.Cap(frame @ c.center, c.height) for c in big]
-        return zonoid._DesignRows(grid, big, L, anisotropy_caps=(0, 1))
+        return zonoid._DesignRows(grid, big, L, anisotropy_caps=(0, 1), mirror=adapted)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(32, 64), (33, 64), (64, 128), (128, 256)]))
+    def test_mirror_pairing(self, seed, grid_shape):
+        # admissible pairs of random heights, angle and frame, in their
+        # adapted frame (an odd ring count puts a ring on z = 0)
+        rng = np.random.default_rng(seed)
+        hu, hv = rng.uniform(0.9, 0.95, size=2)
+        ru, rv = math.acos(hu), math.acos(hv)
+        a = rng.uniform(ru + rv + 0.6, math.pi - ru - rv - 0.6)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        u = sphere.Cap(q @ E3, hu)
+        v = sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv)
+        harmonics.check_plateau_caps(u, v, 0.3)
+        grid = sphere.build_grid(*grid_shape)
+        rows = self._design_rows(u, v, 4, grid)
+        paired, lone, rim = rows.mirror_roles()
+        assert not np.any(paired & lone)
+        p, i = rows.partner, np.flatnonzero(paired)
+        # an involution without fixed points on the paired nodes
+        assert np.all(p[i] != i) and np.array_equal(p[p[i]], i)
+        # partners have equal weights and the same row families
+        assert rows.sw[p[i]].tobytes() == rows.sw[i].tobytes()
+        aniso = np.isin(rows.which, (0, 1))
+        assert np.array_equal(aniso[p[i]], aniso[i])
+        # the partner is the z-image of the node up to the fold group:
+        # (x, y, z) -> (e x, d y, -e z) with e, d = +-1
+        x, y = grid.nodes[rows.nodes[i]], grid.nodes[rows.nodes[p[i]]]
+        assert np.max(np.abs(np.abs(y) - np.abs(x))) < 1e-15
+        assert np.max(np.abs(y[:, 0] * y[:, 2] + x[:, 0] * x[:, 2])) < 1e-15
+        # lone nodes are their own partners, on the plane x = 0 or z = 0
+        lone_nodes = grid.nodes[rows.nodes[lone]]
+        assert np.array_equal(p[lone], np.flatnonzero(lone))
+        assert np.all(np.min(np.abs(lone_nodes[:, [0, 2]]), axis=1) < 1e-15)
+        # the rim lies in U and V alone
+        assert set(rows.which[rim].tolist()) <= {0, 1}
+
+    @pytest.mark.parametrize("pair", ["rotated", "small-u", "small-v"])
+    def test_mirror_blocks_keep_the_normal_equations(self, cap_u, cap_v, pair):
+        # the split rows, each class's on the columns it stands for, have the
+        # Gram matrix [A b]^T [A b] of the unsplit value and anisotropy rows
+        # (and so of the Funk rows, the value rows times funk), to rounding
+        grid = sphere.build_grid(*self.GRID)
+        rows = self._design_rows(*self._pair(pair, cap_u, cap_v), self.L, grid)
+        ncol = rows.ls.size
+
+        def stacked(block):
+            n, na = block.n_nodes, block.n_aniso
+            local = np.empty((block.cols.size + 1, n + 2 * na))
+            block.value_rows(local[:, :n], slice(0, n))
+            block.anisotropy_rows(local[:, n : n + na], slice(0, na))
+            block.anisotropy_rows(local[:, n + na :], slice(0, na), offdiagonal=True)
+            out = np.zeros((ncol + 1, local.shape[1]))
+            out[block.cols], out[-1] = local[:-1], local[-1]
+            return out
+
+        even, odd, rim = rows.mirror_blocks()
+        assert even.cols.size + odd.cols.size == ncol
+        assert (rim.n_nodes > 0) == pair.startswith("small")
+        split = np.hstack([stacked(b) for b in (even, odd, rim)])
+        whole = stacked(rows)
+        ref = whole @ whole.T
+        assert np.max(np.abs(split @ split.T - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("L,grid_shape", [(12, (32, 64)), (48, (128, 256))])
     @pytest.mark.parametrize("pair", ["default", "rotated"])
@@ -835,7 +917,8 @@ class TestPlateauDesign:
     @given(st.integers(2, 40), st.integers(2, 40))
     def test_fold_keeps_one_node_of_every_antipodal_pair(self, n_theta, half_phi):
         grid = sphere.build_grid(n_theta, 2 * half_phi)
-        keep, _ = zonoid._orbit_fold(grid)
+        rep, _ = zonoid._orbit_fold(grid)
+        keep = rep == np.arange(grid.n_nodes)
         anti = grid.antipode_index()
         assert np.array_equal(np.sort(anti), np.arange(grid.n_nodes))
         assert np.all(keep != keep[anti])
@@ -849,7 +932,8 @@ class TestPlateauDesign:
     )
     def test_orbit_fold_keeps_one_node_per_orbit(self, n_theta, half_phi, reflections):
         grid = sphere.build_grid(n_theta, 2 * half_phi)
-        keep, mult = zonoid._orbit_fold(grid, reflections)
+        rep, mult = zonoid._orbit_fold(grid, reflections)
+        keep = rep == np.arange(grid.n_nodes)
         maps = [(grid.antipode_index(), np.array([-1.0, -1.0, -1.0]))]
         for a in reflections:
             maps.append((grid.reflection_index(a), np.where(np.array(["x", "y", "z"]) == a, -1.0, 1.0)))
@@ -863,6 +947,7 @@ class TestPlateauDesign:
         orbits = np.sort(np.array(images), axis=0)
         distinct = np.vstack([np.ones(grid.n_nodes, bool), orbits[1:] != orbits[:-1]])
         assert np.all(np.sum(keep[orbits] & distinct, axis=0) == 1)
+        assert np.array_equal(rep, orbits[0])  # the lowest index of the orbit
         assert np.array_equal(mult[keep], np.sum(distinct, axis=0)[keep])
         assert int(np.sum(mult[keep])) == grid.n_nodes
         if not reflections:
@@ -876,7 +961,28 @@ class TestPlateauDesign:
         assert d["design_cols"] == 325
         assert d["design_rank"] == 325
         assert d["design_rows"] == 7089
+        assert d["design_rim_nodes"] == 0  # solved as given, not split
         assert math.isfinite(d["design_sigma_ratio"]) and d["design_sigma_ratio"] > 1.0
+
+
+def test_design_imports_no_masked_arrays():
+    # numpy.ma takes 14-16 ms to import, which np.unique pays on first use;
+    # a design, split or not, leaves it unimported in a fresh process
+    code = (
+        "import sys, numpy as np; from zonotools import sphere, zonoid\n"
+        "e = np.eye(3); off = sphere.Cap(np.array([0.3, 0.4, 0.866]) / np.linalg.norm([0.3, 0.4, 0.866]), 0.9)\n"
+        "for u, v in ((sphere.Cap(e[2], 0.9), sphere.Cap(e[0], 0.9)), (off, sphere.Cap(e[1], 0.92))):\n"
+        "    zonoid.design_plateau(u, v, L=8, design_grid=(32, 64))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _fold_buffer(ncol, block):
+    """A fold buffer of ``block`` free rows below an ncol + 1 column factor."""
+    return np.empty((ncol + 1 + block, ncol + 1), order="F")
 
 
 def _rows_of(Ab):
@@ -898,8 +1004,8 @@ class TestTriangularFactor:
     def test_blocks_keep_the_least_squares_problem(self, ncol, n_rows, block, cuts, seed):
         rng = np.random.default_rng(seed)
         Ab = rng.normal(size=(n_rows + ncol, ncol + 1))
-        factor = zonoid._TriangularFactor(ncol, block)
-        oracle = oracles.QRFoldFactor(ncol, block)
+        factor = zonoid._TriangularFactor(_fold_buffer(ncol, block))
+        oracle = oracles.QRFoldFactor(_fold_buffer(ncol, block))
         edges = np.unique(np.concatenate([[0], np.cumsum(cuts) % Ab.shape[0], [Ab.shape[0]]]))
         for s, e in zip(edges[:-1], edges[1:]):
             factor.add(_rows_of(Ab), s, e)
@@ -931,7 +1037,7 @@ class TestTriangularFactor:
         rank = min(rank, ncol, n_rows)
         A = rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, ncol))
         Ab = np.column_stack([A, rng.normal(size=n_rows)])
-        factor = zonoid._TriangularFactor(ncol, block)
+        factor = zonoid._TriangularFactor(_fold_buffer(ncol, block))
         factor.add(_rows_of(Ab), 0, n_rows)
         F = factor.folded().copy()
         if rcond is None:
@@ -962,8 +1068,8 @@ class TestTriangularFactor:
     def test_matches_the_qr_fold_bitwise(self, adds, results):
         ncol, block = 160, 256
         Ab = np.random.default_rng(5).normal(size=(sum(adds), ncol + 1))
-        factor = zonoid._TriangularFactor(ncol, block)
-        oracle = oracles.QRFoldFactor(ncol, block)
+        factor = zonoid._TriangularFactor(_fold_buffer(ncol, block))
+        oracle = oracles.QRFoldFactor(_fold_buffer(ncol, block))
         start = 0
         for i, n in enumerate(adds):
             factor.add(_rows_of(Ab), start, start + n)
@@ -975,6 +1081,21 @@ class TestTriangularFactor:
         assert Rq.tobytes() == oracle.folded().tobytes()
         assert Rq.shape == (min(sum(adds), ncol + 1), ncol + 1)
 
+
+    def test_corner_of_a_larger_buffer(self):
+        # a factor in a corner of a larger Fortran buffer, whose leading
+        # dimension exceeds its rows, folds and solves bitwise as in a
+        # buffer of its own and writes nothing outside its corner
+        ncol, block, k = 160, 256, 37
+        Ab = np.random.default_rng(7).normal(size=(700, ncol + 1))
+        big = np.full((ncol + 1 + block + k, ncol + 1 + k), 7.0, order="F")
+        factors = [zonoid._TriangularFactor(big[k:, k:]), zonoid._TriangularFactor(_fold_buffer(ncol, block))]
+        for factor in factors:
+            factor.add(_rows_of(Ab), 0, Ab.shape[0])
+        assert factors[0].folded().tobytes() == factors[1].folded().tobytes()
+        (x, rank, sv), (x_ref, rank_ref, sv_ref) = (f.solve(1e-12) for f in factors)
+        assert x.tobytes() == x_ref.tobytes() and rank == rank_ref and sv.tobytes() == sv_ref.tobytes()
+        assert np.all(big[:k] == 7.0) and np.all(big[:, :k] == 7.0)
 
     @pytest.mark.parametrize("missing", ["dgelsd", "dgeqrf", "_ilp64"])
     def test_import_names_a_missing_lapack_routine(self, missing, monkeypatch):
