@@ -302,9 +302,8 @@ def suite_af(ctx):
     ]
 
 
-def _lifted(grid, c, floor=0.1, onto_floor=False):
-    """The function of coefficients c raised by |min| + floor on the grid,
-    or with ``onto_floor`` by floor - min, which puts its minimum at floor.
+def _lifted(grid, c, floor=0.1):
+    """The function of coefficients c raised by |min| + floor on the grid.
 
     The constant enters c00 in place (times sqrt(4 pi), since Y00 is
     1/sqrt(4 pi)) and the synthesized values directly, so the body is
@@ -312,7 +311,7 @@ def _lifted(grid, c, floor=0.1, onto_floor=False):
     """
     values = harmonics.synthesize_grid(c, grid)
     low = float(np.min(values))
-    shift = floor - low if onto_floor else abs(low) + floor
+    shift = abs(low) + floor
     c.set(0, 0, c.get(0, 0) + shift * math.sqrt(4.0 * math.pi))
     return transforms.SphericalFunction(grid=grid, values=values + shift, coeffs=c)
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -216,8 +215,9 @@ class Cap:
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
-        if abs(np.linalg.norm(c) - 1.0) > 1e-12:
-            raise ValueError("cap center must be a unit vector")
+        # the rule of tangent_basis: a NaN or infinite entry fails the test too
+        if c.shape != (3,) or not abs(np.linalg.norm(c) - 1.0) <= 1e-12:
+            raise ValueError(f"cap center must be a finite unit vector of shape (3,), got {c.tolist()}")
         if not 0.0 < self.height < 1.0:
             raise ValueError(f"cap height must lie in (0, 1), got {self.height}")
         object.__setattr__(self, "center", c)

@@ -141,14 +141,24 @@ def circle_samples(C, normals, m):
 
 
 @lru_cache(maxsize=CIRCLE_TABLE_CACHE_SIZE)
-def _angle_tables(m):
-    """cos a and sin a at the m circle angles a = 2 pi k / m, cached per m;
-    both arrays are read-only."""
-    angles = 2.0 * np.pi * np.arange(m) / m
-    ca, sa = np.cos(angles), np.sin(angles)
-    ca.flags.writeable = False
-    sa.flags.writeable = False
-    return ca, sa
+def _double_angle_tables(m):
+    """cos 2a and sin 2a at the m circle angles a = 2 pi k / m, cached per
+    m; both arrays are read-only."""
+    two_a = 4.0 * np.pi * np.arange(m) / m
+    c2, s2 = np.cos(two_a), np.sin(two_a)
+    c2.flags.writeable = False
+    s2.flags.writeable = False
+    return c2, s2
+
+
+def circle_moments(values):
+    """The order-0 and order-2 moments S0 = sum g, Sc = sum g cos 2a and
+    Ss = sum g sin 2a of S circles from their (S, m) samples at the angles
+    a = 2 pi k / m, as (S,) arrays.  Sc and Ss are one dot product per
+    circle (a stack of 1 x m matmuls), so a row's moments are bitwise the
+    same in any stack."""
+    c2, s2 = _double_angle_tables(values.shape[1])
+    return np.sum(values, axis=1), (values[:, None, :] @ c2)[:, 0], (values[:, None, :] @ s2)[:, 0]
 
 
 def circle_scale(values):
@@ -165,19 +175,19 @@ def isotropy_tensors(values):
     (``great_circle(normals, m)``); returns T of shape (S, 2, 2) and the
     (S,) deviations.  The deviation is the Frobenius distance of T to its
     isotropic part over |trace T|, floored at EPS_FLOOR times the circle's
-    ``circle_scale``, and 0 on a circle where g vanishes.  Each circle's
-    sums are formed alone, so a row's result is bitwise the same in any
-    stack.
+    ``circle_scale``, and 0 on a circle where g vanishes.  T comes from the
+    circle's moments (``circle_moments``), since cos^2 a, sin^2 a and
+    cos a sin a are (1 +- cos 2a) / 2 and sin 2a / 2: with w = 2 pi / m,
+    trace T = w S0, t11 - t22 = w Sc and 2 t12 = w Ss.  Each circle's sums
+    are formed alone, so a row's result is bitwise the same in any stack.
     """
-    m = values.shape[1]
-    weight = 2.0 * np.pi / m
-    ca, sa = _angle_tables(m)
-    t11 = weight * np.sum(values * ca * ca, axis=1)
-    t22 = weight * np.sum(values * sa * sa, axis=1)
-    t12 = weight * np.sum(values * ca * sa, axis=1)
+    weight = 2.0 * np.pi / values.shape[1]
+    s0, sc, ss = circle_moments(values)
+    trace, diff, off = weight * s0, weight * sc, weight * ss  # t11 + t22, t11 - t22, 2 t12
+    t11, t22, t12 = 0.5 * (trace + diff), 0.5 * (trace - diff), 0.5 * off
     T = np.stack([np.stack([t11, t12], axis=1), np.stack([t12, t22], axis=1)], axis=1)
-    dev_num = np.sqrt(0.5 * (t11 - t22) ** 2 + 2.0 * t12 * t12)
-    floor = np.maximum(np.abs(t11 + t22), EPS_FLOOR * circle_scale(values))
+    dev_num = np.sqrt(0.5 * (diff * diff + off * off))
+    floor = np.maximum(np.abs(trace), EPS_FLOOR * circle_scale(values))
     deviation = np.divide(dev_num, floor, out=np.zeros_like(dev_num), where=floor > 0.0)
     return T, deviation
 

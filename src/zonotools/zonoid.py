@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -49,17 +49,6 @@ WEIL_PREFACTOR_1 = 1.0 / math.pi
 WEIL_PREFACTOR_2 = 2.0
 
 
-@lru_cache(maxsize=transforms.CIRCLE_TABLE_CACHE_SIZE)
-def _double_angle_tables(m):
-    """cos 2a and sin 2a at the m circle angles a = 2 pi k / m, cached per
-    m; both arrays are read-only."""
-    two_a = 4.0 * np.pi * np.arange(m) / m
-    c2, s2 = np.cos(two_a), np.sin(two_a)
-    c2.flags.writeable = False
-    s2.flags.writeable = False
-    return c2, s2
-
-
 def _circle_double_integrals(vals):
     """Trapezoid sums of the sin^2 kernel on S circles of m >= 8
     equispaced nodes, from their (S, m) samples.
@@ -67,18 +56,13 @@ def _circle_double_integrals(vals):
     Returns the (S,) arrays w^2 sum_ab sin^2(a - b) g_a and
     w^2 sum_ab sin^2(a - b) g_a g_b (w = 2 pi / m) in O(m) per circle.
     The kernel has rank 3, sin^2(a - b) = (1 - cos 2a cos 2b - sin 2a sin 2b) / 2,
-    so only the order-0 and order-2 moments S0 = sum g, Sc = sum g cos 2a
-    and Ss = sum g sin 2a enter.  Each kernel row sums to exactly m / 2,
-    which is used as such instead of a computed sum.  Sc and Ss are one
-    dot product per circle (a stack of 1 x m matmuls), so a row's sums
-    are bitwise the same in any stack.
+    so only the moments S0, Sc and Ss of ``transforms.circle_moments``
+    enter.  Each kernel row sums to exactly m / 2, which is used as such
+    instead of a computed sum.
     """
     m = vals.shape[1]
     w = 2.0 * np.pi / m
-    c2, s2 = _double_angle_tables(m)
-    s0 = np.sum(vals, axis=1)
-    sc = (vals[:, None, :] @ c2)[:, 0]
-    ss = (vals[:, None, :] @ s2)[:, 0]
+    s0, sc, ss = transforms.circle_moments(vals)
     return w * w * (0.5 * m) * s0, w * w * 0.5 * (s0 * s0 - sc * sc - ss * ss)
 
 
@@ -358,9 +342,9 @@ class _DesignRows(_RowBlock):
     Laplacian/2 + identity, which is the value times ``funk`` =
     1 - l(l+1)/2 (the transform the rigidity conclusion constrains), on the
     same nodes; the two anisotropic-Hessian components h11 - h22 and 2 h12
-    (what section isotropy constrains) on the nodes of ``anisotropy_caps``;
-    and last the ridge rows, sqrt(ridge) / lambda_l on the diagonal, with
-    lambda_l the cosine multiplier.  ``value_rows`` and ``anisotropy_rows``
+    (what section isotropy constrains) on the nodes of U and V; and last
+    the ridge rows, sqrt(ridge) / lambda_l on the diagonal, with lambda_l
+    the cosine multiplier.  ``value_rows`` and ``anisotropy_rows``
     build the node rows; the Funk rows are the value rows times ``funk``
     column by column, and the ridge rows are diagonal.
 
@@ -382,10 +366,11 @@ class _DesignRows(_RowBlock):
     passes caps that no coordinate reflection fixes in the frame where
     that reflection is y -> -y, so at least one reflection always folds.
 
-    With ``mirror`` (the caps of that frame) the rows are also split by
-    the mirror z -> -z, which maps U onto V and the third cap onto itself
-    up to their heights and rounding; see ``mirror_roles`` and
-    ``mirror_blocks``.
+    ``blocks`` gives the row blocks that ``_fold_design`` folds: one class
+    of every kept node on every solved column, or with ``mirror`` (the caps
+    of that frame) the rows split by the mirror z -> -z, which maps U onto
+    V and the third cap onto itself up to their heights and rounding (see
+    ``mirror_roles``).
 
     The rows are assembled one order m at a time, vectorized over degree,
     from ring tables of the design's own, one row per solved column (' is
@@ -407,7 +392,7 @@ class _DesignRows(_RowBlock):
     ``mirror``, per kept node its ``partner``.
     """
 
-    def __init__(self, grid, caps, L, anisotropy_caps, mirror=False):
+    def __init__(self, grid, caps, L, mirror=False):
         sels, self.reflections = _cap_pair_symmetry(grid, caps)
         rep, mult = _orbit_fold(grid, self.reflections)
         evens = np.arange(0, L + 1, 2)
@@ -438,7 +423,7 @@ class _DesignRows(_RowBlock):
         # the cap rings, the rings that hold kept nodes, and each node's
         # index among them
         rings, ring = np.unique(ring, return_inverse=True)
-        self._is_aniso = np.isin(self.which, anisotropy_caps)
+        self._is_aniso = self.which < 2  # U and V
         t = grid.cos_theta[rings]
         st = np.sqrt(1.0 - t * t)
         cot = t / st
@@ -498,29 +483,33 @@ class _DesignRows(_RowBlock):
         lone = has & (p == i) & ~self._is_aniso
         return paired, lone, ~(paired | lone)
 
-    def mirror_blocks(self):
-        """The design split by the mirror z -> -z: row blocks
-        (even, odd, rim).
+    def blocks(self):
+        """The design's row blocks, as ``_fold_design`` folds them:
+        (classes, rim).
 
-        On the solved columns z acts by the sign (-1)^m, so they fall in
-        an even class (m even) and an odd one (m odd).  A paired node's
-        value, Funk and h11 - h22 rows at its partner are its own with the
-        odd columns negated, and its 2 h12 row there is, up to a sign,
-        its own with the even columns negated; its partner's weight is its
-        own.  The two rows of a pair are therefore one row per class:
-        the node's row on that class's columns, with twice its weight and
-        the target (b + b') / 2 in the even class and (b - b') / 2 in the
-        odd one, b' the partner's level (zero for the anisotropy rows).
-        The even block holds the first node of every pair, scaled by
-        sqrt(2), and the lone nodes, whose value rows vanish on the odd
-        columns in exact arithmetic; the odd block holds the pairs; the
-        rim keeps its nodes' full rows on the even and then the odd
-        columns.  The transform is orthogonal, so the blocks' rows have the
-        singular values of the unsplit rows, up to the rounding-level odd
-        part of the lone rows.
+        Without ``mirror`` the one class is the design itself, every kept
+        node on every solved column, and the rim has no nodes.  With it the
+        design is split by the mirror z -> -z.  On the solved columns z
+        acts by the sign (-1)^m, so they fall in an even class (m even) and
+        an odd one (m odd).  A paired node's value, Funk and h11 - h22 rows
+        at its partner are its own with the odd columns negated, and its
+        2 h12 row there is, up to a sign, its own with the even columns
+        negated; its partner's weight is its own.  The two rows of a pair
+        are therefore one row per class: the node's row on that class's
+        columns, with twice its weight and the target (b + b') / 2 in the
+        even class and (b - b') / 2 in the odd one, b' the partner's level
+        (zero for the anisotropy rows).  The even class holds the first
+        node of every pair, scaled by sqrt(2), and the lone nodes, whose
+        value rows vanish on the odd columns in exact arithmetic; the odd
+        class holds the pairs; the rim keeps its nodes' full rows on the
+        even and then the odd columns.  The transform is orthogonal, so the
+        blocks' rows have the singular values of the unsplit rows, up to
+        the rounding-level odd part of the lone rows.
         """
-        paired, lone, rim = self.mirror_roles()
         i = np.arange(self.nodes.size)
+        if self.partner is None:
+            return [self], self.block(self.cols, i[:0], self.sw[:0], self.target[:0])
+        paired, lone, rim = self.mirror_roles()
         p = np.where(paired, self.partner, i)
         first = paired & (i < p)
         b, b_other = self.target, self.target[p]
@@ -530,11 +519,10 @@ class _DesignRows(_RowBlock):
         even = np.flatnonzero(first | lone)
         odd = np.flatnonzero(first)
         rim = np.flatnonzero(rim)
-        return (
+        return [
             self.block(even_cols, even, scale[even], 0.5 * (b + b_other)[even]),
             self.block(odd_cols, odd, scale[odd], 0.5 * (b - b_other)[odd]),
-            self.block(np.concatenate([even_cols, odd_cols]), rim, self.sw[rim], b[rim]),
-        )
+        ], self.block(np.concatenate([even_cols, odd_cols]), rim, self.sw[rim], b[rim])
 
     def node_values(self):
         """The function x -> the values at the kept nodes of the expansion
@@ -680,18 +668,8 @@ class _TriangularFactor:
 #: caps).  Split by the mirror, a drawn pair's rows take two folds of the
 #: even class, which has 2348 free rows in its corner, two or three of the
 #: odd class and one coupled fold, none with an empty rim (40 drawn pairs).
-#: Before the split, 4096 rows needed a 23.6 MB buffer and saved one fold
-#: in about two: 2% of the time of seven drawn designs (0.625 against
-#: 0.638 s on 2 cores).  Smaller blocks fold more often and cost more time.
+#: Smaller blocks fold more often and cost more time.
 DESIGN_BLOCK_ROWS = 2048
-
-#: Kept nodes per group of rows.  A group's h11 - h22 rows come before its
-#: 2 h12 rows, which fixes the order of the rows, and so the factor's last
-#: bits; the value rows go a group at a time too, in their own order.  Rows
-#: are written straight into the fold buffer, and the one temporary of a
-#: write is an order's table gathered at the group's nodes: at most L/2 + 1
-#: columns of a group, 0.2 MB at band 48.
-DESIGN_ROW_GROUP = 1024
 
 #: Plateau levels of the design's cap pairs: U, V and the third cap.
 PLATEAU_LEVELS = (1.0, 2.0, 3.0)
@@ -700,26 +678,43 @@ PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 CAP_MARGIN = 0.01
 
 
-def _fold_node_rows(factor, rows):
-    """Add a row block's node rows to its factor: the value rows, the Funk
-    rows from the value rows' factor, then the h11 - h22 and 2 h12 rows a
-    group of nodes at a time.
+def _design_rows(cap_u, cap_v, L, grid):
+    """The plateau design's rows on ``grid`` (``_DesignRows``) for U, V
+    and the third cap on U x V, enlarged by CAP_MARGIN, and the rotation
+    into their frame: None for caps that a coordinate reflection fixes,
+    which are solved as given, else their adapted frame, whose mirror
+    splits the rows."""
+    third_center = np.cross(cap_u.center, cap_v.center)
+    nrm = np.linalg.norm(third_center)
+    if nrm < 1e-8:
+        raise ValueError("cap centers are collinear; no transverse axis exists")
+    third = sphere.Cap(center=third_center / nrm, height=cap_u.height)
+    big = [sphere.Cap(c.center, max(c.height - CAP_MARGIN, 0.5)) for c in (cap_u, cap_v, third)]
+    if _cap_pair_symmetry(grid, big)[1]:
+        return _DesignRows(grid, big, L), None
+    frame = _adapted_frame(cap_u.center, cap_v.center)
+    big = [sphere.Cap(frame @ c.center, c.height) for c in big]
+    return _DesignRows(grid, big, L, mirror=True), frame
 
-    The value factor [R q] stands for the Funk rows, which have the same
-    targets and are the value rows times ``funk`` column by column, as
-    [R diag(funk) q].  Those are written from the value factor where it
-    sits in the buffer, which holds them without a fold."""
-    n, n_aniso, ncol, group = rows.n_nodes, rows.n_aniso, rows.funk.size, DESIGN_ROW_GROUP
-    for s in range(0, n, group):
-        factor.add(rows.value_rows, s, min(s + group, n))
-    value_factor = factor.folded()[:ncol]
-    funk_scale = np.append(rows.funk, 1.0)[:, None]  # q is the Funk rows' target too
-    factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
-    del value_factor  # the folds below overwrite it
-    for s in range(0, n_aniso, group):
-        e = min(s + group, n_aniso)
-        factor.add(rows.anisotropy_rows, s, e)
-        factor.add(partial(rows.anisotropy_rows, offdiagonal=True), s, e)
+
+def _add_node_rows(factor, rows, funk_from_values):
+    """Add a row block's node rows to its factor, one ``add`` per family:
+    value, Funk, h11 - h22 and 2 h12.  The Funk rows are the value rows
+    times ``funk`` column by column, with the same targets.  With
+    ``funk_from_values``, for a factor of the value rows alone, [R q]
+    stands for them as [R diag(funk) q], written from the value factor
+    where it sits in the buffer, which holds them without a fold."""
+    n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, rows.funk.size
+    factor.add(rows.value_rows, 0, n)
+    if funk_from_values:
+        value_factor = factor.folded()[:ncol]
+        funk_scale = np.append(rows.funk, 1.0)[:, None]  # q is the Funk rows' target too
+        factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
+        del value_factor  # the folds below overwrite it
+    else:
+        factor.add(partial(rows.value_rows, funk=True), 0, n)
+    factor.add(rows.anisotropy_rows, 0, n_aniso)
+    factor.add(partial(rows.anisotropy_rows, offdiagonal=True), 0, n_aniso)
 
 
 def _ridge_rows(diag):
@@ -733,40 +728,36 @@ def _ridge_rows(diag):
     return write
 
 
-def _fold_mirror_split(W, rows, ridge_diag):
-    """The factor of the split design (``_DesignRows.mirror_blocks``) in
-    the fold buffer W, ready to solve: its columns are the even class's
-    and then the odd class's, and it returns (factor, cols, rim nodes),
-    with ``cols`` their positions among the design's columns.
+def _fold_design(W, classes, rim, ridge_diag):
+    """The factor of the design's row blocks (``_DesignRows.blocks``) in
+    the fold buffer W, ready to solve, and ``cols``, the positions among
+    the design's columns of its columns: the classes' in turn.
 
-    Each class runs the design's recipe on its own columns, in a corner of
-    W: the even class in W[:, :ne + 1], its target in column ne, and then
-    the odd class in W[ne:, ne:], with the same number of free rows as the
-    whole design.  Their factors land block-diagonally where the coupled
-    factor reads them: the even class's target moves to the last column,
-    and the two off-diagonal blocks are zeroed.  The rim's value, Funk,
-    h11 - h22 and 2 h12 rows join them.
-    The odd corner overwrites the even class's residual row, which bears
-    on neither the minimizer nor the singular values."""
-    even, odd, rim = rows.mirror_blocks()
-    ne, ncol = even.cols.size, W.shape[1] - 1
-    for corner, block in ((W[:, : ne + 1], even), (W[ne:, ne:], odd)):
+    Each class folds its node rows and the ridge rows of its columns in
+    the corner W[o:, o : o + n + 1] of all the free rows, n its columns and
+    o those of the classes before it, its target in the corner's last
+    column.  Its factor is left block-diagonally where the coupled factor
+    reads it: the target moves to W's last column, and the entries beside
+    the block are zeroed.  A corner overwrites the residual row of the
+    class before it, which bears on neither the minimizer nor the singular
+    values.  The rim's rows then join the coupled factor.  One class and an
+    empty rim fold the design whole."""
+    ncol = W.shape[1] - 1
+    o = 0
+    for block in classes:
+        n = block.cols.size
+        corner = W[o:, o : o + n + 1]
         factor = _TriangularFactor(corner)
-        _fold_node_rows(factor, block)
-        nb = block.cols.size
-        factor.add(_ridge_rows(ridge_diag[block.cols]), 0, nb)
-        corner[factor.folded().shape[0] : nb + 1] = 0.0  # a factor of fewer rows
-    W[:ne, ncol] = W[:ne, ne]
-    W[:ne, ne:ncol] = 0.0
-    W[ne : ncol + 1, :ne] = 0.0
+        _add_node_rows(factor, block, funk_from_values=True)
+        factor.add(_ridge_rows(ridge_diag[block.cols]), 0, n)
+        corner[factor.folded().shape[0] : n + 1] = 0.0  # a factor of fewer rows
+        W[o : o + n, ncol] = corner[:n, n]
+        W[o : o + n, o + n : ncol] = 0.0
+        W[o + n : ncol + 1, o : o + n] = 0.0
+        o += n
     factor = _TriangularFactor(W, factor_rows=ncol + 1)
-    n, n_aniso, group = rim.n_nodes, rim.n_aniso, DESIGN_ROW_GROUP
-    for write, count in ((rim.value_rows, n), (partial(rim.value_rows, funk=True), n),
-                         (rim.anisotropy_rows, n_aniso),
-                         (partial(rim.anisotropy_rows, offdiagonal=True), n_aniso)):
-        for s in range(0, count, group):
-            factor.add(write, s, min(s + group, count))
-    return factor, np.concatenate([even.cols, odd.cols]), n
+    _add_node_rows(factor, rim, funk_from_values=False)
+    return factor, np.concatenate([block.cols for block in classes])
 
 
 def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
@@ -797,7 +788,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     (``_rotate_expansion``).  Its objective uses other nodes than a
     user-frame solve would, so the two G differ within the design's
     residual.  Caps that a coordinate reflection fixes, the default ones
-    among them, are solved as given.
+    among them, are solved as given (``_design_rows``).
 
     The system is never held whole.  Its rows are written into one fold
     buffer, (ncol + 1 + block) x (ncol + 1) with block the larger of
@@ -805,16 +796,17 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     the triangular factor of their QR factorization (``_TriangularFactor``);
     the factor is solved where it sits in the buffer (bitwise
     ``np.linalg.lstsq`` on a copy) with the rank cutoff the whole system
-    would get.  As given, the value rows go first, then the Funk rows from
-    their factor, the anisotropy rows and the ridge rows
-    (``_fold_node_rows``).  In the adapted frame the mirror z -> -z maps U
-    onto V and the third cap onto itself, so the rows are split by it
-    (``_DesignRows.mirror_blocks``): the mirrored pairs of nodes become one
-    row in each of two classes of about half the columns (m even, m odd),
-    each class runs that recipe in its own corner of the buffer, and one
-    coupled fold adds the full rows of the rim, the nodes of the larger of
-    U and V outside the mirror of the smaller (``_fold_mirror_split``).
-    The split is orthogonal, so it keeps the minimizer, the rank and the
+    would get.  Every design is folded by one recipe (``_fold_design``)
+    over the row blocks of ``_DesignRows.blocks``: each class of rows is
+    folded in its own corner of the buffer, value rows first, then the
+    Funk rows from their factor, the anisotropy rows and the ridge rows,
+    and one coupled fold adds the full rows of the rim.  As given the
+    design is one class with no rim.  In the adapted frame the mirror
+    z -> -z maps U onto V and the third cap onto itself, so the rows are
+    split by it: the mirrored pairs of nodes become one row in each of two
+    classes of about half the columns (m even, m odd), and the rim is the
+    nodes of the larger of U and V outside the mirror of the smaller.  The
+    split is orthogonal, so it keeps the minimizer, the rank and the
     singular values.  The design grid is dropped once the rows are set up,
     and the ring tables of the rows before the last fold; only the small
     Q tables stay, for the residuals.  The returned diagnostics carry the
@@ -826,20 +818,8 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     the health of the block actually solved: its shape, numerical rank and
     singular-value ratio.
     """
-    third_center = np.cross(cap_u.center, cap_v.center)
-    nrm = np.linalg.norm(third_center)
-    if nrm < 1e-8:
-        raise ValueError("cap centers are collinear; no transverse axis exists")
-    third = sphere.Cap(center=third_center / nrm, height=cap_u.height)
-    caps = [cap_u, cap_v, third]
-    big = [sphere.Cap(c.center, max(c.height - CAP_MARGIN, 0.5)) for c in caps]
     dg = sphere.build_grid(*design_grid)
-    frame = np.eye(3)
-    adapted = not _cap_pair_symmetry(dg, big)[1]
-    if adapted:
-        frame = _adapted_frame(cap_u.center, cap_v.center)
-        big = [sphere.Cap(frame @ c.center, c.height) for c in big]
-    rows = _DesignRows(dg, big, L, anisotropy_caps=(0, 1), mirror=adapted)
+    rows, frame = _design_rows(cap_u, cap_v, L, dg)
     del dg  # the rows hold what they read of the design grid
     ls, ms, funk, target, reflections = rows.ls, rows.ms, rows.funk, rows.target, rows.reflections
     n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, ls.size
@@ -848,14 +828,10 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     ridge_diag = math.sqrt(ridge) / lam[ls]
     # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
     W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + 1), order="F")
-    if adapted:
-        factor, cols, n_rim = _fold_mirror_split(W, rows, ridge_diag)
-        del rows  # its ring tables are not held through the last fold
-    else:
-        factor, cols, n_rim = _TriangularFactor(W), np.arange(ncol), 0
-        _fold_node_rows(factor, rows)
-        del rows  # its ring tables are not held through the last fold
-        factor.add(_ridge_rows(ridge_diag), 0, ncol)
+    classes, rim = rows.blocks()
+    n_rim = rim.n_nodes
+    factor, cols = _fold_design(W, classes, rim, ridge_diag)
+    del rows, classes, rim  # their ring tables are not held through the last fold
     n_rows = 2 * n + 2 * n_aniso + ncol
     sol, rank, sv = factor.solve(np.finfo(float).eps * max(n_rows, ncol))
     del factor, W  # the fold buffer is not held through the rotation
@@ -865,7 +841,9 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     G.c[ls * ls + ls + ms] = x
     values = node_values(x)
     funk_values = node_values(funk * x)
-    if adapted:
+    if frame is None:
+        frame = np.eye(3)
+    else:
         G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
     return G, {
         "design_value_residual": float(np.max(np.abs(values - target))),

@@ -565,7 +565,7 @@ def ellipsoid_radii_oracle(semi_axes, u):
     return np.sort(1.0 / curv[::-1])
 
 
-def design_rows_three_tables(rows, grid, L, anisotropy_caps=(0, 1)):
+def design_rows_three_tables(rows, grid, L):
     """The value, h11 - h22 and 2 h12 rows of a ``zonoid._DesignRows``, of
     all its kept nodes at once and transposed as its writers write them,
     by per-node arithmetic on the three theta tables Q, Q' and Q'' of all
@@ -580,7 +580,7 @@ def design_rows_three_tables(rows, grid, L, anisotropy_caps=(0, 1)):
     P, dP, d2P = harmonics.ring_theta_tables(L, grid.cos_theta)
     cosm, sinm = harmonics.grid_phi_tables(L, grid)
     ring, lon = np.divmod(rows.nodes, grid.n_phi)
-    aniso = np.isin(rows.which, anisotropy_caps)
+    aniso = np.isin(rows.which, (0, 1))  # U and V
     ra, la, swa = ring[aniso], lon[aniso], rows.sw[aniso]
     st = np.sqrt(1.0 - grid.cos_theta[ra] ** 2)
     cot = grid.cos_theta[ra] / st

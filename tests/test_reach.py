@@ -1,14 +1,18 @@
-"""Every package function is reached by the commands users run.
+"""Every package function is reached by the commands users run, and every
+package constant is read by package code.
 
 The CLI commands below run under ``sys.setprofile`` at a small band and
 grid; the functions of ``src/zonotools`` that none of them enters must be
 exactly the pinned ``UNREACHED`` list, each with its reason.  A function
 that no command reaches and no list entry explains is dead code: delete
 it, or move it to ``tests/oracles.py`` if it is an independent oracle of a
-production route.
+production route.  Likewise a module-level UPPER_CASE name that no code of
+the package loads (found with ``dis`` over the compiled modules) is a dead
+constant.
 """
 
 import contextlib
+import dis
 import inspect
 import io
 import os
@@ -30,29 +34,50 @@ UNREACHED = {
 OFF_PLANE_CAPS = "cap_u_center=0.3,0.4,0.866\ncap_v_center=0,0.866,-0.4\n"
 
 
+def package_modules():
+    """Module name -> the compiled code of every module of the package."""
+    found = {}
+    for root, _, files in os.walk(PACKAGE):
+        for fname in sorted(files):
+            if fname.endswith(".py"):
+                path = os.path.join(root, fname)
+                with open(path, encoding="utf-8") as fh:
+                    module = os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".")
+                    found[module] = compile(fh.read(), path, "exec")
+    return found
+
+
 def package_functions():
     """(file, first line, name) -> "module:qualname" of every named function
     and method defined in the package, nested ones included."""
     found = {}
-    for root, _, files in os.walk(PACKAGE):
-        for fname in sorted(files):
-            if not fname.endswith(".py"):
-                continue
-            path = os.path.join(root, fname)
-            module = os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".")
-            with open(path, encoding="utf-8") as fh:
-                stack = [(compile(fh.read(), path, "exec"), "", False)]
-            while stack:
-                code, prefix, in_function = stack.pop()
-                for const in code.co_consts:
-                    if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
-                        continue  # lambdas and comprehensions belong to their function
-                    qualname = prefix + (".<locals>." if in_function else ".") + const.co_name
-                    is_function = bool(const.co_flags & inspect.CO_NEWLOCALS)  # not a class body
-                    if is_function:
-                        found[(path, const.co_firstlineno, const.co_name)] = f"{module}:{qualname[1:]}"
-                    stack.append((const, qualname, is_function))
+    for module, code in package_modules().items():
+        path = code.co_filename
+        stack = [(code, "", False)]
+        while stack:
+            code, prefix, in_function = stack.pop()
+            for const in code.co_consts:
+                if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                    continue  # lambdas and comprehensions belong to their function
+                qualname = prefix + (".<locals>." if in_function else ".") + const.co_name
+                is_function = bool(const.co_flags & inspect.CO_NEWLOCALS)  # not a class body
+                if is_function:
+                    found[(path, const.co_firstlineno, const.co_name)] = f"{module}:{qualname[1:]}"
+                stack.append((const, qualname, is_function))
     return found
+
+
+#: The instructions that read a name: a module's own globals, or another
+#: module's attribute.
+NAME_LOADS = {"LOAD_GLOBAL", "LOAD_NAME", "LOAD_ATTR", "LOAD_METHOD", "LOAD_FROM_DICT_OR_GLOBALS"}
+
+
+def code_objects(code):
+    """The code object and every one nested in it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from code_objects(const)
 
 
 def clear_caches():
@@ -119,3 +144,22 @@ def test_unreached_functions_are_the_pinned_list(tmp_path):
     unreached = {name for key, name in functions.items() if key not in entered}
     assert sorted(unreached - set(UNREACHED)) == [], "no command reaches these"
     assert sorted(set(UNREACHED) - unreached) == [], "pinned, but reached or gone"
+
+
+def test_every_constant_is_read_by_package_code():
+    modules = package_modules()
+    constants = {
+        f"{module}:{ins.argval}"
+        for module, code in modules.items()
+        for ins in dis.get_instructions(code)  # the module's own body
+        if ins.opname == "STORE_NAME" and ins.argval.isupper()
+    }
+    loaded = {
+        ins.argval
+        for code in modules.values()
+        for nested in code_objects(code)
+        for ins in dis.get_instructions(nested)
+        if ins.opname in NAME_LOADS
+    }
+    assert constants, "no constant found: the scan is broken"
+    assert sorted(c for c in constants if c.split(":")[1] not in loaded) == [], "nothing reads these"

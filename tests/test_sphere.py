@@ -226,6 +226,16 @@ class TestCap:
             with pytest.raises(ValueError):
                 sphere.Cap(np.array([0.0, 0.0, 1.0]), bad)
 
+    @pytest.mark.parametrize(
+        "center",
+        [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.1], [0.0, 1.0], [[0.0, 0.0, 1.0]], 1.0],
+    )
+    def test_center_must_be_a_finite_unit_vector(self, center):
+        # a NaN centre passes a "norm off by more than 1e-12" test, and its
+        # cap would hold no node at all
+        with pytest.raises(ValueError):
+            sphere.Cap(np.array(center), 0.5)
+
     def test_separation(self):
         u = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.9)
         v = sphere.Cap(np.array([1.0, 0.0, 0.0]), 0.9)

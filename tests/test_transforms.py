@@ -202,12 +202,29 @@ class TestSectionIsotropy:
         assert abs(dev[0] - dev_ref) <= 1e-12 * dev_ref
 
     def test_angle_tables_cached_and_read_only(self):
-        ca, sa = transforms._angle_tables(64)
-        assert transforms._angle_tables(64)[0] is ca
-        for arr in (ca, sa):
+        # the isotropy tensor's circle table is cos 2a and sin 2a
+        c2, s2 = transforms._double_angle_tables(64)
+        assert transforms._double_angle_tables(64)[0] is c2
+        for arr in (c2, s2):
             assert not arr.flags.writeable
-        angles = 2.0 * np.pi * np.arange(64) / 64
-        assert np.array_equal(ca, np.cos(angles)) and np.array_equal(sa, np.sin(angles))
+        two_a = 4.0 * np.pi * np.arange(64) / 64
+        assert np.array_equal(c2, np.cos(two_a)) and np.array_equal(s2, np.sin(two_a))
+
+    @pytest.mark.parametrize("m", [8, 64, 97, 256])
+    def test_tensor_matches_the_angle_sums(self, m):
+        # T from the order-0 and order-2 moments against the direct sums of
+        # g cos^2 a, g sin^2 a and g cos a sin a
+        rng = np.random.default_rng(m)
+        g = rng.uniform(0.5, 2.0, size=(3, m))
+        a = 2.0 * np.pi * np.arange(m) / m
+        w = 2.0 * np.pi / m
+        T, _ = transforms.isotropy_tensors(g)
+        for s in range(3):
+            ref = w * np.array([
+                [np.sum(g[s] * np.cos(a) ** 2), np.sum(g[s] * np.cos(a) * np.sin(a))],
+                [np.sum(g[s] * np.cos(a) * np.sin(a)), np.sum(g[s] * np.sin(a) ** 2)],
+            ])
+            assert np.max(np.abs(T[s] - ref)) <= 1e-14 * np.sum(np.abs(ref))
 
 
 @settings(max_examples=40, deadline=None)

@@ -38,9 +38,10 @@ def _off_plane_caps(tmp_path):
     return cfg.cap_u(), cfg.cap_v()
 
 
-def _oracle_design_rows(grid, caps, L, anisotropy_caps):
+def _oracle_design_rows(grid, caps, L):
     """Unfolded, per-column design rows: every cap node, both antipodes,
-    and the Funk rows by the Hessian route (trace of the radii matrix)."""
+    and the Funk rows by the Hessian route (trace of the radii matrix);
+    the anisotropy rows on the first two caps."""
     even_lm = [(l, m) for l in range(0, L + 1, 2) for m in range(-l, l + 1)]
     sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
     sel = np.any(sels, axis=0)
@@ -85,7 +86,7 @@ def _oracle_design_rows(grid, caps, L, anisotropy_caps):
         Bfunk[:, jcol] = 0.5 * (h11 + h22) + f
         Ban1[:, jcol] = h11 - h22
         Ban2[:, jcol] = 2.0 * h12
-    aniso_mask = np.isin(which, anisotropy_caps)
+    aniso_mask = np.isin(which, (0, 1))
     return even_lm, which, wts, Bval, Bfunk, Ban1[aniso_mask], Ban2[aniso_mask], aniso_mask
 
 
@@ -96,7 +97,7 @@ def _oracle_design_plateau(cap_u, cap_v, L, design_grid, levels=(1.0, 2.0, 3.0),
     third = sphere.Cap(third_center / np.linalg.norm(third_center), cap_u.height)
     big = [sphere.Cap(c.center, max(c.height - cap_margin, 0.5)) for c in (cap_u, cap_v, third)]
     even_lm, which, wts, Bval, Bfunk, Ban1, Ban2, aniso_mask = _oracle_design_rows(
-        sphere.build_grid(*design_grid), big, L, anisotropy_caps=(0, 1)
+        sphere.build_grid(*design_grid), big, L
     )
     target = np.asarray(levels)[which]
     sw = np.sqrt(wts)
@@ -134,8 +135,12 @@ class TestCalibration:
             assert abs(f2[0] - (2.0 * math.pi * c) ** 2) < 1e-13 * (2.0 * math.pi * c) ** 2
 
     def test_double_angle_tables_cached_and_read_only(self):
-        c2, s2 = zonoid._double_angle_tables(64)
-        assert zonoid._double_angle_tables(64)[0] is c2
+        # the densities' moments read the one cached table of transforms
+        c2, s2 = transforms._double_angle_tables(64)
+        hits = transforms._double_angle_tables.cache_info().hits
+        zonoid._weil_densities(np.ones((2, 64)))
+        assert transforms._double_angle_tables.cache_info().hits == hits + 1
+        assert transforms._double_angle_tables(64)[0] is c2
         for arr in (c2, s2):
             assert not arr.flags.writeable
         two_a = 4.0 * np.pi * np.arange(64) / 64
@@ -579,10 +584,9 @@ class TestPlateauDesign:
         return zonoid._rotate_expansion(G_ref, Q), sv, fu, fv
 
     def _solved_block_singular_values(self, u, v, ridge):
-        third = np.cross(u.center, v.center)
-        caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
-        big = [sphere.Cap(c.center, max(c.height - 0.01, 0.5)) for c in caps]
-        rows = zonoid._DesignRows(sphere.build_grid(*self.GRID), big, self.L, anisotropy_caps=(0, 1))
+        # u and v are in the frame the design solved in, so they are solved
+        # as given there, and the rows are the whole folded block
+        rows, _ = zonoid._design_rows(u, v, self.L, sphere.build_grid(*self.GRID))
         ncol, n, na = rows.ls.size, rows.nodes.size, rows.n_aniso
         V = np.empty((ncol + 1, n))
         rows.value_rows(V, slice(0, n))
@@ -629,10 +633,9 @@ class TestPlateauDesign:
 
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
-        # blocks and anisotropy groups far smaller than the system, so the
-        # rows pass through many QR folds and the value rows' factor is split
+        # blocks far smaller than the system, so the rows pass through many
+        # QR folds and the value rows' factor is split
         monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
-        monkeypatch.setattr(zonoid, "DESIGN_ROW_GROUP", 50)
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
@@ -647,7 +650,6 @@ class TestPlateauDesign:
         # the in-place fold gives the design np.linalg.qr's factor bit for bit
         if small:
             monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
-            monkeypatch.setattr(zonoid, "DESIGN_ROW_GROUP", 50)
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
         monkeypatch.setattr(zonoid, "_TriangularFactor", oracles.QRFoldFactor)
@@ -775,14 +777,7 @@ class TestPlateauDesign:
     def _design_rows(u, v, L, grid):
         """The rows design_plateau writes for the pair, in the frame it
         solves in."""
-        third = np.cross(u.center, v.center)
-        caps = [u, v, sphere.Cap(third / np.linalg.norm(third), u.height)]
-        big = [sphere.Cap(c.center, max(c.height - zonoid.CAP_MARGIN, 0.5)) for c in caps]
-        adapted = not zonoid._cap_pair_symmetry(grid, big)[1]
-        if adapted:
-            frame = zonoid._adapted_frame(u.center, v.center)
-            big = [sphere.Cap(frame @ c.center, c.height) for c in big]
-        return zonoid._DesignRows(grid, big, L, anisotropy_caps=(0, 1), mirror=adapted)
+        return zonoid._design_rows(u, v, L, grid)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(32, 64), (33, 64), (64, 128), (128, 256)]))
@@ -821,11 +816,12 @@ class TestPlateauDesign:
         # the rim lies in U and V alone
         assert set(rows.which[rim].tolist()) <= {0, 1}
 
-    @pytest.mark.parametrize("pair", ["rotated", "small-u", "small-v"])
+    @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_mirror_blocks_keep_the_normal_equations(self, cap_u, cap_v, pair):
-        # the split rows, each class's on the columns it stands for, have the
-        # Gram matrix [A b]^T [A b] of the unsplit value and anisotropy rows
-        # (and so of the Funk rows, the value rows times funk), to rounding
+        # the blocks' rows, each class's on the columns it stands for, have
+        # the Gram matrix [A b]^T [A b] of the unsplit value and anisotropy
+        # rows (and so of the Funk rows, the value rows times funk), to
+        # rounding; caps solved as given are one class with no rim
         grid = sphere.build_grid(*self.GRID)
         rows = self._design_rows(*self._pair(pair, cap_u, cap_v), self.L, grid)
         ncol = rows.ls.size
@@ -840,10 +836,11 @@ class TestPlateauDesign:
             out[block.cols], out[-1] = local[:-1], local[-1]
             return out
 
-        even, odd, rim = rows.mirror_blocks()
-        assert even.cols.size + odd.cols.size == ncol
+        classes, rim = rows.blocks()
+        assert len(classes) == (1 if pair == "default" else 2)
+        assert sorted(np.concatenate([c.cols for c in classes]).tolist()) == list(range(ncol))
         assert (rim.n_nodes > 0) == pair.startswith("small")
-        split = np.hstack([stacked(b) for b in (even, odd, rim)])
+        split = np.hstack([stacked(b) for b in (*classes, rim)])
         whole = stacked(rows)
         ref = whole @ whole.T
         assert np.max(np.abs(split @ split.T - ref)) <= 1e-13 * np.max(np.abs(ref))
