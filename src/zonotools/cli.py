@@ -119,6 +119,15 @@ class InputError(ValueError):
     """An input the command rejects: exit code 3 and one line on stderr."""
 
 
+def _grid(value):
+    """The grid's n_theta,n_phi as two integers, from a flag or a file."""
+    try:
+        t, p = value.split(",")
+        return int(t), int(p)
+    except ValueError:
+        raise ValueError(f"grid must be n_theta,n_phi (two integers), got {value!r}") from None
+
+
 def parse_config_file(path):
     """Plain UTF-8 key=value config; unknown keys are errors (fail loud)."""
     cfg = RunConfig()
@@ -133,8 +142,7 @@ def parse_config_file(path):
             key, value = key.strip(), value.strip()
             try:
                 if key == "grid":
-                    t, p = value.split(",")
-                    cfg.n_theta, cfg.n_phi = int(t), int(p)
+                    cfg.n_theta, cfg.n_phi = _grid(value)
                 elif key == "band":
                     cfg.band = int(value)
                 elif key == "circle_m":
@@ -164,8 +172,7 @@ def parse_config_file(path):
 
 def _apply_flags(cfg, args):
     if args.grid is not None:
-        t, p = args.grid.split(",")
-        cfg.n_theta, cfg.n_phi = int(t), int(p)
+        cfg.n_theta, cfg.n_phi = _grid(args.grid)
     if args.band is not None:
         cfg.band = args.band
     if args.seed is not None:
@@ -216,17 +223,22 @@ class RunContext:
         return np.random.default_rng(self.cfg.seed + salt)
 
 
-def _row(test_id, anchor, metric, tolerance, ok, reason=None):
-    """One report row.  Reports are strict JSON, so a metric that is not a
-    finite number is written as null, with a reason saying why."""
+def _row(test_id, anchor, metric, tolerance, bound="upper", reason=None):
+    """One report row, which passes when its metric is strictly inside its
+    bound: below the tolerance for an "upper" bound, above it for a
+    "lower" one.  A metric that is not a finite number fails; reports are
+    strict JSON, so it is written as null, with a reason saying why."""
+    metric, tolerance = float(metric), float(tolerance)
+    inside = {"upper": metric < tolerance, "lower": metric > tolerance}[bound]
     row = {
         "test_id": test_id,
         "paper_anchor": anchor,
-        "metric": float(metric),
-        "tolerance": float(tolerance),
-        "pass": bool(ok),
+        "metric": metric,
+        "tolerance": tolerance,
+        "bound": bound,
+        "pass": inside and math.isfinite(metric),
     }
-    if not math.isfinite(row["metric"]):
+    if not math.isfinite(metric):
         row["reason"] = reason or f"metric is {row['metric']}"
         row["metric"] = None
     return row
@@ -260,15 +272,9 @@ def suite_newton(ctx):
     ball = convex.SupportFunction.ball(grid, 1.0)
     ball_gap = float(np.max(np.abs(convex.newton_report(ball)["gap"])))
     return [
-        _row("newton-nonnegative-gap", "newton-inequality", worst, -tol, worst >= -tol),
-        _row("newton-ball-equality", "newton-inequality-equality-case", ball_gap, tol, ball_gap <= tol),
-        _row(
-            "newton-random-strict",
-            "newton-inequality-equality-case",
-            equality_violations,
-            0.5,
-            equality_violations == 0,
-        ),
+        _row("newton-nonnegative-gap", "newton-inequality", worst, -tol, "lower"),
+        _row("newton-ball-equality", "newton-inequality-equality-case", ball_gap, tol),
+        _row("newton-random-strict", "newton-inequality-equality-case", equality_violations, 0.5),
     ]
 
 
@@ -296,9 +302,9 @@ def suite_af(ctx):
         veq * veq - convex.mixed_volume(ball, ball, ball) * convex.mixed_volume(ball2, ball2, ball)
     ) / (veq * veq)
     return [
-        _row("af-inequality-random-pairs", "alexandrov-fenchel", worst, -tol, worst >= -tol),
-        _row("af-equality-flags-ball-only", "alexandrov-fenchel-equality", flagged, 0.5, flagged == 0),
-        _row("af-ball-pair-equality", "alexandrov-fenchel-equality", eq_slack, tol, eq_slack <= tol),
+        _row("af-inequality-random-pairs", "alexandrov-fenchel", worst, -tol, "lower"),
+        _row("af-equality-flags-ball-only", "alexandrov-fenchel-equality", flagged, 0.5),
+        _row("af-ball-pair-equality", "alexandrov-fenchel-equality", eq_slack, tol),
     ]
 
 
@@ -335,40 +341,42 @@ def suite_sr(ctx):
         worst_jensen = max(
             worst_jensen, float(np.max(sr.values - np.sqrt(np.maximum(sr2.values, 0.0))))
         )
-    rows.append(_row("sr-l1-preserved", "radial-symmetrization-l1", worst_l1, TOLERANCES["sr_l1"], worst_l1 <= TOLERANCES["sr_l1"]))
-    rows.append(_row("sr-l2-contraction", "radial-symmetrization-lp-contraction", worst_l2, 1e-12, worst_l2 <= 1e-12))
-    rows.append(_row("sr-l3-contraction", "radial-symmetrization-lp-contraction", worst_l3, 1e-12, worst_l3 <= 1e-12))
-    rows.append(_row("sr-jensen-pointwise", "symmetrization-power-mean", worst_jensen, 1e-12, worst_jensen <= 1e-12))
+    rows.append(_row("sr-l1-preserved", "radial-symmetrization-l1", worst_l1, TOLERANCES["sr_l1"]))
+    rows.append(_row("sr-l2-contraction", "radial-symmetrization-lp-contraction", worst_l2, 1e-12))
+    rows.append(_row("sr-l3-contraction", "radial-symmetrization-lp-contraction", worst_l3, 1e-12))
+    rows.append(_row("sr-jensen-pointwise", "symmetrization-power-mean", worst_jensen, 1e-12))
 
     one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes)).with_coeffs(4)
     lhs, rhs = transforms.sr_profile_l1_identity(one)
     closed = abs(rhs - 4.0 * math.pi)
-    rows.append(
-        _row("sr-slicing-identity-constant", "polar-slicing-identity", closed, TOLERANCES["sr_identity_closed"], closed <= TOLERANCES["sr_identity_closed"])
-    )
+    rows.append(_row("sr-slicing-identity-constant", "polar-slicing-identity", closed, TOLERANCES["sr_identity_closed"]))
     c = harmonics.HarmonicCoeffs.zeros(24)
     c.c = ctx.rng(4).normal(size=c.c.size)
     f = _lifted(grid, c)
     lhs, rhs = transforms.sr_profile_l1_identity(f)
     ident = abs(lhs - rhs) / lhs
-    rows.append(_row("sr-slicing-identity-general", "polar-slicing-identity", ident, TOLERANCES["sr_identity"], ident <= TOLERANCES["sr_identity"]))
+    rows.append(_row("sr-slicing-identity-general", "polar-slicing-identity", ident, TOLERANCES["sr_identity"]))
 
     sr = transforms.radial_symmetrize(f)
     sr2 = transforms.radial_symmetrize(sr)
     idem = 0.0 if np.array_equal(sr.values, sr2.values) else 1.0
-    rows.append(_row("sr-idempotent-bitwise", "symmetrization-idempotence", idem, 0.5, idem == 0.0))
+    rows.append(_row("sr-idempotent-bitwise", "symmetrization-idempotence", idem, 0.5))
 
     c16 = harmonics.HarmonicCoeffs.zeros(16)
     c16.c = ctx.rng(5).normal(size=c16.c.size)
     f16 = transforms.SphericalFunction.from_coeffs(grid, c16)
     target = transforms.radial_symmetrize(f16)
+    counts = (1, 2, 4, 8, 16, 32, 64)
     dists = []
-    for mrot in (1, 2, 4, 8, 16, 32, 64):
+    for mrot in counts:
         avg = transforms.finite_average(f16, [2.0 * math.pi * k / mrot for k in range(mrot)])
         dists.append(transforms.l2_distance(avg, target))
-    monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
+    # the distances must not grow with the rotation count; if they do, the
+    # metric is undefined and its reason names the first count where they grew
+    grew = next((m for m, a, b in zip(counts[1:], dists, dists[1:]) if not b <= a + 1e-12), None)
+    converged, reason = (dists[-1], None) if grew is None else (math.inf, f"the distance grew at {grew} rotations")
     rows.append(
-        _row("sr-rotation-average-converges", "rotation-average-convergence", dists[-1], TOLERANCES["sr_convergence"], dists[-1] <= TOLERANCES["sr_convergence"] and monotone)
+        _row("sr-rotation-average-converges", "rotation-average-convergence", converged, TOLERANCES["sr_convergence"], reason=reason)
     )
     return rows
 
@@ -434,8 +442,8 @@ def suite_isotropy_gap(ctx):
     scale = np.maximum(np.maximum(np.abs(raw_gap), np.abs(mass)), TOLERANCES["gap_oracle"] * rep["f2"])
     oracle_worst = float(np.max(np.abs(raw_gap - mass) / scale, initial=0.0))
     return [
-        _row("isotropy-gap-equivalence", "isotropic-sections-iff-density-gap", 0.0 if equiv_ok else 1.0, 0.5, equiv_ok),
-        _row("gap-equals-circle-fourier-mass", "density-gap-fourier-oracle", oracle_worst, TOLERANCES["gap_oracle"], oracle_worst <= TOLERANCES["gap_oracle"]),
+        _row("isotropy-gap-equivalence", "isotropic-sections-iff-density-gap", 0.0 if equiv_ok else 1.0, 0.5),
+        _row("gap-equals-circle-fourier-mass", "density-gap-fourier-oracle", oracle_worst, TOLERANCES["gap_oracle"]),
     ]
 
 
@@ -447,20 +455,16 @@ def suite_rigidity(ctx):
     c.set(0, 0, (1.0 / (2.0 * math.pi)) * math.sqrt(4.0 * math.pi))
     ball_spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(grid, c))
     rep = zonoid.verify_local_rigidity(ball_spec, ctx.cfg.cap_u())
-    rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, 1e-10, rep.affine_residual <= 1e-10))
-    rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, 1e-10, rep.funk_residual <= 1e-10))
+    rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, 1e-10))
+    rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, 1e-10))
     # constructed counterexample
     res = ctx.counterexample
     spec = zonoid.make_zonoid(res.g)
     rep = zonoid.verify_local_rigidity(spec, ctx.cfg.cap_u())
     a_ratio = float(np.linalg.norm(rep.a)) / rep.c
-    rows.append(
-        _row("rigidity-counterexample-affine", "local-rigidity-affine-support", rep.affine_residual, TOLERANCES["affine_residual"], rep.affine_residual < TOLERANCES["affine_residual"])
-    )
-    rows.append(
-        _row("rigidity-counterexample-funk", "local-rigidity-funk-constant", rep.funk_residual, TOLERANCES["funk_residual"], rep.funk_residual < TOLERANCES["funk_residual"])
-    )
-    rows.append(_row("rigidity-even-density-zero-drift", "even-density-affine-term", a_ratio, TOLERANCES["a_ratio"], a_ratio < TOLERANCES["a_ratio"]))
+    rows.append(_row("rigidity-counterexample-affine", "local-rigidity-affine-support", rep.affine_residual, TOLERANCES["affine_residual"]))
+    rows.append(_row("rigidity-counterexample-funk", "local-rigidity-funk-constant", rep.funk_residual, TOLERANCES["funk_residual"]))
+    rows.append(_row("rigidity-even-density-zero-drift", "even-density-affine-term", a_ratio, TOLERANCES["a_ratio"]))
     # negative control: anisotropic density must fail the fits
     cneg = harmonics.HarmonicCoeffs.zeros(8)
     cneg.set(0, 0, math.sqrt(4.0 * math.pi))
@@ -468,9 +472,7 @@ def suite_rigidity(ctx):
     neg_spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(grid, cneg))
     rep = zonoid.verify_local_rigidity(neg_spec, ctx.cfg.cap_v())
     neg_resid = min(rep.affine_residual, rep.funk_residual)
-    rows.append(
-        _row("rigidity-negative-control", "local-rigidity-affine-support", neg_resid, TOLERANCES["affine_residual"], neg_resid > TOLERANCES["affine_residual"])
-    )
+    rows.append(_row("rigidity-negative-control", "local-rigidity-affine-support", neg_resid, TOLERANCES["affine_residual"], "lower"))
     return rows
 
 
@@ -495,7 +497,7 @@ def _minkowski_round_trip(radius=1.0):
             mu, source, cap, rel_tol=TOLERANCES["mink_band"], outside_tol=TOLERANCES["mink_outside"]
         )
     except ValueError as exc:
-        rows.append(_row("minkowski-roundtrip", "minkowski-existence-revolution", math.inf, TOLERANCES["mink_band"], False, reason=f"solver failed: {exc}"))
+        rows.append(_row("minkowski-roundtrip", "minkowski-existence-revolution", math.inf, TOLERANCES["mink_band"], reason=f"solver failed: {exc}"))
         return rows
     got = convex.surface_area_measure_zonal(solved, edges)
     inside = (edges[:-1] >= cap.height) | (edges[1:] <= -cap.height)
@@ -503,12 +505,12 @@ def _minkowski_round_trip(radius=1.0):
     band_err = float(np.max(np.abs(got.masses[inside] - mu.masses[inside]))) / scale
     outside = got.total_mass() - got.mass_in(cap.height, 1.0) - got.mass_in(-1.0, -cap.height)
     outside_rel = abs(outside) / scale
-    rows.append(_row("minkowski-roundtrip-bands", "minkowski-existence-revolution", band_err, TOLERANCES["mink_band"], band_err <= TOLERANCES["mink_band"]))
-    rows.append(_row("minkowski-no-mass-outside", "cap-restricted-measure-support", outside_rel, TOLERANCES["mink_outside"], outside_rel <= TOLERANCES["mink_outside"]))
+    rows.append(_row("minkowski-roundtrip-bands", "minkowski-existence-revolution", band_err, TOLERANCES["mink_band"]))
+    rows.append(_row("minkowski-no-mass-outside", "cap-restricted-measure-support", outside_rel, TOLERANCES["mink_outside"]))
     lens = fixtures.Lens(r=radius, c=0.5 * radius)
     ts = np.linspace(-1.0, 1.0, 81)
     support_err = float(np.max(np.abs(solved.support_values(ts) - lens.support(ts)))) / radius
-    rows.append(_row("minkowski-solution-is-lens", "two-ball-intersection-witness", support_err, 1e-6, support_err <= 1e-6))
+    rows.append(_row("minkowski-solution-is-lens", "two-ball-intersection-witness", support_err, 1e-6))
     return rows
 
 
@@ -522,14 +524,13 @@ def suite_umbilic(ctx):
     ball = convex.SupportFunction.ball(grid, 1.0)
     rep = convex.umbilic_sphere_check(ball, ctx.cfg.cap_u(), tol=1e-6)
     rows.append(
-        _row("umbilic-ball-fit", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_ball"], rep.is_umbilic and rep.residual <= TOLERANCES["umbilic_ball"], reason=_no_sphere_fit(rep))
+        _row("umbilic-ball-fit", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_ball"], reason=_no_sphere_fit(rep))
     )
     # counterexample zonoid: spherical patch over the cap
     spec = zonoid.make_zonoid(ctx.counterexample.g)
     rep = convex.umbilic_sphere_check(spec.h, ctx.cfg.cap_u(), tol=1e-3)
-    ok = rep.is_umbilic and rep.residual <= TOLERANCES["umbilic_zonoid"]
     rows.append(
-        _row("umbilic-counterexample-zonoid", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_zonoid"], ok, reason=_no_sphere_fit(rep))
+        _row("umbilic-counterexample-zonoid", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_zonoid"], reason=_no_sphere_fit(rep))
     )
     # spherocylinder over an equator-crossing cap: radii look umbilic but
     # one sphere cannot fit (singular equator part of the first area measure)
@@ -540,9 +541,8 @@ def suite_umbilic(ctx):
     r1, r2 = sc.radii(t)
     pts = sc.boundary_points(grid.nodes[mask])
     screp = convex.umbilic_sphere_check_data(r1, r2, pts, tol=1e-6)
-    ok = screp.is_umbilic and screp.residual > TOLERANCES["umbilic_fail_floor"]
     rows.append(
-        _row("umbilic-spherocylinder-fit-fails", "umbilic-needs-absolutely-continuous-measure", screp.residual if screp.residual is not None else 0.0, TOLERANCES["umbilic_fail_floor"], ok)
+        _row("umbilic-spherocylinder-fit-fails", "umbilic-needs-absolutely-continuous-measure", screp.residual if screp.residual is not None else 0.0, TOLERANCES["umbilic_fail_floor"], "lower")
     )
     # lens: equal curvatures on each smooth piece, radii split on the fan
     lens = fixtures.Lens()
@@ -554,12 +554,8 @@ def suite_umbilic(ctx):
     lrep = convex.umbilic_sphere_check_data(r1, r2, pts, tol=1e-6)
     cap_zone = np.abs(t) >= lens.t_edge
     curv_equal = bool(np.all(np.abs(r1[cap_zone] - r2[cap_zone]) <= 1e-12 * lens.r))
-    rows.append(
-        _row("lens-smooth-pieces-equal-curvatures", "equal-curvatures-insufficient", 0.0 if curv_equal else 1.0, 0.5, curv_equal)
-    )
-    rows.append(
-        _row("lens-radii-split-on-fan", "equal-curvatures-insufficient", lrep.max_radii_split, 0.5, (not lrep.is_umbilic) and lrep.max_radii_split > 0.5)
-    )
+    rows.append(_row("lens-smooth-pieces-equal-curvatures", "equal-curvatures-insufficient", 0.0 if curv_equal else 1.0, 0.5))
+    rows.append(_row("lens-radii-split-on-fan", "equal-curvatures-insufficient", lrep.max_radii_split, 0.5, "lower"))
     return rows
 
 
@@ -568,11 +564,10 @@ def suite_counterexample(ctx):
     anchor = "isotropic-sections-counterexample"
     dev, gap = got["isotropy_max_dev"], got["funk_gap_error"]
     var, mean = got["band_variance"], got["band_mean"]
-    ratio = TOLERANCES["nonconstancy_ratio"]
     return [
-        _row("counterexample-isotropy-on-cap", anchor, dev, TOLERANCES["isotropy_dev"], dev < TOLERANCES["isotropy_dev"]),
-        _row("counterexample-funk-gap", anchor, gap, TOLERANCES["funk_gap"], gap < TOLERANCES["funk_gap"]),
-        _row("counterexample-nonconstancy", anchor, var / max(mean, 1e-30), ratio, var > ratio * mean),
+        _row("counterexample-isotropy-on-cap", anchor, dev, TOLERANCES["isotropy_dev"]),
+        _row("counterexample-funk-gap", anchor, gap, TOLERANCES["funk_gap"]),
+        _row("counterexample-nonconstancy", anchor, var / max(mean, 1e-30), TOLERANCES["nonconstancy_ratio"], "lower"),
     ]
 
 
@@ -590,6 +585,20 @@ SUITE_RUNNERS = {
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
+
+def _report(cfg, name, rows, detail):
+    """Write the rows' report as cfg.out/name, print one status line per
+    row, ending in detail(row), and return the exit code: 0 when every
+    row passes, else 2."""
+    os.makedirs(cfg.out, exist_ok=True)
+    _write_json(
+        os.path.join(cfg.out, name),
+        {"version": __version__, "config_echo": cfg.echo(), "results": rows},
+    )
+    for r in rows:
+        print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['test_id']}: {detail(r)}")
+    return 0 if all(r["pass"] for r in rows) else 2
+
 
 def cmd_transform(cfg, which, input_path, output_path):
     try:
@@ -620,19 +629,10 @@ def cmd_counterexample(cfg):
     res.diagnostics["isotropy_max_dev_on_U"] = rows[0]["metric"]
     res.diagnostics["funk_gap_UV_error"] = rows[1]["metric"]
     res.save(cfg.out)
-    report = {
-        "version": __version__,
-        "config_echo": cfg.echo(),
-        "results": rows,
-    }
-    _write_json(os.path.join(cfg.out, "report.json"), report)
-    for r in rows:
-        status = "PASS" if r["pass"] else "FAIL"
-        print(
-            f"[{status}] {r['test_id']}: metric {_metric_text(r, '.3e')} vs tolerance "
-            f"{r['tolerance']:.3e}"
-        )
-    return 0 if all(r["pass"] for r in rows) else 2
+    return _report(
+        cfg, "report.json", rows,
+        lambda r: f"metric {_metric_text(r, '.3e')} vs tolerance {r['tolerance']:.3e}",
+    )
 
 
 def cmd_verify(cfg, suite):
@@ -643,19 +643,10 @@ def cmd_verify(cfg, suite):
     results = []
     for name in names:
         results.extend(SUITE_RUNNERS[name](ctx))
-    report = {
-        "version": __version__,
-        "config_echo": cfg.echo(),
-        "results": results,
-    }
-    os.makedirs(cfg.out, exist_ok=True)
-    out_path = os.path.join(cfg.out, f"verify_{suite}.json")
-    _write_json(out_path, report)
-    for r in results:
-        status = "PASS" if r["pass"] else "FAIL"
-        print(f"[{status}] {r['test_id']}: {_metric_text(r, '.6e')} vs {r['tolerance']:.1e}")
-    print(f"report written to {out_path}")
-    return 0 if all(r["pass"] for r in results) else 2
+    name = f"verify_{suite}.json"
+    code = _report(cfg, name, results, lambda r: f"{_metric_text(r, '.6e')} vs {r['tolerance']:.1e}")
+    print(f"report written to {os.path.join(cfg.out, name)}")
+    return code
 
 
 class _Parser(argparse.ArgumentParser):

@@ -200,17 +200,20 @@ def _recurrence_coeffs(L):
     return a, b
 
 
-def _legendre_rows(L, t):
+def _legendre_rows(L, t, s=None):
     """Yield Q_{l,m}(t) for l = 0, 1, ..., L, one degree at a time.
 
     Each yielded array has shape (L+1, len(t)) and is indexed by order m;
-    entries with m > l are zero.  The degree recurrence keeps three rows,
+    entries with m > l are zero.  ``s`` holds the sines of the colatitudes,
+    sqrt(1 - t^2) when not given; near a pole that loses digits, so a
+    caller that knows the sines to full relative precision passes them.
+    The degree recurrence keeps three rows,
     vectorized over order and evaluation points, so memory stays
     proportional to (L+1) x len(t).  The yielded array is a work buffer that
     the recurrence overwrites in the next two degrees: copy it to keep it.
     """
     t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t)) if s is None else np.asarray(s, dtype=float)
     a, b = _recurrence_coeffs(L)
     prev = np.zeros((L + 1, t.size))  # Q_{l-1, m}
     cur = np.zeros((L + 1, t.size))   # Q_{l, m}

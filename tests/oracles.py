@@ -29,17 +29,17 @@ from zonotools import cli, harmonics, sphere, transforms, zonoid
 from zonotools.convex import support
 
 
-def _synthesize_on(Ac, As, t, phi):
+def _synthesize_on(Ac, As, t, sine, phi):
     """Evaluate S expansions, each at its own n points, by the Legendre
     recurrence at every point: the off-grid point synthesis.
 
     ``Ac``, ``As`` are the split-order tables of the expansions, shape
-    (S, L+1, L+1); ``t`` and ``phi`` hold cos(colatitude) and longitude of
-    S * n points grouped per expansion, expansion s owning points
-    s*n ... s*n + n - 1.  A degree whose coefficients are zero in every
-    expansion is not accumulated, and the orders are summed row by row in
-    increasing m, so a point's value does not depend on S, on n or on the
-    other points.  O(L^2) per point.
+    (S, L+1, L+1); ``t``, ``sine`` and ``phi`` hold cos(colatitude),
+    sin(colatitude) and longitude of S * n points grouped per expansion,
+    expansion s owning points s*n ... s*n + n - 1.  A degree whose
+    coefficients are zero in every expansion is not accumulated, and the
+    orders are summed row by row in increasing m, so a point's value does
+    not depend on S, on n or on the other points.  O(L^2) per point.
     """
     S, L = Ac.shape[0], Ac.shape[1] - 1
     n = t.size // S
@@ -47,7 +47,7 @@ def _synthesize_on(Ac, As, t, phi):
     Bc = np.zeros((L + 1, S, n))
     Bs = np.zeros((L + 1, S, n))
     work = np.empty((L + 1, S, n))
-    for l, row in enumerate(harmonics._legendre_rows(L, t)):
+    for l, row in enumerate(harmonics._legendre_rows(L, t, sine)):
         if not live[l]:
             continue
         k = l + 1
@@ -73,6 +73,10 @@ def _synthesize_on(Ac, As, t, phi):
 def synthesize_points(coeffs, points, chunk=2048):
     """Evaluate the expansion at arbitrary unit vectors, ``chunk`` points
     per call of ``_synthesize_on``; one vector of shape (3,) gives a float.
+    The colatitude is read as atan2(hypot(x, y), z), which keeps its sine
+    to full relative precision at a point near a pole, where the sine
+    sqrt(1 - z^2) of the rounded z would be off by up to 1e-16 / sin and
+    move the point by that much.
     Checks every off-grid value of the package: ``transforms.circle_samples``
     and ``harmonics.rotate_rows``, and the grid synthesis at grid nodes."""
     points = np.asarray(points, dtype=float)
@@ -83,8 +87,8 @@ def synthesize_points(coeffs, points, chunk=2048):
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], chunk):
         p = pts[start : start + chunk]
-        t, phi = np.clip(p[:, 2], -1.0, 1.0), np.arctan2(p[:, 1], p[:, 0])
-        out[start : start + chunk] = _synthesize_on(Ac, As, t, phi)
+        theta, phi = np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2]), np.arctan2(p[:, 1], p[:, 0])
+        out[start : start + chunk] = _synthesize_on(Ac, As, np.cos(theta), np.sin(theta), phi)
     return float(out[0]) if single else out
 
 

@@ -3,13 +3,16 @@
 
 Criteria 1 and 2 are computed here.  Criteria 3-10 are the rows of the
 default `verify --suite all` and `counterexample` reports, each pinned
-with its tolerance in PINNED, so a tolerance loosened anywhere fails.
+with its tolerance and the direction of its bound in PINNED, so a
+tolerance loosened or a bound flipped anywhere fails.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,41 +23,41 @@ from zonotools import cli, harmonics, transforms, zonoid
 import oracles
 from conftest import random_density, random_unit
 
-#: test_id -> (criterion, tolerance) for every row the two reports carry.
+#: test_id -> (criterion, tolerance, bound) for every row the two reports carry.
 PINNED = {
-    "sr-l1-preserved": (3, 1e-10),
-    "sr-l2-contraction": (3, 1e-12),
-    "sr-l3-contraction": (3, 1e-12),
-    "sr-jensen-pointwise": (3, 1e-12),
-    "sr-slicing-identity-constant": (3, 1e-12),
-    "sr-slicing-identity-general": (3, 1e-6),
-    "sr-idempotent-bitwise": (3, 0.5),
-    "sr-rotation-average-converges": (3, 1e-6),
-    "isotropy-gap-equivalence": (4, 0.5),
-    "gap-equals-circle-fourier-mass": (4, 1e-6),
-    "counterexample-isotropy-on-cap": (5, 1e-5),
-    "counterexample-funk-gap": (5, 5e-3),
-    "counterexample-nonconstancy": (5, 0.1),
-    "rigidity-ball-affine": (6, 1e-10),
-    "rigidity-ball-funk": (6, 1e-10),
-    "rigidity-counterexample-affine": (6, 1e-4),
-    "rigidity-counterexample-funk": (6, 1e-4),
-    "rigidity-even-density-zero-drift": (6, 1e-6),
-    "rigidity-negative-control": (6, 1e-4),
-    "newton-nonnegative-gap": (7, -1e-10),
-    "newton-ball-equality": (7, 1e-10),
-    "newton-random-strict": (7, 0.5),
-    "af-inequality-random-pairs": (7, -1e-9),
-    "af-equality-flags-ball-only": (7, 0.5),
-    "af-ball-pair-equality": (7, 1e-9),
-    "minkowski-roundtrip-bands": (8, 1e-6),
-    "minkowski-no-mass-outside": (8, 1e-8),
-    "minkowski-solution-is-lens": (8, 1e-6),
-    "umbilic-ball-fit": (9, 1e-10),
-    "umbilic-counterexample-zonoid": (9, 1e-4),
-    "umbilic-spherocylinder-fit-fails": (9, 1e-2),
-    "lens-smooth-pieces-equal-curvatures": (10, 0.5),
-    "lens-radii-split-on-fan": (10, 0.5),
+    "sr-l1-preserved": (3, 1e-10, "upper"),
+    "sr-l2-contraction": (3, 1e-12, "upper"),
+    "sr-l3-contraction": (3, 1e-12, "upper"),
+    "sr-jensen-pointwise": (3, 1e-12, "upper"),
+    "sr-slicing-identity-constant": (3, 1e-12, "upper"),
+    "sr-slicing-identity-general": (3, 1e-6, "upper"),
+    "sr-idempotent-bitwise": (3, 0.5, "upper"),
+    "sr-rotation-average-converges": (3, 1e-6, "upper"),
+    "isotropy-gap-equivalence": (4, 0.5, "upper"),
+    "gap-equals-circle-fourier-mass": (4, 1e-6, "upper"),
+    "counterexample-isotropy-on-cap": (5, 1e-5, "upper"),
+    "counterexample-funk-gap": (5, 5e-3, "upper"),
+    "counterexample-nonconstancy": (5, 0.1, "lower"),
+    "rigidity-ball-affine": (6, 1e-10, "upper"),
+    "rigidity-ball-funk": (6, 1e-10, "upper"),
+    "rigidity-counterexample-affine": (6, 1e-4, "upper"),
+    "rigidity-counterexample-funk": (6, 1e-4, "upper"),
+    "rigidity-even-density-zero-drift": (6, 1e-6, "upper"),
+    "rigidity-negative-control": (6, 1e-4, "lower"),
+    "newton-nonnegative-gap": (7, -1e-10, "lower"),
+    "newton-ball-equality": (7, 1e-10, "upper"),
+    "newton-random-strict": (7, 0.5, "upper"),
+    "af-inequality-random-pairs": (7, -1e-9, "lower"),
+    "af-equality-flags-ball-only": (7, 0.5, "upper"),
+    "af-ball-pair-equality": (7, 1e-9, "upper"),
+    "minkowski-roundtrip-bands": (8, 1e-6, "upper"),
+    "minkowski-no-mass-outside": (8, 1e-8, "upper"),
+    "minkowski-solution-is-lens": (8, 1e-6, "upper"),
+    "umbilic-ball-fit": (9, 1e-10, "upper"),
+    "umbilic-counterexample-zonoid": (9, 1e-4, "upper"),
+    "umbilic-spherocylinder-fit-fails": (9, 1e-2, "lower"),
+    "lens-smooth-pieces-equal-curvatures": (10, 0.5, "upper"),
+    "lens-radii-split-on-fan": (10, 0.5, "lower"),
 }
 
 
@@ -146,13 +149,13 @@ def gate(tmp_path_factory):
 def check_criterion(gate, criterion, ids=None):
     """Check the pinned rows of one criterion, or only those named in ids."""
     rows = {row["test_id"]: row for row in gate["rows"]}
-    for test_id, (crit, pinned) in PINNED.items():
+    for test_id, (crit, pinned, bound) in PINNED.items():
         if crit == criterion and (ids is None or test_id in ids):
             row = rows[test_id]
             metric = math.nan if row["metric"] is None else row["metric"]
-            same = row["tolerance"] == pinned
+            same = row["tolerance"] == pinned and row["bound"] == bound
             report(f"criterion-{crit} {test_id}", metric, row["tolerance"], row["pass"] and same,
-                   "" if same else f"(pinned at {pinned:.1e})")
+                   f"({row['bound']})" if same else f"(pinned at {pinned:.1e}, {bound})")
 
 
 class TestCriterion3Symmetrization:
@@ -205,3 +208,15 @@ class TestCriterion10LensFixture:
 def test_every_reported_row_is_pinned(gate):
     # a row that disappears fails, and so does a new row with no pin
     assert sorted(row["test_id"] for row in gate["rows"]) == sorted(PINNED)
+
+
+def test_lower_bound_rows_match_the_benchmarks_copy(gate):
+    # bench/oracles.margin reads the rows whose positive tolerance is a
+    # lower bound from its own LOWER_BOUND_ROWS; it must name exactly the
+    # rows that state that bound
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "oracles.py")
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    bench_oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_oracles)
+    lower = {row["test_id"] for row in gate["rows"] if row["bound"] == "lower" and row["tolerance"] > 0}
+    assert lower == bench_oracles.LOWER_BOUND_ROWS

@@ -53,11 +53,46 @@ class TestConfig:
             cli.TOLERANCES["funk_residual"] = 1.0
         assert cli.TOLERANCES["funk_residual"] == 1e-4
 
+    @pytest.mark.parametrize("value", ["64", "64,abc", "64,128,1"])
+    @pytest.mark.parametrize("as_flag", [True, False])
+    def test_malformed_grid_names_the_key(self, tmp_path, value, as_flag):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("" if as_flag else f"grid={value}\n")
+        flags = ["--grid", value] if as_flag else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), *flags,
+                             "verify", "--suite", "newton"])
+        assert code == 3
+        assert err.getvalue().count("\n") == 1
+        assert "grid must be n_theta,n_phi" in err.getvalue()
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("grid 16,32\n")
         with pytest.raises(cli.ConfigError, match="key=value"):
             cli.parse_config_file(path)
+
+
+class TestRowVerdict:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from(["upper", "lower"]), st.booleans())
+    def test_finite_metric_passes_strictly_inside_its_bound(self, metric, tolerance, bound, at_bound):
+        metric = tolerance if at_bound else metric
+        row = cli._row("t", "a", metric, tolerance, bound)
+        assert row["pass"] is (metric < tolerance if bound == "upper" else metric > tolerance)
+        assert (row["metric"], row["tolerance"], row["bound"]) == (metric, tolerance, bound)
+        assert "reason" not in row
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from(["upper", "lower"]), st.sampled_from([None, "undefined here"]))
+    def test_non_finite_metric_fails_and_is_null(self, metric, tolerance, bound, reason):
+        row = cli._row("t", "a", metric, tolerance, bound, reason=reason)
+        assert row["pass"] is False and row["metric"] is None
+        assert row["reason"] == (reason or f"metric is {metric}")
+        json.dumps(row, allow_nan=False)
 
 
 class TestTransformCommand:
@@ -141,7 +176,7 @@ class TestVerifyCommand:
         assert report["version"]
         assert report["config_echo"]["grid"] == [64, 128]
         assert set(report["config_echo"]) == CONFIG_KEYS - {"out"}
-        assert all(set(row) == {"test_id", "paper_anchor", "metric", "tolerance", "pass"}
+        assert all(set(row) == {"test_id", "paper_anchor", "metric", "tolerance", "bound", "pass"}
                    for row in report["results"])
         assert all(row["pass"] for row in report["results"])
 

@@ -240,6 +240,7 @@ class TestSectionIsotropy:
 @example(L=48, m=97, S=2, pole=None, seed=3)  # 2L + 2 >= m: the orders alias
 @example(L=48, m=256, S=4, pole=1.0, seed=4)
 @example(L=48, m=64, S=4, pole=-1.0, seed=5)
+@example(L=28, m=8, S=4, pole=None, seed=0)  # a node 8e-4 from the pole
 def test_circle_samples_match_point_synthesis(L, m, S, pole, seed):
     """circle_samples is within 1e-12 max|g| of the oracle synthesize_points
     at the great_circle(u, m) nodes, and gives a circle bitwise the same
