@@ -17,6 +17,7 @@ from zonotools.convex.support import (
 from zonotools.convex.revolution import (
     RevolutionBody,
     ZonalMeasure,
+    cap_measure_errors,
     minkowski_solve_revolution,
     prescribed_cap_measure,
     surface_area_measure_zonal,
@@ -29,6 +30,7 @@ __all__ = [
     "UmbilicReport",
     "ZonalMeasure",
     "boundary_points_grid",
+    "cap_measure_errors",
     "fit_sphere",
     "fixtures",
     "mixed_area_density_grid",

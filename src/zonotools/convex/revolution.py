@@ -401,19 +401,29 @@ def minkowski_solve_revolution(mu, source, cap, rel_tol=1e-6, outside_tol=1e-8):
     )
     solved = RevolutionBody(rho=rho, z=np.maximum(z, 0.0), slopes=slopes)
 
-    got = surface_area_measure_zonal(solved, mu.edges)
-    inside = (mu.edges[:-1] >= a) | (mu.edges[1:] <= -a)
-    scale = max(float(np.max(mu.masses[inside], initial=0.0)), 1e-30)
-    band_err = float(np.max(np.abs(got.masses[inside] - mu.masses[inside]))) / scale
-    outside = got.total_mass() - got.mass_in(a, 1.0) - got.mass_in(-1.0, -a)
+    band_err, outside_rel = cap_measure_errors(solved, mu, a)
     if band_err > rel_tol:
         raise ValueError(
             f"solved body misses the prescribed cap bands: relative error "
             f"{band_err:.3e} exceeds {rel_tol:.0e}"
         )
-    if abs(outside) > outside_tol * scale:
+    if outside_rel > outside_tol:
         raise ValueError(
-            f"solved body carries {outside:.3e} mass outside the cap pair, "
-            f"above {outside_tol:.0e} of the largest band mass {scale:.3e}"
+            f"solved body carries {outside_rel:.3e} of the largest band mass "
+            f"outside the cap pair, above {outside_tol:.0e}"
         )
     return solved
+
+
+def cap_measure_errors(body, mu, height):
+    """How far the body's surface area measure is from the cap-restricted
+    measure ``mu`` on the cap pair |t| >= height: the largest error of the
+    bands over the cap pair and the absolute mass outside it, both relative
+    to the largest prescribed band mass there, so that neither depends on
+    the body's scale.  Returns (band_err, outside_rel)."""
+    got = surface_area_measure_zonal(body, mu.edges)
+    inside = (mu.edges[:-1] >= height) | (mu.edges[1:] <= -height)
+    scale = max(float(np.max(mu.masses[inside], initial=0.0)), 1e-30)
+    band_err = float(np.max(np.abs(got.masses[inside] - mu.masses[inside]))) / scale
+    outside = got.total_mass() - got.mass_in(height, 1.0) - got.mass_in(-1.0, -height)
+    return band_err, abs(outside) / scale

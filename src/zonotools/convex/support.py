@@ -31,31 +31,6 @@ def _eigs_2x2(q11, q22, q12):
     return mean - disc, mean + disc
 
 
-def _derivative_fields(coeffs, grid):
-    """h and its theta and phi partials at all grid nodes, ring-separable.
-
-    Returns (h, ht, hp) as flat node arrays.
-    """
-    L = coeffs.L
-    Ac, As = coeffs.split_orders()
-    P, dP, _ = harmonics.ring_theta_tables(L, grid.cos_theta)
-    cosm, sinm = harmonics.grid_phi_tables(L, grid)
-    ms = np.arange(L + 1)
-
-    def contract(theta_table):
-        """(ring, m) cos and sin coefficient tables of one theta table."""
-        return (
-            np.einsum("lmr,lm->mr", theta_table, Ac).T,
-            np.einsum("lmr,lm->mr", theta_table, As).T,
-        )
-
-    (Pc, Ps), (dPc, dPs) = contract(P), contract(dP)
-    h = Pc @ cosm + Ps @ sinm
-    ht = dPc @ cosm + dPs @ sinm
-    hp = (Ps * ms) @ cosm - (Pc * ms) @ sinm
-    return tuple(V.reshape(-1) for V in (h, ht, hp))
-
-
 def radii_grid(coeffs, grid):
     """Radii-matrix components at every grid node.
 
@@ -84,8 +59,13 @@ def radii_grid(coeffs, grid):
 
 
 def boundary_points_grid(coeffs, grid):
-    """Gradient of the extended support function at every grid node."""
-    h, ht, hp = _derivative_fields(coeffs, grid)
+    """Gradient of the extended support function at every grid node, from
+    h and its theta and phi partials on the grid's rings
+    (``harmonics.ring_samples``, unrotated)."""
+    h, ht, hp = (
+        V.reshape(-1)
+        for V in harmonics.ring_samples(coeffs.c, None, grid.cos_theta, grid.n_phi, derivatives=True)
+    )
     st = np.repeat(np.sqrt(1.0 - grid.cos_theta**2), grid.n_phi)
     ct = np.repeat(grid.cos_theta, grid.n_phi)
     phi = np.tile(grid.phi, grid.n_theta)

@@ -685,6 +685,56 @@ def rotate_rows(C, frames):
     return out[0] if single else out
 
 
+def ring_samples(C, frames, t, m, derivatives=False):
+    """Expansion s at m equispaced longitudes on rings of its own frame.
+
+    ``C`` holds S coefficient rows, shape (S, (L+1)^2), ``frames`` S proper
+    rotations, shape (S, 3, 3), or None for none, and ``t`` the (R,) ring
+    cosines; returns the (S, R, m) samples of row s at the points
+    frames[s] @ (sin θ cos φ, sin θ sin φ, t), φ = 2 pi j / m, or with
+    ``derivatives`` the three arrays (h, ∂θh, ∂φh) in that frame.
+
+    Each row is turned by ``rotate_rows``.  On the ring cos θ = t a band-L
+    expansion is sum_k a_k cos(k φ) + b_k sin(k φ), k <= L, with a_k and b_k
+    the coefficients of orders k and -k times Q_{l,k}(t) (and sqrt(2) for
+    k > 0) summed over degree; ∂θ reads Q' of ``ring_theta_tables``, which
+    rejects the poles, in place of Q, and ∂φ multiplies order k by ik.
+    The samples are the inverse rfft of length m of the spectrum
+    (a_k - i b_k) / 2, each order k, the negative ones too, added into bin
+    k mod m: zero padding when 2L < m, aliasing otherwise.  A row's samples
+    are bitwise the same alone or in any stack.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or not np.all(np.abs(t) <= 1.0):  # a NaN fails the test too
+        raise ValueError(f"ring cosines must be a finite 1-D array in [-1, 1], got {t!r}")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"ring longitude count must be a positive integer, got {m!r}")
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    rotated = C if frames is None else rotate_rows(C, frames)
+    L = _rows_band_limit(rotated)
+    tables = ring_theta_tables(L, t)[:2] if derivatives else (_normalized_legendre(L, t),)
+    weight = np.stack(tables)  # [table, l, k, ring]
+    weight[:, :, 1:] *= math.sqrt(2.0)
+    weight = weight.transpose(1, 0, 3, 2)  # [l, table, ring, k]
+    re, im = np.zeros((2, len(C), len(tables), t.size, L + 1))
+    for l in range(L + 1):
+        block = rotated[:, None, None, l * l : (l + 1) * (l + 1)]
+        re[..., : l + 1] += block[..., l:] * weight[l, :, :, : l + 1]
+        im[..., 1 : l + 1] -= block[..., l - 1 :: -1] * weight[l, :, :, 1 : l + 1]
+    orders = np.empty(re.shape, dtype=complex)
+    orders.real, orders.imag = re, im
+    orders[..., 1:] *= 0.5
+    if derivatives:
+        orders = np.concatenate([orders, orders[:, :1] * (1j * np.arange(L + 1))], axis=1)
+    k = np.arange(-L, L + 1)
+    two_sided = np.concatenate([orders[..., :0:-1].conj(), orders], axis=-1)
+    keep = k % m <= m // 2
+    spec = np.zeros(orders.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    np.add.at(spec, (..., (k % m)[keep]), two_sided[..., keep])
+    out = np.fft.irfft(spec, n=m, norm="forward")
+    return (out[:, 0], out[:, 1], out[:, 2]) if derivatives else out[:, 0]
+
+
 # ----------------------------------------------------------------------
 # Transform multipliers
 # ----------------------------------------------------------------------
@@ -736,13 +786,15 @@ def _require_even(coeffs, what):
         )
 
 
-def _spectral_inverse(coeffs, kernel, what):
+def inverse_cosine_transform(coeffs):
+    """Solve C(w) = G for w coefficientwise (even, band-limited G)."""
+    what = "inverse cosine transform"
     _require_even(coeffs, what)
     if coeffs.L > INVERSION_MAX_DEGREE:
         raise ValueError(
             f"{what} limited to band {INVERSION_MAX_DEGREE}, got {coeffs.L}"
         )
-    lam = multiplier_table(kernel, coeffs.L)
+    lam = multiplier_table("cosine", coeffs.L)
     for l in range(0, coeffs.L + 1, 2):
         if abs(lam[l]) <= MULTIPLIER_FLOOR:
             raise ValueError(
@@ -754,11 +806,6 @@ def _spectral_inverse(coeffs, kernel, what):
     c = np.zeros_like(coeffs.c)
     c[even] = coeffs.c[even] / lam[degrees[even]]
     return HarmonicCoeffs(L=coeffs.L, c=c)
-
-
-def inverse_cosine_transform(coeffs):
-    """Solve C(w) = G for w coefficientwise (even, band-limited G)."""
-    return _spectral_inverse(coeffs, "cosine", "inverse cosine transform")
 
 
 # ----------------------------------------------------------------------

@@ -102,42 +102,12 @@ def circle_samples(C, normals, m):
     samples.  One row of shape ((L+1)^2,) with one normal of shape (3,)
     gives (m,).
 
-    Row s is rotated by the circle's frame (eps1, eps2, normal) of
-    ``sphere.tangent_basis`` (``harmonics.rotate_rows``), which sends
-    e_x, e_y, e_z to them, so the circle's node at angle a becomes
-    longitude a on the equator.  There a band-L expansion is the
-    trigonometric polynomial sum_k a_k cos(k a) + b_k sin(k a) of degree
-    <= L, with a_k and b_k the rotated coefficients of orders k and -k
-    times Q_{l,k}(0) (and sqrt(2) for k > 0), summed over degree.  The m
-    samples are the inverse rfft of length m of its spectrum
-    (a_k - i b_k) / 2 (a_0 at order 0), each order k, the negative ones
-    too, added into bin k mod m: the zero padding of the orders above L
-    when 2L < m, the aliasing of the samples otherwise.  A circle's
-    samples are bitwise the same alone or in any stack.
-    """
-    normals = np.asarray(normals, dtype=float)
-    single = normals.ndim == 1
-    if single:
-        C, normals = C[None], normals[None]
-    circle = sphere.great_circle(normals, m)
-    rotated = harmonics.rotate_rows(C, np.stack([circle.eps1, circle.eps2, normals], axis=-1))
-    L = harmonics._rows_band_limit(rotated)
-    # the values on the equator of the harmonics of orders k and -k
-    weight = harmonics._normalized_legendre(L, np.zeros(1))[:, :, 0]
-    weight[:, 1:] *= math.sqrt(2.0)
-    orders = np.zeros((len(rotated), L + 1), dtype=complex)
-    for l in range(L + 1):
-        block = rotated[:, l * l : (l + 1) * (l + 1)]
-        orders[:, : l + 1].real += block[:, l:] * weight[l, : l + 1]
-        orders[:, 1 : l + 1].imag -= block[:, l - 1 :: -1] * weight[l, 1 : l + 1]
-    orders[:, 1:] *= 0.5
-    k = np.arange(-L, L + 1)
-    two_sided = np.concatenate([orders[:, :0:-1].conj(), orders], axis=1)
-    keep = k % m <= m // 2
-    spec = np.zeros((len(orders), m // 2 + 1), dtype=complex)
-    np.add.at(spec, (slice(None), (k % m)[keep]), two_sided[:, keep])
-    out = np.fft.irfft(spec, n=m, norm="forward")
-    return out[0] if single else out
+    The circle is the ring t = 0 of ``harmonics.ring_samples`` in the frame
+    (eps1, eps2, normal) of ``sphere.tangent_basis``, where its node at
+    angle a sits at longitude a."""
+    circle = sphere.great_circle(np.asarray(normals, dtype=float), m)
+    out = harmonics.ring_samples(C, np.stack([circle.eps1, circle.eps2, circle.normal], axis=-1), [0.0], m)[:, 0]
+    return out[0] if circle.normal.ndim == 1 else out
 
 
 @lru_cache(maxsize=CIRCLE_TABLE_CACHE_SIZE)

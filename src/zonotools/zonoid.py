@@ -232,11 +232,12 @@ def _orbit_fold(grid, reflections=()):
     the node kept for the orbit (the nodes with rep equal to their own
     index), and the size of the orbit a node represents (meaningful on the
     kept nodes).  With no reflection every orbit is an antipodal pair.
+    The generators are commuting involutions, so a running minimum over
+    each node and its image under each in turn is the orbit's minimum.
     """
-    images = [np.arange(grid.n_nodes)]
+    rep = np.arange(grid.n_nodes)
     for g in [grid.antipode_index()] + [grid.reflection_index(a) for a in reflections]:
-        images += [g[p] for p in images]
-    rep = np.min(images, axis=0)
+        np.minimum(rep, rep[g], out=rep)
     return rep, np.bincount(rep, minlength=grid.n_nodes)
 
 

@@ -15,8 +15,9 @@ FFT, the radii matrix, boundary point and area densities at one direction from
 derivatives along great circles, the Laplacian route to the first area
 density, an ellipsoid's radii from the shape operator of its implicit
 surface, the grid CSV written node by node, the coefficient CSV written
-coefficient by coefficient, and the plateau design's QR
-folds by ``np.linalg.qr`` on a copy of the gathered rows.  None of them
+coefficient by coefficient, the plateau design's QR
+folds by ``np.linalg.qr`` on a copy of the gathered rows, and the design's
+orbit fold from the stacked images of the whole group.  None of them
 is reached from the package.
 """
 
@@ -216,10 +217,15 @@ def cosine_multiplier_gauss(l):
 
 
 def inverse_funk_transform(coeffs):
-    """Solve R(w) = G for w coefficientwise (even, band-limited G); its
-    round trip checks the Funk multipliers (``harmonics.apply_multipliers``
-    with ``multiplier_table("funk", L)``)."""
-    return harmonics._spectral_inverse(coeffs, "funk", "inverse Funk transform")
+    """Solve R(w) = G for w coefficientwise (even, band-limited G), one
+    degree at a time; its round trip checks the Funk multipliers
+    (``harmonics.apply_multipliers`` with ``multiplier_table("funk", L)``)."""
+    harmonics._require_even(coeffs, "inverse Funk transform")
+    lam = harmonics.multiplier_table("funk", coeffs.L)
+    out = harmonics.HarmonicCoeffs.zeros(coeffs.L)
+    for l in range(0, coeffs.L + 1, 2):
+        out.degree_slice(l)[:] = coeffs.degree_slice(l) / lam[l]
+    return out
 
 
 def laplacian_spectral(coeffs):
@@ -314,7 +320,8 @@ def pav_decreasing_by_weight(y, w):
 def derivative_fields_per_field(coeffs, grid):
     """h and its partials (h, ht, htt, hp, hpp, htp) on the grid, with the
     theta table contracted with the coefficients anew for each partial;
-    h, ht and hp are what ``convex.support._derivative_fields`` returns."""
+    h, ht and hp are what ``harmonics.ring_samples`` gives, unrotated, on
+    the grid's rings with ``derivatives=True``."""
     L = coeffs.L
     Ac, As = coeffs.split_orders()
     P, dP, d2P = harmonics.ring_theta_tables(L, grid.cos_theta)
@@ -665,3 +672,14 @@ def design_residuals_grid_synthesis(G, grid, nodes, target):
         float(np.max(np.abs(harmonics.synthesize_grid(c, grid)[nodes] - target)))
         for c in (G, G_funk)
     )
+
+
+def orbit_fold_by_group(grid, reflections=()):
+    """``zonoid._orbit_fold`` from the whole group: the images of every node
+    under each element, each new generator composed with all the elements
+    so far, stacked and reduced by one minimum over the stack."""
+    images = [np.arange(grid.n_nodes)]
+    for g in [grid.antipode_index()] + [grid.reflection_index(a) for a in reflections]:
+        images += [g[p] for p in images]
+    rep = np.min(images, axis=0)
+    return rep, np.bincount(rep, minlength=grid.n_nodes)

@@ -168,6 +168,10 @@ class TestVerifyCommand:
     def test_unknown_suite(self):
         r = run_cli("verify", "--suite", "nope")
         assert r.returncode == 3
+        assert r.stderr.endswith(
+            "unknown suite 'nope'; choose from newton, af, sr, isotropy-gap, rigidity, "
+            "minkowski-rev, umbilic, all\n"
+        )
 
     def test_sr_suite_passes_and_reports(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "verify", "--suite", "sr")

@@ -70,11 +70,17 @@ class TestRadii:
 
     @pytest.mark.parametrize("L", [6, 8, 24, 48])
     def test_derivative_fields_match_per_field_contraction(self, grid, L):
+        """The unrotated ring route's h, ∂θh and ∂φh on the grid's rings, which
+        boundary_points_grid reads, against the per-field contraction; the
+        two sum in different orders, and at band 48 the partials differ by
+        about 3e-13 of max|h|."""
         c = harmonics.HarmonicCoeffs.zeros(L)
         c.c = np.random.default_rng(L).normal(size=c.c.size)
-        got = convex.support._derivative_fields(c, grid)
+        got = harmonics.ring_samples(c.c, None, grid.cos_theta, grid.n_phi, derivatives=True)
         h, ht, _, hp, _, _ = oracles.derivative_fields_per_field(c, grid)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in (h, ht, hp)]
+        for a, b in zip(got, (h, ht, hp)):
+            assert a.shape == (1, grid.n_theta, grid.n_phi)
+            assert np.max(np.abs(a.reshape(-1) - b)) <= 1e-12 * np.max(np.abs(h))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -683,6 +683,78 @@ class TestRotation:
         assert sum(t.nbytes for t in harmonics._quarter_turns(48)) == 8 * 49 * 97 * 99 // 3
 
 
+class TestRingSamples:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        L=st.integers(0, 24),
+        shape=st.tuples(st.integers(2, 12), st.integers(4, 40)),
+        kind=FRAME_KINDS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(L=24, shape=(11, 17), kind="polar", seed=0)  # 2L + 1 > m: the orders alias
+    def test_rotated_rings_match_rotated_expansion(self, L, shape, kind, seed):
+        """On a grid's rings in a frame R, the samples are the expansion at
+        R @ (ring point) by point synthesis, and h, ∂θh and ∂φh are the
+        per-field contraction of the expansion turned by sampling and
+        analysis; that route is off by up to 2e-13 |c|_2 by itself, so the
+        partials are compared on the scale of |c|_2."""
+        rng = np.random.default_rng(seed)
+        grid = sphere.build_grid(*shape)
+        c = harmonics.HarmonicCoeffs(L=L, c=rng.normal(size=(L + 1) ** 2))
+        R = _frame(kind, seed)
+        got = harmonics.ring_samples(c.c, R[None], grid.cos_theta, grid.n_phi, derivatives=True)
+        points = grid.nodes @ R.T
+        ref = oracles.synthesize_points(c, points)
+        assert np.max(np.abs(got[0].reshape(-1) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        h, ht, _, hp, _, _ = oracles.derivative_fields_per_field(oracles.rotate_by_sampling(c, R), grid)
+        for a, b in zip(got, (h, ht, hp)):
+            assert np.max(np.abs(a.reshape(-1) - b)) <= 2e-12 * np.linalg.norm(c.c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        L=st.integers(0, 30),
+        S=st.integers(1, 6),
+        t=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=4),
+        m=st.sampled_from([1, 5, 8, 64, 97]),
+        derivatives=st.booleans(),
+        rotated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_bitwise_alone_and_in_any_stack(self, L, S, t, m, derivatives, rotated, seed):
+        rng = np.random.default_rng(seed)
+        C = rng.normal(size=(S, (L + 1) ** 2))
+        C[rng.random(S) < 0.5, 1:4] = 0.0  # degree 1 zero in some rows
+        frames = np.stack([_frame(["random", "polar", "exact pole"][s % 3], seed + s) for s in range(S)])
+
+        def fields(a, b):
+            """Rows a..b-1 as one (fields, b - a, len(t), m) array."""
+            out = harmonics.ring_samples(C[a:b], frames[a:b] if rotated else None, t, m, derivatives)
+            return np.stack(out) if derivatives else out[None]
+
+        got = fields(0, S)
+        assert got.shape == (3 if derivatives else 1, S, len(t), m)
+        for s in range(S):
+            assert fields(s, s + 1).tobytes() == got[:, s : s + 1].tobytes()
+        a = int(rng.integers(0, S))
+        b = int(rng.integers(a + 1, S + 1))
+        assert fields(a, b).tobytes() == got[:, a:b].tobytes()
+
+    def test_inputs_are_checked(self):
+        c = np.ones(9)
+        for t in ([np.nan], [1.5], [-np.inf], [[0.0]]):
+            with pytest.raises(ValueError, match="ring cosines"):
+                harmonics.ring_samples(c, None, t, 8)
+        for m in (0, -3, 2.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                harmonics.ring_samples(c, None, [0.0], m)
+        for pole in (1.0, -1.0):
+            with pytest.raises(ValueError, match="pole"):
+                harmonics.ring_samples(c, None, [0.3, pole], 8, derivatives=True)
+            # the samples alone are defined there: the expansion at +-e_z
+            at_pole = harmonics.ring_samples(c, None, [pole], 8)
+            assert np.allclose(at_pole, oracles.synthesize_points(harmonics.HarmonicCoeffs(L=2, c=c), np.array([0.0, 0.0, pole])))
+
+
 def _skewed():
     """A frame whose first two columns are 1e-9 from orthogonal."""
     R = np.eye(3)

@@ -158,6 +158,9 @@ class TestScaleFree:
         assert np.max(np.abs(got.masses[inside] - mu.masses[inside])) <= tols["mink_band"] * scale
         outside = got.total_mass() - got.mass_in(cap.height, 1.0) - got.mass_in(-1.0, -cap.height)
         assert abs(outside) <= tols["mink_outside"] * scale
+        # the certificate the solver and the suite's rows read
+        band_err = float(np.max(np.abs(got.masses[inside] - mu.masses[inside]))) / scale
+        assert convex.cap_measure_errors(solved, mu, cap.height) == (band_err, abs(outside) / scale)
         lens = fixtures.Lens(r=r, c=0.5 * r)
         ts = np.linspace(-1.0, 1.0, 81)
         err = np.max(np.abs(solved.support_values(ts) - lens.support(ts)))

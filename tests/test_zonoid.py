@@ -950,6 +950,17 @@ class TestPlateauDesign:
         if not reflections:
             assert np.array_equal(keep, np.arange(grid.n_nodes) < grid.antipode_index())
 
+    @pytest.mark.parametrize("shape", [(32, 64), (128, 256), (7, 10)])
+    @pytest.mark.parametrize("reflections", [(), ("y",), ("x",), ("x", "y")])
+    def test_running_minimum_is_the_whole_group_fold(self, shape, reflections):
+        """The running minimum over the generators gives bitwise the orbit
+        representatives and sizes of the whole group's stacked images."""
+        grid = sphere.build_grid(*shape)
+        got = zonoid._orbit_fold(grid, reflections)
+        ref = oracles.orbit_fold_by_group(grid, reflections)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_default_build_health(self, counterexample):
         # the default caps are fixed by both coordinate reflections, so the
         # solved block is the (cos, even m) class of the band-48 even columns
