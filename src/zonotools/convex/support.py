@@ -54,7 +54,7 @@ def radii_grid(coeffs, grid):
     W[:n, L + 1 :] = Bs[:n]
     W[n:, : L + 1] = Bs[n:]
     W[n:, L + 1 :] = -Bc[n:]
-    q11, q22, q12 = (W @ harmonics.grid_phi_stacked(L, grid)).reshape(3, -1)
+    q11, q22, q12 = (W @ harmonics.longitude_table(L, grid.n_phi)).reshape(3, -1)
     return (q11, q22, q12, *_eigs_2x2(q11, q22, q12))
 
 

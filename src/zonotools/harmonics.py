@@ -270,6 +270,13 @@ def zonal_expansions(z, axes):
     return [HarmonicCoeffs(L=L, c=row) for row in c]
 
 
+def _ring_cosines(t):
+    """t, checked to hold ring cosines: finite and in [-1, 1]."""
+    if not np.all(np.abs(t) <= 1.0):  # a NaN fails the test too
+        raise ValueError(f"ring cosines must be finite and in [-1, 1], got {t!r}")
+    return t
+
+
 def _pole_safe_sin(t):
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     if np.any(s < 1e-12):
@@ -277,22 +284,16 @@ def _pole_safe_sin(t):
     return s
 
 
-def _theta_derivatives(L, t, s, P):
-    """dQ/dtheta and d2Q/dtheta2 from Q = P at t = cos theta, s = sin theta.
-
-    The first derivative follows from the degree-lowering relation
+def _theta_derivative(L, t, s, P):
+    """dQ/dtheta from Q = P at t = cos theta, s = sin theta, by the
+    degree-lowering relation
 
         sin(theta) dQ_{l,m}/dtheta = l t Q_{l,m} - s_{l,m} Q_{l-1,m},
-        s_{l,m} = sqrt((2l+1)(l^2-m^2)/(2l-1)),
-
-    and the second from the associated Legendre ODE
-        Q'' = -cot(theta) Q' - (l(l+1) - m^2/sin^2(theta)) Q.
+        s_{l,m} = sqrt((2l+1)(l^2-m^2)/(2l-1)).
 
     Valid away from the poles (all Gauss-Legendre rings qualify).
     """
     dP = np.zeros_like(P)
-    d2P = np.zeros_like(P)
-    cot = t / s
     for l in range(L + 1):
         m = np.arange(0, l + 1)
         slm = np.zeros(l + 1)
@@ -302,25 +303,36 @@ def _theta_derivatives(L, t, s, P):
             )
         low = slm[:, None] * (P[l - 1, : l + 1] if l >= 1 else 0.0)
         dP[l, : l + 1] = (l * t * P[l, : l + 1] - low) / s
-        d2P[l, : l + 1] = (
-            -cot * dP[l, : l + 1]
-            - (l * (l + 1.0) - m[:, None] ** 2 / (s * s)) * P[l, : l + 1]
-        )
-    return dP, d2P
+    return dP
+
+
+def _legendre_ode(l, m, t, s, Q, dQ, out=None):
+    """d2Q/dtheta2 of degrees l and orders m (arrays that broadcast against
+    Q and dQ) from Q and dQ/dtheta at t = cos theta, s = sin theta, by the
+    associated Legendre ODE
+
+        Q'' = -cot(theta) Q' - (l(l+1) - m^2/sin^2(theta)) Q,
+
+    formed in ``out`` when given.  Where m > l, with Q = Q' = 0 there, it
+    gives +0.0."""
+    out = np.multiply(-(t / s), dQ, out=out)
+    out -= (l * (l + 1.0) - m**2 / (s * s)) * Q
+    return out
 
 
 def ring_theta_tables(L, t):
-    """Q_{l,m}(t) at the ring cosines t with its first and second
-    theta-derivatives (``_theta_derivatives``), each of shape
-    (L+1, L+1, len(t)); built afresh on each call and not cached, for a
-    caller that reads them once and drops them.  Every operation is
-    elementwise per ring, so on any subset of a grid's rings the tables are
-    bitwise the whole grid's on those rings, and Q is bitwise the cached
-    ``grid_legendre``.  Rejects the poles."""
-    t = np.asarray(t, dtype=float)
+    """Q_{l,m}(t) at the ring cosines t and its theta-derivative
+    (``_theta_derivative``), each of shape (L+1, L+1, len(t)); built afresh
+    on each call and not cached, for a caller that reads them once and
+    drops them.  A caller that needs the second derivative forms it from
+    these by ``_legendre_ode``.  Every operation is elementwise per ring, so
+    on any subset of a grid's rings the tables are bitwise the whole grid's
+    on those rings, and Q is bitwise the cached ``grid_legendre``.  Rejects
+    cosines outside [-1, 1] and the poles."""
+    t = _ring_cosines(np.asarray(t, dtype=float))
     s = _pole_safe_sin(t)
     P = _normalized_legendre(L, t)
-    return (P, *_theta_derivatives(L, t, s, P))
+    return P, _theta_derivative(L, t, s, P)
 
 
 def _phi_tables(L, phi):
@@ -333,16 +345,19 @@ def _phi_tables(L, phi):
 # Per-grid tables, cached
 # ----------------------------------------------------------------------
 #
-# One store holds three kinds of table per band limit and grid: Q on the
-# rings (grid_legendre), the radii tables E (grid_radii_tables) and the
-# longitude tables (grid_phi_tables, grid_phi_stacked).  The theta
-# derivatives Q' and Q'' are not kept: ring_theta_tables builds them at
-# any ring cosines for each caller that reads them, E's build among them.
+# One store holds three kinds of table per band limit: Q on a set of rings
+# (grid_legendre, and ring_samples by the same key), the radii tables E
+# (grid_radii_tables), both keyed by the ring cosines, and the longitude
+# tables of m equispaced longitudes (longitude_table), keyed by m.  The
+# theta derivative Q' is not kept: ring_theta_tables builds it at any ring
+# cosines for each caller that reads it, E's build among them.
 
 #: Bytes of tables the per-grid store may hold.  Every table that one
 #: command reads more than once fits: Q at band 48 on a 64-ring grid is
-#: 1.23 MB, and a counterexample run holds at most 2.6 MB.  E at band 48 on
-#: 64 rings (3.7 MB), which a command reads once, is over the budget.
+#: 1.23 MB, the longitude table of band 48 at m = 256 0.2 MB, and the
+#: benchmark's counterexample run holds at most 1.74 MB, `verify --suite
+#: all` 2.38 MB.  E at band 48 on 64 rings (3.7 MB), which a command reads
+#: once, is over the budget.
 GRID_TABLE_CACHE_BYTES = 3 * 2**20
 
 #: The per-grid store: (builder, L, key) -> read-only table, least recently
@@ -383,20 +398,22 @@ def _grid_table(build, L, key):
 
 
 def _ring_legendre(L, t_key):
-    return _normalized_legendre(L, np.frombuffer(t_key))
+    return _normalized_legendre(L, _ring_cosines(np.frombuffer(t_key)))
 
 
-def _radii_tables(L, t, P, dP, d2P):
+def _radii_tables(L, t, P, dP):
     """The ring-scaled radii tables of ``grid_radii_tables`` from the theta
-    tables Q, Q', Q'' at ring cosines t, each block formed in place in the
-    table (the E12 block holds cot Q' until E22 has read it)."""
+    tables Q, Q' at ring cosines t, each block formed in place in the
+    table (the E12 block holds cot Q' until E22 has read it); E11 reads Q''
+    from ``_legendre_ode``."""
     s = _pole_safe_sin(t)
     cot = t / s
     m = np.arange(L + 1)[:, None]
     E = np.empty((L + 1, 3, t.size, L + 1))
     E11, E22, E12 = (E[:, k] for k in range(3))
-    P, dP, d2P = (x.transpose(1, 2, 0) for x in (P, dP, d2P))  # [m, ring, l]
-    np.add(d2P, P, out=E11)
+    P, dP = (x.transpose(1, 2, 0) for x in (P, dP))  # [m, ring, l]
+    _legendre_ode(np.arange(L + 1), m[:, :, None], t[:, None], s[:, None], P, dP, out=E11)
+    E11 += P
     np.multiply(P, (1.0 - m * m / (s * s))[:, :, None], out=E22)
     np.multiply(cot[:, None], dP, out=E12)
     E22 += E12
@@ -412,15 +429,17 @@ def _ring_radii_tables(L, t_key):
     return _radii_tables(L, t, *ring_theta_tables(L, t))
 
 
-def _longitude_tables(L, phi_key):
-    return np.vstack(_phi_tables(L, np.frombuffer(phi_key)))
+def _longitude_tables(L, m):
+    """[cos(k phi); sin(k phi)], k = 0..L, at the m longitudes
+    phi = 2 pi j / m of ``sphere.build_grid``, shape (2(L+1), m)."""
+    return np.vstack(_phi_tables(L, 2.0 * np.pi * np.arange(m) / m))
 
 
 def grid_legendre(L, grid):
     """Q_{l,m}(cos theta) on the grid's rings, shape (L+1, L+1, n_theta).
 
-    Cached per band limit and ring colatitudes (``_grid_table``); the array
-    is read-only.
+    Cached per band limit and ring cosines (``_grid_table``), the key that
+    ``ring_samples`` reads it by; the array is read-only.
     """
     return _grid_table(_ring_legendre, L, _table_key(grid.cos_theta))
 
@@ -444,19 +463,12 @@ def grid_radii_tables(L, grid):
     return _grid_table(_ring_radii_tables, L, _table_key(grid.cos_theta))
 
 
-def grid_phi_tables(L, grid):
-    """cos(m phi), sin(m phi) on the grid's longitudes, cached per band
-    limit and longitudes; both arrays are read-only halves of
-    grid_phi_stacked."""
-    cs = grid_phi_stacked(L, grid)
-    return cs[: L + 1], cs[L + 1 :]
-
-
-def grid_phi_stacked(L, grid):
-    """[cos(m phi); sin(m phi)] stacked as one (2(L+1), n_phi) table; the
-    two arrays of grid_phi_tables are its halves.  Cached like
+def longitude_table(L, m):
+    """[cos(k phi); sin(k phi)] at the m equispaced longitudes
+    phi = 2 pi j / m, k = 0..L, as one (2(L+1), m) table; a grid's
+    longitudes are those of m = n_phi.  Cached per band limit and m like
     grid_legendre; read-only."""
-    return _grid_table(_longitude_tables, L, _table_key(grid.phi))
+    return _grid_table(_longitude_tables, L, m)
 
 
 def analyze(grid, values, L):
@@ -472,7 +484,8 @@ def analyze(grid, values, L):
         )
     values = np.asarray(getattr(values, "values", values), dtype=float)
     V = grid.ring_view(values)
-    cosm, sinm = grid_phi_tables(L, grid)
+    cs = longitude_table(L, grid.n_phi)
+    cosm, sinm = cs[: L + 1], cs[L + 1 :]
     dphi = 2.0 * np.pi / grid.n_phi
     Fc = V @ cosm.T * dphi  # (n_theta, L+1) ring Fourier moments
     Fs = V @ sinm.T * dphi
@@ -487,48 +500,26 @@ def analyze(grid, values, L):
     return HarmonicCoeffs.from_split_orders(Ac, As)
 
 
-def _synthesize_grid_rows(Ac, As, grid, work=None):
-    """(S, N) grid values of S expansions from their (S, L+1, L+1)
-    split-order stacks: the ring sums of each order by one einsum over
-    the stack, then one matmul per cosine and sine table over all
-    S * n_theta rings.  Each value is summed in the same order whatever S
-    is.  ``work``, when given, is a (2, S * n_theta, n_phi) buffer the two
-    products are formed in, and the values returned are a view of its
-    first plane."""
-    L = Ac.shape[1] - 1
-    P = grid_legendre(L, grid)
-    Bc = np.einsum("lmr,slm->srm", P, Ac).reshape(-1, L + 1)  # (S * n_theta, L+1)
-    Bs = np.einsum("lmr,slm->srm", P, As).reshape(-1, L + 1)
-    cosm, sinm = grid_phi_tables(L, grid)
-    V = np.matmul(Bc, cosm, out=None if work is None else work[0])
-    V += np.matmul(Bs, sinm, out=None if work is None else work[1])
-    return V.reshape(Ac.shape[0], -1)
-
-
 def synthesize_grid(coeffs, grid):
-    """Evaluate the expansion at every grid node (separable fast path)."""
-    Ac, As = coeffs.split_orders()
-    return _synthesize_grid_rows(Ac[None], As[None], grid)[0]
+    """Evaluate the expansion at every grid node: the ring route on the
+    grid's rings (``ring_samples``)."""
+    return ring_samples(coeffs.c, None, grid.cos_theta, grid.n_phi)[0].reshape(-1)
 
 
-#: Expansions per synthesis of grid_minima: its buffer holds two planes of
+#: Expansions per ring_samples call of grid_minima: their samples take
 #: 0.5 MB on 64 x 128.
 GRID_MINIMA_CHUNK = 8
 
 
 def grid_minima(C, grid):
     """Minimum over the grid nodes of each expansion in the (S, (L+1)^2)
-    coefficient rows ``C``, synthesized GRID_MINIMA_CHUNK expansions at a
-    time into one reused buffer; each is bitwise the minimum of its
-    synthesize_grid values."""
-    S = C.shape[0]
-    chunk = min(S, GRID_MINIMA_CHUNK)
-    work = np.empty((2, chunk * grid.n_theta, grid.n_phi))
-    out = np.empty(S)
-    for a in range(0, S, chunk):
-        b = min(S, a + chunk)
-        V = _synthesize_grid_rows(*_split_rows(C[a:b]), grid, work[:, : (b - a) * grid.n_theta])
-        out[a:b] = np.min(V, axis=1)
+    coefficient rows ``C``, sampled GRID_MINIMA_CHUNK expansions at a time
+    by ``ring_samples``; each is bitwise the minimum of its synthesize_grid
+    values."""
+    out = np.empty(len(C))
+    for a in range(0, len(C), GRID_MINIMA_CHUNK):
+        V = ring_samples(C[a : a + GRID_MINIMA_CHUNK], None, grid.cos_theta, grid.n_phi)
+        out[a : a + GRID_MINIMA_CHUNK] = np.min(V, axis=(1, 2))
     return out
 
 
@@ -695,44 +686,40 @@ def ring_samples(C, frames, t, m, derivatives=False):
     ``derivatives`` the three arrays (h, ∂θh, ∂φh) in that frame.
 
     Each row is turned by ``rotate_rows``.  On the ring cos θ = t a band-L
-    expansion is sum_k a_k cos(k φ) + b_k sin(k φ), k <= L, with a_k and b_k
-    the coefficients of orders k and -k times Q_{l,k}(t) (and sqrt(2) for
-    k > 0) summed over degree; ∂θ reads Q' of ``ring_theta_tables``, which
-    rejects the poles, in place of Q, and ∂φ multiplies order k by ik.
-    The samples are the inverse rfft of length m of the spectrum
-    (a_k - i b_k) / 2, each order k, the negative ones too, added into bin
-    k mod m: zero padding when 2L < m, aliasing otherwise.  A row's samples
-    are bitwise the same alone or in any stack.
+    expansion is sum_k B_k cos(k φ) + B'_k sin(k φ), k <= L: its ring sums,
+    one einsum over the stack of the split orders (``_split_rows``) with
+    Q_{l,k}(t) (``grid_legendre``'s table, cached by the ring cosines), and
+    then one matmul each with the cos and sin halves of the cached
+    ``longitude_table(L, m)``.  Every order is evaluated exactly at the m
+    nodes, so no spectrum is folded, whether 2L < m or not.  ∂θ reads Q' of
+    ``ring_theta_tables``, which rejects the poles, in place of Q, and ∂φ
+    is the same matmul on (k B'_k, -k B_k).  The matmuls are batched over
+    the stack, one product per row, so each value is summed in the same
+    order whatever S is, and a row's samples are bitwise the same alone or
+    in any stack.  The ring cosines are checked (``_ring_cosines``) where
+    their tables are built, so a cached Q's passed that check.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or not np.all(np.abs(t) <= 1.0):  # a NaN fails the test too
-        raise ValueError(f"ring cosines must be a finite 1-D array in [-1, 1], got {t!r}")
+    if t.ndim != 1:
+        raise ValueError(f"ring cosines must be a 1-D array, got shape {t.shape}")
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"ring longitude count must be a positive integer, got {m!r}")
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    rotated = C if frames is None else rotate_rows(C, frames)
+    rotated = np.asarray(C, dtype=float) if frames is None else rotate_rows(C, frames)
     L = _rows_band_limit(rotated)
-    tables = ring_theta_tables(L, t)[:2] if derivatives else (_normalized_legendre(L, t),)
-    weight = np.stack(tables)  # [table, l, k, ring]
-    weight[:, :, 1:] *= math.sqrt(2.0)
-    weight = weight.transpose(1, 0, 3, 2)  # [l, table, ring, k]
-    re, im = np.zeros((2, len(C), len(tables), t.size, L + 1))
-    for l in range(L + 1):
-        block = rotated[:, None, None, l * l : (l + 1) * (l + 1)]
-        re[..., : l + 1] += block[..., l:] * weight[l, :, :, : l + 1]
-        im[..., 1 : l + 1] -= block[..., l - 1 :: -1] * weight[l, :, :, 1 : l + 1]
-    orders = np.empty(re.shape, dtype=complex)
-    orders.real, orders.imag = re, im
-    orders[..., 1:] *= 0.5
+    Ac, As = (A.reshape(-1, L + 1, L + 1) for A in _split_rows(rotated))
+    tables = ring_theta_tables(L, t) if derivatives else (_grid_table(_ring_legendre, L, _table_key(t)),)
+    sums = [(np.einsum("lmr,slm->srm", Q, Ac), np.einsum("lmr,slm->srm", Q, As)) for Q in tables]
     if derivatives:
-        orders = np.concatenate([orders, orders[:, :1] * (1j * np.arange(L + 1))], axis=1)
-    k = np.arange(-L, L + 1)
-    two_sided = np.concatenate([orders[..., :0:-1].conj(), orders], axis=-1)
-    keep = k % m <= m // 2
-    spec = np.zeros(orders.shape[:-1] + (m // 2 + 1,), dtype=complex)
-    np.add.at(spec, (..., (k % m)[keep]), two_sided[..., keep])
-    out = np.fft.irfft(spec, n=m, norm="forward")
-    return (out[:, 0], out[:, 1], out[:, 2]) if derivatives else out[:, 0]
+        k = np.arange(L + 1)
+        Bc, Bs = sums[0]
+        sums.append((k * Bs, -k * Bc))
+    cs = longitude_table(L, m)
+    out = []
+    for Bc, Bs in sums:
+        V = Bc @ cs[: L + 1]
+        V += Bs @ cs[L + 1 :]
+        out.append(V)
+    return tuple(out) if derivatives else out[0]
 
 
 # ----------------------------------------------------------------------

@@ -380,8 +380,9 @@ class _DesignRows(_RowBlock):
     factor; and K = 2 (Q' - cot Q) / sin, of which 2 h12 is the product
     with the longitude factor's phi-derivative.  The tables hold only the
     cap rings, the rings of the kept nodes (38 of 128 for the default caps
-    at band 48): Q, Q' and Q'' come from ``harmonics.ring_theta_tables`` at
-    those rings alone, uncached, and are dropped once the tables are
+    at band 48): Q and Q' come from ``harmonics.ring_theta_tables`` at
+    those rings alone, uncached, Q'' from them by
+    ``harmonics._legendre_ode``, and all are dropped once the tables are
     gathered, so no table of the design grid enters a per-grid cache.
     ``node_values`` evaluates a solution at the kept nodes from the Q
     tables, for the residuals.
@@ -428,7 +429,7 @@ class _DesignRows(_RowBlock):
         t = grid.cos_theta[rings]
         st = np.sqrt(1.0 - t * t)
         cot = t / st
-        P, dP, d2P = harmonics.ring_theta_tables(L, t)
+        P, dP = harmonics.ring_theta_tables(L, t)
         cosm, sinm = harmonics._phi_tables(L, grid.phi)
         s2 = math.sqrt(2.0)
         orders = []
@@ -443,7 +444,7 @@ class _DesignRows(_RowBlock):
                 trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
             lc = self.ls[cols]
             Q, dQ = P[lc, am], dP[lc, am]
-            H = d2P[lc, am] - cot * dQ + am * am * Q / (st * st)
+            H = harmonics._legendre_ode(lc[:, None], am, t, st, Q, dQ) - cot * dQ + am * am * Q / (st * st)
             K = 2.0 * (dQ - cot * Q) / st
             orders.append((cols, trig, dtrig, Q, H, K))
         super().__init__(

@@ -8,7 +8,7 @@ ring-by-ring average, a weight-expanding isotonic projection, a support
 function's grid partials contracted once per partial and the radii
 entries formed from six of them node by node, the order matrices
 of a coefficient table repacked through index arrays built anew per call,
-the theta-derivative tables built afresh at any ring cosines, the
+the second theta-derivative table one degree at a time, the
 isotropy-gap corpus's zonal cases from numpy's Legendre series on the grid,
 the Fourier mass of circle samples by trapezoid moments instead of the
 FFT, the radii matrix, boundary point and area densities at one direction from
@@ -317,6 +317,25 @@ def pav_decreasing_by_weight(y, w):
     return out
 
 
+def theta_tables(L, t):
+    """Q, Q' and Q'' at the ring cosines t, each (L+1, L+1, len(t)): Q and
+    Q' of ``harmonics.ring_theta_tables``, and Q'' from the associated
+    Legendre ODE one degree at a time, its orders m > l left +0.0; checks
+    ``harmonics._legendre_ode``, which forms Q'' for the radii tables and
+    the plateau design."""
+    P, dP = harmonics.ring_theta_tables(L, t)
+    s = np.sqrt(1.0 - t * t)
+    cot = t / s
+    d2P = np.zeros_like(P)
+    for l in range(L + 1):
+        m = np.arange(0, l + 1)
+        d2P[l, : l + 1] = (
+            -cot * dP[l, : l + 1]
+            - (l * (l + 1.0) - m[:, None] ** 2 / (s * s)) * P[l, : l + 1]
+        )
+    return P, dP, d2P
+
+
 def derivative_fields_per_field(coeffs, grid):
     """h and its partials (h, ht, htt, hp, hpp, htp) on the grid, with the
     theta table contracted with the coefficients anew for each partial;
@@ -324,8 +343,8 @@ def derivative_fields_per_field(coeffs, grid):
     the grid's rings with ``derivatives=True``."""
     L = coeffs.L
     Ac, As = coeffs.split_orders()
-    P, dP, d2P = harmonics.ring_theta_tables(L, grid.cos_theta)
-    cosm, sinm = harmonics.grid_phi_tables(L, grid)
+    P, dP, d2P = theta_tables(L, grid.cos_theta)
+    cosm, sinm = harmonics._phi_tables(L, grid.phi)
     ms = np.arange(L + 1)
 
     def assemble(theta_table, phi_deriv):
@@ -580,7 +599,7 @@ def design_rows_three_tables(rows, grid, L):
     """The value, h11 - h22 and 2 h12 rows of a ``zonoid._DesignRows``, of
     all its kept nodes at once and transposed as its writers write them,
     by per-node arithmetic on the three theta tables Q, Q' and Q'' of all
-    the grid's rings (``harmonics.ring_theta_tables``):
+    the grid's rings (``theta_tables``):
 
         h11 - h22 = Q'' T - (cot Q' - m^2 Q / sin^2) T,
         2 h12 = 2 T' (Q' - cot Q) / sin,
@@ -588,8 +607,8 @@ def design_rows_three_tables(rows, grid, L):
     with T the longitude factor of the column times the node's square-root
     weight and T' its phi-derivative.  Checks the design's own ring tables
     H and K, and the value rows' gather."""
-    P, dP, d2P = harmonics.ring_theta_tables(L, grid.cos_theta)
-    cosm, sinm = harmonics.grid_phi_tables(L, grid)
+    P, dP, d2P = theta_tables(L, grid.cos_theta)
+    cosm, sinm = harmonics._phi_tables(L, grid.phi)
     ring, lon = np.divmod(rows.nodes, grid.n_phi)
     aniso = np.isin(rows.which, (0, 1))  # U and V
     ra, la, swa = ring[aniso], lon[aniso], rows.sw[aniso]

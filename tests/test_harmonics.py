@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_legendre, sph_harm_y
 
-from zonotools import convex, harmonics, sphere
+from zonotools import convex, harmonics, sphere, transforms
 
 import oracles
 from conftest import random_even_coeffs
@@ -32,7 +32,7 @@ class TestLegendreTables:
     def test_theta_derivatives_match_finite_differences(self):
         t = np.array([0.71, -0.35, 0.02])
         theta = np.arccos(t)
-        P, dP, d2P = harmonics.ring_theta_tables(12, t)
+        P, dP, d2P = oracles.theta_tables(12, t)
         h = 1e-5
         Pp = harmonics._normalized_legendre(12, np.cos(theta + h))
         Pm = harmonics._normalized_legendre(12, np.cos(theta - h))
@@ -42,6 +42,16 @@ class TestLegendreTables:
         Pp = harmonics._normalized_legendre(12, np.cos(theta + h))
         Pm = harmonics._normalized_legendre(12, np.cos(theta - h))
         assert np.max(np.abs((Pp - 2 * P + Pm) / h**2 - d2P)) < 1e-5
+
+    @pytest.mark.parametrize("L", [0, 7, 48])
+    def test_ode_is_the_per_degree_second_derivative(self, L):
+        # the vectorized ODE, over all (l, m) at once, is bitwise the
+        # per-degree one, +0.0 where m > l included
+        t = sphere.build_grid(64, 128).cos_theta
+        P, dP, d2P = oracles.theta_tables(L, t)
+        l, m = np.arange(L + 1)[:, None, None], np.arange(L + 1)[:, None]
+        got = harmonics._legendre_ode(l, m, t, np.sqrt(1.0 - t * t), P, dP)
+        assert got.tobytes() == d2P.tobytes()
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError, match="pole"):
@@ -242,11 +252,10 @@ class TestGridTableCache:
     def test_bitwise_equal_to_fresh_builds(self, grid, L):
         P = harmonics.grid_legendre(L, grid)
         assert P.tobytes() == harmonics._normalized_legendre(L, grid.cos_theta).tobytes()
-        for cached, fresh in zip(
-            harmonics.grid_phi_tables(L, grid), harmonics._phi_tables(L, grid.phi)
-        ):
-            assert cached.tobytes() == fresh.tobytes()
+        cs = harmonics.longitude_table(L, grid.n_phi)
+        assert cs.tobytes() == np.vstack(harmonics._phi_tables(L, grid.phi)).tobytes()
         assert harmonics.grid_legendre(L, grid) is P
+        assert harmonics.longitude_table(L, grid.n_phi) is cs
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 24), st.sampled_from([(8, 16), (33, 66), (64, 128)]), st.data())
@@ -266,7 +275,7 @@ class TestGridTableCache:
     @pytest.mark.parametrize("L", [0, 5, 8, 48])
     def test_radii_and_stacked_tables_equal_fresh_builds(self, grid, L):
         t = grid.cos_theta
-        P, dP, d2P = harmonics.ring_theta_tables(L, t)
+        P, dP, d2P = oracles.theta_tables(L, t)
         E = harmonics.grid_radii_tables(L, grid)
         assert E.shape == (L + 1, 3 * grid.n_theta, L + 1)
         # the blocks, formed in place, are bitwise their formulas
@@ -289,16 +298,15 @@ class TestGridTableCache:
         # block k, ring r, order m, degree l against the theta tables
         r, m, l = grid.n_theta // 3, min(2, L), L
         assert E[m, r, l] == d2P[l, m, r] + P[l, m, r]
-        cs = harmonics.grid_phi_stacked(L, grid)
+        # the stacked longitude table: cos then sin, the grid's longitudes
+        cs = harmonics.longitude_table(L, grid.n_phi)
+        assert cs.shape == (2 * (L + 1), grid.n_phi)
         assert cs.tobytes() == np.vstack(harmonics._phi_tables(L, grid.phi)).tobytes()
-        cosm, sinm = harmonics.grid_phi_tables(L, grid)
-        assert cosm.base is cs and sinm.base is cs
 
     def test_tables_are_read_only(self, small_grid):
         tables = (
             harmonics.grid_legendre(6, small_grid),
-            *harmonics.grid_phi_tables(6, small_grid),
-            harmonics.grid_phi_stacked(6, small_grid),
+            harmonics.longitude_table(6, small_grid.n_phi),
             harmonics.grid_radii_tables(6, small_grid),
         )
         for arr in tables:
@@ -311,17 +319,23 @@ class TestGridTableCache:
         seen = []
         for g in grids:
             P = harmonics.grid_legendre(L, g)
-            cosm, _ = harmonics.grid_phi_tables(L, g)
+            cs = harmonics.longitude_table(L, g.n_phi)
             assert P.shape == (L + 1, L + 1, g.n_theta)
-            assert cosm.shape == (L + 1, g.n_phi)
+            assert cs.shape == (2 * (L + 1), g.n_phi)
             assert P.tobytes() == harmonics._normalized_legendre(L, g.cos_theta).tobytes()
-            seen.append(P)
-        assert len({id(P) for P in seen}) == 3
-        # the key is the grid's contents, not its shape
-        shifted = dataclasses.replace(grids[0], phi=grids[0].phi + 0.25)
-        cosm, _ = harmonics.grid_phi_tables(L, shifted)
-        assert cosm.tobytes() == harmonics._phi_tables(L, shifted.phi)[0].tobytes()
-        assert cosm is not harmonics.grid_phi_tables(L, grids[0])[0]
+            seen.append((P, cs))
+        assert len({id(t) for pair in seen for t in pair}) == 6
+        # the ring key is the grid's contents, not its shape
+        shifted = dataclasses.replace(grids[0], cos_theta=0.5 * grids[0].cos_theta)
+        P = harmonics.grid_legendre(L, shifted)
+        assert P.tobytes() == harmonics._normalized_legendre(L, shifted.cos_theta).tobytes()
+        assert P is not seen[0][0]
+        # the longitude key is (L, n_phi): every grid build_grid makes with
+        # n_phi longitudes has those of the table, whatever its rings
+        for n_theta in (2, 17, 64):
+            g = sphere.build_grid(n_theta, 128)
+            assert harmonics.longitude_table(L, g.n_phi) is seen[1][1]
+            assert seen[1][1].tobytes() == np.vstack(harmonics._phi_tables(L, g.phi)).tobytes()
 
     # (stored table, fresh build) per kind of per-grid table
     STORED_TABLES = {
@@ -330,9 +344,21 @@ class TestGridTableCache:
             harmonics.grid_radii_tables,
             lambda L, g: harmonics._radii_tables(L, g.cos_theta, *harmonics.ring_theta_tables(L, g.cos_theta)),
         ),
-        "longitude": (harmonics.grid_phi_stacked, lambda L, g: np.vstack(harmonics._phi_tables(L, g.phi))),
+        "longitude": (
+            lambda L, g: harmonics.longitude_table(L, g.n_phi),
+            lambda L, g: np.vstack(harmonics._phi_tables(L, g.phi)),
+        ),
     }
-    STORE_GRIDS = {shape: sphere.build_grid(*shape) for shape in [(8, 16), (20, 40), (33, 66), (64, 128)]}
+    # (20, 66) shares its ring tables with (20, 40) and its longitude
+    # tables with (33, 66)
+    STORE_GRIDS = {shape: sphere.build_grid(*shape) for shape in [(8, 16), (20, 40), (20, 66), (33, 66), (64, 128)]}
+
+    @staticmethod
+    def _store_key(L, shape, kind):
+        """The request's key in the store: a ring table's key is the grid's
+        rings, which build_grid sets by n_theta alone, and a longitude
+        table's is (L, n_phi)."""
+        return (L, shape[1] if kind == "longitude" else shape[0], kind)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -355,6 +381,7 @@ class TestGridTableCache:
             mp.setattr(harmonics, "_GRID_TABLES", collections.OrderedDict())
             for request in requests:
                 L, shape, kind = request
+                request = self._store_key(*request)
                 stored, fresh = self.STORED_TABLES[kind]
                 grid = self.STORE_GRIDS[shape]
                 table = stored(L, grid)
@@ -375,25 +402,37 @@ class TestGridTableCache:
                 assert [id(t) for t in held] == [id(t) for t in model.values()]
 
     def test_one_table_build_per_grid_and_band(self, monkeypatch):
-        """radii_grid and synthesize_grid build the ring Legendre table of a
-        (grid, band) once for each stored table they read, however often
-        they run: once for grid_legendre, and once inside the build of the
-        radii tables, whose theta tables are not kept."""
-        builds = []
-        real = harmonics._normalized_legendre
+        """radii_grid, synthesize_grid, analyze and circle_samples build the
+        ring Legendre table of a (rings, band) once for each stored table
+        they read, however often they run: once for grid_legendre, once
+        inside the build of the radii tables, whose theta tables are not
+        kept, and once for the great circles' ring t = 0; and each
+        longitude table once per (band, longitude count)."""
+        legendre, longitude = [], []
 
-        def counting(L, t):
-            builds.append(L)
-            return real(L, t)
+        def counting(builds, real, key):
+            def wrapped(L, x):
+                builds.append(key(L, x))
+                return real(L, x)
+            return wrapped
 
-        monkeypatch.setattr(harmonics, "_normalized_legendre", counting)
+        monkeypatch.setattr(harmonics, "_normalized_legendre", counting(legendre, harmonics._normalized_legendre, lambda L, t: L))
+        monkeypatch.setattr(harmonics, "_longitude_tables", counting(longitude, harmonics._longitude_tables, lambda L, m: (L, m)))
         harmonics._GRID_TABLES.clear()
         grid = sphere.build_grid(20, 40)
-        c = harmonics.HarmonicCoeffs(L=7, c=np.random.default_rng(3).normal(size=64))
+        rng = np.random.default_rng(3)
+        c = harmonics.HarmonicCoeffs(L=7, c=rng.normal(size=64))
+        values = rng.normal(size=grid.n_nodes)
+        normals = rng.normal(size=(3, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         for _ in range(20):
             convex.radii_grid(c, grid)
             harmonics.synthesize_grid(c, grid)
-        assert builds == [7, 7]
+            harmonics.analyze(grid, values, 7)
+            for m in (64, grid.n_phi):
+                transforms.circle_samples(np.tile(c.c, (3, 1)), normals, m)
+        assert legendre == [7, 7, 7]
+        assert longitude == [(7, grid.n_phi), (7, 64)]
 
 
 class TestMultipliers:
@@ -742,8 +781,9 @@ class TestRingSamples:
     def test_inputs_are_checked(self):
         c = np.ones(9)
         for t in ([np.nan], [1.5], [-np.inf], [[0.0]]):
-            with pytest.raises(ValueError, match="ring cosines"):
-                harmonics.ring_samples(c, None, t, 8)
+            for derivatives in (False, True):
+                with pytest.raises(ValueError, match="ring cosines"):
+                    harmonics.ring_samples(c, None, t, 8, derivatives)
         for m in (0, -3, 2.0):
             with pytest.raises(ValueError, match="positive integer"):
                 harmonics.ring_samples(c, None, [0.0], m)

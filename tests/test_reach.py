@@ -11,6 +11,7 @@ the package loads (found with ``dis`` over the compiled modules) is a dead
 constant.
 """
 
+import builtins
 import contextlib
 import dis
 import inspect
@@ -34,37 +35,79 @@ UNREACHED = {
 OFF_PLANE_CAPS = "cap_u_center=0.3,0.4,0.866\ncap_v_center=0,0.866,-0.4\n"
 
 
+def package_sources():
+    """The path of every source file of the package."""
+    return [
+        os.path.join(root, fname)
+        for root, _, files in os.walk(PACKAGE)
+        for fname in sorted(files)
+        if fname.endswith(".py")
+    ]
+
+
 def package_modules():
     """Module name -> the compiled code of every module of the package."""
     found = {}
-    for root, _, files in os.walk(PACKAGE):
-        for fname in sorted(files):
-            if fname.endswith(".py"):
-                path = os.path.join(root, fname)
-                with open(path, encoding="utf-8") as fh:
-                    module = os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".")
-                    found[module] = compile(fh.read(), path, "exec")
+    for path in package_sources():
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".")
+            found[module] = compile(fh.read(), path, "exec")
     return found
 
 
 def package_functions():
-    """(file, first line, name) -> "module:qualname" of every named function
-    and method defined in the package, nested ones included."""
+    """The code object -> "module:qualname" of every named function and
+    method of the package's imported modules, nested ones included.
+
+    The code objects are those the imported modules run, reached from each
+    module's namespace (functions, the ``__wrapped__`` of cached ones, and
+    the methods, properties and nested classes of its classes) and then
+    through the constants of each function's code; a source file edited
+    while the tests run cannot change them."""
     found = {}
-    for module, code in package_modules().items():
-        path = code.co_filename
-        stack = [(code, "", False)]
-        while stack:
-            code, prefix, in_function = stack.pop()
-            for const in code.co_consts:
-                if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
-                    continue  # lambdas and comprehensions belong to their function
-                qualname = prefix + (".<locals>." if in_function else ".") + const.co_name
-                is_function = bool(const.co_flags & inspect.CO_NEWLOCALS)  # not a class body
-                if is_function:
-                    found[(path, const.co_firstlineno, const.co_name)] = f"{module}:{qualname[1:]}"
-                stack.append((const, qualname, is_function))
+
+    def add(code, module, qualname):
+        path = os.path.realpath(module.__file__)
+        if os.path.realpath(code.co_filename) != path or code in found:
+            return  # defined elsewhere (dataclass methods, imports), or seen
+        is_function = bool(code.co_flags & inspect.CO_NEWLOCALS)  # not a class body
+        if is_function:
+            found[code] = os.path.relpath(path, PACKAGE)[:-3].replace(os.sep, ".") + ":" + qualname
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                # lambdas and comprehensions belong to their function
+                add(const, module, qualname + (".<locals>." if is_function else ".") + const.co_name)
+
+    def visit(value, module, seen):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        value = getattr(value, "__wrapped__", value)
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        if isinstance(value, property):
+            for accessor in (value.fget, value.fset, value.fdel):
+                if accessor is not None:
+                    visit(accessor, module, seen)
+        elif isinstance(value, types.FunctionType):
+            add(value.__code__, module, value.__qualname__)
+        elif isinstance(value, type) and value.__module__ == module.__name__:
+            for member in vars(value).values():
+                visit(member, module, seen)
+
+    for module in package_imports():
+        seen = set()
+        for value in list(vars(module).values()):
+            visit(value, module, seen)
     return found
+
+
+def package_imports():
+    """The imported modules of the package."""
+    return [
+        module for name, module in sorted(sys.modules.items())
+        if name == "zonotools" or name.startswith("zonotools.")
+    ]
 
 
 #: The instructions that read a name: a module's own globals, or another
@@ -125,7 +168,6 @@ def run_commands(tmp):
 
 
 def test_unreached_functions_are_the_pinned_list(tmp_path):
-    functions = package_functions()
     entered = set()
 
     def profile(frame, event, arg):
@@ -140,10 +182,25 @@ def test_unreached_functions_are_the_pinned_list(tmp_path):
         sys.setprofile(None)
     # band 8 fails some rows (exit 2), but no run stops on an input error
     assert all(code in (0, 2) for code in codes[:3]) and codes[3:] == [0, 0, 0, 0]
-    entered = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered}
-    unreached = {name for key, name in functions.items() if key not in entered}
+    # every source file of the package is imported by now, so the imported
+    # modules' functions are all of the package's
+    assert sorted(os.path.realpath(m.__file__) for m in package_imports()) == sorted(package_sources())
+    functions = package_functions()
+    unreached = {name for code, name in functions.items() if code not in entered}
     assert sorted(unreached - set(UNREACHED)) == [], "no command reaches these"
     assert sorted(set(UNREACHED) - unreached) == [], "pinned, but reached or gone"
+
+
+def test_functions_are_the_imported_code_objects(monkeypatch):
+    # keyed on the code the imported modules run, read from no source file,
+    # so that a file edited during a run cannot make its functions unreached
+    def refuse(*args, **kwargs):
+        raise AssertionError("package_functions read a file")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    functions = package_functions()
+    assert functions[harmonics.ring_samples.__code__] == "harmonics:ring_samples"
+    assert functions[cli._Parser.error.__code__] == "cli:_Parser.error"
 
 
 def test_every_constant_is_read_by_package_code():

@@ -53,7 +53,7 @@ def _oracle_design_rows(grid, caps, L):
     t = np.clip(nodes[:, 2], -1.0, 1.0)
     st_ = np.sqrt(1.0 - t * t)
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
-    P, dP, d2P = harmonics.ring_theta_tables(L, t)
+    P, dP, d2P = oracles.theta_tables(L, t)
     ms = np.arange(L + 1)
     cosm = np.cos(np.outer(ms, phi))
     sinm = np.sin(np.outer(ms, phi))
@@ -306,9 +306,10 @@ class TestIsotropyGapReport:
 
     @pytest.fixture(scope="class")
     def suite_calls(self):
-        # one default suite run, counting the expansions synthesized on the
-        # grid, the analyses, Legendre series and support builds, and the
-        # rows of every call into the rotation kernel
+        # one default suite run, counting the analyses, Legendre series and
+        # support builds, and the rows of every call into the ring route:
+        # the expansions sampled on the grid's rings, and those rotated
+        # onto their circles
         calls = {"grid_rows": 0, "analyze": 0, "legval": 0, "from_coeffs": 0,
                  "rotated_rows": []}
 
@@ -318,16 +319,13 @@ class TestIsotropyGapReport:
                 return real(*args, **kwargs)
             return wrapped
 
-        def grid_rows(real):
-            def wrapped(Ac, As, grid, work=None):
-                calls["grid_rows"] += Ac.shape[0]
-                return real(Ac, As, grid, work)
-            return wrapped
-
-        def rotations(real):
-            def wrapped(C, frames):
-                calls["rotated_rows"].append(len(C))
-                return real(C, frames)
+        def rings(real):
+            def wrapped(C, frames, t, m, derivatives=False):
+                if frames is None:
+                    calls["grid_rows"] += len(np.atleast_2d(C))
+                else:
+                    calls["rotated_rows"].append(len(C))
+                return real(C, frames, t, m, derivatives)
             return wrapped
 
         ctx = cli.RunContext(cli.RunConfig())
@@ -339,8 +337,7 @@ class TestIsotropyGapReport:
                 (convex.SupportFunction, "from_coeffs"),
             ]:
                 mp.setattr(owner, name, counting(name, getattr(owner, name)))
-            mp.setattr(harmonics, "_synthesize_grid_rows", grid_rows(harmonics._synthesize_grid_rows))
-            mp.setattr(harmonics, "rotate_rows", rotations(harmonics.rotate_rows))
+            mp.setattr(harmonics, "ring_samples", rings(harmonics.ring_samples))
             rows = cli.suite_isotropy_gap(ctx)
         return rows, calls
 
