@@ -23,6 +23,8 @@ affine function and the Funk transform by a constant.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -34,15 +36,31 @@ from numpy.linalg import lapack_lite
 from zonotools import harmonics, sphere, transforms
 from zonotools.convex import support as convex_support
 
-# The plateau design folds and solves in place through numpy's undocumented
-# lapack_lite (its dgeqrf, dgelsd and private _ilp64 flag), run on numpy
-# 2.4.6; a numpy without one of them fails here, not inside a design.
-_missing = [name for name in ("_ilp64", "dgeqrf", "dgelsd") if not hasattr(lapack_lite, name)]
-if _missing:
+# The plateau design folds in place through numpy's undocumented
+# lapack_lite (its dgeqrf), run on numpy 2.4.6, and solves the folded
+# triangle by substitution in numpy; a numpy without dgeqrf fails here,
+# not inside a design.
+if not hasattr(lapack_lite, "dgeqrf"):
     raise ImportError(
-        f"zonotools.zonoid needs numpy.linalg.lapack_lite.{', '.join(_missing)}, "
-        f"which numpy {np.__version__} does not provide (the in-place design was run on numpy 2.4.6)"
+        f"zonotools.zonoid needs numpy.linalg.lapack_lite.dgeqrf, which numpy {np.__version__} "
+        "does not provide (the in-place design was run on numpy 2.4.6)"
     )
+
+# The get and set of the thread count of the OpenBLAS that numpy bundles
+# (scipy-openblas), so that a design runs at one thread: OpenBLAS splits
+# its products by the thread count, and the design's rounding, which
+# reaches every report digit, would follow it.  Another BLAS build lacks
+# these symbols, and its designs run unpinned (``blas_pinned``).
+try:
+    _openblas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _BLAS_THREADS = (
+        _openblas.scipy_openblas_get_num_threads64_,
+        _openblas.scipy_openblas_set_num_threads64_,
+    )
+    _BLAS_THREADS[0].argtypes, _BLAS_THREADS[0].restype = [], ctypes.c_int
+    _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
+except (AttributeError, OSError):
+    _BLAS_THREADS = None
 
 #: Printed dimension constants for the circle-integral prefactors at n = 3.
 WEIL_PREFACTOR_1 = 1.0 / math.pi
@@ -544,18 +562,6 @@ class _DesignRows(_RowBlock):
         return values
 
 
-#: LAPACK's integer type in numpy's lapack_lite.
-_LAPACK_INT = np.int64 if lapack_lite._ilp64 else np.intc
-
-
-def _lapack_ints(n):
-    """Room for n LAPACK integers, typed as lapack_lite's dgelsd checks its
-    integer workspace: as C ints, also where LAPACK's integers are 64-bit
-    (numpy's ILP64 builds), so the storage is n of LAPACK's integers seen
-    as C ints.  ``.view(_LAPACK_INT)`` reads them back."""
-    return np.zeros(n, dtype=_LAPACK_INT).view(np.intc)
-
-
 def _lapack_matrix(W):
     """(a, lda): the Fortran-strided matrix W (contiguous columns, any
     leading dimension, so also a corner of a larger Fortran buffer) as
@@ -582,8 +588,10 @@ class _TriangularFactor:
     ``np.linalg.qr(mode="r")`` makes (the same routine with the same
     workspace, so the same block size), and its factor is bitwise the
     same.  ``folded`` gives the factor in place, as a view of the buffer's
-    top rows, and ``solve`` solves it there by LAPACK ``dgelsd``, as
-    ``np.linalg.lstsq`` would solve a copy.
+    top rows, and ``certified_solve`` solves it there by back
+    substitution, under a closed-form certificate that the system has full
+    rank, so that its solution is the minimizer ``np.linalg.lstsq`` would
+    give on a copy.
     """
 
     def __init__(self, W, factor_rows=0):
@@ -632,33 +640,125 @@ class _TriangularFactor:
         self._fold()
         return self._W[: self._top]
 
-    def solve(self, rcond):
-        """(x, rank, singular values) of min |R x - q|, with [R q] the top
-        ncol rows of the factor of every row added so far: bitwise what
-        ``np.linalg.lstsq(R, q, rcond)`` returns, since that is LAPACK
-        ``dgelsd`` with the workspace sized by the routine's own query, as
-        here.  It runs on the factor where it sits in the buffer and
-        overwrites it, so nothing may be added or read after it."""
-        self._fold()
-        a, lda = self._a, self._lda
-        n = self._W.shape[1] - 1
-        m = min(self._top, n)
-        s = np.empty(m)
+    def certified_solve(self, floor, rcond):
+        """(x, ratio, bound, certificate) for min |R x - q|, [R q] the top
+        ncol rows of the factor of every row added so far, among which are
+        diagonal rows of magnitude at least ``floor``, one per column.
 
-        def gelsd(work, lwork, iwork):
-            # the buffer's last column holds q, and then the n entries of x
-            info = lapack_lite.dgelsd(
-                m, n, 1, a, lda, a[n * lda :], lda, s, rcond, 0, work, lwork, iwork, 0
-            )
-            if info["info"] != 0:
-                raise np.linalg.LinAlgError(f"dgelsd failed with info = {info['info']}")
-            return info
+        The solve is back substitution, x = R^-1 q (``_triangular_solve``),
+        once R is certified to have full rank with room to spare: then the
+        rank cutoff rcond sigma_max(R) of np.linalg.lstsq (LAPACK dgelsd)
+        drops no singular value, and the substitution gives its minimizer.
+        Two certificates bound sigma_min(R) from below, and the cheaper is
+        tried first:
 
-        work, iwork = np.empty(1), _lapack_ints(1)
-        gelsd(work, -1, iwork)  # the workspace query
-        work, iwork = np.empty(int(work[0])), _lapack_ints(int(iwork.view(_LAPACK_INT)[0]))
-        info = gelsd(work, work.size, iwork)
-        return self._W[:n, n].copy(), int(info["rank"]), s
+        - ``"ridge"``: the diagonal rows give R^T R >= floor^2 I, so
+          sigma_min(R) >= floor, and sigma_max(R) <= |R|_F, so kappa_2(R)
+          <= ``bound`` = |R|_F / floor.  The folds factor the rows up to
+          their rounding, which moves R's singular values by a small
+          multiple of eps |R|_F (Householder QR is backward stable); the
+          certificate allows rcond |R|_F for it.  It holds when
+          2 rcond |R|_F < floor.
+        - ``"frobenius"``, tried only where the ridge certificate fails:
+          sigma_min(R) >= 1 / |R^-1|_F, so kappa_2(R) <= ``bound`` = |R|_F
+          |R^-1|_F (``_inverse_frobenius_norm``).  It holds when 4 rcond
+          ``bound`` < 1: half of 1 / |R^-1|_F is allowed for the rounding
+          of the computed inverse (relative error about n eps kappa_2(R) <=
+          n eps / (4 rcond) <= 1/4, rcond being at least n eps), and of the
+          other half, rcond |R|_F for the folds and rcond |R|_F for the
+          cutoff.
+
+        Where neither holds it raises ValueError with both numbers.
+
+        ``ratio`` is a lower bound on kappa_2(R): |R u| |R^-T w| for the
+        unit vectors u and w after POWER_STEPS power steps on R^T R and on
+        R^-1 R^-T from the same start, each step of the second two
+        substitutions.  After the last fold it reads the factor where it
+        sits in the buffer and writes nothing there; |R|_F is summed a
+        block of columns at a time, since np.linalg.norm would copy the
+        strided view."""
+        R = self.folded()
+        n = R.shape[1] - 1
+        R, q = R[:n, :n], R[:n, n]
+        squares = 0.0
+        for j in range(0, n, SUBSTITUTION_BLOCK):
+            block = R[:, j : j + SUBSTITUTION_BLOCK]
+            squares += float(np.einsum("ij,ij->", block, block))
+        norm = math.sqrt(squares)
+        if 2.0 * rcond * norm < floor:
+            bound, certificate = norm / floor, "ridge"
+        else:
+            bound, certificate = norm * _inverse_frobenius_norm(R), "frobenius"
+            if not 4.0 * rcond * bound < 1.0:
+                raise ValueError(
+                    f"the plateau design's factor is not certified full rank: its ridge certificate needs "
+                    f"2 rcond |R|_F < min |ridge row|, but 2 * {rcond:.3e} * {norm:.6e} = {2.0 * rcond * norm:.3e} "
+                    f"is not below {floor:.3e}, and its Frobenius certificate needs 4 rcond |R|_F |R^-1|_F < 1, "
+                    f"but the sigma ratio bound |R|_F |R^-1|_F = {bound:.3e} is not below 1/(4 rcond) = {0.25 / rcond:.3e}"
+                )
+        x = _triangular_solve(R, q)
+        u = w = np.full(n, 1.0 / math.sqrt(n))
+        for _ in range(POWER_STEPS):
+            u = R.T @ (R @ u)
+            u /= np.linalg.norm(u)
+            w = _triangular_solve(R, _triangular_solve(R, w, transpose=True))
+            w /= np.linalg.norm(w)
+        ratio = float(np.linalg.norm(R @ u) * np.linalg.norm(_triangular_solve(R, w, transpose=True)))
+        return x, ratio, bound, certificate
+
+
+#: Columns per block of a triangular substitution: a block is one
+#: product with the part already solved and one solve of its diagonal
+#: block, the one square matrix the substitution allocates.
+SUBSTITUTION_BLOCK = 64
+
+#: Power steps behind the lower end of the design's sigma-ratio bracket.
+POWER_STEPS = 4
+
+
+def _triangular_solve(R, b, transpose=False):
+    """x with R x = b (R^T x = b with ``transpose``) for an invertible
+    upper-triangular R, which may be a strided view into a larger buffer,
+    and b a vector or a matrix of right-hand columns, by substitution in
+    blocks of SUBSTITUTION_BLOCK rows.  Each block subtracts the product
+    of its rows with the part of x already solved and solves its diagonal
+    block by np.linalg.solve (LAPACK dgesv; on R's own blocks, upper
+    triangles, its LU pivots on the diagonal, and the solve is a plain
+    substitution; an exact zero pivot raises LinAlgError).  It allocates
+    x and the diagonal blocks; the products read R where it is."""
+    n = b.shape[0]
+    x = np.array(b, dtype=float)
+    starts = range(0, n, SUBSTITUTION_BLOCK)
+    for j in starts if transpose else reversed(starts):
+        k = slice(j, min(j + SUBSTITUTION_BLOCK, n))
+        if transpose:
+            x[k] -= R[:j, k].T @ x[:j]
+            x[k] = np.linalg.solve(R[k, k].T, x[k])
+        else:
+            x[k] -= R[k, k.stop :] @ x[k.stop :]
+            x[k] = np.linalg.solve(R[k, k], x[k])
+    return x
+
+
+def _inverse_frobenius_norm(R):
+    """|R^-1|_F for an upper-triangular R, a strided view as in
+    ``_triangular_solve``, summed over blocks of SUBSTITUTION_BLOCK columns
+    of R^-1: those of columns j..j + b are zero below row j + b, so each
+    block is one substitution with the leading (j + b)-square of R on the
+    matching columns of the identity.  No n x n matrix is formed; inf
+    where R has an exact zero pivot."""
+    n = R.shape[0]
+    squares = 0.0
+    for j in range(0, n, SUBSTITUTION_BLOCK):
+        top = min(j + SUBSTITUTION_BLOCK, n)
+        unit = np.zeros((top, top - j))
+        unit[j:] = np.eye(top - j)
+        try:
+            block = _triangular_solve(R[:top, :top], unit)
+        except np.linalg.LinAlgError:
+            return math.inf
+        squares += float(np.einsum("ij,ij->", block, block))
+    return math.sqrt(squares)
 
 
 #: Rows gathered between two QR folds of the plateau design, raised to
@@ -796,9 +896,13 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     buffer, (ncol + 1 + block) x (ncol + 1) with block the larger of
     ``DESIGN_BLOCK_ROWS`` and ncol + 1, and reduced, a block at a time, to
     the triangular factor of their QR factorization (``_TriangularFactor``);
-    the factor is solved where it sits in the buffer (bitwise
-    ``np.linalg.lstsq`` on a copy) with the rank cutoff the whole system
-    would get.  Every design is folded by one recipe (``_fold_design``)
+    the factor is solved where it sits in the buffer by back substitution
+    (``_TriangularFactor.certified_solve``).  The ridge rows certify in
+    closed form that the rank cutoff the whole system would get in
+    ``np.linalg.lstsq`` drops nothing, so the substitution gives lstsq's
+    minimizer; where that bound is too loose (high bands), the Frobenius
+    bound |R|_F |R^-1|_F certifies it instead, and a design that neither
+    covers raises ValueError.  Every design is folded by one recipe (``_fold_design``)
     over the row blocks of ``_DesignRows.blocks``: each class of rows is
     folded in its own corner of the buffer, value rows first, then the
     Funk rows from their factor, the anisotropy rows and the ridge rows,
@@ -817,47 +921,78 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     (``design_frame``, rows the frame's axes; the identity when the caps
     are solved as given), the reflections used there, the number of rim
     nodes (``design_rim_nodes``, 0 when the caps are solved as given) and
-    the health of the block actually solved: its shape, numerical rank and
-    singular-value ratio.
+    the health of the block actually solved: its shape, its certified
+    rank (``design_rank``, all its columns) and a bracket of its
+    singular-value ratio, ``design_sigma_ratio`` below (power steps) and
+    ``design_sigma_ratio_bound`` above (the bound of the certificate
+    named in ``design_certificate``: ``"ridge"``, |R|_F over the smallest
+    ridge row, or ``"frobenius"``, |R|_F |R^-1|_F).
+
+    The design runs at one thread of numpy's bundled OpenBLAS, restored
+    afterwards, so its rounding, and every report digit downstream, is the
+    same at any thread count; ``blas_pinned`` is False where numpy has
+    another BLAS, whose designs run at its own thread count.
     """
-    dg = sphere.build_grid(*design_grid)
-    rows, frame = _design_rows(cap_u, cap_v, L, dg)
-    del dg  # the rows hold what they read of the design grid
-    ls, ms, funk, target, reflections = rows.ls, rows.ms, rows.funk, rows.target, rows.reflections
-    n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, ls.size
-    node_values = rows.node_values()
-    lam = harmonics.multiplier_table("cosine", L)
-    ridge_diag = math.sqrt(ridge) / lam[ls]
-    # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
-    W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + 1), order="F")
-    classes, rim = rows.blocks()
-    n_rim = rim.n_nodes
-    factor, cols = _fold_design(W, classes, rim, ridge_diag)
-    del rows, classes, rim  # their ring tables are not held through the last fold
-    n_rows = 2 * n + 2 * n_aniso + ncol
-    sol, rank, sv = factor.solve(np.finfo(float).eps * max(n_rows, ncol))
-    del factor, W  # the fold buffer is not held through the rotation
-    x = np.empty(ncol)
-    x[cols] = sol
-    G = harmonics.HarmonicCoeffs.zeros(L)
-    G.c[ls * ls + ls + ms] = x
-    values = node_values(x)
-    funk_values = node_values(funk * x)
-    if frame is None:
-        frame = np.eye(3)
-    else:
-        G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
+    with _one_blas_thread() as pinned:
+        dg = sphere.build_grid(*design_grid)
+        rows, frame = _design_rows(cap_u, cap_v, L, dg)
+        del dg  # the rows hold what they read of the design grid
+        ls, ms, funk, target, reflections = rows.ls, rows.ms, rows.funk, rows.target, rows.reflections
+        n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, ls.size
+        node_values = rows.node_values()
+        lam = harmonics.multiplier_table("cosine", L)
+        ridge_diag = math.sqrt(ridge) / lam[ls]
+        # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
+        W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + 1), order="F")
+        classes, rim = rows.blocks()
+        n_rim = rim.n_nodes
+        factor, cols = _fold_design(W, classes, rim, ridge_diag)
+        del rows, classes, rim  # their ring tables are not held through the last fold
+        n_rows = 2 * n + 2 * n_aniso + ncol
+        rcond = np.finfo(float).eps * max(n_rows, ncol)
+        sol, ratio, bound, certificate = factor.certified_solve(float(np.min(np.abs(ridge_diag))), rcond)
+        del factor, W  # the fold buffer is not held through the rotation
+        x = np.empty(ncol)
+        x[cols] = sol
+        G = harmonics.HarmonicCoeffs.zeros(L)
+        G.c[ls * ls + ls + ms] = x
+        values = node_values(x)
+        funk_values = node_values(funk * x)
+        if frame is None:
+            frame = np.eye(3)
+        else:
+            G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
     return G, {
         "design_value_residual": float(np.max(np.abs(values - target))),
         "design_funk_residual": float(np.max(np.abs(funk_values - target))),
         "design_rows": int(n_rows),
         "design_cols": int(ncol),
-        "design_rank": int(rank),
-        "design_sigma_ratio": float(sv[0] / sv[-1]),
+        "design_rank": int(ncol),
+        "design_sigma_ratio": ratio,
+        "design_sigma_ratio_bound": float(bound),
+        "design_certificate": certificate,
         "design_reflections": reflections,
         "design_frame": frame.tolist(),
         "design_rim_nodes": int(n_rim),
+        "blas_pinned": pinned,
     }
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one thread of numpy's bundled OpenBLAS and restore
+    the count after it, also when it raises; yields whether the count was
+    set, False where numpy has another BLAS."""
+    if _BLAS_THREADS is None:
+        yield False
+        return
+    get, set_count = _BLAS_THREADS
+    count = get()
+    set_count(1)
+    try:
+        yield True
+    finally:
+        set_count(count)
 
 
 def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):

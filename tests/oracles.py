@@ -637,13 +637,15 @@ def design_rows_three_tables(rows, grid, L):
     return V, diag, off
 
 
-class QRFoldFactor:
+class QRFoldFactor(zonoid._TriangularFactor):
     """Upper-triangular factor of [A | b], fed like
     ``zonoid._TriangularFactor`` (the same buffer W, which may be a corner of
     a larger one, and the same fold points) but folded
     by ``np.linalg.qr(mode="r")``, which copies the gathered rows before
     factoring them.  Checks the in-place LAPACK fold of
-    ``_TriangularFactor`` bit for bit."""
+    ``_TriangularFactor`` bit for bit; its ``certified_solve`` is the
+    production one, so that a design folded here differs only by its
+    folds."""
 
     def __init__(self, W, factor_rows=0):
         self._W = W
@@ -668,14 +670,6 @@ class QRFoldFactor:
     def folded(self):
         self._fold()
         return self._W[: self._top]
-
-    def solve(self, rcond):
-        """``np.linalg.lstsq`` on the factor's top ncol rows, which it
-        copies; checks the in-place ``dgelsd`` of ``_TriangularFactor``."""
-        F = self.folded()
-        n = F.shape[1] - 1
-        x, _, rank, sv = np.linalg.lstsq(F[:n, :n], F[:n, n], rcond=rcond)
-        return x, rank, sv
 
 
 def design_residuals_grid_synthesis(G, grid, nodes, target):

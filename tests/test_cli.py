@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotools import cli, sphere
+from zonotools import cli, sphere, zonoid
 
 
 def run_cli(*args):
@@ -191,6 +192,28 @@ class TestVerifyCommand:
             r = run_cli("--out", str(out), "--seed", "99", "verify", "--suite", "newton")
             assert r.returncode == 0
         assert (a / "verify_newton.json").read_bytes() == (b / "verify_newton.json").read_bytes()
+
+    @pytest.mark.skipif(zonoid._BLAS_THREADS is None, reason="numpy's BLAS is not its bundled OpenBLAS, so designs run unpinned")
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the default counterexample and rigidity suite, each run in its own
+        # directory at 1 and at 2 OpenBLAS threads, write the same bytes
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            for command in (["counterexample"], ["verify", "--suite", "rigidity"]):
+                cwd = tmp_path / threads / command[-1]
+                cwd.mkdir(parents=True)
+                r = subprocess.run(
+                    [sys.executable, "-m", "zonotools.cli", "--out", "out", *command],
+                    capture_output=True, text=True, env=env, cwd=cwd,
+                )
+                assert r.returncode == 0, r.stderr
+                (cwd / "stdout.txt").write_text(r.stdout)
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
+        assert len(files) == 8  # five counterexample files, one report, two stdouts
+        assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*") if p.is_file())
+        for f in files:
+            assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes(), f
 
     @pytest.mark.parametrize("suite", ["rigidity", "umbilic", "all"])
     def test_inadmissible_caps_exit_code(self, tmp_path, suite):

@@ -17,7 +17,7 @@ from zonotools import cli, convex, harmonics, sphere, transforms, zonoid
 
 import oracles
 from conftest import random_density, random_even_coeffs, random_unit
-from test_reach import OFF_PLANE_CAPS
+from test_reach import BAND_64_CAPS, OFF_PLANE_CAPS
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -30,10 +30,11 @@ def _gap_report(spec, u, m=256):
     return {key: float(x[0]) for key, x in zonoid.isotropy_gap_stack(values[None]).items()}
 
 
-def _off_plane_caps(tmp_path):
-    """The cap pair of OFF_PLANE_CAPS, read as the command line reads it."""
+def _off_plane_caps(tmp_path, text=OFF_PLANE_CAPS):
+    """The cap pair of OFF_PLANE_CAPS (or of ``text``), read as the command
+    line reads it."""
     path = tmp_path / "caps.cfg"
-    path.write_text(OFF_PLANE_CAPS)
+    path.write_text(text)
     cfg = cli.parse_config_file(str(path))
     return cfg.cap_u(), cfg.cap_v()
 
@@ -704,9 +705,9 @@ class TestPlateauDesign:
                 live.add(self)
 
         class Factor(zonoid._TriangularFactor):
-            def solve(self, rcond):
+            def certified_solve(self, floor, rcond):
                 at_solve.append(len(live))
-                return super().solve(rcond)
+                return super().certified_solve(floor, rcond)
 
         monkeypatch.setattr(zonoid, "_DesignRows", Rows)
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
@@ -728,26 +729,86 @@ class TestPlateauDesign:
         zonoid.design_plateau(u, v)
         assert keys == []
 
-    @pytest.mark.parametrize("pair", ["default", "off-plane"])
+    @pytest.mark.parametrize("pair", ["default", "off-plane", "band-64"])
     def test_design_solve_is_lstsq_on_a_copy_of_the_factor(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
+        # the substitution gives lstsq's minimizer within its conditioning,
+        # lstsq's cutoff drops nothing, and the reported bracket holds the
+        # SVD's singular-value ratio; at band 64 the ridge bound is too
+        # loose and the Frobenius bound certifies the full-rank factor
         solves = []
 
         class Factor(zonoid._TriangularFactor):
-            def solve(self, rcond):
+            def certified_solve(self, floor, rcond):
                 F = self.folded().copy()
                 n = F.shape[1] - 1
-                solves.append(np.linalg.lstsq(F[:n, :n], F[:n, n], rcond=rcond))
-                got = super().solve(rcond)
-                solves.append(got)
+                x_ref, _, rank_ref, sv = np.linalg.lstsq(F[:n, :n], F[:n, n], rcond=rcond)
+                got = super().certified_solve(floor, rcond)
+                solves.append((x_ref, rank_ref, sv[0] / sv[-1], got[0]))
                 return got
 
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        texts = {"off-plane": OFF_PLANE_CAPS, "band-64": BAND_64_CAPS}
+        u, v = _off_plane_caps(tmp_path, texts[pair]) if pair in texts else (cap_u, cap_v)
+        _, info = zonoid.design_plateau(u, v, L=64 if pair == "band-64" else 48)
+        assert info["design_certificate"] == ("frobenius" if pair == "band-64" else "ridge")
+        [(x_ref, rank_ref, kappa, x)] = solves
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(x - x_ref) <= 10.0 * (kappa + x.size) * eps * np.linalg.norm(x_ref)
+        assert rank_ref == info["design_rank"] == info["design_cols"]
+        # the lower end is a Rayleigh quotient, exact up to the rounding of
+        # sigma_min, which the SVD shares
+        assert info["design_sigma_ratio"] <= kappa * (1.0 + 10.0 * kappa * eps)
+        assert kappa <= info["design_sigma_ratio_bound"]
+
+    @pytest.mark.parametrize("pair", ["default", "off-plane"])
+    def test_ridge_certificate_has_headroom(self, cap_u, cap_v, pair, tmp_path):
+        # min |ridge row| / (rcond |R|_F) is 7.2 (default) and 4.2
+        # (off-plane); the certificate needs 2, and this asks for twice that
         u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
         _, info = zonoid.design_plateau(u, v)
-        (x_ref, _, rank_ref, sv_ref), (x, rank, sv) = solves
-        assert x.tobytes() == x_ref.tobytes()
-        assert rank == rank_ref == info["design_rank"] == info["design_cols"]
-        assert sv.tobytes() == sv_ref.tobytes()
+        rcond = np.finfo(float).eps * max(info["design_rows"], info["design_cols"])
+        assert info["design_certificate"] == "ridge"
+        assert 1.0 / (rcond * info["design_sigma_ratio_bound"]) >= 2.0 * 2.0
+
+    def test_uncertified_design_raises_and_restores_the_thread_count(self, cap_u, cap_v, monkeypatch):
+        # a ridge far too small for the ridge certificate, and a factor
+        # taken as singular (an exact zero pivot reads as |R^-1|_F = inf):
+        # the design stops with both certificates' numbers, an input error
+        # to the CLI
+        def threads():
+            return None if zonoid._BLAS_THREADS is None else zonoid._BLAS_THREADS[0]()
+
+        monkeypatch.setattr(zonoid, "_inverse_frobenius_norm", lambda R: math.inf)
+        before = threads()
+        with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)"):
+            zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID, ridge=1e-40)
+        assert threads() == before
+
+    @pytest.mark.skipif(zonoid._BLAS_THREADS is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+    def test_design_runs_at_one_blas_thread(self, cap_u, cap_v, monkeypatch):
+        get, set_count = zonoid._BLAS_THREADS
+        inside = []
+
+        class Factor(zonoid._TriangularFactor):
+            def certified_solve(self, floor, rcond):
+                inside.append(get())
+                return super().certified_solve(floor, rcond)
+
+        monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        before = get()
+        set_count(2)  # where the library has a second thread
+        try:
+            outer = get()
+            _, info = zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID)
+            assert get() == outer
+        finally:
+            set_count(before)
+        assert inside == [1] and info["blas_pinned"] is True
+        # without the setter the design runs unpinned and says so
+        monkeypatch.setattr(zonoid, "_BLAS_THREADS", None)
+        _, info_free = zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID)
+        assert info_free.pop("blas_pinned") is False and inside[1:] == [before]
+        assert set(info_free) == set(info) - {"blas_pinned"}
 
     @pytest.mark.parametrize("L,grid_shape", [(12, (32, 64)), (48, (128, 256))])
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
@@ -967,7 +1028,9 @@ class TestPlateauDesign:
         assert d["design_rank"] == 325
         assert d["design_rows"] == 7089
         assert d["design_rim_nodes"] == 0  # solved as given, not split
-        assert math.isfinite(d["design_sigma_ratio"]) and d["design_sigma_ratio"] > 1.0
+        assert 1.0 < d["design_sigma_ratio"] < d["design_sigma_ratio_bound"] < math.inf
+        assert d["design_certificate"] == "ridge"
+        assert d["blas_pinned"] is (zonoid._BLAS_THREADS is not None)
 
 
 def test_design_imports_no_masked_arrays():
@@ -1028,32 +1091,69 @@ class TestTriangularFactor:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 12),
-        st.integers(0, 12),
-        st.integers(1, 40),
-        st.integers(1, 30),
-        st.sampled_from([None, 1e-10]),
+        st.integers(1, 90),
+        st.integers(0, 200),
+        st.integers(1, 100),
+        st.floats(-6.0, 1.0),
+        st.sampled_from(["ridge", "frobenius", "singular"]),
         st.integers(0, 2**32 - 1),
     )
-    def test_solve_is_lstsq_on_a_copy_of_the_factor(self, ncol, rank, n_rows, block, rcond, seed):
-        # [A | b] with A of rank at most ``rank``: below full rank, the
-        # cutoff 1e-10 drops the columns whose singular values are rounding
+    def test_solve_is_lstsq_on_a_copy_of_the_factor(self, ncol, n_rows, block, log_floor, case, seed):
+        # random rows [B | b] stacked on a random diagonal D, the ridge rows'
+        # shape, folded in blocks; over 64 columns the substitution runs in
+        # more than one block.  "ridge": D certifies the factor.  Otherwise
+        # D is scaled to max |d| = rcond |B|_F / 2, below the ridge
+        # certificate's allowance: a tall B ("frobenius") is certified by
+        # |R|_F |R^-1|_F, and a B of rank below ncol ("singular") leaves
+        # sigma_min(R) <= max |d|, so |R|_F |R^-1|_F >= 2 / rcond, eight
+        # times the Frobenius certificate's limit, and the solve raises
         rng = np.random.default_rng(seed)
-        rank = min(rank, ncol, n_rows)
-        A = rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, ncol))
-        Ab = np.column_stack([A, rng.normal(size=n_rows)])
+        eps = np.finfo(float).eps
+        if case == "frobenius":
+            n_rows += ncol + 2
+        if case == "singular":
+            rank = min(ncol - 1, n_rows)
+            B = rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, ncol))
+        else:
+            B = rng.normal(size=(n_rows, ncol))
+        Ab = np.column_stack([B, rng.normal(size=n_rows)])
+        d = rng.choice([-1.0, 1.0], size=ncol) * 10.0 ** rng.uniform(log_floor, 1.0, size=ncol)
+        rcond = eps * max(n_rows + ncol, ncol)
+        if case != "ridge":
+            d *= 0.5 * rcond * np.linalg.norm(B) / np.max(np.abs(d))
+        diag = np.column_stack([np.diag(d), np.zeros(ncol)])
         factor = zonoid._TriangularFactor(_fold_buffer(ncol, block))
-        factor.add(_rows_of(Ab), 0, n_rows)
+        factor.add(_rows_of(np.vstack([Ab, diag])), 0, n_rows + ncol)
         F = factor.folded().copy()
-        if rcond is None:
-            rcond = np.finfo(float).eps * max(n_rows, ncol)
-        x_ref, _, rank_ref, sv_ref = np.linalg.lstsq(F[:ncol, :ncol], F[:ncol, ncol], rcond=rcond)
-        x, got_rank, sv = factor.solve(rcond)
-        assert x.tobytes() == x_ref.tobytes()
-        assert got_rank == rank_ref
-        assert sv.tobytes() == sv_ref.tobytes()
-        if rcond == 1e-10:
-            assert got_rank == rank
+        floor = float(np.min(np.abs(d)))
+        if case == "singular":
+            with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate needs 2 rcond \|R\|_F < min \|ridge row\|.* its Frobenius certificate needs 4 rcond \|R\|_F \|R\^-1\|_F < 1"):
+                factor.certified_solve(floor, rcond)
+            return
+        x, ratio, bound, certificate = factor.certified_solve(floor, rcond)
+        assert certificate == case
+        assert factor.folded().tobytes() == F.tobytes()  # read where it sits, not written
+        R, q = F[:ncol, :ncol], F[:ncol, ncol]
+        sv = np.linalg.svd(R, compute_uv=False)
+        kappa = sv[0] / sv[-1]
+        x_ref, _, rank_ref, _ = np.linalg.lstsq(R, q, rcond=rcond)
+        assert rank_ref == ncol  # the cutoff drops nothing
+        # the same minimizer within 10 kappa eps, plus 10 eps per column for
+        # lstsq's own rounding, which dominates near kappa = 1 (38 eps at
+        # kappa 1.4 in 3000 draws; in one draw at kappa 1.03 lstsq was 32 eps
+        # and the substitution 0.3 eps from the exact rational solution)
+        tol = 10.0 * (kappa + ncol) * eps
+        assert np.linalg.norm(x - x_ref) <= tol * np.linalg.norm(x_ref)
+        # the forward substitution with R^T, which the power steps use
+        y, y_ref = zonoid._triangular_solve(R, q, transpose=True), np.linalg.solve(R.T, q)
+        assert np.linalg.norm(y - y_ref) <= tol * np.linalg.norm(y_ref)
+        # the bracket holds the SVD's ratio, to the rounding of sigma_min
+        # (and, for |R|_F |R^-1|_F, which is kappa itself at one column, of
+        # the inverse)
+        assert ratio <= kappa * (1.0 + 10.0 * kappa * eps) and kappa <= bound * (1.0 + 10.0 * ncol * eps)
+        if case == "frobenius":
+            R_inv = np.linalg.inv(R)
+            assert bound == pytest.approx(np.linalg.norm(R) * np.linalg.norm(R_inv), rel=1e-6)
 
     # (rows per add call, results taken after these calls): one fold of a
     # part-full buffer; several folds of a full one, with a result taken
@@ -1092,24 +1192,25 @@ class TestTriangularFactor:
         # dimension exceeds its rows, folds and solves bitwise as in a
         # buffer of its own and writes nothing outside its corner
         ncol, block, k = 160, 256, 37
-        Ab = np.random.default_rng(7).normal(size=(700, ncol + 1))
+        rows = np.random.default_rng(7).normal(size=(700, ncol + 1))
+        Ab = np.vstack([rows, np.column_stack([0.1 * np.eye(ncol), np.zeros(ncol)])])
         big = np.full((ncol + 1 + block + k, ncol + 1 + k), 7.0, order="F")
         factors = [zonoid._TriangularFactor(big[k:, k:]), zonoid._TriangularFactor(_fold_buffer(ncol, block))]
         for factor in factors:
             factor.add(_rows_of(Ab), 0, Ab.shape[0])
         assert factors[0].folded().tobytes() == factors[1].folded().tobytes()
-        (x, rank, sv), (x_ref, rank_ref, sv_ref) = (f.solve(1e-12) for f in factors)
-        assert x.tobytes() == x_ref.tobytes() and rank == rank_ref and sv.tobytes() == sv_ref.tobytes()
+        # by either certificate: a floor of 1e-20 leaves it to |R|_F |R^-1|_F
+        for floor in (0.1, 1e-20):
+            got, ref = (f.certified_solve(floor, 1e-12) for f in factors)
+            assert got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:]
+            assert got[3] == ("ridge" if floor == 0.1 else "frobenius")
         assert np.all(big[:k] == 7.0) and np.all(big[:, :k] == 7.0)
 
-    @pytest.mark.parametrize("missing", ["dgelsd", "dgeqrf", "_ilp64"])
+    @pytest.mark.parametrize("missing", ["dgeqrf"])
     def test_import_names_a_missing_lapack_routine(self, missing, monkeypatch):
         # zonoid loaded afresh, as a module of its own, against a
-        # lapack_lite without one of the names the design calls
-        stub = types.SimpleNamespace(**{
-            name: getattr(np.linalg.lapack_lite, name)
-            for name in ("_ilp64", "dgeqrf", "dgelsd") if name != missing
-        })
+        # lapack_lite without the routine the design calls
+        stub = types.SimpleNamespace()
         monkeypatch.setattr(np.linalg, "lapack_lite", stub)
         spec = importlib.util.find_spec("zonotools.zonoid")
         with pytest.raises(ImportError, match=rf"lapack_lite\.{missing}, which numpy {re.escape(np.__version__)} "):
