@@ -36,25 +36,34 @@ def radii_grid(coeffs, grid):
 
     Returns (q11, q22, q12, r1, r2) in the (e_theta, e_phi) frame, where
     q11 = h_tt + h, q22 = h_pp/sin^2 + cot * h_t + h and
-    q12 = (h_tp - cot * h_p)/sin.  Every factor of these is constant on a
-    ring or is m or m^2 of a longitude derivative, so all of them sit in
-    the cached tables of ``harmonics.grid_radii_tables``: one matmul
-    batched over the orders contracts them with the coefficients, and one
+    q12 = (h_tp - cot * h_p)/sin.  Each is linear in the ring sums over l
+    of Q A and Q' A, A = Ac and As, with factors constant on a ring and
+    the order's m (``harmonics._tangential_hessian``), and q11 is the
+    trace (2 - l(l+1)) Q A less q22.  So three ring sums, matmuls batched
+    over the orders against the stored Q and Q' (``grid_legendre``,
+    ``grid_theta_derivative``), are combined ring by ring, and one
     (3 n_theta x 2(L+1)) @ (2(L+1) x n_phi) matmul against the stacked
     longitude table gives the three entries at every node.
     """
     L, R = coeffs.L, grid.n_theta
     Ac, As = coeffs.split_orders()
-    # B[m, k * R + ring] holds table k contracted over l with Ac and with As
-    B = harmonics.grid_radii_tables(L, grid) @ np.stack([Ac.T, As.T], axis=2)
-    Bc, Bs = B[:, :, 0].T, B[:, :, 1].T
-    W = np.empty((3 * R, 2 * (L + 1)))
-    n = 2 * R  # q11 and q22 pair with Ac cos + As sin, q12 with As cos - Ac sin
-    W[:n, : L + 1] = Bc[:n]
-    W[:n, L + 1 :] = Bs[:n]
-    W[n:, : L + 1] = Bs[n:]
-    W[n:, L + 1 :] = -Bc[n:]
-    q11, q22, q12 = (W @ harmonics.longitude_table(L, grid.n_phi)).reshape(3, -1)
+    l = np.arange(L + 1.0)
+    X = np.empty((L + 1, 4, L + 1))  # [m, :, l]: Ac, As, then (2 - l(l+1)) Ac, As
+    X[:, 0], X[:, 1] = Ac.T, As.T
+    np.multiply(X[:, :2], 2.0 - l * (l + 1.0), out=X[:, 2:])
+    # [m, :, ring]: the ring sums of Q X and of Q' Ac, As
+    S = X @ harmonics.grid_legendre(L, grid).transpose(1, 0, 2)
+    D = X[:, :2] @ harmonics.grid_theta_derivative(L, grid).transpose(1, 0, 2)
+    t, m = grid.cos_theta, l[:, None, None]
+    q22, twist = harmonics._tangential_hessian(m, t, np.sqrt(1.0 - t * t), S[:, :2], D)
+    # W[(cos, sin), m, entry, ring]: q11 and q22 pair with Ac cos + As sin,
+    # q12 with As cos - Ac sin
+    W = np.empty((2, L + 1, 3, R))
+    by_order = W.transpose(1, 2, 0, 3)
+    np.subtract(S[:, 2:], q22, out=by_order[:, 0])
+    by_order[:, 1] = q22
+    np.multiply(twist[:, ::-1], m * [[1.0], [-1.0]], out=by_order[:, 2])
+    q11, q22, q12 = (W.reshape(2 * (L + 1), 3 * R).T @ harmonics.longitude_table(L, grid.n_phi)).reshape(3, -1)
     return (q11, q22, q12, *_eigs_2x2(q11, q22, q12))
 
 

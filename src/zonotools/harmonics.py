@@ -306,29 +306,33 @@ def _theta_derivative(L, t, s, P):
     return dP
 
 
-def _legendre_ode(l, m, t, s, Q, dQ, out=None):
-    """d2Q/dtheta2 of degrees l and orders m (arrays that broadcast against
-    Q and dQ) from Q and dQ/dtheta at t = cos theta, s = sin theta, by the
-    associated Legendre ODE
+def _tangential_hessian(m, t, s, Q, dQ):
+    """The ring factors of the radii matrix of order m, linear in Q and
+    its theta-derivative dQ at t = cos theta, s = sin theta (arrays that
+    broadcast together): (q22, twist) with
 
-        Q'' = -cot(theta) Q' - (l(l+1) - m^2/sin^2(theta)) Q,
+        q22 = Q (1 - m^2 / sin^2 theta) + cot theta Q',
+        twist = (Q' - cot theta Q) / sin theta,
 
-    formed in ``out`` when given.  Where m > l, with Q = Q' = 0 there, it
-    gives +0.0."""
-    out = np.multiply(-(t / s), dQ, out=out)
-    out -= (l * (l + 1.0) - m**2 / (s * s)) * Q
-    return out
+    so that q22 of a term times Ac cos(m phi) + As sin(m phi) is its
+    h_pp / sin^2 + cot h_t + h, and m twist times As cos(m phi) -
+    Ac sin(m phi) its q12 = (h_tp - cot h_p) / sin.  By the associated
+    Legendre ODE, Q'' = -cot Q' - (l(l+1) - m^2/sin^2) Q, the trace
+    q11 + q22 = Delta h + 2h is (2 - l(l+1)) Q of degree l, so q11 =
+    Q'' + Q is (2 - l(l+1)) Q - q22 and no Q'' is formed."""
+    cot = t / s
+    return Q * (1.0 - m * m / (s * s)) + cot * dQ, (dQ - cot * Q) / s
 
 
 def ring_theta_tables(L, t):
     """Q_{l,m}(t) at the ring cosines t and its theta-derivative
     (``_theta_derivative``), each of shape (L+1, L+1, len(t)); built afresh
-    on each call and not cached, for a caller that reads them once and
-    drops them.  A caller that needs the second derivative forms it from
-    these by ``_legendre_ode``.  Every operation is elementwise per ring, so
-    on any subset of a grid's rings the tables are bitwise the whole grid's
-    on those rings, and Q is bitwise the cached ``grid_legendre``.  Rejects
-    cosines outside [-1, 1] and the poles."""
+    on each call and not cached, for the plateau design, which reads them
+    once on its cap rings and drops them.  Every operation is elementwise
+    per ring, so on any subset of a grid's rings the tables are bitwise the
+    whole grid's on those rings, and bitwise the cached ``grid_legendre``
+    and ``grid_theta_derivative``.  Rejects cosines outside [-1, 1] and the
+    poles."""
     t = _ring_cosines(np.asarray(t, dtype=float))
     s = _pole_safe_sin(t)
     P = _normalized_legendre(L, t)
@@ -346,18 +350,16 @@ def _phi_tables(L, phi):
 # ----------------------------------------------------------------------
 #
 # One store holds three kinds of table per band limit: Q on a set of rings
-# (grid_legendre, and ring_samples by the same key), the radii tables E
-# (grid_radii_tables), both keyed by the ring cosines, and the longitude
-# tables of m equispaced longitudes (longitude_table), keyed by m.  The
-# theta derivative Q' is not kept: ring_theta_tables builds it at any ring
-# cosines for each caller that reads it, E's build among them.
+# (grid_legendre) and its theta derivative Q' (grid_theta_derivative),
+# both keyed by the ring cosines, which ring_samples reads them by too, and
+# the longitude tables of m equispaced longitudes (longitude_table), keyed
+# by m.
 
 #: Bytes of tables the per-grid store may hold.  Every table that one
-#: command reads more than once fits: Q at band 48 on a 64-ring grid is
-#: 1.23 MB, the longitude table of band 48 at m = 256 0.2 MB, and the
-#: benchmark's counterexample run holds at most 1.74 MB, `verify --suite
-#: all` 2.38 MB.  E at band 48 on 64 rings (3.7 MB), which a command reads
-#: once, is over the budget.
+#: command reads more than once fits: Q and Q' at band 48 on a 64-ring
+#: grid are 1.23 MB each and the longitude table of band 48 at m = 256
+#: 0.2 MB; `verify --suite all` holds at most 3.08 MB, the benchmark's
+#: counterexample run 2.90 MB.
 GRID_TABLE_CACHE_BYTES = 3 * 2**20
 
 #: The per-grid store: (builder, L, key) -> read-only table, least recently
@@ -401,32 +403,11 @@ def _ring_legendre(L, t_key):
     return _normalized_legendre(L, _ring_cosines(np.frombuffer(t_key)))
 
 
-def _radii_tables(L, t, P, dP):
-    """The ring-scaled radii tables of ``grid_radii_tables`` from the theta
-    tables Q, Q' at ring cosines t, each block formed in place in the
-    table (the E12 block holds cot Q' until E22 has read it); E11 reads Q''
-    from ``_legendre_ode``."""
-    s = _pole_safe_sin(t)
-    cot = t / s
-    m = np.arange(L + 1)[:, None]
-    E = np.empty((L + 1, 3, t.size, L + 1))
-    E11, E22, E12 = (E[:, k] for k in range(3))
-    P, dP = (x.transpose(1, 2, 0) for x in (P, dP))  # [m, ring, l]
-    _legendre_ode(np.arange(L + 1), m[:, :, None], t[:, None], s[:, None], P, dP, out=E11)
-    E11 += P
-    np.multiply(P, (1.0 - m * m / (s * s))[:, :, None], out=E22)
-    np.multiply(cot[:, None], dP, out=E12)
-    E22 += E12
-    np.multiply(cot[:, None], P, out=E12)
-    np.subtract(dP, E12, out=E12)
-    E12 *= m[:, :, None]
-    E12 /= s[:, None]
-    return E.reshape(L + 1, 3 * t.size, L + 1)
-
-
-def _ring_radii_tables(L, t_key):
+def _ring_theta_derivative(L, t_key):
+    """Q' on the rings of ``t_key`` from the stored Q of the same key."""
+    P = _grid_table(_ring_legendre, L, t_key)  # checks the ring cosines
     t = np.frombuffer(t_key)
-    return _radii_tables(L, t, *ring_theta_tables(L, t))
+    return _theta_derivative(L, t, _pole_safe_sin(t), P)
 
 
 def _longitude_tables(L, m):
@@ -444,23 +425,11 @@ def grid_legendre(L, grid):
     return _grid_table(_ring_legendre, L, _table_key(grid.cos_theta))
 
 
-def grid_radii_tables(L, grid):
-    """The theta factors of the radii matrix on the grid's rings, scaled per
-    ring, shape (L+1, 3 * n_theta, L+1) and indexed [m, k * n_theta + ring, l].
-
-    With ' the theta-derivative, the three blocks k = 0, 1, 2 hold
-
-        E11 = Q'' + Q,
-        E22 = Q (1 - m^2 / sin^2 theta) + cot theta Q',
-        E12 = m (Q' - cot theta Q) / sin theta,
-
-    so that q11 and q22 are sums of E11 and E22 times
-    Ac cos(m phi) + As sin(m phi), and q12 of E12 times
-    As cos(m phi) - Ac sin(m phi).  Cached like grid_legendre, and kept only
-    within the store's byte budget; read-only.  The theta tables it is
-    built from (``ring_theta_tables``) are not kept.
-    """
-    return _grid_table(_ring_radii_tables, L, _table_key(grid.cos_theta))
+def grid_theta_derivative(L, grid):
+    """dQ_{l,m}/dtheta on the grid's rings, shape (L+1, L+1, n_theta):
+    ``_theta_derivative`` of the stored ``grid_legendre`` table, cached
+    under the same key; read-only.  Rejects the poles."""
+    return _grid_table(_ring_theta_derivative, L, _table_key(grid.cos_theta))
 
 
 def longitude_table(L, m):
@@ -691,9 +660,10 @@ def ring_samples(C, frames, t, m, derivatives=False):
     Q_{l,k}(t) (``grid_legendre``'s table, cached by the ring cosines), and
     then one matmul each with the cos and sin halves of the cached
     ``longitude_table(L, m)``.  Every order is evaluated exactly at the m
-    nodes, so no spectrum is folded, whether 2L < m or not.  ∂θ reads Q' of
-    ``ring_theta_tables``, which rejects the poles, in place of Q, and ∂φ
-    is the same matmul on (k B'_k, -k B_k).  The matmuls are batched over
+    nodes, so no spectrum is folded, whether 2L < m or not.  ∂θ reads Q',
+    stored under the same key (``grid_theta_derivative``, which rejects
+    the poles), in place of Q, and ∂φ is the same matmul on
+    (k B'_k, -k B_k).  The matmuls are batched over
     the stack, one product per row, so each value is summed in the same
     order whatever S is, and a row's samples are bitwise the same alone or
     in any stack.  The ring cosines are checked (``_ring_cosines``) where
@@ -707,7 +677,9 @@ def ring_samples(C, frames, t, m, derivatives=False):
     rotated = np.asarray(C, dtype=float) if frames is None else rotate_rows(C, frames)
     L = _rows_band_limit(rotated)
     Ac, As = (A.reshape(-1, L + 1, L + 1) for A in _split_rows(rotated))
-    tables = ring_theta_tables(L, t) if derivatives else (_grid_table(_ring_legendre, L, _table_key(t)),)
+    key = _table_key(t)
+    builds = (_ring_legendre, _ring_theta_derivative) if derivatives else (_ring_legendre,)
+    tables = [_grid_table(build, L, key) for build in builds]
     sums = [(np.einsum("lmr,slm->srm", Q, Ac), np.einsum("lmr,slm->srm", Q, As)) for Q in tables]
     if derivatives:
         k = np.arange(L + 1)

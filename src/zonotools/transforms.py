@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,9 +89,6 @@ def funk_transform(f):
 #: own scale (``circle_scale``).
 EPS_FLOOR = 1e-14
 
-#: Circle node counts whose angle tables stay cached.
-CIRCLE_TABLE_CACHE_SIZE = 16
-
 
 def circle_samples(C, normals, m):
     """Expansion s on the m nodes of ``great_circle(normals[s], m)``.
@@ -110,24 +106,15 @@ def circle_samples(C, normals, m):
     return out[0] if circle.normal.ndim == 1 else out
 
 
-@lru_cache(maxsize=CIRCLE_TABLE_CACHE_SIZE)
-def _double_angle_tables(m):
-    """cos 2a and sin 2a at the m circle angles a = 2 pi k / m, cached per
-    m; both arrays are read-only."""
-    two_a = 4.0 * np.pi * np.arange(m) / m
-    c2, s2 = np.cos(two_a), np.sin(two_a)
-    c2.flags.writeable = False
-    s2.flags.writeable = False
-    return c2, s2
-
-
 def circle_moments(values):
     """The order-0 and order-2 moments S0 = sum g, Sc = sum g cos 2a and
     Ss = sum g sin 2a of S circles from their (S, m) samples at the angles
-    a = 2 pi k / m, as (S,) arrays.  Sc and Ss are one dot product per
-    circle (a stack of 1 x m matmuls), so a row's moments are bitwise the
-    same in any stack."""
-    c2, s2 = _double_angle_tables(values.shape[1])
+    a = 2 pi k / m, as (S,) arrays.  cos 2a and sin 2a are the order-2 rows
+    of the stored ``harmonics.longitude_table(2, m)``.  Sc and Ss are one
+    dot product per circle (a stack of 1 x m matmuls), so a row's moments
+    are bitwise the same in any stack."""
+    cs = harmonics.longitude_table(2, values.shape[1])
+    c2, s2 = cs[2], cs[5]
     return np.sum(values, axis=1), (values[:, None, :] @ c2)[:, 0], (values[:, None, :] @ s2)[:, 0]
 
 

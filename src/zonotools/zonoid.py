@@ -393,15 +393,16 @@ class _DesignRows(_RowBlock):
 
     The rows are assembled one order m at a time, vectorized over degree,
     from ring tables of the design's own, one row per solved column (' is
-    the theta-derivative): Q, the Legendre factor; H = Q'' - cot Q' +
-    m^2 Q / sin^2, of which h11 - h22 is the product with the longitude
-    factor; and K = 2 (Q' - cot Q) / sin, of which 2 h12 is the product
-    with the longitude factor's phi-derivative.  The tables hold only the
-    cap rings, the rings of the kept nodes (38 of 128 for the default caps
-    at band 48): Q and Q' come from ``harmonics.ring_theta_tables`` at
-    those rings alone, uncached, Q'' from them by
-    ``harmonics._legendre_ode``, and all are dropped once the tables are
-    gathered, so no table of the design grid enters a per-grid cache.
+    the theta-derivative): Q, the Legendre factor; H, of which h11 - h22
+    is the product with the longitude factor; and K, of which 2 h12 is the
+    product with the longitude factor's phi-derivative.  H and K are the
+    radii matrix's rule (``harmonics._tangential_hessian``, giving q22 and
+    twist): the trace h11 + h22 is 2 funk Q, so H = 2 (funk Q - q22), and
+    K = 2 twist = 2 (Q' - cot Q) / sin.  The tables hold only the cap
+    rings, the rings of the kept nodes (38 of 128 for the default caps at
+    band 48): Q and Q' come from ``harmonics.ring_theta_tables`` at those
+    rings alone, uncached, and are dropped once the tables are gathered,
+    so no table of the design grid enters a per-grid cache.
     ``node_values`` evaluates a solution at the kept nodes from the Q
     tables, for the residuals.
 
@@ -446,7 +447,6 @@ class _DesignRows(_RowBlock):
         self._is_aniso = self.which < 2  # U and V
         t = grid.cos_theta[rings]
         st = np.sqrt(1.0 - t * t)
-        cot = t / st
         P, dP = harmonics.ring_theta_tables(L, t)
         cosm, sinm = harmonics._phi_tables(L, grid.phi)
         s2 = math.sqrt(2.0)
@@ -461,10 +461,9 @@ class _DesignRows(_RowBlock):
             else:
                 trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
             lc = self.ls[cols]
-            Q, dQ = P[lc, am], dP[lc, am]
-            H = harmonics._legendre_ode(lc[:, None], am, t, st, Q, dQ) - cot * dQ + am * am * Q / (st * st)
-            K = 2.0 * (dQ - cot * Q) / st
-            orders.append((cols, trig, dtrig, Q, H, K))
+            Q = P[lc, am]
+            q22, twist = harmonics._tangential_hessian(am, t, st, Q, dP[lc, am])
+            orders.append((cols, trig, dtrig, Q, 2.0 * (funk[cols, None] * Q - q22), 2.0 * twist))
         super().__init__(
             orders, np.arange(self.ls.size), funk, ring, lon, sw, target,
             np.flatnonzero(self._is_aniso),
@@ -902,7 +901,9 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     ``np.linalg.lstsq`` drops nothing, so the substitution gives lstsq's
     minimizer; where that bound is too loose (high bands), the Frobenius
     bound |R|_F |R^-1|_F certifies it instead, and a design that neither
-    covers raises ValueError.  Every design is folded by one recipe (``_fold_design``)
+    covers raises ValueError, as does a design grid too coarse for the
+    band, where a class of rows has fewer kept nodes than columns.  Every
+    design is folded by one recipe (``_fold_design``)
     over the row blocks of ``_DesignRows.blocks``: each class of rows is
     folded in its own corner of the buffer, value rows first, then the
     Funk rows from their factor, the anisotropy rows and the ridge rows,
@@ -942,10 +943,17 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         node_values = rows.node_values()
         lam = harmonics.multiplier_table("cosine", L)
         ridge_diag = math.sqrt(ridge) / lam[ls]
+        classes, rim = rows.blocks()
+        for name, block in zip(("even", "odd") if len(classes) == 2 else ("whole",), classes):
+            if block.n_nodes < block.cols.size:
+                raise ValueError(
+                    f"the plateau design's {name} row class has {block.n_nodes} kept nodes for "
+                    f"{block.cols.size} columns at band {L} on the {design_grid[0]}x{design_grid[1]} "
+                    "design grid; each class needs at least as many value rows as columns"
+                )
+        n_rim = rim.n_nodes
         # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
         W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + 1), order="F")
-        classes, rim = rows.blocks()
-        n_rim = rim.n_nodes
         factor, cols = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol

@@ -320,9 +320,10 @@ def pav_decreasing_by_weight(y, w):
 def theta_tables(L, t):
     """Q, Q' and Q'' at the ring cosines t, each (L+1, L+1, len(t)): Q and
     Q' of ``harmonics.ring_theta_tables``, and Q'' from the associated
-    Legendre ODE one degree at a time, its orders m > l left +0.0; checks
-    ``harmonics._legendre_ode``, which forms Q'' for the radii tables and
-    the plateau design."""
+    Legendre ODE one degree at a time, its orders m > l left +0.0.  The
+    package forms no Q'': ``harmonics._tangential_hessian`` gives the
+    radii matrix and the plateau design's anisotropy rows from Q and Q'
+    alone, and this checks it."""
     P, dP = harmonics.ring_theta_tables(L, t)
     s = np.sqrt(1.0 - t * t)
     cot = t / s
@@ -368,8 +369,8 @@ def radii_grid_six_fields(coeffs, grid):
     """(q11, q22, q12, r1, r2) at every grid node from the six partial
     fields of ``derivative_fields_per_field`` and per-node sin and cot
     theta: q11 = htt + h, q22 = hpp / sin^2 + cot ht + h and
-    q12 = (htp - cot hp) / sin.  Checks ``convex.radii_grid``, which folds
-    the ring factors into cached tables first."""
+    q12 = (htp - cot hp) / sin.  Checks ``convex.radii_grid``, which sums
+    over the degrees first and applies the ring factors to the sums."""
     h, ht, htt, hp, hpp, htp = derivative_fields_per_field(coeffs, grid)
     ct = np.repeat(grid.cos_theta, grid.n_phi)
     st = np.sqrt(1.0 - ct**2)

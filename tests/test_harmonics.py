@@ -45,17 +45,34 @@ class TestLegendreTables:
 
     @pytest.mark.parametrize("L", [0, 7, 48])
     def test_ode_is_the_per_degree_second_derivative(self, L):
-        # the vectorized ODE, over all (l, m) at once, is bitwise the
-        # per-degree one, +0.0 where m > l included
-        t = sphere.build_grid(64, 128).cos_theta
+        # the tangential-Hessian rule, linear in Q and Q', gives the radii
+        # matrix's q11 = Q'' + Q as (2 - l(l+1)) Q - q22, the design's
+        # H = Q'' - cot Q' + m^2 Q / sin^2 as 2 (funk Q - q22) and its
+        # K = 2 (Q' - cot Q) / sin as 2 twist, against Q'' of the per-degree
+        # ODE, at every (l, m) and every ring of the design grid.  Each entry
+        # is within 8 eps of the sum of its terms' magnitudes; entries with
+        # m > l are exactly zero.
+        t = sphere.build_grid(128, 256).cos_theta
         P, dP, d2P = oracles.theta_tables(L, t)
-        l, m = np.arange(L + 1)[:, None, None], np.arange(L + 1)[:, None]
-        got = harmonics._legendre_ode(l, m, t, np.sqrt(1.0 - t * t), P, dP)
-        assert got.tobytes() == d2P.tobytes()
+        s = np.sqrt(1.0 - t * t)
+        cot = t / s
+        l, m = np.arange(L + 1.0)[:, None, None], np.arange(L + 1.0)[:, None]
+        q22, twist = harmonics._tangential_hessian(m, t, s, P, dP)
+        funk = 1.0 - 0.5 * l * (l + 1.0)
+        size = l * (l + 1.0) * np.abs(P) + 2.0 * m * m / (s * s) * np.abs(P) + 2.0 * np.abs(cot * dP)
+        for got, want in (
+            ((2.0 - l * (l + 1.0)) * P - q22, d2P + P),
+            (2.0 * (funk * P - q22), d2P - cot * dP + m * m * P / (s * s)),
+            (2.0 * twist, 2.0 * (dP - cot * P) / s),
+        ):
+            assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * size)
+            assert not np.any(got[np.arange(L + 1)[:, None] < np.arange(L + 1)])
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError, match="pole"):
             harmonics.ring_theta_tables(4, np.array([1.0]))
+        with pytest.raises(ValueError, match="pole"):
+            harmonics.ring_samples(np.zeros(25), None, np.array([0.5, -1.0]), 8, derivatives=True)
 
 
 class TestAnalysisSynthesis:
@@ -261,10 +278,12 @@ class TestGridTableCache:
     @given(st.integers(0, 24), st.sampled_from([(8, 16), (33, 66), (64, 128)]), st.data())
     def test_ring_tables_on_any_rings_are_the_grid_tables(self, L, shape, data):
         # on any subset of a grid's rings, in any order, the uncached theta
-        # tables are the whole grid's on those rings, and Q the cached one
+        # tables are the whole grid's on those rings, and Q and Q' the
+        # stored ones
         grid = sphere.build_grid(*shape)
         full = harmonics.ring_theta_tables(L, grid.cos_theta)
         assert full[0].tobytes() == harmonics.grid_legendre(L, grid).tobytes()
+        assert full[1].tobytes() == harmonics.grid_theta_derivative(L, grid).tobytes()
         rings = np.array(data.draw(st.lists(
             st.integers(0, grid.n_theta - 1), min_size=1, max_size=grid.n_theta, unique=True
         )))
@@ -274,30 +293,16 @@ class TestGridTableCache:
 
     @pytest.mark.parametrize("L", [0, 5, 8, 48])
     def test_radii_and_stacked_tables_equal_fresh_builds(self, grid, L):
-        t = grid.cos_theta
-        P, dP, d2P = oracles.theta_tables(L, t)
-        E = harmonics.grid_radii_tables(L, grid)
-        assert E.shape == (L + 1, 3 * grid.n_theta, L + 1)
-        # the blocks, formed in place, are bitwise their formulas
-        s = np.sqrt(1.0 - t * t)
-        cot = t / s
-        m = np.arange(L + 1)[:, None]
-        blocks = (
-            d2P + P,
-            P * (1.0 - m * m / (s * s)) + cot * dP,
-            m * (dP - cot * P) / s,
-        )
-        for k, block in enumerate(blocks):
-            got = E.reshape(L + 1, 3, grid.n_theta, L + 1)[:, k]
-            assert got.tobytes() == np.ascontiguousarray(block.transpose(1, 2, 0)).tobytes()
-        again = harmonics.grid_radii_tables(L, grid)
-        if E.nbytes <= harmonics.GRID_TABLE_CACHE_BYTES:
-            assert again is E
-        else:  # over the store's budget (band 48): rebuilt per call, bitwise
-            assert again is not E and again.tobytes() == E.tobytes()
-        # block k, ring r, order m, degree l against the theta tables
-        r, m, l = grid.n_theta // 3, min(2, L), L
-        assert E[m, r, l] == d2P[l, m, r] + P[l, m, r]
+        # the tables radii_grid reads: Q and Q', each bitwise a fresh build
+        # and kept (1.23 MB each at band 48, within the store's budget)
+        P, dP = harmonics.ring_theta_tables(L, grid.cos_theta)
+        Q = harmonics.grid_legendre(L, grid)
+        D = harmonics.grid_theta_derivative(L, grid)
+        assert D.shape == Q.shape == (L + 1, L + 1, grid.n_theta)
+        assert Q.tobytes() == P.tobytes() and D.tobytes() == dP.tobytes()
+        assert D.nbytes <= harmonics.GRID_TABLE_CACHE_BYTES
+        assert harmonics.grid_theta_derivative(L, grid) is D
+        assert harmonics.grid_legendre(L, grid) is Q
         # the stacked longitude table: cos then sin, the grid's longitudes
         cs = harmonics.longitude_table(L, grid.n_phi)
         assert cs.shape == (2 * (L + 1), grid.n_phi)
@@ -307,7 +312,7 @@ class TestGridTableCache:
         tables = (
             harmonics.grid_legendre(6, small_grid),
             harmonics.longitude_table(6, small_grid.n_phi),
-            harmonics.grid_radii_tables(6, small_grid),
+            harmonics.grid_theta_derivative(6, small_grid),
         )
         for arr in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -340,10 +345,7 @@ class TestGridTableCache:
     # (stored table, fresh build) per kind of per-grid table
     STORED_TABLES = {
         "legendre": (harmonics.grid_legendre, lambda L, g: harmonics._normalized_legendre(L, g.cos_theta)),
-        "radii": (
-            harmonics.grid_radii_tables,
-            lambda L, g: harmonics._radii_tables(L, g.cos_theta, *harmonics.ring_theta_tables(L, g.cos_theta)),
-        ),
+        "derivative": (harmonics.grid_theta_derivative, lambda L, g: harmonics.ring_theta_tables(L, g.cos_theta)[1]),
         "longitude": (
             lambda L, g: harmonics.longitude_table(L, g.n_phi),
             lambda L, g: np.vstack(harmonics._phi_tables(L, g.phi)),
@@ -372,42 +374,63 @@ class TestGridTableCache:
     def test_store_holds_at_most_its_budget(self, requests, budget):
         """Over any sequence of (band, grid) requests the store holds at most
         its budget, and exactly the tables that a least-recently-used model
-        by bytes holds; every table is bitwise a fresh build; a table within
-        the budget comes back by identity on a repeat, and one over it is
-        not kept."""
-        model = collections.OrderedDict()  # request -> table, least recent first
+        by bytes holds, in its order; a Q' build reads Q from the store
+        first; every table is bitwise a fresh build; a table within the
+        budget comes back by identity on a repeat, and one over it is not
+        kept."""
+        model = collections.OrderedDict()  # request -> bytes, least recent first
+        returned = {}  # request -> the table returned for it while it is held
+        kinds = {
+            harmonics._ring_legendre: "legendre",
+            harmonics._ring_theta_derivative: "derivative",
+            harmonics._longitude_tables: "longitude",
+        }
+
+        def read(request, nbytes):
+            if request in model:
+                model.move_to_end(request)
+            elif nbytes <= budget:
+                while sum(model.values()) + nbytes > budget:
+                    returned.pop(model.popitem(last=False)[0], None)
+                model[request] = nbytes
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harmonics, "GRID_TABLE_CACHE_BYTES", budget)
             mp.setattr(harmonics, "_GRID_TABLES", collections.OrderedDict())
-            for request in requests:
-                L, shape, kind = request
-                request = self._store_key(*request)
+            for L, shape, kind in requests:
+                request = self._store_key(L, shape, kind)
                 stored, fresh = self.STORED_TABLES[kind]
                 grid = self.STORE_GRIDS[shape]
+                held = request in model
                 table = stored(L, grid)
                 assert table.tobytes() == fresh(L, grid).tobytes()
                 assert not table.flags.writeable
+                if held and request in returned:
+                    assert returned[request] is table
+                if kind == "derivative" and not held:
+                    # Q has the shape of Q'
+                    legendre = self._store_key(L, shape, "legendre")
+                    if legendre not in model:
+                        returned.pop(legendre, None)
+                    read(legendre, table.nbytes)
+                read(request, table.nbytes)
                 if request in model:
-                    assert model[request] is table
-                    model.move_to_end(request)
-                elif table.nbytes <= budget:
-                    while sum(t.nbytes for t in model.values()) + table.nbytes > budget:
-                        model.popitem(last=False)
-                    model[request] = table
+                    returned[request] = table
                 again = stored(L, grid)
                 assert (again is table) == (table.nbytes <= budget)
                 assert again.tobytes() == table.tobytes()
-                held = list(harmonics._GRID_TABLES.values())
-                assert sum(t.nbytes for t in held) <= budget
-                assert [id(t) for t in held] == [id(t) for t in model.values()]
+                assert sum(t.nbytes for t in harmonics._GRID_TABLES.values()) <= budget
+                assert [
+                    (L_, key if kinds[build] == "longitude" else np.frombuffer(key).size, kinds[build])
+                    for build, L_, key in harmonics._GRID_TABLES
+                ] == list(model)
 
     def test_one_table_build_per_grid_and_band(self, monkeypatch):
         """radii_grid, synthesize_grid, analyze and circle_samples build the
-        ring Legendre table of a (rings, band) once for each stored table
-        they read, however often they run: once for grid_legendre, once
-        inside the build of the radii tables, whose theta tables are not
-        kept, and once for the great circles' ring t = 0; and each
-        longitude table once per (band, longitude count)."""
+        ring Legendre table of a (rings, band) once, however often they
+        run: once for the grid's rings, which Q' is built from, and once
+        for the great circles' ring t = 0; and each longitude table once
+        per (band, longitude count)."""
         legendre, longitude = [], []
 
         def counting(builds, real, key):
@@ -431,7 +454,7 @@ class TestGridTableCache:
             harmonics.analyze(grid, values, 7)
             for m in (64, grid.n_phi):
                 transforms.circle_samples(np.tile(c.c, (3, 1)), normals, m)
-        assert legendre == [7, 7, 7]
+        assert legendre == [7, 7]
         assert longitude == [(7, grid.n_phi), (7, 64)]
 
 

@@ -202,13 +202,13 @@ class TestSectionIsotropy:
         assert abs(dev[0] - dev_ref) <= 1e-12 * dev_ref
 
     def test_angle_tables_cached_and_read_only(self):
-        # the isotropy tensor's circle table is cos 2a and sin 2a
-        c2, s2 = transforms._double_angle_tables(64)
-        assert transforms._double_angle_tables(64)[0] is c2
-        for arr in (c2, s2):
-            assert not arr.flags.writeable
+        # the isotropy tensor's circle table, cos 2a and sin 2a, is the
+        # order-2 half of the stored longitude table of band 2
+        cs = harmonics.longitude_table(2, 64)
+        assert harmonics.longitude_table(2, 64) is cs
+        assert not cs.flags.writeable
         two_a = 4.0 * np.pi * np.arange(64) / 64
-        assert np.array_equal(c2, np.cos(two_a)) and np.array_equal(s2, np.sin(two_a))
+        assert np.array_equal(cs[2], np.cos(two_a)) and np.array_equal(cs[5], np.sin(two_a))
 
     @pytest.mark.parametrize("m", [8, 64, 97, 256])
     def test_tensor_matches_the_angle_sums(self, m):

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import math
 import os
@@ -135,17 +136,20 @@ class TestCalibration:
             assert abs(f1[0] - 2.0 * math.pi * c) < 1e-13 * (2.0 * math.pi * c)
             assert abs(f2[0] - (2.0 * math.pi * c) ** 2) < 1e-13 * (2.0 * math.pi * c) ** 2
 
-    def test_double_angle_tables_cached_and_read_only(self):
-        # the densities' moments read the one cached table of transforms
-        c2, s2 = transforms._double_angle_tables(64)
-        hits = transforms._double_angle_tables.cache_info().hits
-        zonoid._weil_densities(np.ones((2, 64)))
-        assert transforms._double_angle_tables.cache_info().hits == hits + 1
-        assert transforms._double_angle_tables(64)[0] is c2
-        for arr in (c2, s2):
-            assert not arr.flags.writeable
+    def test_double_angle_tables_cached_and_read_only(self, monkeypatch):
+        # the densities' moments read the stored longitude table of band 2,
+        # built once
+        builds = []
+        real = harmonics._longitude_tables
+        monkeypatch.setattr(harmonics, "_longitude_tables", lambda L, m: (builds.append((L, m)), real(L, m))[1])
+        monkeypatch.setattr(harmonics, "_GRID_TABLES", collections.OrderedDict())
+        for _ in range(2):
+            zonoid._weil_densities(np.ones((2, 64)))
+        assert builds == [(2, 64)]
+        cs = harmonics.longitude_table(2, 64)
+        assert not cs.flags.writeable
         two_a = 4.0 * np.pi * np.arange(64) / 64
-        assert np.array_equal(c2, np.cos(two_a)) and np.array_equal(s2, np.sin(two_a))
+        assert np.array_equal(cs[2], np.cos(two_a)) and np.array_equal(cs[5], np.sin(two_a))
 
     @pytest.mark.parametrize("m", [8, 64, 256, 512])
     def test_closed_form_matches_kernel_sum(self, m):
@@ -721,13 +725,28 @@ class TestPlateauDesign:
         # reads no per-grid cache, neither for its grid nor for its rotation
         u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
         keys = []
-        for name in ("_ring_legendre", "_ring_radii_tables", "_longitude_tables"):
+        for name in ("_ring_legendre", "_ring_theta_derivative", "_longitude_tables"):
             real = getattr(harmonics, name)
             monkeypatch.setattr(
                 harmonics, name, lambda L, key, real=real: (keys.append(key), real(L, key))[1]
             )
         zonoid.design_plateau(u, v)
         assert keys == []
+
+    @pytest.mark.parametrize(
+        "pair,grid_shape,message",
+        [
+            ("default", (8, 16), "whole row class has 9 kept nodes for 28 columns at band 12 on the 8x16 design grid"),
+            ("rotated", (16, 32), "even row class has 22 kept nodes for 28 columns at band 12 on the 16x32 design grid"),
+        ],
+        ids=["default", "rotated"],
+    )
+    def test_design_grid_too_coarse_for_its_band(self, cap_u, cap_v, pair, grid_shape, message):
+        # a row class with fewer value rows than columns cannot fold its
+        # Funk rows from a square value factor: it is named, with its
+        # counts, the band and the design grid, before any fold
+        with pytest.raises(ValueError, match=message):
+            zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=grid_shape)
 
     @pytest.mark.parametrize("pair", ["default", "off-plane", "band-64"])
     def test_design_solve_is_lstsq_on_a_copy_of_the_factor(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
