@@ -27,40 +27,66 @@ import contextlib
 import ctypes
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from zonotools import harmonics, sphere, transforms
 from zonotools.convex import support as convex_support
 
-# The plateau design folds in place through numpy's undocumented
-# lapack_lite (its dgeqrf), run on numpy 2.4.6, and solves the folded
-# triangle by substitution in numpy; a numpy without dgeqrf fails here,
-# not inside a design.
-if not hasattr(lapack_lite, "dgeqrf"):
-    raise ImportError(
-        f"zonotools.zonoid needs numpy.linalg.lapack_lite.dgeqrf, which numpy {np.__version__} "
-        "does not provide (the in-place design was run on numpy 2.4.6)"
-    )
+# The plateau design calls LAPACK, and the thread count, of the OpenBLAS
+# that numpy bundles (scipy-openblas: 64-bit integers, Fortran calling
+# convention) through ctypes, run on numpy 2.4.6.  A ctypes call releases
+# the GIL, so the design's two mirror classes fold at once.  The design
+# runs at one OpenBLAS thread: OpenBLAS splits its products by the thread
+# count, and the design's rounding, which reaches every report digit,
+# would follow it.  A numpy without one of these symbols fails here, not
+# inside a design.
+_openblas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+_INT = ctypes.POINTER(ctypes.c_int64)  # a LAPACK integer, passed by reference
+_ARRAY = np.ctypeslib.ndpointer(np.float64)  # passed as the address of its first element
+_CHAR = ctypes.c_char_p
 
-# The get and set of the thread count of the OpenBLAS that numpy bundles
-# (scipy-openblas), so that a design runs at one thread: OpenBLAS splits
-# its products by the thread count, and the design's rounding, which
-# reaches every report digit, would follow it.  Another BLAS build lacks
-# these symbols, and its designs run unpinned (``blas_pinned``).
-try:
-    _openblas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    _BLAS_THREADS = (
-        _openblas.scipy_openblas_get_num_threads64_,
-        _openblas.scipy_openblas_set_num_threads64_,
+#: Symbol -> (restype, argtypes) of every routine of the library the
+#: design calls.
+_OPENBLAS_SIGNATURES = {
+    # dgeqrf(M, N, A, LDA, TAU, WORK, LWORK, INFO)
+    "scipy_dgeqrf_64_": (None, [_INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _INT, _INT]),
+    # dtpqrt(M, N, L, NB, A, LDA, B, LDB, T, LDT, WORK, INFO)
+    "scipy_dtpqrt_64_": (None, [_INT, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT]),
+    # dtrtrs(UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO), then the
+    # lengths of its three character arguments
+    "scipy_dtrtrs_64_": (
+        None,
+        [_CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT] + [ctypes.c_size_t] * 3,
+    ),
+    "scipy_openblas_get_num_threads64_": (ctypes.c_int, []),
+    "scipy_openblas_set_num_threads64_": (None, [ctypes.c_int]),
+}
+_missing = [name for name in _OPENBLAS_SIGNATURES if not hasattr(_openblas, name)]
+if _missing:
+    raise ImportError(
+        f"zonotools.zonoid needs {', '.join(_missing)} from the OpenBLAS that numpy bundles, which numpy "
+        f"{np.__version__} does not provide (the plateau design was run on numpy 2.4.6)"
     )
-    _BLAS_THREADS[0].argtypes, _BLAS_THREADS[0].restype = [], ctypes.c_int
-    _BLAS_THREADS[1].argtypes, _BLAS_THREADS[1].restype = [ctypes.c_int], None
-except (AttributeError, OSError):
-    _BLAS_THREADS = None
+_dgeqrf, _dtpqrt, _dtrtrs, *_BLAS_THREADS = (getattr(_openblas, name) for name in _OPENBLAS_SIGNATURES)
+for _routine in (_dgeqrf, _dtpqrt, _dtrtrs, *_BLAS_THREADS):
+    _routine.restype, _routine.argtypes = _OPENBLAS_SIGNATURES[_routine.__name__]
+
+
+def _lapack(routine, *args, lengths=()):
+    """INFO of the LAPACK ``routine`` called with ``args``, its arguments
+    before INFO, and ``lengths``, those of its character arguments.
+    Integers are passed by reference, arrays by the address of their first
+    element, so a Fortran-strided corner of a larger buffer is a matrix
+    with that buffer's leading dimension."""
+    info = ctypes.c_int64(0)
+    refs = [ctypes.byref(ctypes.c_int64(a)) if t is _INT else a for t, a in zip(routine.argtypes, args)]
+    routine(*refs, ctypes.byref(info), *lengths)
+    return info.value
+
 
 #: Printed dimension constants for the circle-integral prefactors at n = 3.
 WEIL_PREFACTOR_1 = 1.0 / math.pi
@@ -561,14 +587,14 @@ class _DesignRows(_RowBlock):
         return values
 
 
-def _lapack_matrix(W):
-    """(a, lda): the Fortran-strided matrix W (contiguous columns, any
-    leading dimension, so also a corner of a larger Fortran buffer) as
-    lapack_lite takes it: the C-contiguous run of memory from W's first
-    element to its last, and the distance between its columns."""
-    lda = W.strides[1] // W.itemsize
-    size = lda * (W.shape[1] - 1) + W.shape[0]
-    return np.lib.stride_tricks.as_strided(W, shape=(size,), strides=(W.itemsize,)), lda
+def _leading_dimension(W):
+    """The distance between the columns of W as LAPACK takes it, for W
+    with contiguous columns and any leading dimension, so also a corner of
+    a larger Fortran buffer; None for W with other strides."""
+    rows, cols = W.shape
+    if rows > 1 and W.strides[0] != W.itemsize:
+        return None
+    return max(W.strides[1] // W.itemsize if cols > 1 else rows, 1)
 
 
 class _TriangularFactor:
@@ -582,31 +608,49 @@ class _TriangularFactor:
     below it; ``W`` may be a corner of a larger buffer, and its top
     ``factor_rows`` rows may already hold a factor.  Rows are written
     straight into the free rows and folded into the factor whenever those
-    fill, by LAPACK ``dgeqrf`` run in place on the buffer, so its size is
-    fixed however many rows the system has.  The fold is the factorization
-    ``np.linalg.qr(mode="r")`` makes (the same routine with the same
-    workspace, so the same block size), and its factor is bitwise the
-    same.  ``folded`` gives the factor in place, as a view of the buffer's
-    top rows, and ``certified_solve`` solves it there by back
-    substitution, under a closed-form certificate that the system has full
-    rank, so that its solution is the minimizer ``np.linalg.lstsq`` would
-    give on a copy.
+    fill, in place on the buffer by LAPACK, so its size is fixed however
+    many rows the system has.  Where no full (ncol + 1)-square factor
+    stands yet, the fold is ``dgeqrf`` on the factor and the new rows
+    together, the factorization ``np.linalg.qr(mode="r")`` makes (the same
+    routine with the same workspace, so the same block size, and bitwise
+    its factor).  Onto a full factor it is ``dtpqrt``, the QR of the
+    triangle stacked on the free rows, which skips the triangle's zeros:
+    2 n^2 r flops for r new rows, against 2 n^2 (n + r) - 2 n^3 / 3 for
+    ``dgeqrf`` on all n + r, n = ncol + 1.  It leaves its reflectors in
+    the free rows and nothing below the triangle, so the factor's zeros
+    stand.  The two folds' factors agree to rounding, a small multiple of
+    n eps |[A | b]|_F (Householder QR is backward stable).  ``folded``
+    gives the factor in place, as a view of the buffer's top rows, and
+    ``certified_solve`` solves it there by back substitution, under a
+    closed-form certificate that the system has full rank, so that its
+    solution is the minimizer ``np.linalg.lstsq`` would give on a copy.
     """
 
     def __init__(self, W, factor_rows=0):
         self._W = W
-        self._a, self._lda = _lapack_matrix(W)
+        self._lda = _leading_dimension(W)
         self._top = self._factor_rows = factor_rows  # rows in use, of which the factor
-        ncol = W.shape[1] - 1
-        self._tau = np.empty(ncol + 1)
+        n = W.shape[1]
+        self._tau = np.empty(n)
         query = np.empty(1)
         self._geqrf(W.shape[0], query, -1)
-        self._work = np.empty(max(ncol + 1, int(query[0])))
+        self._work = np.empty(max(n, int(query[0])))
+        self._nb = min(32, n)  # dtpqrt's block size
+        self._t, self._t_work = np.empty(self._nb * n), np.empty(self._nb * n)  # dtpqrt's T and workspace
 
     def _geqrf(self, m, work, lwork):
-        info = lapack_lite.dgeqrf(m, self._W.shape[1], self._a, self._lda, self._tau, work, lwork, 0)
-        if info["info"] != 0:
-            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info['info']}")
+        info = _lapack(_dgeqrf, m, self._W.shape[1], self._W, self._lda, self._tau, work, lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
+
+    def _tpqrt(self):
+        W, n = self._W, self._W.shape[1]
+        info = _lapack(
+            _dtpqrt, self._top - n, n, 0, self._nb, W, self._lda, W[n:], self._lda, self._t, self._nb,
+            self._t_work,
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt failed with info = {info}")
 
     def add(self, write, start, stop):
         """Append rows ``start`` to ``stop`` of a family of rows:
@@ -624,12 +668,16 @@ class _TriangularFactor:
 
     def _fold(self):
         if self._top > self._factor_rows:
-            self._geqrf(self._top, self._work, self._work.size)
             W = self._W
-            n = min(self._top, W.shape[1])
-            for j in range(n - 1):  # the Householder vectors below R
-                W[j + 1 : n, j] = 0.0
-            self._top = self._factor_rows = n
+            if self._factor_rows == W.shape[1]:  # onto the standing triangle
+                self._tpqrt()
+                self._top = self._factor_rows
+            else:
+                self._geqrf(self._top, self._work, self._work.size)
+                n = min(self._top, W.shape[1])
+                for j in range(n - 1):  # the Householder vectors below R
+                    W[j + 1 : n, j] = 0.0
+                self._top = self._factor_rows = n
 
     def folded(self):
         """The factor of every row added so far, in place: a view of the
@@ -706,9 +754,9 @@ class _TriangularFactor:
         return x, ratio, bound, certificate
 
 
-#: Columns per block of a triangular substitution: a block is one
-#: product with the part already solved and one solve of its diagonal
-#: block, the one square matrix the substitution allocates.
+#: Columns of R read at a time where a sum over all of R^-1 or R would
+#: otherwise allocate an n x n matrix (|R^-1|_F) or copy the strided
+#: factor (|R|_F).
 SUBSTITUTION_BLOCK = 64
 
 #: Power steps behind the lower end of the design's sigma-ratio bracket.
@@ -717,25 +765,25 @@ POWER_STEPS = 4
 
 def _triangular_solve(R, b, transpose=False):
     """x with R x = b (R^T x = b with ``transpose``) for an invertible
-    upper-triangular R, which may be a strided view into a larger buffer,
-    and b a vector or a matrix of right-hand columns, by substitution in
-    blocks of SUBSTITUTION_BLOCK rows.  Each block subtracts the product
-    of its rows with the part of x already solved and solves its diagonal
-    block by np.linalg.solve (LAPACK dgesv; on R's own blocks, upper
-    triangles, its LU pivots on the diagonal, and the solve is a plain
-    substitution; an exact zero pivot raises LinAlgError).  It allocates
-    x and the diagonal blocks; the products read R where it is."""
-    n = b.shape[0]
-    x = np.array(b, dtype=float)
-    starts = range(0, n, SUBSTITUTION_BLOCK)
-    for j in starts if transpose else reversed(starts):
-        k = slice(j, min(j + SUBSTITUTION_BLOCK, n))
-        if transpose:
-            x[k] -= R[:j, k].T @ x[:j]
-            x[k] = np.linalg.solve(R[k, k].T, x[k])
-        else:
-            x[k] -= R[k, k.stop :] @ x[k.stop :]
-            x[k] = np.linalg.solve(R[k, k], x[k])
+    upper-triangular R and b a vector or a matrix of right-hand columns,
+    by one LAPACK ``dtrtrs``.  R with contiguous columns, such as the
+    factor where it sits in the fold buffer, is read in place through its
+    leading dimension; another R is copied first.  An exact zero pivot
+    raises LinAlgError.  It allocates x."""
+    lda = _leading_dimension(R)
+    if lda is None:
+        R = np.asfortranarray(R)
+        lda = _leading_dimension(R)
+    x = np.array(b, dtype=float, order="F")
+    n = R.shape[0]
+    info = _lapack(
+        _dtrtrs, b"U", b"T" if transpose else b"N", b"N", n, 1 if x.ndim == 1 else x.shape[1],
+        R, lda, x, max(n, 1), lengths=(1, 1, 1),
+    )
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular triangle: R[{info - 1}, {info - 1}] is zero")
+    if info < 0:
+        raise ValueError(f"dtrtrs failed with info = {info}")
     return x
 
 
@@ -750,7 +798,7 @@ def _inverse_frobenius_norm(R):
     squares = 0.0
     for j in range(0, n, SUBSTITUTION_BLOCK):
         top = min(j + SUBSTITUTION_BLOCK, n)
-        unit = np.zeros((top, top - j))
+        unit = np.zeros((top, top - j), order="F")
         unit[j:] = np.eye(top - j)
         try:
             block = _triangular_solve(R[:top, :top], unit)
@@ -765,11 +813,12 @@ def _inverse_frobenius_norm(R):
 #: below the value factor they are read from.  The fold buffer holds them
 #: below the factor and is the design's one large allocation, sized once
 #: whatever its caps: at band 48 it is 13.4 MB with 625 columns (a drawn
-#: cap pair, solved in its adapted frame) and 6.2 MB with 325 (the default
-#: caps).  Split by the mirror, a drawn pair's rows take two folds of the
-#: even class, which has 2348 free rows in its corner, two or three of the
-#: odd class and one coupled fold, none with an empty rim (40 drawn pairs).
-#: Smaller blocks fold more often and cost more time.
+#: cap pair, solved in its adapted frame, with one more column for its two
+#: classes) and 6.2 MB with 325 (the default caps).  Split by the mirror,
+#: a drawn pair's rows take two folds of the even class, which has 2348
+#: free rows in its corner, two or three of the odd class and one coupled
+#: fold, none with an empty rim (40 drawn pairs).  A class's first fold is
+#: dgeqrf's and every later one dtpqrt's onto its standing triangle.
 DESIGN_BLOCK_ROWS = 2048
 
 #: Plateau levels of the design's cap pairs: U, V and the third cap.
@@ -829,34 +878,68 @@ def _ridge_rows(diag):
     return write
 
 
+def _fold_class(corner, block, ridge_diag):
+    """Fold a row class, its node rows and the ridge rows of its columns,
+    in ``corner``, a corner of the fold buffer with n + 1 columns (n the
+    class's) whose rows below the top n + 1 are its free rows, and leave
+    its factor, n + 1 rows with its target in the last column, at the
+    corner's top."""
+    n = block.cols.size
+    factor = _TriangularFactor(corner)
+    _add_node_rows(factor, block, funk_from_values=True)
+    factor.add(_ridge_rows(ridge_diag[block.cols]), 0, n)
+    corner[factor.folded().shape[0] : n + 1] = 0.0  # a factor of fewer rows
+
+
 def _fold_design(W, classes, rim, ridge_diag):
     """The factor of the design's row blocks (``_DesignRows.blocks``) in
     the fold buffer W, ready to solve, and ``cols``, the positions among
     the design's columns of its columns: the classes' in turn.
 
-    Each class folds its node rows and the ridge rows of its columns in
-    the corner W[o:, o : o + n + 1] of all the free rows, n its columns and
-    o those of the classes before it, its target in the corner's last
-    column.  Its factor is left block-diagonally where the coupled factor
-    reads it: the target moves to W's last column, and the entries beside
-    the block are zeroed.  A corner overwrites the residual row of the
-    class before it, which bears on neither the minimizer nor the singular
-    values.  The rim's rows then join the coupled factor.  One class and an
-    empty rim fold the design whole."""
-    ncol = W.shape[1] - 1
-    o = 0
-    for block in classes:
-        n = block.cols.size
-        corner = W[o:, o : o + n + 1]
-        factor = _TriangularFactor(corner)
-        _add_node_rows(factor, block, funk_from_values=True)
-        factor.add(_ridge_rows(ridge_diag[block.cols]), 0, n)
-        corner[factor.folded().shape[0] : n + 1] = 0.0  # a factor of fewer rows
-        W[o : o + n, ncol] = corner[:n, n]
-        W[o : o + n, o + n : ncol] = 0.0
-        W[o + n : ncol + 1, o : o + n] = 0.0
-        o += n
-    factor = _TriangularFactor(W, factor_rows=ncol + 1)
+    W has one column per design column and per class, ncol + 1 for the
+    design whole and ncol + 2 for its even and odd classes.  The one class
+    of a whole design folds in all of W (``_fold_class``), and its factor
+    is the design's.  The two classes of a split design fold at once in
+    disjoint corners of W, each on all its free rows: the even class (n0
+    columns) in W[:, : n0 + 1] on the caller's thread, the odd class in
+    W[n0:, n0 + 1 :] on a worker thread, which writes nothing outside its
+    corner and calls no public function of the package (bench/tracing.py
+    wraps those, with one span stack for all threads); an exception of the
+    worker is raised by the caller after the join.  Their factors then take the coupled layout in W's first ncol + 1
+    columns: the even factor where it is, the odd one a column to the
+    left, so that it sits on the diagonal below the even one, the targets
+    in column ncol, zeros beside the blocks, and the two residuals'
+    root-sum-square as the coupled residual.  The rim's rows then join
+    that factor, by dtpqrt folds onto it."""
+    ncol = W.shape[1] - len(classes)
+    if len(classes) == 1:
+        _fold_class(W, classes[0], ridge_diag)
+    else:
+        even, odd = classes
+        n0 = even.cols.size
+        failed = []
+
+        def fold_odd():
+            try:
+                _fold_class(W[n0:, n0 + 1 :], odd, ridge_diag)
+            except BaseException as exc:  # raised again by the caller
+                failed.append(exc)
+
+        worker = threading.Thread(target=fold_odd, name="zonotools-odd-class")
+        worker.start()
+        try:
+            _fold_class(W[:, : n0 + 1], even, ridge_diag)
+        finally:
+            worker.join()
+        if failed:
+            raise failed[0]
+        residual = math.hypot(W[n0, n0], W[ncol, ncol + 1])
+        W[:n0, ncol] = W[:n0, n0]
+        W[:n0, n0:ncol] = 0.0
+        W[n0 : ncol + 1, :n0] = 0.0
+        W[n0 : ncol + 1, n0 : ncol + 1] = W[n0 : ncol + 1, n0 + 1 :]
+        W[ncol, ncol] = residual
+    factor = _TriangularFactor(W[:, : ncol + 1], factor_rows=ncol + 1)
     _add_node_rows(factor, rim, funk_from_values=False)
     return factor, np.concatenate([block.cols for block in classes])
 
@@ -892,10 +975,12 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     among them, are solved as given (``_design_rows``).
 
     The system is never held whole.  Its rows are written into one fold
-    buffer, (ncol + 1 + block) x (ncol + 1) with block the larger of
-    ``DESIGN_BLOCK_ROWS`` and ncol + 1, and reduced, a block at a time, to
-    the triangular factor of their QR factorization (``_TriangularFactor``);
-    the factor is solved where it sits in the buffer by back substitution
+    buffer, ncol + 1 + block rows with block the larger of
+    ``DESIGN_BLOCK_ROWS`` and ncol + 1, and one column per column and per
+    class of rows, and reduced, a block at a time, to the triangular factor
+    of their QR factorization (``_TriangularFactor``: LAPACK dgeqrf for a
+    first fold, dtpqrt onto the standing triangle after it); the factor is
+    solved where it sits in the buffer by back substitution, one dtrtrs
     (``_TriangularFactor.certified_solve``).  The ridge rows certify in
     closed form that the rank cutoff the whole system would get in
     ``np.linalg.lstsq`` drops nothing, so the substitution gives lstsq's
@@ -907,7 +992,8 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     over the row blocks of ``_DesignRows.blocks``: each class of rows is
     folded in its own corner of the buffer, value rows first, then the
     Funk rows from their factor, the anisotropy rows and the ridge rows,
-    and one coupled fold adds the full rows of the rim.  As given the
+    two classes at once, the odd one on a worker thread, and one coupled
+    fold adds the full rows of the rim.  As given the
     design is one class with no rim.  In the adapted frame the mirror
     z -> -z maps U onto V and the third cap onto itself, so the rows are
     split by it: the mirrored pairs of nodes become one row in each of two
@@ -931,10 +1017,10 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
 
     The design runs at one thread of numpy's bundled OpenBLAS, restored
     afterwards, so its rounding, and every report digit downstream, is the
-    same at any thread count; ``blas_pinned`` is False where numpy has
-    another BLAS, whose designs run at its own thread count.
+    same at any thread count and the same with its two classes on one
+    thread or two; ``blas_pinned`` says so.
     """
-    with _one_blas_thread() as pinned:
+    with _one_blas_thread():
         dg = sphere.build_grid(*design_grid)
         rows, frame = _design_rows(cap_u, cap_v, L, dg)
         del dg  # the rows hold what they read of the design grid
@@ -953,7 +1039,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
                 )
         n_rim = rim.n_nodes
         # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
-        W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + 1), order="F")
+        W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + len(classes)), order="F")
         factor, cols = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol
@@ -982,23 +1068,19 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         "design_reflections": reflections,
         "design_frame": frame.tolist(),
         "design_rim_nodes": int(n_rim),
-        "blas_pinned": pinned,
+        "blas_pinned": True,
     }
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block at one thread of numpy's bundled OpenBLAS and restore
-    the count after it, also when it raises; yields whether the count was
-    set, False where numpy has another BLAS."""
-    if _BLAS_THREADS is None:
-        yield False
-        return
+    the count after it, also when it raises."""
     get, set_count = _BLAS_THREADS
     count = get()
     set_count(1)
     try:
-        yield True
+        yield
     finally:
         set_count(count)
 

@@ -643,10 +643,11 @@ class QRFoldFactor(zonoid._TriangularFactor):
     ``zonoid._TriangularFactor`` (the same buffer W, which may be a corner of
     a larger one, and the same fold points) but folded
     by ``np.linalg.qr(mode="r")``, which copies the gathered rows before
-    factoring them.  Checks the in-place LAPACK fold of
-    ``_TriangularFactor`` bit for bit; its ``certified_solve`` is the
-    production one, so that a design folded here differs only by its
-    folds."""
+    factoring them, the triangle and the new rows together.  Checks the
+    in-place LAPACK folds of ``_TriangularFactor``: bit for bit where no
+    factor stands yet (dgeqrf there too), and within rounding after
+    (dtpqrt onto the triangle); its ``certified_solve`` is the production
+    one, so that a design folded here differs only by its folds."""
 
     def __init__(self, W, factor_rows=0):
         self._W = W

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotools import cli, sphere, zonoid
+from zonotools import cli, sphere
+
+from test_reach import OFF_PLANE_CAPS
 
 
 def run_cli(*args):
@@ -193,15 +195,23 @@ class TestVerifyCommand:
             assert r.returncode == 0
         assert (a / "verify_newton.json").read_bytes() == (b / "verify_newton.json").read_bytes()
 
-    @pytest.mark.skipif(zonoid._BLAS_THREADS is None, reason="numpy's BLAS is not its bundled OpenBLAS, so designs run unpinned")
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # the default counterexample and rigidity suite, each run in its own
-        # directory at 1 and at 2 OpenBLAS threads, write the same bytes
+        # the default counterexample and rigidity suite, and the off-plane
+        # counterexample, whose design folds its odd class on a worker
+        # thread, each run in its own directory at 1 and at 2 OpenBLAS
+        # threads, write the same bytes
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        caps = tmp_path / "caps.cfg"
+        caps.write_text(OFF_PLANE_CAPS)
+        commands = {
+            "counterexample": ["counterexample"],
+            "rigidity": ["verify", "--suite", "rigidity"],
+            "off-plane": ["--config", str(caps), "counterexample"],
+        }
         for threads in ("1", "2"):
             env["OPENBLAS_NUM_THREADS"] = threads
-            for command in (["counterexample"], ["verify", "--suite", "rigidity"]):
-                cwd = tmp_path / threads / command[-1]
+            for name, command in commands.items():
+                cwd = tmp_path / threads / name
                 cwd.mkdir(parents=True)
                 r = subprocess.run(
                     [sys.executable, "-m", "zonotools.cli", "--out", "out", *command],
@@ -210,7 +220,7 @@ class TestVerifyCommand:
                 assert r.returncode == 0, r.stderr
                 (cwd / "stdout.txt").write_text(r.stdout)
         files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
-        assert len(files) == 8  # five counterexample files, one report, two stdouts
+        assert len(files) == 14  # five files per counterexample, one report, three stdouts
         assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*") if p.is_file())
         for f in files:
             assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes(), f

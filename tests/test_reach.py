@@ -1,7 +1,8 @@
 """Every package function is reached by the commands users run, and every
 package constant is read by package code.
 
-The CLI commands below run under ``sys.setprofile`` at a small band and
+The CLI commands below run under ``sys.setprofile`` (and
+``threading.setprofile``, for the threads they start) at a small band and
 grid; the functions of ``src/zonotools`` that none of them enters must be
 exactly the pinned ``UNREACHED`` list, each with its reason.  A function
 that no command reaches and no list entry explains is dead code: delete
@@ -18,6 +19,7 @@ import inspect
 import io
 import os
 import sys
+import threading
 import types
 
 import zonotools
@@ -191,10 +193,12 @@ def test_unreached_functions_are_the_pinned_list(tmp_path):
 
     clear_caches()
     sys.setprofile(profile)
+    threading.setprofile(profile)  # the threads the commands start
     try:
         codes = run_commands(str(tmp_path))
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
     # band 8 fails some rows (exit 2), but no run stops on an input error
     assert all(code in (0, 2) for code in codes[:4]) and codes[4:] == [0, 0, 0, 0]
     # every source file of the package is imported by now, so the imported

@@ -1,13 +1,16 @@
 import collections
+import ctypes
 import importlib.util
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -649,15 +652,42 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("small", [False, True])
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-v"])
     def test_factor_is_the_qr_fold(self, cap_u, cap_v, pair, small, monkeypatch):
-        # the in-place fold gives the design np.linalg.qr's factor bit for bit
+        # the in-place folds (dgeqrf where no factor stands, dtpqrt onto a
+        # standing one) against np.linalg.qr's at the same fold points.
+        # Both are Householder QR, backward stable, so the solved [R q]
+        # agree within n eps |[R q]|_F, n its columns.  x = R^-1 q then
+        # moves by |R^-1|_2 |[dR dq]|_F |(x, -1)| to first order, with
+        # |R^-1|_2 <= kappa / |R|_F for kappa the certified sigma-ratio
+        # bound, and each substitution adds its own n eps kappa |x|; the
+        # rotation into the user frame keeps the norm
         if small:
             monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
         u, v = self._pair(pair, cap_u, cap_v)
-        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
-        monkeypatch.setattr(zonoid, "_TriangularFactor", oracles.QRFoldFactor)
-        G_ref, info_ref = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
-        assert G.c.tobytes() == G_ref.c.tobytes()
-        assert info == info_ref
+        solved = []
+
+        def recording(base):
+            class Factor(base):
+                def certified_solve(self, floor, rcond):
+                    solved.append(self.folded()[:-1].copy())
+                    return super().certified_solve(floor, rcond)
+
+            return Factor
+
+        runs = []
+        for base in (zonoid._TriangularFactor, oracles.QRFoldFactor):
+            monkeypatch.setattr(zonoid, "_TriangularFactor", recording(base))
+            runs.append(zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID))
+        (G, info), (G_ref, info_ref) = runs
+        F, F_ref = solved
+        n = F.shape[1]
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(F - F_ref) <= n * eps * np.linalg.norm(F_ref)
+        kappa, x_norm = info["design_sigma_ratio_bound"], np.linalg.norm(G_ref.c)
+        scale = np.linalg.norm(F_ref) / np.linalg.norm(F_ref[:, :-1])
+        bound = n * eps * kappa * (scale * math.sqrt(1.0 + x_norm**2) + 2.0 * x_norm)
+        assert np.linalg.norm(G.c - G_ref.c) <= bound
+        exact = {k: value for k, value in info.items() if not isinstance(value, float)}
+        assert exact == {k: value for k, value in info_ref.items() if not isinstance(value, float)}
 
     @pytest.mark.parametrize("pair", ["rotated", "off-plane", "small-v"])
     def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
@@ -794,16 +824,27 @@ class TestPlateauDesign:
         # taken as singular (an exact zero pivot reads as |R^-1|_F = inf):
         # the design stops with both certificates' numbers, an input error
         # to the CLI
-        def threads():
-            return None if zonoid._BLAS_THREADS is None else zonoid._BLAS_THREADS[0]()
-
+        get = zonoid._BLAS_THREADS[0]
         monkeypatch.setattr(zonoid, "_inverse_frobenius_norm", lambda R: math.inf)
-        before = threads()
+        before = get()
         with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)"):
             zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID, ridge=1e-40)
-        assert threads() == before
+        assert get() == before
+        # an error in the odd class's fold, on the worker thread, reaches
+        # the caller after the join, with the count restored
+        real = zonoid._add_node_rows
 
-    @pytest.mark.skipif(zonoid._BLAS_THREADS is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+        def fail_off_the_main_thread(factor, rows, funk_from_values):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("odd class")
+            return real(factor, rows, funk_from_values)
+
+        monkeypatch.setattr(zonoid, "_add_node_rows", fail_off_the_main_thread)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="odd class"):
+            zonoid.design_plateau(*self._pair("rotated", cap_u, cap_v), L=self.L, design_grid=self.GRID)
+        assert get() == before and threading.active_count() == threads
+
     def test_design_runs_at_one_blas_thread(self, cap_u, cap_v, monkeypatch):
         get, set_count = zonoid._BLAS_THREADS
         inside = []
@@ -823,11 +864,36 @@ class TestPlateauDesign:
         finally:
             set_count(before)
         assert inside == [1] and info["blas_pinned"] is True
-        # without the setter the design runs unpinned and says so
-        monkeypatch.setattr(zonoid, "_BLAS_THREADS", None)
-        _, info_free = zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID)
-        assert info_free.pop("blas_pinned") is False and inside[1:] == [before]
-        assert set(info_free) == set(info) - {"blas_pinned"}
+
+    @pytest.mark.parametrize("pair", ["rotated", "small-u", "off-plane"])
+    def test_threaded_fold_is_the_inline_fold(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
+        # the odd class folds on a worker thread, in its own columns of the
+        # buffer; run ten times, the design is bitwise the one whose worker
+        # runs inline, before the even class (off-plane: at band 48 on the
+        # 128x256 design grid, where each class takes several folds)
+        if pair == "off-plane":
+            u, v = _off_plane_caps(tmp_path)
+            design = partial(zonoid.design_plateau, u, v)
+        else:
+            u, v = self._pair(pair, cap_u, cap_v)
+            design = partial(zonoid.design_plateau, u, v, L=self.L, design_grid=self.GRID)
+        threaded = [design() for _ in range(10)]
+
+        class InlineThread:
+            def __init__(self, target, name):
+                self._target = target
+
+            def start(self):
+                self._target()
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(zonoid, "threading", types.SimpleNamespace(Thread=InlineThread))
+        G_ref, info_ref = design()
+        assert (info_ref["design_rim_nodes"] > 0) == (pair == "small-u")
+        for G, info in threaded:
+            assert G.c.tobytes() == G_ref.c.tobytes() and info == info_ref
 
     @pytest.mark.parametrize("L,grid_shape", [(12, (32, 64)), (48, (128, 256))])
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
@@ -1049,7 +1115,7 @@ class TestPlateauDesign:
         assert d["design_rim_nodes"] == 0  # solved as given, not split
         assert 1.0 < d["design_sigma_ratio"] < d["design_sigma_ratio_bound"] < math.inf
         assert d["design_certificate"] == "ridge"
-        assert d["blas_pinned"] is (zonoid._BLAS_THREADS is not None)
+        assert d["blas_pinned"] is True
 
 
 def test_design_imports_no_masked_arrays():
@@ -1098,7 +1164,11 @@ class TestTriangularFactor:
             factor.add(_rows_of(Ab), s, e)
             oracle.add(_rows_of(Ab), s, e)
         Rq = factor.folded().copy()
-        assert Rq.tobytes() == oracle.folded().tobytes()
+        # the QR folds of np.linalg.qr, within Householder QR's backward
+        # error: n eps |[A | b]|_F, n the columns (dtpqrt folds onto a
+        # standing factor, and only the first fold is dgeqrf's, bitwise)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(Rq - oracle.folded()) <= (ncol + 1) * eps * np.linalg.norm(Ab)
         assert Rq.shape == (ncol + 1, ncol + 1)
         assert np.allclose(np.triu(Rq), Rq, rtol=0.0, atol=0.0)
         # [A | b] and its factor have the same Gram matrix, hence the same
@@ -1179,6 +1249,9 @@ class TestTriangularFactor:
     # between them; a first fold of fewer than ncol + 1 rows, whose factor
     # is trapezoidal, and then more rows folded onto it.  Over 128 columns
     # dgeqrf runs blocked, so the factor depends on its workspace size.
+    # Every fold before a full (ncol + 1)-square factor stands is dgeqrf's,
+    # bit for bit; a result after a fold onto one (dtpqrt) agrees within
+    # Householder QR's backward error, n eps |[A | b]|_F of the rows so far.
     @pytest.mark.parametrize(
         "adds,results",
         [
@@ -1194,17 +1267,27 @@ class TestTriangularFactor:
         Ab = np.random.default_rng(5).normal(size=(sum(adds), ncol + 1))
         factor = zonoid._TriangularFactor(_fold_buffer(ncol, block))
         oracle = oracles.QRFoldFactor(_fold_buffer(ncol, block))
+        eps = np.finfo(float).eps
+
+        def check(rows):
+            got, ref = factor.folded(), oracle.folded()
+            # each case's first fold is of a full buffer or of fewer than
+            # ncol + 1 rows, so a fold onto a standing factor comes only
+            # after ncol + 1 + block rows
+            if rows <= ncol + 1 + block:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.linalg.norm(got - ref) <= (ncol + 1) * eps * np.linalg.norm(Ab[:rows])
+
         start = 0
         for i, n in enumerate(adds):
             factor.add(_rows_of(Ab), start, start + n)
             oracle.add(_rows_of(Ab), start, start + n)
             start += n
             if i in results:
-                assert factor.folded().tobytes() == oracle.folded().tobytes()
-        Rq = factor.folded().copy()
-        assert Rq.tobytes() == oracle.folded().tobytes()
-        assert Rq.shape == (min(sum(adds), ncol + 1), ncol + 1)
-
+                check(start)
+        check(start)
+        assert factor.folded().shape == (min(sum(adds), ncol + 1), ncol + 1)
 
     def test_corner_of_a_larger_buffer(self):
         # a factor in a corner of a larger Fortran buffer, whose leading
@@ -1225,14 +1308,25 @@ class TestTriangularFactor:
             assert got[3] == ("ridge" if floor == 0.1 else "frobenius")
         assert np.all(big[:k] == 7.0) and np.all(big[:, :k] == 7.0)
 
-    @pytest.mark.parametrize("missing", ["dgeqrf"])
+    OPENBLAS_SYMBOLS = {
+        "dgeqrf": "scipy_dgeqrf_64_",
+        "dtpqrt": "scipy_dtpqrt_64_",
+        "dtrtrs": "scipy_dtrtrs_64_",
+        "get-threads": "scipy_openblas_get_num_threads64_",
+        "set-threads": "scipy_openblas_set_num_threads64_",
+    }
+
+    @pytest.mark.parametrize("missing", list(OPENBLAS_SYMBOLS.values()), ids=list(OPENBLAS_SYMBOLS))
     def test_import_names_a_missing_lapack_routine(self, missing, monkeypatch):
-        # zonoid loaded afresh, as a module of its own, against a
-        # lapack_lite without the routine the design calls
-        stub = types.SimpleNamespace()
-        monkeypatch.setattr(np.linalg, "lapack_lite", stub)
+        # zonoid loaded afresh, as a module of its own, against a library
+        # with every symbol the design calls but one
+        real = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        stub = types.SimpleNamespace(
+            **{name: real[name] for name in self.OPENBLAS_SYMBOLS.values() if name != missing}
+        )
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: stub)
         spec = importlib.util.find_spec("zonotools.zonoid")
-        with pytest.raises(ImportError, match=rf"lapack_lite\.{missing}, which numpy {re.escape(np.__version__)} "):
+        with pytest.raises(ImportError, match=rf"needs {missing} from the OpenBLAS that numpy bundles, which numpy {re.escape(np.__version__)} "):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
