@@ -684,6 +684,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
+    except ImportError as exc:  # a numpy without the LAPACK routines of the plateau design
+        print(f"environment error: {exc}", file=sys.stderr)
+        return 3
     parser.error(f"unknown command {args.command!r}")
 
 

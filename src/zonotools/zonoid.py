@@ -29,7 +29,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -42,9 +42,8 @@ from zonotools.convex import support as convex_support
 # the GIL, so the design's two mirror classes fold at once.  The design
 # runs at one OpenBLAS thread: OpenBLAS splits its products by the thread
 # count, and the design's rounding, which reaches every report digit,
-# would follow it.  A numpy without one of these symbols fails here, not
-# inside a design.
-_openblas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+# would follow it.  The library is opened on the first design
+# (``_openblas``), so a numpy without these symbols runs everything else.
 _INT = ctypes.POINTER(ctypes.c_int64)  # a LAPACK integer, passed by reference
 _ARRAY = np.ctypeslib.ndpointer(np.float64)  # passed as the address of its first element
 _CHAR = ctypes.c_char_p
@@ -52,8 +51,6 @@ _CHAR = ctypes.c_char_p
 #: Symbol -> (restype, argtypes) of every routine of the library the
 #: design calls.
 _OPENBLAS_SIGNATURES = {
-    # dgeqrf(M, N, A, LDA, TAU, WORK, LWORK, INFO)
-    "scipy_dgeqrf_64_": (None, [_INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _INT, _INT]),
     # dtpqrt(M, N, L, NB, A, LDA, B, LDB, T, LDT, WORK, INFO)
     "scipy_dtpqrt_64_": (None, [_INT, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT]),
     # dtrtrs(UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO), then the
@@ -65,23 +62,32 @@ _OPENBLAS_SIGNATURES = {
     "scipy_openblas_get_num_threads64_": (ctypes.c_int, []),
     "scipy_openblas_set_num_threads64_": (None, [ctypes.c_int]),
 }
-_missing = [name for name in _OPENBLAS_SIGNATURES if not hasattr(_openblas, name)]
-if _missing:
-    raise ImportError(
-        f"zonotools.zonoid needs {', '.join(_missing)} from the OpenBLAS that numpy bundles, which numpy "
-        f"{np.__version__} does not provide (the plateau design was run on numpy 2.4.6)"
-    )
-_dgeqrf, _dtpqrt, _dtrtrs, *_BLAS_THREADS = (getattr(_openblas, name) for name in _OPENBLAS_SIGNATURES)
-for _routine in (_dgeqrf, _dtpqrt, _dtrtrs, *_BLAS_THREADS):
-    _routine.restype, _routine.argtypes = _OPENBLAS_SIGNATURES[_routine.__name__]
 
 
-def _lapack(routine, *args, lengths=()):
-    """INFO of the LAPACK ``routine`` called with ``args``, its arguments
-    before INFO, and ``lengths``, those of its character arguments.
-    Integers are passed by reference, arrays by the address of their first
-    element, so a Fortran-strided corner of a larger buffer is a matrix
-    with that buffer's leading dimension."""
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS with the routines of _OPENBLAS_SIGNATURES
+    typed, opened once; ImportError naming the symbols it lacks."""
+    library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    missing = [name for name in _OPENBLAS_SIGNATURES if not hasattr(library, name)]
+    if missing:
+        raise ImportError(
+            f"the plateau design needs {', '.join(missing)} from the OpenBLAS that numpy bundles, which numpy "
+            f"{np.__version__} does not provide (the design was run on numpy 2.4.6)"
+        )
+    for name, (restype, argtypes) in _OPENBLAS_SIGNATURES.items():
+        routine = getattr(library, name)
+        routine.restype, routine.argtypes = restype, argtypes
+    return library
+
+
+def _lapack(name, *args, lengths=()):
+    """INFO of the LAPACK routine ``name`` called with ``args``, its
+    arguments before INFO, and ``lengths``, those of its character
+    arguments.  Integers are passed by reference, arrays by the address of
+    their first element, so a Fortran-strided corner of a larger buffer is
+    a matrix with that buffer's leading dimension."""
+    routine = getattr(_openblas(), name)
     info = ctypes.c_int64(0)
     refs = [ctypes.byref(ctypes.c_int64(a)) if t is _INT else a for t, a in zip(routine.argtypes, args)]
     routine(*refs, ctypes.byref(info), *lengths)
@@ -603,54 +609,32 @@ class _TriangularFactor:
 
     A least-squares problem min |A x - b| keeps its minimizer, its singular
     values and its residual norm when [A | b] is replaced by the R of its
-    QR factorization.  The factor sits at the top of the Fortran-strided
-    buffer ``W``, (ncol + 1 + block) x (ncol + 1), with ``block`` free rows
-    below it; ``W`` may be a corner of a larger buffer, and its top
-    ``factor_rows`` rows may already hold a factor.  Rows are written
-    straight into the free rows and folded into the factor whenever those
-    fill, in place on the buffer by LAPACK, so its size is fixed however
-    many rows the system has.  Where no full (ncol + 1)-square factor
-    stands yet, the fold is ``dgeqrf`` on the factor and the new rows
-    together, the factorization ``np.linalg.qr(mode="r")`` makes (the same
-    routine with the same workspace, so the same block size, and bitwise
-    its factor).  Onto a full factor it is ``dtpqrt``, the QR of the
-    triangle stacked on the free rows, which skips the triangle's zeros:
-    2 n^2 r flops for r new rows, against 2 n^2 (n + r) - 2 n^3 / 3 for
-    ``dgeqrf`` on all n + r, n = ncol + 1.  It leaves its reflectors in
-    the free rows and nothing below the triangle, so the factor's zeros
-    stand.  The two folds' factors agree to rounding, a small multiple of
-    n eps |[A | b]|_F (Householder QR is backward stable).  ``folded``
-    gives the factor in place, as a view of the buffer's top rows, and
-    ``certified_solve`` solves it there by back substitution, under a
-    closed-form certificate that the system has full rank, so that its
-    solution is the minimizer ``np.linalg.lstsq`` would give on a copy.
+    QR factorization.  The factor is the top n = ncol + 1 rows of the
+    Fortran-strided buffer ``W``, (n + block) x n, always an n-square upper
+    triangle: a fresh factor is a zero triangle, the factor of no rows.
+    ``W`` may be a corner of a larger buffer, and its top may already hold
+    a factor.  Rows are written straight into the ``block`` free rows below
+    it and folded into the factor whenever those fill, in place on the
+    buffer by LAPACK ``dtpqrt``, the QR of the triangle stacked on the free
+    rows, so its size is fixed however many rows the system has.  dtpqrt
+    skips the triangle's zeros (2 n^2 r flops for r new rows), leaves its
+    reflectors in the free rows and writes nothing below the triangle, so
+    the factor's zeros stand.  Its factor agrees with that of
+    ``np.linalg.qr(mode="r")`` on the same rows to rounding, a small
+    multiple of n eps |[A | b]|_F (Householder QR is backward stable).
+    ``folded`` gives the factor in place, as a view of the buffer's top
+    rows, and ``certified_solve`` solves it there by back substitution,
+    under a closed-form certificate that the system has full rank, so that
+    its solution is the minimizer ``np.linalg.lstsq`` would give on a copy.
     """
 
-    def __init__(self, W, factor_rows=0):
+    def __init__(self, W):
         self._W = W
         self._lda = _leading_dimension(W)
-        self._top = self._factor_rows = factor_rows  # rows in use, of which the factor
         n = W.shape[1]
-        self._tau = np.empty(n)
-        query = np.empty(1)
-        self._geqrf(W.shape[0], query, -1)
-        self._work = np.empty(max(n, int(query[0])))
+        self._top = n  # rows in use: the factor's and the rows not yet folded
         self._nb = min(32, n)  # dtpqrt's block size
-        self._t, self._t_work = np.empty(self._nb * n), np.empty(self._nb * n)  # dtpqrt's T and workspace
-
-    def _geqrf(self, m, work, lwork):
-        info = _lapack(_dgeqrf, m, self._W.shape[1], self._W, self._lda, self._tau, work, lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
-
-    def _tpqrt(self):
-        W, n = self._W, self._W.shape[1]
-        info = _lapack(
-            _dtpqrt, self._top - n, n, 0, self._nb, W, self._lda, W[n:], self._lda, self._t, self._nb,
-            self._t_work,
-        )
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtpqrt failed with info = {info}")
+        self._t, self._work = np.empty(self._nb * n), np.empty(self._nb * n)  # dtpqrt's T and workspace
 
     def add(self, write, start, stop):
         """Append rows ``start`` to ``stop`` of a family of rows:
@@ -667,25 +651,23 @@ class _TriangularFactor:
                 self._fold()
 
     def _fold(self):
-        if self._top > self._factor_rows:
-            W = self._W
-            if self._factor_rows == W.shape[1]:  # onto the standing triangle
-                self._tpqrt()
-                self._top = self._factor_rows
-            else:
-                self._geqrf(self._top, self._work, self._work.size)
-                n = min(self._top, W.shape[1])
-                for j in range(n - 1):  # the Householder vectors below R
-                    W[j + 1 : n, j] = 0.0
-                self._top = self._factor_rows = n
+        W, n = self._W, self._W.shape[1]
+        if self._top > n:
+            info = _lapack(
+                "scipy_dtpqrt_64_", self._top - n, n, 0, self._nb, W, self._lda, W[n:], self._lda, self._t,
+                self._nb, self._work,
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtpqrt failed with info = {info}")
+            self._top = n
 
     def folded(self):
-        """The factor of every row added so far, in place: a view of the
-        buffer's top rows, which stays valid until the next fold.  Rows
+        """The factor of every row added so far, in place: the buffer's top
+        ncol + 1 rows, a view that stays valid until the next fold.  Rows
         that ``add`` writes into the free rows may read it, as long as
         they fit there without a fold."""
         self._fold()
-        return self._W[: self._top]
+        return self._W[: self._W.shape[1]]
 
     def certified_solve(self, floor, rcond):
         """(x, ratio, bound, certificate) for min |R x - q|, [R q] the top
@@ -777,7 +759,7 @@ def _triangular_solve(R, b, transpose=False):
     x = np.array(b, dtype=float, order="F")
     n = R.shape[0]
     info = _lapack(
-        _dtrtrs, b"U", b"T" if transpose else b"N", b"N", n, 1 if x.ndim == 1 else x.shape[1],
+        "scipy_dtrtrs_64_", b"U", b"T" if transpose else b"N", b"N", n, 1 if x.ndim == 1 else x.shape[1],
         R, lda, x, max(n, 1), lengths=(1, 1, 1),
     )
     if info > 0:
@@ -814,11 +796,13 @@ def _inverse_frobenius_norm(R):
 #: below the factor and is the design's one large allocation, sized once
 #: whatever its caps: at band 48 it is 13.4 MB with 625 columns (a drawn
 #: cap pair, solved in its adapted frame, with one more column for its two
-#: classes) and 6.2 MB with 325 (the default caps).  Split by the mirror,
-#: a drawn pair's rows take two folds of the even class, which has 2348
-#: free rows in its corner, two or three of the odd class and one coupled
-#: fold, none with an empty rim (40 drawn pairs).  A class's first fold is
-#: dgeqrf's and every later one dtpqrt's onto its standing triangle.
+#: classes) and 6.2 MB with 325 (the default caps).  Every fold is
+#: dtpqrt's onto a standing triangle, a zero one at first.  The default
+#: caps' 7089 rows take three folds.  Split by the mirror, a drawn pair's
+#: even class, with 2348 free rows in its corner, takes two folds, its odd
+#: class, with 2048, two or three, and its rim one coupled fold (40 pairs
+#: drawn with seed 77: the odd class folds three times in 6, and one pair
+#: has an empty rim and no coupled fold).
 DESIGN_BLOCK_ROWS = 2048
 
 #: Plateau levels of the design's cap pairs: U, V and the third cap.
@@ -888,7 +872,7 @@ def _fold_class(corner, block, ridge_diag):
     factor = _TriangularFactor(corner)
     _add_node_rows(factor, block, funk_from_values=True)
     factor.add(_ridge_rows(ridge_diag[block.cols]), 0, n)
-    corner[factor.folded().shape[0] : n + 1] = 0.0  # a factor of fewer rows
+    factor.folded()
 
 
 def _fold_design(W, classes, rim, ridge_diag):
@@ -897,7 +881,9 @@ def _fold_design(W, classes, rim, ridge_diag):
     the design's columns of its columns: the classes' in turn.
 
     W has one column per design column and per class, ncol + 1 for the
-    design whole and ncol + 2 for its even and odd classes.  The one class
+    design whole and ncol + 2 for its even and odd classes, and comes in as
+    zeros, so that the top of every corner below is a zero triangle, the
+    factor of no rows.  The one class
     of a whole design folds in all of W (``_fold_class``), and its factor
     is the design's.  The two classes of a split design fold at once in
     disjoint corners of W, each on all its free rows: the even class (n0
@@ -939,7 +925,7 @@ def _fold_design(W, classes, rim, ridge_diag):
         W[n0 : ncol + 1, :n0] = 0.0
         W[n0 : ncol + 1, n0 : ncol + 1] = W[n0 : ncol + 1, n0 + 1 :]
         W[ncol, ncol] = residual
-    factor = _TriangularFactor(W[:, : ncol + 1], factor_rows=ncol + 1)
+    factor = _TriangularFactor(W[:, : ncol + 1])
     _add_node_rows(factor, rim, funk_from_values=False)
     return factor, np.concatenate([block.cols for block in classes])
 
@@ -975,11 +961,11 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     among them, are solved as given (``_design_rows``).
 
     The system is never held whole.  Its rows are written into one fold
-    buffer, ncol + 1 + block rows with block the larger of
+    buffer of zeros, ncol + 1 + block rows with block the larger of
     ``DESIGN_BLOCK_ROWS`` and ncol + 1, and one column per column and per
     class of rows, and reduced, a block at a time, to the triangular factor
-    of their QR factorization (``_TriangularFactor``: LAPACK dgeqrf for a
-    first fold, dtpqrt onto the standing triangle after it); the factor is
+    of their QR factorization (``_TriangularFactor``: every fold is LAPACK
+    dtpqrt onto the standing triangle, which starts as zeros); the factor is
     solved where it sits in the buffer by back substitution, one dtrtrs
     (``_TriangularFactor.certified_solve``).  The ridge rows certify in
     closed form that the rank cutoff the whole system would get in
@@ -1018,7 +1004,9 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     The design runs at one thread of numpy's bundled OpenBLAS, restored
     afterwards, so its rounding, and every report digit downstream, is the
     same at any thread count and the same with its two classes on one
-    thread or two; ``blas_pinned`` says so.
+    thread or two; ``blas_pinned`` says so.  A numpy whose bundled OpenBLAS
+    lacks a routine the design calls raises ImportError naming it
+    (``_openblas``).
     """
     with _one_blas_thread():
         dg = sphere.build_grid(*design_grid)
@@ -1039,7 +1027,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
                 )
         n_rim = rim.n_nodes
         # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
-        W = np.empty((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + len(classes)), order="F")
+        W = np.zeros((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + len(classes)), order="F")
         factor, cols = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol
@@ -1076,13 +1064,13 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
 def _one_blas_thread():
     """Run the block at one thread of numpy's bundled OpenBLAS and restore
     the count after it, also when it raises."""
-    get, set_count = _BLAS_THREADS
-    count = get()
-    set_count(1)
+    library = _openblas()
+    count = library.scipy_openblas_get_num_threads64_()
+    library.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_count(count)
+        library.scipy_openblas_set_num_threads64_(count)
 
 
 def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):

@@ -641,37 +641,23 @@ def design_rows_three_tables(rows, grid, L):
 class QRFoldFactor(zonoid._TriangularFactor):
     """Upper-triangular factor of [A | b], fed like
     ``zonoid._TriangularFactor`` (the same buffer W, which may be a corner of
-    a larger one, and the same fold points) but folded
-    by ``np.linalg.qr(mode="r")``, which copies the gathered rows before
-    factoring them, the triangle and the new rows together.  Checks the
-    in-place LAPACK folds of ``_TriangularFactor``: bit for bit where no
-    factor stands yet (dgeqrf there too), and within rounding after
-    (dtpqrt onto the triangle); its ``certified_solve`` is the production
-    one, so that a design folded here differs only by its folds."""
+    a larger one, whose top ncol + 1 rows hold the factor, a zero triangle
+    when fresh, and the same fold points) but folded by
+    ``np.linalg.qr(mode="r")``, which copies the factor and the new rows
+    before factoring them together.  Checks the in-place ``dtpqrt`` folds of
+    ``_TriangularFactor`` within rounding; its ``certified_solve`` is the
+    production one, so that a design folded here differs only by its
+    folds."""
 
-    def __init__(self, W, factor_rows=0):
+    def __init__(self, W):
         self._W = W
-        self._top = self._factor_rows = factor_rows
-
-    def add(self, write, start, stop):
-        W = self._W
-        while start < stop:
-            k = min(W.shape[0] - self._top, stop - start)
-            write(W[self._top : self._top + k].T, slice(start, start + k))
-            self._top += k
-            start += k
-            if self._top == W.shape[0]:
-                self._fold()
+        self._top = W.shape[1]
 
     def _fold(self):
-        if self._top > self._factor_rows:
-            R = np.linalg.qr(self._W[: self._top], mode="r")
-            self._top = self._factor_rows = R.shape[0]
-            self._W[: self._top] = R
-
-    def folded(self):
-        self._fold()
-        return self._W[: self._top]
+        n = self._W.shape[1]
+        if self._top > n:
+            self._W[:n] = np.linalg.qr(self._W[: self._top], mode="r")
+            self._top = n
 
 
 def design_residuals_grid_synthesis(G, grid, nodes, target):

@@ -373,3 +373,33 @@ class TestInputErrorContract:
         text = err.getvalue()
         assert code == 3
         assert text.endswith("\n") and text.count("\n") == 1 and len(text.splitlines()) == 1
+
+
+def test_only_the_design_needs_the_bundled_openblas(tmp_path, small_cfg):
+    # a library without the design's symbols in place of numpy's bundled
+    # OpenBLAS: the package imports, the commands that build no design run,
+    # and one that builds it exits 3 with one stderr line naming a symbol
+    stubbed = (
+        "import ctypes, sys, types\n"
+        "ctypes.CDLL = lambda path: types.SimpleNamespace()\n"
+        "from zonotools import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    g = sphere.build_grid(32, 64)
+    src = tmp_path / "in.csv"
+    sphere.grid_to_csv(src, g, np.ones(g.n_nodes))
+    commands = {
+        "funk": (0, ["transform", "--which", "funk", "--input", str(src), "--output", str(tmp_path / "funk.csv")]),
+        "newton": (0, NEWTON),
+        "counterexample": (3, ["counterexample"]),
+    }
+    for name, (code, command) in commands.items():
+        r = subprocess.run(
+            [sys.executable, "-c", stubbed, "--config", str(small_cfg), "--out", str(tmp_path / name), *command],
+            capture_output=True, text=True, env=env,
+        )
+        assert r.returncode == code, (name, r.stderr)
+        if code:
+            assert r.stderr.count("\n") == 1 and r.stderr.startswith("environment error: the plateau design needs scipy_dtpqrt_64_")
+            assert f"numpy {np.__version__} does not provide" in r.stderr
