@@ -615,13 +615,15 @@ class _TriangularFactor:
     ``W`` may be a corner of a larger buffer, and its top may already hold
     a factor.  Rows are written straight into the ``block`` free rows below
     it and folded into the factor whenever those fill, in place on the
-    buffer by LAPACK ``dtpqrt``, the QR of the triangle stacked on the free
-    rows, so its size is fixed however many rows the system has.  dtpqrt
-    skips the triangle's zeros (2 n^2 r flops for r new rows), leaves its
-    reflectors in the free rows and writes nothing below the triangle, so
-    the factor's zeros stand.  Its factor agrees with that of
-    ``np.linalg.qr(mode="r")`` on the same rows to rounding, a small
-    multiple of n eps |[A | b]|_F (Householder QR is backward stable).
+    buffer by LAPACK ``dtpqrt`` (``_fold_rows``), the QR of the triangle
+    stacked on the free rows, so its size is fixed however many rows the
+    system has; ``folds`` counts the dtpqrt calls.  dtpqrt skips the
+    triangle's zeros (2 n^2 r flops for r new rows, however the rows are
+    grouped into folds), leaves its reflectors in the free rows and writes
+    nothing below the triangle, so the factor's zeros stand.  Its factor
+    agrees with that of ``np.linalg.qr(mode="r")`` on the same rows to
+    rounding, a small multiple of n eps |[A | b]|_F (Householder QR is
+    backward stable).
     ``folded`` gives the factor in place, as a view of the buffer's top
     rows, and ``certified_solve`` solves it there by back substitution,
     under a closed-form certificate that the system has full rank, so that
@@ -633,6 +635,7 @@ class _TriangularFactor:
         self._lda = _leading_dimension(W)
         n = W.shape[1]
         self._top = n  # rows in use: the factor's and the rows not yet folded
+        self.folds = 0  # dtpqrt calls so far
         self._nb = min(32, n)  # dtpqrt's block size
         self._t, self._work = np.empty(self._nb * n), np.empty(self._nb * n)  # dtpqrt's T and workspace
 
@@ -651,15 +654,21 @@ class _TriangularFactor:
                 self._fold()
 
     def _fold(self):
-        W, n = self._W, self._W.shape[1]
+        n = self._W.shape[1]
         if self._top > n:
-            info = _lapack(
-                "scipy_dtpqrt_64_", self._top - n, n, 0, self._nb, W, self._lda, W[n:], self._lda, self._t,
-                self._nb, self._work,
-            )
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dtpqrt failed with info = {info}")
+            self._fold_rows(self._top - n)
             self._top = n
+            self.folds += 1
+
+    def _fold_rows(self, r):
+        """Replace the top n rows by the factor of them stacked on the next
+        r rows, by one dtpqrt in place."""
+        W, n = self._W, self._W.shape[1]
+        info = _lapack(
+            "scipy_dtpqrt_64_", r, n, 0, self._nb, W, self._lda, W[n:], self._lda, self._t, self._nb, self._work,
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt failed with info = {info}")
 
     def folded(self):
         """The factor of every row added so far, in place: the buffer's top
@@ -790,21 +799,6 @@ def _inverse_frobenius_norm(R):
     return math.sqrt(squares)
 
 
-#: Rows gathered between two QR folds of the plateau design, raised to
-#: ncol + 1 where the design has more columns, so that the Funk rows fit
-#: below the value factor they are read from.  The fold buffer holds them
-#: below the factor and is the design's one large allocation, sized once
-#: whatever its caps: at band 48 it is 13.4 MB with 625 columns (a drawn
-#: cap pair, solved in its adapted frame, with one more column for its two
-#: classes) and 6.2 MB with 325 (the default caps).  Every fold is
-#: dtpqrt's onto a standing triangle, a zero one at first.  The default
-#: caps' 7089 rows take three folds.  Split by the mirror, a drawn pair's
-#: even class, with 2348 free rows in its corner, takes two folds, its odd
-#: class, with 2048, two or three, and its rim one coupled fold (40 pairs
-#: drawn with seed 77: the odd class folds three times in 6, and one pair
-#: has an empty rim and no coupled fold).
-DESIGN_BLOCK_ROWS = 2048
-
 #: Plateau levels of the design's cap pairs: U, V and the third cap.
 PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 
@@ -867,58 +861,64 @@ def _fold_class(corner, block, ridge_diag):
     in ``corner``, a corner of the fold buffer with n + 1 columns (n the
     class's) whose rows below the top n + 1 are its free rows, and leave
     its factor, n + 1 rows with its target in the last column, at the
-    corner's top."""
+    corner's top; return its number of folds."""
     n = block.cols.size
     factor = _TriangularFactor(corner)
     _add_node_rows(factor, block, funk_from_values=True)
     factor.add(_ridge_rows(ridge_diag[block.cols]), 0, n)
     factor.folded()
+    return factor.folds
 
 
 def _fold_design(W, classes, rim, ridge_diag):
     """The factor of the design's row blocks (``_DesignRows.blocks``) in
-    the fold buffer W, ready to solve, and ``cols``, the positions among
-    the design's columns of its columns: the classes' in turn.
+    the fold buffer W, ready to solve, ``cols``, the positions among the
+    design's columns of its columns (the classes' in turn), and the number
+    of the classes' folds.
 
-    W has one column per design column and per class, ncol + 1 for the
-    design whole and ncol + 2 for its even and odd classes, and comes in as
-    zeros, so that the top of every corner below is a zero triangle, the
-    factor of no rows.  The one class
-    of a whole design folds in all of W (``_fold_class``), and its factor
-    is the design's.  The two classes of a split design fold at once in
-    disjoint corners of W, each on all its free rows: the even class (n0
-    columns) in W[:, : n0 + 1] on the caller's thread, the odd class in
-    W[n0:, n0 + 1 :] on a worker thread, which writes nothing outside its
-    corner and calls no public function of the package (bench/tracing.py
-    wraps those, with one span stack for all threads); an exception of the
-    worker is raised by the caller after the join.  Their factors then take the coupled layout in W's first ncol + 1
-    columns: the even factor where it is, the odd one a column to the
-    left, so that it sits on the diagonal below the even one, the targets
-    in column ncol, zeros beside the blocks, and the two residuals'
-    root-sum-square as the coupled residual.  The rim's rows then join
-    that factor, by dtpqrt folds onto it."""
+    W has 2 (ncol + 1) rows and one column per design column and per
+    class, ncol + 1 for the design whole and ncol + 2 for its even and odd
+    classes, and comes in as zeros, so that the top of every corner below
+    is a zero triangle, the factor of no rows.  The one class of a whole
+    design folds in all of W (``_fold_class``), on its ncol + 1 free rows,
+    and its factor is the design's.  The two classes of a split design fold
+    at once in disjoint corners of W, each on all its free rows: the even
+    class (n0 columns) in W[:, : n0 + 1], 2 (ncol + 1) - n0 - 1 >= n0 free
+    rows, on the caller's thread, the odd class (n1 columns) in
+    W[n0:, n0 + 1 :], ncol + 1 >= n1 free rows, on a worker thread, which
+    writes nothing outside its corner and calls no public function of the
+    package (bench/tracing.py wraps those, with one span stack for all
+    threads); an exception of the worker is raised by the caller after the
+    join.  Every class thus holds its Funk rows without a fold.  Their
+    factors then take the coupled layout in W's first ncol + 1 columns:
+    the even factor where it is, the odd one a column to the left, so that
+    it sits on the diagonal below the even one, the targets in column
+    ncol, zeros beside the blocks, and the two residuals' root-sum-square
+    as the coupled residual.  The rim's rows then join
+    that factor, by dtpqrt folds onto it, ncol + 1 rows at a time."""
     ncol = W.shape[1] - len(classes)
     if len(classes) == 1:
-        _fold_class(W, classes[0], ridge_diag)
+        class_folds = _fold_class(W, classes[0], ridge_diag)
     else:
         even, odd = classes
         n0 = even.cols.size
-        failed = []
+        odd_folds, failed = [], []
 
         def fold_odd():
             try:
-                _fold_class(W[n0:, n0 + 1 :], odd, ridge_diag)
+                odd_folds.append(_fold_class(W[n0:, n0 + 1 :], odd, ridge_diag))
             except BaseException as exc:  # raised again by the caller
                 failed.append(exc)
 
         worker = threading.Thread(target=fold_odd, name="zonotools-odd-class")
         worker.start()
         try:
-            _fold_class(W[:, : n0 + 1], even, ridge_diag)
+            class_folds = _fold_class(W[:, : n0 + 1], even, ridge_diag)
         finally:
             worker.join()
         if failed:
             raise failed[0]
+        class_folds += odd_folds[0]
         residual = math.hypot(W[n0, n0], W[ncol, ncol + 1])
         W[:n0, ncol] = W[:n0, n0]
         W[:n0, n0:ncol] = 0.0
@@ -927,7 +927,7 @@ def _fold_design(W, classes, rim, ridge_diag):
         W[ncol, ncol] = residual
     factor = _TriangularFactor(W[:, : ncol + 1])
     _add_node_rows(factor, rim, funk_from_values=False)
-    return factor, np.concatenate([block.cols for block in classes])
+    return factor, np.concatenate([block.cols for block in classes]), class_folds
 
 
 def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
@@ -961,13 +961,22 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     among them, are solved as given (``_design_rows``).
 
     The system is never held whole.  Its rows are written into one fold
-    buffer of zeros, ncol + 1 + block rows with block the larger of
-    ``DESIGN_BLOCK_ROWS`` and ncol + 1, and one column per column and per
+    buffer of zeros, 2 (ncol + 1) rows and one column per column and per
     class of rows, and reduced, a block at a time, to the triangular factor
     of their QR factorization (``_TriangularFactor``: every fold is LAPACK
-    dtpqrt onto the standing triangle, which starts as zeros); the factor is
-    solved where it sits in the buffer by back substitution, one dtrtrs
-    (``_TriangularFactor.certified_solve``).  The ridge rows certify in
+    dtpqrt onto the standing triangle, which starts as zeros).  That leaves
+    ncol + 1 free rows below the triangle, the fewest that hold a class's
+    Funk rows, written from its value factor without a fold; a fold costs
+    the same flops however the rows are grouped, so more free rows would
+    buy memory and no speed.  The buffer is the design's one large
+    allocation (``design_buffer_bytes``): at band 48 it is 6.3 MB for a
+    drawn cap pair (625 columns and two classes) and 1.7 MB for the default
+    caps (325 columns).  The default caps' rows take 18 folds.  Over 40
+    cap pairs drawn with seed 77, the even class folds 3 to 5 times, the
+    odd class 4 to 6 times and the rim 1 to 3 times (no coupled fold in the
+    one pair with an empty rim); ``design_folds`` counts them all.  The
+    factor is solved where it sits in the buffer by back substitution, one
+    dtrtrs (``_TriangularFactor.certified_solve``).  The ridge rows certify in
     closed form that the rank cutoff the whole system would get in
     ``np.linalg.lstsq`` drops nothing, so the substitution gives lstsq's
     minimizer; where that bound is too loose (high bands), the Frobenius
@@ -978,8 +987,8 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     over the row blocks of ``_DesignRows.blocks``: each class of rows is
     folded in its own corner of the buffer, value rows first, then the
     Funk rows from their factor, the anisotropy rows and the ridge rows,
-    two classes at once, the odd one on a worker thread, and one coupled
-    fold adds the full rows of the rim.  As given the
+    two classes at once, the odd one on a worker thread, and coupled folds
+    add the full rows of the rim.  As given the
     design is one class with no rim.  In the adapted frame the mirror
     z -> -z maps U onto V and the third cap onto itself, so the rows are
     split by it: the mirrored pairs of nodes become one row in each of two
@@ -999,7 +1008,9 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     singular-value ratio, ``design_sigma_ratio`` below (power steps) and
     ``design_sigma_ratio_bound`` above (the bound of the certificate
     named in ``design_certificate``: ``"ridge"``, |R|_F over the smallest
-    ridge row, or ``"frobenius"``, |R|_F |R^-1|_F).
+    ridge row, or ``"frobenius"``, |R|_F |R^-1|_F), and the cost of its
+    folds: ``design_folds``, the dtpqrt calls of its classes and its
+    coupled factor, and ``design_buffer_bytes``, the fold buffer's size.
 
     The design runs at one thread of numpy's bundled OpenBLAS, restored
     afterwards, so its rounding, and every report digit downstream, is the
@@ -1026,13 +1037,14 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
                     "design grid; each class needs at least as many value rows as columns"
                 )
         n_rim = rim.n_nodes
-        # ncol + 1 free rows at least: the ncol Funk rows fit without a fold
-        W = np.zeros((ncol + 1 + max(DESIGN_BLOCK_ROWS, ncol + 1), ncol + len(classes)), order="F")
-        factor, cols = _fold_design(W, classes, rim, ridge_diag)
+        W = np.zeros((2 * (ncol + 1), ncol + len(classes)), order="F")
+        factor, cols, folds = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol
         rcond = np.finfo(float).eps * max(n_rows, ncol)
         sol, ratio, bound, certificate = factor.certified_solve(float(np.min(np.abs(ridge_diag))), rcond)
+        folds += factor.folds
+        buffer_bytes = W.nbytes
         del factor, W  # the fold buffer is not held through the rotation
         x = np.empty(ncol)
         x[cols] = sol
@@ -1056,6 +1068,8 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         "design_reflections": reflections,
         "design_frame": frame.tolist(),
         "design_rim_nodes": int(n_rim),
+        "design_folds": folds,
+        "design_buffer_bytes": buffer_bytes,
         "blas_pinned": True,
     }
 

@@ -649,15 +649,9 @@ class QRFoldFactor(zonoid._TriangularFactor):
     production one, so that a design folded here differs only by its
     folds."""
 
-    def __init__(self, W):
-        self._W = W
-        self._top = W.shape[1]
-
-    def _fold(self):
+    def _fold_rows(self, r):
         n = self._W.shape[1]
-        if self._top > n:
-            self._W[:n] = np.linalg.qr(self._W[: self._top], mode="r")
-            self._top = n
+        self._W[:n] = np.linalg.qr(self._W[: n + r], mode="r")
 
 
 def design_residuals_grid_synthesis(G, grid, nodes, target):

@@ -636,13 +636,48 @@ class TestPlateauDesign:
         for s in self._solved_block_singular_values(fu, fv, ridge):
             assert np.min(np.abs(sv - s)) <= 1e-9 * s
 
+    @staticmethod
+    def _counting(base, factors):
+        """``base`` counting its dtpqrt folds: each factor made appends
+        itself to ``factors``, the classes' first and the coupled one last."""
+
+        class Factor(base):
+            def __init__(self, W):
+                super().__init__(W)
+                self.dtpqrt_calls = 0
+                factors.append(self)
+
+            def _fold_rows(self, r):
+                self.dtpqrt_calls += 1
+                super()._fold_rows(r)
+
+        return Factor
+
+    @staticmethod
+    def _assert_many_folds(factors, pair):
+        # every class folds at least twice in any buffer, before its Funk
+        # rows and at the end; with ncol + 1 free rows, fewer than every
+        # class's rows at L = 12, its value rows fold on their own too, and
+        # a rim of more rows than ncol + 1 takes two coupled folds or more
+        *classes, coupled = (f.dtpqrt_calls for f in factors)
+        assert min(classes) >= 3
+        assert coupled >= (2 if pair.startswith("small") else 0)
+
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
-        # blocks far smaller than the system, so the rows pass through many
-        # QR folds and the value rows' factor is split
-        monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
+        # the production buffer at L = 12 has 29 free rows for the default
+        # caps' one class and 50 to 78 in a split design's corners, so the
+        # rows pass through many QR folds and the value rows' factor is
+        # split; the diagnostics count those folds and the buffer's bytes
+        factors = []
+        monkeypatch.setattr(zonoid, "_TriangularFactor", self._counting(zonoid._TriangularFactor, factors))
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        self._assert_many_folds(factors, pair)
+        assert info["design_folds"] == sum(f.dtpqrt_calls for f in factors)
+        buffer = factors[0]._W if factors[0]._W.base is None else factors[0]._W.base
+        ncol, n_classes = info["design_cols"], len(factors) - 1
+        assert info["design_buffer_bytes"] == buffer.nbytes == 2 * (ncol + 1) * (ncol + n_classes) * 8
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
         assert info["design_rank"] == info["design_cols"]
@@ -659,14 +694,16 @@ class TestPlateauDesign:
         # moves by |R^-1|_2 |[dR dq]|_F |(x, -1)| to first order, with
         # |R^-1|_2 <= kappa / |R|_F for kappa the certified sigma-ratio
         # bound, and each substitution adds its own n eps kappa |x|; the
-        # rotation into the user frame keeps the norm
-        if small:
-            monkeypatch.setattr(zonoid, "DESIGN_BLOCK_ROWS", 37)
+        # rotation into the user frame keeps the norm.  The production
+        # buffer at L = 12 already folds many times, so the small cases run
+        # the same designs as the others and also assert those folds
         u, v = self._pair(pair, cap_u, cap_v)
         solved = []
 
-        def recording(base):
-            class Factor(base):
+        def recording(base, factors):
+            counting = self._counting(base, factors)
+
+            class Factor(counting):
                 def certified_solve(self, floor, rcond):
                     solved.append(self.folded()[:-1].copy())
                     return super().certified_solve(floor, rcond)
@@ -675,8 +712,11 @@ class TestPlateauDesign:
 
         runs = []
         for base in (zonoid._TriangularFactor, oracles.QRFoldFactor):
-            monkeypatch.setattr(zonoid, "_TriangularFactor", recording(base))
+            factors = []
+            monkeypatch.setattr(zonoid, "_TriangularFactor", recording(base, factors))
             runs.append(zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID))
+            if small:
+                self._assert_many_folds(factors, pair)
         (G, info), (G_ref, info_ref) = runs
         F, F_ref = solved
         n = F.shape[1]
@@ -692,10 +732,14 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("pair", ["rotated", "off-plane", "small-v"])
     def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
         # drawn-like pairs at the production band and grid, solved in their
-        # adapted frame (625 columns, a 13.4 MB buffer), with and without a
-        # rim; both classes and the coupled fold work in the one buffer.
-        # The quarter-turn tables are built by a first call, so the second
-        # call's peak is the design's
+        # adapted frame (625 columns and two classes, a 6.3 MB buffer), with
+        # and without a rim; both classes and the coupled fold work in the
+        # one buffer.  The quarter-turn tables are built by a first call, so
+        # the second call's peak is the design's: the buffer, the rows' ring
+        # tables Q, H and K on the cap rings, each order's longitude factor
+        # and its phi derivative, and dtpqrt's T and workspace of both
+        # classes at once (8.4 MB measured); the allowance covers the node
+        # arrays and the row writes' temporaries
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
         else:
@@ -709,9 +753,13 @@ class TestPlateauDesign:
             tracemalloc.stop()
         ncol = info["design_cols"]
         assert ncol == 625
-        block = max(zonoid.DESIGN_BLOCK_ROWS, ncol + 1)
-        buffer_bytes = (ncol + 1 + block) * (ncol + 1) * 8
-        assert peak < 1.25 * buffer_bytes
+        rows, _ = zonoid._design_rows(u, v, 48, sphere.build_grid(128, 256))
+        rings, orders = rows._ring.max() + 1, len(rows._orders)
+        buffer_bytes = 2 * (ncol + 1) * (ncol + 2) * 8
+        assert info["design_buffer_bytes"] == buffer_bytes
+        tables = 3 * ncol * rings * 8 + 2 * orders * 256 * 8
+        workspaces = 2 * 32 * (ncol + 2) * 8
+        assert peak < 1.25 * (buffer_bytes + tables + workspaces)
 
     def test_rotation_peak(self, tmp_path):
         # once the quarter-turn tables of the band are built, a rotation holds
@@ -1116,6 +1164,9 @@ class TestPlateauDesign:
         assert d["design_rim_nodes"] == 0  # solved as given, not split
         assert 1.0 < d["design_sigma_ratio"] < d["design_sigma_ratio_bound"] < math.inf
         assert d["design_certificate"] == "ridge"
+        # its rows pass through the buffer's 326 free rows in 18 folds
+        assert d["design_folds"] == 18
+        assert d["design_buffer_bytes"] == 2 * 326 * 326 * 8
         assert d["blas_pinned"] is True
 
 
