@@ -27,7 +27,6 @@ import contextlib
 import ctypes
 import json
 import math
-import threading
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -38,12 +37,11 @@ from zonotools.convex import support as convex_support
 
 # The plateau design calls LAPACK, and the thread count, of the OpenBLAS
 # that numpy bundles (scipy-openblas: 64-bit integers, Fortran calling
-# convention) through ctypes, run on numpy 2.4.6.  A ctypes call releases
-# the GIL, so the design's two mirror classes fold at once.  The design
-# runs at one OpenBLAS thread: OpenBLAS splits its products by the thread
-# count, and the design's rounding, which reaches every report digit,
-# would follow it.  The library is opened on the first design
-# (``_openblas``), so a numpy without these symbols runs everything else.
+# convention) through ctypes, run on numpy 2.4.6.  The design runs at one
+# OpenBLAS thread: OpenBLAS splits its products by the thread count, and
+# the design's rounding, which reaches every report digit, would follow
+# it.  The library is opened on the first design (``_openblas``), so a
+# numpy without these symbols runs everything else.
 _INT = ctypes.POINTER(ctypes.c_int64)  # a LAPACK integer, passed by reference
 _ARRAY = np.ctypeslib.ndpointer(np.float64)  # passed as the address of its first element
 _CHAR = ctypes.c_char_p
@@ -487,7 +485,7 @@ class _DesignRows(_RowBlock):
             cols = np.flatnonzero(self.ms == m)
             am = abs(m)
             if m == 0:
-                trig, dtrig = cosm[0], np.zeros(grid.n_phi)
+                trig, dtrig = cosm[0].copy(), np.zeros(grid.n_phi)
             elif m > 0:
                 trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
             else:
@@ -876,56 +874,32 @@ def _fold_design(W, classes, rim, ridge_diag):
     design's columns of its columns (the classes' in turn), and the number
     of the classes' folds.
 
-    W has 2 (ncol + 1) rows and one column per design column and per
-    class, ncol + 1 for the design whole and ncol + 2 for its even and odd
-    classes, and comes in as zeros, so that the top of every corner below
-    is a zero triangle, the factor of no rows.  The one class of a whole
-    design folds in all of W (``_fold_class``), on its ncol + 1 free rows,
-    and its factor is the design's.  The two classes of a split design fold
-    at once in disjoint corners of W, each on all its free rows: the even
-    class (n0 columns) in W[:, : n0 + 1], 2 (ncol + 1) - n0 - 1 >= n0 free
-    rows, on the caller's thread, the odd class (n1 columns) in
-    W[n0:, n0 + 1 :], ncol + 1 >= n1 free rows, on a worker thread, which
-    writes nothing outside its corner and calls no public function of the
-    package (bench/tracing.py wraps those, with one span stack for all
-    threads); an exception of the worker is raised by the caller after the
-    join.  Every class thus holds its Funk rows without a fold.  Their
-    factors then take the coupled layout in W's first ncol + 1 columns:
-    the even factor where it is, the odd one a column to the left, so that
-    it sits on the diagonal below the even one, the targets in column
-    ncol, zeros beside the blocks, and the two residuals' root-sum-square
-    as the coupled residual.  The rim's rows then join
-    that factor, by dtpqrt folds onto it, ncol + 1 rows at a time."""
-    ncol = W.shape[1] - len(classes)
-    if len(classes) == 1:
-        class_folds = _fold_class(W, classes[0], ridge_diag)
-    else:
-        even, odd = classes
-        n0 = even.cols.size
-        odd_folds, failed = [], []
-
-        def fold_odd():
-            try:
-                odd_folds.append(_fold_class(W[n0:, n0 + 1 :], odd, ridge_diag))
-            except BaseException as exc:  # raised again by the caller
-                failed.append(exc)
-
-        worker = threading.Thread(target=fold_odd, name="zonotools-odd-class")
-        worker.start()
-        try:
-            class_folds = _fold_class(W[:, : n0 + 1], even, ridge_diag)
-        finally:
-            worker.join()
-        if failed:
-            raise failed[0]
-        class_folds += odd_folds[0]
-        residual = math.hypot(W[n0, n0], W[ncol, ncol + 1])
-        W[:n0, ncol] = W[:n0, n0]
-        W[:n0, n0:ncol] = 0.0
-        W[n0 : ncol + 1, :n0] = 0.0
-        W[n0 : ncol + 1, n0 : ncol + 1] = W[n0 : ncol + 1, n0 + 1 :]
-        W[ncol, ncol] = residual
-    factor = _TriangularFactor(W[:, : ncol + 1])
+    W is 2 (ncol + 1) x (ncol + 1) and comes in as zeros.  The classes fold
+    one after another, each on all the free rows of its corner
+    (``_fold_class``): the class of the buffer's columns s..e - 1 (the
+    classes' columns in turn) folds in W[s:, s : e + 1], whose top is a zero triangle, the factor of no rows,
+    and whose 2 (ncol + 1) - e - 1 free rows hold its Funk rows without a
+    fold (n0 or more for the even class of n0 columns, ncol + 1 for the odd
+    class or a whole design).  Its target then moves to column ncol, its
+    residual W[e, e] is kept, and W[e:, : e + 1] is cleared, so that the
+    next corner starts as a zero triangle.  That leaves the coupled layout
+    in W: the factors on the diagonal, the targets in column ncol, zeros
+    beside the blocks, and the residuals' root-sum-square as the coupled
+    residual.  The rim's rows then join that factor, by dtpqrt folds onto
+    it, ncol + 1 rows at a time."""
+    ncol = W.shape[1] - 1
+    class_folds, residuals, s = 0, [], 0
+    for block in classes:
+        e = s + block.cols.size
+        class_folds += _fold_class(W[s:, s : e + 1], block, ridge_diag)
+        target = W[s:e, e].copy()
+        W[s:e, e] = 0.0
+        W[s:e, ncol] = target
+        residuals.append(W[e, e])
+        W[e:, : e + 1] = 0.0
+        s = e
+    W[ncol, ncol] = math.hypot(*residuals)
+    factor = _TriangularFactor(W)
     _add_node_rows(factor, rim, funk_from_values=False)
     return factor, np.concatenate([block.cols for block in classes]), class_folds
 
@@ -961,10 +935,10 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     among them, are solved as given (``_design_rows``).
 
     The system is never held whole.  Its rows are written into one fold
-    buffer of zeros, 2 (ncol + 1) rows and one column per column and per
-    class of rows, and reduced, a block at a time, to the triangular factor
-    of their QR factorization (``_TriangularFactor``: every fold is LAPACK
-    dtpqrt onto the standing triangle, which starts as zeros).  That leaves
+    buffer of zeros, 2 (ncol + 1) x (ncol + 1), and reduced, a block at a
+    time, to the triangular factor of their QR factorization
+    (``_TriangularFactor``: every fold is LAPACK dtpqrt onto the standing
+    triangle, which starts as zeros).  That leaves
     ncol + 1 free rows below the triangle, the fewest that hold a class's
     Funk rows, written from its value factor without a fold; a fold costs
     the same flops however the rows are grouped, so more free rows would
@@ -983,12 +957,11 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     bound |R|_F |R^-1|_F certifies it instead, and a design that neither
     covers raises ValueError, as does a design grid too coarse for the
     band, where a class of rows has fewer kept nodes than columns.  Every
-    design is folded by one recipe (``_fold_design``)
-    over the row blocks of ``_DesignRows.blocks``: each class of rows is
-    folded in its own corner of the buffer, value rows first, then the
-    Funk rows from their factor, the anisotropy rows and the ridge rows,
-    two classes at once, the odd one on a worker thread, and coupled folds
-    add the full rows of the rim.  As given the
+    design is folded by one recipe (``_fold_design``) over the row blocks
+    of ``_DesignRows.blocks``: each class of rows is folded in its own
+    corner of the buffer, one class after the other, value rows first,
+    then the Funk rows from their factor, the anisotropy rows and the ridge
+    rows, and coupled folds add the full rows of the rim.  As given the
     design is one class with no rim.  In the adapted frame the mirror
     z -> -z maps U onto V and the third cap onto itself, so the rows are
     split by it: the mirrored pairs of nodes become one row in each of two
@@ -1014,10 +987,8 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
 
     The design runs at one thread of numpy's bundled OpenBLAS, restored
     afterwards, so its rounding, and every report digit downstream, is the
-    same at any thread count and the same with its two classes on one
-    thread or two; ``blas_pinned`` says so.  A numpy whose bundled OpenBLAS
-    lacks a routine the design calls raises ImportError naming it
-    (``_openblas``).
+    same at any thread count.  A numpy whose bundled OpenBLAS lacks a
+    routine the design calls raises ImportError naming it (``_openblas``).
     """
     with _one_blas_thread():
         dg = sphere.build_grid(*design_grid)
@@ -1037,7 +1008,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
                     "design grid; each class needs at least as many value rows as columns"
                 )
         n_rim = rim.n_nodes
-        W = np.zeros((2 * (ncol + 1), ncol + len(classes)), order="F")
+        W = np.zeros((2 * (ncol + 1), ncol + 1), order="F")
         factor, cols, folds = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol
@@ -1070,7 +1041,6 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         "design_rim_nodes": int(n_rim),
         "design_folds": folds,
         "design_buffer_bytes": buffer_bytes,
-        "blas_pinned": True,
     }
 
 

@@ -6,11 +6,9 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import tracemalloc
 import types
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -676,13 +674,65 @@ class TestPlateauDesign:
         self._assert_many_folds(factors, pair)
         assert info["design_folds"] == sum(f.dtpqrt_calls for f in factors)
         buffer = factors[0]._W if factors[0]._W.base is None else factors[0]._W.base
-        ncol, n_classes = info["design_cols"], len(factors) - 1
-        assert info["design_buffer_bytes"] == buffer.nbytes == 2 * (ncol + 1) * (ncol + n_classes) * 8
+        ncol = info["design_cols"]
+        assert info["design_buffer_bytes"] == buffer.nbytes == 2 * (ncol + 1) * (ncol + 1) * 8
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
         assert info["design_rank"] == info["design_cols"]
         for s in self._solved_block_singular_values(fu, fv, 1e-12)[[0, -1]]:
             assert np.min(np.abs(sv - s)) <= 1e-9 * s
+
+    @pytest.mark.parametrize("pair", ["rotated", "small-u", "small-v"])
+    def test_classes_fold_into_the_coupled_factor(self, cap_u, cap_v, pair, monkeypatch):
+        # the two classes fold one after the other, each in its corner of
+        # the one buffer of ncol + 1 columns, and before any rim row the
+        # buffer's top is the coupled factor: the class factors on the
+        # diagonal, exact zeros below it and in the block between them, the
+        # targets in column ncol and the classes' residuals' root-sum-square
+        # as its residual
+        factors = []
+
+        class Factor(zonoid._TriangularFactor):
+            def __init__(self, W):
+                super().__init__(W)
+                self.start = W[: W.shape[1]].copy()
+                factors.append(self)
+
+            def folded(self):
+                R = super().folded()
+                self.last = R.copy()
+                return R
+
+        monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        _, info = zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=self.GRID)
+        even, odd, coupled = factors
+        ncol = info["design_cols"]
+        assert info["design_buffer_bytes"] == 2 * (ncol + 1) * (ncol + 1) * 8
+        assert not np.any(even.start) and not np.any(odd.start)
+        n0, n1 = even.start.shape[1] - 1, odd.start.shape[1] - 1
+        assert n0 + n1 == ncol
+        R = coupled.start
+        assert R.shape == (ncol + 1, ncol + 1)
+        assert not np.any(np.tril(R, -1)) and not np.any(R[:n0, n0:ncol])
+        expected = np.zeros_like(R)
+        expected[:n0, :n0], expected[:n0, ncol] = even.last[:n0, :n0], even.last[:n0, n0]
+        expected[n0:ncol, n0:ncol], expected[n0:ncol, ncol] = odd.last[:n1, :n1], odd.last[:n1, n1]
+        expected[ncol, ncol] = math.hypot(even.last[n0, n0], odd.last[n1, n1])
+        assert abs(R[ncol, ncol]) == expected[ncol, ncol]
+        R[ncol, ncol] = expected[ncol, ncol]
+        assert np.array_equal(R, expected)
+
+    def test_longitude_factors_own_their_rows(self, cap_u, cap_v):
+        # every order's longitude factor and its phi derivative is one row
+        # of n_phi values that holds no larger table alive, such as the
+        # (L + 1) x n_phi cosine table it is read from
+        grid = sphere.build_grid(*self.GRID)
+        for pair in ("default", "rotated"):
+            rows = self._design_rows(*self._pair(pair, cap_u, cap_v), self.L, grid)
+            for _, trig, dtrig, *_ in rows._orders:
+                for a in (trig, dtrig):
+                    assert a.shape == (grid.n_phi,)
+                    assert a.base is None or a.base.nbytes <= a.nbytes
 
     @pytest.mark.parametrize("small", [False, True])
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-v"])
@@ -734,11 +784,12 @@ class TestPlateauDesign:
         # drawn-like pairs at the production band and grid, solved in their
         # adapted frame (625 columns and two classes, a 6.3 MB buffer), with
         # and without a rim; both classes and the coupled fold work in the
-        # one buffer.  The quarter-turn tables are built by a first call, so
-        # the second call's peak is the design's: the buffer, the rows' ring
-        # tables Q, H and K on the cap rings, each order's longitude factor
-        # and its phi derivative, and dtpqrt's T and workspace of both
-        # classes at once (8.4 MB measured); the allowance covers the node
+        # one buffer, one after another.  The quarter-turn tables are built
+        # by a first call, so the second call's peak is the design's: the
+        # buffer, the rows' ring tables Q, H and K on the cap rings, each
+        # order's longitude factor and its phi derivative, and dtpqrt's T and
+        # workspace of one factor at a time, at most the coupled one's
+        # ncol + 1 columns (8.1 MB measured); the allowance covers the node
         # arrays and the row writes' temporaries
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
@@ -755,10 +806,10 @@ class TestPlateauDesign:
         assert ncol == 625
         rows, _ = zonoid._design_rows(u, v, 48, sphere.build_grid(128, 256))
         rings, orders = rows._ring.max() + 1, len(rows._orders)
-        buffer_bytes = 2 * (ncol + 1) * (ncol + 2) * 8
+        buffer_bytes = 2 * (ncol + 1) * (ncol + 1) * 8
         assert info["design_buffer_bytes"] == buffer_bytes
         tables = 3 * ncol * rings * 8 + 2 * orders * 256 * 8
-        workspaces = 2 * 32 * (ncol + 2) * 8
+        workspaces = 2 * 32 * (ncol + 1) * 8
         assert peak < 1.25 * (buffer_bytes + tables + workspaces)
 
     def test_rotation_peak(self, tmp_path):
@@ -878,20 +929,6 @@ class TestPlateauDesign:
         with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)"):
             zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID, ridge=1e-40)
         assert get() == before
-        # an error in the odd class's fold, on the worker thread, reaches
-        # the caller after the join, with the count restored
-        real = zonoid._add_node_rows
-
-        def fail_off_the_main_thread(factor, rows, funk_from_values):
-            if threading.current_thread() is not threading.main_thread():
-                raise ArithmeticError("odd class")
-            return real(factor, rows, funk_from_values)
-
-        monkeypatch.setattr(zonoid, "_add_node_rows", fail_off_the_main_thread)
-        threads = threading.active_count()
-        with pytest.raises(ArithmeticError, match="odd class"):
-            zonoid.design_plateau(*self._pair("rotated", cap_u, cap_v), L=self.L, design_grid=self.GRID)
-        assert get() == before and threading.active_count() == threads
 
     def test_design_runs_at_one_blas_thread(self, cap_u, cap_v, monkeypatch):
         library = zonoid._openblas()
@@ -908,41 +945,11 @@ class TestPlateauDesign:
         set_count(2)  # where the library has a second thread
         try:
             outer = get()
-            _, info = zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID)
+            zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID)
             assert get() == outer
         finally:
             set_count(before)
-        assert inside == [1] and info["blas_pinned"] is True
-
-    @pytest.mark.parametrize("pair", ["rotated", "small-u", "off-plane"])
-    def test_threaded_fold_is_the_inline_fold(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
-        # the odd class folds on a worker thread, in its own columns of the
-        # buffer; run ten times, the design is bitwise the one whose worker
-        # runs inline, before the even class (off-plane: at band 48 on the
-        # 128x256 design grid, where each class takes several folds)
-        if pair == "off-plane":
-            u, v = _off_plane_caps(tmp_path)
-            design = partial(zonoid.design_plateau, u, v)
-        else:
-            u, v = self._pair(pair, cap_u, cap_v)
-            design = partial(zonoid.design_plateau, u, v, L=self.L, design_grid=self.GRID)
-        threaded = [design() for _ in range(10)]
-
-        class InlineThread:
-            def __init__(self, target, name):
-                self._target = target
-
-            def start(self):
-                self._target()
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(zonoid, "threading", types.SimpleNamespace(Thread=InlineThread))
-        G_ref, info_ref = design()
-        assert (info_ref["design_rim_nodes"] > 0) == (pair == "small-u")
-        for G, info in threaded:
-            assert G.c.tobytes() == G_ref.c.tobytes() and info == info_ref
+        assert inside == [1]
 
     @pytest.mark.parametrize("L,grid_shape", [(12, (32, 64)), (48, (128, 256))])
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
@@ -1167,7 +1174,6 @@ class TestPlateauDesign:
         # its rows pass through the buffer's 326 free rows in 18 folds
         assert d["design_folds"] == 18
         assert d["design_buffer_bytes"] == 2 * 326 * 326 * 8
-        assert d["blas_pinned"] is True
 
 
 def test_design_imports_no_masked_arrays():
