@@ -239,6 +239,17 @@ def l2_distance(f, g):
     return float(math.sqrt(np.sum(f.grid.weights * diff * diff)))
 
 
+#: t-nodes per block of the polar-slicing check's tensor quadrature
+#: (``sr_profile_l1_identity``).  Each of the block's ten or so temporaries
+#: holds 16 x n_r elements, 30 kB at the default n_r = 240, where the whole
+#: 160 x 240 tensor held 0.3 MB each: the check's traced peak went from
+#: 2.77 to 0.32 MB at band 24.  Each block evaluates the profile's Legendre
+#: recurrence anew, about 2 ms more per call on a 2-vCPU Xeon (median 10.7
+#: against 8.6 ms over 200 interleaved calls at band 24); 8 t-nodes halved
+#: the peak again and cost 8 ms more.
+SR_IDENTITY_BLOCK = 16
+
+
 def sr_profile_l1_identity(f, n_t=160, n_r=240):
     """Both sides of the polar-slicing identity tying ||f||_1 to the
     symmetrized profile.
@@ -249,6 +260,15 @@ def sr_profile_l1_identity(f, n_t=160, n_r=240):
     quadrature split at t = 0, with the zonal profile of Sr(f) evaluated
     through its Legendre expansion.  Requires f non-negative (for the L1
     reading) and band-limited.
+
+    Each half interval's tensor is evaluated SR_IDENTITY_BLOCK t-nodes at a
+    time, each row summed over r into one vector of n_t sums.  The
+    tensor's temporaries, about ten alive at once, so hold
+    SR_IDENTITY_BLOCK x n_r elements each rather than n_t x n_r: the
+    traced peak is 0.32 MB at the defaults, 2.77 MB unblocked.  Every
+    element goes through the same operations as in the whole tensor, and
+    each row's sum is the same reduction, so both sides are bitwise those
+    of the unblocked tensor.
     """
     if f.coeffs is None:
         raise ValueError("identity check needs coefficients for the zonal profile")
@@ -262,17 +282,21 @@ def sr_profile_l1_identity(f, n_t=160, n_r=240):
 
     xt, wt = sphere.leggauss(n_t)
     xr, wr = sphere.leggauss(n_r)
+    wts = 0.5 * wt
+    inner = np.empty(n_t)
     total = 0.0
     for sign in (-1.0, 1.0):
         t = sign * 0.5 * (xt + 1.0)     # half interval (0, 1)
-        wts = 0.5 * wt
         rmax = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        # tensor nodes: r = rmax * (xr+1)/2 per t-node
-        r = 0.5 * np.outer(rmax, xr + 1.0)
-        wrs = 0.5 * np.outer(rmax, wr)
-        rho = np.sqrt(r * r + t[:, None] ** 2)
-        s = np.where(rho > 0, t[:, None] / np.maximum(rho, 1e-300), 0.0)
-        inner = np.sum(wrs * r * rho * profile(s), axis=1)
+        for lo in range(0, n_t, SR_IDENTITY_BLOCK):
+            rows = slice(lo, lo + SR_IDENTITY_BLOCK)
+            tb = t[rows, None]
+            # tensor nodes: r = rmax * (xr+1)/2 per t-node
+            r = 0.5 * np.outer(rmax[rows], xr + 1.0)
+            wrs = 0.5 * np.outer(rmax[rows], wr)
+            rho = np.sqrt(r * r + tb ** 2)
+            s = np.where(rho > 0, tb / np.maximum(rho, 1e-300), 0.0)
+            np.sum(wrs * r * rho * profile(s), axis=1, out=inner[rows])
         total += float(np.sum(wts * inner))
     rhs = 8.0 * math.pi * total
     return lhs, rhs

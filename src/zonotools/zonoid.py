@@ -23,74 +23,15 @@ affine function and the Funk transform by a constant.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
-from zonotools import harmonics, sphere, transforms
+from zonotools import harmonics, openblas, sphere, transforms
 from zonotools.convex import support as convex_support
-
-# The plateau design calls LAPACK, and the thread count, of the OpenBLAS
-# that numpy bundles (scipy-openblas: 64-bit integers, Fortran calling
-# convention) through ctypes, run on numpy 2.4.6.  The design runs at one
-# OpenBLAS thread: OpenBLAS splits its products by the thread count, and
-# the design's rounding, which reaches every report digit, would follow
-# it.  The library is opened on the first design (``_openblas``), so a
-# numpy without these symbols runs everything else.
-_INT = ctypes.POINTER(ctypes.c_int64)  # a LAPACK integer, passed by reference
-_ARRAY = np.ctypeslib.ndpointer(np.float64)  # passed as the address of its first element
-_CHAR = ctypes.c_char_p
-
-#: Symbol -> (restype, argtypes) of every routine of the library the
-#: design calls.
-_OPENBLAS_SIGNATURES = {
-    # dtpqrt(M, N, L, NB, A, LDA, B, LDB, T, LDT, WORK, INFO)
-    "scipy_dtpqrt_64_": (None, [_INT, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT]),
-    # dtrtrs(UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO), then the
-    # lengths of its three character arguments
-    "scipy_dtrtrs_64_": (
-        None,
-        [_CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT] + [ctypes.c_size_t] * 3,
-    ),
-    "scipy_openblas_get_num_threads64_": (ctypes.c_int, []),
-    "scipy_openblas_set_num_threads64_": (None, [ctypes.c_int]),
-}
-
-
-@cache
-def _openblas():
-    """numpy's bundled OpenBLAS with the routines of _OPENBLAS_SIGNATURES
-    typed, opened once; ImportError naming the symbols it lacks."""
-    library = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    missing = [name for name in _OPENBLAS_SIGNATURES if not hasattr(library, name)]
-    if missing:
-        raise ImportError(
-            f"the plateau design needs {', '.join(missing)} from the OpenBLAS that numpy bundles, which numpy "
-            f"{np.__version__} does not provide (the design was run on numpy 2.4.6)"
-        )
-    for name, (restype, argtypes) in _OPENBLAS_SIGNATURES.items():
-        routine = getattr(library, name)
-        routine.restype, routine.argtypes = restype, argtypes
-    return library
-
-
-def _lapack(name, *args, lengths=()):
-    """INFO of the LAPACK routine ``name`` called with ``args``, its
-    arguments before INFO, and ``lengths``, those of its character
-    arguments.  Integers are passed by reference, arrays by the address of
-    their first element, so a Fortran-strided corner of a larger buffer is
-    a matrix with that buffer's leading dimension."""
-    routine = getattr(_openblas(), name)
-    info = ctypes.c_int64(0)
-    refs = [ctypes.byref(ctypes.c_int64(a)) if t is _INT else a for t, a in zip(routine.argtypes, args)]
-    routine(*refs, ctypes.byref(info), *lengths)
-    return info.value
-
 
 #: Printed dimension constants for the circle-integral prefactors at n = 3.
 WEIL_PREFACTOR_1 = 1.0 / math.pi
@@ -662,7 +603,7 @@ class _TriangularFactor:
         """Replace the top n rows by the factor of them stacked on the next
         r rows, by one dtpqrt in place."""
         W, n = self._W, self._W.shape[1]
-        info = _lapack(
+        info = openblas.lapack(
             "scipy_dtpqrt_64_", r, n, 0, self._nb, W, self._lda, W[n:], self._lda, self._t, self._nb, self._work,
         )
         if info != 0:
@@ -765,7 +706,7 @@ def _triangular_solve(R, b, transpose=False):
         lda = _leading_dimension(R)
     x = np.array(b, dtype=float, order="F")
     n = R.shape[0]
-    info = _lapack(
+    info = openblas.lapack(
         "scipy_dtrtrs_64_", b"U", b"T" if transpose else b"N", b"N", n, 1 if x.ndim == 1 else x.shape[1],
         R, lda, x, max(n, 1), lengths=(1, 1, 1),
     )
@@ -988,9 +929,10 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     The design runs at one thread of numpy's bundled OpenBLAS, restored
     afterwards, so its rounding, and every report digit downstream, is the
     same at any thread count.  A numpy whose bundled OpenBLAS lacks a
-    routine the design calls raises ImportError naming it (``_openblas``).
+    routine the design calls raises ImportError naming it
+    (``openblas.library``).
     """
-    with _one_blas_thread():
+    with openblas.one_thread():
         dg = sphere.build_grid(*design_grid)
         rows, frame = _design_rows(cap_u, cap_v, L, dg)
         del dg  # the rows hold what they read of the design grid
@@ -1042,19 +984,6 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         "design_folds": folds,
         "design_buffer_bytes": buffer_bytes,
     }
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block at one thread of numpy's bundled OpenBLAS and restore
-    the count after it, also when it raises."""
-    library = _openblas()
-    count = library.scipy_openblas_get_num_threads64_()
-    library.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        library.scipy_openblas_set_num_threads64_(count)
 
 
 def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):

@@ -3,7 +3,8 @@
 Each computes a quantity the package also computes, by a different and
 slower method, and its docstring names the production route it checks:
 direct quadrature on the sphere or the circle, the m x m sin^2 kernel of
-the circle double integrals, a Gauss rule for the cosine multipliers, a
+the circle double integrals, the polar-slicing identity's tensor
+quadrature held whole, a Gauss rule for the cosine multipliers, a
 ring-by-ring average, a weight-expanding isotonic projection, a support
 function's grid partials contracted once per partial and the radii
 entries formed from six of them node by node, the order matrices
@@ -199,6 +200,31 @@ def cosine_transform_quadrature(g, targets, n_t=96, n_phi=256):
         ring = vals.sum(axis=1) * (2.0 * np.pi / n_phi)
         out[k] = float(np.sum(kern * ring))
     return out if out.size > 1 else float(out[0])
+
+
+def sr_profile_l1_identity_tensor(f, n_t=160, n_r=240):
+    """Both sides of the polar-slicing identity with each half interval's
+    n_t x n_r tensor quadrature held whole: the unblocked evaluation that
+    ``transforms.sr_profile_l1_identity`` replaced by blocks of t-nodes,
+    which must return the same two floats bitwise."""
+    lhs = transforms.lp_norm(f, 1)
+    zonal = transforms.radial_symmetrize(f).coeffs.zonal()
+    ls = np.arange(zonal.size)
+    leg_coeffs = zonal * np.sqrt((2.0 * ls + 1.0) / (4.0 * math.pi))
+    xt, wt = sphere.leggauss(n_t)
+    xr, wr = sphere.leggauss(n_r)
+    total = 0.0
+    for sign in (-1.0, 1.0):
+        t = sign * 0.5 * (xt + 1.0)
+        wts = 0.5 * wt
+        rmax = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        r = 0.5 * np.outer(rmax, xr + 1.0)
+        wrs = 0.5 * np.outer(rmax, wr)
+        rho = np.sqrt(r * r + t[:, None] ** 2)
+        s = np.where(rho > 0, t[:, None] / np.maximum(rho, 1e-300), 0.0)
+        inner = np.sum(wrs * r * rho * np.polynomial.legendre.legval(s, leg_coeffs), axis=1)
+        total += float(np.sum(wts * inner))
+    return lhs, 8.0 * math.pi * total
 
 
 def cosine_multiplier_gauss(l):

@@ -196,10 +196,11 @@ class TestVerifyCommand:
         assert (a / "verify_newton.json").read_bytes() == (b / "verify_newton.json").read_bytes()
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # the default counterexample and rigidity suite, and the off-plane
-        # counterexample, whose design folds its odd class on a worker
-        # thread, each run in its own directory at 1 and at 2 OpenBLAS
-        # threads, write the same bytes
+        # the default counterexample and rigidity suite, the off-plane
+        # counterexample, whose design folds two mirror classes, and the sr
+        # suite, whose slicing check builds 160- and 240-node Gauss rules,
+        # each run in its own directory at 1 and at 2 OpenBLAS threads,
+        # write the same bytes
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         caps = tmp_path / "caps.cfg"
         caps.write_text(OFF_PLANE_CAPS)
@@ -207,6 +208,7 @@ class TestVerifyCommand:
             "counterexample": ["counterexample"],
             "rigidity": ["verify", "--suite", "rigidity"],
             "off-plane": ["--config", str(caps), "counterexample"],
+            "sr": ["verify", "--suite", "sr"],
         }
         for threads in ("1", "2"):
             env["OPENBLAS_NUM_THREADS"] = threads
@@ -220,7 +222,7 @@ class TestVerifyCommand:
                 assert r.returncode == 0, r.stderr
                 (cwd / "stdout.txt").write_text(r.stdout)
         files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
-        assert len(files) == 14  # five files per counterexample, one report, three stdouts
+        assert len(files) == 16  # five files per counterexample, two reports, four stdouts
         assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*") if p.is_file())
         for f in files:
             assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes(), f

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zonotools import harmonics, sphere
+from zonotools import harmonics, openblas, sphere
 
 import oracles
 
@@ -75,6 +76,42 @@ class TestLeggauss:
         for a in (x, w):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+
+    def test_rule_runs_at_one_blas_thread(self, monkeypatch):
+        # a recording stub in place of numpy's rule sees one OpenBLAS thread,
+        # and the count before the rule is restored after it
+        library = openblas.library()
+        get, set_count = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
+        inside = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: inside.append(get()) or real(n))
+        before = get()
+        set_count(2)  # where the library has a second thread
+        try:
+            outer = get()
+            x, w = sphere.leggauss.__wrapped__(11)
+            assert get() == outer
+        finally:
+            set_count(before)
+        assert inside == [1]
+        assert x.tobytes() == real(11)[0].tobytes() and w.tobytes() == real(11)[1].tobytes()
+
+    def test_rule_without_the_thread_routines(self, monkeypatch):
+        # a library that lacks the thread routines computes numpy's rule at
+        # its own thread count, and so does one that lacks only the design's
+        # LAPACK routines
+        real = np.polynomial.legendre.leggauss(11)
+        library = openblas.library()
+        for stub in (
+            types.SimpleNamespace(),
+            types.SimpleNamespace(
+                scipy_openblas_get_num_threads64_=library.scipy_openblas_get_num_threads64_,
+                scipy_openblas_set_num_threads64_=library.scipy_openblas_set_num_threads64_,
+            ),
+        ):
+            monkeypatch.setattr(openblas, "_opened", lambda: stub)
+            x, w = sphere.leggauss.__wrapped__(11)
+            assert x.tobytes() == real[0].tobytes() and w.tobytes() == real[1].tobytes()
 
 
 class TestIntegrate:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,3 +543,32 @@ class TestSlicingIdentity:
         )
         assert transforms.sr_profile_l1_identity(f) == first
         assert builds == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        L=st.integers(0, 24),
+        n_t=st.integers(1, 200),
+        n_r=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(L=24, n_t=160, n_r=240, seed=1)  # the suite's default
+    @example(L=24, n_t=transforms.SR_IDENTITY_BLOCK - 1, n_r=240, seed=2)  # one short block
+    @example(L=8, n_t=2 * transforms.SR_IDENTITY_BLOCK + 5, n_r=7, seed=3)  # a short last block
+    @example(L=0, n_t=1, n_r=1, seed=4)
+    def test_blocks_match_the_whole_tensor_bitwise(self, grid, L, n_t, n_r, seed):
+        f = random_function(grid, L, np.random.default_rng(seed), nonnegative=True)
+        got = transforms.sr_profile_l1_identity(f, n_t, n_r)
+        assert got == oracles.sr_profile_l1_identity_tensor(f, n_t, n_r)
+
+    def test_traced_peak_is_a_few_blocks(self, grid):
+        # each of the ten or so temporaries holds one block of t-nodes
+        # (0.32 MB traced at band 24, 2.77 MB with the whole tensor)
+        f = random_function(grid, 24, np.random.default_rng(18), nonnegative=True)
+        transforms.sr_profile_l1_identity(f)  # the Gauss rules are cached by now
+        tracemalloc.start()
+        try:
+            transforms.sr_profile_l1_identity(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonotools import cli, convex, harmonics, sphere, transforms, zonoid
+from zonotools import cli, convex, harmonics, openblas, sphere, transforms, zonoid
 
 import oracles
 from conftest import random_density, random_even_coeffs, random_unit
@@ -923,7 +923,7 @@ class TestPlateauDesign:
         # taken as singular (an exact zero pivot reads as |R^-1|_F = inf):
         # the design stops with both certificates' numbers, an input error
         # to the CLI
-        get = zonoid._openblas().scipy_openblas_get_num_threads64_
+        get = openblas.library().scipy_openblas_get_num_threads64_
         monkeypatch.setattr(zonoid, "_inverse_frobenius_norm", lambda R: math.inf)
         before = get()
         with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)"):
@@ -931,7 +931,7 @@ class TestPlateauDesign:
         assert get() == before
 
     def test_design_runs_at_one_blas_thread(self, cap_u, cap_v, monkeypatch):
-        library = zonoid._openblas()
+        library = openblas.library()
         get, set_count = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
         inside = []
 
@@ -1392,18 +1392,19 @@ class TestTriangularFactor:
     @pytest.mark.parametrize("missing", list(OPENBLAS_SYMBOLS.values()), ids=list(OPENBLAS_SYMBOLS))
     def test_import_names_a_missing_lapack_routine(self, missing, cap_u, cap_v, monkeypatch):
         # against a library with every symbol the design calls but one,
-        # zonoid, loaded afresh as a module of its own, imports, and its
-        # first design names the missing symbol
+        # the OpenBLAS module, loaded afresh as a module of its own, imports,
+        # and the first design through it names the missing symbol
         real = ctypes.CDLL(np._core._multiarray_umath.__file__)
         stub = types.SimpleNamespace(
             **{name: real[name] for name in self.OPENBLAS_SYMBOLS.values() if name != missing}
         )
         monkeypatch.setattr(ctypes, "CDLL", lambda path: stub)
-        spec = importlib.util.find_spec("zonotools.zonoid")
+        spec = importlib.util.find_spec("zonotools.openblas")
         fresh = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fresh)
+        monkeypatch.setattr(zonoid, "openblas", fresh)
         with pytest.raises(ImportError, match=rf"needs {missing} from the OpenBLAS that numpy bundles, which numpy {re.escape(np.__version__)} "):
-            fresh.design_plateau(cap_u, cap_v, L=12, design_grid=(32, 64))
+            zonoid.design_plateau(cap_u, cap_v, L=12, design_grid=(32, 64))
 
 
 class TestRigidity:
