@@ -84,21 +84,16 @@ def lapack(name, *args, lengths=()):
 
 
 @contextlib.contextmanager
-def one_thread(required=True):
+def one_thread():
     """Run the block at one thread of the library and restore the count
-    after it, also when it raises.
-
-    Required, the library must have every routine of SIGNATURES
-    (``library``'s ImportError otherwise).  Not required, a library without
-    the two thread routines runs the block at its own thread count.
+    after it, also when it raises.  A library without the two thread
+    routines runs the block at its own thread count; the design then stops
+    at its first ``lapack`` call, whose ``library`` names what is missing.
     """
-    if required:
-        handle = library()
-    else:
-        handle = _opened()
-        if not all(hasattr(handle, name) for name in _THREAD_ROUTINES):
-            yield
-            return
+    handle = _opened()
+    if not all(hasattr(handle, name) for name in _THREAD_ROUTINES):
+        yield
+        return
     count = handle.scipy_openblas_get_num_threads64_()
     handle.scipy_openblas_set_num_threads64_(1)
     try:

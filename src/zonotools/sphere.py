@@ -98,7 +98,7 @@ def leggauss(n):
     The rule's bytes were the same at one and two threads for n = 64, 128,
     160, 240 and 256, so the pin changes no output.
     """
-    with openblas.one_thread(required=False):
+    with openblas.one_thread():
         x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
