@@ -438,6 +438,7 @@ def suite_isotropy_gap(ctx):
 
 def suite_rigidity(ctx):
     grid = ctx.grid
+    res = ctx.counterexample  # first: it checks that both caps hold nodes of the grid
     rows = []
     # ball: exact rigidity
     c = harmonics.HarmonicCoeffs.zeros(8)
@@ -447,7 +448,6 @@ def suite_rigidity(ctx):
     rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, 1e-10))
     rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, 1e-10))
     # constructed counterexample
-    res = ctx.counterexample
     spec = zonoid.make_zonoid(res.g)
     rep = zonoid.verify_local_rigidity(spec, ctx.cfg.cap_u())
     a_ratio = float(np.linalg.norm(rep.a)) / rep.c

@@ -23,6 +23,7 @@ affine function and the Funk transform by a constant.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -609,6 +610,11 @@ class _TriangularFactor:
         if info != 0:
             raise np.linalg.LinAlgError(f"dtpqrt failed with info = {info}")
 
+    def free_rows(self):
+        """The buffer's rows below the factor that no added row holds yet:
+        ``add`` folds once they fill."""
+        return self._W.shape[0] - self._top
+
     def folded(self):
         """The factor of every row added so far, in place: the buffer's top
         ncol + 1 rows, a view that stays valid until the next fold.  Rows
@@ -744,6 +750,12 @@ PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 #: Height by which the design enlarges every cap past its nominal one.
 CAP_MARGIN = 0.01
 
+try:  # glibc's call that hands the heap's free pages back to the system
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library without it
+    _MALLOC_TRIM = None
+
 
 def _design_rows(cap_u, cap_v, L, grid):
     """The plateau design's rows on ``grid`` (``_DesignRows``) for U, V
@@ -770,11 +782,18 @@ def _add_node_rows(factor, rows, funk_from_values):
     times ``funk`` column by column, with the same targets.  With
     ``funk_from_values``, for a factor of the value rows alone, [R q]
     stands for them as [R diag(funk) q], written from the value factor
-    where it sits in the buffer, which holds them without a fold."""
+    where it sits in the buffer.  A fold would overwrite that factor while
+    later Funk rows are read from it, so RuntimeError is raised unless the
+    buffer's free rows hold every Funk row without starting one."""
     n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, rows.funk.size
     factor.add(rows.value_rows, 0, n)
     if funk_from_values:
         value_factor = factor.folded()[:ncol]
+        if factor.free_rows() <= ncol:
+            raise RuntimeError(
+                f"the fold buffer has {factor.free_rows()} free rows below a factor of {ncol + 1} rows, "
+                f"so its {ncol} Funk rows would start a fold while they are read from it"
+            )
         funk_scale = np.append(rows.funk, 1.0)[:, None]  # q is the Funk rows' target too
         factor.add(lambda out, k: np.multiply(value_factor[k].T, funk_scale, out=out), 0, ncol)
         del value_factor  # the folds below overwrite it
@@ -815,19 +834,23 @@ def _fold_design(W, classes, rim, ridge_diag):
     design's columns of its columns (the classes' in turn), and the number
     of the classes' folds.
 
-    W is 2 (ncol + 1) x (ncol + 1) and comes in as zeros.  The classes fold
-    one after another, each on all the free rows of its corner
+    W has ncol + 1 columns and comes in as zeros.  The classes fold one
+    after another, each on all the free rows of its corner
     (``_fold_class``): the class of the buffer's columns s..e - 1 (the
-    classes' columns in turn) folds in W[s:, s : e + 1], whose top is a zero triangle, the factor of no rows,
-    and whose 2 (ncol + 1) - e - 1 free rows hold its Funk rows without a
-    fold (n0 or more for the even class of n0 columns, ncol + 1 for the odd
-    class or a whole design).  Its target then moves to column ncol, its
-    residual W[e, e] is kept, and W[e:, : e + 1] is cleared, so that the
-    next corner starts as a zero triangle.  That leaves the coupled layout
+    classes' columns in turn, n = e - s of them) folds in
+    W[s:, s : e + 1], whose top is a zero triangle, the factor of no rows,
+    and whose free rows below its n + 1 triangle rows must hold its n Funk
+    rows without starting a fold (``_add_node_rows`` raises otherwise).
+    So W needs T = max (s + 2 (n + 1)) rows over the classes: 2 (ncol + 1)
+    for one class, max(2 (n0 + 1), ncol + n1 + 2) for the even and odd
+    class of n0 and n1 columns (``design_plateau`` sizes it so); a class
+    then has n + 1 free rows or more.  Its target then moves to column
+    ncol, its residual W[e, e] is kept, and W[e:, : e + 1] is cleared, so
+    that the next corner starts as a zero triangle.  That leaves the coupled layout
     in W: the factors on the diagonal, the targets in column ncol, zeros
     beside the blocks, and the residuals' root-sum-square as the coupled
     residual.  The rim's rows then join that factor, by dtpqrt folds onto
-    it, ncol + 1 rows at a time."""
+    it, T - ncol - 1 rows at a time (n1 + 1 or more for a split design)."""
     ncol = W.shape[1] - 1
     class_folds, residuals, s = 0, [], 0
     for block in classes:
@@ -876,20 +899,34 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     among them, are solved as given (``_design_rows``).
 
     The system is never held whole.  Its rows are written into one fold
-    buffer of zeros, 2 (ncol + 1) x (ncol + 1), and reduced, a block at a
-    time, to the triangular factor of their QR factorization
-    (``_TriangularFactor``: every fold is LAPACK dtpqrt onto the standing
-    triangle, which starts as zeros).  That leaves
-    ncol + 1 free rows below the triangle, the fewest that hold a class's
-    Funk rows, written from its value factor without a fold; a fold costs
-    the same flops however the rows are grouped, so more free rows would
-    buy memory and no speed.  The buffer is the design's one large
-    allocation (``design_buffer_bytes``): at band 48 it is 6.3 MB for a
-    drawn cap pair (625 columns and two classes) and 1.7 MB for the default
-    caps (325 columns).  The default caps' rows take 18 folds.  Over 40
-    cap pairs drawn with seed 77, the even class folds 3 to 5 times, the
-    odd class 4 to 6 times and the rim 1 to 3 times (no coupled fold in the
-    one pair with an empty rim); ``design_folds`` counts them all.  The
+    buffer of zeros, T x (ncol + 1), and reduced, a block at a time, to
+    the triangular factor of their QR factorization (``_TriangularFactor``:
+    every fold is LAPACK dtpqrt onto the standing triangle, which starts
+    as zeros).  Each class of rows (below) folds in its own corner of the
+    buffer, from the row s of its first column on: its n + 1 triangle rows
+    and n + 1 free rows below them, the fewest that hold its n Funk rows,
+    written from its value factor, without starting a fold.  So T is the
+    largest s + 2 (n + 1) over the classes (``_fold_design``):
+    2 (ncol + 1) for one class, max(2 (n0 + 1), ncol + n1 + 2) for the even
+    and odd class of a split design, whose rim then folds through the
+    T - ncol - 1 rows left below the coupled factor.  A fold costs the same
+    flops however the rows are grouped, so more free rows would buy memory
+    and no speed.  The buffer is the design's one large allocation
+    (``design_buffer_bytes``): at band 48 it is 4.6 MB for a drawn cap
+    pair (625 columns in classes of 325 and 300, so 927 rows) and 1.7 MB
+    for the default caps (325 columns, one class).  Just before it is
+    allocated, the C heap's free pages are handed back to the system
+    (glibc's ``malloc_trim``; nothing under a C library without it).  Once
+    an earlier design has freed its buffer, glibc raises its mmap
+    threshold to that buffer's size and places the next buffer in the
+    heap, where the design grid and theta tables just dropped, and the
+    free space around them, stay resident; whether the buffer then reused
+    them or extended the heap moved the process's peak by about 2 MB, as
+    the heap happened to be fragmented.  The default caps' rows
+    take 18 folds.  Over 40 cap pairs drawn with seed 77, the even class
+    folds 5 or 6 times, the odd class 9 to 12 times and the rim 1 to 6
+    times (no coupled fold in the one pair with an empty rim);
+    ``design_folds`` counts them all.  The
     factor is solved where it sits in the buffer by back substitution, one
     dtrtrs (``_TriangularFactor.certified_solve``).  The ridge rows certify in
     closed form that the rank cutoff the whole system would get in
@@ -950,7 +987,11 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
                     "design grid; each class needs at least as many value rows as columns"
                 )
         n_rim = rim.n_nodes
-        W = np.zeros((2 * (ncol + 1), ncol + 1), order="F")
+        starts = np.cumsum([0] + [block.cols.size for block in classes])
+        n_buffer = max(s + 2 * (block.cols.size + 1) for s, block in zip(starts, classes))
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)  # the transients just dropped do not stay resident under the buffer
+        W = np.zeros((n_buffer, ncol + 1), order="F")
         factor, cols, folds = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol
@@ -999,8 +1040,14 @@ def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):
 
     Returns the result object with measured diagnostics; assertions on
     the diagnostics belong to the callers (CLI exit code, test suite).
+    A cap that holds no node of ``grid`` has nothing to measure on: it
+    raises ValueError naming the cap and the grid, before the design.
     """
     harmonics.check_plateau_caps(cap_u, cap_v, transition)
+    mask_u, mask_v = grid.cap_mask(cap_u), grid.cap_mask(cap_v)
+    for name, mask in (("U", mask_u), ("V", mask_v)):
+        if not np.any(mask):
+            raise ValueError(f"cap {name} holds no node of the {grid.n_theta}x{grid.n_phi} grid; choose a finer grid")
     G, design_info = design_plateau(cap_u, cap_v, L=L)
     w = harmonics.inverse_cosine_transform(G)
     w_values = harmonics.synthesize_grid(w, grid)
@@ -1012,10 +1059,9 @@ def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):
     conditioning = float(np.max(np.abs(lam[0] / lam[lam != 0.0])))
     h_values = transforms.cosine_transform(g).values
     r_values = transforms.funk_transform(g).values
-    mask_u = grid.cap_mask(cap_u)
     h_u = h_values[mask_u]
     r_u = r_values[mask_u]
-    r_v = r_values[grid.cap_mask(cap_v)]
+    r_v = r_values[mask_v]
     # circles orthogonal to cap directions sweep the band |<x, center>| < sin(radius)
     band = np.abs(grid.nodes @ cap_u.center) < math.sin(cap_u.radius)
     g_band = g.values[band]

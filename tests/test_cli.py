@@ -283,6 +283,15 @@ class TestCounterexampleCommand:
         assert r.returncode == 3
         assert "separated" in r.stderr
 
+    @pytest.mark.parametrize("command", [["counterexample"], ["verify", "--suite", "rigidity"]], ids=["counterexample", "rigidity"])
+    def test_cap_without_grid_nodes_exit_code(self, tmp_path, command):
+        # the default cap U (height 0.9, 25.8 degrees about the pole) lies
+        # inside the 4x8 grid's first ring, at 30.6 degrees: named before
+        # the design runs, not a reduction over no nodes
+        r = run_cli("--grid", "4,8", "--out", str(tmp_path / "o"), *command)
+        assert r.returncode == 3
+        assert r.stderr == "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n"
+
     def test_coarse_band_fails_cleanly(self, tmp_path):
         # band 8 cannot hold the plateau: assertions must fail, not crash
         cfg = tmp_path / "cfg"

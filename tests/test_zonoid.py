@@ -3,6 +3,7 @@ import ctypes
 import importlib.util
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -577,13 +578,13 @@ class TestPlateauDesign:
             sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv),
         )
 
-    def _oracle_in_design_frame(self, u, v, info, ridge=1e-12):
+    def _oracle_in_design_frame(self, u, v, info, ridge=1e-12, L=None):
         """The unfolded oracle on the caps rotated into the frame the design
         solved in, its G mapped back to the user frame the same way, its
-        singular values, and the rotated caps."""
+        singular values, and the rotated caps; at band L, self.L if None."""
         Q = np.array(info["design_frame"])
         fu, fv = (sphere.Cap(Q @ c.center, c.height) for c in (u, v))
-        G_ref, _, sv = _oracle_design_plateau(fu, fv, self.L, self.GRID, ridge=ridge)
+        G_ref, _, sv = _oracle_design_plateau(fu, fv, self.L if L is None else L, self.GRID, ridge=ridge)
         return zonoid._rotate_expansion(G_ref, Q), sv, fu, fv
 
     def _solved_block_singular_values(self, u, v, ridge):
@@ -652,11 +653,24 @@ class TestPlateauDesign:
         return Factor
 
     @staticmethod
+    def _buffer_rows(ncol, class_cols):
+        """T, the fold buffer's rows: a class needs its n + 1 triangle rows
+        and n + 1 free rows below them for its n Funk rows, so one class
+        needs 2 (ncol + 1), and of a split design's classes the even one
+        2 (n0 + 1) from the top and the odd one, from row n0 on, n0 +
+        2 (n1 + 1) = ncol + n1 + 2."""
+        if len(class_cols) == 1:
+            return 2 * (ncol + 1)
+        n0, n1 = class_cols
+        return max(2 * (n0 + 1), ncol + n1 + 2)
+
+    @staticmethod
     def _assert_many_folds(factors, pair):
         # every class folds at least twice in any buffer, before its Funk
-        # rows and at the end; with ncol + 1 free rows, fewer than every
-        # class's rows at L = 12, its value rows fold on their own too, and
-        # a rim of more rows than ncol + 1 takes two coupled folds or more
+        # rows and at the end; with n + 1 free rows or more, fewer than
+        # every class's value rows at L = 12, its value rows fold on their
+        # own too, and a rim of more rows than the coupled factor's free
+        # rows takes two coupled folds or more
         *classes, coupled = (f.dtpqrt_calls for f in factors)
         assert min(classes) >= 3
         assert coupled >= (2 if pair.startswith("small") else 0)
@@ -664,7 +678,7 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
         # the production buffer at L = 12 has 29 free rows for the default
-        # caps' one class and 50 to 78 in a split design's corners, so the
+        # caps' one class and 22 to 43 in a split design's corners, so the
         # rows pass through many QR folds and the value rows' factor is
         # split; the diagnostics count those folds and the buffer's bytes
         factors = []
@@ -675,7 +689,8 @@ class TestPlateauDesign:
         assert info["design_folds"] == sum(f.dtpqrt_calls for f in factors)
         buffer = factors[0]._W if factors[0]._W.base is None else factors[0]._W.base
         ncol = info["design_cols"]
-        assert info["design_buffer_bytes"] == buffer.nbytes == 2 * (ncol + 1) * (ncol + 1) * 8
+        rows = self._buffer_rows(ncol, [f._W.shape[1] - 1 for f in factors[:-1]])
+        assert info["design_buffer_bytes"] == buffer.nbytes == rows * (ncol + 1) * 8
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
         assert info["design_rank"] == info["design_cols"]
@@ -707,10 +722,10 @@ class TestPlateauDesign:
         _, info = zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=self.GRID)
         even, odd, coupled = factors
         ncol = info["design_cols"]
-        assert info["design_buffer_bytes"] == 2 * (ncol + 1) * (ncol + 1) * 8
         assert not np.any(even.start) and not np.any(odd.start)
         n0, n1 = even.start.shape[1] - 1, odd.start.shape[1] - 1
         assert n0 + n1 == ncol
+        assert info["design_buffer_bytes"] == self._buffer_rows(ncol, (n0, n1)) * (ncol + 1) * 8
         R = coupled.start
         assert R.shape == (ncol + 1, ncol + 1)
         assert not np.any(np.tril(R, -1)) and not np.any(R[:n0, n0:ncol])
@@ -721,6 +736,53 @@ class TestPlateauDesign:
         assert abs(R[ncol, ncol]) == expected[ncol, ncol]
         R[ncol, ncol] = expected[ncol, ncol]
         assert np.array_equal(R, expected)
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8, 12])
+    @pytest.mark.parametrize("pair", ["rotated", "small-u", "small-v"])
+    def test_funk_rows_fit_below_the_value_factor(self, cap_u, cap_v, pair, L, monkeypatch):
+        # each class writes its Funk rows from its value factor where it
+        # sits, so no fold may overwrite that factor while they are read:
+        # the buffer's free rows below it hold them, both at bands where the
+        # even class sets the buffer's rows (L <= 4) and where the odd one
+        # does.  A class adds its value, Funk, h11 - h22, 2 h12 and ridge
+        # rows, in that order
+        factors = []
+
+        class Factor(zonoid._TriangularFactor):
+            def __init__(self, W):
+                super().__init__(W)
+                self.adds = []
+                factors.append(self)
+
+            def add(self, write, start, stop):
+                before = self.folds
+                super().add(write, start, stop)
+                self.adds.append((before, self.folds))
+
+        monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        u, v = self._pair(pair, cap_u, cap_v)
+        G, info = zonoid.design_plateau(u, v, L=L, design_grid=self.GRID)
+        *classes, _ = factors
+        assert len(classes) == 2
+        for factor in classes:
+            assert len(factor.adds) == 5
+            before, after = factor.adds[1]
+            assert before == after
+        G_ref, *_ = self._oracle_in_design_frame(u, v, info, L=L)
+        assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
+
+    def test_funk_fit_guard_trips_on_an_undersized_buffer(self, cap_u, cap_v):
+        # at L = 2 a split design has classes of 3 and 1 columns: (ncol + 1)
+        # + (n1 + 1) = 7 rows hold the odd class's Funk rows but leave the
+        # even class 3 free rows for its 3, which would start a fold while
+        # they are read from its factor; the buffer needs 2 (n0 + 1) = 8
+        rows, _ = zonoid._design_rows(*self._pair("rotated", cap_u, cap_v), 2, sphere.build_grid(*self.GRID))
+        classes, rim = rows.blocks()
+        n0, n1 = (block.cols.size for block in classes)
+        assert (n0, n1) == (3, 1) and self._buffer_rows(n0 + n1, (n0, n1)) == 8
+        W = np.zeros((n0 + n1 + n1 + 2, n0 + n1 + 1), order="F")
+        with pytest.raises(RuntimeError, match="3 free rows below a factor of 4 rows, so its 3 Funk rows"):
+            zonoid._fold_design(W, classes, rim, np.ones(n0 + n1))
 
     def test_longitude_factors_own_their_rows(self, cap_u, cap_v):
         # every order's longitude factor and its phi derivative is one row
@@ -782,15 +844,16 @@ class TestPlateauDesign:
     @pytest.mark.parametrize("pair", ["rotated", "off-plane", "small-v"])
     def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
         # drawn-like pairs at the production band and grid, solved in their
-        # adapted frame (625 columns and two classes, a 6.3 MB buffer), with
-        # and without a rim; both classes and the coupled fold work in the
-        # one buffer, one after another.  The quarter-turn tables are built
-        # by a first call, so the second call's peak is the design's: the
-        # buffer, the rows' ring tables Q, H and K on the cap rings, each
-        # order's longitude factor and its phi derivative, and dtpqrt's T and
+        # adapted frame (625 columns in classes of 325 and 300, so a buffer
+        # of max(2 * 326, 625 + 302) = 927 rows, 4.6 MB), with and without
+        # a rim; both classes and the coupled fold work in the one buffer,
+        # one after another.  The quarter-turn tables are built by a first
+        # call, so the second call's peak is the design's: the buffer, the
+        # rows' ring tables Q, H and K on the cap rings, each order's
+        # longitude factor and its phi derivative, and dtpqrt's T and
         # workspace of one factor at a time, at most the coupled one's
-        # ncol + 1 columns (8.1 MB measured); the allowance covers the node
-        # arrays and the row writes' temporaries
+        # ncol + 1 columns (6.35 to 6.48 MB measured); the allowance covers
+        # the node arrays and the row writes' temporaries
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
         else:
@@ -806,11 +869,36 @@ class TestPlateauDesign:
         assert ncol == 625
         rows, _ = zonoid._design_rows(u, v, 48, sphere.build_grid(128, 256))
         rings, orders = rows._ring.max() + 1, len(rows._orders)
-        buffer_bytes = 2 * (ncol + 1) * (ncol + 1) * 8
-        assert info["design_buffer_bytes"] == buffer_bytes
+        class_cols = [block.cols.size for block in rows.blocks()[0]]
+        assert class_cols == [325, 300]
+        buffer_bytes = self._buffer_rows(ncol, class_cols) * (ncol + 1) * 8
+        assert info["design_buffer_bytes"] == buffer_bytes == 927 * 626 * 8
         tables = 3 * ncol * rings * 8 + 2 * orders * 256 * 8
         workspaces = 2 * 32 * (ncol + 1) * 8
         assert peak < 1.25 * (buffer_bytes + tables + workspaces)
+
+    def test_free_heap_pages_go_back_before_the_buffer(self, cap_u, cap_v, monkeypatch):
+        # under glibc the design hands the heap's free pages back once per
+        # design, after its rows are set up and before its fold buffer is
+        # allocated; the call moves no number, and without it (another C
+        # library) the design is the same
+        if platform.libc_ver()[0] == "glibc":
+            assert zonoid._MALLOC_TRIM is not None
+        events = []
+
+        class Factor(zonoid._TriangularFactor):
+            def __init__(self, W):
+                events.append("factor")
+                super().__init__(W)
+
+        monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
+        monkeypatch.setattr(zonoid, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
+        u, v = self._pair("small-v", cap_u, cap_v)
+        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        assert events[0] == ("trim", 0) and events.count(("trim", 0)) == 1
+        monkeypatch.setattr(zonoid, "_MALLOC_TRIM", None)
+        G_untrimmed, info_untrimmed = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        assert np.array_equal(G.c, G_untrimmed.c) and info == info_untrimmed
 
     def test_rotation_peak(self, tmp_path):
         # once the quarter-turn tables of the band are built, a rotation holds
