@@ -313,6 +313,10 @@ def _lifted(grid, c, floor=0.1):
 
 def suite_sr(ctx):
     grid = ctx.grid
+    try:  # first: a grid too coarse for the suite's one analysis is an input error
+        one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes)).with_coeffs(4)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     rng = ctx.rng(3)
     rows = []
     worst_l1, worst_l2, worst_l3, worst_jensen = 0.0, 0.0, 0.0, 0.0
@@ -335,7 +339,6 @@ def suite_sr(ctx):
     rows.append(_row("sr-l3-contraction", "radial-symmetrization-lp-contraction", worst_l3, 1e-12))
     rows.append(_row("sr-jensen-pointwise", "symmetrization-power-mean", worst_jensen, 1e-12))
 
-    one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes)).with_coeffs(4)
     lhs, rhs = transforms.sr_profile_l1_identity(one)
     closed = abs(rhs - 4.0 * math.pi)
     rows.append(_row("sr-slicing-identity-constant", "polar-slicing-identity", closed, TOLERANCES["sr_identity_closed"]))
@@ -504,6 +507,7 @@ def _no_sphere_fit(rep):
 
 def suite_umbilic(ctx):
     grid = ctx.grid
+    res = ctx.counterexample  # first: it checks that both caps hold nodes of the grid
     rows = []
     ball = convex.SupportFunction.ball(grid, 1.0)
     rep = convex.umbilic_sphere_check(ball, ctx.cfg.cap_u(), tol=1e-6)
@@ -511,7 +515,7 @@ def suite_umbilic(ctx):
         _row("umbilic-ball-fit", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_ball"], reason=_no_sphere_fit(rep))
     )
     # counterexample zonoid: spherical patch over the cap
-    spec = zonoid.make_zonoid(ctx.counterexample.g)
+    spec = zonoid.make_zonoid(res.g)
     rep = convex.umbilic_sphere_check(spec.h, ctx.cfg.cap_u(), tol=1e-3)
     rows.append(
         _row("umbilic-counterexample-zonoid", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_zonoid"], reason=_no_sphere_fit(rep))

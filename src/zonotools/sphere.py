@@ -64,19 +64,10 @@ class SphericalGrid:
         idx = (self.n_theta - 1 - i) * self.n_phi + (j + self.n_phi // 2) % self.n_phi
         return idx.reshape(-1)
 
-    def reflection_index(self, axis):
-        """Permutation mapping each node to its mirror image under x -> -x
-        (``axis="x"``, longitude pi - phi; requires even n_phi) or y -> -y
-        (``axis="y"``, longitude -phi).  Both keep every node on its ring."""
-        j = np.arange(self.n_phi)
-        if axis == "y":
-            lon = -j % self.n_phi
-        elif axis == "x":
-            if self.n_phi % 2 != 0:
-                raise ValueError("x reflection node map needs an even longitude count")
-            lon = (self.n_phi // 2 - j) % self.n_phi
-        else:
-            raise ValueError(f"reflection axis must be 'x' or 'y', got {axis!r}")
+    def reflection_index(self):
+        """Permutation mapping each node to its mirror image under y -> -y
+        (longitude -phi), which keeps every node on its ring."""
+        lon = -np.arange(self.n_phi) % self.n_phi
         return (np.arange(self.n_theta)[:, None] * self.n_phi + lon).reshape(-1)
 
     def cap_mask(self, cap):

@@ -214,29 +214,21 @@ class CounterexampleResult:
             json.dump(self.diagnostics, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _orbit_fold(grid, reflections=()):
-    """Orbits of the group that the antipodal map and the given coordinate
-    reflections ("x", "y") generate on the grid's nodes.
+def _orbit_fold(grid):
+    """Orbits of the group that the antipodal map and the reflection
+    y -> -y generate on the grid's nodes.
 
     Returns (rep, mult): per node the lowest index in its orbit, which is
     the node kept for the orbit (the nodes with rep equal to their own
     index), and the size of the orbit a node represents (meaningful on the
-    kept nodes).  With no reflection every orbit is an antipodal pair.
-    The generators are commuting involutions, so a running minimum over
-    each node and its image under each in turn is the orbit's minimum.
+    kept nodes).  The generators are commuting involutions, so a running
+    minimum over each node and its image under each in turn is the orbit's
+    minimum.
     """
     rep = np.arange(grid.n_nodes)
-    for g in [grid.antipode_index()] + [grid.reflection_index(a) for a in reflections]:
+    for g in (grid.antipode_index(), grid.reflection_index()):
         np.minimum(rep, rep[g], out=rep)
     return rep, np.bincount(rep, minlength=grid.n_nodes)
-
-
-def _cap_pair_symmetry(grid, caps):
-    """Each cap pair's node set (cap and antipode) on the grid, and the
-    coordinate reflections ("x", "y") that map every one onto itself."""
-    sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
-    perms = {a: grid.reflection_index(a) for a in ("x", "y")}
-    return sels, [a for a, p in perms.items() if all(np.array_equal(s[p], s) for s in sels)]
 
 
 def _adapted_frame(u, v):
@@ -340,28 +332,22 @@ class _DesignRows(_RowBlock):
     column by column, and the ridge rows are diagonal.
 
     The system is folded onto its symmetry group, and the fold is exact.
-    The group is generated by the antipodal map, which fixes every cap
-    pair's node set, and by each coordinate reflection x -> -x, y -> -y
-    that does too (an exact check on the grid's node permutations).  Each
-    group element maps an even harmonic's value and Laplacian, and in the
-    (e_theta, e_phi) frame h11 - h22, to their values at the image node;
-    2 h12 flips sign there against a zero target.  The objective is
-    therefore invariant under the group acting on the coefficients, so its
-    unique minimizer lies in the invariant columns: the m >= 0 ones under
-    y -> -y, and those with m >= 0 even or m < 0 odd under x -> -x.  On
-    those columns every node of an orbit has the squared residual of the
-    orbit's kept node, which enters with the orbit's size times its weight.
-    With no reflection this keeps one node of every antipodal pair, with
-    twice its weight, and all the even columns.  Every cap pair of the
-    design is fixed by the reflection through span(U, V); ``design_plateau``
-    passes caps that no coordinate reflection fixes in the frame where
-    that reflection is y -> -y, so at least one reflection always folds.
+    The caps come in the adapted frame of U and V (``_adapted_frame``),
+    where U and V lie in the xz-plane and the third cap on the y-axis, so
+    the reflection y -> -y through span(U, V) maps every cap pair's node
+    set onto itself, as the antipodal map does.  The group those two
+    generate folds the system.  Each group element maps an even harmonic's
+    value and Laplacian, and in the (e_theta, e_phi) frame h11 - h22, to
+    their values at the image node; 2 h12 flips sign there against a zero
+    target.  The objective is therefore invariant under the group acting
+    on the coefficients, so its unique minimizer lies in the columns that
+    y -> -y fixes, the m >= 0 ones.  On those columns every node of an
+    orbit has the squared residual of the orbit's kept node, which enters
+    with the orbit's size times its weight.
 
-    ``blocks`` gives the row blocks that ``_fold_design`` folds: one class
-    of every kept node on every solved column, or with ``mirror`` (the caps
-    of that frame) the rows split by the mirror z -> -z, which maps U onto
-    V and the third cap onto itself up to their heights and rounding (see
-    ``mirror_roles``).
+    ``blocks`` gives the row blocks that ``_fold_design`` folds: the rows
+    split by the mirror z -> -z, which maps U onto V and the third cap onto
+    itself up to their heights and rounding (see ``mirror_roles``).
 
     The rows are assembled one order m at a time, vectorized over degree,
     from ring tables of the design's own, one row per solved column (' is
@@ -371,7 +357,7 @@ class _DesignRows(_RowBlock):
     radii matrix's rule (``harmonics._tangential_hessian``, giving q22 and
     twist): the trace h11 + h22 is 2 funk Q, so H = 2 (funk Q - q22), and
     K = 2 twist = 2 (Q' - cot Q) / sin.  The tables hold only the cap
-    rings, the rings of the kept nodes (38 of 128 for the default caps at
+    rings, the rings of the kept nodes (51 of 128 for the default caps at
     band 48): Q and Q' come from ``harmonics.ring_theta_tables`` at those
     rings alone, uncached, and are dropped once the tables are gathered,
     so no table of the design grid enters a per-grid cache.
@@ -381,22 +367,15 @@ class _DesignRows(_RowBlock):
     Attributes: ``ls``, ``ms`` and ``funk`` of the solved columns; per kept
     node its grid index ``nodes``, cap index ``which``, plateau level
     ``target`` and square-root weight ``sw``; ``n_aniso``, the number of
-    kept nodes with anisotropy rows; the ``reflections`` used; and with
-    ``mirror``, per kept node its ``partner``.
+    kept nodes with anisotropy rows; and per kept node its ``partner``.
     """
 
-    def __init__(self, grid, caps, L, mirror=False):
-        sels, self.reflections = _cap_pair_symmetry(grid, caps)
-        rep, mult = _orbit_fold(grid, self.reflections)
+    def __init__(self, grid, caps, L):
+        sels = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
+        rep, mult = _orbit_fold(grid)
         evens = np.arange(0, L + 1, 2)
-        ls = np.repeat(evens, 2 * evens + 1)
-        ms = np.concatenate([np.arange(-l, l + 1) for l in evens])
-        invariant = np.ones(ls.size, dtype=bool)
-        if "y" in self.reflections:
-            invariant &= ms >= 0
-        if "x" in self.reflections:
-            invariant &= (ms >= 0) == (ms % 2 == 0)
-        self.ls, self.ms = ls[invariant], ms[invariant]
+        self.ls = np.repeat(evens, evens + 1)
+        self.ms = np.concatenate([np.arange(l + 1) for l in evens])
         funk = 1.0 - 0.5 * self.ls * (self.ls + 1.0)
         sel = np.any(sels, axis=0) & (rep == np.arange(grid.n_nodes))
         self.nodes = np.flatnonzero(sel)
@@ -406,13 +385,11 @@ class _DesignRows(_RowBlock):
         target = np.asarray(PLATEAU_LEVELS, dtype=float)[self.which]
         sw = np.sqrt(mult[sel] * grid.weights[sel])
         ring, lon = np.divmod(self.nodes, grid.n_phi)
-        self.partner = None
-        if mirror:
-            # the kept node of the orbit of each kept node's z-image, by the
-            # node masks: -1 where that orbit holds no cap node
-            position = np.full(grid.n_nodes, -1)
-            position[self.nodes] = np.arange(self.nodes.size)
-            self.partner = position[rep[(grid.n_theta - 1 - ring) * grid.n_phi + lon]]
+        # the kept node of the orbit of each kept node's z-image, by the
+        # node masks: -1 where that orbit holds no cap node
+        position = np.full(grid.n_nodes, -1)
+        position[self.nodes] = np.arange(self.nodes.size)
+        self.partner = position[rep[(grid.n_theta - 1 - ring) * grid.n_phi + lon]]
         # the cap rings, the rings that hold kept nodes, and each node's
         # index among them
         rings, ring = np.unique(ring, return_inverse=True)
@@ -478,9 +455,7 @@ class _DesignRows(_RowBlock):
         """The design's row blocks, as ``_fold_design`` folds them:
         (classes, rim).
 
-        Without ``mirror`` the one class is the design itself, every kept
-        node on every solved column, and the rim has no nodes.  With it the
-        design is split by the mirror z -> -z.  On the solved columns z
+        The design is split by the mirror z -> -z.  On the solved columns z
         acts by the sign (-1)^m, so they fall in an even class (m even) and
         an odd one (m odd).  A paired node's value, Funk and h11 - h22 rows
         at its partner are its own with the odd columns negated, and its
@@ -498,8 +473,6 @@ class _DesignRows(_RowBlock):
         the rounding-level odd part of the lone rows.
         """
         i = np.arange(self.nodes.size)
-        if self.partner is None:
-            return [self], self.block(self.cols, i[:0], self.sw[:0], self.target[:0])
         paired, lone, rim = self.mirror_roles()
         p = np.where(paired, self.partner, i)
         first = paired & (i < p)
@@ -759,21 +732,16 @@ except (AttributeError, OSError, TypeError):  # a C library without it
 
 def _design_rows(cap_u, cap_v, L, grid):
     """The plateau design's rows on ``grid`` (``_DesignRows``) for U, V
-    and the third cap on U x V, enlarged by CAP_MARGIN, and the rotation
-    into their frame: None for caps that a coordinate reflection fixes,
-    which are solved as given, else their adapted frame, whose mirror
-    splits the rows."""
+    and the third cap on U x V, enlarged by CAP_MARGIN and rotated into
+    their adapted frame, and that frame's rotation."""
     third_center = np.cross(cap_u.center, cap_v.center)
     nrm = np.linalg.norm(third_center)
     if nrm < 1e-8:
         raise ValueError("cap centers are collinear; no transverse axis exists")
     third = sphere.Cap(center=third_center / nrm, height=cap_u.height)
-    big = [sphere.Cap(c.center, max(c.height - CAP_MARGIN, 0.5)) for c in (cap_u, cap_v, third)]
-    if _cap_pair_symmetry(grid, big)[1]:
-        return _DesignRows(grid, big, L), None
     frame = _adapted_frame(cap_u.center, cap_v.center)
-    big = [sphere.Cap(frame @ c.center, c.height) for c in big]
-    return _DesignRows(grid, big, L, mirror=True), frame
+    big = [sphere.Cap(frame @ c.center, max(c.height - CAP_MARGIN, 0.5)) for c in (cap_u, cap_v, third)]
+    return _DesignRows(grid, big, L), frame
 
 
 def _add_node_rows(factor, rows, funk_from_values):
@@ -841,16 +809,16 @@ def _fold_design(W, classes, rim, ridge_diag):
     W[s:, s : e + 1], whose top is a zero triangle, the factor of no rows,
     and whose free rows below its n + 1 triangle rows must hold its n Funk
     rows without starting a fold (``_add_node_rows`` raises otherwise).
-    So W needs T = max (s + 2 (n + 1)) rows over the classes: 2 (ncol + 1)
-    for one class, max(2 (n0 + 1), ncol + n1 + 2) for the even and odd
-    class of n0 and n1 columns (``design_plateau`` sizes it so); a class
-    then has n + 1 free rows or more.  Its target then moves to column
+    So W needs T = max (s + 2 (n + 1)) rows over the classes:
+    max(2 (n0 + 1), ncol + n1 + 2) for the even and odd class of n0 and n1
+    columns (``design_plateau`` sizes it so); a class then has n + 1 free
+    rows or more.  Its target then moves to column
     ncol, its residual W[e, e] is kept, and W[e:, : e + 1] is cleared, so
     that the next corner starts as a zero triangle.  That leaves the coupled layout
     in W: the factors on the diagonal, the targets in column ncol, zeros
     beside the blocks, and the residuals' root-sum-square as the coupled
     residual.  The rim's rows then join that factor, by dtpqrt folds onto
-    it, T - ncol - 1 rows at a time (n1 + 1 or more for a split design)."""
+    it, T - ncol - 1 rows at a time (n1 + 1 or more)."""
     ncol = W.shape[1] - 1
     class_folds, residuals, s = 0, [], 0
     for block in classes:
@@ -882,21 +850,16 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     inside the designed-flat region.  A small ridge on the inverse-cosine
     image keeps the later inversion tame.
 
-    The least-squares system is folded onto the cap pairs' symmetry group
-    (see ``_DesignRows``): one node per orbit of the antipodal map and of
-    the coordinate reflections that fix every cap pair, and only the
-    columns those reflections fix.  This leaves the objective's minimizer
-    unchanged; the other coefficients are exactly zero.  Caps that no
-    coordinate reflection of the design grid fixes as given are first
-    rotated into their adapted frame (``_adapted_frame``: e_x along U + V,
-    e_y along U x V), where U and V lie in the xz-plane and the third cap
-    on +-e_y, so y -> -y fixes all three pairs and the system keeps about
-    half its rows and columns.  The design is solved on the grid nodes of
-    that frame and G is mapped back to the user frame exactly
-    (``_rotate_expansion``).  Its objective uses other nodes than a
-    user-frame solve would, so the two G differ within the design's
-    residual.  Caps that a coordinate reflection fixes, the default ones
-    among them, are solved as given (``_design_rows``).
+    The caps are first rotated into their adapted frame
+    (``_adapted_frame``: e_x along U + V, e_y along U x V), where U and V
+    lie in the xz-plane and the third cap on +-e_y, so the reflection
+    y -> -y fixes all three cap pairs.  The least-squares system is folded
+    onto the cap pairs' symmetry group there (see ``_DesignRows``): one
+    node per orbit of the antipodal map and of y -> -y, and only the
+    columns y -> -y fixes, the m >= 0 ones.  This leaves the objective's
+    minimizer unchanged; the other coefficients are exactly zero.  The
+    design is solved on the grid nodes of that frame and G is mapped back
+    to the user frame exactly (``_rotate_expansion``).
 
     The system is never held whole.  Its rows are written into one fold
     buffer of zeros, T x (ncol + 1), and reduced, a block at a time, to
@@ -907,23 +870,21 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     and n + 1 free rows below them, the fewest that hold its n Funk rows,
     written from its value factor, without starting a fold.  So T is the
     largest s + 2 (n + 1) over the classes (``_fold_design``):
-    2 (ncol + 1) for one class, max(2 (n0 + 1), ncol + n1 + 2) for the even
-    and odd class of a split design, whose rim then folds through the
-    T - ncol - 1 rows left below the coupled factor.  A fold costs the same
-    flops however the rows are grouped, so more free rows would buy memory
-    and no speed.  The buffer is the design's one large allocation
-    (``design_buffer_bytes``): at band 48 it is 4.6 MB for a drawn cap
-    pair (625 columns in classes of 325 and 300, so 927 rows) and 1.7 MB
-    for the default caps (325 columns, one class).  Just before it is
-    allocated, the C heap's free pages are handed back to the system
-    (glibc's ``malloc_trim``; nothing under a C library without it).  Once
-    an earlier design has freed its buffer, glibc raises its mmap
-    threshold to that buffer's size and places the next buffer in the
-    heap, where the design grid and theta tables just dropped, and the
-    free space around them, stay resident; whether the buffer then reused
-    them or extended the heap moved the process's peak by about 2 MB, as
-    the heap happened to be fragmented.  The default caps' rows
-    take 18 folds.  Over 40 cap pairs drawn with seed 77, the even class
+    max(2 (n0 + 1), ncol + n1 + 2) for the even and odd class of n0 and n1
+    columns, and the rim then folds through the T - ncol - 1 rows left
+    below the coupled factor.  A fold costs the same flops however the rows
+    are grouped, so more free rows would buy memory and no speed.  The
+    buffer is the design's one large allocation (``design_buffer_bytes``):
+    at band 48 it is 4.6 MB for every cap pair (625 columns in classes of
+    325 and 300, so 927 rows).  Just before it is allocated, the C heap's
+    free pages are handed back to the system (glibc's ``malloc_trim``;
+    nothing under a C library without it).  Once an earlier design has
+    freed its buffer, glibc raises its mmap threshold to that buffer's size
+    and places the next buffer in the heap, where the design grid and theta
+    tables just dropped, and the free space around them, stay resident;
+    whether the buffer then reused them or extended the heap moved the
+    process's peak by about 2 MB, as the heap happened to be fragmented.
+    The default caps' rows take 19 folds.  Over 40 cap pairs drawn with seed 77, the even class
     folds 5 or 6 times, the odd class 9 to 12 times and the rim 1 to 6
     times (no coupled fold in the one pair with an empty rim);
     ``design_folds`` counts them all.  The
@@ -939,23 +900,22 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     of ``_DesignRows.blocks``: each class of rows is folded in its own
     corner of the buffer, one class after the other, value rows first,
     then the Funk rows from their factor, the anisotropy rows and the ridge
-    rows, and coupled folds add the full rows of the rim.  As given the
-    design is one class with no rim.  In the adapted frame the mirror
-    z -> -z maps U onto V and the third cap onto itself, so the rows are
-    split by it: the mirrored pairs of nodes become one row in each of two
-    classes of about half the columns (m even, m odd), and the rim is the
-    nodes of the larger of U and V outside the mirror of the smaller.  The
+    rows, and coupled folds add the full rows of the rim.  In the adapted
+    frame the mirror z -> -z maps U onto V and the third cap onto itself,
+    so the rows are split by it: the mirrored pairs of nodes become one row
+    in each of two classes of about half the columns (m even, m odd), and
+    the rim is the nodes of the larger of U and V outside the mirror of the
+    smaller.  The
     split is orthogonal, so it keeps the minimizer, the rank and the
     singular values.  The design grid is dropped once the rows are set up,
     and the ring tables of the rows before the last fold; only the small
     Q tables stay, for the residuals.  The returned diagnostics carry the
     residuals on the kept nodes of the solved frame
     (``_DesignRows.node_values``), the rotation into that frame
-    (``design_frame``, rows the frame's axes; the identity when the caps
-    are solved as given), the reflections used there, the number of rim
-    nodes (``design_rim_nodes``, 0 when the caps are solved as given) and
-    the health of the block actually solved: its shape, its certified
-    rank (``design_rank``, all its columns) and a bracket of its
+    (``design_frame``, rows the frame's axes), the number of rim nodes
+    (``design_rim_nodes``, 0 for the default caps) and the health of the
+    block actually solved: its shape, its certified rank
+    (``design_rank``, all its columns) and a bracket of its
     singular-value ratio, ``design_sigma_ratio`` below (power steps) and
     ``design_sigma_ratio_bound`` above (the bound of the certificate
     named in ``design_certificate``: ``"ridge"``, |R|_F over the smallest
@@ -973,13 +933,13 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         dg = sphere.build_grid(*design_grid)
         rows, frame = _design_rows(cap_u, cap_v, L, dg)
         del dg  # the rows hold what they read of the design grid
-        ls, ms, funk, target, reflections = rows.ls, rows.ms, rows.funk, rows.target, rows.reflections
+        ls, ms, funk, target = rows.ls, rows.ms, rows.funk, rows.target
         n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, ls.size
         node_values = rows.node_values()
         lam = harmonics.multiplier_table("cosine", L)
         ridge_diag = math.sqrt(ridge) / lam[ls]
         classes, rim = rows.blocks()
-        for name, block in zip(("even", "odd") if len(classes) == 2 else ("whole",), classes):
+        for name, block in zip(("even", "odd"), classes):
             if block.n_nodes < block.cols.size:
                 raise ValueError(
                     f"the plateau design's {name} row class has {block.n_nodes} kept nodes for "
@@ -1006,10 +966,7 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         G.c[ls * ls + ls + ms] = x
         values = node_values(x)
         funk_values = node_values(funk * x)
-        if frame is None:
-            frame = np.eye(3)
-        else:
-            G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
+        G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
     return G, {
         "design_value_residual": float(np.max(np.abs(values - target))),
         "design_funk_residual": float(np.max(np.abs(funk_values - target))),
@@ -1019,7 +976,6 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
         "design_sigma_ratio": ratio,
         "design_sigma_ratio_bound": float(bound),
         "design_certificate": certificate,
-        "design_reflections": reflections,
         "design_frame": frame.tolist(),
         "design_rim_nodes": int(n_rim),
         "design_folds": folds,

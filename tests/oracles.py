@@ -695,12 +695,13 @@ def design_residuals_grid_synthesis(G, grid, nodes, target):
     )
 
 
-def orbit_fold_by_group(grid, reflections=()):
-    """``zonoid._orbit_fold`` from the whole group: the images of every node
-    under each element, each new generator composed with all the elements
-    so far, stacked and reduced by one minimum over the stack."""
+def orbit_fold_by_group(grid):
+    """``zonoid._orbit_fold`` from the whole group of the antipodal map and
+    y -> -y: the images of every node under each element, each new
+    generator composed with all the elements so far, stacked and reduced by
+    one minimum over the stack."""
     images = [np.arange(grid.n_nodes)]
-    for g in [grid.antipode_index()] + [grid.reflection_index(a) for a in reflections]:
+    for g in (grid.antipode_index(), grid.reflection_index()):
         images += [g[p] for p in images]
     rep = np.min(images, axis=0)
     return rep, np.bincount(rep, minlength=grid.n_nodes)

@@ -236,6 +236,27 @@ class TestVerifyCommand:
         assert r.stderr.strip().splitlines() == [r.stderr.strip()]
         assert "separated" in r.stderr
 
+    COARSE_GRID_ERRORS = {
+        "sr": "input error: grid (4, 8) too coarse to analyze band 4; needs n_theta >= 5 and n_phi >= 9\n",
+        "rigidity": "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n",
+        "umbilic": "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n",
+    }
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_coarse_grid_keeps_the_exit_code_contract(self, tmp_path, suite):
+        # on the 4x8 grid a suite either runs, exit 0 or 2 with nothing on
+        # stderr, or names what it rejects in one stderr line, exit 3, and
+        # never stops on a traceback: the sr suite's band-4 analysis needs
+        # a 5x9 grid, and the default cap U holds no node of this one (all
+        # stops at sr, its first suite that rejects the grid)
+        r = run_cli("--grid", "4,8", "--out", str(tmp_path / "o"), "verify", "--suite", suite)
+        expected = self.COARSE_GRID_ERRORS.get("sr" if suite == "all" else suite)
+        if expected is None:
+            assert r.returncode in (0, 2) and r.stderr == "", r.stderr
+        else:
+            assert r.returncode == 3
+            assert r.stderr == expected
+
     def test_report_is_strict_json_when_a_metric_is_undefined(self, tmp_path):
         # at band 8 no sphere is fitted to the counterexample zonoid's cap
         r = run_cli("--band", "8", "--out", str(tmp_path), "verify", "--suite", "umbilic")

@@ -32,8 +32,9 @@ UNREACHED = {
     "cli:_Parser.error": "argparse usage errors only (exit code 3)",
 }
 
-#: A cap pair that no coordinate reflection fixes, so its design is solved
-#: in the adapted frame; admissible for the default transition 0.3.
+#: A cap pair off the coordinate planes, admissible for the default
+#: transition 0.3: orthogonal, of equal heights, so its adapted frame holds
+#: the default caps' design up to rounding, on other report-grid nodes.
 OFF_PLANE_CAPS = "cap_u_center=0.3,0.4,0.866\ncap_v_center=0,0.866,-0.4\n"
 
 #: A cap pair drawn by bench/workloads.draw_cap_pair whose band-64 design

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import types
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -505,13 +506,15 @@ class TestCounterexample:
     def test_grid_values_come_from_grid_synthesis(self, grid, cap_u, cap_v, monkeypatch):
         # the cap values of C(g) and R(g), in the build and in the rigidity
         # fit, are read off the grid synthesis: no value off the grid at all,
-        # and the default caps are solved in their own frame, unrotated
+        # and the one rotation is G's, from the adapted frame the design was
+        # solved in back to the user frame
         calls = []
         real = harmonics.rotate_rows
-        monkeypatch.setattr(harmonics, "rotate_rows", lambda *args: (calls.append(1), real(*args))[1])
+        monkeypatch.setattr(harmonics, "rotate_rows", lambda *args: (calls.append(args[1]), real(*args))[1])
         res = zonoid.build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3)
         zonoid.verify_local_rigidity(zonoid.make_zonoid(res.g), cap_u)
-        assert calls == []
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], zonoid._adapted_frame(cap_u.center, cap_v.center))
 
     def test_funk_residual_is_the_rigidity_row(self, counterexample, counterexample_spec):
         # the build's diagnostic and the rigidity verifier read one route
@@ -534,22 +537,10 @@ class TestPlateauDesign:
     L, GRID = 12, (32, 64)
     ANGLE = 1.55  # inside the admissible window for heights 0.9 and transition 0.3
 
-    # reflections the fold may use, and the size of the invariant column class
-    # at L = 12 (91 even columns in all)
-    SYMMETRY = {
-        "default": (["x", "y"], 28),
-        "xz": (["y"], 49),
-        "yz": (["x"], 49),
-        # no coordinate reflection fixes these pairs as given (for the
-        # diagonal one, x -> -x maps U onto -V and y -> -y maps U onto V,
-        # swapping cap pairs with different levels), so they are solved in
-        # their adapted frame, where the reflection through span(U, V) is
-        # y -> -y
-        "rotated": (["y"], 49),
-        "diagonal": (["y"], 49),
-        "small-u": (["y"], 49),
-        "small-v": (["y"], 49),
-    }
+    # every pair is solved in its adapted frame, where the reflection
+    # through span(U, V) is y -> -y and the solved columns are the m >= 0
+    # ones: 49 of the 91 even columns at L = 12
+    N_INVARIANT = 49
 
     # heights of the rotated pairs: unequal heights leave a rim of nodes of
     # the larger of U and V that the mirror z -> -z of the adapted frame
@@ -588,8 +579,9 @@ class TestPlateauDesign:
         return zonoid._rotate_expansion(G_ref, Q), sv, fu, fv
 
     def _solved_block_singular_values(self, u, v, ridge):
-        # u and v are in the frame the design solved in, so they are solved
-        # as given there, and the rows are the whole folded block
+        # u and v are in the frame the design solved in, so their adapted
+        # frame is the identity up to rounding, and the rows are the whole
+        # folded block
         rows, _ = zonoid._design_rows(u, v, self.L, sphere.build_grid(*self.GRID))
         ncol, n, na = rows.ls.size, rows.nodes.size, rows.n_aniso
         V = np.empty((ncol + 1, n))
@@ -627,9 +619,7 @@ class TestPlateauDesign:
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID, ridge=ridge)
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info, ridge=ridge)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
-        reflections, n_invariant = self.SYMMETRY[pair]
-        assert info["design_reflections"] == reflections
-        assert info["design_cols"] == n_invariant == info["design_rank"]
+        assert info["design_cols"] == self.N_INVARIANT == info["design_rank"]
         assert (info["design_rim_nodes"] > 0) == pair.startswith("small")
         # the solved block is the invariant block of the unfolded system
         for s in self._solved_block_singular_values(fu, fv, ridge):
@@ -655,12 +645,9 @@ class TestPlateauDesign:
     @staticmethod
     def _buffer_rows(ncol, class_cols):
         """T, the fold buffer's rows: a class needs its n + 1 triangle rows
-        and n + 1 free rows below them for its n Funk rows, so one class
-        needs 2 (ncol + 1), and of a split design's classes the even one
-        2 (n0 + 1) from the top and the odd one, from row n0 on, n0 +
-        2 (n1 + 1) = ncol + n1 + 2."""
-        if len(class_cols) == 1:
-            return 2 * (ncol + 1)
+        and n + 1 free rows below them for its n Funk rows, so the even
+        class needs 2 (n0 + 1) from the top and the odd one, from row n0
+        on, n0 + 2 (n1 + 1) = ncol + n1 + 2."""
         n0, n1 = class_cols
         return max(2 * (n0 + 1), ncol + n1 + 2)
 
@@ -677,9 +664,8 @@ class TestPlateauDesign:
 
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_small_blocks_match_unfolded_oracle(self, cap_u, cap_v, pair, monkeypatch):
-        # the production buffer at L = 12 has 29 free rows for the default
-        # caps' one class and 22 to 43 in a split design's corners, so the
-        # rows pass through many QR folds and the value rows' factor is
+        # the production buffer at L = 12 has 22 to 43 free rows in its
+        # classes' corners, so the rows pass through many QR folds and the value rows' factor is
         # split; the diagnostics count those folds and the buffer's bytes
         factors = []
         monkeypatch.setattr(zonoid, "_TriangularFactor", self._counting(zonoid._TriangularFactor, factors))
@@ -953,7 +939,7 @@ class TestPlateauDesign:
     @pytest.mark.parametrize(
         "pair,grid_shape,message",
         [
-            ("default", (8, 16), "whole row class has 9 kept nodes for 28 columns at band 12 on the 8x16 design grid"),
+            ("default", (8, 16), "even row class has 6 kept nodes for 28 columns at band 12 on the 8x16 design grid"),
             ("rotated", (16, 32), "even row class has 22 kept nodes for 28 columns at band 12 on the 16x32 design grid"),
         ],
         ids=["default", "rotated"],
@@ -998,8 +984,10 @@ class TestPlateauDesign:
 
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
     def test_ridge_certificate_has_headroom(self, cap_u, cap_v, pair, tmp_path):
-        # min |ridge row| / (rcond |R|_F) is 7.2 (default) and 4.2
-        # (off-plane); the certificate needs 2, and this asks for twice that
+        # min |ridge row| / (rcond |R|_F) is 4.2 for both: the off-plane
+        # caps are orthogonal and of equal heights, as the default ones, so
+        # their adapted frame holds the same design up to rounding; the
+        # certificate needs 2, and this asks for twice that
         u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
         _, info = zonoid.design_plateau(u, v)
         rcond = np.finfo(float).eps * max(info["design_rows"], info["design_cols"])
@@ -1053,10 +1041,10 @@ class TestPlateauDesign:
         real = zonoid._rotate_expansion
         monkeypatch.setattr(zonoid, "_rotate_expansion", lambda G, Q: (solved.append(G), real(G, Q))[1])
         G, info = zonoid.design_plateau(u, v, L=L, design_grid=grid_shape)
-        assert len(solved) == (pair == "off-plane")
+        [G_solved] = solved
         grid = sphere.build_grid(*grid_shape)
         rows = self._design_rows(u, v, L, grid)
-        ref = oracles.design_residuals_grid_synthesis(solved[0] if solved else G, grid, rows.nodes, rows.target)
+        ref = oracles.design_residuals_grid_synthesis(G_solved, grid, rows.nodes, rows.target)
         for key, r in zip(("design_value_residual", "design_funk_residual"), ref):
             assert abs(info[key] - r) <= 1e-12 * np.max(rows.target)
 
@@ -1103,12 +1091,50 @@ class TestPlateauDesign:
         # the rim lies in U and V alone
         assert set(rows.which[rim].tolist()) <= {0, 1}
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.89, 0.97),
+        st.floats(0.89, 0.97),
+        st.floats(0.01, 0.99),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.sampled_from([(32, 64), (33, 64), (64, 128), (128, 256)]),
+    )
+    def test_adapted_frame_caps_are_fixed_by_y_alone(self, hu, hv, where, seed, grid_shape):
+        # the design folds every pair by y -> -y with no check: in the
+        # adapted frame each cap pair's node set is fixed by it, and x -> -x,
+        # which maps U onto -V there, never fixes the pairs of U and V.
+        # Admissible pairs of any angle, in a random frame or (seed None)
+        # in the xz-plane, as the default caps are
+        ru, rv = math.acos(hu), math.acos(hv)
+        lo, hi = ru + rv + 0.6, math.pi - ru - rv - 0.6
+        a = lo + where * (hi - lo)
+        q = np.eye(3)
+        if seed is not None:
+            q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+            q = q * np.sign(np.diag(r))
+        u = sphere.Cap(q @ E3, hu)
+        v = sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv)
+        harmonics.check_plateau_caps(u, v, 0.3)
+        grid = sphere.build_grid(*grid_shape)
+        caps = []  # the caps the rows are built on, in the adapted frame
+        with mock.patch.object(zonoid, "_DesignRows", lambda grid, big, L: caps.extend(big)):
+            zonoid._design_rows(u, v, 4, grid)
+        y = grid.reflection_index()
+        lon = (grid.n_phi // 2 - np.arange(grid.n_phi)) % grid.n_phi
+        x = (np.arange(grid.n_theta)[:, None] * grid.n_phi + lon).reshape(-1)
+        for perm, signs in ((y, [1.0, -1.0, 1.0]), (x, [-1.0, 1.0, 1.0])):
+            assert np.max(np.abs(grid.nodes[perm] - grid.nodes * signs)) < 1e-14
+        masks = [grid.cap_mask(c) | grid.cap_mask(c.antipodal()) for c in caps]
+        assert all(np.any(mask) for mask in masks)
+        assert all(np.array_equal(mask[y], mask) for mask in masks)
+        assert not any(np.array_equal(mask[x], mask) for mask in masks[:2])
+
     @pytest.mark.parametrize("pair", ["default", "rotated", "small-u", "small-v"])
     def test_mirror_blocks_keep_the_normal_equations(self, cap_u, cap_v, pair):
         # the blocks' rows, each class's on the columns it stands for, have
         # the Gram matrix [A b]^T [A b] of the unsplit value and anisotropy
         # rows (and so of the Funk rows, the value rows times funk), to
-        # rounding; caps solved as given are one class with no rim
+        # rounding; caps of equal heights leave no rim
         grid = sphere.build_grid(*self.GRID)
         rows = self._design_rows(*self._pair(pair, cap_u, cap_v), self.L, grid)
         ncol = rows.ls.size
@@ -1124,7 +1150,7 @@ class TestPlateauDesign:
             return out
 
         classes, rim = rows.blocks()
-        assert len(classes) == (1 if pair == "default" else 2)
+        assert len(classes) == 2
         assert sorted(np.concatenate([c.cols for c in classes]).tolist()) == list(range(ncol))
         assert (rim.n_nodes > 0) == pair.startswith("small")
         split = np.hstack([stacked(b) for b in (*classes, rim)])
@@ -1155,14 +1181,11 @@ class TestPlateauDesign:
 
     @pytest.mark.parametrize("pair", ["default", "xz", "yz", "rotated", "diagonal"])
     def test_design_frame(self, cap_u, cap_v, pair):
+        # every pair is solved in its adapted frame, also the pairs that a
+        # coordinate reflection fixes as given
         u, v = self._pair(pair, cap_u, cap_v)
         G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
-        Q = np.array(info["design_frame"])
-        if pair in ("default", "xz", "yz"):
-            # a coordinate reflection already fixes the pair as given
-            assert np.array_equal(Q, np.eye(3))
-        else:
-            assert np.array_equal(Q, zonoid._adapted_frame(u.center, v.center))
+        assert np.array_equal(np.array(info["design_frame"]), zonoid._adapted_frame(u.center, v.center))
         assert not np.any(G.c[G.degrees() % 2 == 1])
 
     @settings(max_examples=60, deadline=None)
@@ -1200,27 +1223,28 @@ class TestPlateauDesign:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 40))
     def test_fold_keeps_one_node_of_every_antipodal_pair(self, n_theta, half_phi):
+        # at most one node of every antipodal pair, and one node of every
+        # pair or of its mirror image under y -> -y
         grid = sphere.build_grid(n_theta, 2 * half_phi)
         rep, _ = zonoid._orbit_fold(grid)
         keep = rep == np.arange(grid.n_nodes)
         anti = grid.antipode_index()
         assert np.array_equal(np.sort(anti), np.arange(grid.n_nodes))
-        assert np.all(keep != keep[anti])
         assert np.max(np.abs(grid.nodes + grid.nodes[anti])) < 1e-15
+        pair = keep | keep[anti]
+        assert not np.any(keep & keep[anti])
+        assert np.all(pair | pair[grid.reflection_index()])
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(2, 40),
-        st.integers(2, 40),
-        st.sets(st.sampled_from(["x", "y"])).map(sorted),
-    )
-    def test_orbit_fold_keeps_one_node_per_orbit(self, n_theta, half_phi, reflections):
+    @given(st.integers(2, 40), st.integers(2, 40))
+    def test_orbit_fold_keeps_one_node_per_orbit(self, n_theta, half_phi):
         grid = sphere.build_grid(n_theta, 2 * half_phi)
-        rep, mult = zonoid._orbit_fold(grid, reflections)
+        rep, mult = zonoid._orbit_fold(grid)
         keep = rep == np.arange(grid.n_nodes)
-        maps = [(grid.antipode_index(), np.array([-1.0, -1.0, -1.0]))]
-        for a in reflections:
-            maps.append((grid.reflection_index(a), np.where(np.array(["x", "y", "z"]) == a, -1.0, 1.0)))
+        maps = [
+            (grid.antipode_index(), np.array([-1.0, -1.0, -1.0])),
+            (grid.reflection_index(), np.array([1.0, -1.0, 1.0])),
+        ]
         # each node map is the coordinate sign change it stands for
         for perm, signs in maps:
             assert np.array_equal(np.sort(perm), np.arange(grid.n_nodes))
@@ -1234,34 +1258,32 @@ class TestPlateauDesign:
         assert np.array_equal(rep, orbits[0])  # the lowest index of the orbit
         assert np.array_equal(mult[keep], np.sum(distinct, axis=0)[keep])
         assert int(np.sum(mult[keep])) == grid.n_nodes
-        if not reflections:
-            assert np.array_equal(keep, np.arange(grid.n_nodes) < grid.antipode_index())
 
     @pytest.mark.parametrize("shape", [(32, 64), (128, 256), (7, 10)])
-    @pytest.mark.parametrize("reflections", [(), ("y",), ("x",), ("x", "y")])
-    def test_running_minimum_is_the_whole_group_fold(self, shape, reflections):
+    def test_running_minimum_is_the_whole_group_fold(self, shape):
         """The running minimum over the generators gives bitwise the orbit
         representatives and sizes of the whole group's stacked images."""
         grid = sphere.build_grid(*shape)
-        got = zonoid._orbit_fold(grid, reflections)
-        ref = oracles.orbit_fold_by_group(grid, reflections)
+        got = zonoid._orbit_fold(grid)
+        ref = oracles.orbit_fold_by_group(grid)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_default_build_health(self, counterexample):
-        # the default caps are fixed by both coordinate reflections, so the
-        # solved block is the (cos, even m) class of the band-48 even columns
+        # the default caps are solved in their adapted frame, as every pair
+        # is: the solved block is the m >= 0 class of the band-48 even
+        # columns, split by the mirror z -> -z into classes of 325 and 300
         d = counterexample.diagnostics
-        assert d["design_reflections"] == ["x", "y"]
-        assert d["design_cols"] == 325
-        assert d["design_rank"] == 325
-        assert d["design_rows"] == 7089
-        assert d["design_rim_nodes"] == 0  # solved as given, not split
+        assert "design_reflections" not in d
+        assert d["design_cols"] == 625
+        assert d["design_rank"] == 625
+        assert d["design_rows"] == 8851
+        assert d["design_rim_nodes"] == 0  # U and V have equal heights
         assert 1.0 < d["design_sigma_ratio"] < d["design_sigma_ratio_bound"] < math.inf
         assert d["design_certificate"] == "ridge"
-        # its rows pass through the buffer's 326 free rows in 18 folds
-        assert d["design_folds"] == 18
-        assert d["design_buffer_bytes"] == 2 * 326 * 326 * 8
+        # its rows pass through the T = 625 + 300 + 2 = 927 row buffer in 19 folds
+        assert d["design_folds"] == 19
+        assert d["design_buffer_bytes"] == 927 * 626 * 8 == 4642416
 
 
 def test_design_imports_no_masked_arrays():
