@@ -2,17 +2,24 @@
 the verification suites, with machine-readable JSON reports.
 
 Exit codes: 0 all assertions pass, 2 assertion failure, 3 input error.
+
+Each command checks its inputs once, before any work, against one input
+contract: the least report grid of each command and suite (``NEEDS``),
+the counterexample build for those that read it, and one rule for the
+paths they write (``_writable``).  An unmet need exits 3 with one stderr
+line that names the grid, the suite, the caps or the path.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,6 +124,19 @@ def _grid(value):
         raise ValueError(f"grid must be n_theta,n_phi (two integers), got {value!r}") from None
 
 
+#: The config keys besides ``grid``, which sets n_theta and n_phi: the
+#: other RunConfig fields, each read by ``_field_value``.
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in ("n_theta", "n_phi"))
+
+
+def _field_value(like, text):
+    """A config value read as the type of its field's value ``like``; a
+    vector as floats."""
+    if isinstance(like, tuple):
+        return tuple(float(v) for v in text.split(","))
+    return type(like)(text)
+
+
 def parse_config_file(path):
     """Plain UTF-8 key=value config; unknown keys are errors (fail loud)."""
     cfg = RunConfig()
@@ -132,24 +152,8 @@ def parse_config_file(path):
             try:
                 if key == "grid":
                     cfg.n_theta, cfg.n_phi = _grid(value)
-                elif key == "band":
-                    cfg.band = int(value)
-                elif key == "circle_m":
-                    cfg.circle_m = int(value)
-                elif key == "cap_u_center":
-                    cfg.cap_u_center = tuple(float(v) for v in value.split(","))
-                elif key == "cap_u_height":
-                    cfg.cap_u_height = float(value)
-                elif key == "cap_v_center":
-                    cfg.cap_v_center = tuple(float(v) for v in value.split(","))
-                elif key == "cap_v_height":
-                    cfg.cap_v_height = float(value)
-                elif key == "transition":
-                    cfg.transition = float(value)
-                elif key == "seed":
-                    cfg.seed = int(value)
-                elif key == "out":
-                    cfg.out = value
+                elif key in CONFIG_KEYS:
+                    setattr(cfg, key, _field_value(getattr(cfg, key), value))
                 else:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             except ConfigError:
@@ -172,41 +176,18 @@ def _apply_flags(cfg, args):
 
 
 class RunContext:
-    """Caches the grid and the counterexample build across suites.
-
-    Both are built from the configuration alone, so a ValueError while
-    building them is an input error.
-    """
+    """The report grid, built when a suite first reads it, and for the
+    suites and commands that read it the counterexample build, shared
+    across suites; ``_context`` makes it once the configuration meets
+    their needs."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self._grid = None
-        self._counterexample = None
+        self.counterexample = None
 
-    @property
+    @functools.cached_property
     def grid(self):
-        if self._grid is None:
-            try:
-                self._grid = sphere.build_grid(self.cfg.n_theta, self.cfg.n_phi)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-        return self._grid
-
-    @property
-    def counterexample(self):
-        if self._counterexample is None:
-            grid = self.grid
-            try:
-                self._counterexample = zonoid.build_counterexample(
-                    self.cfg.cap_u(),
-                    self.cfg.cap_v(),
-                    grid,
-                    L=self.cfg.band,
-                    transition=self.cfg.transition,
-                )
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-        return self._counterexample
+        return sphere.build_grid(self.cfg.n_theta, self.cfg.n_phi)
 
     def rng(self, salt=0):
         return np.random.default_rng(self.cfg.seed + salt)
@@ -313,10 +294,6 @@ def _lifted(grid, c, floor=0.1):
 
 def suite_sr(ctx):
     grid = ctx.grid
-    try:  # first: a grid too coarse for the suite's one analysis is an input error
-        one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes)).with_coeffs(4)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     rng = ctx.rng(3)
     rows = []
     worst_l1, worst_l2, worst_l3, worst_jensen = 0.0, 0.0, 0.0, 0.0
@@ -339,6 +316,7 @@ def suite_sr(ctx):
     rows.append(_row("sr-l3-contraction", "radial-symmetrization-lp-contraction", worst_l3, 1e-12))
     rows.append(_row("sr-jensen-pointwise", "symmetrization-power-mean", worst_jensen, 1e-12))
 
+    one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes)).with_coeffs(4)
     lhs, rhs = transforms.sr_profile_l1_identity(one)
     closed = abs(rhs - 4.0 * math.pi)
     rows.append(_row("sr-slicing-identity-constant", "polar-slicing-identity", closed, TOLERANCES["sr_identity_closed"]))
@@ -441,7 +419,6 @@ def suite_isotropy_gap(ctx):
 
 def suite_rigidity(ctx):
     grid = ctx.grid
-    res = ctx.counterexample  # first: it checks that both caps hold nodes of the grid
     rows = []
     # ball: exact rigidity
     c = harmonics.HarmonicCoeffs.zeros(8)
@@ -451,7 +428,7 @@ def suite_rigidity(ctx):
     rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, 1e-10))
     rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, 1e-10))
     # constructed counterexample
-    spec = zonoid.make_zonoid(res.g)
+    spec = zonoid.make_zonoid(ctx.counterexample.g)
     rep = zonoid.verify_local_rigidity(spec, ctx.cfg.cap_u())
     a_ratio = float(np.linalg.norm(rep.a)) / rep.c
     rows.append(_row("rigidity-counterexample-affine", "local-rigidity-affine-support", rep.affine_residual, TOLERANCES["affine_residual"]))
@@ -507,7 +484,6 @@ def _no_sphere_fit(rep):
 
 def suite_umbilic(ctx):
     grid = ctx.grid
-    res = ctx.counterexample  # first: it checks that both caps hold nodes of the grid
     rows = []
     ball = convex.SupportFunction.ball(grid, 1.0)
     rep = convex.umbilic_sphere_check(ball, ctx.cfg.cap_u(), tol=1e-6)
@@ -515,7 +491,7 @@ def suite_umbilic(ctx):
         _row("umbilic-ball-fit", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_ball"], reason=_no_sphere_fit(rep))
     )
     # counterexample zonoid: spherical patch over the cap
-    spec = zonoid.make_zonoid(res.g)
+    spec = zonoid.make_zonoid(ctx.counterexample.g)
     rep = convex.umbilic_sphere_check(spec.h, ctx.cfg.cap_u(), tol=1e-3)
     rows.append(
         _row("umbilic-counterexample-zonoid", "umbilic-cap-implies-sphere", rep.residual if rep.residual is not None else math.inf, TOLERANCES["umbilic_zonoid"], reason=_no_sphere_fit(rep))
@@ -571,16 +547,79 @@ SUITE_RUNNERS = {
 
 SUITES = (*SUITE_RUNNERS, "all")
 
+TRANSFORMS = {
+    "cosine": transforms.cosine_transform,
+    "funk": transforms.funk_transform,
+    "symmetrize": transforms.radial_symmetrize,
+}
+
+#: What each suite and command needs, read once before any work
+#: (``_context``): the degree its report grid must integrate exactly, whose
+#: least grid is sphere.exact_grid(degree), or the function of the
+#: configured band that gives that degree; and whether it reads the
+#: counterexample build, whose caps must be admissible and hold nodes of
+#: the grid.  newton and af draw corpus noise of bands 8 and 6
+#: (convex.random_support_function); sr analyzes band 4, and cosine and
+#: funk the configured band, which integrates products of twice that degree.
+NEEDS = {
+    "newton": (8, False),
+    "af": (6, False),
+    "sr": (8, False),
+    "isotropy-gap": (0, False),
+    "rigidity": (0, True),
+    "minkowski-rev": (0, False),
+    "umbilic": (0, True),
+    "counterexample": (0, True),
+    "cosine": (lambda band: 2 * band, False),
+    "funk": (lambda band: 2 * band, False),
+    "symmetrize": (0, False),
+}
+
 
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 
+def _context(cfg, names, path, folder):
+    """The input contract of a command and its suites ``names``, checked
+    before any work: each one's need in NEEDS, then the path it writes
+    (``_writable``).  The first unmet need raises InputError naming it.
+    Returns the RunContext, with the counterexample built when one of them
+    reads it; the build's ValueError, inadmissible caps or a cap that
+    holds no node of the grid, is an input error."""
+    for name in names:
+        degree = NEEDS[name][0]
+        t, p = sphere.exact_grid(degree(cfg.band) if callable(degree) else degree)
+        if cfg.n_theta < t or cfg.n_phi < p:
+            raise InputError(f"grid ({cfg.n_theta}, {cfg.n_phi}) too coarse for {name}; needs n_theta >= {t} and n_phi >= {p}")
+    ctx = RunContext(cfg)
+    if any(NEEDS[name][1] for name in names):
+        try:
+            ctx.counterexample = zonoid.build_counterexample(cfg.cap_u(), cfg.cap_v(), ctx.grid, L=cfg.band, transition=cfg.transition)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+    _writable(path, folder)
+    return ctx
+
+
+def _writable(path, folder):
+    """The one rule for the paths a command writes, the --out directory
+    (``folder``) and the --output file: a missing directory is created; a
+    file where a directory is needed, or a directory where a file is
+    needed, is an input error that names the path."""
+    parent = path if folder else os.path.dirname(path) or os.curdir
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {parent!r}: {exc.strerror}") from None
+    if not folder and (os.path.isdir(path) or not os.path.basename(path)):
+        raise InputError(f"output {path!r} names a directory, not a file")
+
+
 def _report(cfg, name, rows, detail):
     """Write the rows' report as cfg.out/name, print one status line per
     row, ending in detail(row), and return the exit code: 0 when every
     row passes, else 2."""
-    os.makedirs(cfg.out, exist_ok=True)
     _write_json(
         os.path.join(cfg.out, name),
         {"version": __version__, "config_echo": cfg.echo(), "results": rows},
@@ -591,29 +630,19 @@ def _report(cfg, name, rows, detail):
 
 
 def cmd_transform(cfg, which, input_path, output_path):
+    grid = _context(cfg, [which], output_path, folder=False).grid
     try:
-        grid = sphere.build_grid(cfg.n_theta, cfg.n_phi)
-        f = transforms.SphericalFunction(
-            grid=grid, values=sphere.grid_from_csv(input_path, grid)
-        )
-        if which in ("cosine", "funk"):
-            f = f.with_coeffs(cfg.band)
+        f = transforms.SphericalFunction(grid=grid, values=sphere.grid_from_csv(input_path, grid))
     except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from None
-    if which == "cosine":
-        out = transforms.cosine_transform(f)
-    elif which == "funk":
-        out = transforms.funk_transform(f)
-    elif which == "symmetrize":
-        out = transforms.radial_symmetrize(f)
-    else:
-        raise InputError(f"unknown transform {which!r}")
-    sphere.grid_to_csv(output_path, grid, out.values)
+    if which in ("cosine", "funk"):
+        f = f.with_coeffs(cfg.band)
+    sphere.grid_to_csv(output_path, grid, TRANSFORMS[which](f).values)
     return 0
 
 
 def cmd_counterexample(cfg):
-    ctx = RunContext(cfg)
+    ctx = _context(cfg, ["counterexample"], cfg.out, folder=True)
     res = ctx.counterexample
     rows = suite_counterexample(ctx)
     res.diagnostics["isotropy_max_dev_on_U"] = rows[0]["metric"]
@@ -626,10 +655,8 @@ def cmd_counterexample(cfg):
 
 
 def cmd_verify(cfg, suite):
-    if suite not in SUITES:
-        raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    ctx = RunContext(cfg)
     names = list(SUITE_RUNNERS) if suite == "all" else [suite]
+    ctx = _context(cfg, names, cfg.out, folder=True)
     results = []
     for name in names:
         results.extend(SUITE_RUNNERS[name](ctx))
@@ -659,12 +686,12 @@ def build_parser():
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     p_tr = sub.add_parser("transform", help="transform a grid CSV")
-    p_tr.add_argument("--which", required=True, choices=["cosine", "funk", "symmetrize"])
+    p_tr.add_argument("--which", required=True, choices=TRANSFORMS)
     p_tr.add_argument("--input", required=True)
     p_tr.add_argument("--output", required=True)
     sub.add_parser("counterexample", help="build and check the counterexample density")
     p_vf = sub.add_parser("verify", help="run a verification suite")
-    p_vf.add_argument("--suite", required=True)
+    p_vf.add_argument("--suite", required=True, choices=SUITES)
     return parser
 
 
@@ -683,15 +710,13 @@ def main(argv=None):
             return cmd_transform(cfg, args.which, args.input, args.output)
         if args.command == "counterexample":
             return cmd_counterexample(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
+        return cmd_verify(cfg, args.suite)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except ImportError as exc:  # a numpy without the LAPACK routines of the plateau design
         print(f"environment error: {exc}", file=sys.stderr)
         return 3
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -261,6 +261,17 @@ def random_support_function(grid, rng, band=8, margin=0.05):
     puts it at ``margin``, so the certificate passes with room to spare.
     The same linearity gives the body's radii entries and eigenvalues from
     the noise's, so radii_grid and the eigenvalue solve run once per body.
+
+    eps is positive, so the body is convex at the nodes, when mu < 0.  On
+    a grid of at least sphere.exact_grid(band) that holds for every draw
+    but a null set: the noise has no degree 0, so neither has its radii
+    trace r1 + r2 = Delta h + 2h, a band-``band`` function, and the trace
+    integrates to zero.  The rule integrates it exactly with positive
+    weights, so the trace is <= 0 at some node, and there r1 <= 0.  Then
+    mu = min r1 <= 0, with equality only when the radii vanish at every
+    node, a proper linear subspace of the draws, which a Gaussian draw
+    misses with probability one.  A draw with mu >= 0, which a coarser
+    grid can give, raises ValueError naming the grid and the band.
     """
     if band < 2:
         raise ValueError(f"corpus noise needs band >= 2, got {band}")
@@ -269,7 +280,14 @@ def random_support_function(grid, rng, band=8, margin=0.05):
         noise.degree_slice(l)[:] = rng.normal(size=2 * l + 1)
     noise.c /= math.sqrt(noise.norm2())
     q11, q22, q12, r1, r2 = radii_grid(noise, grid)
-    eps = (1.0 - margin) / -float(np.min(r1))
+    mu = float(np.min(r1))
+    if not mu < 0.0:
+        t, p = sphere.exact_grid(band)
+        raise ValueError(
+            f"band-{band} noise has no negative radius on the {grid.n_theta}x{grid.n_phi} grid "
+            f"(min {mu:.3e}); it needs a grid of at least {t}x{p}"
+        )
+    eps = (1.0 - margin) / -mu
     out = noise.copy()
     out.c = out.c * eps
     out.set(0, 0, out.get(0, 0) + math.sqrt(4.0 * math.pi))

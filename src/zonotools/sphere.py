@@ -134,6 +134,20 @@ def build_grid(n_theta, n_phi):
     )
 
 
+def exact_grid(degree):
+    """The least (n_theta, n_phi) that build_grid accepts whose rule
+    integrates every harmonic of degree <= ``degree`` exactly.
+
+    n_theta Gauss-Legendre rings are exact for polynomials in cos(theta)
+    of degree <= 2 n_theta - 1, and n_phi equispaced longitudes sum
+    cos(m phi) and sin(m phi) to their integral, zero, for 0 < m < n_phi;
+    a harmonic of degree l and order m is a polynomial of degree l in
+    cos(theta) when m = 0.  Analysis at band L integrates products of
+    degree 2L, so it needs exact_grid(2L) (``harmonics.analyze``).
+    """
+    return max(2, (degree + 2) // 2), max(4, degree + 1)
+
+
 def integrate(grid, f):
     """Quadrature of node samples over the sphere.
 

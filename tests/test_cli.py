@@ -169,12 +169,11 @@ class TestTransformCommand:
 
 class TestVerifyCommand:
     def test_unknown_suite(self):
+        # --suite takes its choices from cli.SUITES, so argparse names them
         r = run_cli("verify", "--suite", "nope")
         assert r.returncode == 3
-        assert r.stderr.endswith(
-            "unknown suite 'nope'; choose from newton, af, sr, isotropy-gap, rigidity, "
-            "minkowski-rev, umbilic, all\n"
-        )
+        assert r.stderr.startswith("usage error: argument --suite: invalid choice: 'nope' (choose from ")
+        assert r.stderr.count("\n") == 1 and all(suite in r.stderr for suite in cli.SUITES)
 
     def test_sr_suite_passes_and_reports(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "verify", "--suite", "sr")
@@ -237,7 +236,8 @@ class TestVerifyCommand:
         assert "separated" in r.stderr
 
     COARSE_GRID_ERRORS = {
-        "sr": "input error: grid (4, 8) too coarse to analyze band 4; needs n_theta >= 5 and n_phi >= 9\n",
+        "newton": "input error: grid (4, 8) too coarse for newton; needs n_theta >= 5 and n_phi >= 9\n",
+        "sr": "input error: grid (4, 8) too coarse for sr; needs n_theta >= 5 and n_phi >= 9\n",
         "rigidity": "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n",
         "umbilic": "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n",
     }
@@ -246,11 +246,12 @@ class TestVerifyCommand:
     def test_coarse_grid_keeps_the_exit_code_contract(self, tmp_path, suite):
         # on the 4x8 grid a suite either runs, exit 0 or 2 with nothing on
         # stderr, or names what it rejects in one stderr line, exit 3, and
-        # never stops on a traceback: the sr suite's band-4 analysis needs
-        # a 5x9 grid, and the default cap U holds no node of this one (all
-        # stops at sr, its first suite that rejects the grid)
+        # never stops on a traceback: the newton suite's band-8 noise and
+        # the sr suite's band-4 analysis need a 5x9 grid, and the default
+        # cap U holds no node of this one (all stops at newton, the first
+        # suite whose need the grid does not meet)
         r = run_cli("--grid", "4,8", "--out", str(tmp_path / "o"), "verify", "--suite", suite)
-        expected = self.COARSE_GRID_ERRORS.get("sr" if suite == "all" else suite)
+        expected = self.COARSE_GRID_ERRORS.get("newton" if suite == "all" else suite)
         if expected is None:
             assert r.returncode in (0, 2) and r.stderr == "", r.stderr
         else:
@@ -285,7 +286,7 @@ class TestCounterexampleCommand:
         at_bound = {"isotropy_max_dev": tol["isotropy_dev"], "funk_gap_error": tol["funk_gap"],
                     "band_variance": tol["nonconstancy_ratio"] * 4.0, "band_mean": 4.0}
         ctx = cli.RunContext(cli.RunConfig())
-        ctx._counterexample = object()
+        ctx.counterexample = object()
         monkeypatch.setattr(cli.zonoid, "counterexample_assertions", lambda res, rng, m: at_bound)
         rows = cli.suite_counterexample(ctx)
         assert [r["test_id"] for r in rows] == [
@@ -405,6 +406,110 @@ class TestInputErrorContract:
         text = err.getvalue()
         assert code == 3
         assert text.endswith("\n") and text.count("\n") == 1 and len(text.splitlines()) == 1
+
+
+def main_in_process(*argv):
+    """cli.main on argv in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _csv_on(path, n_theta, n_phi):
+    """A positive grid CSV for the n_theta x n_phi grid at path."""
+    grid = sphere.build_grid(n_theta, n_phi)
+    sphere.grid_to_csv(path, grid, 1.0 + 0.5 * grid.nodes[:, 2] ** 2)
+    return path
+
+
+#: Where a command may be told to write, made on disk by _path_of_kind.
+PATH_KINDS = ("fresh", "missing-parent", "file", "under-file", "directory")
+
+
+def _path_of_kind(work, kind, name):
+    (work / "a-file").write_text("not a directory\n")
+    (work / "a-dir").mkdir(exist_ok=True)
+    return {"fresh": work / name, "missing-parent": work / "missing" / name, "file": work / "a-file",
+            "under-file": work / "a-file" / name, "directory": work / "a-dir"}[kind]
+
+
+class TestEntryContract:
+    """Every command checks its grid, caps and output path before any work."""
+
+    def test_out_that_is_a_file(self, tmp_path):
+        out = tmp_path / "report"
+        out.write_text("")
+        code, _, err = main_in_process("--out", out, "verify", "--suite", "minkowski-rev")
+        assert code == 3
+        assert err == f"input error: cannot create directory {str(out)!r}: File exists\n"
+
+    def test_out_under_a_file(self, tmp_path):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "sub"
+        code, _, err = main_in_process("--grid", "16,32", "--band", "8", "--out", out, "counterexample")
+        assert code == 3
+        assert err == f"input error: cannot create directory {str(out)!r}: Not a directory\n"
+
+    def test_output_that_is_a_directory(self, tmp_path):
+        src = _csv_on(tmp_path / "in.csv", 8, 16)
+        code, _, err = main_in_process("--grid", "8,16", "transform", "--which", "symmetrize",
+                                       "--input", src, "--output", tmp_path)
+        assert code == 3
+        assert err == f"input error: output {str(tmp_path)!r} names a directory, not a file\n"
+
+    def test_output_with_a_missing_directory_creates_it(self, tmp_path):
+        src = _csv_on(tmp_path / "in.csv", 8, 16)
+        dst = tmp_path / "missing" / "deeper" / "out.csv"
+        code, _, err = main_in_process("--grid", "8,16", "--band", "3", "transform", "--which", "funk",
+                                       "--input", src, "--output", dst)
+        assert (code, err) == (0, "")
+        assert sphere.grid_from_csv(dst, sphere.build_grid(8, 16)).shape == (128,)
+
+    def test_every_suite_checks_the_grid_shape(self, tmp_path):
+        # minkowski-rev builds no grid, yet the 1x1 one is rejected
+        code, _, err = main_in_process("--grid", "1,1", "--out", tmp_path, "verify", "--suite", "minkowski-rev")
+        assert code == 3
+        assert err == "input error: grid (1, 1) too coarse for minkowski-rev; needs n_theta >= 2 and n_phi >= 4\n"
+
+    @pytest.mark.parametrize("suite", ["af", "all"])
+    def test_corpus_grid_below_its_band(self, tmp_path, suite):
+        # the af suite's band-6 noise drew a concave body on 2x4
+        code, _, err = main_in_process("--grid", "2,4", "--out", tmp_path, "verify", "--suite", suite)
+        assert code == 3
+        name, grid = ("af", "4 and n_phi >= 7") if suite == "af" else ("newton", "5 and n_phi >= 9")
+        assert err == f"input error: grid (2, 4) too coarse for {name}; needs n_theta >= {grid}\n"
+        assert not any(tmp_path.iterdir())  # nothing written
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from([["verify", "--suite", s] for s in cli.SUITES] + [["counterexample"]]
+                                   + [["transform", "--which", w] for w in ("cosine", "funk", "symmetrize")]),
+           n_theta=st.integers(2, 24), n_phi=st.integers(4, 48), band=st.integers(0, 8),
+           seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(PATH_KINDS))
+    def test_every_run_keeps_the_exit_code_contract(self, tmp_path_factory, command, n_theta, n_phi,
+                                                    band, seed, kind):
+        # exit 0 or 2 with nothing on stderr and the output written, or
+        # exit 3 with one stderr line; a path where the other kind is
+        # needed always exits 3, and no run raises
+        work = tmp_path_factory.mktemp("surface")
+        transform = command[0] == "transform"
+        path = _path_of_kind(work, kind, "out.csv" if transform else "out")
+        flags = ["--grid", f"{n_theta},{n_phi}", "--band", band, "--seed", seed]
+        if transform:
+            src = _csv_on(work / "in.csv", n_theta, n_phi)
+            argv = [*flags, *command, "--input", src, "--output", path]
+            written = path
+        else:
+            argv = [*flags, "--out", path, *command]
+            written = path / ("report.json" if command == ["counterexample"] else f"verify_{command[-1]}.json")
+        code, _, err = main_in_process(*argv)
+        assert code in (0, 2, 3)
+        if code == 3:
+            assert err.endswith("\n") and err.count("\n") == 1 and len(err.splitlines()) == 1
+        else:
+            assert err == "" and written.is_file()
+        if kind in (("under-file", "directory") if transform else ("file", "under-file")):
+            assert code == 3
 
 
 def test_only_the_design_needs_the_bundled_openblas(tmp_path, small_cfg):

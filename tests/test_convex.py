@@ -160,6 +160,26 @@ class TestSupportFunction:
         with pytest.raises(ValueError, match="band"):
             convex.random_support_function(grid, np.random.default_rng(0), band=1)
 
+    def test_random_corpus_names_a_grid_too_coarse_for_its_band(self):
+        # on 2x4, below band 6's least grid 4x7, seed 1's draw has no
+        # negative radius at the nodes: its eps would be negative and the
+        # body concave, which the certificate reported as a failed body
+        with pytest.raises(ValueError, match=r"^band-6 noise has no negative radius on the 2x4 grid "
+                                             r"\(min 8\.204e-01\); it needs a grid of at least 4x7$"):
+            convex.random_support_function(sphere.build_grid(2, 4), np.random.default_rng(1), band=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band=st.integers(2, 8), more_rings=st.integers(0, 6), more_longitudes=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_corpus_holds_on_every_grid_its_band_needs(self, band, more_rings, more_longitudes, seed):
+        # the noise's radii trace has mean zero, so a rule exact for its
+        # band finds a negative radius: no draw raises, and every body
+        # sits on its margin
+        t, p = sphere.exact_grid(band)
+        grid = sphere.build_grid(t + more_rings, p + more_longitudes)
+        h = convex.random_support_function(grid, np.random.default_rng(seed), band=band)
+        assert abs(h.min_radius - 0.05) < 1e-12
+
 
 class TestAreaDensity:
     def test_ball_densities(self, grid):

@@ -148,6 +148,22 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             sphere.integrate(small_grid, np.ones(7))
 
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_exact_grid_is_the_least_exact_rule(self, degree):
+        # every harmonic of degree 1..degree integrates to zero on
+        # exact_grid(degree); one ring or one longitude fewer, where
+        # build_grid allows it, misses one of them
+        def worst(n_theta, n_phi):
+            grid = sphere.build_grid(n_theta, n_phi)
+            rows = np.eye(harmonics.coeff_count(degree))[1:]
+            values = harmonics.ring_samples(rows, None, grid.cos_theta, n_phi).reshape(len(rows), -1)
+            return float(np.max(np.abs(values @ grid.weights), initial=0.0))
+
+        t, p = sphere.exact_grid(degree)
+        assert worst(t, p) < 1e-13
+        for fewer in [(t - 1, p)] * (t > 2) + [(t, p - 1)] * (p > 4):
+            assert worst(*fewer) > 1e-3
+
 
 class TestTangentBasis:
     def test_canonical_frame_at_pole(self):
