@@ -559,12 +559,13 @@ TRANSFORMS = {
 #: configured band that gives that degree; and whether it reads the
 #: counterexample build, whose caps must be admissible and hold nodes of
 #: the grid.  newton and af draw corpus noise of bands 8 and 6
-#: (convex.random_support_function); sr analyzes band 4, and cosine and
-#: funk the configured band, which integrates products of twice that degree.
+#: (convex.random_support_function); sr lifts test functions of band 24,
+#: which coarser grids do not resolve, and cosine and funk analyze the
+#: configured band, which integrates products of twice that degree.
 NEEDS = {
     "newton": (8, False),
     "af": (6, False),
-    "sr": (8, False),
+    "sr": (24, False),
     "isotropy-gap": (0, False),
     "rigidity": (0, True),
     "minkowski-rev": (0, False),
@@ -580,9 +581,9 @@ NEEDS = {
 # Commands
 # ----------------------------------------------------------------------
 
-def _context(cfg, names, path, folder):
+def _context(cfg, names, path, files=()):
     """The input contract of a command and its suites ``names``, checked
-    before any work: each one's need in NEEDS, then the path it writes
+    before any work: each one's need in NEEDS, then the paths it writes
     (``_writable``).  The first unmet need raises InputError naming it.
     Returns the RunContext, with the counterexample built when one of them
     reads it; the build's ValueError, inadmissible caps or a cap that
@@ -592,28 +593,30 @@ def _context(cfg, names, path, folder):
         t, p = sphere.exact_grid(degree(cfg.band) if callable(degree) else degree)
         if cfg.n_theta < t or cfg.n_phi < p:
             raise InputError(f"grid ({cfg.n_theta}, {cfg.n_phi}) too coarse for {name}; needs n_theta >= {t} and n_phi >= {p}")
+    _writable(path, files)
     ctx = RunContext(cfg)
     if any(NEEDS[name][1] for name in names):
         try:
             ctx.counterexample = zonoid.build_counterexample(cfg.cap_u(), cfg.cap_v(), ctx.grid, L=cfg.band, transition=cfg.transition)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    _writable(path, folder)
     return ctx
 
 
-def _writable(path, folder):
+def _writable(path, files=()):
     """The one rule for the paths a command writes, the --out directory
-    (``folder``) and the --output file: a missing directory is created; a
-    file where a directory is needed, or a directory where a file is
-    needed, is an input error that names the path."""
-    parent = path if folder else os.path.dirname(path) or os.curdir
+    ``path`` and the ``files`` it writes there, or with no ``files`` the
+    --output file ``path``: a missing directory is created; a file where
+    a directory is needed, or a directory where a file is needed, is an
+    input error that names the path."""
+    parent = path if files else os.path.dirname(path) or os.curdir
     try:
         os.makedirs(parent, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create directory {parent!r}: {exc.strerror}") from None
-    if not folder and (os.path.isdir(path) or not os.path.basename(path)):
-        raise InputError(f"output {path!r} names a directory, not a file")
+    for target in [os.path.join(path, name) for name in files] or [path]:
+        if os.path.isdir(target) or not os.path.basename(target):
+            raise InputError(f"output {target!r} names a directory, not a file")
 
 
 def _report(cfg, name, rows, detail):
@@ -630,7 +633,7 @@ def _report(cfg, name, rows, detail):
 
 
 def cmd_transform(cfg, which, input_path, output_path):
-    grid = _context(cfg, [which], output_path, folder=False).grid
+    grid = _context(cfg, [which], output_path).grid
     try:
         f = transforms.SphericalFunction(grid=grid, values=sphere.grid_from_csv(input_path, grid))
     except (ValueError, OSError) as exc:
@@ -642,7 +645,7 @@ def cmd_transform(cfg, which, input_path, output_path):
 
 
 def cmd_counterexample(cfg):
-    ctx = _context(cfg, ["counterexample"], cfg.out, folder=True)
+    ctx = _context(cfg, ["counterexample"], cfg.out, ("report.json", *zonoid.CounterexampleResult.FILES))
     res = ctx.counterexample
     rows = suite_counterexample(ctx)
     res.diagnostics["isotropy_max_dev_on_U"] = rows[0]["metric"]
@@ -656,13 +659,13 @@ def cmd_counterexample(cfg):
 
 def cmd_verify(cfg, suite):
     names = list(SUITE_RUNNERS) if suite == "all" else [suite]
-    ctx = _context(cfg, names, cfg.out, folder=True)
+    report = f"verify_{suite}.json"
+    ctx = _context(cfg, names, cfg.out, [report])
     results = []
     for name in names:
         results.extend(SUITE_RUNNERS[name](ctx))
-    name = f"verify_{suite}.json"
-    code = _report(cfg, name, results, lambda r: f"{_metric_text(r, '.6e')} vs {r['tolerance']:.1e}")
-    print(f"report written to {os.path.join(cfg.out, name)}")
+    code = _report(cfg, report, results, lambda r: f"{_metric_text(r, '.6e')} vs {r['tolerance']:.1e}")
+    print(f"report written to {os.path.join(cfg.out, report)}")
     return code
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -200,17 +201,17 @@ class CounterexampleResult:
     cap_u: sphere.Cap
     diagnostics: dict
 
+    #: The files ``save`` writes, in its order.
+    FILES = ("density.csv", "density_coeffs.csv", "w_coeffs.csv", "diagnostics.json")
+
     def save(self, outdir):
         """Write the density samples, coefficient tables and diagnostics."""
-        import os
-
         os.makedirs(outdir, exist_ok=True)
-        sphere.grid_to_csv(
-            os.path.join(outdir, "density.csv"), self.g.grid, self.g.values
-        )
-        harmonics.coeffs_to_csv(os.path.join(outdir, "density_coeffs.csv"), self.g.coeffs)
-        harmonics.coeffs_to_csv(os.path.join(outdir, "w_coeffs.csv"), self.w)
-        with open(os.path.join(outdir, "diagnostics.json"), "w", encoding="utf-8") as fh:
+        density, density_coeffs, w_coeffs, diagnostics = (os.path.join(outdir, name) for name in self.FILES)
+        sphere.grid_to_csv(density, self.g.grid, self.g.values)
+        harmonics.coeffs_to_csv(density_coeffs, self.g.coeffs)
+        harmonics.coeffs_to_csv(w_coeffs, self.w)
+        with open(diagnostics, "w", encoding="utf-8") as fh:
             json.dump(self.diagnostics, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -326,7 +327,7 @@ class _DesignRows(_RowBlock):
     1 - l(l+1)/2 (the transform the rigidity conclusion constrains), on the
     same nodes; the two anisotropic-Hessian components h11 - h22 and 2 h12
     (what section isotropy constrains) on the nodes of U and V; and last
-    the ridge rows, sqrt(ridge) / lambda_l on the diagonal, with lambda_l
+    the ridge rows, sqrt(RIDGE) / lambda_l on the diagonal, with lambda_l
     the cosine multiplier.  ``value_rows`` and ``anisotropy_rows``
     build the node rows; the Funk rows are the value rows times ``funk``
     column by column, and the ridge rows are diagonal.
@@ -402,16 +403,13 @@ class _DesignRows(_RowBlock):
         orders = []
         for m in sorted(set(self.ms.tolist())):
             cols = np.flatnonzero(self.ms == m)
-            am = abs(m)
             if m == 0:
                 trig, dtrig = cosm[0].copy(), np.zeros(grid.n_phi)
-            elif m > 0:
-                trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
             else:
-                trig, dtrig = s2 * sinm[am], am * s2 * cosm[am]
+                trig, dtrig = s2 * cosm[m], -m * s2 * sinm[m]
             lc = self.ls[cols]
-            Q = P[lc, am]
-            q22, twist = harmonics._tangential_hessian(am, t, st, Q, dP[lc, am])
+            Q = P[lc, m]
+            q22, twist = harmonics._tangential_hessian(m, t, st, Q, dP[lc, m])
             orders.append((cols, trig, dtrig, Q, 2.0 * (funk[cols, None] * Q - q22), 2.0 * twist))
         super().__init__(
             orders, np.arange(self.ls.size), funk, ring, lon, sw, target,
@@ -723,11 +721,32 @@ PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 #: Height by which the design enlarges every cap past its nominal one.
 CAP_MARGIN = 0.01
 
+#: Weight of the design's ridge on the inverse-cosine image: its rows are
+#: sqrt(RIDGE) / lambda_l on the diagonal.
+RIDGE = 1e-12
+
+#: The design grid's rule (``design_grid_shape``): n_theta rings, at least
+#: DESIGN_MIN_RINGS and DESIGN_RINGS_PER_DEGREE per degree of the band, a
+#: ratio of integers (rings, degrees), so that its ceiling is exact.
+DESIGN_MIN_RINGS = 32
+DESIGN_RINGS_PER_DEGREE = (8, 3)
+
 try:  # glibc's call that hands the heap's free pages back to the system
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
     _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):  # a C library without it
     _MALLOC_TRIM = None
+
+
+def design_grid_shape(L):
+    """The (n_theta, n_phi) of the plateau design's grid at band L:
+    n_theta = max(DESIGN_MIN_RINGS, ceil(8 L / 3)) and n_phi = 2 n_theta,
+    so 32x64 up to band 12, 64x128 at band 24 and 128x256 at band 48.  The
+    design's columns grow as L^2, and so must the kept nodes on its caps
+    that fit them."""
+    rings, degrees = DESIGN_RINGS_PER_DEGREE
+    n_theta = max(DESIGN_MIN_RINGS, -(-rings * L // degrees))
+    return n_theta, 2 * n_theta
 
 
 def _design_rows(cap_u, cap_v, L, grid):
@@ -836,7 +855,7 @@ def _fold_design(W, classes, rim, ridge_diag):
     return factor, np.concatenate([block.cols for block in classes]), class_folds
 
 
-def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
+def design_plateau(cap_u, cap_v, L=48):
     """Even band-L function flat at three levels on three cap pairs.
 
     The first two cap pairs are the target plateaus; the third, centered
@@ -848,7 +867,9 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     anisotropic Hessian components, on caps enlarged by ``CAP_MARGIN`` (in
     height) so the nominal caps sit strictly
     inside the designed-flat region.  A small ridge on the inverse-cosine
-    image keeps the later inversion tame.
+    image, of weight ``RIDGE``, keeps the later inversion tame.  The design
+    is solved on the grid of ``design_grid_shape(L)``, so its quadrature
+    follows the band.
 
     The caps are first rotated into their adapted frame
     (``_adapted_frame``: e_x along U + V, e_y along U x V), where U and V
@@ -930,20 +951,19 @@ def design_plateau(cap_u, cap_v, L=48, design_grid=(128, 256), ridge=1e-12):
     (``openblas.library``).
     """
     with openblas.one_thread():
-        dg = sphere.build_grid(*design_grid)
-        rows, frame = _design_rows(cap_u, cap_v, L, dg)
-        del dg  # the rows hold what they read of the design grid
+        shape = design_grid_shape(L)
+        # the rows hold what they read of the design grid, which is dropped
+        rows, frame = _design_rows(cap_u, cap_v, L, sphere.build_grid(*shape))
         ls, ms, funk, target = rows.ls, rows.ms, rows.funk, rows.target
         n, n_aniso, ncol = rows.n_nodes, rows.n_aniso, ls.size
         node_values = rows.node_values()
-        lam = harmonics.multiplier_table("cosine", L)
-        ridge_diag = math.sqrt(ridge) / lam[ls]
+        ridge_diag = math.sqrt(RIDGE) / harmonics.multiplier_table("cosine", L)[ls]
         classes, rim = rows.blocks()
         for name, block in zip(("even", "odd"), classes):
             if block.n_nodes < block.cols.size:
                 raise ValueError(
                     f"the plateau design's {name} row class has {block.n_nodes} kept nodes for "
-                    f"{block.cols.size} columns at band {L} on the {design_grid[0]}x{design_grid[1]} "
+                    f"{block.cols.size} columns at band {L} on the {shape[0]}x{shape[1]} "
                     "design grid; each class needs at least as many value rows as columns"
                 )
         n_rim = rim.n_nodes

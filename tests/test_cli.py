@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotools import cli, sphere
+from zonotools import cli, sphere, zonoid
 
 from test_reach import OFF_PLANE_CAPS
 
@@ -237,7 +237,7 @@ class TestVerifyCommand:
 
     COARSE_GRID_ERRORS = {
         "newton": "input error: grid (4, 8) too coarse for newton; needs n_theta >= 5 and n_phi >= 9\n",
-        "sr": "input error: grid (4, 8) too coarse for sr; needs n_theta >= 5 and n_phi >= 9\n",
+        "sr": "input error: grid (4, 8) too coarse for sr; needs n_theta >= 13 and n_phi >= 25\n",
         "rigidity": "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n",
         "umbilic": "input error: cap U holds no node of the 4x8 grid; choose a finer grid\n",
     }
@@ -246,10 +246,10 @@ class TestVerifyCommand:
     def test_coarse_grid_keeps_the_exit_code_contract(self, tmp_path, suite):
         # on the 4x8 grid a suite either runs, exit 0 or 2 with nothing on
         # stderr, or names what it rejects in one stderr line, exit 3, and
-        # never stops on a traceback: the newton suite's band-8 noise and
-        # the sr suite's band-4 analysis need a 5x9 grid, and the default
-        # cap U holds no node of this one (all stops at newton, the first
-        # suite whose need the grid does not meet)
+        # never stops on a traceback: the newton suite's band-8 noise needs
+        # a 5x9 grid, the sr suite's band-24 test functions a 13x25 one,
+        # and the default cap U holds no node of this one (all stops at
+        # newton, the first suite whose need the grid does not meet)
         r = run_cli("--grid", "4,8", "--out", str(tmp_path / "o"), "verify", "--suite", suite)
         expected = self.COARSE_GRID_ERRORS.get("newton" if suite == "all" else suite)
         if expected is None:
@@ -321,6 +321,17 @@ class TestCounterexampleCommand:
         r = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "counterexample")
         assert r.returncode == 2
         assert "FAIL" in r.stdout
+
+    def test_band_sets_the_design_grid(self, tmp_path, cap_u, cap_v):
+        # --band 24 designs on the 64x128 grid of zonoid.design_grid_shape:
+        # its value and Funk rows on every kept node, its anisotropy rows
+        # and one ridge row per column
+        code, _, _ = main_in_process("--band", "24", "--out", tmp_path, "counterexample")
+        assert code in (0, 2)
+        rows, _ = zonoid._design_rows(cap_u, cap_v, 24, sphere.build_grid(64, 128))
+        expected = 2 * rows.n_nodes + 2 * rows.n_aniso + rows.ls.size
+        diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diagnostics["design_rows"] == expected == 2297
 
 
 CONFIG_KEYS = {"grid", "band", "circle_m", "cap_u_center", "cap_u_height", "cap_v_center",
@@ -465,6 +476,34 @@ class TestEntryContract:
                                        "--input", src, "--output", dst)
         assert (code, err) == (0, "")
         assert sphere.grid_from_csv(dst, sphere.build_grid(8, 16)).shape == (128,)
+
+    @pytest.mark.parametrize("name,command", [
+        ("verify_newton.json", ["verify", "--suite", "newton"]),
+        ("density.csv", ["counterexample"]),
+    ], ids=["verify", "counterexample"])
+    def test_output_name_taken_by_a_directory(self, tmp_path, name, command):
+        # a directory under --out that bears the name of a file the
+        # command writes is named before any work
+        (tmp_path / name).mkdir()
+        code, out, err = main_in_process("--out", tmp_path, *command)
+        assert (code, out) == (3, "")
+        assert err == f"input error: output {str(tmp_path / name)!r} names a directory, not a file\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("grid", ["5,10", "8,16", "12,24"])
+    def test_sr_grid_below_its_test_functions(self, tmp_path, grid):
+        # sr lifts band-24 test functions, which these grids do not
+        # resolve: its slicing identity failed there, so the grid is named
+        code, _, err = main_in_process("--grid", grid, "--out", tmp_path, "verify", "--suite", "sr")
+        assert code == 3
+        assert err == f"input error: grid ({grid.replace(',', ', ')}) too coarse for sr; needs n_theta >= 13 and n_phi >= 25\n"
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    @pytest.mark.parametrize("grid", ["13,25", "16,32"])
+    def test_sr_passes_on_its_least_grids(self, tmp_path, grid, seed):
+        # sphere.exact_grid(24), 13x25, and the next n x 2n grid pass
+        code, out, err = main_in_process("--grid", grid, "--seed", seed, "--out", tmp_path, "verify", "--suite", "sr")
+        assert (code, err) == (0, ""), out
 
     def test_every_suite_checks_the_grid_shape(self, tmp_path):
         # minkowski-rev builds no grid, yet the 1x1 one is rejected

@@ -534,8 +534,19 @@ class TestCounterexample:
 class TestPlateauDesign:
     """The folded design against the unfolded, per-column oracle."""
 
+    # GRID is the design grid of every band up to 12 (design_grid_shape),
+    # on which the oracles rebuild the design's rows
     L, GRID = 12, (32, 64)
     ANGLE = 1.55  # inside the admissible window for heights 0.9 and transition 0.3
+
+    @pytest.mark.parametrize(
+        "L,shape",
+        [(0, (32, 64)), (2, (32, 64)), (8, (32, 64)), (12, (32, 64)), (24, (64, 128)),
+         (48, (128, 256)), (60, (160, 320)), (64, (171, 342))],
+    )
+    def test_design_grid_follows_the_band(self, L, shape):
+        # n_theta = max(32, ceil(8 L / 3)) rings and twice as many longitudes
+        assert zonoid.design_grid_shape(L) == shape
 
     # every pair is solved in its adapted frame, where the reflection
     # through span(U, V) is y -> -y and the solved columns are the m >= 0
@@ -613,10 +624,11 @@ class TestPlateauDesign:
             ("small-v", 1e-12),
         ],
     )
-    def test_matches_unfolded_oracle(self, cap_u, cap_v, pair, ridge):
+    def test_matches_unfolded_oracle(self, cap_u, cap_v, pair, ridge, monkeypatch):
         u, v = self._pair(pair, cap_u, cap_v)
         harmonics.check_plateau_caps(u, v, 0.3)
-        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID, ridge=ridge)
+        monkeypatch.setattr(zonoid, "RIDGE", ridge)
+        G, info = zonoid.design_plateau(u, v, L=self.L)
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info, ridge=ridge)
         assert np.max(np.abs(G.c - G_ref.c)) <= 1e-9 * np.max(np.abs(G_ref.c))
         assert info["design_cols"] == self.N_INVARIANT == info["design_rank"]
@@ -670,7 +682,7 @@ class TestPlateauDesign:
         factors = []
         monkeypatch.setattr(zonoid, "_TriangularFactor", self._counting(zonoid._TriangularFactor, factors))
         u, v = self._pair(pair, cap_u, cap_v)
-        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        G, info = zonoid.design_plateau(u, v, L=self.L)
         self._assert_many_folds(factors, pair)
         assert info["design_folds"] == sum(f.dtpqrt_calls for f in factors)
         buffer = factors[0]._W if factors[0]._W.base is None else factors[0]._W.base
@@ -705,7 +717,7 @@ class TestPlateauDesign:
                 return R
 
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
-        _, info = zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=self.GRID)
+        _, info = zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L)
         even, odd, coupled = factors
         ncol = info["design_cols"]
         assert not np.any(even.start) and not np.any(odd.start)
@@ -747,7 +759,7 @@ class TestPlateauDesign:
 
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
         u, v = self._pair(pair, cap_u, cap_v)
-        G, info = zonoid.design_plateau(u, v, L=L, design_grid=self.GRID)
+        G, info = zonoid.design_plateau(u, v, L=L)
         *classes, _ = factors
         assert len(classes) == 2
         for factor in classes:
@@ -812,7 +824,7 @@ class TestPlateauDesign:
         for base in (zonoid._TriangularFactor, oracles.QRFoldFactor):
             factors = []
             monkeypatch.setattr(zonoid, "_TriangularFactor", recording(base, factors))
-            runs.append(zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID))
+            runs.append(zonoid.design_plateau(u, v, L=self.L))
             if small:
                 self._assert_many_folds(factors, pair)
         (G, info), (G_ref, info_ref) = runs
@@ -880,10 +892,10 @@ class TestPlateauDesign:
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
         monkeypatch.setattr(zonoid, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
         u, v = self._pair("small-v", cap_u, cap_v)
-        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        G, info = zonoid.design_plateau(u, v, L=self.L)
         assert events[0] == ("trim", 0) and events.count(("trim", 0)) == 1
         monkeypatch.setattr(zonoid, "_MALLOC_TRIM", None)
-        G_untrimmed, info_untrimmed = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        G_untrimmed, info_untrimmed = zonoid.design_plateau(u, v, L=self.L)
         assert np.array_equal(G.c, G_untrimmed.c) and info == info_untrimmed
 
     def test_rotation_peak(self, tmp_path):
@@ -919,7 +931,7 @@ class TestPlateauDesign:
         monkeypatch.setattr(zonoid, "_DesignRows", Rows)
         monkeypatch.setattr(zonoid, "_TriangularFactor", Factor)
         for pair in ("rotated", "small-u"):
-            zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=self.GRID)
+            zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L)
         assert at_solve == [0, 0]
 
     @pytest.mark.parametrize("pair", ["default", "off-plane"])
@@ -937,19 +949,21 @@ class TestPlateauDesign:
         assert keys == []
 
     @pytest.mark.parametrize(
-        "pair,grid_shape,message",
+        "pair,L,message",
         [
-            ("default", (8, 16), "even row class has 6 kept nodes for 28 columns at band 12 on the 8x16 design grid"),
-            ("rotated", (16, 32), "even row class has 22 kept nodes for 28 columns at band 12 on the 16x32 design grid"),
+            ("default", 12, "even row class has 15 kept nodes for 28 columns at band 12 on the 32x64 design grid"),
+            ("rotated", 24, "even row class has 57 kept nodes for 91 columns at band 24 on the 64x128 design grid"),
         ],
         ids=["default", "rotated"],
     )
-    def test_design_grid_too_coarse_for_its_band(self, cap_u, cap_v, pair, grid_shape, message):
+    def test_design_grid_too_coarse_for_its_band(self, cap_u, cap_v, pair, L, message):
+        # caps of height 0.99 hold too few nodes of the band's design grid:
         # a row class with fewer value rows than columns cannot fold its
-        # Funk rows from a square value factor: it is named, with its
-        # counts, the band and the design grid, before any fold
+        # Funk rows from a square value factor, so it is named, with its
+        # counts, the band and the derived design grid, before any fold
+        tiny = [sphere.Cap(c.center, 0.99) for c in self._pair(pair, cap_u, cap_v)]
         with pytest.raises(ValueError, match=message):
-            zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L, design_grid=grid_shape)
+            zonoid.design_plateau(*tiny, L=L)
 
     @pytest.mark.parametrize("pair", ["default", "off-plane", "band-64"])
     def test_design_solve_is_lstsq_on_a_copy_of_the_factor(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
@@ -1000,10 +1014,11 @@ class TestPlateauDesign:
         # the design stops with both certificates' numbers, an input error
         # to the CLI
         get = openblas.library().scipy_openblas_get_num_threads64_
+        monkeypatch.setattr(zonoid, "RIDGE", 1e-40)
         monkeypatch.setattr(zonoid, "_inverse_frobenius_norm", lambda R: math.inf)
         before = get()
         with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)"):
-            zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID, ridge=1e-40)
+            zonoid.design_plateau(cap_u, cap_v, L=self.L)
         assert get() == before
 
     def test_design_runs_at_one_blas_thread(self, cap_u, cap_v, monkeypatch):
@@ -1021,7 +1036,7 @@ class TestPlateauDesign:
         set_count(2)  # where the library has a second thread
         try:
             outer = get()
-            zonoid.design_plateau(cap_u, cap_v, L=self.L, design_grid=self.GRID)
+            zonoid.design_plateau(cap_u, cap_v, L=self.L)
             assert get() == outer
         finally:
             set_count(before)
@@ -1040,7 +1055,8 @@ class TestPlateauDesign:
         solved = []
         real = zonoid._rotate_expansion
         monkeypatch.setattr(zonoid, "_rotate_expansion", lambda G, Q: (solved.append(G), real(G, Q))[1])
-        G, info = zonoid.design_plateau(u, v, L=L, design_grid=grid_shape)
+        assert zonoid.design_grid_shape(L) == grid_shape
+        G, info = zonoid.design_plateau(u, v, L=L)
         [G_solved] = solved
         grid = sphere.build_grid(*grid_shape)
         rows = self._design_rows(u, v, L, grid)
@@ -1184,7 +1200,7 @@ class TestPlateauDesign:
         # every pair is solved in its adapted frame, also the pairs that a
         # coordinate reflection fixes as given
         u, v = self._pair(pair, cap_u, cap_v)
-        G, info = zonoid.design_plateau(u, v, L=self.L, design_grid=self.GRID)
+        G, info = zonoid.design_plateau(u, v, L=self.L)
         assert np.array_equal(np.array(info["design_frame"]), zonoid._adapted_frame(u.center, v.center))
         assert not np.any(G.c[G.degrees() % 2 == 1])
 
@@ -1293,7 +1309,7 @@ def test_design_imports_no_masked_arrays():
         "import sys, numpy as np; from zonotools import sphere, zonoid\n"
         "e = np.eye(3); off = sphere.Cap(np.array([0.3, 0.4, 0.866]) / np.linalg.norm([0.3, 0.4, 0.866]), 0.9)\n"
         "for u, v in ((sphere.Cap(e[2], 0.9), sphere.Cap(e[0], 0.9)), (off, sphere.Cap(e[1], 0.92))):\n"
-        "    zonoid.design_plateau(u, v, L=8, design_grid=(32, 64))\n"
+        "    zonoid.design_plateau(u, v, L=8)\n"
         "print('numpy.ma' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -1514,7 +1530,7 @@ class TestTriangularFactor:
         spec.loader.exec_module(fresh)
         monkeypatch.setattr(zonoid, "openblas", fresh)
         with pytest.raises(ImportError, match=rf"needs {missing} from the OpenBLAS that numpy bundles, which numpy {re.escape(np.__version__)} "):
-            zonoid.design_plateau(cap_u, cap_v, L=12, design_grid=(32, 64))
+            zonoid.design_plateau(cap_u, cap_v, L=12)
 
 
 class TestRigidity:
