@@ -745,14 +745,20 @@ def _require_even(coeffs, what):
         )
 
 
+def check_inversion_band(L):
+    """Reject a band above INVERSION_MAX_DEGREE, the inverse cosine
+    transform's limit, by ValueError."""
+    if L > INVERSION_MAX_DEGREE:
+        raise ValueError(
+            f"inverse cosine transform limited to band {INVERSION_MAX_DEGREE}, got {L}"
+        )
+
+
 def inverse_cosine_transform(coeffs):
     """Solve C(w) = G for w coefficientwise (even, band-limited G)."""
     what = "inverse cosine transform"
     _require_even(coeffs, what)
-    if coeffs.L > INVERSION_MAX_DEGREE:
-        raise ValueError(
-            f"{what} limited to band {INVERSION_MAX_DEGREE}, got {coeffs.L}"
-        )
+    check_inversion_band(coeffs.L)
     lam = multiplier_table("cosine", coeffs.L)
     for l in range(0, coeffs.L + 1, 2):
         if abs(lam[l]) <= MULTIPLIER_FLOOR:

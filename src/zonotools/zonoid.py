@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -897,14 +898,19 @@ def design_plateau(cap_u, cap_v, L=48):
     are grouped, so more free rows would buy memory and no speed.  The
     buffer is the design's one large allocation (``design_buffer_bytes``):
     at band 48 it is 4.6 MB for every cap pair (625 columns in classes of
-    325 and 300, so 927 rows).  Just before it is allocated, the C heap's
-    free pages are handed back to the system (glibc's ``malloc_trim``;
-    nothing under a C library without it).  Once an earlier design has
-    freed its buffer, glibc raises its mmap threshold to that buffer's size
-    and places the next buffer in the heap, where the design grid and theta
-    tables just dropped, and the free space around them, stay resident;
-    whether the buffer then reused them or extended the heap moved the
-    process's peak by about 2 MB, as the heap happened to be fragmented.
+    325 and 300, so 927 rows), and 11.0 MB at band 60.  It is a private
+    anonymous mapping of its own, zeros as mapped, whose one owner is the
+    buffer's base, so it is unmapped when the design drops the buffer,
+    before the rotation back, and no design leaves it resident.  A buffer
+    from the C heap would not be: once a process has freed one buffer,
+    glibc raises its mmap threshold to that size and serves every later
+    one from the heap, which keeps it resident.  The mapping is never
+    closed explicitly: a close under a live view of it would leave the
+    view on unmapped pages.  Just before the buffer is mapped, the C
+    heap's free pages are handed back to the system (glibc's
+    ``malloc_trim``; nothing under a C library without it): the row
+    setup has just dropped the design grid and its theta tables, whose
+    pages would otherwise stay resident beside the mapping.
     The default caps' rows take 19 folds.  Over 40 cap pairs drawn with seed 77, the even class
     folds 5 or 6 times, the odd class 9 to 12 times and the rim 1 to 6
     times (no coupled fold in the one pair with an empty rim);
@@ -970,8 +976,13 @@ def design_plateau(cap_u, cap_v, L=48):
         starts = np.cumsum([0] + [block.cols.size for block in classes])
         n_buffer = max(s + 2 * (block.cols.size + 1) for s, block in zip(starts, classes))
         if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)  # the transients just dropped do not stay resident under the buffer
-        W = np.zeros((n_buffer, ncol + 1), order="F")
+            _MALLOC_TRIM(0)  # the row setup's transients just dropped do not stay resident
+        # zeros in their own mapping, owned by W's base alone, so unmapped with W; never
+        # closed, since a close under a live view would leave W on unmapped pages
+        W = np.ndarray(
+            (n_buffer, ncol + 1), order="F",
+            buffer=mmap.mmap(-1, n_buffer * (ncol + 1) * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+        )
         factor, cols, folds = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol
@@ -979,7 +990,7 @@ def design_plateau(cap_u, cap_v, L=48):
         sol, ratio, bound, certificate = factor.certified_solve(float(np.min(np.abs(ridge_diag))), rcond)
         folds += factor.folds
         buffer_bytes = W.nbytes
-        del factor, W  # the fold buffer is not held through the rotation
+        del factor, W  # the fold buffer is unmapped here, not held through the rotation
         x = np.empty(ncol)
         x[cols] = sol
         G = harmonics.HarmonicCoeffs.zeros(L)
@@ -1017,8 +1028,11 @@ def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):
     Returns the result object with measured diagnostics; assertions on
     the diagnostics belong to the callers (CLI exit code, test suite).
     A cap that holds no node of ``grid`` has nothing to measure on: it
-    raises ValueError naming the cap and the grid, before the design.
+    raises ValueError naming the cap and the grid, before the design, as
+    does a band above the inverse transform's limit
+    (``harmonics.check_inversion_band``).
     """
+    harmonics.check_inversion_band(L)
     harmonics.check_plateau_caps(cap_u, cap_v, transition)
     mask_u, mask_v = grid.cap_mask(cap_u), grid.cap_mask(cap_v)
     for name, mask in (("U", mask_u), ("V", mask_v)):

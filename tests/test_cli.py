@@ -520,6 +520,19 @@ class TestEntryContract:
         assert err == f"input error: grid (2, 4) too coarse for {name}; needs n_theta >= {grid}\n"
         assert not any(tmp_path.iterdir())  # nothing written
 
+    @pytest.mark.parametrize("command", [["counterexample"], ["verify", "--suite", "rigidity"]],
+                             ids=["counterexample", "rigidity"])
+    def test_band_above_the_inversion_limit(self, tmp_path, command, monkeypatch):
+        # the inverse cosine transform's band limit is checked before the
+        # design, which would otherwise be built in full first
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the plateau design was built")
+
+        monkeypatch.setattr(zonoid, "design_plateau", unreachable)
+        code, out, err = main_in_process("--band", "65", "--out", tmp_path, *command)
+        assert (code, out) == (3, "")
+        assert err == "input error: inverse cosine transform limited to band 64, got 65\n"
+
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from([["verify", "--suite", s] for s in cli.SUITES] + [["counterexample"]]
                                    + [["transform", "--which", w] for w in ("cosine", "funk", "symmetrize")]),

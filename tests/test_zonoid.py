@@ -1,7 +1,9 @@
 import collections
 import ctypes
+import gc
 import importlib.util
 import math
+import mmap
 import os
 import platform
 import re
@@ -839,24 +841,44 @@ class TestPlateauDesign:
         exact = {k: value for k, value in info.items() if not isinstance(value, float)}
         assert exact == {k: value for k, value in info_ref.items() if not isinstance(value, float)}
 
+    @staticmethod
+    def _recording_mappings(monkeypatch, at_map=None):
+        """(length, weak reference) of every mapping made while the test
+        runs, by a wrapper of ``mmap.mmap`` that first calls ``at_map``."""
+        made, real = [], mmap.mmap
+
+        def recording(*args, **kwargs):
+            if at_map is not None:
+                at_map()
+            mapping = real(*args, **kwargs)
+            made.append((len(mapping), weakref.ref(mapping)))
+            return mapping
+
+        monkeypatch.setattr(mmap, "mmap", recording)
+        return made
+
     @pytest.mark.parametrize("pair", ["rotated", "off-plane", "small-v"])
-    def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path):
+    def test_fold_buffer_is_the_one_large_allocation(self, cap_u, cap_v, pair, tmp_path, monkeypatch):
         # drawn-like pairs at the production band and grid, solved in their
         # adapted frame (625 columns in classes of 325 and 300, so a buffer
         # of max(2 * 326, 625 + 302) = 927 rows, 4.6 MB), with and without
         # a rim; both classes and the coupled fold work in the one buffer,
-        # one after another.  The quarter-turn tables are built by a first
-        # call, so the second call's peak is the design's: the buffer, the
-        # rows' ring tables Q, H and K on the cap rings, each order's
-        # longitude factor and its phi derivative, and dtpqrt's T and
-        # workspace of one factor at a time, at most the coupled one's
-        # ncol + 1 columns (6.35 to 6.48 MB measured); the allowance covers
-        # the node arrays and the row writes' temporaries
+        # one after another.  The buffer is the one mapping the design
+        # makes, and an array over a mapping allocates nothing tracemalloc
+        # traces.  The quarter-turn tables are built by a first call, and
+        # the traced peak is taken from the mapping on, past the row setup
+        # (5.3 MB traced: the design grid and its theta tables), so it is
+        # the folds' and the solve's: the rows' ring tables Q, H and K on
+        # the cap rings, each order's longitude factor and its phi
+        # derivative, dtpqrt's T and workspace of one factor at a time, at
+        # most the coupled one's ncol + 1 columns, and the node arrays, one
+        # float per kept node (22 to 33 of them measured beyond the rest)
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
         else:
             u, v = self._pair(pair, cap_u, cap_v)
         zonoid.design_plateau(u, v)
+        made = self._recording_mappings(monkeypatch, at_map=tracemalloc.reset_peak)
         tracemalloc.start()
         try:
             _, info = zonoid.design_plateau(u, v)
@@ -871,9 +893,29 @@ class TestPlateauDesign:
         assert class_cols == [325, 300]
         buffer_bytes = self._buffer_rows(ncol, class_cols) * (ncol + 1) * 8
         assert info["design_buffer_bytes"] == buffer_bytes == 927 * 626 * 8
+        assert [length for length, _ in made] == [buffer_bytes]
         tables = 3 * ncol * rings * 8 + 2 * orders * 256 * 8
         workspaces = 2 * 32 * (ncol + 1) * 8
-        assert peak < 1.25 * (buffer_bytes + tables + workspaces)
+        node_arrays = 24 * rows.n_nodes * 8
+        assert peak < 1.25 * (tables + workspaces + node_arrays)
+
+    @pytest.mark.parametrize("pair", ["default", "small-v"])
+    def test_fold_mapping_does_not_outlive_the_design(self, cap_u, cap_v, pair, monkeypatch):
+        # the buffer's mapping is owned by the buffer alone, so it is
+        # unmapped once the design drops the buffer, before its rotation
+        # back, with or without a rim
+        made, at_rotation = self._recording_mappings(monkeypatch), []
+        rotate = zonoid._rotate_expansion
+
+        def recording_rotation(G, frame):
+            at_rotation.extend(ref() for _, ref in made)
+            return rotate(G, frame)
+
+        monkeypatch.setattr(zonoid, "_rotate_expansion", recording_rotation)
+        _, info = zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L)
+        [(length, ref)] = made
+        assert length == info["design_buffer_bytes"]
+        assert at_rotation == [None] and ref() is None
 
     def test_free_heap_pages_go_back_before_the_buffer(self, cap_u, cap_v, monkeypatch):
         # under glibc the design hands the heap's free pages back once per
@@ -1012,14 +1054,21 @@ class TestPlateauDesign:
         # a ridge far too small for the ridge certificate, and a factor
         # taken as singular (an exact zero pivot reads as |R^-1|_F = inf):
         # the design stops with both certificates' numbers, an input error
-        # to the CLI
+        # to the CLI; the exception's frames hold the fold buffer, whose
+        # mapping goes once the exception is dropped
         get = openblas.library().scipy_openblas_get_num_threads64_
         monkeypatch.setattr(zonoid, "RIDGE", 1e-40)
         monkeypatch.setattr(zonoid, "_inverse_frobenius_norm", lambda R: math.inf)
+        made = self._recording_mappings(monkeypatch)
         before = get()
-        with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)"):
+        with pytest.raises(ValueError, match=r"not certified full rank: its ridge certificate .* its Frobenius certificate .* = inf is not below 1/\(4 rcond\)") as raised:
             zonoid.design_plateau(cap_u, cap_v, L=self.L)
         assert get() == before
+        [(_, ref)] = made
+        assert ref() is not None
+        del raised
+        gc.collect()
+        assert ref() is None
 
     def test_design_runs_at_one_blas_thread(self, cap_u, cap_v, monkeypatch):
         library = openblas.library()
