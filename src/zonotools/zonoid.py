@@ -898,19 +898,23 @@ def design_plateau(cap_u, cap_v, L=48):
     are grouped, so more free rows would buy memory and no speed.  The
     buffer is the design's one large allocation (``design_buffer_bytes``):
     at band 48 it is 4.6 MB for every cap pair (625 columns in classes of
-    325 and 300, so 927 rows), and 11.0 MB at band 60.  It is a private
-    anonymous mapping of its own, zeros as mapped, whose one owner is the
-    buffer's base, so it is unmapped when the design drops the buffer,
-    before the rotation back, and no design leaves it resident.  A buffer
-    from the C heap would not be: once a process has freed one buffer,
-    glibc raises its mmap threshold to that size and serves every later
-    one from the heap, which keeps it resident.  The mapping is never
-    closed explicitly: a close under a live view of it would leave the
-    view on unmapped pages.  Just before the buffer is mapped, the C
-    heap's free pages are handed back to the system (glibc's
-    ``malloc_trim``; nothing under a C library without it): the row
-    setup has just dropped the design grid and its theta tables, whose
-    pages would otherwise stay resident beside the mapping.
+    325 and 300, so 927 rows), and 11.0 MB at band 60.  It is an
+    anonymous mapping of its own (``mmap.mmap(-1, nbytes)``, zeros as
+    mapped on every platform), whose one owner is the buffer's base, so it
+    is unmapped when the design drops the buffer, before the rotation
+    back, and no design leaves it resident.  A buffer from the C heap
+    would not be: once a process has freed one buffer, glibc raises its
+    mmap threshold to that size and serves every later one from the heap,
+    which keeps it resident.  So only a process that builds more than one
+    design gains, such as one that runs several jobs through ``cli.main``
+    (the benchmark's worker); a single-design command's one buffer was
+    mapped by glibc anyway.  The mapping is never closed explicitly: a
+    close under a live view of it would leave the view on unmapped pages.
+    Just before the buffer is mapped, the C heap's free pages are handed
+    back to the system (glibc's ``malloc_trim``; nothing under a C library
+    without it): the row setup has just dropped the design grid and its
+    theta tables, whose pages would otherwise stay resident beside the
+    mapping.
     The default caps' rows take 19 folds.  Over 40 cap pairs drawn with seed 77, the even class
     folds 5 or 6 times, the odd class 9 to 12 times and the rim 1 to 6
     times (no coupled fold in the one pair with an empty rim);
@@ -979,10 +983,7 @@ def design_plateau(cap_u, cap_v, L=48):
             _MALLOC_TRIM(0)  # the row setup's transients just dropped do not stay resident
         # zeros in their own mapping, owned by W's base alone, so unmapped with W; never
         # closed, since a close under a live view would leave W on unmapped pages
-        W = np.ndarray(
-            (n_buffer, ncol + 1), order="F",
-            buffer=mmap.mmap(-1, n_buffer * (ncol + 1) * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
-        )
+        W = np.ndarray((n_buffer, ncol + 1), order="F", buffer=mmap.mmap(-1, n_buffer * (ncol + 1) * 8))
         factor, cols, folds = _fold_design(W, classes, rim, ridge_diag)
         del rows, classes, rim  # their ring tables are not held through the last fold
         n_rows = 2 * n + 2 * n_aniso + ncol

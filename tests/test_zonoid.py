@@ -865,39 +865,65 @@ class TestPlateauDesign:
         # a rim; both classes and the coupled fold work in the one buffer,
         # one after another.  The buffer is the one mapping the design
         # makes, and an array over a mapping allocates nothing tracemalloc
-        # traces.  The quarter-turn tables are built by a first call, and
-        # the traced peak is taken from the mapping on, past the row setup
-        # (5.3 MB traced: the design grid and its theta tables), so it is
-        # the folds' and the solve's: the rows' ring tables Q, H and K on
-        # the cap rings, each order's longitude factor and its phi
-        # derivative, dtpqrt's T and workspace of one factor at a time, at
-        # most the coupled one's ncol + 1 columns, and the node arrays, one
-        # float per kept node (22 to 33 of them measured beyond the rest)
+        # traces.  The quarter-turn tables are built by a first call; the
+        # second call's traced peak is taken in two parts, split at the
+        # mapping.  Up to it, the row setup: the design grid (its nodes
+        # and weights, four floats a grid node), the orbit fold's rep and
+        # mult, the partner lookup's position and the caps' masks (three
+        # ints and three bytes a grid node), Q and Q' on the cap rings
+        # ((L + 1)^2 floats a ring each), the longitude tables and the
+        # rows' tables (5.30 to 5.32 MB measured).  From it on, the folds
+        # and the solve: the rows' tables, Q, H and K on the cap rings and
+        # each order's longitude factor and its phi derivative; dtpqrt's T
+        # and workspace of one factor at a time, at most the coupled one's
+        # ncol + 1 columns; one order's gathered ring table, at most
+        # L / 2 + 1 columns on the buffer's rows; and the node arrays,
+        # the rows' eight a kept node (nodes, which, target, sw, partner,
+        # ring, lon and the anisotropy flags) and the blocks' five a block
+        # row (ring, lon, sw, target and the anisotropy index), one block
+        # row a kept node at most (1.71 to 1.84 MB measured)
         if pair == "off-plane":
             u, v = _off_plane_caps(tmp_path)
         else:
             u, v = self._pair(pair, cap_u, cap_v)
         zonoid.design_plateau(u, v)
-        made = self._recording_mappings(monkeypatch, at_map=tracemalloc.reset_peak)
+        setup_peaks = []
+
+        def at_map():
+            setup_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        made = self._recording_mappings(monkeypatch, at_map=at_map)
         tracemalloc.start()
         try:
             _, info = zonoid.design_plateau(u, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        ncol = info["design_cols"]
+        L, ncol = 48, info["design_cols"]
         assert ncol == 625
-        rows, _ = zonoid._design_rows(u, v, 48, sphere.build_grid(128, 256))
+        grid = sphere.build_grid(128, 256)
+        rows, _ = zonoid._design_rows(u, v, L, grid)
         rings, orders = rows._ring.max() + 1, len(rows._orders)
         class_cols = [block.cols.size for block in rows.blocks()[0]]
         assert class_cols == [325, 300]
-        buffer_bytes = self._buffer_rows(ncol, class_cols) * (ncol + 1) * 8
+        n_buffer = self._buffer_rows(ncol, class_cols)
+        buffer_bytes = n_buffer * (ncol + 1) * 8
         assert info["design_buffer_bytes"] == buffer_bytes == 927 * 626 * 8
         assert [length for length, _ in made] == [buffer_bytes]
-        tables = 3 * ncol * rings * 8 + 2 * orders * 256 * 8
+        tables = 3 * ncol * rings * 8 + 2 * orders * grid.n_phi * 8
+        setup = (
+            grid.n_nodes * (4 * 8 + 3 * 8 + 3)
+            + 2 * (L + 1) ** 2 * rings * 8
+            + 2 * (L + 1) * grid.n_phi * 8
+            + tables
+        )
+        [setup_peak] = setup_peaks
+        assert setup_peak < 1.25 * setup
         workspaces = 2 * 32 * (ncol + 1) * 8
-        node_arrays = 24 * rows.n_nodes * 8
-        assert peak < 1.25 * (tables + workspaces + node_arrays)
+        gather = (L // 2 + 1) * n_buffer * 8
+        node_arrays = (8 + 5) * rows.n_nodes * 8
+        assert peak < 1.25 * (tables + workspaces + gather + node_arrays)
 
     @pytest.mark.parametrize("pair", ["default", "small-v"])
     def test_fold_mapping_does_not_outlive_the_design(self, cap_u, cap_v, pair, monkeypatch):
