@@ -32,6 +32,8 @@ from zonotools.convex import fixtures
 #: acceptance gate pins every row's tolerance (tests/test_acceptance.PINNED).
 TOLERANCES = types.MappingProxyType({
     "sr_l1": 1e-10,
+    "sr_contraction": 1e-12,
+    "sr_jensen": 1e-12,
     "sr_identity": 1e-6,
     "sr_identity_closed": 1e-12,
     "sr_convergence": 1e-6,
@@ -45,12 +47,17 @@ TOLERANCES = types.MappingProxyType({
     "a_ratio": 1e-6,
     "newton_slack": 1e-10,
     "af_slack": 1e-9,
+    "rigidity_ball": 1e-10,
     "mink_band": 1e-6,
     "mink_outside": 1e-8,
+    "mink_lens": 1e-6,
     "umbilic_ball": 1e-10,
     "umbilic_zonoid": 1e-4,
     "umbilic_fail_floor": 1e-2,
     "nonconstancy_ratio": 0.1,
+    "lens_radii_split": 0.5,
+    # a flag or a count, which passes at 0 and fails from 1 on
+    "flag": 0.5,
 })
 
 
@@ -64,7 +71,6 @@ class RunConfig:
     cap_u_height: float = 0.9
     cap_v_center: tuple = (1.0, 0.0, 0.0)
     cap_v_height: float = 0.9
-    transition: float = 0.3
     seed: int = 1234
     out: str = "zonotools_out"
 
@@ -82,8 +88,6 @@ class RunConfig:
             raise ValueError(f"circle_m must be >= 8, got {self.circle_m}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.transition < math.inf:
-            raise ValueError(f"transition must be positive and finite, got {self.transition}")
         self.cap_u(), self.cap_v()
 
     def echo(self):
@@ -95,7 +99,6 @@ class RunConfig:
             "cap_u_height": self.cap_u_height,
             "cap_v_center": list(self.cap_v_center),
             "cap_v_height": self.cap_v_height,
-            "transition": self.transition,
             "seed": self.seed,
         }
 
@@ -244,7 +247,7 @@ def suite_newton(ctx):
     return [
         _row("newton-nonnegative-gap", "newton-inequality", worst, -tol, "lower"),
         _row("newton-ball-equality", "newton-inequality-equality-case", ball_gap, tol),
-        _row("newton-random-strict", "newton-inequality-equality-case", equality_violations, 0.5),
+        _row("newton-random-strict", "newton-inequality-equality-case", equality_violations, TOLERANCES["flag"]),
     ]
 
 
@@ -273,7 +276,7 @@ def suite_af(ctx):
     ) / (veq * veq)
     return [
         _row("af-inequality-random-pairs", "alexandrov-fenchel", worst, -tol, "lower"),
-        _row("af-equality-flags-ball-only", "alexandrov-fenchel-equality", flagged, 0.5),
+        _row("af-equality-flags-ball-only", "alexandrov-fenchel-equality", flagged, TOLERANCES["flag"]),
         _row("af-ball-pair-equality", "alexandrov-fenchel-equality", eq_slack, tol),
     ]
 
@@ -312,9 +315,9 @@ def suite_sr(ctx):
             worst_jensen, float(np.max(sr.values - np.sqrt(np.maximum(sr2.values, 0.0))))
         )
     rows.append(_row("sr-l1-preserved", "radial-symmetrization-l1", worst_l1, TOLERANCES["sr_l1"]))
-    rows.append(_row("sr-l2-contraction", "radial-symmetrization-lp-contraction", worst_l2, 1e-12))
-    rows.append(_row("sr-l3-contraction", "radial-symmetrization-lp-contraction", worst_l3, 1e-12))
-    rows.append(_row("sr-jensen-pointwise", "symmetrization-power-mean", worst_jensen, 1e-12))
+    rows.append(_row("sr-l2-contraction", "radial-symmetrization-lp-contraction", worst_l2, TOLERANCES["sr_contraction"]))
+    rows.append(_row("sr-l3-contraction", "radial-symmetrization-lp-contraction", worst_l3, TOLERANCES["sr_contraction"]))
+    rows.append(_row("sr-jensen-pointwise", "symmetrization-power-mean", worst_jensen, TOLERANCES["sr_jensen"]))
 
     one = transforms.SphericalFunction(grid=grid, values=np.ones(grid.n_nodes)).with_coeffs(4)
     lhs, rhs = transforms.sr_profile_l1_identity(one)
@@ -330,7 +333,7 @@ def suite_sr(ctx):
     sr = transforms.radial_symmetrize(f)
     sr2 = transforms.radial_symmetrize(sr)
     idem = 0.0 if np.array_equal(sr.values, sr2.values) else 1.0
-    rows.append(_row("sr-idempotent-bitwise", "symmetrization-idempotence", idem, 0.5))
+    rows.append(_row("sr-idempotent-bitwise", "symmetrization-idempotence", idem, TOLERANCES["flag"]))
 
     c16 = harmonics.HarmonicCoeffs.zeros(16)
     c16.c = ctx.rng(5).normal(size=c16.c.size)
@@ -412,7 +415,7 @@ def suite_isotropy_gap(ctx):
     scale = np.maximum(np.maximum(np.abs(raw_gap), np.abs(mass)), TOLERANCES["gap_oracle"] * rep["f2"])
     oracle_worst = float(np.max(np.abs(raw_gap - mass) / scale, initial=0.0))
     return [
-        _row("isotropy-gap-equivalence", "isotropic-sections-iff-density-gap", 0.0 if equiv_ok else 1.0, 0.5),
+        _row("isotropy-gap-equivalence", "isotropic-sections-iff-density-gap", 0.0 if equiv_ok else 1.0, TOLERANCES["flag"]),
         _row("gap-equals-circle-fourier-mass", "density-gap-fourier-oracle", oracle_worst, TOLERANCES["gap_oracle"]),
     ]
 
@@ -425,8 +428,8 @@ def suite_rigidity(ctx):
     c.set(0, 0, (1.0 / (2.0 * math.pi)) * math.sqrt(4.0 * math.pi))
     ball_spec = zonoid.make_zonoid(transforms.SphericalFunction.from_coeffs(grid, c))
     rep = zonoid.verify_local_rigidity(ball_spec, ctx.cfg.cap_u())
-    rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, 1e-10))
-    rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, 1e-10))
+    rows.append(_row("rigidity-ball-affine", "local-rigidity-affine-support", rep.affine_residual, TOLERANCES["rigidity_ball"]))
+    rows.append(_row("rigidity-ball-funk", "local-rigidity-funk-constant", rep.funk_residual, TOLERANCES["rigidity_ball"]))
     # constructed counterexample
     spec = zonoid.make_zonoid(ctx.counterexample.g)
     rep = zonoid.verify_local_rigidity(spec, ctx.cfg.cap_u())
@@ -474,7 +477,7 @@ def _minkowski_round_trip(radius=1.0):
     lens = fixtures.Lens(r=radius, c=0.5 * radius)
     ts = np.linspace(-1.0, 1.0, 81)
     support_err = float(np.max(np.abs(solved.support_values(ts) - lens.support(ts)))) / radius
-    rows.append(_row("minkowski-solution-is-lens", "two-ball-intersection-witness", support_err, 1e-6))
+    rows.append(_row("minkowski-solution-is-lens", "two-ball-intersection-witness", support_err, TOLERANCES["mink_lens"]))
     return rows
 
 
@@ -518,8 +521,8 @@ def suite_umbilic(ctx):
     lrep = convex.umbilic_sphere_check_data(r1, r2, pts, tol=1e-6)
     cap_zone = np.abs(t) >= lens.t_edge
     curv_equal = bool(np.all(np.abs(r1[cap_zone] - r2[cap_zone]) <= 1e-12 * lens.r))
-    rows.append(_row("lens-smooth-pieces-equal-curvatures", "equal-curvatures-insufficient", 0.0 if curv_equal else 1.0, 0.5))
-    rows.append(_row("lens-radii-split-on-fan", "equal-curvatures-insufficient", lrep.max_radii_split, 0.5, "lower"))
+    rows.append(_row("lens-smooth-pieces-equal-curvatures", "equal-curvatures-insufficient", 0.0 if curv_equal else 1.0, TOLERANCES["flag"]))
+    rows.append(_row("lens-radii-split-on-fan", "equal-curvatures-insufficient", lrep.max_radii_split, TOLERANCES["lens_radii_split"], "lower"))
     return rows
 
 
@@ -597,7 +600,7 @@ def _context(cfg, names, path, files=()):
     ctx = RunContext(cfg)
     if any(NEEDS[name][1] for name in names):
         try:
-            ctx.counterexample = zonoid.build_counterexample(cfg.cap_u(), cfg.cap_v(), ctx.grid, L=cfg.band, transition=cfg.transition)
+            ctx.counterexample = zonoid.build_counterexample(cfg.cap_u(), cfg.cap_v(), ctx.grid, L=cfg.band)
         except ValueError as exc:
             raise InputError(str(exc)) from None
     return ctx

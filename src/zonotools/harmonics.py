@@ -1,5 +1,5 @@
 """Real spherical-harmonic analysis, synthesis and rotation, transform
-multipliers, inverse transforms and the plateau cap admissibility rule.
+multipliers and inverse transforms.
 
 Convention (used everywhere in this package): real, fully normalized,
 Condon-Shortley-free harmonics
@@ -772,22 +772,3 @@ def inverse_cosine_transform(coeffs):
     c[even] = coeffs.c[even] / lam[degrees[even]]
     return HarmonicCoeffs(L=coeffs.L, c=c)
 
-
-# ----------------------------------------------------------------------
-# Plateau admissibility
-# ----------------------------------------------------------------------
-
-def check_plateau_caps(cap_u, cap_v, transition):
-    """Reject cap pairs that are inadmissible for the plateau build."""
-    if transition <= 0.0:
-        raise ValueError("transition width must be positive")
-    caps = [cap_u, cap_u.antipodal(), cap_v, cap_v.antipodal()]
-    names = ["U", "-U", "V", "-V"]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            sep = caps[i].separation(caps[j])
-            if sep < 2.0 * transition:
-                raise ValueError(
-                    f"caps {names[i]} and {names[j]} are separated by {sep:.4f} rad, "
-                    f"need at least 2*transition = {2.0 * transition:.4f}"
-                )

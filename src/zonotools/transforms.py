@@ -6,13 +6,12 @@ rotation averages.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from zonotools import harmonics, sphere
-
-AXIS = sphere.E3
 
 
 @dataclass
@@ -169,62 +168,46 @@ def radial_symmetrize(f):
     return SphericalFunction(grid=f.grid, values=out, coeffs=coeffs)
 
 
-def _as_axis_rotation(T):
-    """Validate an orthogonal map fixing e3; angles become rotations."""
-    if np.isscalar(T):
-        if not math.isfinite(T):
-            raise ValueError(f"rotation angle must be finite, got {T!r}")
-        c, s = math.cos(T), math.sin(T)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    T = np.asarray(T, dtype=float)
-    if T.shape != (3, 3):
-        raise ValueError("rotation must be an angle or a 3x3 matrix")
-    if not np.all(np.isfinite(T)):
-        raise ValueError("rotation matrix must be finite")
-    # absolute tests, no relative slack; an entry that overflows fails them
-    if not np.all(np.abs(T.T @ T - np.eye(3)) <= 1e-10):
-        raise ValueError("matrix is not orthogonal")
-    if not np.all(np.abs(T @ AXIS - AXIS) <= 1e-10):
-        raise ValueError("rotation does not fix the symmetrization axis e3")
-    return T
+def _reduced_angle(a):
+    """A rotation angle about e3, checked and reduced to [-pi, pi]."""
+    if not isinstance(a, numbers.Real):
+        raise ValueError(f"rotations are angles about e3, got a {type(a).__name__}")
+    if not math.isfinite(a):
+        raise ValueError(f"rotation angle must be finite, got {a!r}")
+    return math.atan2(math.sin(a), math.cos(a))
 
 
-def finite_average(f, rotations):
-    """Pointwise average of resamplings f∘T over axis-fixing maps T.
+def finite_average(f, angles):
+    """Pointwise average of the rotations x -> f(R x) of f about e3, by
+    the given angles.
 
-    Rotations may be angles about e3 or orthogonal 3x3 matrices fixing e3
-    (reflections through planes containing the axis qualify).  Such a map
-    sends longitude phi to phi + g (a rotation by g) or to g - phi (a
-    reflection), so it acts on each order m of the expansion as a 2x2
-    matrix on the (cos m phi, sin m phi) coefficient pair.  Those matrices
-    are averaged and applied once, then the result is synthesized on the
-    grid: exact for band-limited f, and the output keeps its coefficients.
+    A rotation by g sends longitude phi to phi + g, so it acts on each
+    order m of the expansion as the rotation by m g of the
+    (cos m phi, sin m phi) coefficient pair.  Those rotations are averaged
+    and applied once, then the result is synthesized on the grid: exact
+    for band-limited f, and the output keeps its coefficients.
     """
-    if len(rotations) == 0:
+    if len(angles) == 0:
         raise ValueError("need at least one rotation")
-    maps = [_as_axis_rotation(T) for T in rotations]
+    gamma = np.array([_reduced_angle(a) for a in angles])
     if f.coeffs is None:
         raise ValueError(
             "finite_average needs an evaluation rule; call with_coeffs(L) first"
         )
-    gamma = np.array([math.atan2(T[1, 0], T[0, 0]) for T in maps])
-    kind = np.sign([np.linalg.det(T) for T in maps])  # +1 rotation, -1 reflection
     mg = np.outer(np.arange(f.coeffs.L + 1), gamma)
     cos_mg, sin_mg = np.cos(mg), np.sin(mg)
-    # a' = cc a + cs b,  b' = sc a + ss b, averaged over the maps
-    cc = np.mean(cos_mg, axis=1)
-    cs = np.mean(sin_mg, axis=1)
-    sc = np.mean(-kind * sin_mg, axis=1)
-    ss = np.mean(kind * cos_mg, axis=1)
+    # a' = c a + s b,  b' = c b - s a, averaged over the rotations; -s is the
+    # mean of the negated sines, so a sum that cancels to zero keeps its sign
+    c, s, minus_s = np.mean(cos_mg, axis=1), np.mean(sin_mg, axis=1), np.mean(-sin_mg, axis=1)
     Ac, As = f.coeffs.split_orders()
-    coeffs = harmonics.HarmonicCoeffs.from_split_orders(cc * Ac + cs * As, sc * Ac + ss * As)
+    coeffs = harmonics.HarmonicCoeffs.from_split_orders(c * Ac + s * As, minus_s * Ac + c * As)
     return SphericalFunction.from_coeffs(f.grid, coeffs)
 
 
 def lp_norm(f, p):
-    """(integral |f|^p)^(1/p) by grid quadrature."""
-    if p < 1:
-        raise ValueError(f"L^p norms need p >= 1, got {p}")
+    """(integral |f|^p)^(1/p) by grid quadrature, for finite p >= 1."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"L^p norms need finite p >= 1, got {p}")
     return float(sphere.integrate(f.grid, np.abs(f.values) ** p) ** (1.0 / p))
 
 

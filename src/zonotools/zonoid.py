@@ -248,12 +248,6 @@ def _adapted_frame(u, v):
     return np.array([ex, ey, np.cross(ex, ey)])
 
 
-def _rotate_expansion(coeffs, frame):
-    """Coefficients of x -> f(frame @ x), where f has the given
-    coefficients: one row of ``harmonics.rotate_rows``."""
-    return harmonics.HarmonicCoeffs(L=coeffs.L, c=harmonics.rotate_rows(coeffs.c, frame))
-
-
 def _write_gathered(out, cols, table, ring, scale):
     """out[cols] = table[:, ring] * scale, scaled in place in the gather,
     which is the one temporary.  ``ring`` indexes the table's rings by
@@ -722,6 +716,12 @@ PLATEAU_LEVELS = (1.0, 2.0, 3.0)
 #: Height by which the design enlarges every cap past its nominal one.
 CAP_MARGIN = 0.01
 
+#: Least geodesic distance (rad) between any two of the caps U, -U, V and
+#: -V of an admissible pair (``check_plateau_caps``).  It bounds
+#: r_U + r_V by pi/2 - CAP_SEPARATION, so every admissible cap height is
+#: above cos 0.971 = 0.565 and stays above 0.5 once enlarged by CAP_MARGIN.
+CAP_SEPARATION = 0.6
+
 #: Weight of the design's ridge on the inverse-cosine image: its rows are
 #: sqrt(RIDGE) / lambda_l on the diagonal.
 RIDGE = 1e-12
@@ -739,6 +739,21 @@ except (AttributeError, OSError, TypeError):  # a C library without it
     _MALLOC_TRIM = None
 
 
+def check_plateau_caps(cap_u, cap_v):
+    """Reject cap pairs that are inadmissible for the plateau build: any
+    two of U, -U, V and -V closer than CAP_SEPARATION."""
+    caps = [cap_u, cap_u.antipodal(), cap_v, cap_v.antipodal()]
+    names = ["U", "-U", "V", "-V"]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            sep = caps[i].separation(caps[j])
+            if sep < CAP_SEPARATION:
+                raise ValueError(
+                    f"caps {names[i]} and {names[j]} are separated by {sep:.4f} rad, "
+                    f"need at least {CAP_SEPARATION:.4f}"
+                )
+
+
 def design_grid_shape(L):
     """The (n_theta, n_phi) of the plateau design's grid at band L:
     n_theta = max(DESIGN_MIN_RINGS, ceil(8 L / 3)) and n_phi = 2 n_theta,
@@ -752,15 +767,16 @@ def design_grid_shape(L):
 
 def _design_rows(cap_u, cap_v, L, grid):
     """The plateau design's rows on ``grid`` (``_DesignRows``) for U, V
-    and the third cap on U x V, enlarged by CAP_MARGIN and rotated into
-    their adapted frame, and that frame's rotation."""
+    and the third cap on U x V, each enlarged by CAP_MARGIN (its height
+    lowered by it) and rotated into their adapted frame, and that frame's
+    rotation."""
     third_center = np.cross(cap_u.center, cap_v.center)
     nrm = np.linalg.norm(third_center)
     if nrm < 1e-8:
         raise ValueError("cap centers are collinear; no transverse axis exists")
     third = sphere.Cap(center=third_center / nrm, height=cap_u.height)
     frame = _adapted_frame(cap_u.center, cap_v.center)
-    big = [sphere.Cap(frame @ c.center, max(c.height - CAP_MARGIN, 0.5)) for c in (cap_u, cap_v, third)]
+    big = [sphere.Cap(frame @ c.center, c.height - CAP_MARGIN) for c in (cap_u, cap_v, third)]
     return _DesignRows(grid, big, L), frame
 
 
@@ -865,9 +881,9 @@ def design_plateau(cap_u, cap_v, L=48):
     visibly non-constant on the great circles through the first cap.
     The levels are ``PLATEAU_LEVELS``.  Flatness is enforced in value, in
     the Funk-level combination (Laplacian/2 + identity) and in the
-    anisotropic Hessian components, on caps enlarged by ``CAP_MARGIN`` (in
-    height) so the nominal caps sit strictly
-    inside the designed-flat region.  A small ridge on the inverse-cosine
+    anisotropic Hessian components, on caps enlarged by lowering each
+    height by ``CAP_MARGIN``, so the nominal caps sit strictly inside the
+    designed-flat region.  A small ridge on the inverse-cosine
     image, of weight ``RIDGE``, keeps the later inversion tame.  The design
     is solved on the grid of ``design_grid_shape(L)``, so its quadrature
     follows the band.
@@ -881,7 +897,7 @@ def design_plateau(cap_u, cap_v, L=48):
     columns y -> -y fixes, the m >= 0 ones.  This leaves the objective's
     minimizer unchanged; the other coefficients are exactly zero.  The
     design is solved on the grid nodes of that frame and G is mapped back
-    to the user frame exactly (``_rotate_expansion``).
+    to the user frame exactly (``harmonics.rotate_rows``).
 
     The system is never held whole.  Its rows are written into one fold
     buffer of zeros, T x (ncol + 1), and reduced, a block at a time, to
@@ -994,11 +1010,11 @@ def design_plateau(cap_u, cap_v, L=48):
         del factor, W  # the fold buffer is unmapped here, not held through the rotation
         x = np.empty(ncol)
         x[cols] = sol
-        G = harmonics.HarmonicCoeffs.zeros(L)
-        G.c[ls * ls + ls + ms] = x
+        c = np.zeros(harmonics.coeff_count(L))
+        c[ls * ls + ls + ms] = x
         values = node_values(x)
         funk_values = node_values(funk * x)
-        G = _rotate_expansion(G, frame)  # its odd degrees stay exactly zero
+        G = harmonics.HarmonicCoeffs(L=L, c=harmonics.rotate_rows(c, frame))  # odd degrees stay exactly zero
     return G, {
         "design_value_residual": float(np.max(np.abs(values - target))),
         "design_funk_residual": float(np.max(np.abs(funk_values - target))),
@@ -1015,7 +1031,7 @@ def design_plateau(cap_u, cap_v, L=48):
     }
 
 
-def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):
+def build_counterexample(cap_u, cap_v, grid, L=48):
     """Non-constant density with isotropic sections over a cap.
 
     Builds an even band-L function G flat at two levels on the cap pairs,
@@ -1034,7 +1050,7 @@ def build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3):
     (``harmonics.check_inversion_band``).
     """
     harmonics.check_inversion_band(L)
-    harmonics.check_plateau_caps(cap_u, cap_v, transition)
+    check_plateau_caps(cap_u, cap_v)
     mask_u, mask_v = grid.cap_mask(cap_u), grid.cap_mask(cap_v)
     for name, mask in (("U", mask_u), ("V", mask_v)):
         if not np.any(mask):

@@ -33,7 +33,7 @@ def counterexample(grid, cap_u, cap_v):
 
     Built once per session (the plateau design dominates the cost).
     """
-    return zonoid.build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3)
+    return zonoid.build_counterexample(cap_u, cap_v, grid, L=48)
 
 
 @pytest.fixture(scope="session")

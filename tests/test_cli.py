@@ -17,8 +17,11 @@ from test_reach import OFF_PLANE_CAPS
 
 
 def run_cli(*args):
+    # the child imports zonotools from this process's path, which pytest's
+    # pythonpath setting gives and the environment may not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, "-m", "zonotools.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "zonotools.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -44,11 +47,14 @@ class TestConfig:
         assert (cfg.band, cfg.seed) == (8, 3)
 
     def test_unknown_key_fails_loud(self, tmp_path):
-        # row tolerances are fixed, so a tol_<name> line is an unknown key too
+        # row tolerances are fixed, so a tol_<name> line is an unknown key
+        # too, and so is transition: the caps' separation is the build's
+        # constant zonoid.CAP_SEPARATION
         path = tmp_path / "cfg"
-        for line in ("bandit=8", "tol_affine_residual=1e-3"):
+        for line in ("bandit=8", "tol_affine_residual=1e-3", "transition=0.3"):
             path.write_text(line + "\n")
-            with pytest.raises(cli.ConfigError, match="unknown key"):
+            key = line.partition("=")[0]
+            with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
                 cli.parse_config_file(path)
 
     def test_tolerances_are_read_only(self):
@@ -300,7 +306,7 @@ class TestCounterexampleCommand:
 
     def test_inadmissible_caps_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg"
-        cfg.write_text("cap_u_height=0.6\ncap_v_height=0.6\ntransition=0.4\n")
+        cfg.write_text("cap_u_height=0.6\ncap_v_height=0.6\n")
         r = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "counterexample")
         assert r.returncode == 3
         assert "separated" in r.stderr
@@ -335,7 +341,7 @@ class TestCounterexampleCommand:
 
 
 CONFIG_KEYS = {"grid", "band", "circle_m", "cap_u_center", "cap_u_height", "cap_v_center",
-               "cap_v_height", "transition", "seed", "out"}
+               "cap_v_height", "seed", "out"}
 ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), min_size=1)
 NEWTON = ["verify", "--suite", "newton"]
 
@@ -343,7 +349,7 @@ NEWTON = ["verify", "--suite", "newton"]
 def _bad_cap_inputs():
     center = st.sampled_from(["0,0,0", "1,0", "1,0,0,0", "nan,0,1", "0,inf,1", "x,y,z", ""])
     height = st.floats(allow_nan=True).filter(lambda h: not 0.0 < h < 1.0).map(repr)
-    # valid unit centres too close to the default U = e3 for transition 0.3
+    # valid unit centres closer to the default U = e3 than zonoid.CAP_SEPARATION
     close = st.floats(0.0, 0.5).map(lambda t: f"{math.sin(t)!r},0,{math.cos(t)!r}")
     builds = st.sampled_from([["counterexample"], ["verify", "--suite", "rigidity"],
                               ["verify", "--suite", "umbilic"]])
@@ -381,8 +387,7 @@ def _bad_config_lines():
         and k.strip() not in CONFIG_KEYS
     ).map(lambda k: k + "=1")
     bad_value = st.sampled_from([
-        "seed=-1", "seed=x", "circle_m=7", "circle_m=-3", "transition=0", "transition=nan",
-        "transition=inf", "tol_funk_residual=1e-3",
+        "seed=-1", "seed=x", "circle_m=7", "circle_m=-3", "tol_funk_residual=1e-3", "transition=0.3",
     ])
     return st.one_of(no_pair, unknown, bad_value).map(lambda line: ([line], [], NEWTON))
 

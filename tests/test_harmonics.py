@@ -592,14 +592,6 @@ class TestSpectralTransforms:
             assert abs((1 - l * (l + 1) / 2) * lam_c[l] - lam_f[l]) < 1e-10
 
 
-class TestPlateauCaps:
-    def test_caps_too_close_rejected(self):
-        u = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.6)
-        v = sphere.Cap(np.array([1.0, 0.0, 0.0]), 0.6)
-        with pytest.raises(ValueError, match="separated"):
-            harmonics.check_plateau_caps(u, v, 0.4)
-
-
 class TestCoeffsCsv:
     def test_dump(self, tmp_path):
         c = harmonics.HarmonicCoeffs.zeros(2)

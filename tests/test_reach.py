@@ -32,8 +32,8 @@ UNREACHED = {
     "cli:_Parser.error": "argparse usage errors only (exit code 3)",
 }
 
-#: A cap pair off the coordinate planes, admissible for the default
-#: transition 0.3: orthogonal, of equal heights, so its adapted frame holds
+#: A cap pair off the coordinate planes, admissible (zonoid.CAP_SEPARATION):
+#: orthogonal, of equal heights, so its adapted frame holds
 #: the default caps' design up to rounding, on other report-grid nodes.
 OFF_PLANE_CAPS = "cap_u_center=0.3,0.4,0.866\ncap_v_center=0,0.866,-0.4\n"
 

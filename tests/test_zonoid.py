@@ -481,7 +481,7 @@ class TestCounterexample:
         u = sphere.Cap(E3, 0.6)
         v = sphere.Cap(np.array([1.0, 0.0, 0.0]), 0.6)
         with pytest.raises(ValueError, match="separated"):
-            zonoid.build_counterexample(u, v, grid, L=16, transition=0.4)
+            zonoid.build_counterexample(u, v, grid, L=16)
 
     def test_assertion_rows(self, counterexample):
         got = zonoid.counterexample_assertions(counterexample, np.random.default_rng(1234))
@@ -513,7 +513,7 @@ class TestCounterexample:
         calls = []
         real = harmonics.rotate_rows
         monkeypatch.setattr(harmonics, "rotate_rows", lambda *args: (calls.append(args[1]), real(*args))[1])
-        res = zonoid.build_counterexample(cap_u, cap_v, grid, L=48, transition=0.3)
+        res = zonoid.build_counterexample(cap_u, cap_v, grid, L=48)
         zonoid.verify_local_rigidity(zonoid.make_zonoid(res.g), cap_u)
         assert len(calls) == 1
         assert np.array_equal(calls[0], zonoid._adapted_frame(cap_u.center, cap_v.center))
@@ -533,13 +533,64 @@ class TestCounterexample:
         assert (outdir / "diagnostics.json").exists()
 
 
+class TestPlateauCaps:
+    """The admissibility rule of cap pairs and the caps the design
+    enlarges."""
+
+    # how far the drawn pairs' closest separation sits from CAP_SEPARATION
+    DELTA = 1e-9
+
+    def test_caps_too_close_rejected(self):
+        u = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.6)
+        v = sphere.Cap(np.array([1.0, 0.0, 0.0]), 0.6)
+        with pytest.raises(ValueError, match="separated"):
+            zonoid.check_plateau_caps(u, v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_admissible_caps_are_designed_on_their_enlarged_heights(self, su, sv, where, seed):
+        # every admissible pair, in a random frame: radii with r_u + r_v up
+        # to pi/2 - CAP_SEPARATION, where the window of angles between the
+        # centres closes, and angles across the window; at its ends
+        # (where 0 or 1) the closest two of U, -U, V and -V sit DELTA above
+        # CAP_SEPARATION, and 2 DELTA nearer they are rejected
+        sep, d = zonoid.CAP_SEPARATION, self.DELTA
+        span = math.pi / 2 - sep - 1e-6
+        ru = 1e-3 + su * (span - 2e-3)
+        hu = math.cos(ru)
+        hv = math.cos(1e-3 + sv * (span - ru - 1e-3))
+        radii = math.acos(hu) + math.acos(hv)  # the caps' own radii
+        lo, hi = radii + sep, math.pi - radii - sep
+        q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+
+        def pair(a):
+            return sphere.Cap(q @ E3, hu), sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv)
+
+        u, v = pair(lo + d + where * (hi - lo - 2.0 * d))
+        zonoid.check_plateau_caps(u, v)
+        caps = []
+        with mock.patch.object(zonoid, "_DesignRows", lambda grid, big, L: caps.extend(big)):
+            zonoid._design_rows(u, v, 4, sphere.build_grid(8, 16))
+        heights = [c.height for c in caps]
+        assert heights == [hu - zonoid.CAP_MARGIN, hv - zonoid.CAP_MARGIN, hu - zonoid.CAP_MARGIN]
+        assert min(heights) > math.sin(sep) - zonoid.CAP_MARGIN > 0.5
+        with pytest.raises(ValueError, match="separated"):
+            zonoid.check_plateau_caps(*pair(lo - d if where < 0.5 else hi + d))
+
+
 class TestPlateauDesign:
     """The folded design against the unfolded, per-column oracle."""
 
     # GRID is the design grid of every band up to 12 (design_grid_shape),
     # on which the oracles rebuild the design's rows
     L, GRID = 12, (32, 64)
-    ANGLE = 1.55  # inside the admissible window for heights 0.9 and transition 0.3
+    ANGLE = 1.55  # inside the admissible window for heights 0.9
 
     @pytest.mark.parametrize(
         "L,shape",
@@ -589,7 +640,7 @@ class TestPlateauDesign:
         Q = np.array(info["design_frame"])
         fu, fv = (sphere.Cap(Q @ c.center, c.height) for c in (u, v))
         G_ref, _, sv = _oracle_design_plateau(fu, fv, self.L if L is None else L, self.GRID, ridge=ridge)
-        return zonoid._rotate_expansion(G_ref, Q), sv, fu, fv
+        return harmonics.HarmonicCoeffs(L=G_ref.L, c=harmonics.rotate_rows(G_ref.c, Q)), sv, fu, fv
 
     def _solved_block_singular_values(self, u, v, ridge):
         # u and v are in the frame the design solved in, so their adapted
@@ -628,7 +679,7 @@ class TestPlateauDesign:
     )
     def test_matches_unfolded_oracle(self, cap_u, cap_v, pair, ridge, monkeypatch):
         u, v = self._pair(pair, cap_u, cap_v)
-        harmonics.check_plateau_caps(u, v, 0.3)
+        zonoid.check_plateau_caps(u, v)
         monkeypatch.setattr(zonoid, "RIDGE", ridge)
         G, info = zonoid.design_plateau(u, v, L=self.L)
         G_ref, sv, fu, fv = self._oracle_in_design_frame(u, v, info, ridge=ridge)
@@ -931,13 +982,13 @@ class TestPlateauDesign:
         # unmapped once the design drops the buffer, before its rotation
         # back, with or without a rim
         made, at_rotation = self._recording_mappings(monkeypatch), []
-        rotate = zonoid._rotate_expansion
+        rotate = harmonics.rotate_rows
 
-        def recording_rotation(G, frame):
+        def recording_rotation(C, frame):
             at_rotation.extend(ref() for _, ref in made)
-            return rotate(G, frame)
+            return rotate(C, frame)
 
-        monkeypatch.setattr(zonoid, "_rotate_expansion", recording_rotation)
+        monkeypatch.setattr(harmonics, "rotate_rows", recording_rotation)
         _, info = zonoid.design_plateau(*self._pair(pair, cap_u, cap_v), L=self.L)
         [(length, ref)] = made
         assert length == info["design_buffer_bytes"]
@@ -972,10 +1023,10 @@ class TestPlateauDesign:
         u, v = _off_plane_caps(tmp_path)
         G, info = zonoid.design_plateau(u, v)
         frame = np.array(info["design_frame"])
-        zonoid._rotate_expansion(G, frame)  # the tables are built by now
+        harmonics.rotate_rows(G.c, frame)  # the tables are built by now
         tracemalloc.start()
         try:
-            zonoid._rotate_expansion(G, frame)
+            harmonics.rotate_rows(G.c, frame)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1128,11 +1179,12 @@ class TestPlateauDesign:
         # of the values, relative to the plateau levels
         u, v = _off_plane_caps(tmp_path) if pair == "off-plane" else (cap_u, cap_v)
         solved = []
-        real = zonoid._rotate_expansion
-        monkeypatch.setattr(zonoid, "_rotate_expansion", lambda G, Q: (solved.append(G), real(G, Q))[1])
+        real = harmonics.rotate_rows
+        monkeypatch.setattr(harmonics, "rotate_rows", lambda C, Q: (solved.append(C), real(C, Q))[1])
         assert zonoid.design_grid_shape(L) == grid_shape
         G, info = zonoid.design_plateau(u, v, L=L)
-        [G_solved] = solved
+        [c_solved] = solved
+        G_solved = harmonics.HarmonicCoeffs(L=L, c=c_solved)
         grid = sphere.build_grid(*grid_shape)
         rows = self._design_rows(u, v, L, grid)
         ref = oracles.design_residuals_grid_synthesis(G_solved, grid, rows.nodes, rows.target)
@@ -1153,12 +1205,12 @@ class TestPlateauDesign:
         rng = np.random.default_rng(seed)
         hu, hv = rng.uniform(0.9, 0.95, size=2)
         ru, rv = math.acos(hu), math.acos(hv)
-        a = rng.uniform(ru + rv + 0.6, math.pi - ru - rv - 0.6)
+        a = rng.uniform(ru + rv + zonoid.CAP_SEPARATION, math.pi - ru - rv - zonoid.CAP_SEPARATION)
         q, r = np.linalg.qr(rng.normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
         u = sphere.Cap(q @ E3, hu)
         v = sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv)
-        harmonics.check_plateau_caps(u, v, 0.3)
+        zonoid.check_plateau_caps(u, v)
         grid = sphere.build_grid(*grid_shape)
         rows = self._design_rows(u, v, 4, grid)
         paired, lone, rim = rows.mirror_roles()
@@ -1197,7 +1249,7 @@ class TestPlateauDesign:
         # Admissible pairs of any angle, in a random frame or (seed None)
         # in the xz-plane, as the default caps are
         ru, rv = math.acos(hu), math.acos(hv)
-        lo, hi = ru + rv + 0.6, math.pi - ru - rv - 0.6
+        lo, hi = ru + rv + zonoid.CAP_SEPARATION, math.pi - ru - rv - zonoid.CAP_SEPARATION
         a = lo + where * (hi - lo)
         q = np.eye(3)
         if seed is not None:
@@ -1205,7 +1257,7 @@ class TestPlateauDesign:
             q = q * np.sign(np.diag(r))
         u = sphere.Cap(q @ E3, hu)
         v = sphere.Cap(q @ np.array([math.sin(a), 0.0, math.cos(a)]), hv)
-        harmonics.check_plateau_caps(u, v, 0.3)
+        zonoid.check_plateau_caps(u, v)
         grid = sphere.build_grid(*grid_shape)
         caps = []  # the caps the rows are built on, in the adapted frame
         with mock.patch.object(zonoid, "_DesignRows", lambda grid, big, L: caps.extend(big)):
@@ -1308,7 +1360,7 @@ class TestPlateauDesign:
         Q = q * np.sign(np.diag(r)) * np.sign(np.linalg.det(q * np.sign(np.diag(r))))
         x = random_unit(rng, 200)
         ref = oracles.synthesize_points(G, x @ Q.T)
-        got = oracles.synthesize_points(zonoid._rotate_expansion(G, Q), x)
+        got = oracles.synthesize_points(harmonics.HarmonicCoeffs(L=L, c=harmonics.rotate_rows(G.c, Q)), x)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=40, deadline=None)
