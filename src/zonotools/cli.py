@@ -354,6 +354,10 @@ def suite_sr(ctx):
     return rows
 
 
+#: The band of the isotropy-gap suite's densities.
+ISOTROPY_CORPUS_BAND = 12
+
+
 def _isotropy_corpus(ctx, n_cases=200):
     """Mixed corpus of (density, direction) cases with known character, as
     stacks: the (n_cases, 169) band-12 coefficient rows of the densities,
@@ -373,7 +377,7 @@ def _isotropy_corpus(ctx, n_cases=200):
     """
     grid = ctx.grid
     rng = ctx.rng(6)
-    L = 12
+    L = ISOTROPY_CORPUS_BAND
     n_zonal = n_cases // 2
     even = harmonics.HarmonicCoeffs.zeros(L).degrees() % 2 == 0
     n_even = int(np.sum(even))
@@ -526,8 +530,9 @@ def suite_umbilic(ctx):
     return rows
 
 
-def suite_counterexample(ctx):
-    got = zonoid.counterexample_assertions(ctx.counterexample, ctx.rng(7), m=ctx.cfg.circle_m)
+def counterexample_rows(got):
+    """The counterexample's report rows from the metrics of
+    ``zonoid.counterexample_assertions``."""
     anchor = "isotropic-sections-counterexample"
     dev, gap = got["isotropy_max_dev"], got["funk_gap_error"]
     var, mean = got["band_variance"], got["band_mean"]
@@ -558,26 +563,39 @@ TRANSFORMS = {
 
 #: What each suite and command needs, read once before any work
 #: (``_context``): the degree its report grid must integrate exactly, whose
-#: least grid is sphere.exact_grid(degree), or the function of the
-#: configured band that gives that degree; and whether it reads the
+#: least grid is sphere.exact_grid(degree); whether it reads the
 #: counterexample build, whose caps must be admissible and hold nodes of
-#: the grid.  newton and af draw corpus noise of bands 8 and 6
+#: the grid; and the least circle_m of the great circles it samples (0
+#: where it samples none).  A degree or a circle_m may be a function of
+#: the configured band.  newton and af draw corpus noise of bands 8 and 6
 #: (convex.random_support_function); sr lifts test functions of band 24,
 #: which coarser grids do not resolve, and cosine and funk analyze the
-#: configured band, which integrates products of twice that degree.
+#: configured band, which integrates products of twice that degree.  On a
+#: great circle a band-L density is a trigonometric polynomial of degree
+#: <= L, and the sums over m equispaced nodes of its moments of orders 0
+#: and 2 (transforms.circle_moments) are exact when no frequency aliases
+#: onto those orders, |m - 2| > L: so m >= L + 3.  The counterexample's
+#: isotropy row reads these moments of its band-L density; isotropy-gap
+#: reads them, in the double integrals of zonoid._circle_double_integrals
+#: and as the FFT's order-2 mass, of densities of band ISOTROPY_CORPUS_BAND.
 NEEDS = {
-    "newton": (8, False),
-    "af": (6, False),
-    "sr": (24, False),
-    "isotropy-gap": (0, False),
-    "rigidity": (0, True),
-    "minkowski-rev": (0, False),
-    "umbilic": (0, True),
-    "counterexample": (0, True),
-    "cosine": (lambda band: 2 * band, False),
-    "funk": (lambda band: 2 * band, False),
-    "symmetrize": (0, False),
+    "newton": (8, False, 0),
+    "af": (6, False, 0),
+    "sr": (24, False, 0),
+    "isotropy-gap": (0, False, ISOTROPY_CORPUS_BAND + 3),
+    "rigidity": (0, True, 0),
+    "minkowski-rev": (0, False, 0),
+    "umbilic": (0, True, 0),
+    "counterexample": (0, True, lambda band: band + 3),
+    "cosine": (lambda band: 2 * band, False, 0),
+    "funk": (lambda band: 2 * band, False, 0),
+    "symmetrize": (0, False, 0),
 }
+
+
+def _need(value, band):
+    """A need of NEEDS for the configured band."""
+    return value(band) if callable(value) else value
 
 
 # ----------------------------------------------------------------------
@@ -592,10 +610,13 @@ def _context(cfg, names, path, files=()):
     reads it; the build's ValueError, inadmissible caps or a cap that
     holds no node of the grid, is an input error."""
     for name in names:
-        degree = NEEDS[name][0]
-        t, p = sphere.exact_grid(degree(cfg.band) if callable(degree) else degree)
+        degree, _, circle_m = NEEDS[name]
+        t, p = sphere.exact_grid(_need(degree, cfg.band))
         if cfg.n_theta < t or cfg.n_phi < p:
             raise InputError(f"grid ({cfg.n_theta}, {cfg.n_phi}) too coarse for {name}; needs n_theta >= {t} and n_phi >= {p}")
+        least = _need(circle_m, cfg.band)
+        if cfg.circle_m < least:
+            raise InputError(f"circle_m {cfg.circle_m} too small for {name}; needs circle_m >= {least}")
     _writable(path, files)
     ctx = RunContext(cfg)
     if any(NEEDS[name][1] for name in names):
@@ -650,8 +671,10 @@ def cmd_transform(cfg, which, input_path, output_path):
 def cmd_counterexample(cfg):
     ctx = _context(cfg, ["counterexample"], cfg.out, ("report.json", *zonoid.CounterexampleResult.FILES))
     res = ctx.counterexample
-    rows = suite_counterexample(ctx)
+    got = zonoid.counterexample_assertions(res, m=cfg.circle_m)
+    rows = counterexample_rows(got)
     res.diagnostics["isotropy_max_dev_on_U"] = rows[0]["metric"]
+    res.diagnostics["isotropy_worst_direction_on_U"] = got["isotropy_worst_direction"]
     res.diagnostics["funk_gap_UV_error"] = rows[1]["metric"]
     res.save(cfg.out)
     return _report(
@@ -688,7 +711,8 @@ def build_parser():
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--grid", help="n_theta,n_phi")
     parser.add_argument("--band", type=int, help="harmonic band limit")
-    parser.add_argument("--seed", type=int, help="RNG seed")
+    parser.add_argument("--seed", type=int, help="RNG seed of the random bodies and densities that "
+                        "verify --suite newton, af, sr and isotropy-gap draw; no other command reads it")
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     p_tr = sub.add_parser("transform", help="transform a grid CSV")

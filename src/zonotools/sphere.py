@@ -259,10 +259,21 @@ class Cap:
         )
         return max(0.0, gap - self.radius - other.radius)
 
-    def sample(self, count, rng):
-        """Uniform random points inside the cap."""
-        t = rng.uniform(self.height, 1.0, size=count)
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    def spiral(self, count):
+        """``count`` points inside the cap on the equal-area golden-angle
+        (Fibonacci) spiral, as a (count, 3) array.
+
+        Point k sits at height t_k = 1 - (1 - height)(k + 1/2)/count over
+        the centre and at angle k pi (3 - sqrt 5) in the centre's
+        ``tangent_basis`` frame.  Cap area is uniform in the height, so
+        each point stands for an equal share of the cap.  A count that is
+        not a positive integer raises ValueError.
+        """
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"spiral count must be a positive integer, got {count!r}")
+        k = np.arange(count)
+        t = 1.0 - (1.0 - self.height) * (k + 0.5) / count
+        ang = k * (math.pi * (3.0 - math.sqrt(5.0)))
         r = np.sqrt(1.0 - t**2)
         eps1, eps2 = tangent_basis(self.center)
         return (

@@ -1095,29 +1095,36 @@ def build_counterexample(cap_u, cap_v, grid, L=48):
     )
 
 
-#: Cap directions whose circles counterexample_assertions checks.
+#: Cap directions whose circles counterexample_assertions checks: the
+#: first cap's equal-area golden-angle spiral (``sphere.Cap.spiral``) of
+#: this many points, the same on every run.
 ISOTROPY_SAMPLES = 50
 
 
-def counterexample_assertions(result, rng, m=256):
+def counterexample_assertions(result, m=256):
     """Measured metrics of the three counterexample claims, by name:
 
     1. ``isotropy_max_dev``, the largest isotropy deviation of the sections
-       on the circles of ISOTROPY_SAMPLES directions sampled in the first cap;
+       on the circles, of m nodes each, orthogonal to the ISOTROPY_SAMPLES
+       points of the first cap's spiral (``sphere.Cap.spiral``), and
+       ``isotropy_worst_direction``, the spiral point of that circle;
     2. ``funk_gap_error``, the distance of the Funk transform gap between
        the caps from the plateau gap;
     3. ``band_variance`` and ``band_mean`` of the density on the band that
        the circles through the cap sweep: it is visibly non-constant there.
 
     Only the first is computed here; the others come from the build's
-    diagnostics.
+    diagnostics.  No metric depends on a seed.
     """
     g = even_density(result.g)
-    samples = result.cap_u.sample(ISOTROPY_SAMPLES, rng)
-    values = transforms.circle_samples(np.broadcast_to(g.coeffs.c, (ISOTROPY_SAMPLES, g.coeffs.c.size)), samples, m)
+    directions = result.cap_u.spiral(ISOTROPY_SAMPLES)
+    values = transforms.circle_samples(np.broadcast_to(g.coeffs.c, (ISOTROPY_SAMPLES, g.coeffs.c.size)), directions, m)
+    dev = transforms.isotropy_tensors(values)[1]
+    worst = int(np.argmax(dev))
     d = result.diagnostics
     return {
-        "isotropy_max_dev": float(np.max(transforms.isotropy_tensors(values)[1])),
+        "isotropy_max_dev": float(dev[worst]),
+        "isotropy_worst_direction": directions[worst].tolist(),
         "funk_gap_error": abs(d["funk_gap_UV"] - d["funk_gap_expected"]),
         "band_variance": d["density_band_variance"],
         "band_mean": d["density_band_mean"],

@@ -73,3 +73,14 @@ def random_function(grid, L, rng, nonnegative=False, floor=0.1):
 def random_unit(rng, n=None):
     v = rng.normal(size=(n, 3) if n else 3)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def random_cap_points(cap, count, rng):
+    """Uniform random points inside the cap: heights uniform in
+    (cap.height, 1), since cap area is uniform in the height, and angles
+    uniform in the centre's tangent frame."""
+    t = rng.uniform(cap.height, 1.0, size=count)
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    r = np.sqrt(1.0 - t**2)
+    eps1, eps2 = sphere.tangent_basis(cap.center)
+    return np.outer(t, cap.center) + np.outer(r * np.cos(ang), eps1) + np.outer(r * np.sin(ang), eps2)

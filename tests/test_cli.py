@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotools import cli, sphere, zonoid
+from zonotools import cli, sphere, transforms, zonoid
 
 from test_reach import OFF_PLANE_CAPS
 
@@ -285,16 +285,13 @@ class TestVerifyCommand:
 
 
 class TestCounterexampleCommand:
-    def test_rows_compare_as_before(self, monkeypatch):
+    def test_rows_compare_as_before(self):
         # metrics exactly at their tolerance fail: the first two rows pass
         # strictly below it, the non-constancy row strictly above it
         tol = cli.TOLERANCES
         at_bound = {"isotropy_max_dev": tol["isotropy_dev"], "funk_gap_error": tol["funk_gap"],
                     "band_variance": tol["nonconstancy_ratio"] * 4.0, "band_mean": 4.0}
-        ctx = cli.RunContext(cli.RunConfig())
-        ctx.counterexample = object()
-        monkeypatch.setattr(cli.zonoid, "counterexample_assertions", lambda res, rng, m: at_bound)
-        rows = cli.suite_counterexample(ctx)
+        rows = cli.counterexample_rows(at_bound)
         assert [r["test_id"] for r in rows] == [
             "counterexample-isotropy-on-cap", "counterexample-funk-gap", "counterexample-nonconstancy",
         ]
@@ -327,6 +324,38 @@ class TestCounterexampleCommand:
         r = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "counterexample")
         assert r.returncode == 2
         assert "FAIL" in r.stdout
+
+    def test_circle_m_at_the_band_plus_3_boundary(self, tmp_path):
+        # the isotropy row's moments are exact on m >= L + 3 circle nodes:
+        # L + 2 is an input error, and L + 3 reads m = 256's metric up to
+        # rounding
+        metrics = {}
+        for m in (10, 11, 256):
+            cfg = tmp_path / f"m{m}.cfg"
+            cfg.write_text(f"circle_m={m}\n")
+            out = tmp_path / f"out{m}"
+            code, _, err = main_in_process("--config", cfg, "--band", 8, "--grid", "32,64", "--out", out, "counterexample")
+            if m == 10:
+                assert (code, err) == (3, "input error: circle_m 10 too small for counterexample; needs circle_m >= 11\n")
+                assert not out.exists()  # nothing written
+                continue
+            assert code in (0, 2) and err == ""
+            metrics[m] = json.loads((out / "report.json").read_text())["results"][0]["metric"]
+        assert metrics[11] == pytest.approx(metrics[256], rel=1e-12, abs=0.0)
+
+    def test_outputs_do_not_read_the_seed(self, tmp_path):
+        # the isotropy row reads the first cap's spiral, so the seed
+        # reaches no output of counterexample but the report's echo of it
+        outs = {}
+        for seed in (1234, 7):
+            outs[seed] = tmp_path / f"seed{seed}"
+            code, _, _ = main_in_process("--seed", seed, "--band", 8, "--grid", "32,64", "--out", outs[seed], "counterexample")
+            assert code in (0, 2)
+        for name in zonoid.CounterexampleResult.FILES:
+            assert (outs[1234] / name).read_bytes() == (outs[7] / name).read_bytes(), name
+        reports = [json.loads((outs[seed] / "report.json").read_text()) for seed in (1234, 7)]
+        assert [r["config_echo"].pop("seed") for r in reports] == [1234, 7]
+        assert reports[0] == reports[1]
 
     def test_band_sets_the_design_grid(self, tmp_path, cap_u, cap_v):
         # --band 24 designs on the 64x128 grid of zonoid.design_grid_shape:
@@ -392,6 +421,17 @@ def _bad_config_lines():
     return st.one_of(no_pair, unknown, bad_value).map(lambda line: ([line], [], NEWTON))
 
 
+def _bad_circle_m():
+    # at least 8, the config's floor, but below a command's least circle_m
+    counterexample = st.integers(6, 64).flatmap(
+        lambda band: st.integers(8, band + 2).map(lambda m: ([f"circle_m={m}"], ["--band", str(band)], ["counterexample"]))
+    )
+    gap = st.integers(8, cli.ISOTROPY_CORPUS_BAND + 2).map(
+        lambda m: ([f"circle_m={m}"], [], ["verify", "--suite", "isotropy-gap"])
+    )
+    return st.one_of(counterexample, gap)
+
+
 def _bad_suites():
     return ONE_LINE.filter(lambda t: t not in cli.SUITES).map(
         lambda suite: ([], [], ["verify", "--suite", suite])
@@ -407,7 +447,7 @@ def _unrecognized_arguments():
 class TestInputErrorContract:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(_bad_cap_inputs(), _bad_grid_inputs(), _bad_band_inputs(),
-                     _bad_config_lines(), _bad_suites(), _unrecognized_arguments()))
+                     _bad_config_lines(), _bad_circle_m(), _bad_suites(), _unrecognized_arguments()))
     def test_every_input_error_exits_3_with_one_stderr_line(self, tmp_path_factory, bad):
         lines, flags, command = bad
         work = tmp_path_factory.mktemp("input-error")
@@ -510,6 +550,23 @@ class TestEntryContract:
         code, out, err = main_in_process("--grid", grid, "--seed", seed, "--out", tmp_path, "verify", "--suite", "sr")
         assert (code, err) == (0, ""), out
 
+    def test_isotropy_gap_circle_m_boundary(self, tmp_path):
+        # the suite's band-12 densities need m >= 15 circle nodes: 14
+        # aliases their order-2 moments (the rows still pass, since both
+        # routes read the same aliased moments), 15 reads m = 256's
+        # quantities up to rounding
+        cfg = tmp_path / "cfg"
+        cfg.write_text("circle_m=14\n")
+        code, _, err = main_in_process("--config", cfg, "--out", tmp_path / "out", "verify", "--suite", "isotropy-gap")
+        assert (code, err) == (3, "input error: circle_m 14 too small for isotropy-gap; needs circle_m >= 15\n")
+        rows, directions, _, _ = cli._isotropy_corpus(cli.RunContext(cli.RunConfig()))
+        ref, at = (zonoid.isotropy_gap_stack(transforms.circle_samples(rows, directions, m)) for m in (256, 15))
+        aliased = zonoid.isotropy_gap_stack(transforms.circle_samples(rows, directions, 14))
+        assert np.max(np.abs(at["f1"] - ref["f1"]) / ref["f1"]) < 1e-14
+        for key in ("f2", "mass"):
+            assert np.max(np.abs(at[key] - ref[key]) / ref["f2"]) < 1e-14
+        assert np.max(np.abs(aliased["f2"] - ref["f2"]) / ref["f2"]) > 1e-3
+
     def test_every_suite_checks_the_grid_shape(self, tmp_path):
         # minkowski-rev builds no grid, yet the 1x1 one is rejected
         code, _, err = main_in_process("--grid", "1,1", "--out", tmp_path, "verify", "--suite", "minkowski-rev")
@@ -567,6 +624,34 @@ class TestEntryContract:
             assert err == "" and written.is_file()
         if kind in (("under-file", "directory") if transform else ("file", "under-file")):
             assert code == 3
+
+
+def test_commands_without_random_draws_leave_numpy_random_unimported(tmp_path):
+    # numpy.random adds about 5 MB to a process; only the suites that draw
+    # random bodies or densities import it.  A fresh interpreter, since
+    # hypothesis imports it into this one.
+    src = _csv_on(tmp_path / "in.csv", 32, 64)
+    small = ["--band", "8", "--grid", "32,64", "--out", str(tmp_path / "out")]
+    runs = [small + ["counterexample"]] + [
+        small + ["verify", "--suite", suite] for suite in ("rigidity", "umbilic", "minkowski-rev")
+    ] + [
+        small + ["transform", "--which", which, "--input", str(src), "--output", str(tmp_path / f"{which}.csv")]
+        for which in ("cosine", "funk", "symmetrize")
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from zonotools import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    r = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    codes, imported = json.loads(r.stdout)
+    # band 8 fails some counterexample rows (exit 2), but no run is rejected
+    assert all(code in (0, 2) for code in codes) and codes[-3:] == [0, 0, 0]
+    assert not imported
 
 
 def test_only_the_design_needs_the_bundled_openblas(tmp_path, small_cfg):

@@ -295,11 +295,42 @@ class TestCap:
         expected = math.pi / 2 - 2 * math.acos(0.9)
         assert abs(u.separation(v) - expected) < 1e-12
 
-    def test_sample_inside(self):
-        cap = sphere.Cap(np.array([0.0, 1.0, 0.0]), 0.7)
-        pts = cap.sample(200, np.random.default_rng(3))
-        assert np.all(cap.contains(pts))
+    # heights stop 1e-9 short of 1, so that the last point's margin over
+    # the rim, (1 - height) / (2 count) >= 2.5e-12, is resolved in double
+    # precision; (0, 1, 0) is the cap the sample test used
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.one_of(st.just((0.0, 1.0, 0.0)), st.just((0.0, 0.0, -1.0)),
+                      st.tuples(*[st.floats(-1, 1) for _ in range(3)])),
+        height=st.floats(0.0, 1.0 - 1e-9, exclude_min=True),
+        count=st.integers(1, 200),
+    )
+    def test_spiral_points_sit_on_their_heights_inside_the_cap(self, raw, height, count):
+        v = np.asarray(raw)
+        if np.linalg.norm(v) < 1e-3:
+            return
+        cap = sphere.Cap(v / np.linalg.norm(v), height)
+        pts = cap.spiral(count)
+        assert pts.shape == (count, 3)
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1)) < 1e-12
+        assert np.all(cap.contains(pts))
+        k = np.arange(count)
+        t = 1.0 - (1.0 - height) * (k + 0.5) / count
+        assert np.max(np.abs(pts @ cap.center - t)) < 1e-15
+        # the golden angle k pi (3 - sqrt 5) in the centre's tangent frame
+        eps1, eps2 = sphere.tangent_basis(cap.center)
+        r, ang = np.sqrt(1.0 - t**2), k * (math.pi * (3.0 - math.sqrt(5.0)))
+        assert np.max(np.abs(pts @ eps1 - r * np.cos(ang))) < 1e-14
+        assert np.max(np.abs(pts @ eps2 - r * np.sin(ang))) < 1e-14
+        again = sphere.Cap(cap.center.copy(), height).spiral(count)
+        assert again.tobytes() == pts.tobytes()
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True, "50", None])
+    def test_spiral_count_must_be_a_positive_integer(self, count):
+        cap = sphere.Cap(np.array([0.0, 0.0, 1.0]), 0.9)
+        with pytest.raises(ValueError, match="spiral count must be a positive integer") as info:
+            cap.spiral(count)
+        assert repr(count) in str(info.value)
 
 
 #: a_3, the constant density whose zonoid is the unit ball: the reciprocal

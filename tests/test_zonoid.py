@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from zonotools import cli, convex, harmonics, openblas, sphere, transforms, zonoid
 
 import oracles
-from conftest import random_density, random_even_coeffs, random_unit
+from conftest import random_cap_points, random_density, random_even_coeffs, random_unit
 from test_reach import BAND_64_CAPS, OFF_PLANE_CAPS
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -458,7 +458,7 @@ class TestCounterexample:
 
     def test_gap_report_on_cap_directions(self, counterexample, counterexample_spec):
         rng = np.random.default_rng(5)
-        for u in counterexample.cap_u.sample(10, rng):
+        for u in random_cap_points(counterexample.cap_u, 10, rng):
             rep = _gap_report(counterexample_spec, u)
             assert rep["dev"] < 1e-6
             assert rep["gap"] < 1e-6
@@ -484,11 +484,12 @@ class TestCounterexample:
             zonoid.build_counterexample(u, v, grid, L=16)
 
     def test_assertion_rows(self, counterexample):
-        got = zonoid.counterexample_assertions(counterexample, np.random.default_rng(1234))
+        got = zonoid.counterexample_assertions(counterexample)
         tols = cli.TOLERANCES
         d = counterexample.diagnostics
         assert got == {
             "isotropy_max_dev": got["isotropy_max_dev"],
+            "isotropy_worst_direction": got["isotropy_worst_direction"],
             "funk_gap_error": abs(d["funk_gap_UV"] - d["funk_gap_expected"]),
             "band_variance": d["density_band_variance"],
             "band_mean": d["density_band_mean"],
@@ -498,12 +499,13 @@ class TestCounterexample:
         assert got["band_variance"] > tols["nonconstancy_ratio"] * got["band_mean"]
         # one synthesis of all circles gives each circle's own samples
         g = zonoid.even_density(counterexample.g)
-        samples = counterexample.cap_u.sample(50, np.random.default_rng(1234))
-        per_circle = max(
+        per_circle = [
             transforms.isotropy_tensors(transforms.circle_samples(g.coeffs.c, u, 256)[None])[1][0]
-            for u in samples
-        )
-        assert got["isotropy_max_dev"] == pytest.approx(per_circle, rel=1e-12, abs=0.0)
+            for u in counterexample.cap_u.spiral(50)
+        ]
+        assert got["isotropy_max_dev"] == pytest.approx(max(per_circle), rel=1e-12, abs=0.0)
+        worst = counterexample.cap_u.spiral(50)[int(np.argmax(per_circle))]
+        assert got["isotropy_worst_direction"] == worst.tolist()
 
     def test_grid_values_come_from_grid_synthesis(self, grid, cap_u, cap_v, monkeypatch):
         # the cap values of C(g) and R(g), in the build and in the rigidity
