@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError(f"circle_m must be >= 8, got {self.circle_m}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**63:
+            raise ValueError(f"seed must be < 2**63, got {self.seed}")
         self.cap_u(), self.cap_v()
 
     def echo(self):
@@ -178,6 +180,68 @@ def _apply_flags(cfg, args):
     return cfg
 
 
+def _splitmix(z):
+    """SplitMix64's output mix of the uint64 array z, in place, mod 2**64."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class Normals:
+    """The seeded Gaussian stream of the random bodies and densities.
+
+    Draw k is the Box-Muller cosine branch sqrt(-2 ln u) cos(2 pi v) of
+    outputs 2k and 2k + 1 of SplitMix64 started at the seed's own mix (so
+    nearby seeds do not give overlapping streams); output i is the mix of
+    the state advanced i + 1 steps, and is mapped to ((z >> 11) + 1) 2**-53
+    in (0, 1], so log never sees 0.  Draw k depends only on the seed and
+    k: one draw of n values equals n draws of one.  ``normal`` is called
+    as numpy's Generator's is.  Draws are computed BLOCK at a time, so a
+    small draw costs a slice.
+    """
+
+    BLOCK = 4096
+    _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, seed):
+        self._state = _splitmix(np.array([seed], dtype=np.uint64))
+        self._computed = 0
+        self._ahead = np.empty(0)  # the computed draws not yet handed out
+
+    def normal(self, size=None):
+        """A float for size None, else an array of shape size."""
+        shape = () if size is None else size
+        n = math.prod(shape) if isinstance(shape, tuple) else int(shape)
+        if n > self._ahead.size:
+            self._ahead = np.concatenate([self._ahead, self._draws(max(n - self._ahead.size, self.BLOCK))])
+        x, self._ahead = self._ahead[:n], self._ahead[n:]
+        return float(x[0]) if size is None else x.reshape(shape)
+
+    def _draws(self, count):
+        """The next count draws after those computed, in place where it can."""
+        k = self._computed
+        self._computed += count
+        z = np.empty((2, count), dtype=np.uint64)
+        z[0] = np.arange(2 * k + 1, 2 * (k + count) + 1, 2, dtype=np.uint64)
+        np.add(z[0], np.uint64(1), out=z[1])
+        z *= self._GAMMA
+        z += self._state
+        _splitmix(z)
+        z >>= np.uint64(11)
+        z += np.uint64(1)
+        r, v = z.astype(np.float64) * 2.0**-53
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        v *= 2.0 * math.pi
+        np.cos(v, out=v)
+        r *= v
+        return r
+
+
 class RunContext:
     """The report grid, built when a suite first reads it, and for the
     suites and commands that read it the counterexample build, shared
@@ -193,7 +257,7 @@ class RunContext:
         return sphere.build_grid(self.cfg.n_theta, self.cfg.n_phi)
 
     def rng(self, salt=0):
-        return np.random.default_rng(self.cfg.seed + salt)
+        return Normals(self.cfg.seed + salt)
 
 
 def _row(test_id, anchor, metric, tolerance, bound="upper", reason=None):
@@ -711,8 +775,9 @@ def build_parser():
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--grid", help="n_theta,n_phi")
     parser.add_argument("--band", type=int, help="harmonic band limit")
-    parser.add_argument("--seed", type=int, help="RNG seed of the random bodies and densities that "
-                        "verify --suite newton, af, sr and isotropy-gap draw; no other command reads it")
+    parser.add_argument("--seed", type=int, help="seed, 0 <= seed < 2**63, of the Gaussian stream "
+                        "(SplitMix64, Box-Muller) of the random bodies and densities that verify --suite "
+                        "newton, af, sr and isotropy-gap draw; no other command reads it")
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     p_tr = sub.add_parser("transform", help="transform a grid CSV")

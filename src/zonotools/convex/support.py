@@ -255,6 +255,11 @@ def umbilic_sphere_check(h, cap, tol=1e-6):
 def random_support_function(grid, rng, band=8, margin=0.05):
     """Reproducible strictly convex corpus element 1 + eps * (even band-k noise).
 
+    ``rng`` is any object whose ``normal(size=n)`` returns n standard
+    normal draws as an array, such as ``cli.Normals`` or a numpy Generator;
+    it is called once per body, for the coefficients of the even degrees
+    2..band in degree-major order.
+
     The radii matrix is linear in h and is the identity at h = 1, so the
     smallest radii eigenvalue of 1 + eps * noise over the grid is
     1 + eps * mu, with mu the smallest eigenvalue for the noise alone.  eps
@@ -276,8 +281,9 @@ def random_support_function(grid, rng, band=8, margin=0.05):
     if band < 2:
         raise ValueError(f"corpus noise needs band >= 2, got {band}")
     noise = harmonics.HarmonicCoeffs.zeros(band)
-    for l in range(2, band + 1, 2):
-        noise.degree_slice(l)[:] = rng.normal(size=2 * l + 1)
+    degrees = noise.degrees()
+    even = (degrees >= 2) & (degrees % 2 == 0)
+    noise.c[even] = rng.normal(size=int(np.sum(even)))
     noise.c /= math.sqrt(noise.norm2())
     q11, q22, q12, r1, r2 = radii_grid(noise, grid)
     mu = float(np.min(r1))

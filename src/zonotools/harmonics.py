@@ -81,9 +81,6 @@ class HarmonicCoeffs:
     def copy(self):
         return HarmonicCoeffs(L=self.L, c=self.c.copy())
 
-    def degree_slice(self, l):
-        return self.c[l * l : (l + 1) * (l + 1)]
-
     def degrees(self):
         return np.repeat(np.arange(self.L + 1), 2 * np.arange(self.L + 1) + 1)
 

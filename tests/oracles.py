@@ -250,7 +250,8 @@ def inverse_funk_transform(coeffs):
     lam = harmonics.multiplier_table("funk", coeffs.L)
     out = harmonics.HarmonicCoeffs.zeros(coeffs.L)
     for l in range(0, coeffs.L + 1, 2):
-        out.degree_slice(l)[:] = coeffs.degree_slice(l) / lam[l]
+        block = slice(l * l, (l + 1) ** 2)
+        out.c[block] = coeffs.c[block] / lam[l]
     return out
 
 
@@ -441,6 +442,28 @@ def isotropy_corpus_legval(ctx, n_cases=200):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         yield f, u, False
+
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def normals_splitmix(seed, n):
+    """``cli.Normals(seed).normal(size=n)`` one draw at a time, in Python
+    integers and ``math``: draw k from SplitMix64 outputs 2k and 2k + 1,
+    started at the seed's mix."""
+    state = _splitmix_mix(seed)
+    out = []
+    for k in range(n):
+        u, v = (((_splitmix_mix((state + (i + 1) * 0x9E3779B97F4A7C15) & _MASK64) >> 11) + 1) * 2.0**-53
+                for i in (2 * k, 2 * k + 1))
+        out.append(math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v))
+    return out
 
 
 def split_orders_tril(coeffs):

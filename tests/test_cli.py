@@ -8,11 +8,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonotools import cli, sphere, transforms, zonoid
 
+import oracles
 from test_reach import OFF_PLANE_CAPS
 
 
@@ -416,7 +417,7 @@ def _bad_config_lines():
         and k.strip() not in CONFIG_KEYS
     ).map(lambda k: k + "=1")
     bad_value = st.sampled_from([
-        "seed=-1", "seed=x", "circle_m=7", "circle_m=-3", "tol_funk_residual=1e-3", "transition=0.3",
+        "seed=-1", "seed=x", f"seed={2**63}", "circle_m=7", "circle_m=-3", "tol_funk_residual=1e-3", "transition=0.3",
     ])
     return st.one_of(no_pair, unknown, bad_value).map(lambda line: ([line], [], NEWTON))
 
@@ -626,14 +627,14 @@ class TestEntryContract:
             assert code == 3
 
 
-def test_commands_without_random_draws_leave_numpy_random_unimported(tmp_path):
-    # numpy.random adds about 5 MB to a process; only the suites that draw
-    # random bodies or densities import it.  A fresh interpreter, since
-    # hypothesis imports it into this one.
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random adds about 5 MB to a process; every command and suite,
+    # the drawing ones included, draws from cli.Normals instead.  A fresh
+    # interpreter, since hypothesis imports it into this one.
     src = _csv_on(tmp_path / "in.csv", 32, 64)
     small = ["--band", "8", "--grid", "32,64", "--out", str(tmp_path / "out")]
     runs = [small + ["counterexample"]] + [
-        small + ["verify", "--suite", suite] for suite in ("rigidity", "umbilic", "minkowski-rev")
+        small + ["verify", "--suite", suite] for suite in cli.SUITES
     ] + [
         small + ["transform", "--which", which, "--input", str(src), "--output", str(tmp_path / f"{which}.csv")]
         for which in ("cosine", "funk", "symmetrize")
@@ -649,9 +650,24 @@ def test_commands_without_random_draws_leave_numpy_random_unimported(tmp_path):
     r = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     codes, imported = json.loads(r.stdout)
-    # band 8 fails some counterexample rows (exit 2), but no run is rejected
+    # band 8 fails some counterexample rows (exit 2), but no run is rejected,
+    # and the drawing suites and the transforms pass
     assert all(code in (0, 2) for code in codes) and codes[-3:] == [0, 0, 0]
+    assert [codes[1 + cli.SUITES.index(s)] for s in ("newton", "af", "sr", "isotropy-gap")] == [0, 0, 0, 0]
     assert not imported
+
+
+def test_no_source_file_names_numpy_random():
+    package = os.path.dirname(cli.__file__)
+    sources = [os.path.join(d, f) for d, _, files in os.walk(package) for f in files if f.endswith(".py")]
+    assert len(sources) > 5
+    named = []
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if "np.random" in text or "numpy.random" in text:
+            named.append(path)
+    assert named == []
 
 
 def test_only_the_design_needs_the_bundled_openblas(tmp_path, small_cfg):
@@ -682,3 +698,101 @@ def test_only_the_design_needs_the_bundled_openblas(tmp_path, small_cfg):
         if code:
             assert r.stderr.count("\n") == 1 and r.stderr.startswith("environment error: the plateau design needs scipy_dtpqrt_64_")
             assert f"numpy {np.__version__} does not provide" in r.stderr
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+class TestNormals:
+    """cli.Normals, the seeded Gaussian stream of the drawing suites."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, sizes=st.lists(st.integers(0, 40), max_size=6))
+    def test_any_split_is_one_draw(self, seed, sizes):
+        # draw k depends only on the seed and k: the draws of any split,
+        # a size of 1 drawn as a scalar, concatenate to one draw of their
+        # total, which is bitwise the same on repeat, finite, and the
+        # Python oracle's up to rounding
+        n = sum(sizes)
+        whole = cli.Normals(seed).normal(size=n)
+        assert whole.shape == (n,)
+        assert np.array_equal(whole, cli.Normals(seed).normal(size=n))
+        stream = cli.Normals(seed)
+        parts = [[stream.normal()] if k == 1 else stream.normal(size=k) for k in sizes]
+        assert np.array_equal(np.concatenate([np.empty(0), *parts]), whole)
+        assert np.all(np.isfinite(whole))
+        assert whole == pytest.approx(oracles.normals_splitmix(seed, n), rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=SEEDS, b=SEEDS)
+    def test_seeds_give_different_first_draws(self, a, b):
+        assume(a != b)
+        assert cli.Normals(a).normal() != cli.Normals(b).normal()
+
+    def test_scalar_and_shaped_draws(self):
+        # a float for no size, else an array of the size's shape, filled
+        # in C order from the stream
+        assert type(cli.Normals(3).normal()) is float
+        block = cli.Normals(3).normal(size=(4, 5))
+        assert block.shape == (4, 5) and block.dtype == np.float64
+        assert np.array_equal(block.ravel(), cli.Normals(3).normal(size=20))
+
+    def test_first_draws_of_the_default_seed(self):
+        # pinned, so that a refactor cannot change the drawn corpus silently
+        pinned = [-1.056422628698917, -0.9348376744172208, 0.8249928304202112, 2.4678359592329375]
+        assert cli.Normals(1234).normal(size=4) == pytest.approx(pinned, rel=1e-15, abs=0.0)
+
+    def test_moments_and_distribution(self):
+        # 1e5 draws of one seed: mean, variance and fourth moment within 5
+        # standard errors of 0, 1 and 3 (sqrt(1/n), sqrt(2/n), sqrt(96/n)),
+        # and the Kolmogorov-Smirnov distance to the normal CDF below its
+        # 1% critical value 1.6276 / sqrt(n)
+        n = 10**5
+        x = cli.Normals(1234).normal(size=n)
+        assert abs(np.mean(x)) < 5.0 * math.sqrt(1.0 / n)
+        assert abs(np.var(x) - 1.0) < 5.0 * math.sqrt(2.0 / n)
+        assert abs(np.mean(x**4) - 3.0) < 5.0 * math.sqrt(96.0 / n)
+        cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.sort(x)])
+        ranks = np.arange(n + 1) / n
+        ks = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
+        assert ks < 1.6276 / math.sqrt(n)
+
+    def test_run_context_streams_by_salt(self):
+        ctx = cli.RunContext(cli.RunConfig(seed=41))
+        assert np.array_equal(ctx.rng(1).normal(size=8), cli.Normals(42).normal(size=8))
+
+
+class TestSeed:
+    @pytest.mark.parametrize("as_flag", [True, False])
+    def test_seed_below_2_to_the_63(self, tmp_path, as_flag):
+        # the stream keys its counters by 64 bits, so seeds from 2**63 on
+        # are rejected where they enter; the last one below runs
+        for seed in (2**63 - 1, 2**63):
+            cfg = tmp_path / "cfg"
+            cfg.write_text("" if as_flag else f"seed={seed}\n")
+            out = tmp_path / str(seed)
+            flags = ["--seed", seed] if as_flag else []
+            code, _, err = main_in_process("--config", cfg, "--grid", "16,32", "--out", out, *flags,
+                                           "verify", "--suite", "newton")
+            if seed < 2**63:
+                assert (code, err) == (0, "")
+                assert json.loads((out / "verify_newton.json").read_text())["config_echo"]["seed"] == seed
+            else:
+                assert code == 3 and not out.exists()
+                assert err == f"config error: seed must be < 2**63, got {seed}\n"
+
+    def test_reports_repeat_and_follow_the_seed(self, tmp_path):
+        # verify --suite all writes the same bytes for the same seed; another
+        # seed changes a row of each drawing suite and no row of the others
+        reports = {}
+        for name, seed in (("a", 5), ("b", 5), ("c", 6)):
+            code, out, err = main_in_process("--seed", seed, "--out", tmp_path / name, "verify", "--suite", "all")
+            assert (code, err) == (0, ""), out
+            reports[name] = (tmp_path / name / "verify_all.json").read_bytes()
+        assert reports["a"] == reports["b"]
+        rows = [{r["test_id"]: r for r in json.loads(reports[k])["results"]} for k in "ac"]
+        changed = {i for i in rows[0] if rows[0][i] != rows[1][i]}
+        drawn = {"newton-nonnegative-gap", "af-inequality-random-pairs", "sr-l1-preserved",
+                 "gap-equals-circle-fourier-mass"}
+        assert drawn <= changed
+        assert all(i.startswith(("newton-", "af-", "sr-", "gap-")) for i in changed)

@@ -1706,7 +1706,7 @@ class TestRigidity:
         # |Y_l part| <= sqrt((2l+1)/(4 pi)) |c_l| (addition theorem), so
         # this constant keeps g >= 1 everywhere, between the nodes too
         bound = sum(
-            math.sqrt((2 * l + 1) / (4 * math.pi)) * np.linalg.norm(c.degree_slice(l))
+            math.sqrt((2 * l + 1) / (4 * math.pi)) * np.linalg.norm(c.c[l * l : (l + 1) ** 2])
             for l in range(2, L + 1, 2)
         )
         c.set(0, 0, (1.0 + bound) * math.sqrt(4 * math.pi))
